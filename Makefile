@@ -1,6 +1,6 @@
 # Convenience targets for the PKRU-Safe reproduction.
 
-.PHONY: all build test check bench examples clean
+.PHONY: all build test check lint-globals bench examples clean
 
 all: build
 
@@ -11,9 +11,20 @@ test:
 	dune runtest --force
 
 # Everything CI runs: full build (all targets) + the complete test suite.
-check:
+check: lint-globals
 	dune build @all
 	dune runtest --force
+
+# Library state lives on the instance that owns it (machine, heap,
+# browser, gate), never in a top-level mutable definition.  Fails on any
+# top-level ref / Hashtbl / Queue / Array / Bytes definition in lib/.
+GLOBALS_RE := ^let [a-z_][A-Za-z0-9_]* *(: *[^=]+)?= *(ref|Hashtbl\.create|Queue\.create|Array\.make|Bytes\.create)\b
+
+lint-globals:
+	@if grep -rnE '$(GLOBALS_RE)' lib --include='*.ml'; then \
+	  echo "lint-globals: top-level mutable state in lib/ (move it onto its owning instance)"; \
+	  exit 1; \
+	fi
 
 bench:
 	dune exec bench/main.exe

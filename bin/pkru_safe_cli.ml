@@ -104,27 +104,34 @@ let engine_tier_digest tier browser =
       s.Engine.Threaded.super_execs
   end
 
-(* --flight FILE: arm the black-box recorder for the duration of a run;
-   any post-mortem dump lands in FILE, ready for `doctor`. *)
+(* --flight FILE: a black-box recorder for the duration of a run; any
+   post-mortem dump lands in FILE, ready for `doctor`. *)
 let flight_flag =
   Arg.(value & opt (some string) None
        & info [ "flight" ] ~docv:"FILE"
            ~doc:"Arm the flight recorder; post-mortem dumps (gate-verify kills, unrecovered \
                  faults, degradations) are written to FILE for `doctor`")
 
-let with_flight ?context flight f =
+let with_flight flight f =
   match flight with
-  | None -> f ()
+  | None -> f None
   | Some path ->
-    let recorder = Telemetry.Flight.arm ~path () in
-    (match context with Some c -> Telemetry.Flight.set_context recorder c | None -> ());
+    let recorder = Telemetry.Flight.create ~path () in
     Fun.protect
       ~finally:(fun () ->
         if Telemetry.Flight.dump_total recorder > 0 then
           Printf.printf "flight recorder: %d dump(s), latest written to %s\n"
-            (Telemetry.Flight.dump_total recorder) path;
-        Telemetry.Flight.disarm ())
-      f
+            (Telemetry.Flight.dump_total recorder) path)
+      (fun () -> f (Some recorder))
+
+(* Attaches [recorder] (if any) to [env]'s machine, with the environment's
+   machine context, for the callback. *)
+let with_env_recorder env recorder f =
+  match recorder with
+  | None -> f ()
+  | Some r ->
+    Telemetry.Flight.set_context r (Pkru_safe.Env.flight_context env);
+    Telemetry.Ctx.with_recorder (Pkru_safe.Env.ctx env) r f
 
 (* --- pipeline (E1) --- *)
 
@@ -204,10 +211,10 @@ let run_browse mode page script mitigation flight tier engine_opts =
   let env =
     fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
   in
-  let browser = Browser.create env in
+  let browser = Browser.create ~engine_opts env in
   Engine.reset_stats (Browser.engine browser);
-  Engine.Threaded.with_opts engine_opts (fun () ->
-      with_flight ~context:(Pkru_safe.Env.flight_context env) flight (fun () ->
+  with_flight flight (fun recorder ->
+      with_env_recorder env recorder (fun () ->
           Browser.load_page browser page;
           match Browser.exec_script ~tier browser script with
           | _ -> ()
@@ -367,8 +374,8 @@ let run_trace bench_name mode format output flight =
   | Ok bench ->
     let profile = profile_for ~mode bench in
     let m =
-      with_flight flight (fun () ->
-          Workloads.Runner.run_config ~telemetry:true ~mode ~profile bench)
+      with_flight flight (fun recorder ->
+          Workloads.Runner.run_config ~telemetry:true ?recorder ~mode ~profile bench)
     in
     let sink =
       match m.Workloads.Runner.trace with
@@ -427,9 +434,10 @@ let run_opcode_report bench_name mode format output =
   | Error msg -> `Error (false, msg)
   | Ok bench -> (
     let profile = profile_for ~mode bench in
-    let st, m =
-      Engine.Opstats.collect (fun () ->
-          Workloads.Runner.run_config ~engine_tier:Engine.Bytecode_tier ~mode ~profile bench)
+    let st = Engine.Opstats.create () in
+    let m =
+      Workloads.Runner.run_config ~engine_tier:Engine.Bytecode_tier ~opstats:st ~mode ~profile
+        bench
     in
     match
       match format with
@@ -471,9 +479,9 @@ let run_report bench_name mode sample_every format output mitigation flight opco
     | Ok bench ->
       let profile = profile_for ~mode bench in
       let m =
-        with_flight flight (fun () ->
-            Workloads.Runner.run_config ~telemetry:true ~sample_every ?mitigation ~mode ~profile
-              ~engine_tier:tier bench)
+        with_flight flight (fun recorder ->
+            Workloads.Runner.run_config ~telemetry:true ~sample_every ?mitigation ?recorder ~mode
+              ~profile ~engine_tier:tier bench)
       in
       let sink = Option.get m.Workloads.Runner.trace in
       let sampler = Option.get m.Workloads.Runner.samples in
@@ -559,7 +567,7 @@ let run_ir_file path mode use_static entry telemetry =
     let execute () =
       match sink with
       | Some s ->
-        Telemetry.Sink.with_sink s (fun () ->
+        Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx build.Toolchain.Pipeline.env) s (fun () ->
             Toolchain.Interp.run build.Toolchain.Pipeline.interp entry [])
       | None -> Toolchain.Interp.run build.Toolchain.Pipeline.interp entry []
     in
@@ -848,12 +856,14 @@ let run_audit bench_name mode census_every promote format output mitigation flig
         let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
         let census = Telemetry.Census.create ~every:census_every () in
         let sink = Telemetry.Sink.create () in
-        with_flight ~context:(Pkru_safe.Env.flight_context env) flight (fun () ->
-            Telemetry.Sink.with_sink sink (fun () ->
-                Telemetry.Census.with_census ~provider:(Pkru_safe.Env.census_snapshot env)
-                  census (fun () ->
-                    Browser.load_page browser bench.Workloads.Bench_def.page;
-                    ignore (Browser.exec_script browser bench.Workloads.Bench_def.script))));
+        let ctx = Pkru_safe.Env.ctx env in
+        with_flight flight (fun recorder ->
+            with_env_recorder env recorder (fun () ->
+                Telemetry.Ctx.with_sink ctx sink (fun () ->
+                    Telemetry.Ctx.with_census ctx ~provider:(Pkru_safe.Env.census_snapshot env)
+                      census (fun () ->
+                        Browser.load_page browser bench.Workloads.Bench_def.page;
+                        ignore (Browser.exec_script browser bench.Workloads.Bench_def.script)))));
         let metadata = Option.get (Pkru_safe.Env.census_metadata env) in
         (env, sink, census, Audit.scan ~metadata pkalloc)
       in

@@ -102,7 +102,7 @@ let retire t =
    size histograms.  Event construction happens only under an installed
    sink. *)
 let note_alloc t ~compartment ~histogram ~site ~size result =
-  (match (result, !Telemetry.Sink.current) with
+  (match (result, t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink) with
   | Some addr, Some sink ->
     Telemetry.Sink.observe sink histogram size;
     Telemetry.Sink.emit sink ~ts:(Sim.Machine.cycles t.machine)
@@ -177,7 +177,7 @@ let backend_of_addr t addr =
   | None -> invalid_arg (Printf.sprintf "pkalloc: foreign pointer 0x%x" addr)
 
 let dealloc t addr =
-  (match !Telemetry.Sink.current with
+  (match t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink ->
     let compartment =

@@ -8,6 +8,7 @@ module Selector = Selector
 type selector_stats = {
   mutable sel_hits : int;
   mutable sel_misses : int;
+  mutable sel_memo_evictions : int;
 }
 
 type t = {
@@ -24,13 +25,15 @@ type t = {
     (* parse/compile cache keyed by selector source text; compiled
        matching performs identical charged DOM reads (see Selector), so
        the cache only saves host-side parsing and name resolution *)
+  selector_cache : bool;
+    (* off only in the differential tests, which assert cached and
+       uncached queries simulate bit-identically *)
+  split_memo : (string, string list) Hashtbl.t;
+    (* class-value splits for compiled matching, keyed by content *)
   sel_stats : selector_stats;
 }
 
-(* Selector parse/compile caching is on by default; the differential
-   tests toggle it off to assert cached and uncached queries simulate
-   bit-identically. *)
-let selector_cache_enabled = ref true
+let split_memo_cap = 4096
 
 let secret_value = 42
 
@@ -55,6 +58,27 @@ let arg_handle v =
 let buffer_result t ~site text =
   let addr, len = Dom.text_to_buffer t.dom ~site text in
   Engine.Value.of_foreign_buffer ~addr ~len
+
+(* The class-split memo is sound with no invalidation (splitting is a
+   pure function of the value string) and is cleared when full so a
+   long-lived page cannot grow it without bound.  Evictions are counted
+   in the selector stats and into the sink (a host-side counter — no
+   event, no cycle). *)
+let split_classes t value =
+  match Hashtbl.find_opt t.split_memo value with
+  | Some parts -> parts
+  | None ->
+    let parts = Selector.split_on_whitespace value in
+    if Hashtbl.length t.split_memo >= split_memo_cap then begin
+      let evicted = Hashtbl.length t.split_memo in
+      t.sel_stats.sel_memo_evictions <- t.sel_stats.sel_memo_evictions + evicted;
+      (match t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink with
+      | Some sink -> Telemetry.Sink.incr sink ~by:evicted "selector_memo_evict"
+      | None -> ());
+      Hashtbl.reset t.split_memo
+    end;
+    Hashtbl.replace t.split_memo value parts;
+    parts
 
 (* --- The binding layer (the bindgen-generated Servo APIs) --- *)
 
@@ -132,7 +156,7 @@ let rec install_bindings t =
       | [ selector_text ] ->
         let text = arg_string t selector_text in
         let nodes =
-          if !selector_cache_enabled then begin
+          if t.selector_cache then begin
             let compiled =
               match Hashtbl.find_opt t.selectors text with
               | Some c ->
@@ -148,7 +172,7 @@ let rec install_bindings t =
                 Hashtbl.replace t.selectors text c;
                 c
             in
-            Selector.query_all_compiled t.dom compiled
+            Selector.query_all_compiled ~split:(split_classes t) t.dom compiled
           end
           else begin
             let selector =
@@ -305,7 +329,7 @@ and build_trees t parent trees =
         build_trees t node kids)
     trees
 
-let create ?engine_seed ?engine_fuel ?engine_opts env =
+let create ?engine_seed ?engine_fuel ?engine_opts ?(selector_cache = true) env =
   let machine = Pkru_safe.Env.machine env in
   let t =
     {
@@ -318,7 +342,9 @@ let create ?engine_seed ?engine_fuel ?engine_opts env =
       last_layout = None;
       listeners = Hashtbl.create 32;
       selectors = Hashtbl.create 16;
-      sel_stats = { sel_hits = 0; sel_misses = 0 };
+      selector_cache;
+      split_memo = Hashtbl.create 64;
+      sel_stats = { sel_hits = 0; sel_misses = 0; sel_memo_evictions = 0 };
     }
   in
   (* Plant the security experiment's secret at the paper's fixed address
@@ -339,7 +365,8 @@ let engine t = t.engine
    executions become causal roots, so every gate crossing and incident
    underneath them is attributed to the phase that drove it. *)
 let with_phase t name f =
-  match !Telemetry.Sink.current with
+  let ctx = t.machine.Sim.Machine.ctx in
+  match ctx.Telemetry.Ctx.sink with
   | None -> f ()
   | Some sink ->
     let cpu = t.machine.Sim.Machine.cpu.Sim.Cpu.id in
@@ -349,7 +376,7 @@ let with_phase t name f =
     in
     Fun.protect
       ~finally:(fun () ->
-        match !Telemetry.Sink.current with
+        match ctx.Telemetry.Ctx.sink with
         | None -> ()
         | Some sink ->
           Telemetry.Sink.span_exit sink ~ts:(Sim.Machine.cycles t.machine) ~cpu ~id ())
@@ -359,7 +386,7 @@ let load_page t html =
   with_phase t "phase:load-page" (fun () ->
       build_trees t (Dom.root t.dom) (Html.parse html))
 
-let exec_script_body ?tier t src =
+let exec_script_body ?tier ?opstats t src =
   t.scripts_run <- t.scripts_run + 1;
   let len = String.length src in
   (* The script text is trusted-side data handed to the engine by pointer:
@@ -371,10 +398,10 @@ let exec_script_body ?tier t src =
     | Engine.Value.Str s -> s
     | _ -> assert false
   in
-  Pkru_safe.Env.ffi_call t.env (fun () -> Engine.eval_source ?tier t.engine source)
+  Pkru_safe.Env.ffi_call t.env (fun () -> Engine.eval_source ?tier ?opstats t.engine source)
 
-let exec_script ?tier t src =
-  with_phase t "phase:exec-script" (fun () -> exec_script_body ?tier t src)
+let exec_script ?tier ?opstats t src =
+  with_phase t "phase:exec-script" (fun () -> exec_script_body ?tier ?opstats t src)
 
 let console t = Engine.take_output t.engine
 
@@ -388,4 +415,5 @@ let selector_stats t = t.sel_stats
 
 let reset_selector_stats t =
   t.sel_stats.sel_hits <- 0;
-  t.sel_stats.sel_misses <- 0
+  t.sel_stats.sel_misses <- 0;
+  t.sel_stats.sel_memo_evictions <- 0

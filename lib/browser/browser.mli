@@ -32,10 +32,14 @@ val create :
   ?engine_seed:int ->
   ?engine_fuel:int ->
   ?engine_opts:Engine.Threaded.opts ->
+  ?selector_cache:bool ->
   Pkru_safe.Env.t ->
   t
-(** [engine_opts] pins the session's threaded-tier layers (per-instance;
-    omitted, the engine defers to the process-wide [!Threaded.config]). *)
+(** [engine_opts] selects the engine's threaded-tier layers (default
+    {!Engine.Threaded.all_on}).  [selector_cache] (default [true]) turns
+    [domQuery]'s selector cache off when [false]; the differential tests
+    do so to assert cached and uncached querying simulate
+    bit-identically. *)
 
 val env : t -> Pkru_safe.Env.t
 val dom : t -> Dom.t
@@ -45,10 +49,12 @@ val load_page : t -> string -> unit
 (** Parses HTML (trusted-side work) and builds the DOM under the root.
     @raise Html.Html_error on bad markup. *)
 
-val exec_script : ?tier:Engine.tier -> t -> string -> Engine.Value.t
+val exec_script :
+  ?tier:Engine.tier -> ?opstats:Engine.Opstats.t -> t -> string -> Engine.Value.t
 (** Runs a script in the untrusted compartment against this page.
     [tier] selects the execution tier (default [Ast_tier]); every tier is
-    observationally equivalent.
+    observationally equivalent.  [opstats] profiles opcodes on the
+    reference bytecode tier ({!Engine.eval_source}).
     @raise Engine.Eval.Script_error and the engine's parse errors;
     @raise Vmm.Fault.Unhandled when enforcement kills an access. *)
 
@@ -77,11 +83,16 @@ val scripts_run : t -> int
 type selector_stats = {
   mutable sel_hits : int;  (** [domQuery] calls served from the cache *)
   mutable sel_misses : int;  (** calls that parsed + compiled *)
+  mutable sel_memo_evictions : int;
+      (** entries evicted from the class-split memo *)
 }
 
 val selector_stats : t -> selector_stats
 val reset_selector_stats : t -> unit
 
-val selector_cache_enabled : bool ref
-(** Default [true]; the differential tests toggle it off to assert
-    cached and uncached querying simulate bit-identically. *)
+val split_memo_cap : int
+(** Size bound on the browser's content-keyed class-split memo.  When
+    full, the memo is cleared; the evicted entries are added to
+    [sel_memo_evictions] and counted into the machine's sink (if any) as
+    [selector_memo_evict] — a host-side counter only, never an event or
+    a cycle. *)

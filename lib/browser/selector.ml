@@ -146,9 +146,9 @@ let query_first dom t =
      against the (monotonic) intern count, since a later
      [createElement]/[setAttribute] can intern a name that compiled as
      unknown;
-   - class-attribute values are split through a content-keyed memo
-     (splitting is a pure function of the value string, so the memo needs
-     no invalidation; it is capped to bound memory). *)
+   - class-attribute values are split through the caller's [split], which
+     the browser backs with a content-keyed memo (splitting is a pure
+     function of the value string, so the memo needs no invalidation). *)
 
 type nref = {
   n_name : string;
@@ -191,31 +191,7 @@ let compile (sel : t) : compiled =
 
 let source c = c.source
 
-(* Content-keyed class-split memo: sound with no invalidation (pure
-   function of the value string); cleared when oversized so a 100k-session
-   fleet can't grow it without bound.  Evictions are counted into the
-   sink (a post-hoc host-side counter — no event, no cycle). *)
-let split_memo : (string, string list) Hashtbl.t = Hashtbl.create 64
-let split_memo_cap = 4096
-let split_memo_evictions = ref 0
-
-let split_classes value =
-  match Hashtbl.find_opt split_memo value with
-  | Some parts -> parts
-  | None ->
-    let parts = split_on_whitespace value in
-    if Hashtbl.length split_memo >= split_memo_cap then begin
-      let evicted = Hashtbl.length split_memo in
-      split_memo_evictions := !split_memo_evictions + evicted;
-      (match !Telemetry.Sink.current with
-      | Some sink -> Telemetry.Sink.incr sink ~by:evicted "selector_memo_evict"
-      | None -> ());
-      Hashtbl.reset split_memo
-    end;
-    Hashtbl.replace split_memo value parts;
-    parts
-
-let matches_csimple dom node = function
+let matches_csimple ~split dom node = function
   | Cuniversal -> true
   | Ctag r ->
     let code = code_of dom r in
@@ -232,32 +208,32 @@ let matches_csimple dom node = function
     else (
       match Dom.attribute_by_code dom node code with
       | None -> false
-      | Some value -> List.mem cls (split_classes value))
+      | Some value -> List.mem cls (split value))
 
-let matches_ccompound dom node compound =
-  (not (Dom.is_text dom node)) && List.for_all (matches_csimple dom node) compound
+let matches_ccompound ~split dom node compound =
+  (not (Dom.is_text dom node)) && List.for_all (matches_csimple ~split dom node) compound
 
-let rec matches_rev_cpath dom node = function
+let rec matches_rev_cpath ~split dom node = function
   | [] -> true
   | compound :: rest ->
-    matches_ccompound dom node compound
+    matches_ccompound ~split dom node compound
     &&
     let rec some_ancestor current =
       match Dom.parent dom current with
       | None -> rest = []
-      | Some parent -> matches_rev_cpath dom parent rest || some_ancestor parent
+      | Some parent -> matches_rev_cpath ~split dom parent rest || some_ancestor parent
     in
     (match rest with
     | [] -> true
     | _ -> some_ancestor node)
 
-let matches_compiled dom node c =
-  List.exists (fun path -> matches_rev_cpath dom node (List.rev path)) c.cpaths
+let matches_compiled ~split dom node c =
+  List.exists (fun path -> matches_rev_cpath ~split dom node (List.rev path)) c.cpaths
 
-let query_all_compiled dom c =
+let query_all_compiled ~split dom c =
   let acc = ref [] in
   let rec walk node =
-    if node <> Dom.root dom && matches_compiled dom node c then acc := node :: !acc;
+    if node <> Dom.root dom && matches_compiled ~split dom node c then acc := node :: !acc;
     List.iter walk (Dom.children dom node)
   in
   walk (Dom.root dom);

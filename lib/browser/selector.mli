@@ -35,10 +35,11 @@ val query_first : Dom.t -> t -> Dom.node option
 
    One-time host-side preparation of a parsed selector: names resolve to
    interned codes (revalidated against the DOM's monotonic intern count,
-   so names interned after compilation are picked up) and class-value
-   splitting is memoized by content.  Matching performs the exact same
-   charged DOM reads as the interpreted matcher — simulated cycles,
-   faults and traces are bit-identical; only host wall-clock drops.
+   so names interned after compilation are picked up) and class values
+   are split by a caller-supplied function (the browser memoizes it by
+   content).  Matching performs the exact same charged DOM reads as the
+   interpreted matcher — simulated cycles, faults and traces are
+   bit-identical; only host wall-clock drops.
    The browser's per-page selector cache ({!Browser.selector_stats})
    keys compiled selectors by source text. *)
 
@@ -49,15 +50,12 @@ val compile : t -> compiled
 val source : compiled -> t
 (** The parsed selector this was compiled from. *)
 
-val matches_compiled : Dom.t -> Dom.node -> compiled -> bool
-val query_all_compiled : Dom.t -> compiled -> Dom.node list
+val split_on_whitespace : string -> string list
+(** Whitespace split of a [class] attribute value: the pure function the
+    browser memoizes and passes as [split]. *)
 
-val split_memo_cap : int
-(** Size bound on the content-keyed class-split memo.  When full, the
-    memo is cleared; the number of evicted entries is added to
-    {!split_memo_evictions} and counted into the installed sink (if any)
-    as [selector_memo_evict] — a host-side counter only, never an event
-    or a cycle. *)
+val matches_compiled : split:(string -> string list) -> Dom.t -> Dom.node -> compiled -> bool
+(** [split] splits class values; it must return what
+    {!split_on_whitespace} does. *)
 
-val split_memo_evictions : int ref
-(** Total entries evicted from the class-split memo, process lifetime. *)
+val query_all_compiled : split:(string -> string list) -> Dom.t -> compiled -> Dom.node list

@@ -153,8 +153,9 @@ let chaos_span env sink name f =
     f
 
 let driven env sink recorder name f =
-  Telemetry.Flight.with_recorder recorder (fun () ->
-      Telemetry.Sink.with_sink sink (fun () -> chaos_span env sink name f))
+  let ctx = Pkru_safe.Env.ctx env in
+  Telemetry.Ctx.with_recorder ctx recorder (fun () ->
+      Telemetry.Ctx.with_sink ctx sink (fun () -> chaos_span env sink name f))
 
 let mitigator_exn env =
   match Pkru_safe.Env.mitigator env with
@@ -385,11 +386,12 @@ let gate_corruption ~policy ~seed =
   in
   let sink = Telemetry.Sink.create () in
   let recorder = flight_for env sink in
+  let gate = Pkru_safe.Env.gate env in
   let ending =
     Fun.protect
-      ~finally:(fun () -> Runtime.Gate.chaos_pkru_corruptor := None)
+      ~finally:(fun () -> Runtime.Gate.set_pkru_corruptor gate None)
       (fun () ->
-        Runtime.Gate.chaos_pkru_corruptor := Some corrupt;
+        Runtime.Gate.set_pkru_corruptor gate (Some corrupt);
         driven env sink recorder ("chaos:gate-corruption:" ^ variant) (fun () ->
             run_script browser))
   in

@@ -93,6 +93,7 @@ let create ?profile ?backing config =
 
 let config t = t.config
 let machine t = t.machine
+let ctx t = t.machine.Sim.Machine.ctx
 let pkalloc t = t.pkalloc
 let gate t = t.active.t_gate
 let profiler t = t.profiler
@@ -137,10 +138,10 @@ let note_site t site moved =
     if moved then t.sites_moved <- t.sites_moved + 1
   end
 
-(* The AllocId label is only rendered when a telemetry sink is installed;
+(* The AllocId label is only rendered when a telemetry sink is attached;
    disabled runs never build the string. *)
-let site_label site =
-  if Telemetry.Sink.active () then Some (Runtime.Alloc_id.to_string site) else None
+let site_label t site =
+  if (ctx t).Telemetry.Ctx.sink <> None then Some (Runtime.Alloc_id.to_string site) else None
 
 (* A site draws from MU when the input profile names it — or when the
    mitigator's Promote policy quarantined it at runtime (the pkalloc
@@ -156,7 +157,7 @@ let alloc t ~site size =
     && (Runtime.Profile.mem t.input_profile site || site_overridden t site)
   in
   note_site t site moved;
-  let label = site_label site in
+  let label = site_label t site in
   let result =
     if moved then Allocators.Pkalloc.alloc_untrusted ?site:label t.pkalloc size
     else Allocators.Pkalloc.alloc_trusted ?site:label t.pkalloc size
@@ -404,7 +405,7 @@ let flight_context t () =
   (* When a census is live, the latest heap snapshot rides along so the
      post-mortem shows what the heap looked like near death. *)
   let census =
-    match !Telemetry.Census.current with
+    match (ctx t).Telemetry.Ctx.census with
     | None -> []
     | Some c -> (
       match Telemetry.Census.latest c with

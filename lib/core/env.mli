@@ -29,6 +29,12 @@ val create :
 
 val config : t -> Config.t
 val machine : t -> Sim.Machine.t
+
+val ctx : t -> Telemetry.Ctx.t
+(** The machine's telemetry slots ([Sim.Machine.ctx]): attach a sink,
+    sampler, census or flight recorder here to observe this environment
+    only. *)
+
 val pkalloc : t -> Allocators.Pkalloc.t
 val gate : t -> Runtime.Gate.t
 (** The {e active} thread's gate. *)
@@ -148,13 +154,13 @@ val census_snapshot : t -> unit -> Telemetry.Census.snapshot
     per-AllocId live bytes and the log₂ object-age histogram from the
     census table (empty until {!track_census}).  Pure reads; charges no
     cycles.  Install with
-    [Telemetry.Census.install ~provider:(Env.census_snapshot env) c]. *)
+    [Telemetry.Ctx.with_census (Env.ctx env) ~provider:(Env.census_snapshot env) c f]. *)
 
 val flight_context : t -> unit -> Util.Json.t
 (** The {!Telemetry.Flight} context provider: simulated cycles, each
     hart's live PKRU, the active gate's nesting depth, total transitions,
     the last fault delivered and — when a mitigator tracks metadata — the
     allocation that fault landed in ([suspect_alloc]); when a census is
-    installed, its latest heap snapshot rides along as [census].  Pure
+    attached to the machine, its latest heap snapshot rides along as [census].  Pure
     reads; charges no cycles.  Install with
     [Telemetry.Flight.set_context recorder (Env.flight_context env)]. *)

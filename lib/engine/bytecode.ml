@@ -413,6 +413,7 @@ type vm = {
   eval : Eval.t;
   vm_closures : (int, string list * Ast.stmt list) Hashtbl.t;
   code_cache : (Ast.stmt list, instr array) Hashtbl.t;
+  opstats : Opstats.t option; (* opcode profile collector, if any *)
 }
 
 (* A function body is never "toplevel": its result comes only from return
@@ -455,7 +456,7 @@ let rec exec vm (code : instr array) scope0 =
      while !pc < n do
        let pc0 = !pc in
        let instr = code.(pc0) in
-       (match !Opstats.current with
+       (match vm.opstats with
        | Some st ->
          let m = mnemonic instr in
          if pc0 = !last_pc + 1 then Opstats.record st ~prev:!last_m m
@@ -591,6 +592,6 @@ and call_value vm callee args =
     exec vm (body_code vm body) scope
   | callee -> Eval.call_value vm.eval callee args
 
-let run eval program =
-  let vm = { eval; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16 } in
+let run ?opstats eval program =
+  let vm = { eval; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16; opstats } in
   exec vm program.top (Eval.globals_scope eval)

@@ -19,12 +19,10 @@ type t = {
   tstats : Threaded.stats;
       (* this engine's threaded-tier counters: per-instance, so fleet
          sessions observe only their own IC behaviour *)
-  opts : Threaded.opts option;
-      (* per-engine tier layers; [None] defers to [!Threaded.config] at
-         eval time (the process-wide default, as before) *)
+  opts : Threaded.opts; (* this engine's threaded-tier layers *)
 }
 
-let create ?seed ?fuel ?engine_opts env =
+let create ?seed ?fuel ?(engine_opts = Threaded.all_on) env =
   let heap = Value.create_heap env in
   {
     env;
@@ -50,10 +48,11 @@ let register_host t name fn = Eval.register_host t.eval name fn
    happened inside.  With no sink installed this is a load and a branch
    per phase — no event, no span, no cycle is ever produced. *)
 let with_phase t name f =
-  match !Telemetry.Sink.current with
+  let machine = Pkru_safe.Env.machine t.env in
+  let ctx = machine.Sim.Machine.ctx in
+  match ctx.Telemetry.Ctx.sink with
   | None -> f ()
   | Some sink ->
-    let machine = Pkru_safe.Env.machine t.env in
     let cpu = machine.Sim.Machine.cpu.Sim.Cpu.id in
     let id =
       Telemetry.Sink.span_enter sink ~ts:(Sim.Machine.cycles machine) ~cpu
@@ -61,13 +60,13 @@ let with_phase t name f =
     in
     Fun.protect
       ~finally:(fun () ->
-        match !Telemetry.Sink.current with
+        match ctx.Telemetry.Ctx.sink with
         | None -> ()
         | Some sink ->
           Telemetry.Sink.span_exit sink ~ts:(Sim.Machine.cycles machine) ~cpu ~id ())
       f
 
-let eval_source ?(tier = Ast_tier) t src =
+let eval_source ?(tier = Ast_tier) ?opstats t src =
   let program =
     with_phase t "engine:parse" (fun () ->
         let tokens = Lexer.tokenize t.heap src in
@@ -76,10 +75,11 @@ let eval_source ?(tier = Ast_tier) t src =
   match tier with
   | Ast_tier -> with_phase t "engine:eval" (fun () -> Eval.run_program t.eval program)
   | Bytecode_tier ->
-    with_phase t "engine:bytecode" (fun () -> Bytecode.run t.eval (Bytecode.compile program))
+    with_phase t "engine:bytecode" (fun () ->
+        Bytecode.run ?opstats t.eval (Bytecode.compile program))
   | Threaded_tier ->
     with_phase t "engine:bytecode" (fun () ->
-        Threaded.run ?opts:t.opts ~stats:t.tstats t.eval (Bytecode.compile program))
+        Threaded.run ~opts:t.opts ~stats:t.tstats t.eval (Bytecode.compile program))
 
 let eval_string ?tier t text =
   match Value.str_of_string t.heap text with

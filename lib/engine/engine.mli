@@ -20,15 +20,14 @@ type tier =
   | Bytecode_tier (** compile to stack bytecode, then interpret (reference) *)
   | Threaded_tier
       (** closure-compiled dispatch + superinstructions + inline caches
-          (layers per [!Threaded.config]); simulates bit-identically to
-          [Bytecode_tier] *)
+          (layers per the engine's [engine_opts]); simulates
+          bit-identically to [Bytecode_tier] *)
 
 type t
 
 val create : ?seed:int -> ?fuel:int -> ?engine_opts:Threaded.opts -> Pkru_safe.Env.t -> t
-(** [engine_opts] pins this instance's threaded-tier layers; omitted, the
-    instance defers to [!Threaded.config] at eval time (so
-    [Threaded.with_opts] keeps working for process-wide toggles). *)
+(** [engine_opts] (default {!Threaded.all_on}) selects this instance's
+    threaded-tier layers. *)
 
 val env : t -> Pkru_safe.Env.t
 val heap : t -> Value.heap
@@ -45,11 +44,12 @@ val reset_stats : t -> unit
 val register_host : t -> string -> Eval.host -> unit
 (** Expose an embedder function (e.g. a DOM binding) as a script global. *)
 
-val eval_source : ?tier:tier -> t -> Value.str -> Value.t
+val eval_source : ?tier:tier -> ?opstats:Opstats.t -> t -> Value.str -> Value.t
 (** Tokenise, parse and run a script held in machine memory (possibly a
     buffer owned by the trusted side — the classic shared data flow).
     Both tiers are observationally equivalent; the default is the AST
-    tier.
+    tier.  [opstats] profiles opcodes on [Bytecode_tier] (ignored by the
+    other tiers).
     @raise Eval.Script_error / Lexer.Lex_error / Parser.Parse_error *)
 
 val eval_string : ?tier:tier -> t -> string -> Value.t

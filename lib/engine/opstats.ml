@@ -1,12 +1,13 @@
 (* Opcode frequency profiling for the reference bytecode interpreter.
 
    The superinstruction set of the fast tier (Threaded) is chosen from
-   data, not intuition: running a workload with a collector installed
-   counts every executed opcode and every *fall-through adjacent* opcode
-   pair (pc = previous pc + 1 within one interpreter frame — the pairs a
-   fused closure could actually cover; jump landings and cross-frame
-   boundaries are excluded).  `report --opcodes` renders the result and
-   EXPERIMENTS.md records the measurements that justify the fused set.
+   data, not intuition: running a workload with a collector passed to
+   [Bytecode.run] counts every executed opcode and every *fall-through
+   adjacent* opcode pair (pc = previous pc + 1 within one interpreter
+   frame — the pairs a fused closure could actually cover; jump landings
+   and cross-frame boundaries are excluded).  `report --opcodes` renders
+   the result and EXPERIMENTS.md records the measurements that justify
+   the fused set.
 
    Collection is host-side observability only: the collector is consulted
    by the reference interpreter between ticks and never charges simulated
@@ -33,18 +34,6 @@ let record t ?prev cur =
   | None -> ()
 
 let total t = t.total
-
-(* The installed collector, consulted by [Bytecode.exec].  None (the
-   default) costs one ref read per instruction on the reference tier. *)
-let current : t option ref = ref None
-
-let collect f =
-  let st = create () in
-  let saved = !current in
-  current := Some st;
-  Fun.protect ~finally:(fun () -> current := saved) (fun () ->
-      let result = f () in
-      (st, result))
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []

@@ -17,13 +17,6 @@ val record : t -> ?prev:string -> string -> unit
 
 val total : t -> int
 
-val current : t option ref
-(** The installed collector, consulted by {!Bytecode.exec}. *)
-
-val collect : (unit -> 'a) -> t * 'a
-(** Runs [f] with a fresh collector installed (restoring the previous one
-    afterwards) and returns the counts alongside [f]'s result. *)
-
 val singles : t -> (string * int) list
 (** Opcode counts, descending. *)
 

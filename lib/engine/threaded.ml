@@ -53,13 +53,6 @@ let all_on = { superinstructions = true; var_ic = true; prop_ic = true; batched_
 let all_off =
   { superinstructions = false; var_ic = false; prop_ic = false; batched_slots = false }
 
-let config = ref all_on
-
-let with_opts opts f =
-  let saved = !config in
-  config := opts;
-  Fun.protect ~finally:(fun () -> config := saved) f
-
 type stats = {
   mutable prop_hits : int;
   mutable prop_misses : int;
@@ -727,23 +720,14 @@ and exec_ops tvm ops scope0 =
   tvm.frame_pool <- fr :: tvm.frame_pool;
   ret
 
-let run ?opts ?stats eval (program : Bytecode.program) =
-  let opts =
-    match opts with
-    | Some o -> o
-    | None -> !config
-  in
-  let stats =
-    match stats with
-    | Some s -> s
-    | None -> make_stats ()
-  in
+let run ~opts ~stats eval (program : Bytecode.program) =
   let tvm =
     { eval; opts; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16;
       frame_pool = [] }
   in
-  let saved = !Value.batched_slots in
-  Value.batched_slots := opts.batched_slots;
+  let heap = Eval.heap eval in
+  let saved = Value.batched_slots heap in
+  Value.set_batched_slots heap opts.batched_slots;
   Fun.protect
-    ~finally:(fun () -> Value.batched_slots := saved)
+    ~finally:(fun () -> Value.set_batched_slots heap saved)
     (fun () -> exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval))

@@ -22,13 +22,6 @@ type opts = {
 val all_on : opts
 val all_off : opts
 
-val config : opts ref
-(** Layers used when {!run} is not given explicit [opts] (e.g. via
-    [Engine.Threaded_tier]).  Defaults to {!all_on}. *)
-
-val with_opts : opts -> (unit -> 'a) -> 'a
-(** Runs [f] with {!config} temporarily replaced. *)
-
 type stats = {
   mutable prop_hits : int;
   mutable prop_misses : int;
@@ -49,7 +42,6 @@ val fused_pairs : (string * string) list
     [report --opcodes] measurements on dromaeo/octane (see
     EXPERIMENTS.md). *)
 
-val run : ?opts:opts -> ?stats:stats -> Eval.t -> Bytecode.program -> Value.t
-(** Same contract as {!Bytecode.run}, same observable simulation;
-    [opts] defaults to [!config]; [stats] (accumulated into, never
-    reset here) defaults to a fresh discarded record. *)
+val run : opts:opts -> stats:stats -> Eval.t -> Bytecode.program -> Value.t
+(** Same contract as {!Bytecode.run}, same observable simulation, with
+    the given layers; [stats] is accumulated into, never reset here. *)

@@ -33,11 +33,9 @@
      with an [Oom] outcome while the fleet keeps going.  Retired
      sessions return their pages.
 
-   The only process-wide mutable the engine touches mid-run is
-   [Value.batched_slots] (the threaded tier toggles it for a run's
-   duration); the scheduler context-switches it per slice, so each
-   session observes its own consistent value.  The telemetry writer slots
-   are guarded ({!Telemetry.Guard}) for the whole run. *)
+   Sessions share no mutable state: every telemetry slot, engine flag and
+   cache lives on a session's own machine, heap or browser, so a parked
+   slice needs nothing saved or restored. *)
 
 type job = {
   job_name : string;
@@ -125,7 +123,6 @@ type session = {
   mutable s_browser : Browser.t option;
   mutable s_cont : (unit, step) Effect.Deep.continuation option;
   mutable s_last_cycles : int; (* machine cycles at the last slice boundary *)
-  mutable s_batched : bool; (* saved [Value.batched_slots] across parks *)
 }
 
 let handler =
@@ -185,29 +182,7 @@ let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess (
   in
   match sink with
   | None -> exec ()
-  | Some sink ->
-    let machine = Pkru_safe.Env.machine env in
-    let before = Sim.Machine.tlb_stats machine in
-    (* Install directly: the fleet holds the telemetry guard, which
-       blocks [with_sink] for outside writers but not the fleet's own
-       single-session trace. *)
-    let previous = !Telemetry.Sink.current in
-    Telemetry.Sink.current := Some sink;
-    Fun.protect ~finally:(fun () -> Telemetry.Sink.current := previous) exec;
-    let after = Sim.Machine.tlb_stats machine in
-    Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.hits - before.Sim.Tlb.hits) "tlb_hit";
-    Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.misses - before.Sim.Tlb.misses) "tlb_miss";
-    Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.flushes - before.Sim.Tlb.flushes) "tlb_flush";
-    let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
-    let ts = Engine.threaded_stats (Browser.engine browser) in
-    Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_hits "engine_var_ic_hit";
-    Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_misses "engine_var_ic_miss";
-    Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
-    Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
-    Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.super_execs "engine_super_exec";
-    let sel = Browser.selector_stats browser in
-    Telemetry.Sink.incr sink ~by:sel.Browser.sel_hits "engine_selector_hit";
-    Telemetry.Sink.incr sink ~by:sel.Browser.sel_misses "engine_selector_miss"
+  | Some sink -> Workloads.Runner.run_traced sink browser exec
 
 (* --- The scheduler --- *)
 
@@ -221,22 +196,9 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
   if jobs = [] then invalid_arg "Fleet.run: no jobs";
   if telemetry && (n <> 1 || cpus <> 1) then
     invalid_arg "Fleet.run: telemetry traces are single-session only (sessions=1, cpus=1)";
-  (* A writer installed before the fleet starts would observe an
-     arbitrary interleaving of all sessions — refuse, like the guard
-     refuses installs while the fleet is active. *)
-  if Telemetry.Sink.active () then
-    invalid_arg "Fleet.run: a process-wide sink is installed; disable it before a fleet run";
-  if Telemetry.Sampler.active () then
-    invalid_arg "Fleet.run: a sampler is installed; disable it before a fleet run";
-  if Telemetry.Census.active () then
-    invalid_arg "Fleet.run: a census is installed; disable it before a fleet run";
-  if !Telemetry.Flight.current <> None then
-    invalid_arg "Fleet.run: the flight recorder is armed; disarm it before a fleet run";
   let profile = match profile with Some p -> p | None -> Runtime.Profile.create () in
   let backing = Option.map (fun pages -> Allocators.Backing.create ~pages) page_budget in
   let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
-  let label = Printf.sprintf "fleet sessions=%d cpus=%d" n cpus in
-  Telemetry.Guard.with_exclusive label @@ fun () ->
   let njobs = List.length jobs in
   let job_arr = Array.of_list jobs in
   let queues : session list ref array = Array.init cpus (fun _ -> ref []) in
@@ -247,7 +209,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
   let steals = ref 0 in
   let finished : session_result list ref = ref [] in
   let nfinished = ref 0 in
-  let ambient_batched = !Engine.Value.batched_slots in
   let admit c =
     let id = !next_id in
     incr next_id;
@@ -264,7 +225,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         s_browser = None;
         s_cont = None;
         s_last_cycles = 0;
-        s_batched = ambient_batched;
       }
     in
     queues.(c) := !(queues.(c)) @ [ sess ]
@@ -375,7 +335,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         with Sim.Signals.Process_killed msg -> Some msg)
   in
   let run_slice c sess =
-    Engine.Value.batched_slots := sess.s_batched;
     let step =
       match sess.s_cont with
       | Some k -> (
@@ -398,13 +357,10 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     match step with
     | Parked k ->
       incr yields;
-      sess.s_batched <- !Engine.Value.batched_slots;
       sess.s_cont <- Some k;
       queues.(c) := !(queues.(c)) @ [ sess ]
     | Done outcome -> finalize c sess outcome
   in
-  Fun.protect ~finally:(fun () -> Engine.Value.batched_slots := ambient_batched)
-  @@ fun () ->
   while !nfinished < n do
     admit_pending ();
     let c = select () in
@@ -521,9 +477,6 @@ type prog_state = {
 let run_programs env programs =
   if programs = [] then invalid_arg "Fleet.run_programs: no programs";
   let defenses = (Pkru_safe.Env.config env).Pkru_safe.Config.defenses in
-  let n = List.length programs in
-  Telemetry.Guard.with_exclusive (Printf.sprintf "attack battery (%d programs)" n)
-  @@ fun () ->
   let states =
     List.mapi
       (fun i (p : program) ->

@@ -100,17 +100,14 @@ val run :
     defended benign fleet is bit-identical to an undefended one.
 
     [telemetry] (single-session, single-CPU only) captures an event
-    trace with the exact {!Workloads.Runner} protocol — sink around the
-    script phase, identical post-run counter injection order — so the
+    trace with the exact {!Workloads.Runner} protocol
+    ({!Workloads.Runner.run_traced} around the script phase), so the
     trace is comparable bit-for-bit with the runner's; it is returned in
-    [r_trace].
+    [r_trace].  Each session's telemetry lives on its own machine, so
+    sinks attached to other environments neither see the fleet nor stop
+    it.
 
-    The whole run holds {!Telemetry.Guard}: installing a process-wide
-    telemetry writer mid-run raises, and a writer already installed
-    makes [run] itself raise [Invalid_argument].
-
-    @raise Invalid_argument on nonsensical parameters or an installed
-    telemetry writer. *)
+    @raise Invalid_argument on nonsensical parameters. *)
 
 (** {2 Attack-program scheduling (the Garmr battery)}
 
@@ -153,8 +150,8 @@ val run_programs : Pkru_safe.Env.t -> program list -> battery
     simulated thread per program; honours the environment's
     [gate_reverify] defense on every resume (a mismatch drops the
     continuation — the program retires [Failed] without executing
-    another instruction).  Holds {!Telemetry.Guard} for the run; arm
-    sinks/recorders {e before} calling.
+    another instruction).  Every program's telemetry lands in [env]'s
+    context ({!Pkru_safe.Env.ctx}).
     @raise Invalid_argument on an empty program list *)
 
 val metrics : result -> Telemetry.Metrics.t

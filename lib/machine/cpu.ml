@@ -8,9 +8,10 @@ type t = {
   mutable pkru_epoch : int;
   retired_acc : int ref;
   tlb : Tlb.t;
+  ctx : Telemetry.Ctx.t;
 }
 
-let create ?(cost = Cost.default) ?(id = 0) ?retired () =
+let create ?(cost = Cost.default) ?(id = 0) ?retired ?(ctx = Telemetry.Ctx.create ()) () =
   let retired_acc = match retired with Some r -> r | None -> ref 0 in
   {
     id;
@@ -22,6 +23,7 @@ let create ?(cost = Cost.default) ?(id = 0) ?retired () =
     pkru_epoch = 0;
     retired_acc;
     tlb = Tlb.create ();
+    ctx;
   }
 
 (* Every retired cycle flows through here, so this is where the sampling
@@ -33,12 +35,13 @@ let create ?(cost = Cost.default) ?(id = 0) ?retired () =
 let charge t n =
   t.cycles <- t.cycles + n;
   t.retired_acc := !(t.retired_acc) + n;
-  (match !Telemetry.Sampler.current with
+  let ctx = t.ctx in
+  (match ctx.Telemetry.Ctx.sampler with
   | None -> ()
   | Some sampler -> Telemetry.Sampler.tick sampler n);
-  match !Telemetry.Census.current with
+  match ctx.Telemetry.Ctx.census with
   | None -> ()
-  | Some census -> Telemetry.Census.tick census ~cpu:t.id n
+  | Some census -> Telemetry.Census.tick census ~sink:ctx.Telemetry.Ctx.sink ~cpu:t.id n
 
 (* All intentional PKRU updates come through here so the epoch advances
    and cached permission masks in the hart's TLB go stale.  (Direct
@@ -52,7 +55,7 @@ let wrpkru t v =
   charge t t.cost.Cost.wrpkru;
   t.wrpkru_retired <- t.wrpkru_retired + 1;
   set_pkru t v;
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.emit sink ~ts:t.cycles ~cpu:t.id

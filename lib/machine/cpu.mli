@@ -19,16 +19,19 @@ type t = {
       (** machine-wide retired-cycle accumulator shared by all harts of
           one {!Machine}, kept current by {!charge} / {!reset_cycles} *)
   tlb : Tlb.t;  (** this hart's software TLB (architecturally invisible) *)
+  ctx : Telemetry.Ctx.t;  (** the machine's telemetry slots, shared by every hart *)
 }
 
-val create : ?cost:Cost.t -> ?id:int -> ?retired:int ref -> unit -> t
+val create :
+  ?cost:Cost.t -> ?id:int -> ?retired:int ref -> ?ctx:Telemetry.Ctx.t -> unit -> t
 (** Fresh CPU with PKRU fully enabled (kernel default for a new thread).
-    [retired] shares the machine-wide cycle accumulator; a fresh ref is
-    used when absent (standalone CPUs in tests). *)
+    [retired] and [ctx] share the machine-wide cycle accumulator and
+    telemetry slots; fresh ones are used when absent (standalone CPUs in
+    tests). *)
 
 val charge : t -> int -> unit
 (** [charge cpu n] retires [n] cycles of straight-line work, grows the
-    shared accumulator and ticks the installed {!Telemetry.Sampler}
+    shared accumulator and ticks the context's {!Telemetry.Sampler}
     (which charges nothing back, keeping sampled and unsampled cycle
     counts identical). *)
 

@@ -14,25 +14,28 @@ type t = {
      callers (pkalloc, test setup) go straight to [Vmm.Page_table] /
      [Vmm.Pkeys] anyway, so the filter is invisible when disabled. *)
   mutable syscall_filter : Mpk.Pkey.t option;
+  ctx : Telemetry.Ctx.t;
 }
 
 let create ?cost ?(tlb = true) () =
   let retired = ref 0 in
-  let boot = Cpu.create ?cost ~id:0 ~retired () in
+  let ctx = Telemetry.Ctx.create () in
+  let boot = Cpu.create ?cost ~id:0 ~retired ~ctx () in
   {
     page_table = Vmm.Page_table.create ();
     cpu = boot;
     cpus_rev = [ boot ];
     ncpus = 1;
-    signals = Signals.create ();
+    signals = Signals.create ctx;
     pkeys = Vmm.Pkeys.create ();
     retired;
     tlb_enabled = tlb;
     syscall_filter = None;
+    ctx;
   }
 
 let spawn_cpu t =
-  let cpu = Cpu.create ~cost:t.cpu.Cpu.cost ~id:t.ncpus ~retired:t.retired () in
+  let cpu = Cpu.create ~cost:t.cpu.Cpu.cost ~id:t.ncpus ~retired:t.retired ~ctx:t.ctx () in
   t.cpus_rev <- cpu :: t.cpus_rev;
   t.ncpus <- t.ncpus + 1;
   cpu
@@ -53,7 +56,7 @@ let tlb_stats t =
     Tlb.zero_stats t.cpus_rev
 
 let note_thread_switch t ~from_cpu ~to_cpu =
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:to_cpu
@@ -111,7 +114,7 @@ let probe t access addr =
    time handler servicing (the cycles charged between dispatch and the
    handler's return, i.e. signal dispatch plus whatever the handler ran). *)
 let note_fault t (fault : Vmm.Fault.t) =
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink ->
     let ts = total_cycles t in
@@ -136,7 +139,7 @@ let deliver_fault t fault =
   note_fault t fault;
   let before = total_cycles t in
   Signals.deliver_segv t.signals ~cpu:t.cpu fault;
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink -> Telemetry.Sink.observe sink "fault_service_cycles" (total_cycles t - before)
 
@@ -158,7 +161,7 @@ let resolve t access addr =
     | Some page ->
       if Vmm.Page_table.demand_faults t.page_table > faults_before then begin
         Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.soft_page_fault;
-        match !Telemetry.Sink.current with
+        match t.ctx.Telemetry.Ctx.sink with
         | None -> ()
         | Some sink ->
           Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
@@ -208,7 +211,7 @@ let post_access t =
   if t.cpu.Cpu.trap_flag then begin
     t.cpu.Cpu.trap_flag <- false;
     Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
-    (match !Telemetry.Sink.current with
+    (match t.ctx.Telemetry.Ctx.sink with
     | None -> ()
     | Some sink ->
       Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
@@ -445,8 +448,8 @@ let cycles = total_cycles
 let set_syscall_filter t key = t.syscall_filter <- key
 let syscall_filter t = t.syscall_filter
 
-let sys_note counter =
-  match !Telemetry.Sink.current with
+let sys_note t counter =
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink -> Telemetry.Sink.incr sink counter
 
@@ -456,8 +459,8 @@ let syscall_check t name =
   | Some trusted ->
     if Mpk.Pkru.can_read t.cpu.Cpu.pkru trusted then Ok ()
     else begin
-      sys_note "machine.syscall_refused";
-      Telemetry.Flight.dump ~reason:"syscall filter: pkey/page-table mutation refused from U"
+      sys_note t "machine.syscall_refused";
+      Telemetry.Ctx.dump t.ctx ~reason:"syscall filter: pkey/page-table mutation refused from U"
         ~details:
           [
             ("syscall", Util.Json.String name);
@@ -473,26 +476,26 @@ let sys_pkey_mprotect t ~base ~size pkey =
   match syscall_check t "pkey_mprotect" with
   | Error _ as e -> e
   | Ok () ->
-    sys_note "machine.sys_pkey_mprotect";
+    sys_note t "machine.sys_pkey_mprotect";
     Vmm.Page_table.pkey_mprotect t.page_table ~base ~size pkey
 
 let sys_mprotect t ~base ~size prot =
   match syscall_check t "mprotect" with
   | Error _ as e -> e
   | Ok () ->
-    sys_note "machine.sys_mprotect";
+    sys_note t "machine.sys_mprotect";
     Vmm.Page_table.mprotect t.page_table ~base ~size prot
 
 let sys_pkey_alloc t =
   match syscall_check t "pkey_alloc" with
   | Error msg -> Error msg
   | Ok () ->
-    sys_note "machine.sys_pkey_alloc";
+    sys_note t "machine.sys_pkey_alloc";
     Vmm.Pkeys.pkey_alloc t.pkeys
 
 let sys_pkey_free t key =
   match syscall_check t "pkey_free" with
   | Error _ as e -> e
   | Ok () ->
-    sys_note "machine.sys_pkey_free";
+    sys_note t "machine.sys_pkey_free";
     Vmm.Pkeys.pkey_free t.pkeys key

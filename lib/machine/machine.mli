@@ -37,6 +37,10 @@ type t = {
           kernel-interface entry points refuse pkey/page-table mutations
           issued from a hart resident in U.  [None] (default) is fully
           permissive. *)
+  ctx : Telemetry.Ctx.t;
+      (** this machine's telemetry slots, shared with every hart and the
+          signal chain; every instrumentation site on the machine reads
+          it *)
 }
 
 val create : ?cost:Cost.t -> ?tlb:bool -> unit -> t

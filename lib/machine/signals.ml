@@ -26,9 +26,10 @@ type t = {
   mutable scrub_sigframes : bool;
   mutable sigreturn_forged : int; (* forged restores that took effect *)
   mutable sigreturn_blocked : int; (* forged restores refused by the scrubber *)
+  ctx : Telemetry.Ctx.t; (* the machine's telemetry slots *)
 }
 
-let create () =
+let create ctx =
   {
     segv_chain = [];
     trap = None;
@@ -37,6 +38,7 @@ let create () =
     scrub_sigframes = false;
     sigreturn_forged = 0;
     sigreturn_blocked = 0;
+    ctx;
   }
 
 let register_segv t handler = t.segv_chain <- handler :: t.segv_chain
@@ -62,13 +64,13 @@ let sigframe_scrub t = t.scrub_sigframes
 let sigreturn_forged t = t.sigreturn_forged
 let sigreturn_blocked t = t.sigreturn_blocked
 
-let note delivery =
-  match !Telemetry.Sink.current with
+let note t delivery =
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink -> Telemetry.Sink.incr sink delivery
 
 (* Death paths hand the flight recorder a post-mortem before raising.
-   The dump is a no-op when no recorder is armed and touches neither the
+   The dump is a no-op when no recorder is attached and touches neither the
    sink's counters nor simulated cycles, so enforcement runs stay
    bit-identical. *)
 let fault_details ?cpu fault =
@@ -94,8 +96,8 @@ let sigreturn t cpu fault =
   | Some forged ->
     if t.scrub_sigframes then begin
       t.sigreturn_blocked <- t.sigreturn_blocked + 1;
-      note "signals.sigreturn_blocked";
-      Telemetry.Flight.dump ~reason:"sigreturn PKRU forgery blocked (scrubbed signal frame)"
+      note t "signals.sigreturn_blocked";
+      Telemetry.Ctx.dump t.ctx ~reason:"sigreturn PKRU forgery blocked (scrubbed signal frame)"
         ~details:
           (("forged_pkru", Util.Json.Int (Mpk.Pkru.to_int forged)) :: fault_details ?cpu fault)
         ();
@@ -106,7 +108,7 @@ let sigreturn t cpu fault =
     end
     else begin
       t.sigreturn_forged <- t.sigreturn_forged + 1;
-      note "signals.sigreturn_forged";
+      note t "signals.sigreturn_forged";
       match cpu with
       | Some c -> Cpu.set_pkru c forged
       | None -> ()
@@ -114,19 +116,19 @@ let sigreturn t cpu fault =
 
 let deliver_segv t ?cpu fault =
   t.last_fault <- Some (fault, hart_id cpu);
-  note "signals.segv_delivered";
+  note t "signals.segv_delivered";
   let rec walk = function
     | [] ->
-      note "signals.unhandled";
-      Telemetry.Flight.dump ~reason:"unhandled SIGSEGV" ~details:(fault_details ?cpu fault) ();
+      note t "signals.unhandled";
+      Telemetry.Ctx.dump t.ctx ~reason:"unhandled SIGSEGV" ~details:(fault_details ?cpu fault) ();
       raise (Vmm.Fault.Unhandled fault)
     | handler :: rest ->
       (match handler fault with
       | Retry -> sigreturn t cpu fault
       | Pass -> walk rest
       | Kill msg ->
-        note "signals.killed";
-        Telemetry.Flight.dump ~reason:"SIGSEGV handler killed the process"
+        note t "signals.killed";
+        Telemetry.Ctx.dump t.ctx ~reason:"SIGSEGV handler killed the process"
           ~details:(("message", Util.Json.String msg) :: fault_details ?cpu fault)
           ();
         raise (Process_killed msg))
@@ -134,7 +136,7 @@ let deliver_segv t ?cpu fault =
   walk t.segv_chain
 
 let deliver_trap t =
-  note "signals.trap_delivered";
+  note t "signals.trap_delivered";
   match t.trap with
   | Some handler -> handler ()
   | None ->
@@ -147,7 +149,7 @@ let deliver_trap t =
       | Some (fault, hart) -> Printf.sprintf "%s (hart %d)" (Vmm.Fault.to_string fault) hart
       | None -> "none"
     in
-    Telemetry.Flight.dump ~reason:"SIGTRAP with no handler installed"
+    Telemetry.Ctx.dump t.ctx ~reason:"SIGTRAP with no handler installed"
       ~details:
         [
           ("segv_chain_depth", Util.Json.Int (List.length t.segv_chain));

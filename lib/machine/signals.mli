@@ -29,7 +29,8 @@ exception Process_killed of string
 
 type t
 
-val create : unit -> t
+val create : Telemetry.Ctx.t -> t
+(** An empty handler chain reporting into the machine's telemetry slots. *)
 
 val register_segv : t -> segv_handler -> unit
 (** Pushes a handler; it becomes the first to see subsequent faults. *)

@@ -1,5 +1,6 @@
 type t = {
   machine : Sim.Machine.t;
+  ctx : Telemetry.Ctx.t; (* the machine's telemetry slots *)
   trusted_pkey : Mpk.Pkey.t;
   untrusted_view : Mpk.Pkru.t;
   stack : Comp_stack.t;
@@ -8,11 +9,18 @@ type t = {
   mutable resident : Mpk.Pkru.t;
       (* the view the last verified transition installed on this thread;
          what {!reverify} checks the live PKRU against on a fleet resume *)
+  mutable pkru_corruptor : (Mpk.Pkru.t -> Mpk.Pkru.t) option;
+      (* fault-injection hook (chaos harness only): when set, the value
+         actually written by WRPKRU is the corruptor's output, while the
+         gate still verifies against the intended target — modelling a
+         Garmr-style attack where gate instructions are reused with a
+         tampered EAX *)
 }
 
 let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
   {
     machine;
+    ctx = machine.Sim.Machine.ctx;
     trusted_pkey;
     untrusted_view = Compartment.untrusted_view ~trusted_pkey;
     stack = Comp_stack.create ();
@@ -20,6 +28,7 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
     span_ids = [];
     resident = Mpk.Pkru.all_enabled;
     (* a fresh thread starts fully enabled, like its hart *)
+    pkru_corruptor = None;
   }
 
 let machine t = t.machine
@@ -37,11 +46,7 @@ let ev_exit_untrusted = Telemetry.Event.Gate_exit { target = Telemetry.Event.Unt
 let ev_enter_trusted = Telemetry.Event.Gate_enter { target = Telemetry.Event.Trusted }
 let ev_exit_trusted = Telemetry.Event.Gate_exit { target = Telemetry.Event.Trusted }
 
-(* Fault-injection hook (chaos harness only): when set, the value actually
-   written by WRPKRU is the corruptor's output, while the gate still
-   verifies against the intended target — modelling a Garmr-style attack
-   where gate instructions are reused with a tampered EAX. *)
-let chaos_pkru_corruptor : (Mpk.Pkru.t -> Mpk.Pkru.t) option ref = ref None
+let set_pkru_corruptor t corrupt = t.pkru_corruptor <- corrupt
 
 let transition_name event =
   match event with
@@ -60,12 +65,12 @@ let transition_name event =
 let switch_to t event target =
   let cpu = cpu t in
   Sim.Cpu.charge cpu cpu.Sim.Cpu.cost.Sim.Cost.gate_bookkeeping;
-  (match !chaos_pkru_corruptor with
+  (match t.pkru_corruptor with
   | None -> Sim.Cpu.wrpkru cpu target
   | Some corrupt -> Sim.Cpu.wrpkru cpu (corrupt target));
   let now = Sim.Cpu.rdpkru cpu in
   if not (Mpk.Pkru.equal now target) then begin
-    Telemetry.Flight.dump ~reason:"gate PKRU verification mismatch"
+    Telemetry.Ctx.dump t.ctx ~reason:"gate PKRU verification mismatch"
       ~details:
         [
           ("transition", Util.Json.String (transition_name event));
@@ -81,7 +86,7 @@ let switch_to t event target =
   end;
   t.resident <- target;
   t.transitions <- t.transitions + 1;
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.emit sink ~ts:(Sim.Machine.cycles t.machine) ~cpu:cpu.Sim.Cpu.id event
@@ -93,7 +98,7 @@ let switch_to t event target =
    PKRU stack so exits close exactly the frame they pop (and an exception
    unwinding several frames closes the abandoned inner spans too). *)
 let span_open t name =
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None -> t.span_ids <- 0 :: t.span_ids
   | Some sink ->
     let id =
@@ -108,7 +113,7 @@ let span_close t =
   | [] -> ()
   | id :: rest -> (
     t.span_ids <- rest;
-    match !Telemetry.Sink.current with
+    match t.ctx.Telemetry.Ctx.sink with
     | None -> ()
     | Some sink ->
       if id <> 0 then
@@ -139,7 +144,7 @@ let exit_trusted t =
   span_close t
 
 let bracketed t ~enter ~exit ~latency f =
-  match !Telemetry.Sink.current with
+  match t.ctx.Telemetry.Ctx.sink with
   | None ->
     enter t;
     Fun.protect ~finally:(fun () -> exit t) f
@@ -176,7 +181,7 @@ let reverify ?attack t =
   let cpu = cpu t in
   let now = cpu.Sim.Cpu.pkru in
   if not (Mpk.Pkru.equal now t.resident) then begin
-    Telemetry.Flight.dump ~reason:"resume gate: PKRU re-verification mismatch"
+    Telemetry.Ctx.dump t.ctx ~reason:"resume gate: PKRU re-verification mismatch"
       ~details:
         ([
            ("expected_pkru", Util.Json.Int (Mpk.Pkru.to_int t.resident));

@@ -72,13 +72,14 @@ val reverify : ?attack:string -> t -> unit
     runs.
     @raise Sim.Signals.Process_killed on mismatch *)
 
-val chaos_pkru_corruptor : (Mpk.Pkru.t -> Mpk.Pkru.t) option ref
-(** Fault-injection hook for the chaos harness: when [Some f], every gate
-    WRPKRU writes [f target] instead of [target] while still verifying the
-    result against [target] — so any corruption that changes the value is
-    caught by the gate's own check ({!Sim.Signals.Process_killed}).  [None]
-    (the default) is the production path.  Reset it with [:= None] after a
-    scenario; never set outside tests/chaos. *)
+val set_pkru_corruptor : t -> (Mpk.Pkru.t -> Mpk.Pkru.t) option -> unit
+(** Fault-injection hook for the chaos harness: with [Some f], every
+    WRPKRU of this gate writes [f target] instead of [target] while still
+    verifying the result against [target] — so any corruption that
+    changes the value is caught by the gate's own check
+    ({!Sim.Signals.Process_killed}).  [None] (the default) is the
+    production path.  Reset it after a scenario; never set outside
+    tests/chaos. *)
 
 val stack_frames : t -> string list
 (** The current compartment nesting as folded-stack frames, root first

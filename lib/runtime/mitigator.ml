@@ -103,7 +103,7 @@ let record_incident t outcome =
   t.incidents <- t.incidents + 1;
   Hashtbl.replace t.outcomes outcome
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.outcomes outcome));
-  match !Telemetry.Sink.current with
+  match t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.incr sink
@@ -137,7 +137,8 @@ let on_segv t (fault : Vmm.Fault.t) =
     | Degrade ->
       t.degraded <- true;
       record_incident t "degraded";
-      Telemetry.Flight.dump ~reason:"mitigator degraded: U denied MT access"
+      Telemetry.Ctx.dump t.machine.Sim.Machine.ctx
+        ~reason:"mitigator degraded: U denied MT access"
         ~details:
           ([
              ("policy", Util.Json.String "degrade");

@@ -21,6 +21,8 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
     untracked_faults = 0;
   }
 
+let sink t = t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink
+
 let on_segv t (fault : Vmm.Fault.t) =
   match fault.Vmm.Fault.kind with
   | Vmm.Fault.Pkey_violation key when Mpk.Pkey.equal key t.trusted_pkey ->
@@ -31,13 +33,13 @@ let on_segv t (fault : Vmm.Fault.t) =
     | Some record -> Profile.record t.profile record.Metadata.alloc_id
     | None ->
       t.untracked_faults <- t.untracked_faults + 1;
-      (match !Telemetry.Sink.current with
+      (match sink t with
       | None -> ()
       | Some sink -> Telemetry.Sink.incr sink "profiler.untracked_faults"));
     t.faults_serviced <- t.faults_serviced + 1;
     let cpu = t.machine.Sim.Machine.cpu in
     Hashtbl.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
-    if !Telemetry.Sink.current <> None then
+    if sink t <> None then
       Hashtbl.replace t.step_started cpu.Sim.Cpu.id (Sim.Machine.cycles t.machine);
     Sim.Cpu.set_pkru cpu Mpk.Pkru.all_enabled;
     cpu.Sim.Cpu.trap_flag <- true;
@@ -55,7 +57,7 @@ let on_trap t () =
     Hashtbl.remove t.saved_pkru cpu.Sim.Cpu.id;
     (* Fault-to-trap round trip: the full single-step servicing of one
        recorded access (dispatch, permissive re-execution, #DB restore). *)
-    (match (!Telemetry.Sink.current, Hashtbl.find_opt t.step_started cpu.Sim.Cpu.id) with
+    (match (sink t, Hashtbl.find_opt t.step_started cpu.Sim.Cpu.id) with
     | Some sink, Some started ->
       Hashtbl.remove t.step_started cpu.Sim.Cpu.id;
       Telemetry.Sink.observe sink "single_step_cycles" (Sim.Machine.cycles t.machine - started)

@@ -46,6 +46,10 @@ type t = {
   mutable taken : int; (* snapshots taken, total *)
   mutable snapshots : snapshot list; (* newest first, bounded *)
   max_keep : int;
+  mutable provider : (unit -> snapshot) option;
+      (* walks pkalloc / pool / live-object state.  Set by the runtime
+         layer that owns the allocators; must not charge simulated cycles
+         (pure OCaml reads only). *)
 }
 
 let default_keep = 64
@@ -53,20 +57,13 @@ let default_keep = 64
 let create ?(keep = default_keep) ~every () =
   if every <= 0 then invalid_arg "Census.create: every must be positive";
   if keep <= 0 then invalid_arg "Census.create: keep must be positive";
-  { every; credit = 0; taken = 0; snapshots = []; max_keep = keep }
+  { every; credit = 0; taken = 0; snapshots = []; max_keep = keep; provider = None }
 
 let every t = t.every
 let taken_total t = t.taken
 let snapshots t = List.rev t.snapshots
 let latest t = match t.snapshots with [] -> None | s :: _ -> Some s
-
-(* The process-wide census, matched directly by Cpu.charge. *)
-let current : t option ref = ref None
-
-(* Snapshot provider: walks pkalloc / pool / live-object state.
-   Registered by the runtime layer that owns the allocators; must not
-   charge simulated cycles (pure OCaml reads only). *)
-let provider : (unit -> snapshot) option ref = ref None
+let set_provider t f = t.provider <- Some f
 
 let truncate n list =
   let len = List.length list in
@@ -76,45 +73,22 @@ let record t snap =
   t.taken <- t.taken + 1;
   t.snapshots <- truncate t.max_keep (snap :: t.snapshots)
 
-let tick t ~cpu n =
+let tick t ~sink ~cpu n =
   t.credit <- t.credit + n;
   if t.credit >= t.every then begin
     (* A single large charge may span several periods; the allocator
        state is the same for all of them, so one snapshot is taken and
        the leftover credit keeps the cadence aligned. *)
     t.credit <- t.credit mod t.every;
-    match !provider with
+    match t.provider with
     | None -> ()
     | Some f ->
       let snap = f () in
       record t snap;
-      (match !Sink.current with
+      (match sink with
       | None -> ()
       | Some sink -> Sink.span_instant sink ~ts:snap.at_cycle ~cpu ~kind:Span.Census "census")
   end
-
-let install ?provider:p t =
-  Guard.check "Telemetry.Census.install";
-  current := Some t;
-  match p with Some _ -> provider := p | None -> ()
-
-let disable () =
-  current := None;
-  provider := None
-
-let active () = !current <> None
-
-let with_census ?provider:p t f =
-  Guard.check "Telemetry.Census.with_census";
-  let previous = !current in
-  let previous_provider = !provider in
-  current := Some t;
-  (match p with Some _ -> provider := p | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      current := previous;
-      provider := previous_provider)
-    f
 
 (* --- JSON --- *)
 

@@ -2,12 +2,12 @@
     allocator state.
 
     Every [every] simulated cycles (ticked from the machine's charge
-    path) the census calls the registered {!val-provider} and stores the
+    path) the census calls its provider ({!set_provider}) and stores the
     returned {!snapshot} — per-pool (MT/MU) live bytes, object counts,
     fragmentation and high-water marks, per-AllocId live bytes, and a
     log₂ histogram of live-object ages — in a bounded ring.  Each
-    snapshot also records a zero-duration [census] span on the active
-    sink (span recording only: the event trace is untouched).
+    snapshot also records a zero-duration [census] span on the
+    machine's sink (span recording only: the event trace is untouched).
 
     The census never charges simulated cycles and the disabled path is
     one load and one branch per charge, so censused and uncensused runs
@@ -55,32 +55,20 @@ val create : ?keep:int -> every:int -> unit -> t
 
 val every : t -> int
 
-(* {2 The process-wide census} *)
-
-val current : t option ref
-(** Matched directly by [Sim.Cpu.charge]; [None] compiles the layer down
-    to a load-and-branch. *)
-
-val provider : (unit -> snapshot) option ref
-(** Builds one snapshot from live allocator state.  Registered by the
+val set_provider : t -> (unit -> snapshot) -> unit
+(** Registers the snapshot builder over live allocator state.  Set by the
     layer that owns pkalloc and the live-object table; must not charge
-    simulated cycles (pure OCaml reads only). *)
-
-val install : ?provider:(unit -> snapshot) -> t -> unit
-val disable : unit -> unit
-val active : unit -> bool
-
-val with_census : ?provider:(unit -> snapshot) -> t -> (unit -> 'a) -> 'a
-(** Installs the census (and provider, when given) for the duration of
-    the callback, restoring both afterwards (exception-safe). *)
+    simulated cycles (pure OCaml reads only).  Installation on a machine
+    is {!Ctx.with_census}. *)
 
 (* {2 Recording} *)
 
-val tick : t -> cpu:int -> int -> unit
+val tick : t -> sink:Sink.t option -> cpu:int -> int -> unit
 (** Advances the cycle credit by [n]; takes one snapshot when a period
     boundary is crossed (a single large charge spanning several periods
     still takes one snapshot — allocator state is identical for all of
-    them — with leftover credit preserving the cadence). *)
+    them — with leftover credit preserving the cadence).  Each snapshot
+    records a [census] span instant on [sink], if any. *)
 
 (* {2 Reading} *)
 

@@ -1,21 +1,21 @@
 (* The black-box flight recorder.
 
-   Armed once per run, it turns the sink's bounded rings (recent events,
-   closed + open spans, the last-N gate transitions) plus a caller-
-   provided context snapshot (PKRU per hart, gate depth, suspect
-   allocation metadata) into a self-contained JSON post-mortem at the
-   moment of death: gate-verify kills, unrecovered SEGVs, mitigator
-   degradation, chaos invariant failures.  Dumps are kept in memory
+   Attached to a machine's context (Ctx) for a run, it turns the sink's
+   bounded rings (recent events, closed + open spans, the last-N gate
+   transitions) plus a caller-provided context snapshot (PKRU per hart,
+   gate depth, suspect allocation metadata) into a self-contained JSON
+   post-mortem at the moment of death: gate-verify kills, unrecovered
+   SEGVs, mitigator degradation, chaos invariant failures.  Dumps are kept in memory
    (bounded) and optionally written to a file for the `doctor` CLI.
 
-   Nothing here runs unless [dump] is called, and [dump] is only called
+   Nothing here runs unless [Ctx.dump] is called, and it is only called
    on failure paths — the recorder costs nothing on the happy path and
    never charges simulated cycles. *)
 
 let schema_version = "pkru-safe.flight/1"
 
 type t = {
-  mutable sink : Sink.t option; (* explicit attachment; else !Sink.current at dump time *)
+  mutable sink : Sink.t option; (* explicit attachment; else the machine's sink at dump time *)
   mutable context : (unit -> Util.Json.t) option;
   mutable dumps : Util.Json.t list; (* newest first, bounded *)
   mutable dump_total : int;
@@ -23,24 +23,8 @@ type t = {
   max_dumps : int;
 }
 
-let current : t option ref = ref None
-
 let create ?path ?(max_dumps = 8) () =
   { sink = None; context = None; dumps = []; dump_total = 0; path; max_dumps }
-
-let arm ?path ?max_dumps () =
-  Guard.check "Telemetry.Flight.arm";
-  let t = create ?path ?max_dumps () in
-  current := Some t;
-  t
-
-let disarm () = current := None
-
-let with_recorder t f =
-  Guard.check "Telemetry.Flight.with_recorder";
-  let previous = !current in
-  current := Some t;
-  Fun.protect ~finally:(fun () -> current := previous) f
 
 let attach_sink t sink = t.sink <- Some sink
 let set_context t provider = t.context <- Some provider
@@ -55,9 +39,9 @@ let tail n list =
   let len = List.length list in
   if len <= n then list else List.filteri (fun i _ -> i >= len - n) list
 
-let dump_json t ~reason ~details =
+let dump_json ?sink t ~reason ~details =
   let open Util.Json in
-  let sink = match t.sink with Some s -> Some s | None -> !Sink.current in
+  let sink = match t.sink with Some s -> Some s | None -> sink in
   let sink_fields =
     match sink with
     | None -> [ ("telemetry", Null) ]
@@ -104,18 +88,12 @@ let write_path t json =
     try Out_channel.with_open_text path (fun oc -> output_string oc (Util.Json.to_string_pretty json ^ "\n"))
     with Sys_error _ -> () (* a failing disk must not mask the original failure *))
 
-let record t ~reason ~details =
-  let json = dump_json t ~reason ~details in
+let record ?sink t ~reason ~details =
+  let json = dump_json ?sink t ~reason ~details in
   t.dump_total <- t.dump_total + 1;
   t.dumps <- json :: (if List.length t.dumps >= t.max_dumps then tail (t.max_dumps - 1) (List.rev t.dumps) |> List.rev else t.dumps);
   write_path t json;
   json
-
-(* The instrumentation-site entry point: a no-op when disarmed. *)
-let dump ?(details = []) ~reason () =
-  match !current with
-  | None -> ()
-  | Some t -> ignore (record t ~reason ~details)
 
 (* --- doctor: render a dump into a human-readable incident report --- *)
 

@@ -1,54 +1,40 @@
 (** The black-box flight recorder.
 
-    Always-on once armed, it captures a bounded window of recent telemetry
-    — events, closed and open spans, the last-N gate transitions, counters
-    — plus a caller-provided context snapshot (cycles, per-hart PKRU, gate
-    depth, suspect allocation) and turns it into a self-contained JSON
-    post-mortem when something dies: a gate-verify kill, an unrecovered
-    SEGV, mitigator degradation, a chaos invariant failure.
+    Always-on once attached to a machine's context ({!Ctx}), it captures
+    a bounded window of recent telemetry — events, closed and open spans,
+    the last-N gate transitions, counters — plus a caller-provided
+    context snapshot (cycles, per-hart PKRU, gate depth, suspect
+    allocation) and turns it into a self-contained JSON post-mortem when
+    something dies: a gate-verify kill, an unrecovered SEGV, mitigator
+    degradation, a chaos invariant failure.
 
     The recorder does nothing on the happy path: instrumentation sites
-    call {!dump}, which is a single [ref] load when disarmed, and the
-    failure paths that call it are already off the cycle-charged fast
-    path. *)
+    call {!Ctx.dump}, which is a single load when no recorder is
+    attached, and the failure paths that call it are already off the
+    cycle-charged fast path. *)
 
 type t
 
 val schema_version : string
 (** ["pkru-safe.flight/1"] — stamped into every dump. *)
 
-val current : t option ref
-(** The armed recorder, if any.  Instrumentation sites call {!dump},
-    which no-ops when this is [None]. *)
-
 val create : ?path:string -> ?max_dumps:int -> unit -> t
 (** [path] writes each dump to that file (latest wins); [max_dumps]
     (default 8) bounds the in-memory dump list. *)
 
-val arm : ?path:string -> ?max_dumps:int -> unit -> t
-(** Creates a recorder and installs it as {!current}. *)
-
-val disarm : unit -> unit
-
-val with_recorder : t -> (unit -> 'a) -> 'a
-(** Installs [t] as {!current} for the callback, restoring the previous
-    recorder afterwards (exception-safe). *)
-
 val attach_sink : t -> Sink.t -> unit
 (** Pins the sink whose rings dumps will capture; without an attachment,
-    dumps read [!Sink.current] at dump time. *)
+    dumps read the sink attached to the machine's context at dump time. *)
 
 val set_context : t -> (unit -> Util.Json.t) -> unit
 (** Registers the machine-context provider (cycles, per-hart PKRU, gate
     depth, last fault, suspect allocation).  A provider that raises is
     recorded as such rather than masking the original failure. *)
 
-val dump : ?details:(string * Util.Json.t) list -> reason:string -> unit -> unit
-(** The instrumentation-site entry point: snapshot everything into a
-    dump on the current recorder.  No-op when disarmed; never raises. *)
-
-val record : t -> reason:string -> details:(string * Util.Json.t) list -> Util.Json.t
-(** Like {!dump} on a specific recorder, returning the dump. *)
+val record :
+  ?sink:Sink.t -> t -> reason:string -> details:(string * Util.Json.t) list -> Util.Json.t
+(** Snapshots everything into a dump on this recorder and returns it.
+    [sink] is the fallback when no sink is attached ({!attach_sink}). *)
 
 val dumps : t -> Util.Json.t list
 (** All retained dumps, oldest first. *)
@@ -59,7 +45,7 @@ val dump_total : t -> int
     list. *)
 
 val render : Util.Json.t -> string
-(** Renders a dump (as produced by {!dump} or re-parsed from its file)
+(** Renders a dump (as produced by {!record} or re-parsed from its file)
     into the human-readable incident report the [doctor] CLI prints:
     context, gate-tail balance, span timeline with causal nesting, the
     open chain at death, and the last raw events. *)

@@ -14,21 +14,18 @@ type t = {
   mutable credit : int; (* cycles accumulated toward the next sample *)
   mutable total : int; (* samples taken *)
   counts : (string, int ref) Hashtbl.t; (* folded stack -> samples *)
+  mutable provider : (unit -> string list) option;
+      (* snapshot provider: the current compartment stack, root first.
+         Set by the runtime layer that owns the stack (Env/Gate); the
+         telemetry library cannot depend on it directly. *)
 }
 
 let create ~every =
   if every <= 0 then invalid_arg "Sampler.create: every must be positive";
-  { every; credit = 0; total = 0; counts = Hashtbl.create 32 }
+  { every; credit = 0; total = 0; counts = Hashtbl.create 32; provider = None }
 
 let every t = t.every
-
-(* The process-wide sampler, matched directly by Cpu.charge. *)
-let current : t option ref = ref None
-
-(* Snapshot provider: returns the current compartment stack, root first.
-   Registered by the runtime layer that owns the stack (Env/Gate); the
-   telemetry library cannot depend on it directly. *)
-let provider : (unit -> string list) option ref = ref None
+let set_provider t f = t.provider <- Some f
 
 let record t frames weight =
   let key = String.concat ";" frames in
@@ -44,7 +41,7 @@ let tick t n =
        one sample so sample counts stay proportional to cycles. *)
     let k = t.credit / t.every in
     t.credit <- t.credit - (k * t.every);
-    let frames = match !provider with Some f -> f () | None -> [ "(no stack provider)" ] in
+    let frames = match t.provider with Some f -> f () | None -> [ "(no stack provider)" ] in
     record t frames k
   end
 
@@ -92,26 +89,3 @@ let to_json t =
       ( "leaf_shares",
         Obj (List.map (fun (leaf, share) -> (leaf, Float share)) (leaf_shares t)) );
     ]
-
-let install ?provider:p t =
-  Guard.check "Telemetry.Sampler.install";
-  current := Some t;
-  match p with Some _ -> provider := p | None -> ()
-
-let disable () =
-  current := None;
-  provider := None
-
-let active () = !current <> None
-
-let with_sampler ?provider:p t f =
-  Guard.check "Telemetry.Sampler.with_sampler";
-  let previous = !current in
-  let previous_provider = !provider in
-  current := Some t;
-  (match p with Some _ -> provider := p | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      current := previous;
-      provider := previous_provider)
-    f

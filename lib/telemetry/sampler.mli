@@ -2,7 +2,7 @@
 
     Every [every] simulated cycles (ticked from the machine's charge
     path), the sampler snapshots the current compartment stack — obtained
-    from the registered {!val-provider} — and accumulates it as a folded
+    from its provider ({!set_provider}) — and accumulates it as a folded
     stack.  {!to_folded} emits the standard collapsed format
     ["frame;frame;frame count"] that flamegraph tooling (Brendan Gregg's
     [flamegraph.pl], speedscope, inferno) loads directly.
@@ -18,24 +18,11 @@ val create : every:int -> t
 
 val every : t -> int
 
-(* {2 The process-wide sampler} *)
-
-val current : t option ref
-(** Matched directly by [Sim.Cpu.charge]; [None] compiles the layer down
-    to a load-and-branch. *)
-
-val provider : (unit -> string list) option ref
-(** Returns the current compartment stack, root first (e.g.
-    [["trusted"; "untrusted"]] inside an FFI call).  Registered by the
-    layer that owns the compartment stack; must not charge cycles. *)
-
-val install : ?provider:(unit -> string list) -> t -> unit
-val disable : unit -> unit
-val active : unit -> bool
-
-val with_sampler : ?provider:(unit -> string list) -> t -> (unit -> 'a) -> 'a
-(** Installs sampler (and provider, when given) for the duration of the
-    callback, restoring both afterwards (exception-safe). *)
+val set_provider : t -> (unit -> string list) -> unit
+(** Registers the snapshot provider: it returns the current compartment
+    stack, root first (e.g. [["trusted"; "untrusted"]] inside an FFI
+    call).  Set by the layer that owns the compartment stack; must not
+    charge cycles.  Installation on a machine is {!Ctx.with_sampler}. *)
 
 (* {2 Recording} *)
 

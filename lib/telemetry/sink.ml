@@ -88,24 +88,3 @@ let span_exit t ~ts ~cpu ?id () =
 
 let span_instant t ~ts ~cpu ~kind name =
   if t.record_spans then ignore (Span.instant t.spans ~ts ~cpu ~kind name)
-
-(* The process-wide sink.  Instrumentation sites pattern-match on this ref
-   directly — when it is [None] the entire telemetry layer costs one load
-   and one branch, and no event value is ever constructed. *)
-let current : t option ref = ref None
-
-let enable ?capacity () =
-  Guard.check "Telemetry.Sink.enable";
-  let sink = create ?capacity () in
-  current := Some sink;
-  sink
-
-let disable () = current := None
-
-let active () = !current <> None
-
-let with_sink sink f =
-  Guard.check "Telemetry.Sink.with_sink";
-  let previous = !current in
-  current := Some sink;
-  Fun.protect ~finally:(fun () -> current := previous) f

@@ -1,13 +1,13 @@
 (** The telemetry sink: bounded event trace + streaming counters and
-    histograms, behind a process-wide [option] so disabled builds pay one
-    pointer load per instrumentation site.
+    histograms.  A sink is attached to one machine's {!Ctx} slot, so
+    disabled runs pay one pointer load per instrumentation site.
 
     Instrumented code follows this pattern — the match is the whole cost
     when telemetry is off, and the event payload is only constructed in
     the [Some] arm:
 
     {[
-      match !Telemetry.Sink.current with
+      match ctx.Telemetry.Ctx.sink with
       | None -> ()
       | Some sink -> Telemetry.Sink.emit sink ~ts ~cpu (Telemetry.Event.Wrpkru { value })
     ]} *)
@@ -81,17 +81,3 @@ val span_exit : t -> ts:int -> cpu:int -> ?id:int -> unit -> unit
 
 val span_instant : t -> ts:int -> cpu:int -> kind:Span.kind -> string -> unit
 (** A zero-duration span ({!Span.instant}). *)
-
-(* {2 The process-wide sink} *)
-
-val current : t option ref
-(** Matched directly by instrumentation sites; [None] compiles the layer
-    down to a load-and-branch. *)
-
-val enable : ?capacity:int -> unit -> t
-val disable : unit -> unit
-val active : unit -> bool
-
-val with_sink : t -> (unit -> 'a) -> 'a
-(** Installs [sink] for the duration of the callback, restoring the
-    previous sink afterwards (exception-safe). *)

@@ -48,11 +48,42 @@ let profile_suite (suite : Bench_def.suite) =
     (fun acc bench -> Runtime.Profile.merge acc (profile_bench bench))
     (Runtime.Profile.create ()) suite.Bench_def.benches
 
+(* Runs [exec] with [sink] attached to the browser's machine, then
+   injects the post-run counters.  TLB counters are injected after the
+   timed run, never emitted from the access path, so event traces and
+   timestamps stay bit-identical with the TLB on or off; only these
+   counter values differ.  The engine fast-tier counters (inline-cache
+   hit/miss digests, superinstruction executions — all zero on the AST
+   and reference bytecode tiers) and the selector cache counters are
+   injected the same way. *)
+let run_traced sink browser exec =
+  let env = Browser.env browser in
+  let machine = Pkru_safe.Env.machine env in
+  let before = Sim.Machine.tlb_stats machine in
+  Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env) sink exec;
+  let after = Sim.Machine.tlb_stats machine in
+  let add by name = Telemetry.Sink.incr sink ~by name in
+  add (after.Sim.Tlb.hits - before.Sim.Tlb.hits) "tlb_hit";
+  add (after.Sim.Tlb.misses - before.Sim.Tlb.misses) "tlb_miss";
+  add (after.Sim.Tlb.flushes - before.Sim.Tlb.flushes) "tlb_flush";
+  let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
+  let ts = Engine.threaded_stats (Browser.engine browser) in
+  add ic.Engine.Eval.var_hits "engine_var_ic_hit";
+  add ic.Engine.Eval.var_misses "engine_var_ic_miss";
+  add ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
+  add ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
+  add ts.Engine.Threaded.super_execs "engine_super_exec";
+  let sel = Browser.selector_stats browser in
+  add sel.Browser.sel_hits "engine_selector_hit";
+  add sel.Browser.sel_misses "engine_selector_miss"
+
 let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation ?engine_tier
-    ~mode ~profile (bench : Bench_def.bench) =
+    ?recorder ?opstats ~mode ~profile (bench : Bench_def.bench) =
   let env =
     fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?tlb ?mitigation mode))
   in
+  let ctx = Pkru_safe.Env.ctx env in
+  ctx.Telemetry.Ctx.flight <- recorder;
   (* Census tracking must cover page-load allocations too: objects built
      during setup are still live — and ageing — when the timed script
      runs. *)
@@ -65,14 +96,16 @@ let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation
      deltas injected below describe this timed run only. *)
   Engine.reset_stats (Browser.engine browser);
   Browser.reset_selector_stats browser;
-  let exec () = ignore (Browser.exec_script ?tier:engine_tier browser bench.Bench_def.script) in
+  let exec () =
+    ignore (Browser.exec_script ?tier:engine_tier ?opstats browser bench.Bench_def.script)
+  in
   let sampler = Option.map (fun every -> Telemetry.Sampler.create ~every) sample_every in
   let exec =
     match sampler with
     | None -> exec
     | Some s ->
       fun () ->
-        Telemetry.Sampler.with_sampler ~provider:(fun () -> Pkru_safe.Env.stack_frames env) s
+        Telemetry.Ctx.with_sampler ctx ~provider:(fun () -> Pkru_safe.Env.stack_frames env) s
           exec
   in
   let census = Option.map (fun every -> Telemetry.Census.create ~every ()) census_every in
@@ -80,36 +113,12 @@ let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation
     match census with
     | None -> exec
     | Some c ->
-      fun () ->
-        Telemetry.Census.with_census ~provider:(Pkru_safe.Env.census_snapshot env) c exec
+      fun () -> Telemetry.Ctx.with_census ctx ~provider:(Pkru_safe.Env.census_snapshot env) c exec
   in
   let trace =
     if telemetry then begin
       let sink = Telemetry.Sink.create () in
-      let machine = Pkru_safe.Env.machine env in
-      let before = Sim.Machine.tlb_stats machine in
-      Telemetry.Sink.with_sink sink exec;
-      (* TLB counters are injected after the timed run, never emitted from
-         the access path, so event traces and timestamps stay bit-identical
-         with the TLB on or off; only these counter values differ. *)
-      let after = Sim.Machine.tlb_stats machine in
-      Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.hits - before.Sim.Tlb.hits) "tlb_hit";
-      Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.misses - before.Sim.Tlb.misses) "tlb_miss";
-      Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.flushes - before.Sim.Tlb.flushes) "tlb_flush";
-      (* Engine fast-tier counters, injected the same way (post-run, never
-         from the execution path): inline-cache hit/miss digests and
-         superinstruction executions.  All zero on the AST and reference
-         bytecode tiers. *)
-      let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
-      let ts = Engine.threaded_stats (Browser.engine browser) in
-      Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_hits "engine_var_ic_hit";
-      Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_misses "engine_var_ic_miss";
-      Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
-      Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
-      Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.super_execs "engine_super_exec";
-      let sel = Browser.selector_stats browser in
-      Telemetry.Sink.incr sink ~by:sel.Browser.sel_hits "engine_selector_hit";
-      Telemetry.Sink.incr sink ~by:sel.Browser.sel_misses "engine_selector_miss";
+      run_traced sink browser exec;
       Some sink
     end
     else begin

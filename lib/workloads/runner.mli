@@ -55,6 +55,18 @@ val profile_bench : ?engine_tier:Engine.tier -> Bench_def.bench -> Runtime.Profi
 (** One profiling run (used by the dispatch-equivalence tests to exercise
     the fault + single-step path under a chosen tier). *)
 
+val run_traced : Telemetry.Sink.t -> Browser.t -> (unit -> unit) -> unit
+(** [run_traced sink browser exec] runs [exec] with [sink] attached to the
+    browser's machine, then injects the post-run counters: the machine's
+    TLB hit/miss/flush deltas over the run as ["tlb_hit"]/["tlb_miss"]/
+    ["tlb_flush"] (never emitted from the access path, so traces stay
+    bit-identical TLB on or off), and the engine and selector counters
+    as ["engine_var_ic_hit"/"engine_var_ic_miss"/"engine_prop_ic_hit"/
+    "engine_prop_ic_miss"/"engine_super_exec"/"engine_selector_hit"/
+    "engine_selector_miss"] — the engine ones all zero outside the fast
+    tier.  Engine and selector counters are injected as totals, so reset
+    them before the run. *)
+
 val run_config :
   ?telemetry:bool ->
   ?sample_every:int ->
@@ -62,20 +74,20 @@ val run_config :
   ?tlb:bool ->
   ?mitigation:Runtime.Mitigator.policy ->
   ?engine_tier:Engine.tier ->
+  ?recorder:Telemetry.Flight.t ->
+  ?opstats:Engine.Opstats.t ->
   mode:Pkru_safe.Config.mode ->
   profile:Runtime.Profile.t ->
   Bench_def.bench ->
   measurement
 (** One benchmark under one configuration (fresh machine; counters are
     reset after page load so the script execution is what is timed).
-    With [~telemetry:true] a fresh sink is installed for the duration of
-    the timed script and returned in the measurement's [trace] field; the
-    machine's TLB hit/miss/flush deltas over the timed run are injected as
-    the sink counters ["tlb_hit"]/["tlb_miss"]/["tlb_flush"] after it
-    finishes (never from the access path, so traces stay bit-identical
-    TLB on or off).  With [~sample_every:n] a {!Telemetry.Sampler}
-    snapshots the thread's compartment stack every [n] simulated cycles
-    and is returned in [samples].  With [~census_every:n] a
+    With [~telemetry:true] a fresh sink is attached to the machine for
+    the duration of the timed script and returned in the measurement's
+    [trace] field, with the post-run counters of {!run_traced} injected.
+    With [~sample_every:n] a {!Telemetry.Sampler} snapshots the thread's
+    compartment stack every [n] simulated cycles and is returned in
+    [samples].  With [~census_every:n] a
     {!Telemetry.Census} walks the heap every [n] simulated cycles
     (tracking covers page-load allocations too) and is returned in
     [census].  None of the three charges simulated cycles, so
@@ -83,11 +95,9 @@ val run_config :
     [tlb] forwards to {!Pkru_safe.Config.make} (default on), as does
     [mitigation] (a fault-recovery policy for [Mpk] runs; default none).
     [engine_tier] selects the engine execution tier for the timed script
-    (default AST); with telemetry on, engine IC hit/miss and
-    superinstruction counters are injected post-run as
-    ["engine_var_ic_hit"/"engine_var_ic_miss"/"engine_prop_ic_hit"/
-    "engine_prop_ic_miss"/"engine_super_exec"/"engine_selector_hit"/
-    "engine_selector_miss"] — all zero outside the fast tier. *)
+    (default AST).  [recorder] is attached to the machine for the whole
+    run, so failures dump into it; [opstats] profiles the timed script's
+    opcodes on the reference bytecode tier. *)
 
 val run_bench :
   ?telemetry:bool ->

@@ -174,13 +174,13 @@ let test_metrics_expose_format () =
 
 let test_sampler_credit_accumulation () =
   let s = Telemetry.Sampler.create ~every:10 in
-  Telemetry.Sampler.with_sampler ~provider:(fun () -> [ "trusted"; "untrusted" ]) s (fun () ->
-      Telemetry.Sampler.tick s 25;
-      (* 2 periods elapsed, 5 credit left *)
-      Telemetry.Sampler.tick s 4;
-      (* still under the period: no sample *)
-      Telemetry.Sampler.tick s 1
-      (* credit reaches 10: one more *));
+  Telemetry.Sampler.set_provider s (fun () -> [ "trusted"; "untrusted" ]);
+  Telemetry.Sampler.tick s 25;
+  (* 2 periods elapsed, 5 credit left *)
+  Telemetry.Sampler.tick s 4;
+  (* still under the period: no sample *)
+  Telemetry.Sampler.tick s 1;
+  (* credit reaches 10: one more *)
   Alcotest.(check int) "samples proportional to cycles" 3 (Telemetry.Sampler.samples_total s);
   Alcotest.(check (list (pair string int))) "folded stack" [ ("trusted;untrusted", 3) ]
     (Telemetry.Sampler.stacks s);
@@ -189,10 +189,11 @@ let test_sampler_credit_accumulation () =
     (Telemetry.Sampler.leaf_shares s)
 
 let test_sampler_restores_on_raise () =
-  Alcotest.(check bool) "inactive by default" false (Telemetry.Sampler.active ());
+  let ctx = Telemetry.Ctx.create () in
+  Alcotest.(check bool) "empty by default" true (ctx.Telemetry.Ctx.sampler = None);
   let s = Telemetry.Sampler.create ~every:4 in
-  (try Telemetry.Sampler.with_sampler s (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "restored after raise" false (Telemetry.Sampler.active ());
+  (try Telemetry.Ctx.with_sampler ctx s (fun () -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check bool) "restored after raise" true (ctx.Telemetry.Ctx.sampler = None);
   Alcotest.check_raises "period must be positive"
     (Invalid_argument "Sampler.create: every must be positive") (fun () ->
       ignore (Telemetry.Sampler.create ~every:0))

@@ -201,7 +201,8 @@ let test_flight_dump_embeds_census () =
   let recorder = Telemetry.Flight.create () in
   Telemetry.Flight.set_context recorder (Pkru_safe.Env.flight_context env);
   let dump =
-    Telemetry.Census.with_census ~provider:(Pkru_safe.Env.census_snapshot env) census
+    Telemetry.Ctx.with_census (Pkru_safe.Env.ctx env)
+      ~provider:(Pkru_safe.Env.census_snapshot env) census
       (fun () ->
         (* Charge past a period boundary so a snapshot exists. *)
         ignore (Pkru_safe.Env.malloc_untrusted env 32);

@@ -55,23 +55,30 @@ type run_digest = {
 }
 
 (* One measured run of [bench] under [mode] at the given engine tier,
-   with the threaded layers configured by [opts]. *)
-let measure ?opts ?(mode = Pkru_safe.Config.Base) ?profile ~tier bench =
+   with the threaded layers configured by [opts] — the runner's protocol
+   (page load is setup, counters reset, the traced script is timed). *)
+let measure ?opts ?selector_cache ?(mode = Pkru_safe.Config.Base) ?profile ~tier
+    (bench : Workloads.Bench_def.bench) =
   let profile = match profile with Some p -> p | None -> Runtime.Profile.create () in
-  let go () =
-    Workloads.Runner.run_config ~telemetry:true ~engine_tier:tier ~mode ~profile bench
+  let env = ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make mode)) in
+  let browser =
+    Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed ?engine_opts:opts
+      ?selector_cache env
   in
-  let m = match opts with Some o -> Engine.Threaded.with_opts o go | None -> go () in
-  match m.Workloads.Runner.trace with
-  | None -> Alcotest.fail "expected a trace"
-  | Some sink ->
-    {
-      d_cycles = m.Workloads.Runner.cycles;
-      d_transitions = m.Workloads.Runner.transitions;
-      d_output = m.Workloads.Runner.output;
-      d_trace = trace_json sink;
-      d_sink = sink;
-    }
+  Browser.load_page browser bench.Workloads.Bench_def.page;
+  Pkru_safe.Env.reset_counters env;
+  Engine.reset_stats (Browser.engine browser);
+  Browser.reset_selector_stats browser;
+  let sink = Telemetry.Sink.create () in
+  Workloads.Runner.run_traced sink browser (fun () ->
+      ignore (Browser.exec_script ~tier browser bench.Workloads.Bench_def.script));
+  {
+    d_cycles = Pkru_safe.Env.cycles env;
+    d_transitions = Pkru_safe.Env.transitions env;
+    d_output = Browser.console browser;
+    d_trace = trace_json sink;
+    d_sink = sink;
+  }
 
 let check_bit_identical name (reference : run_digest) (candidate : run_digest) =
   Alcotest.(check (list string)) (name ^ ": output identical") reference.d_output
@@ -136,11 +143,8 @@ let test_dom_equivalence () =
   Alcotest.(check bool) "selector cache hit during run" true
     (Telemetry.Sink.count thr_on.d_sink "engine_selector_hit" > 0);
   let uncached =
-    Fun.protect
-      ~finally:(fun () -> Browser.selector_cache_enabled := true)
-      (fun () ->
-        Browser.selector_cache_enabled := false;
-        measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on ~mode ~profile bench)
+    measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on ~selector_cache:false ~mode
+      ~profile bench
   in
   check_bit_identical "selector cache off" reference uncached;
   Alcotest.(check int) "no cache hits when disabled" 0
@@ -248,15 +252,11 @@ let test_selector_dom_mutation () =
      print(before + \":\" + beforeCls + \":\" + after + \":\" + afterCls);\n"
   in
   let run tier ~cache =
-    Fun.protect
-      ~finally:(fun () -> Browser.selector_cache_enabled := true)
-      (fun () ->
-        Browser.selector_cache_enabled := cache;
-        let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
-        let b = Browser.create ~engine_seed:7 env in
-        Browser.load_page b "<html><body><div id=\"main\">hi</div></body></html>";
-        ignore (Browser.exec_script ~tier b script);
-        Browser.console b)
+    let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+    let b = Browser.create ~engine_seed:7 ~selector_cache:cache env in
+    Browser.load_page b "<html><body><div id=\"main\">hi</div></body></html>";
+    ignore (Browser.exec_script ~tier b script);
+    Browser.console b
   in
   let expected = [ "0:0:1:1" ] in
   Alcotest.(check (list string)) "ast, cached" expected (run Engine.Ast_tier ~cache:true);
@@ -389,13 +389,16 @@ let test_prometheus_engine_families () =
    superinstruction set is built from. *)
 let test_opstats_pairs () =
   let e = fresh_engine () in
-  let st, _ =
-    Engine.Opstats.collect (fun () ->
-        Engine.eval_string ~tier:Engine.Bytecode_tier e
-          "var s = 0; var t = 0;\n\
-           for (var i = 0; i < 50; i = i + 1) { s = s + i; t = t + s; }\n\
-           s + t;")
-  in
+  let st = Engine.Opstats.create () in
+  (match
+     Engine.Value.str_of_string (Engine.heap e)
+       "var s = 0; var t = 0;\n\
+        for (var i = 0; i < 50; i = i + 1) { s = s + i; t = t + s; }\n\
+        s + t;"
+   with
+  | Engine.Value.Str src ->
+    ignore (Engine.eval_source ~tier:Engine.Bytecode_tier ~opstats:st e src)
+  | _ -> assert false);
   Alcotest.(check bool) "instructions counted" true (Engine.Opstats.total st > 0);
   let singles = Engine.Opstats.singles st in
   Alcotest.(check bool) "load counted" true (List.mem_assoc "load" singles);

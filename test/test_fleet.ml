@@ -2,8 +2,8 @@
    (per-session cycles, transitions, checksums and traces independent of
    the CPU count and of interleaving), a single-session fleet run must be
    bit-identical to the plain runner, the shared backing budget must
-   surface as per-session Oom outcomes without sinking the fleet, and the
-   telemetry guard must keep process-wide writers out of a fleet run. *)
+   surface as per-session Oom outcomes without sinking the fleet, and
+   telemetry must stay on the machine it was attached to. *)
 
 let ok = function
   | Ok v -> v
@@ -134,52 +134,51 @@ let test_shared_page_budget () =
     Alcotest.(check bool) "retired sessions return pages" true (b.Fleet.bk_min_available > 0)
   | None -> Alcotest.fail "expected backing stats"
 
-(* The guard: a process-wide telemetry writer cannot be installed while a
-   fleet run is active, and a fleet refuses to start under one. *)
-let test_telemetry_guard () =
-  Telemetry.Guard.with_exclusive "test fleet" (fun () ->
-      List.iter
-        (fun (what, install) ->
-          match install () with
-          | exception Invalid_argument msg ->
-            Alcotest.(check bool)
-              (what ^ " error names the fleet run")
-              true
-              (let contains hay needle =
-                 let nh = String.length hay and nn = String.length needle in
-                 let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-                 nn = 0 || scan 0
-               in
-               contains msg "test fleet")
-          | _ -> Alcotest.fail (what ^ " should refuse while the fleet guard is held"))
-        [
-          ("Sink.enable", fun () -> ignore (Telemetry.Sink.enable ()));
-          ( "Sink.with_sink",
-            fun () -> Telemetry.Sink.with_sink (Telemetry.Sink.create ()) (fun () -> ()) );
-          ( "Sampler.with_sampler",
-            fun () ->
-              Telemetry.Sampler.with_sampler
-                (Telemetry.Sampler.create ~every:64)
-                (fun () -> ()) );
-          ( "Census.with_census",
-            fun () ->
-              Telemetry.Census.with_census (Telemetry.Census.create ~every:64 ()) (fun () -> ())
-          );
-          ( "Flight.with_recorder",
-            fun () -> Telemetry.Flight.with_recorder (Telemetry.Flight.create ()) (fun () -> ())
-          );
-        ]);
-  Alcotest.(check (option string)) "guard released" None (Telemetry.Guard.held ());
-  (* And the converse: an installed writer blocks the fleet from starting. *)
-  Telemetry.Sink.with_sink (Telemetry.Sink.create ()) (fun () ->
-      match Fleet.run ~sessions:1 mixed_jobs with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "fleet should refuse to start under a process-wide sink")
+(* Telemetry is per machine: a sink attached to env A sees exactly A's
+   events — the same trace as a solo run of A — however A's and B's
+   scripts interleave, and B's events reach no sink.  A traced fleet run
+   is likewise undisturbed by an unrelated environment's sink. *)
+let test_telemetry_per_machine () =
+  let setup () =
+    let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+    let browser = Browser.create ~engine_seed:ident_bench.Workloads.Bench_def.engine_seed env in
+    Browser.load_page browser ident_bench.Workloads.Bench_def.page;
+    (env, browser)
+  in
+  let run browser = ignore (Browser.exec_script browser ident_bench.Workloads.Bench_def.script) in
+  let traced_a ~with_b =
+    let env_a, browser_a = setup () in
+    let env_b, browser_b = setup () in
+    let sink = Telemetry.Sink.create () in
+    Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env_a) sink (fun () ->
+        for _ = 1 to 3 do
+          run browser_a;
+          if with_b then run browser_b
+        done);
+    Alcotest.(check bool) "B has no sink" true
+      ((Pkru_safe.Env.ctx env_b).Telemetry.Ctx.sink = None);
+    sink
+  in
+  let interleaved = traced_a ~with_b:true and solo = traced_a ~with_b:false in
+  Alcotest.(check bool) "A traced something" true (Telemetry.Sink.events_total solo > 0);
+  Alcotest.(check string) "A's sink holds exactly A's events" (trace_json solo)
+    (trace_json interleaved);
+  let other = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+  let unrelated = Telemetry.Sink.create () in
+  Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx other) unrelated (fun () ->
+      let r =
+        Fleet.run ~telemetry:true ~timeslice:150 ~sessions:1 [ Fleet.job_of_bench ident_bench ]
+      in
+      Alcotest.(check int) "traced fleet session completes" 1 r.Fleet.r_completed;
+      match r.Fleet.r_trace with
+      | Some t ->
+        Alcotest.(check bool) "fleet trace captured" true (Telemetry.Sink.events_total t > 0)
+      | None -> Alcotest.fail "expected a fleet trace");
+  Alcotest.(check int) "unrelated sink untouched" 0 (Telemetry.Sink.events_total unrelated)
 
-(* Satellite regression: the selector split-memo is bounded and counts
-   its evictions. *)
+(* Satellite regression: the browser's selector split-memo is bounded and
+   counts its evictions. *)
 let test_selector_memo_bounded () =
-  let evictions_before = !Browser.Selector.split_memo_evictions in
   let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
   let browser = Browser.create env in
   Browser.load_page browser "<div id=\"app\"><p>x</p></div>";
@@ -194,9 +193,11 @@ let test_selector_memo_bounded () =
               domSetAttribute(root, 'class', 'c' + i + ' d' + i);
               domQuery('.needle');
             }|}
-          (Browser.Selector.split_memo_cap + 64)));
-  Alcotest.(check bool) "eviction counter advanced" true
-    (!Browser.Selector.split_memo_evictions > evictions_before)
+          (Browser.split_memo_cap + 64)));
+  Alcotest.(check int) "one full memo evicted" Browser.split_memo_cap
+    (Browser.selector_stats browser).Browser.sel_memo_evictions;
+  Alcotest.(check int) "a fresh browser has evicted nothing" 0
+    (Browser.selector_stats (Browser.create env)).Browser.sel_memo_evictions
 
 let suite =
   [
@@ -207,6 +208,6 @@ let suite =
     Alcotest.test_case "interleaved sessions match solo runner" `Quick
       test_interleaved_sessions_match_solo;
     Alcotest.test_case "shared page budget" `Quick test_shared_page_budget;
-    Alcotest.test_case "telemetry guard" `Quick test_telemetry_guard;
+    Alcotest.test_case "telemetry is per machine" `Quick test_telemetry_per_machine;
     Alcotest.test_case "selector memo bounded" `Quick test_selector_memo_bounded;
   ]

@@ -205,27 +205,19 @@ let test_reverify_unit () =
   | () -> Alcotest.fail "expected reverify to kill on a PKRU mismatch");
   Sim.Cpu.set_pkru machine.Sim.Machine.cpu Mpk.Pkru.all_enabled
 
-(* --- Telemetry exclusivity and handler tampering under the fleet --------- *)
+(* --- Handler tampering under the fleet ------------------------------------ *)
 
-let test_guard_held_and_handler_tamper () =
-  (* While the battery scheduler runs, the telemetry guard is held: a
-     program that tries to install a process-wide writer races the fleet
-     and must be refused.  The same program then tampers with the SEGV
-     handler chain (register + reorder) — benign siblings survive it. *)
+let test_handler_tamper () =
+  (* A program tampers with the SEGV handler chain (register + reorder)
+     while the battery scheduler runs — benign siblings survive it. *)
   let env = mk_env () in
   let machine = Pkru_safe.Env.machine env in
   let signals = machine.Sim.Machine.signals in
-  let guard_seen = ref None in
-  let install_refused = ref false in
   let tamperer =
     {
       Fleet.p_name = "tamperer";
       p_body =
         (fun ~yield ->
-          guard_seen := Telemetry.Guard.held ();
-          (match Telemetry.Sink.with_sink (Telemetry.Sink.create ()) (fun () -> ()) with
-          | () -> ()
-          | exception Invalid_argument _ -> install_refused := true);
           yield ();
           Sim.Signals.register_segv signals (fun _ -> Sim.Signals.Pass);
           Sim.Signals.reorder_segv signals List.rev;
@@ -249,12 +241,6 @@ let test_guard_held_and_handler_tamper () =
     }
   in
   let battery = Fleet.run_programs env [ victim; tamperer ] in
-  (match !guard_seen with
-  | Some label ->
-    Alcotest.(check bool) "guard label names the battery" true
-      (contains ~sub:"attack battery" label)
-  | None -> Alcotest.fail "expected the telemetry guard to be held mid-run");
-  Alcotest.(check bool) "mid-run sink install refused" true !install_refused;
   List.iter
     (fun (pr : Fleet.program_result) ->
       Alcotest.(check string)
@@ -382,7 +368,7 @@ let suite =
     Alcotest.test_case "multi-hart battery" `Quick test_battery_multi_hart;
     Alcotest.test_case "reverify: no false positives" `Quick test_reverify_no_false_positives;
     Alcotest.test_case "reverify: unit" `Quick test_reverify_unit;
-    Alcotest.test_case "guard held + handler tamper" `Quick test_guard_held_and_handler_tamper;
+    Alcotest.test_case "handler tamper under battery" `Quick test_handler_tamper;
     Alcotest.test_case "sigreturn forgery (unit)" `Quick test_sigreturn_forgery_unit;
     Alcotest.test_case "sigreturn scrub blocks" `Quick test_sigreturn_scrub_blocks;
     Alcotest.test_case "syscall filter (unit)" `Quick test_syscall_filter_unit;

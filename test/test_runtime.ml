@@ -431,7 +431,7 @@ let test_mitigator_counts_into_telemetry () =
   let addr = tracked_mt_object pk mit in
   Sim.Machine.write_u64 m addr 3;
   let sink = Telemetry.Sink.create () in
-  Telemetry.Sink.with_sink sink (fun () ->
+  Telemetry.Ctx.with_sink m.Sim.Machine.ctx sink (fun () ->
       Runtime.Gate.call_untrusted gate (fun () -> ignore (Sim.Machine.read_u64 m addr)));
   Alcotest.(check int) "sink counter mirrors the incident" 1
     (Telemetry.Sink.count sink "mitigation.emulate.emulated")

@@ -20,7 +20,7 @@ let bench_profile () =
 let test_gate_events_match_transitions () =
   let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
   let sink = Telemetry.Sink.create () in
-  Telemetry.Sink.with_sink sink (fun () ->
+  Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env) sink (fun () ->
       for _ = 1 to 17 do
         Pkru_safe.Env.ffi_call env (fun () ->
             ignore (Pkru_safe.Env.callback env (fun () -> ())))
@@ -204,10 +204,11 @@ let test_empty_histogram_percentile_raises () =
     (Telemetry.Histogram.percentile h 50.0)
 
 let test_with_sink_restores () =
-  Alcotest.(check bool) "inactive by default" false (Telemetry.Sink.active ());
+  let ctx = Telemetry.Ctx.create () in
+  Alcotest.(check bool) "empty by default" true (ctx.Telemetry.Ctx.sink = None);
   let sink = Telemetry.Sink.create () in
-  (try Telemetry.Sink.with_sink sink (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "restored after raise" false (Telemetry.Sink.active ())
+  (try Telemetry.Ctx.with_sink ctx sink (fun () -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check bool) "restored after raise" true (ctx.Telemetry.Ctx.sink = None)
 
 (* (5) Causal spans: parenting, exit-by-id unwind coherence, digesting. *)
 let test_span_nesting () =
@@ -267,7 +268,7 @@ let test_spans_disabled_bit_identical () =
     let browser =
       Browser.create ~engine_seed:small_bench.Workloads.Bench_def.engine_seed env
     in
-    Telemetry.Sink.with_sink sink (fun () ->
+    Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env) sink (fun () ->
         Browser.load_page browser small_bench.Workloads.Bench_def.page;
         ignore (Browser.exec_script browser small_bench.Workloads.Bench_def.script));
     (Pkru_safe.Env.cycles env, Telemetry.Sink.events sink, Telemetry.Sink.counters sink, sink)
@@ -418,8 +419,9 @@ let test_flight_dump_and_render () =
   Telemetry.Sink.emit sink ~ts:1 ~cpu:0
     (Telemetry.Event.Gate_enter { target = Telemetry.Event.Untrusted });
   ignore (Telemetry.Sink.span_enter sink ~ts:1 ~cpu:0 ~kind:Telemetry.Span.Gate "gate:untrusted");
-  Telemetry.Flight.with_recorder recorder (fun () ->
-      Telemetry.Flight.dump ~reason:"test incident"
+  let ctx = Telemetry.Ctx.create () in
+  Telemetry.Ctx.with_recorder ctx recorder (fun () ->
+      Telemetry.Ctx.dump ctx ~reason:"test incident"
         ~details:[ ("note", Util.Json.String "injected") ]
         ());
   Alcotest.(check int) "one dump" 1 (Telemetry.Flight.dump_total recorder);
@@ -438,8 +440,8 @@ let test_flight_dump_and_render () =
   Alcotest.(check bool) "pkru rendered" true (contains "cpu0 PKRU = 0x0000000c");
   Alcotest.(check bool) "gate imbalance rendered" true (contains "IMBALANCED");
   Alcotest.(check bool) "open span chain rendered" true (contains "gate:untrusted");
-  (* Disarmed dumps are no-ops. *)
-  Telemetry.Flight.dump ~reason:"nobody listening" ();
+  (* Dumps without an attached recorder are no-ops. *)
+  Telemetry.Ctx.dump ctx ~reason:"nobody listening" ();
   Alcotest.(check int) "still one dump" 1 (Telemetry.Flight.dump_total recorder)
 
 let suite =

@@ -67,7 +67,7 @@ let single_step_sequence ~tlb =
   Sim.Machine.write_u64 m base 7;
   let restricted = Mpk.Pkru.all_disabled_except [] in
   let sink = Telemetry.Sink.create () in
-  Telemetry.Sink.with_sink sink (fun () ->
+  Telemetry.Ctx.with_sink m.Sim.Machine.ctx sink (fun () ->
       Sim.Cpu.set_pkru m.Sim.Machine.cpu restricted;
       Sim.Signals.register_trap m.Sim.Machine.signals (fun () ->
           Sim.Cpu.set_pkru m.Sim.Machine.cpu restricted);
