@@ -32,8 +32,8 @@ type instr =
   | New_array_op
   | Make_array of int
   | Make_object of string list (* values pushed in field order *)
-  | Make_closure of string list * Ast.stmt list
-    (* carries the AST; bodies compile on first call (a baseline tier) *)
+  | Make_closure of Eval.func
+    (* one per literal site; bodies compile on first call (a baseline tier) *)
   | Push_scope
   | Pop_scope
   | Pop_scopes of int
@@ -94,7 +94,7 @@ let rec compile_expr c (e : Ast.expr) =
   | Ast.Object_lit fields ->
     List.iter (fun (_, v) -> compile_expr c v) fields;
     emit c (Ins (Make_object (List.map fst fields)))
-  | Ast.Func_lit (params, body) -> emit c (Ins (Make_closure (params, body)))
+  | Ast.Func_lit (params, body) -> emit c (Ins (Make_closure (Eval.func ~params ~body)))
   | Ast.Unary (op, e) ->
     compile_expr c e;
     emit c (Ins (Un_op op))
@@ -194,7 +194,7 @@ and compile_stmt c (s : Ast.stmt) =
     compile_expr c init;
     emit c (Ins (Decl_var name))
   | Ast.Func_decl (name, params, body) ->
-    emit c (Ins (Make_closure (params, body)));
+    emit c (Ins (Make_closure (Eval.func ~params ~body)));
     emit c (Ins (Decl_var name))
   | Ast.If (cond, then_, else_) ->
     let l_else = fresh_label c in
@@ -348,7 +348,7 @@ let instr_to_string = function
   | New_array_op -> "new_array"
   | Make_array n -> Printf.sprintf "make_array %d" n
   | Make_object keys -> "make_object {" ^ String.concat "," keys ^ "}"
-  | Make_closure (params, _) -> Printf.sprintf "make_closure (%s)" (String.concat "," params)
+  | Make_closure fn -> Printf.sprintf "make_closure (%s)" (String.concat "," (Eval.func_params fn))
   | Push_scope -> "push_scope"
   | Pop_scope -> "pop_scope"
   | Pop_scopes n -> Printf.sprintf "pop_scopes %d" n
@@ -411,7 +411,7 @@ exception Vm_return of Value.t
    created repeatedly in a loop compiles once. *)
 type vm = {
   eval : Eval.t;
-  vm_closures : (int, string list * Ast.stmt list) Hashtbl.t;
+  vm_closures : (int, Eval.func) Hashtbl.t;
   code_cache : (Ast.stmt list, instr array) Hashtbl.t;
   opstats : Opstats.t option; (* opcode profile collector, if any *)
 }
@@ -490,7 +490,7 @@ let rec exec vm (code : instr array) scope0 =
        | Bin_op op ->
          let b = pop () in
          let a = pop () in
-         push (Eval.binary_op t op a b)
+         push (Eval.binary_fn op t a b)
        | Un_op op -> push (Eval.unary_op t op (pop ()))
        | Jump target -> pc := target
        | Jump_if_false target -> if not (Eval.truthy_value (pop ())) then pc := target
@@ -540,10 +540,10 @@ let rec exec vm (code : instr array) scope0 =
            List.iter2 (fun k v -> Value.obj_set (Eval.heap t) o k v) keys values
          | _ -> assert false);
          push obj
-       | Make_closure (params, body) ->
-         let closure = Eval.make_closure t ~params ~body (current_scope ()) in
+       | Make_closure fn ->
+         let closure = Eval.make_closure t fn (current_scope ()) in
          (match closure with
-         | Value.Fun id -> Hashtbl.replace vm.vm_closures id (params, body)
+         | Value.Fun id -> Hashtbl.replace vm.vm_closures id fn
          | _ -> assert false);
          push closure
        | Push_scope -> scopes := Eval.new_scope ~parent:(current_scope ()) () :: !scopes
@@ -577,9 +577,8 @@ and method_call vm recv name args =
 and call_value vm callee args =
   match callee with
   | Value.Fun id when Hashtbl.mem vm.vm_closures id ->
-    let params, body = Hashtbl.find vm.vm_closures id in
-    let _, _, captured = Eval.closure_parts vm.eval id in
-    let scope = Eval.new_scope ~parent:captured () in
+    let fn = Hashtbl.find vm.vm_closures id in
+    let scope = Eval.new_scope ~parent:(Eval.closure_scope vm.eval id) () in
     List.iteri
       (fun i p ->
         let v =
@@ -588,8 +587,8 @@ and call_value vm callee args =
           | None -> Value.Null
         in
         Eval.scope_declare scope p v)
-      params;
-    exec vm (body_code vm body) scope
+      (Eval.func_params fn);
+    exec vm (body_code vm (Eval.func_body fn)) scope
   | callee -> Eval.call_value vm.eval callee args
 
 let run ?opstats eval program =

@@ -10,7 +10,7 @@
 
     Functions compile lazily on first call (a compile-on-demand baseline
     tier); closures remain interoperable with the AST tier, so a DOM
-    callback may AST-interpret a function the VM created. *)
+    callback may run a function the VM created on the AST tier. *)
 
 (** The instruction set is exposed so the fast tier ({!Threaded}) can
     compile the same code objects to closures and the profiler/report can
@@ -43,8 +43,8 @@ type instr =
   | New_array_op
   | Make_array of int
   | Make_object of string list (* values pushed in field order *)
-  | Make_closure of string list * Ast.stmt list
-    (* carries the AST; bodies compile on first call (a baseline tier) *)
+  | Make_closure of Eval.func
+    (* one per literal site; bodies compile on first call (a baseline tier) *)
   | Push_scope
   | Pop_scope
   | Pop_scopes of int

@@ -16,7 +16,9 @@ module Threaded = Threaded
 module Opstats = Opstats
 
 type tier =
-  | Ast_tier      (** tree-walking evaluator (default) *)
+  | Ast_tier
+      (** AST compiled once to closures that charge per AST step, as a
+          tree walk would (default) *)
   | Bytecode_tier (** compile to stack bytecode, then interpret (reference) *)
   | Threaded_tier
       (** closure-compiled dispatch + superinstructions + inline caches

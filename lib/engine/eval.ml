@@ -25,20 +25,25 @@ type scope = {
   mutable slots : Value.t ref array; (* i-th newly declared binding, origin scopes only *)
 }
 
-let no_slots : Value.t ref array = [||]
+(* A function literal's code: compiled on first call, then shared by every
+   closure minted at its site. *)
+and func = {
+  f_params : string list;
+  f_body : Ast.stmt list;
+  f_code : (t -> scope -> unit) Lazy.t;
+}
 
-type closure = {
-  c_params : string list;
-  c_body : Ast.stmt list;
+and closure = {
+  c_func : func;
   c_scope : scope;
 }
 
-type ic_stats = {
+and ic_stats = {
   mutable var_hits : int;
   mutable var_misses : int;
 }
 
-type t = {
+and t = {
   heap : Value.heap;
   machine : Sim.Machine.t;
   globals : scope;
@@ -66,13 +71,17 @@ exception Return_exc of Value.t
 exception Break_exc
 exception Continue_exc
 
+let no_slots : Value.t ref array = [||]
+
 let create ?(seed = 1) ?(fuel = 200_000_000) heap =
+  let root size = { vars = Hashtbl.create size; decls = 0; parent = None; origin = 0; slots = no_slots } in
+  let unused = { f_params = []; f_body = []; f_code = Lazy.from_val (fun _ _ -> ()) } in
   {
     heap;
     machine = Pkru_safe.Env.machine (Value.env heap);
-    globals = { vars = Hashtbl.create 64; decls = 0; parent = None; origin = 0; slots = no_slots };
+    globals = root 64;
     hosts = Hashtbl.create 32;
-    closures = Array.make 16 { c_params = []; c_body = []; c_scope = { vars = Hashtbl.create 1; decls = 0; parent = None; origin = 0; slots = no_slots } };
+    closures = Array.make 16 { c_func = unused; c_scope = root 1 };
     nclosures = 0;
     rng = Util.Rng.create seed;
     output = [];
@@ -146,13 +155,14 @@ let add_closure t c =
   t.nclosures <- t.nclosures + 1;
   t.nclosures - 1
 
-let rec lookup t scope name =
+(* The binding [name] resolves to, charging 2 cycles per level probed. *)
+let rec lookup_ref t scope name =
   charge t 2;
   match Hashtbl.find_opt scope.vars name with
-  | Some r -> Some !r
+  | Some _ as hit -> hit
   | None ->
     (match scope.parent with
-    | Some p -> lookup t p name
+    | Some p -> lookup_ref t p name
     | None -> None)
 
 let rec assign_existing t scope name v =
@@ -209,24 +219,34 @@ type var_site = {
   mutable vslot_idx : int;
   (* full-walk cache, anchored on [cur] at fill time *)
   mutable vfull_anchor : scope option;
-  mutable vfull_ref : Value.t ref;
+  mutable vfull_hit : Value.t ref option; (* the binding, preallocated as a result *)
   mutable vfull_path : (scope * int) array; (* probed-and-missed scopes + decls snapshots *)
   (* walk-above-cur cache, anchored on [cur.parent] at fill time *)
   mutable vsite_anchor : scope option;
-  mutable vsite_ref : Value.t ref;
+  mutable vsite_hit : Value.t ref option;
   mutable vsite_levels : int; (* scopes the walk probed below [cur], holder included *)
   mutable vsite_path : (scope * int) array; (* skipped scopes + decls snapshots *)
   mutable vsite_streak : int; (* consecutive misses; negative = site disabled *)
+  vsite_counted : bool; (* hits and misses feed [ic_stats] (bytecode-tier sites only) *)
+  vsite_outer : bool;
+      (* known at compile time never to be bound in the innermost scope, so
+         the level-0 probe is charged but not performed *)
 }
 
 let streak_limit = 32
 
-let var_site name =
+let make_site ~counted ~outer name =
   { vsite_name = name;
     vslot_origin = 0; vslot_decls = 0; vslot_idx = 0;
-    vfull_anchor = None; vfull_ref = ref Value.Null; vfull_path = [||];
-    vsite_anchor = None; vsite_ref = ref Value.Null;
-    vsite_levels = 0; vsite_path = [||]; vsite_streak = 0 }
+    vfull_anchor = None; vfull_hit = None; vfull_path = [||];
+    vsite_anchor = None; vsite_hit = None;
+    vsite_levels = 0; vsite_path = [||]; vsite_streak = 0; vsite_counted = counted;
+    vsite_outer = outer }
+
+let var_site name = make_site ~counted:true ~outer:false name
+
+let count_hit t site = if site.vsite_counted then t.ic.var_hits <- t.ic.var_hits + 1
+let count_miss t site = if site.vsite_counted then t.ic.var_misses <- t.ic.var_misses + 1
 
 (* A level-0 find in an origin-tracked scope can be slot-cached: the ref
    sits in [cur.slots] at a fixed index for every scope of this origin at
@@ -243,14 +263,22 @@ let vslot_learn site cur r =
       site.vslot_idx <- i
   end
 
+(* No scope in [path] from [i] on has declared a new name since the fill.
+   A direct recursion: [Array.for_all]'s loop closure would allocate on
+   every cache hit. *)
+let rec path_valid path i =
+  i >= Array.length path
+  ||
+  let s, d = path.(i) in
+  s.decls = d && path_valid path (i + 1)
+
 let vfull_valid site cur =
   (match site.vfull_anchor with Some a -> a == cur | None -> false)
-  && Array.for_all (fun (s, d) -> s.decls = d) site.vfull_path
+  && path_valid site.vfull_path 0
 
 let vsite_valid site parent =
   match site.vsite_anchor with
-  | Some a when a == parent ->
-    Array.for_all (fun (s, d) -> s.decls = d) site.vsite_path
+  | Some a when a == parent -> path_valid site.vsite_path 0
   | _ -> false
 
 (* Walk from [start] (= cur.parent) resolving [site.vsite_name], charging 2
@@ -261,16 +289,16 @@ let vsite_fill t ~charged site cur start =
   let rec go depth s =
     if charged then charge t 2;
     match Hashtbl.find_opt s.vars site.vsite_name with
-    | Some r ->
+    | Some _ as hit ->
       let path = Array.of_list (List.rev_map (fun sc -> (sc, sc.decls)) !missed) in
       site.vsite_anchor <- Some start;
-      site.vsite_ref <- r;
+      site.vsite_hit <- hit;
       site.vsite_levels <- depth + 1;
       site.vsite_path <- path;
       site.vfull_anchor <- Some cur;
-      site.vfull_ref <- r;
+      site.vfull_hit <- hit;
       site.vfull_path <- Array.append [| (cur, cur.decls) |] path;
-      Some r
+      hit
     | None ->
       missed := s :: !missed;
       (match s.parent with
@@ -280,83 +308,93 @@ let vsite_fill t ~charged site cur start =
   go 0 start
 
 let vsite_miss t site =
-  t.ic.var_misses <- t.ic.var_misses + 1;
+  count_miss t site;
   if site.vsite_streak >= 0 then begin
     site.vsite_streak <- site.vsite_streak + 1;
     if site.vsite_streak > streak_limit then site.vsite_streak <- -1
   end
 
-let cached_lookup t cur site =
+let probe_innermost site cur =
+  if site.vsite_outer then None else Hashtbl.find_opt cur.vars site.vsite_name
+
+(* The binding [site] resolves to from [cur], with {!scope_lookup}'s
+   charges.  Cache hits return the preallocated result: no allocation. *)
+let lookup_binding t cur site =
   if site.vsite_streak < 0 then begin
-    t.ic.var_misses <- t.ic.var_misses + 1;
-    lookup t cur site.vsite_name
+    count_miss t site;
+    lookup_ref t cur site.vsite_name
   end
   else if
     cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
   then begin
-    t.ic.var_hits <- t.ic.var_hits + 1;
+    count_hit t site;
     site.vsite_streak <- 0;
     charge t 2;
-    Some !(cur.slots.(site.vslot_idx))
+    Some cur.slots.(site.vslot_idx)
   end
   else if vfull_valid site cur then begin
-    t.ic.var_hits <- t.ic.var_hits + 1;
+    count_hit t site;
     site.vsite_streak <- 0;
     charge t (2 * (Array.length site.vfull_path + 1));
-    Some !(site.vfull_ref)
+    site.vfull_hit
   end
   else begin
     charge t 2;
-    match Hashtbl.find_opt cur.vars site.vsite_name with
-    | Some r ->
+    match probe_innermost site cur with
+    | Some r as hit ->
       (* found in the innermost scope: re-anchor the full-walk cache *)
       site.vsite_streak <- 0;
       site.vfull_anchor <- Some cur;
-      site.vfull_ref <- r;
+      site.vfull_hit <- hit;
       site.vfull_path <- [||];
       vslot_learn site cur r;
-      Some !r
+      hit
     | None ->
       (match cur.parent with
       | None -> None
       | Some p ->
         if vsite_valid site p then begin
-          t.ic.var_hits <- t.ic.var_hits + 1;
+          count_hit t site;
           site.vsite_streak <- 0;
           charge t (2 * site.vsite_levels);
-          Some !(site.vsite_ref)
+          site.vsite_hit
         end
         else begin
           vsite_miss t site;
-          Option.map ( ! ) (vsite_fill t ~charged:true site cur p)
+          vsite_fill t ~charged:true site cur p
         end)
   end
 
+let cached_lookup t cur site = Option.map ( ! ) (lookup_binding t cur site)
+
+(* Cache hits imply a filled binding. *)
+let set_hit hit v = match hit with Some r -> r := v | None -> ()
+
 let cached_assign t cur site v =
   if site.vsite_streak < 0 then begin
-    t.ic.var_misses <- t.ic.var_misses + 1;
+    count_miss t site;
     assign_existing t cur site.vsite_name v
   end
   else if
     cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
   then begin
-    t.ic.var_hits <- t.ic.var_hits + 1;
+    count_hit t site;
     site.vsite_streak <- 0;
     cur.slots.(site.vslot_idx) := v;
     true
   end
   else if vfull_valid site cur then begin
-    t.ic.var_hits <- t.ic.var_hits + 1;
+    count_hit t site;
     site.vsite_streak <- 0;
-    site.vfull_ref := v;
+    set_hit site.vfull_hit v;
     true
   end
   else
-    match Hashtbl.find_opt cur.vars site.vsite_name with
-    | Some r ->
+    match probe_innermost site cur with
+    | Some r as hit ->
       site.vsite_streak <- 0;
       site.vfull_anchor <- Some cur;
-      site.vfull_ref <- r;
+      site.vfull_hit <- hit;
       site.vfull_path <- [||];
       vslot_learn site cur r;
       r := v;
@@ -366,9 +404,9 @@ let cached_assign t cur site v =
       | None -> false
       | Some p ->
         if vsite_valid site p then begin
-          t.ic.var_hits <- t.ic.var_hits + 1;
+          count_hit t site;
           site.vsite_streak <- 0;
-          site.vsite_ref := v;
+          set_hit site.vsite_hit v;
           true
         end
         else begin
@@ -535,6 +573,17 @@ let json_ns_call t name args =
 
 (* --- Value methods --- *)
 
+(* Parameters in order, missing arguments bound to null. *)
+let rec bind_params scope params args =
+  match (params, args) with
+  | [], _ -> ()
+  | p :: ps, v :: vs ->
+    declare scope p v;
+    bind_params scope ps vs
+  | p :: ps, [] ->
+    declare scope p Value.Null;
+    bind_params scope ps []
+
 let rec method_call t recv name args =
   match recv with
   | Value.Arr a ->
@@ -697,17 +746,9 @@ and call_value t callee args =
   | Value.Fun id ->
     let c = t.closures.(id) in
     let scope = { vars = Hashtbl.create 8; decls = 0; parent = Some c.c_scope; origin = 0; slots = no_slots } in
-    List.iteri
-      (fun i p ->
-        let v =
-          match List.nth_opt args i with
-          | Some v -> v
-          | None -> Value.Null
-        in
-        declare scope p v)
-      c.c_params;
+    bind_params scope c.c_func.f_params args;
     (try
-       exec_stmts t scope c.c_body;
+       Lazy.force c.c_func.f_code t scope;
        Value.Null
      with Return_exc v -> v)
   | Value.Host name ->
@@ -716,273 +757,10 @@ and call_value t callee args =
     | None -> fail "unknown host function %s" name)
   | v -> fail "%s is not callable" (Value.type_name v)
 
-and eval t scope (e : Ast.expr) : Value.t =
-  tick t 1;
-  match e with
-  | Ast.Num f -> Value.Num f
-  | Ast.Str s -> Value.str_of_string t.heap s
-  | Ast.Bool b -> Value.Bool b
-  | Ast.Null -> Value.Null
-  | Ast.Ident "Math" | Ast.Ident "JSON" | Ast.Ident "String" ->
-    fail "namespace %s cannot be used as a value"
-      (match e with
-      | Ast.Ident n -> n
-      | _ -> assert false)
-  | Ast.Ident name ->
-    (match lookup t scope name with
-    | Some v -> v
-    | None ->
-      if Hashtbl.mem t.hosts name then Value.Host name
-      else fail "undefined variable %s" name)
-  | Ast.Array_lit items ->
-    let arr = Value.arr_make t.heap 0 in
-    let a = as_arr arr in
-    List.iter (fun item -> Value.arr_push t.heap a (eval t scope item)) items;
-    arr
-  | Ast.Object_lit fields ->
-    let obj = Value.obj_make t.heap in
-    (match obj with
-    | Value.Obj o -> List.iter (fun (k, v) -> Value.obj_set t.heap o k (eval t scope v)) fields
-    | _ -> assert false);
-    obj
-  | Ast.Func_lit (params, body) ->
-    Value.Fun (add_closure t { c_params = params; c_body = body; c_scope = scope })
-  | Ast.Unary ("!", e) -> Value.Bool (not (Value.truthy (eval t scope e)))
-  | Ast.Unary ("-", e) -> Value.Num (-.to_num t (eval t scope e))
-  | Ast.Unary ("~", e) -> Value.Num (of_i32 (lnot (to_i32 t (eval t scope e))))
-  | Ast.Unary (op, _) -> fail "unknown unary operator %s" op
-  | Ast.Binary ("&&", a, b) ->
-    let va = eval t scope a in
-    if Value.truthy va then eval t scope b else va
-  | Ast.Binary ("||", a, b) ->
-    let va = eval t scope a in
-    if Value.truthy va then va else eval t scope b
-  | Ast.Binary (op, a, b) -> binary t op (eval t scope a) (eval t scope b)
-  | Ast.Ternary (c, a, b) -> if Value.truthy (eval t scope c) then eval t scope a else eval t scope b
-  | Ast.Assign (op, lhs, rhs) ->
-    let v = eval t scope rhs in
-    let v =
-      if op = "=" then v
-      else
-        let old = eval t scope lhs in
-        binary t (String.sub op 0 1) old v
-    in
-    store t scope lhs v;
-    v
-  | Ast.Index (a, i) ->
-    (match eval t scope a with
-    | Value.Arr arr ->
-      let i = to_int t (eval t scope i) in
-      if i < 0 || i >= arr.Value.a_len then Value.Null else Value.arr_get t.heap arr i
-    | Value.Str s ->
-      let i = to_int t (eval t scope i) in
-      if i < 0 || i >= s.Value.s_len then Value.Null else Value.str_sub t.heap s i 1
-    | Value.Obj o -> Value.obj_get t.heap o (Value.string_of_str t.heap (as_str (to_str t (eval t scope i))))
-    | v -> fail "cannot index %s" (Value.type_name v))
-  | Ast.Member (e, name) -> member t (eval t scope e) name
-  | Ast.Method_call (Ast.Ident "Math", name, args) ->
-    math_call t name (List.map (eval t scope) args)
-  | Ast.Method_call (Ast.Ident "JSON", name, args) ->
-    json_ns_call t name (List.map (eval t scope) args)
-  | Ast.Method_call (Ast.Ident "String", name, args) ->
-    string_ns_call t name (List.map (eval t scope) args)
-  | Ast.Method_call (recv, name, args) ->
-    let recv = eval t scope recv in
-    let args = List.map (eval t scope) args in
-    charge t 3;
-    method_call t recv name args
-  | Ast.Call (Ast.Ident "parseInt", [ arg ]) ->
-    let f = to_num t (eval t scope arg) in
-    Value.Num (Float.trunc f)
-  | Ast.Call (Ast.Ident "parseFloat", [ arg ]) -> Value.Num (to_num t (eval t scope arg))
-  | Ast.Call (Ast.Ident "isNaN", [ arg ]) ->
-    Value.Bool (Float.is_nan (to_num t (eval t scope arg)))
-  | Ast.Call (Ast.Ident "Number", [ arg ]) -> Value.Num (to_num t (eval t scope arg))
-  | Ast.Call (Ast.Ident "typeof", [ arg ]) ->
-    Value.str_of_string t.heap (Value.type_name (eval t scope arg))
-  | Ast.Call (Ast.Ident "print", args) ->
-    let parts = List.map (fun a -> Value.to_display_string t.heap (eval t scope a)) args in
-    t.output <- String.concat " " parts :: t.output;
-    Value.Null
-  | Ast.Call (Ast.Ident "__new_array", [ n ]) ->
-    Value.arr_make t.heap (to_int t (eval t scope n))
-  | Ast.Call (callee, args) ->
-    let callee = eval t scope callee in
-    let args = List.map (eval t scope) args in
-    call_value t callee args
-
-and binary t op a b =
-  charge t 1;
-  match op with
-  | "+" ->
-    (match (a, b) with
-    | Value.Str _, _ | _, Value.Str _ ->
-      Value.str_concat t.heap (as_str (to_str t a)) (as_str (to_str t b))
-    | _ -> Value.Num (to_num t a +. to_num t b))
-  | "-" -> Value.Num (to_num t a -. to_num t b)
-  | "*" -> Value.Num (to_num t a *. to_num t b)
-  | "/" -> Value.Num (to_num t a /. to_num t b)
-  | "%" -> Value.Num (Float.rem (to_num t a) (to_num t b))
-  | "&" -> Value.Num (of_i32 (to_i32 t a land to_i32 t b))
-  | "|" -> Value.Num (of_i32 (to_i32 t a lor to_i32 t b))
-  | "^" -> Value.Num (of_i32 (to_i32 t a lxor to_i32 t b))
-  | "<<" -> Value.Num (of_i32 (to_i32 t a lsl (to_i32 t b land 31)))
-  | ">>" -> Value.Num (of_i32 (to_i32 t a asr (to_i32 t b land 31)))
-  | "==" -> Value.Bool (Value.equals t.heap a b)
-  | "!=" -> Value.Bool (not (Value.equals t.heap a b))
-  | "<" -> Value.Bool (to_num t a < to_num t b)
-  | "<=" -> Value.Bool (to_num t a <= to_num t b)
-  | ">" -> Value.Bool (to_num t a > to_num t b)
-  | ">=" -> Value.Bool (to_num t a >= to_num t b)
-  | op -> fail "unknown operator %s" op
-
-and store t scope lhs v =
-  match lhs with
-  | Ast.Ident name ->
-    if not (assign_existing t scope name v) then declare t.globals name v
-  | Ast.Index (a, i) ->
-    (match eval t scope a with
-    | Value.Arr arr ->
-      let i = to_int t (eval t scope i) in
-      if i = arr.Value.a_len then Value.arr_push t.heap arr v
-      else if i >= 0 && i < arr.Value.a_len then Value.arr_set t.heap arr i v
-      else fail "array store out of range: %d (len %d)" i arr.Value.a_len
-    | Value.Obj o ->
-      Value.obj_set t.heap o (Value.string_of_str t.heap (as_str (to_str t (eval t scope i)))) v
-    | v -> fail "cannot index-assign %s" (Value.type_name v))
-  | Ast.Member (e, name) ->
-    (match eval t scope e with
-    | Value.Obj o -> Value.obj_set t.heap o name v
-    | v -> fail "cannot set property %s on %s" name (Value.type_name v))
-  | _ -> fail "invalid assignment target"
-
-and exec_stmt t scope (s : Ast.stmt) =
-  tick t 1;
-  match s with
-  | Ast.Expr e -> ignore (eval t scope e)
-  | Ast.Var (name, init) ->
-    let v = eval t scope init in
-    declare scope name v
-  | Ast.Func_decl (name, params, body) ->
-    let id = add_closure t { c_params = params; c_body = body; c_scope = scope } in
-    declare scope name (Value.Fun id)
-  | Ast.If (cond, then_, else_) ->
-    if Value.truthy (eval t scope cond) then exec_stmts t scope then_
-    else exec_stmts t scope else_
-  | Ast.While (cond, body) ->
-    (try
-       while Value.truthy (eval t scope cond) do
-         try exec_stmts t scope body with Continue_exc -> ()
-       done
-     with Break_exc -> ())
-  | Ast.For (init, cond, step, body) ->
-    let loop_scope = { vars = Hashtbl.create 4; decls = 0; parent = Some scope; origin = 0; slots = no_slots } in
-    (match init with
-    | Some s -> exec_stmt t loop_scope s
-    | None -> ());
-    let check () =
-      match cond with
-      | Some c -> Value.truthy (eval t loop_scope c)
-      | None -> true
-    in
-    (try
-       while check () do
-         (try exec_stmts t loop_scope body with Continue_exc -> ());
-         match step with
-         | Some s -> exec_stmt t loop_scope s
-         | None -> ()
-       done
-     with Break_exc -> ())
-  | Ast.Return v ->
-    raise
-      (Return_exc
-         (match v with
-         | Some e -> eval t scope e
-         | None -> Value.Null))
-  | Ast.Break -> raise Break_exc
-  | Ast.Continue -> raise Continue_exc
-  | Ast.Block body ->
-    exec_stmts t { vars = Hashtbl.create 4; decls = 0; parent = Some scope; origin = 0; slots = no_slots } body
-
-and exec_stmts t scope stmts = List.iter (exec_stmt t scope) stmts
-
-(* --- Garbage collection (see the interface for the safety contract) --- *)
-
-let gc t =
-  let live = Hashtbl.create 256 in
-  let seen_closures = Hashtbl.create 64 in
-  let seen_scopes : scope list ref = ref [] in
-  let rec mark_value v =
-    match v with
-    | Value.Null | Value.Bool _ | Value.Num _ | Value.Host _ | Value.Handle _ -> ()
-    | Value.Str s -> if s.Value.s_owned then Hashtbl.replace live s.Value.s_addr ()
-    | Value.Arr a ->
-      if not (Hashtbl.mem live a.Value.a_buf) then begin
-        Hashtbl.replace live a.Value.a_buf ();
-        for i = 0 to a.Value.a_len - 1 do
-          mark_value (Value.arr_get t.heap a i)
-        done
-      end
-    | Value.Obj o ->
-      if not (Hashtbl.mem live o.Value.o_addr) then begin
-        Hashtbl.replace live o.Value.o_addr ();
-        Value.obj_iter (fun _ v -> mark_value v) o
-      end
-    | Value.Fun id ->
-      if not (Hashtbl.mem seen_closures id) then begin
-        Hashtbl.add seen_closures id ();
-        mark_scope t.closures.(id).c_scope
-      end
-  and mark_scope scope =
-    if not (List.memq scope !seen_scopes) then begin
-      seen_scopes := scope :: !seen_scopes;
-      Hashtbl.iter (fun _ r -> mark_value !r) scope.vars;
-      match scope.parent with
-      | Some parent -> mark_scope parent
-      | None -> ()
-    end
-  in
-  mark_scope t.globals;
-  List.iter (fun provider -> List.iter mark_value (provider ())) t.gc_roots;
-  Value.sweep t.heap ~live:(Hashtbl.mem live)
-
-let run_program t (prog : Ast.program) =
-  let result = ref Value.Null in
-  List.iter
-    (fun s ->
-      match s with
-      | Ast.Expr e -> result := eval t t.globals e
-      | s -> exec_stmt t t.globals s)
-    prog;
-  !result
-
-let call_function t f args = call_value t f args
-
-
-(* --- The tier-shared semantic core (see the interface) --- *)
-
-let globals_scope t = t.globals
-
-let new_scope ?(origin = 0) ~parent () =
-  { vars = Hashtbl.create 8; decls = 0; parent = Some parent; origin; slots = no_slots }
-
-let scope_declare scope name v = declare scope name v
-
-let scope_lookup t scope name = lookup t scope name
-
-let scope_assign t scope name v =
-  if not (assign_existing t scope name v) then declare t.globals name v
-
-let host_exists t name = Hashtbl.mem t.hosts name
-
-let binary_op t op a b = binary t op a b
-
-(* Compile-time specialisation of {!binary_op}: the operator string is
-   matched once, when the site is compiled, not on every execution.  Each
-   returned closure performs exactly the reference sequence — charge 1,
-   then the operation — and an unknown operator yields a closure that
-   still charges 1 before failing, preserving the reference's
-   charge-before-fail order. *)
+(* The binary operators, resolved once per site: the operator string is
+   matched when the site is compiled, not on every execution.  Each
+   returned closure charges 1, then performs the operation; an unknown
+   operator yields a closure that still charges 1 before failing. *)
 let binary_fn op : t -> Value.t -> Value.t -> Value.t =
   match op with
   | "+" ->
@@ -1101,19 +879,421 @@ let ns_call t ns name args =
   | "String" -> string_ns_call t name args
   | ns -> fail "unknown namespace %s" ns
 
+let make_closure t fn scope = Value.Fun (add_closure t { c_func = fn; c_scope = scope })
+
+(* --- The AST tier: compile once, then run closures ---
+
+   Each AST node is translated a single time into an OCaml closure over
+   the evaluator and the current scope.  A closure performs exactly the
+   ticks and charges a tree walk of its node would, in the same order:
+   every expression ticks once on entry, every statement ticks once
+   (top-level expression statements excepted, see [run_program]), and
+   everything the walk decoded per visit — operator strings, literals,
+   special forms — is decided here instead.  Compilation is total and
+   pure: errors stay where the walk raised them, inside the closures.
+
+   Identifier reads and assignment targets each own a {!var_site}.  Its
+   caches charge 2 cycles per level the walk would probe, like [lookup];
+   AST-tier sites are uncounted, so [ic_stats] stays a fast-tier figure.
+   Scopes are minted as before — a fresh one per [For]/[Block] execution
+   and per call, all with origin 0: [var]s here are declared in dynamic
+   order (e.g. inside an [if]), which the slot cache cannot assume. *)
+
+type expr_code = t -> scope -> Value.t
+type stmt_code = t -> scope -> unit
+
+(* [local] lists every name the innermost scope can ever bind, when that
+   is known: a call, [for] or block scope only holds what its own code
+   declares (parameters, and [var]s and function declarations outside
+   nested [for]s, blocks and functions).  [None] is the global scope,
+   which any assignment can extend. *)
+let ast_site local name =
+  let outer = match local with Some names -> not (List.mem name names) | None -> false in
+  make_site ~counted:false ~outer name
+
+(* What a statement declares into the scope it runs in ([if] and [while]
+   bodies share it; [for] and blocks open their own). *)
+let rec own_decls acc (s : Ast.stmt) =
+  match s with
+  | Ast.Var (name, _) | Ast.Func_decl (name, _, _) -> name :: acc
+  | Ast.If (_, a, b) -> List.fold_left own_decls (List.fold_left own_decls acc a) b
+  | Ast.While (_, body) -> List.fold_left own_decls acc body
+  | Ast.Expr _ | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _ -> acc
+
+(* Left to right, like the walk's [List.map]. *)
+let rec eval_args t scope = function
+  | [] -> []
+  | c :: cs ->
+    let v = c t scope in
+    v :: eval_args t scope cs
+
+let block_scope scope =
+  { vars = Hashtbl.create 4; decls = 0; parent = Some scope; origin = 0; slots = no_slots }
+
+let rec compile_expr local (e : Ast.expr) : expr_code =
+  match e with
+  | Ast.Num f ->
+    let v = Value.Num f in
+    fun t _ ->
+      tick t 1;
+      v
+  | Ast.Str s ->
+    fun t _ ->
+      tick t 1;
+      Value.str_of_string t.heap s
+  | Ast.Bool b ->
+    let v = Value.Bool b in
+    fun t _ ->
+      tick t 1;
+      v
+  | Ast.Null ->
+    fun t _ ->
+      tick t 1;
+      Value.Null
+  | Ast.Ident (("Math" | "JSON" | "String") as ns) ->
+    fun t _ ->
+      tick t 1;
+      fail "namespace %s cannot be used as a value" ns
+  | Ast.Ident name ->
+    let site = ast_site local name in
+    fun t scope ->
+      tick t 1;
+      (match lookup_binding t scope site with
+      | Some r -> !r
+      | None -> if Hashtbl.mem t.hosts name then Value.Host name else fail "undefined variable %s" name)
+  | Ast.Array_lit items ->
+    let cs = List.map (compile_expr local) items in
+    fun t scope ->
+      tick t 1;
+      let arr = Value.arr_make t.heap 0 in
+      let a = as_arr arr in
+      List.iter (fun c -> Value.arr_push t.heap a (c t scope)) cs;
+      arr
+  | Ast.Object_lit fields ->
+    let cs = List.map (fun (k, v) -> (k, compile_expr local v)) fields in
+    fun t scope ->
+      tick t 1;
+      let obj = Value.obj_make t.heap in
+      (match obj with
+      | Value.Obj o -> List.iter (fun (k, c) -> Value.obj_set t.heap o k (c t scope)) cs
+      | _ -> assert false);
+      obj
+  | Ast.Func_lit (params, body) ->
+    let fn = func ~params ~body in
+    fun t scope ->
+      tick t 1;
+      make_closure t fn scope
+  | Ast.Unary ((("!" | "-" | "~") as op), e) ->
+    let c = compile_expr local e in
+    fun t scope ->
+      tick t 1;
+      unary_op t op (c t scope)
+  | Ast.Unary (op, _) ->
+    fun t _ ->
+      tick t 1;
+      fail "unknown unary operator %s" op
+  | Ast.Binary ("&&", a, b) ->
+    let ca = compile_expr local a and cb = compile_expr local b in
+    fun t scope ->
+      tick t 1;
+      let va = ca t scope in
+      if Value.truthy va then cb t scope else va
+  | Ast.Binary ("||", a, b) ->
+    let ca = compile_expr local a and cb = compile_expr local b in
+    fun t scope ->
+      tick t 1;
+      let va = ca t scope in
+      if Value.truthy va then va else cb t scope
+  | Ast.Binary (op, a, b) ->
+    let f = binary_fn op and ca = compile_expr local a and cb = compile_expr local b in
+    fun t scope ->
+      tick t 1;
+      (* The right operand first: the order the walk's applicative
+         [binary t op (eval a) (eval b)] got from ocamlopt. *)
+      let vb = cb t scope in
+      let va = ca t scope in
+      f t va vb
+  | Ast.Ternary (c, a, b) ->
+    let cc = compile_expr local c and ca = compile_expr local a and cb = compile_expr local b in
+    fun t scope ->
+      tick t 1;
+      if Value.truthy (cc t scope) then ca t scope else cb t scope
+  | Ast.Assign ("=", lhs, rhs) ->
+    let crhs = compile_expr local rhs and st = compile_store local lhs in
+    fun t scope ->
+      tick t 1;
+      let v = crhs t scope in
+      st t scope v;
+      v
+  | Ast.Assign (op, lhs, rhs) ->
+    (* [x op= e]: the rhs, then the lhs as an expression, then the store
+       re-evaluates the lhs subexpressions. *)
+    let crhs = compile_expr local rhs and clhs = compile_expr local lhs and st = compile_store local lhs in
+    let f = binary_fn (String.sub op 0 (min 1 (String.length op))) in
+    fun t scope ->
+      tick t 1;
+      let v = crhs t scope in
+      let v = f t (clhs t scope) v in
+      st t scope v;
+      v
+  | Ast.Index (a, i) ->
+    let ca = compile_expr local a and ci = compile_expr local i in
+    fun t scope ->
+      tick t 1;
+      (match ca t scope with
+      | (Value.Arr _ | Value.Str _ | Value.Obj _) as recv -> index_get t recv (ci t scope)
+      | v -> fail "cannot index %s" (Value.type_name v))
+  | Ast.Member (e, name) ->
+    let c = compile_expr local e in
+    fun t scope ->
+      tick t 1;
+      member t (c t scope) name
+  | Ast.Method_call (Ast.Ident (("Math" | "JSON" | "String") as ns), name, args) ->
+    let cs = List.map (compile_expr local) args in
+    fun t scope ->
+      tick t 1;
+      ns_call t ns name (eval_args t scope cs)
+  | Ast.Method_call (recv, name, args) ->
+    let cr = compile_expr local recv and cs = List.map (compile_expr local) args in
+    fun t scope ->
+      tick t 1;
+      let recv = cr t scope in
+      let args = eval_args t scope cs in
+      charge t 3;
+      method_call t recv name args
+  | Ast.Call (Ast.Ident "parseInt", [ arg ]) ->
+    let c = compile_expr local arg in
+    fun t scope ->
+      tick t 1;
+      Value.Num (Float.trunc (to_num t (c t scope)))
+  | Ast.Call (Ast.Ident ("parseFloat" | "Number"), [ arg ]) ->
+    let c = compile_expr local arg in
+    fun t scope ->
+      tick t 1;
+      Value.Num (to_num t (c t scope))
+  | Ast.Call (Ast.Ident "isNaN", [ arg ]) ->
+    let c = compile_expr local arg in
+    fun t scope ->
+      tick t 1;
+      Value.Bool (Float.is_nan (to_num t (c t scope)))
+  | Ast.Call (Ast.Ident "typeof", [ arg ]) ->
+    let c = compile_expr local arg in
+    fun t scope ->
+      tick t 1;
+      Value.str_of_string t.heap (Value.type_name (c t scope))
+  | Ast.Call (Ast.Ident "print", args) ->
+    let cs = List.map (compile_expr local) args in
+    fun t scope ->
+      tick t 1;
+      (* each argument is rendered before the next one runs *)
+      let parts = List.map (fun c -> Value.to_display_string t.heap (c t scope)) cs in
+      t.output <- String.concat " " parts :: t.output;
+      Value.Null
+  | Ast.Call (Ast.Ident "__new_array", [ n ]) ->
+    let c = compile_expr local n in
+    fun t scope ->
+      tick t 1;
+      Value.arr_make t.heap (to_int t (c t scope))
+  | Ast.Call (callee, args) ->
+    let cc = compile_expr local callee and cs = List.map (compile_expr local) args in
+    fun t scope ->
+      tick t 1;
+      let callee = cc t scope in
+      let args = eval_args t scope cs in
+      call_value t callee args
+
+(* Stores [v] into an assignment target; charges nothing itself. *)
+and compile_store local (lhs : Ast.expr) : t -> scope -> Value.t -> unit =
+  match lhs with
+  | Ast.Ident name ->
+    let site = ast_site local name in
+    fun t scope v -> if not (cached_assign t scope site v) then declare t.globals name v
+  | Ast.Index (a, i) ->
+    let ca = compile_expr local a and ci = compile_expr local i in
+    fun t scope v ->
+      (match ca t scope with
+      | (Value.Arr _ | Value.Obj _) as recv -> index_set t recv (ci t scope) v
+      | v -> fail "cannot index-assign %s" (Value.type_name v))
+  | Ast.Member (e, name) ->
+    let c = compile_expr local e in
+    fun t scope v -> member_set t (c t scope) name v
+  | _ -> fun _ _ _ -> fail "invalid assignment target"
+
+and compile_stmt local (s : Ast.stmt) : stmt_code =
+  match s with
+  | Ast.Expr e ->
+    let c = compile_expr local e in
+    fun t scope ->
+      tick t 1;
+      ignore (c t scope)
+  | Ast.Var (name, init) ->
+    let c = compile_expr local init in
+    fun t scope ->
+      tick t 1;
+      declare scope name (c t scope)
+  | Ast.Func_decl (name, params, body) ->
+    let fn = func ~params ~body in
+    fun t scope ->
+      tick t 1;
+      declare scope name (make_closure t fn scope)
+  | Ast.If (cond, then_, else_) ->
+    let cc = compile_expr local cond and ct = compile_stmts local then_ and ce = compile_stmts local else_ in
+    fun t scope ->
+      tick t 1;
+      if Value.truthy (cc t scope) then ct t scope else ce t scope
+  | Ast.While (cond, body) ->
+    let cc = compile_expr local cond and cb = compile_stmts local body in
+    fun t scope ->
+      tick t 1;
+      (try
+         while Value.truthy (cc t scope) do
+           try cb t scope with Continue_exc -> ()
+         done
+       with Break_exc -> ())
+  | Ast.For (init, cond, step, body) ->
+    let opt = function Some s -> [ s ] | None -> [] in
+    let local = Some (List.fold_left own_decls [] (opt init @ opt step @ body)) in
+    let opt_stmt = function Some s -> compile_stmt local s | None -> fun _ _ -> () in
+    let ci = opt_stmt init and cs = opt_stmt step and cb = compile_stmts local body in
+    let check =
+      match cond with
+      | Some c ->
+        let c = compile_expr local c in
+        fun t scope -> Value.truthy (c t scope)
+      | None -> fun _ _ -> true
+    in
+    fun t scope ->
+      tick t 1;
+      let loop_scope = block_scope scope in
+      ci t loop_scope;
+      (try
+         while check t loop_scope do
+           (try cb t loop_scope with Continue_exc -> ());
+           cs t loop_scope
+         done
+       with Break_exc -> ())
+  | Ast.Return None ->
+    fun t _ ->
+      tick t 1;
+      raise (Return_exc Value.Null)
+  | Ast.Return (Some e) ->
+    let c = compile_expr local e in
+    fun t scope ->
+      tick t 1;
+      raise (Return_exc (c t scope))
+  | Ast.Break ->
+    fun t _ ->
+      tick t 1;
+      raise Break_exc
+  | Ast.Continue ->
+    fun t _ ->
+      tick t 1;
+      raise Continue_exc
+  | Ast.Block body ->
+    let cb = compile_stmts (Some (List.fold_left own_decls [] body)) body in
+    fun t scope ->
+      tick t 1;
+      cb t (block_scope scope)
+
+and compile_stmts local stmts : stmt_code =
+  match List.map (compile_stmt local) stmts with
+  | [] -> fun _ _ -> ()
+  | [ a ] -> a
+  | cs ->
+    let cs = Array.of_list cs in
+    fun t scope ->
+      for i = 0 to Array.length cs - 1 do
+        cs.(i) t scope
+      done
+
+and func ~params ~body =
+  let code = lazy (compile_stmts (Some (List.fold_left own_decls params body)) body) in
+  { f_params = params; f_body = body; f_code = code }
+let func_params fn = fn.f_params
+let func_body fn = fn.f_body
+
+(* --- Garbage collection (see the interface for the safety contract) --- *)
+
+let gc t =
+  let live = Hashtbl.create 256 in
+  let seen_closures = Hashtbl.create 64 in
+  let seen_scopes : scope list ref = ref [] in
+  let rec mark_value v =
+    match v with
+    | Value.Null | Value.Bool _ | Value.Num _ | Value.Host _ | Value.Handle _ -> ()
+    | Value.Str s -> if s.Value.s_owned then Hashtbl.replace live s.Value.s_addr ()
+    | Value.Arr a ->
+      if not (Hashtbl.mem live a.Value.a_buf) then begin
+        Hashtbl.replace live a.Value.a_buf ();
+        for i = 0 to a.Value.a_len - 1 do
+          mark_value (Value.arr_get t.heap a i)
+        done
+      end
+    | Value.Obj o ->
+      if not (Hashtbl.mem live o.Value.o_addr) then begin
+        Hashtbl.replace live o.Value.o_addr ();
+        Value.obj_iter (fun _ v -> mark_value v) o
+      end
+    | Value.Fun id ->
+      if not (Hashtbl.mem seen_closures id) then begin
+        Hashtbl.add seen_closures id ();
+        mark_scope t.closures.(id).c_scope
+      end
+  and mark_scope scope =
+    if not (List.memq scope !seen_scopes) then begin
+      seen_scopes := scope :: !seen_scopes;
+      Hashtbl.iter (fun _ r -> mark_value !r) scope.vars;
+      match scope.parent with
+      | Some parent -> mark_scope parent
+      | None -> ()
+    end
+  in
+  mark_scope t.globals;
+  List.iter (fun provider -> List.iter mark_value (provider ())) t.gc_roots;
+  Value.sweep t.heap ~live:(Hashtbl.mem live)
+
+let run_program t (prog : Ast.program) =
+  let result = ref Value.Null in
+  (* A top-level expression statement takes no statement tick: its value
+     is the program's result so far. *)
+  let code =
+    List.map
+      (function
+        | Ast.Expr e ->
+          let c = compile_expr None e in
+          fun () -> result := c t t.globals
+        | s ->
+          let c = compile_stmt None s in
+          fun () -> c t t.globals)
+      prog
+  in
+  List.iter (fun run -> run ()) code;
+  !result
+
+let call_function t f args = call_value t f args
+
+(* --- The tier-shared semantic core (see the interface) --- *)
+
+let globals_scope t = t.globals
+
+let new_scope ?(origin = 0) ~parent () =
+  { vars = Hashtbl.create 8; decls = 0; parent = Some parent; origin; slots = no_slots }
+
+let scope_declare scope name v = declare scope name v
+
+let scope_lookup t scope name = Option.map ( ! ) (lookup_ref t scope name)
+
+let scope_assign t scope name v =
+  if not (assign_existing t scope name v) then declare t.globals name v
+
+let host_exists t name = Hashtbl.mem t.hosts name
+
 let print_values t args =
   let parts = List.map (Value.to_display_string t.heap) args in
   t.output <- String.concat " " parts :: t.output
 
 let array_of_size t n = Value.arr_make t.heap (to_int t n)
 
-let make_closure t ~params ~body scope =
-  Value.Fun (add_closure t { c_params = params; c_body = body; c_scope = scope })
-
-let closure_parts t id =
-  let c = t.closures.(id) in
-  (c.c_params, c.c_body, c.c_scope)
-
-let tick = tick
+let closure_scope t id = t.closures.(id).c_scope
 
 let add_gc_root t provider = t.gc_roots <- provider :: t.gc_roots

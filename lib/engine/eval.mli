@@ -1,7 +1,13 @@
 (** The MiniJS evaluator.
 
-    A tree-walking interpreter whose data lives in machine memory (see
-    {!Value}).  Built-in namespaces ([Math], [JSON], [String]) and methods
+    The AST tier: each program is compiled once, node by node, into OCaml
+    closures that run against machine-resident data (see {!Value}).  A
+    compiled node ticks and charges exactly what visiting it in a tree
+    walk would, in the same order; operators, literals and special forms
+    are decoded at compile time, and every identifier read or assignment
+    target carries its own variable cache.  Function bodies compile on
+    their first call and are shared by every closure minted at the same
+    literal.  Built-in namespaces ([Math], [JSON], [String]) and methods
     on strings/arrays are provided here; embedder bindings (the DOM API)
     are registered as host functions and appear as globals.
 
@@ -46,7 +52,7 @@ val steps : t -> int
    The bytecode tier ({!Bytecode}) executes the same language with the
    same observable semantics; rather than duplicating them, the VM drives
    these primitives.  They are exact counterparts of what the AST
-   evaluator does internally. *)
+   tier's compiled code does. *)
 
 type scope
 
@@ -109,20 +115,19 @@ type ic_stats = {
 
 val ic_stats : t -> ic_stats
 (** This evaluator's variable-IC counters (host-side observability only;
-    per-evaluator so concurrent sessions don't cross-pollute). *)
+    per-evaluator so concurrent sessions don't cross-pollute).  Only
+    {!var_site}s count: the AST tier's own caches do not, so these stay
+    zero off the fast tier. *)
 
 val reset_ic_stats : t -> unit
 
 val call_value : t -> Value.t -> Value.t list -> Value.t
-(** Call a [Fun] (AST-interpreted) or [Host] value. *)
-
-val binary_op : t -> string -> Value.t -> Value.t -> Value.t
+(** Call a [Fun] (running its AST-tier code) or [Host] value. *)
 
 val binary_fn : string -> t -> Value.t -> Value.t -> Value.t
 (** [binary_fn op] resolves the operator string once, at site-compile
-    time, returning a closure with the exact observable behaviour of
-    [binary_op _ op] — including charging 1 cycle before failing on an
-    unknown operator. *)
+    time, returning a closure that charges 1 cycle and then applies the
+    operator (an unknown operator charges 1, then fails). *)
 
 val truthy_value : Value.t -> bool
 val unary_op : t -> string -> Value.t -> Value.t
@@ -138,10 +143,24 @@ val print_values : t -> Value.t list -> unit
 val array_of_size : t -> Value.t -> Value.t
 (** The [new Array(n)] builtin. *)
 
-val make_closure : t -> params:string list -> body:Ast.stmt list -> scope -> Value.t
-val closure_parts : t -> int -> string list * Ast.stmt list * scope
-(** Inverse of {!make_closure} for a [Fun] id (used by the VM's
-    compile-on-call cache). *)
+type func
+(** A function literal: parameters, body, and the body's AST-tier code,
+    compiled on the first call and shared by every closure made from this
+    value. *)
+
+val func : params:string list -> body:Ast.stmt list -> func
+(** Make one per literal site, so closures minted there share one compile. *)
+
+val func_params : func -> string list
+val func_body : func -> Ast.stmt list
+
+val make_closure : t -> func -> scope -> Value.t
+(** A [Fun] capturing [scope]; calling it through {!call_value} runs the
+    function's AST-tier code. *)
+
+val closure_scope : t -> int -> scope
+(** The scope a [Fun] id captured (the VMs call their own closures in a
+    child of it). *)
 
 val tick : t -> int -> unit
 (** One evaluation step: fuel accounting plus a cycle charge.

@@ -435,14 +435,15 @@ let rec compile_ops tvm (code : Bytecode.instr array) : op array =
         | _ -> assert false);
         push fr obj;
         fr.pc <- next
-    | Bytecode.Make_closure (params, body) ->
+    | Bytecode.Make_closure fn ->
       (* one lazy compile and one scope origin per site; every closure
-         minted here shares both *)
-      let ops_l = lazy (body_ops tvm body) in
+         minted here shares both, and the site's [fn] *)
+      let params = Eval.func_params fn in
+      let ops_l = lazy (body_ops tvm (Eval.func_body fn)) in
       let origin = Eval.fresh_origin t in
       fun fr ->
         Eval.tick t 1;
-        let closure = Eval.make_closure t ~params ~body (cur fr) in
+        let closure = Eval.make_closure t fn (cur fr) in
         (match closure with
         | Value.Fun id -> Hashtbl.replace tvm.vm_closures id (params, origin, ops_l)
         | _ -> assert false);
@@ -669,8 +670,7 @@ and call_value tvm callee args =
   | Value.Fun id ->
     (match Hashtbl.find_opt tvm.vm_closures id with
     | Some (params, origin, ops_l) ->
-      let _, _, captured = Eval.closure_parts tvm.eval id in
-      let scope = Eval.new_scope ~origin ~parent:captured () in
+      let scope = Eval.new_scope ~origin ~parent:(Eval.closure_scope tvm.eval id) () in
       List.iteri
         (fun i p ->
           let v =

@@ -234,6 +234,11 @@ let rec read_le t addr len =
       | 1 -> Bytes.get_uint8 data offset
       | 2 -> Bytes.get_uint16_le data offset
       | 4 -> Int32.to_int (Bytes.get_int32_le data offset) land 0xFFFF_FFFF
+      | 7 ->
+        (* the low half of an unbatched f64 slot *)
+        Int32.to_int (Bytes.get_int32_le data offset) land 0xFFFF_FFFF
+        lor (Bytes.get_uint16_le data (offset + 4) lsl 32)
+        lor (Bytes.get_uint8 data (offset + 6) lsl 48)
       | 8 -> Int64.to_int (Bytes.get_int64_le data offset)
       | _ ->
         let v = ref 0 in
@@ -263,6 +268,10 @@ let rec write_le t addr len v =
     | 1 -> Bytes.set_uint8 data offset (v land 0xFF)
     | 2 -> Bytes.set_uint16_le data offset (v land 0xFFFF)
     | 4 -> Bytes.set_int32_le data offset (Int32.of_int v)
+    | 7 ->
+      Bytes.set_int32_le data offset (Int32.of_int v);
+      Bytes.set_uint16_le data (offset + 4) ((v lsr 32) land 0xFFFF);
+      Bytes.set_uint8 data (offset + 6) ((v lsr 48) land 0xFF)
     | 8 ->
       (* The loop stored (v lsr 56) land 0xFF as the top byte — bits 56-62
          of a 63-bit int, never a 64th bit — so mask the sign extension. *)

@@ -296,8 +296,9 @@ let test_emitter_label_targets () =
             Alcotest.failf "%s: jump target %d outside [0,%d]" name t n
         | None -> ());
         match instr with
-        | Engine.Bytecode.Make_closure (_, body) ->
-          check_code (name ^ "/closure") (Engine.Bytecode.compile_body body ~toplevel:false)
+        | Engine.Bytecode.Make_closure fn ->
+          check_code (name ^ "/closure")
+            (Engine.Bytecode.compile_body (Engine.Eval.func_body fn) ~toplevel:false)
         | _ -> ())
       code
   in

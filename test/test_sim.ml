@@ -51,6 +51,24 @@ let prop_f64_roundtrip =
       let f' = Sim.Machine.read_f64 m base in
       Int64.bits_of_float f = Int64.bits_of_float f')
 
+(* The f64 path splits a slot into a 7-byte and a 1-byte access; the
+   7-byte width must lay out and read back exactly the little-endian bytes
+   of the bit pattern, in-page and page-straddling. *)
+let prop_f64_byte_layout =
+  QCheck.Test.make ~count:300 ~name:"f64 7+1-byte layout" QCheck.(pair float (int_bound 15))
+    (fun (f, off) ->
+      let m = machine_with_region ~pkey:(key 0) ~base () in
+      let bits = Int64.bits_of_float f in
+      let byte i = Int64.(to_int (logand (shift_right_logical bits (8 * i)) 0xFFL)) in
+      List.for_all
+        (fun addr ->
+          Sim.Machine.write_f64 m addr f;
+          let laid_out = List.init 8 (fun i -> Sim.Machine.read_u8 m (addr + i)) in
+          List.iteri (fun i _ -> Sim.Machine.write_u8 m (addr + 8 + i) (byte i)) laid_out;
+          laid_out = List.init 8 byte
+          && Int64.bits_of_float (Sim.Machine.read_f64 m (addr + 8)) = bits)
+        [ base + off; base + page - 16 + off ])
+
 let test_bytes_helpers () =
   let m = machine_with_region ~pkey:(key 0) ~base () in
   Sim.Machine.write_string m base "hello, pkru";
@@ -332,6 +350,7 @@ let suite =
     Alcotest.test_case "page-straddling access" `Quick test_straddling_access;
     Alcotest.test_case "f64 round-trip" `Quick test_f64_roundtrip;
     QCheck_alcotest.to_alcotest prop_f64_roundtrip;
+    QCheck_alcotest.to_alcotest prop_f64_byte_layout;
     Alcotest.test_case "bytes helpers" `Quick test_bytes_helpers;
     Alcotest.test_case "unmapped access faults" `Quick test_unmapped_faults;
     Alcotest.test_case "prot violation" `Quick test_prot_violation;
