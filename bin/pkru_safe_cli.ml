@@ -44,11 +44,40 @@ let fail_on_error = function
   | Ok v -> v
   | Error msg -> failwith msg
 
-(* Execution-tier selection and fast-tier layer toggles, shared by
-   `browse` and `report`.  Every tier simulates the same machine: the
-   bytecode tiers are bit-identical to each other by construction, so
-   these flags change host wall-clock only (plus the AST tier's different
-   — but still deterministic — cycle accounting). *)
+(* One -f converter for every subcommand: [formats] maps each accepted
+   name to its value, in the order the error message lists them; the
+   first is the default. *)
+let format_flag ~doc formats =
+  let names = String.concat "|" (List.map fst formats) in
+  let parse s =
+    match List.assoc_opt s formats with
+    | Some f -> Ok f
+    | None -> Error (`Msg (Printf.sprintf "unknown format %S (%s)" s names))
+  in
+  let print fmt f = Format.pp_print_string fmt (fst (List.find (fun (_, g) -> g = f) formats)) in
+  Arg.(value & opt (conv (parse, print)) (snd (List.hd formats))
+       & info [ "f"; "format" ] ~docv:"FORMAT" ~doc)
+
+let table_json_prom = [ ("table", `Table); ("json", `Json); ("prom", `Prom) ]
+
+let output_flag =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
+
+(* The one output path: [rendered] goes to [output] (announced on
+   stdout) or to stdout; a failed write is a one-line error. *)
+let emit ~what output rendered =
+  match output with
+  | None -> `Ok (print_string rendered)
+  | Some path -> (
+    match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
+    | () -> `Ok (Printf.printf "%s written to %s\n" what path)
+    | exception Sys_error msg -> `Error (false, Printf.sprintf "cannot write %s: %s" what msg))
+
+(* Execution-tier selection, shared by `browse`, `report` and `fleet`.
+   Every tier simulates the same machine: the bytecode tiers are
+   bit-identical to each other by construction, so the flag changes host
+   wall-clock only (plus the AST tier's different — but still
+   deterministic — cycle accounting). *)
 let tier_conv =
   let parse = function
     | "ast" -> Ok Engine.Ast_tier
@@ -71,23 +100,6 @@ let tier_flag =
            ~doc:"Engine execution tier: ast (default), bytecode (the reference interpreter) \
                  or threaded (fast tier: closure-compiled dispatch, superinstructions, \
                  inline caches — simulates bit-identically to bytecode)")
-
-let engine_opts_term =
-  let off names doc = Arg.(value & flag & info names ~doc) in
-  let make no_super no_var no_prop no_batch =
-    {
-      Engine.Threaded.superinstructions = not no_super;
-      var_ic = not no_var;
-      prop_ic = not no_prop;
-      batched_slots = not no_batch;
-    }
-  in
-  Term.(
-    const make
-    $ off [ "no-superinstructions" ] "Disable superinstruction fusion (threaded tier only)"
-    $ off [ "no-var-ic" ] "Disable variable inline caches (threaded tier only)"
-    $ off [ "no-prop-ic" ] "Disable property (shape) inline caches (threaded tier only)"
-    $ off [ "no-batched-slots" ] "Disable the batched-TLB slot fast path (threaded tier only)")
 
 let engine_tier_digest tier browser =
   (* Only the fast tier has ICs / superinstructions to report on. *)
@@ -194,7 +206,7 @@ print("data = " + d);
 print("innerHTML = " + domGetInnerHTML(app));
 print("children = " + domChildCount(app));|}
 
-let run_browse mode page script mitigation flight tier engine_opts =
+let run_browse mode page script mitigation flight tier =
   let profile =
     match mode with
     | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
@@ -211,7 +223,7 @@ let run_browse mode page script mitigation flight tier engine_opts =
   let env =
     fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
   in
-  let browser = Browser.create ~engine_opts env in
+  let browser = Browser.create env in
   Engine.reset_stats (Browser.engine browser);
   with_flight flight (fun recorder ->
       with_env_recorder env recorder (fun () ->
@@ -344,19 +356,6 @@ let run_suite name telemetry =
 
 (* --- trace: one benchmark under telemetry, exported as a trace file --- *)
 
-let trace_format_conv =
-  let parse = function
-    | "chrome" -> Ok `Chrome
-    | "json" -> Ok `Json
-    | "summary" -> Ok `Summary
-    | s -> Error (`Msg (Printf.sprintf "unknown format %S (chrome|json|summary)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with `Chrome -> "chrome" | `Json -> "json" | `Summary -> "summary") )
-
 (* Replays the methodology for a single benchmark: enforcement modes get a
    profile collected from the same workload first. *)
 let profile_for ~mode (bench : Workloads.Bench_def.bench) =
@@ -388,13 +387,7 @@ let run_trace bench_name mode format output flight =
       | `Json -> Util.Json.to_string_pretty (Telemetry.Export.to_json sink) ^ "\n"
       | `Summary -> Telemetry.Export.summary sink
     in
-    (match output with
-    | Some path -> (
-      match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-      | () -> `Ok (Printf.printf "trace written to %s\n" path)
-      | exception Sys_error msg -> `Error (false, "cannot write trace: " ^ msg))
-    | None -> `Ok (print_string rendered))
-    |> function
+    match emit ~what:"trace" output rendered with
     | `Error _ as e -> e
     | `Ok () ->
       Printf.printf
@@ -408,21 +401,6 @@ let run_trace bench_name mode format output flight =
       `Ok ()
 
 (* --- report: attribution + sampled-flamegraph analysis of one benchmark --- *)
-
-let report_format_conv =
-  let parse = function
-    | "table" -> Ok `Table
-    | "json" -> Ok `Json
-    | "prom" -> Ok `Prom
-    | "folded" -> Ok `Folded
-    | s -> Error (`Msg (Printf.sprintf "unknown format %S (table|json|prom|folded)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with `Table -> "table" | `Json -> "json" | `Prom -> "prom" | `Folded -> "folded")
-    )
 
 (* report --opcodes: opcode / adjacent-pair frequency profile of the
    reference bytecode interpreter over one benchmark.  This is the data
@@ -462,13 +440,7 @@ let run_opcode_report bench_name mode format output =
       | `Prom | `Folded -> Error "--opcodes supports only table or json output"
     with
     | Error msg -> `Error (false, msg)
-    | Ok rendered -> (
-      match output with
-      | Some path -> (
-        match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-        | () -> `Ok (Printf.printf "opcode profile written to %s\n" path)
-        | exception Sys_error msg -> `Error (false, "cannot write opcode profile: " ^ msg))
-      | None -> `Ok (print_string rendered)))
+    | Ok rendered -> emit ~what:"opcode profile" output rendered)
 
 let run_report bench_name mode sample_every format output mitigation flight opcodes tier =
   if opcodes then run_opcode_report bench_name mode format output
@@ -525,12 +497,7 @@ let run_report bench_name mode sample_every format output mitigation flight opco
         | `Prom -> Telemetry.Export.prometheus ~attribution ~sampler sink
         | `Folded -> Telemetry.Sampler.to_folded sampler
       in
-      (match output with
-      | Some path -> (
-        match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-        | () -> `Ok (Printf.printf "report written to %s\n" path)
-        | exception Sys_error msg -> `Error (false, "cannot write report: " ^ msg))
-      | None -> `Ok (print_string rendered))
+      emit ~what:"report" output rendered
 
 (* --- run: execute a textual IR program through the toolchain --- *)
 
@@ -684,19 +651,6 @@ let chaos_policy_conv =
         | None -> Format.pp_print_string fmt "all"
         | Some p -> Format.pp_print_string fmt (Runtime.Mitigator.policy_to_string p) )
 
-let chaos_format_conv =
-  let parse = function
-    | "table" -> Ok `Table
-    | "json" -> Ok `Json
-    | "prom" -> Ok `Prom
-    | s -> Error (`Msg (Printf.sprintf "unknown format %S (table|json|prom)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with `Table -> "table" | `Json -> "json" | `Prom -> "prom") )
-
 let attack_conv =
   let parse = function
     | "all" -> Ok None
@@ -715,52 +669,54 @@ let attack_conv =
         | None -> Format.pp_print_string fmt "all"
         | Some a -> Format.pp_print_string fmt (Exploit.Garmr.attack_to_string a) )
 
+(* chaos --flight FILE: every run records into its own recorder; pool the
+   dumps so a CI artifact (or `doctor`) sees every death of the run. *)
+let write_pooled_dumps flight dumps =
+  match flight with
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Util.Json.to_string_pretty (Util.Json.List dumps) ^ "\n"));
+    Printf.printf "%d flight dump(s) written to %s\n" (List.length dumps) path
+  | None -> ()
+
 (* The Garmr battery (`chaos --attacks`): every attack twice — defense
    off (must leak) and on (must be defeated) — non-zero exit on any
    invariant violation, flight dumps pooled for the CI artifact. *)
 let run_chaos_attacks attack harts seed format output flight =
   if harts < 2 then `Error (false, "--attack-harts must be at least 2")
-  else begin
-    let attacks =
-      match attack with Some a -> [ a ] | None -> Exploit.Garmr.all_attacks
-    in
-    let reports = Chaos.run_attacks ~harts ~attacks ~seed () in
-    let rendered =
-      match format with
-      | `Table | `Prom ->
-        let buf = Buffer.create 4096 in
-        List.iter
-          (fun r -> Buffer.add_string buf (Format.asprintf "%a@." Chaos.pp_attack_report r))
-          reports;
-        Buffer.contents buf
-      | `Json ->
-        Util.Json.to_string_pretty
-          (Util.Json.List (List.map Chaos.attack_report_to_json reports))
-        ^ "\n"
-    in
-    (match output with
-    | Some path -> (
-      match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-      | () -> Printf.printf "attack battery report written to %s\n" path
-      | exception Sys_error msg -> failwith ("cannot write attack report: " ^ msg))
-    | None -> print_string rendered);
-    (match flight with
-    | Some path ->
-      let dumps =
-        List.concat_map (fun (r : Chaos.attack_report) -> r.Chaos.ar_flight_dumps) reports
+  else
+    match format with
+    | `Prom -> `Error (false, "--attacks supports only table or json output")
+    | (`Table | `Json) as format -> (
+      let attacks =
+        match attack with Some a -> [ a ] | None -> Exploit.Garmr.all_attacks
       in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Util.Json.to_string_pretty (Util.Json.List dumps) ^ "\n"));
-      Printf.printf "%d flight dump(s) written to %s\n" (List.length dumps) path
-    | None -> ());
-    let broken = List.filter (fun r -> r.Chaos.ar_invariant_failures <> []) reports in
-    if broken = [] then `Ok ()
-    else
-      `Error
-        ( false,
-          Printf.sprintf "%d of %d attack(s) violated battery invariants"
-            (List.length broken) (List.length reports) )
-  end
+      let reports = Chaos.run_attacks ~harts ~attacks ~seed () in
+      let rendered =
+        match format with
+        | `Table ->
+          let buf = Buffer.create 4096 in
+          List.iter
+            (fun r -> Buffer.add_string buf (Format.asprintf "%a@." Chaos.pp_attack_report r))
+            reports;
+          Buffer.contents buf
+        | `Json ->
+          Util.Json.to_string_pretty
+            (Util.Json.List (List.map Chaos.attack_report_to_json reports))
+          ^ "\n"
+      in
+      match emit ~what:"attack battery report" output rendered with
+      | `Error _ as e -> e
+      | `Ok () ->
+        write_pooled_dumps flight
+          (List.concat_map (fun (r : Chaos.attack_report) -> r.Chaos.ar_flight_dumps) reports);
+        let broken = List.filter (fun r -> r.Chaos.ar_invariant_failures <> []) reports in
+        if broken = [] then `Ok ()
+        else
+          `Error
+            ( false,
+              Printf.sprintf "%d of %d attack(s) violated battery invariants"
+                (List.length broken) (List.length reports) ))
 
 let run_chaos scenario policy seed drop oom_at format output flight attacks attack harts =
   if attacks || attack <> None then run_chaos_attacks attack harts seed format output flight
@@ -794,46 +750,21 @@ let run_chaos scenario policy seed drop oom_at format output flight attacks atta
         ^ "\n"
       | `Prom -> String.concat "\n" (List.map (fun r -> r.Chaos.prometheus) reports)
     in
-    (match output with
-    | Some path -> (
-      match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-      | () -> Printf.printf "chaos report written to %s\n" path
-      | exception Sys_error msg -> failwith ("cannot write chaos report: " ^ msg))
-    | None -> print_string rendered);
-    (match flight with
-    | Some path ->
-      (* Each scenario records into its own recorder; pool the dumps so a
-         CI artifact (or `doctor`) sees every death of the run. *)
-      let dumps = List.concat_map (fun (r : Chaos.report) -> r.Chaos.flight_dumps) reports in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Util.Json.to_string_pretty (Util.Json.List dumps) ^ "\n"));
-      Printf.printf "%d flight dump(s) written to %s\n" (List.length dumps) path
-    | None -> ());
-    let broken =
-      List.filter (fun r -> r.Chaos.invariant_failures <> []) reports
-    in
-    if broken = [] then `Ok ()
-    else
-      `Error
-        ( false,
-          Printf.sprintf "%d of %d chaos run(s) violated invariants" (List.length broken)
-            (List.length reports) )
+    match emit ~what:"chaos report" output rendered with
+    | `Error _ as e -> e
+    | `Ok () ->
+      write_pooled_dumps flight
+        (List.concat_map (fun (r : Chaos.report) -> r.Chaos.flight_dumps) reports);
+      let broken = List.filter (fun r -> r.Chaos.invariant_failures <> []) reports in
+      if broken = [] then `Ok ()
+      else
+        `Error
+          ( false,
+            Printf.sprintf "%d of %d chaos run(s) violated invariants" (List.length broken)
+              (List.length reports) )
   end
 
 (* --- audit: post-run provenance scan of one benchmark's heap --- *)
-
-let audit_format_conv =
-  let parse = function
-    | "table" -> Ok `Table
-    | "json" -> Ok `Json
-    | "prom" -> Ok `Prom
-    | s -> Error (`Msg (Printf.sprintf "unknown format %S (table|json|prom)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with `Table -> "table" | `Json -> "json" | `Prom -> "prom") )
 
 let run_audit bench_name mode census_every promote format output mitigation flight =
   if census_every <= 0 then `Error (false, "--census-every must be positive")
@@ -930,41 +861,24 @@ let run_audit bench_name mode census_every promote format output mitigation flig
         | `Prom ->
           Audit.prometheus report ^ Telemetry.Export.prometheus ~attribution ~census sink
       in
-      (match output with
-      | Some path -> (
-        match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-        | () -> Printf.printf "audit written to %s\n" path
-        | exception Sys_error msg -> failwith ("cannot write audit: " ^ msg))
-      | None -> print_string rendered);
-      if Audit.leak_free report then `Ok ()
-      else begin
-        match rerun with
-        | Some r when Audit.leak_free r ->
-          (* Evidence consumed: the leak is quarantined and the converged
-             image is clean, so the exit code reports success. *)
-          `Ok ()
-        | _ ->
-          `Error
-            ( false,
-              Printf.sprintf "audit: %d MT object(s) reachable from U across %d site(s)"
-                (List.length report.Audit.findings)
-                (List.length report.Audit.sites) )
-      end
+      match emit ~what:"audit" output rendered with
+      | `Error _ as e -> e
+      | `Ok () -> (
+        if Audit.leak_free report then `Ok ()
+        else
+          match rerun with
+          | Some r when Audit.leak_free r ->
+            (* Evidence consumed: the leak is quarantined and the converged
+               image is clean, so the exit code reports success. *)
+            `Ok ()
+          | _ ->
+            `Error
+              ( false,
+                Printf.sprintf "audit: %d MT object(s) reachable from U across %d site(s)"
+                  (List.length report.Audit.findings)
+                  (List.length report.Audit.sites) ))
 
 (* --- fleet: N concurrent sessions over per-CPU run queues --- *)
-
-let fleet_format_conv =
-  let parse = function
-    | "table" -> Ok `Table
-    | "json" -> Ok `Json
-    | "prom" -> Ok `Prom
-    | s -> Error (`Msg (Printf.sprintf "unknown format %S (table|json|prom)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with `Table -> "table" | `Json -> "json" | `Prom -> "prom") )
 
 let fleet_table (r : Fleet.result) =
   let buf = Buffer.create 1024 in
@@ -1009,16 +923,13 @@ let run_fleet bench_name sessions cpus timeslice max_live page_budget mode tier 
         | `Json -> Util.Json.to_string_pretty (Fleet.to_json ~per_session r) ^ "\n"
         | `Prom -> Telemetry.Metrics.expose (Fleet.metrics r)
       in
-      (match output with
-      | Some path -> (
-        match Out_channel.with_open_text path (fun oc -> output_string oc rendered) with
-        | () -> Printf.printf "fleet report written to %s\n" path
-        | exception Sys_error msg -> failwith ("cannot write fleet report: " ^ msg))
-      | None -> print_string rendered);
-      if r.Fleet.r_failed > 0 then
-        `Error
-          (false, Printf.sprintf "fleet: %d of %d session(s) failed" r.Fleet.r_failed sessions)
-      else `Ok ()
+      match emit ~what:"fleet report" output rendered with
+      | `Error _ as e -> e
+      | `Ok () ->
+        if r.Fleet.r_failed > 0 then
+          `Error
+            (false, Printf.sprintf "fleet: %d of %d session(s) failed" r.Fleet.r_failed sessions)
+        else `Ok ()
 
 (* --- doctor: render a flight-recorder dump as an incident report --- *)
 
@@ -1063,8 +974,7 @@ let browse_cmd =
   Cmd.v (Cmd.info "browse" ~doc:"Run a page + script under a configuration (E2-style)")
     Term.(
       ret
-        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag $ tier_flag
-        $ engine_opts_term))
+        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag $ tier_flag))
 
 let exploit_cmd =
   Cmd.v (Cmd.info "exploit" ~doc:"Run the E3 security experiment")
@@ -1096,16 +1006,13 @@ let trace_cmd =
     Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
   in
   let format =
-    Arg.(value & opt trace_format_conv `Chrome
-         & info [ "f"; "format" ] ~docv:"FORMAT"
-             ~doc:"chrome (trace_event for chrome://tracing / Perfetto), json, or summary")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
+    format_flag
+      ~doc:"chrome (trace_event for chrome://tracing / Perfetto), json, or summary"
+      [ ("chrome", `Chrome); ("json", `Json); ("summary", `Summary) ]
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run one benchmark with telemetry enabled and export the trace")
-    Term.(ret (const run_trace $ bench_arg $ mode $ format $ output $ flight_flag))
+    Term.(ret (const run_trace $ bench_arg $ mode $ format $ output_flag $ flight_flag))
 
 let report_cmd =
   let bench_arg =
@@ -1120,14 +1027,10 @@ let report_cmd =
          & info [ "sample-every" ] ~docv:"CYCLES" ~doc:"Cycles between profile samples")
   in
   let format =
-    Arg.(value & opt report_format_conv `Table
-         & info [ "f"; "format" ] ~docv:"FORMAT"
-             ~doc:"table (flow matrix + site heat), json, prom (Prometheus text \
-                   exposition), or folded (collapsed stacks for flamegraph.pl / \
-                   speedscope)")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
+    format_flag
+      ~doc:"table (flow matrix + site heat), json, prom (Prometheus text exposition), or \
+            folded (collapsed stacks for flamegraph.pl / speedscope)"
+      (table_json_prom @ [ ("folded", `Folded) ])
   in
   let opcodes =
     Arg.(value & flag
@@ -1141,7 +1044,7 @@ let report_cmd =
        ~doc:"Run one benchmark with telemetry + cycle sampling and print the attribution report")
     Term.(
       ret
-        (const run_report $ bench_arg $ mode $ sample_every $ format $ output $ mitigation_flag
+        (const run_report $ bench_arg $ mode $ sample_every $ format $ output_flag $ mitigation_flag
         $ flight_flag $ opcodes $ tier_flag))
 
 let compare_cmd =
@@ -1190,13 +1093,7 @@ let chaos_cmd =
     Arg.(value & opt int 40
          & info [ "oom-at" ] ~docv:"N" ~doc:"Poison the Nth pool allocation (pkalloc-oom)")
   in
-  let format =
-    Arg.(value & opt chaos_format_conv `Table
-         & info [ "f"; "format" ] ~docv:"FORMAT" ~doc:"table, json, or prom")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
-  in
+  let format = format_flag ~doc:"table, json, or prom" table_json_prom in
   let attacks =
     Arg.(value & flag
          & info [ "attacks" ]
@@ -1220,7 +1117,7 @@ let chaos_cmd =
        ~doc:"Inject deterministic faults into the enforcement pipeline and check invariants")
     Term.(
       ret
-        (const run_chaos $ scenario $ policy $ seed $ drop $ oom_at $ format $ output
+        (const run_chaos $ scenario $ policy $ seed $ drop $ oom_at $ format $ output_flag
         $ flight_flag $ attacks $ attack $ harts))
 
 let audit_cmd =
@@ -1241,13 +1138,7 @@ let audit_cmd =
              ~doc:"Quarantine confirmed-leaking sites (future MT allocations routed to MU) and \
                    re-run on a fresh image to verify the heap comes back leak-free")
   in
-  let format =
-    Arg.(value & opt audit_format_conv `Table
-         & info [ "f"; "format" ] ~docv:"FORMAT" ~doc:"table, json, or prom")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
-  in
+  let format = format_flag ~doc:"table, json, or prom" table_json_prom in
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Run one benchmark with the heap census on, then conservatively scan every \
@@ -1255,7 +1146,7 @@ let audit_cmd =
              an unresolved leak is found")
     Term.(
       ret
-        (const run_audit $ bench_arg $ mode $ census_every $ promote $ format $ output
+        (const run_audit $ bench_arg $ mode $ census_every $ promote $ format $ output_flag
         $ mitigation_flag $ flight_flag))
 
 let fleet_cmd =
@@ -1290,13 +1181,7 @@ let fleet_cmd =
   let mode =
     Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
   in
-  let format =
-    Arg.(value & opt fleet_format_conv `Table
-         & info [ "f"; "format" ] ~docv:"FORMAT" ~doc:"table, json, or prom")
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file")
-  in
+  let format = format_flag ~doc:"table, json, or prom" table_json_prom in
   let per_session =
     Arg.(value & flag
          & info [ "per-session" ] ~doc:"Include the per-session table in json output")
@@ -1308,7 +1193,7 @@ let fleet_cmd =
     Term.(
       ret
         (const run_fleet $ bench_arg $ sessions $ cpus $ timeslice $ max_live $ page_budget
-        $ mode $ tier_flag $ format $ output $ per_session))
+        $ mode $ tier_flag $ format $ output_flag $ per_session))
 
 let doctor_cmd =
   let path =

@@ -329,14 +329,14 @@ and build_trees t parent trees =
         build_trees t node kids)
     trees
 
-let create ?engine_seed ?engine_fuel ?engine_opts ?(selector_cache = true) env =
+let create ?engine_seed ?engine_fuel ?(selector_cache = true) env =
   let machine = Pkru_safe.Env.machine env in
   let t =
     {
       env;
       machine;
       dom = Dom.create env;
-      engine = Engine.create ?seed:engine_seed ?fuel:engine_fuel ?engine_opts env;
+      engine = Engine.create ?seed:engine_seed ?fuel:engine_fuel env;
       title = "";
       scripts_run = 0;
       last_layout = None;

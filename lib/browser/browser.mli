@@ -31,12 +31,10 @@ type t
 val create :
   ?engine_seed:int ->
   ?engine_fuel:int ->
-  ?engine_opts:Engine.Threaded.opts ->
   ?selector_cache:bool ->
   Pkru_safe.Env.t ->
   t
-(** [engine_opts] selects the engine's threaded-tier layers (default
-    {!Engine.Threaded.all_on}).  [selector_cache] (default [true]) turns
+(** [selector_cache] (default [true]) turns
     [domQuery]'s selector cache off when [false]; the differential tests
     do so to assert cached and uncached querying simulate
     bit-identically. *)

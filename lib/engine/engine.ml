@@ -19,18 +19,11 @@ type t = {
   tstats : Threaded.stats;
       (* this engine's threaded-tier counters: per-instance, so fleet
          sessions observe only their own IC behaviour *)
-  opts : Threaded.opts; (* this engine's threaded-tier layers *)
 }
 
-let create ?seed ?fuel ?(engine_opts = Threaded.all_on) env =
+let create ?seed ?fuel env =
   let heap = Value.create_heap env in
-  {
-    env;
-    heap;
-    eval = Eval.create ?seed ?fuel heap;
-    tstats = Threaded.make_stats ();
-    opts = engine_opts;
-  }
+  { env; heap; eval = Eval.create ?seed ?fuel heap; tstats = Threaded.make_stats () }
 
 let env t = t.env
 let heap t = t.heap
@@ -79,7 +72,7 @@ let eval_source ?(tier = Ast_tier) ?opstats t src =
         Bytecode.run ?opstats t.eval (Bytecode.compile program))
   | Threaded_tier ->
     with_phase t "engine:bytecode" (fun () ->
-        Threaded.run ~opts:t.opts ~stats:t.tstats t.eval (Bytecode.compile program))
+        Threaded.run ~stats:t.tstats t.eval (Bytecode.compile program))
 
 let eval_string ?tier t text =
   match Value.str_of_string t.heap text with

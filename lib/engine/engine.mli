@@ -21,15 +21,12 @@ type tier =
           tree walk would (default) *)
   | Bytecode_tier (** compile to stack bytecode, then interpret (reference) *)
   | Threaded_tier
-      (** closure-compiled dispatch + superinstructions + inline caches
-          (layers per the engine's [engine_opts]); simulates
-          bit-identically to [Bytecode_tier] *)
+      (** closure-compiled dispatch + superinstructions + inline caches;
+          simulates bit-identically to [Bytecode_tier] *)
 
 type t
 
-val create : ?seed:int -> ?fuel:int -> ?engine_opts:Threaded.opts -> Pkru_safe.Env.t -> t
-(** [engine_opts] (default {!Threaded.all_on}) selects this instance's
-    threaded-tier layers. *)
+val create : ?seed:int -> ?fuel:int -> Pkru_safe.Env.t -> t
 
 val env : t -> Pkru_safe.Env.t
 val heap : t -> Value.heap

@@ -7,10 +7,10 @@
    list-based operand stacks, repeated hash probes) while performing the
    exact same sequence of simulated charges, machine accesses and fault
    checks.  The differential test suite asserts bit-identical cycles,
-   compartment transitions and event traces against [Bytecode.exec] on
-   every workload kernel, with each layer toggled independently.
+   compartment transitions and event traces against [Bytecode.run] on
+   every workload kernel.
 
-   Layers (all on by default, independently toggleable via {!opts}):
+   The tier has one configuration; every layer below is always on:
 
    - {b Threaded dispatch}: [Bytecode.instr array] is compiled once per
      code object into an array of closures ("ops"), one per instruction
@@ -36,40 +36,26 @@
      mono- then polymorphic up to {!pic_limit} entries, charging exactly
      [prop_cost] on a hit like the name-keyed path.
 
-   Loads and stores additionally flow through the width-specialised
-   batched TLB path ([Sim.Machine.read_f64_batched]) when enabled. *)
-
-(* Threaded dispatch itself is the module; running with every layer below
-   switched off is plain closure-compiled dispatch. *)
-type opts = {
-  superinstructions : bool;
-  var_ic : bool;
-  prop_ic : bool;
-  batched_slots : bool;
-}
-
-let all_on = { superinstructions = true; var_ic = true; prop_ic = true; batched_slots = true }
-
-let all_off =
-  { superinstructions = false; var_ic = false; prop_ic = false; batched_slots = false }
+   - {b Batched slot access}: for the duration of a run, 8-byte slot
+     loads and stores flow through the width-specialised batched TLB path
+     ([Sim.Machine.read_f64_batched]), which charges the same cycles with
+     one TLB probe per access. *)
 
 type stats = {
   mutable prop_hits : int;
   mutable prop_misses : int;
   mutable super_execs : int;
-  mutable fused_sites : int;
 }
 
 (* Counters are per-run (threaded through [tvm]), not process-wide:
    concurrent sessions each see only their own IC behaviour.  [Engine.t]
    owns one record and passes it to every [run]. *)
-let make_stats () = { prop_hits = 0; prop_misses = 0; super_execs = 0; fused_sites = 0 }
+let make_stats () = { prop_hits = 0; prop_misses = 0; super_execs = 0 }
 
 let reset_stats s =
   s.prop_hits <- 0;
   s.prop_misses <- 0;
-  s.super_execs <- 0;
-  s.fused_sites <- 0
+  s.super_execs <- 0
 
 (* --- Frames --- *)
 
@@ -138,7 +124,6 @@ let pic_add pic sh slot =
 
 type tvm = {
   eval : Eval.t;
-  opts : opts;
   stats : stats;
   (* closure id -> (params, compiled body).  The ops are compiled lazily
      on first call and shared (via [code_cache]) by every closure minted
@@ -150,108 +135,67 @@ type tvm = {
   mutable frame_pool : frame list;
 }
 
-(* The fused pair set, selected from opcode-pair measurements on the
-   dromaeo and octane suites (report --opcodes; the data and ranking are
-   recorded in EXPERIMENTS.md).  Pairs are named by reference-interpreter
-   mnemonics; compile only fuses a pair whose mnemonics appear here. *)
-let fused_pairs =
-  [
-    ("load", "load");
-    ("load", "push_num");
-    ("push_num", "binop");
-    ("load", "binop");
-    ("binop", "jump_if_false");
-    ("store", "pop");
-    ("load", "load_member");
-    ("load", "load_index");
-    ("push_num", "load_index");
-    ("dup2", "load_index");
-    ("load", "store");
-    ("load_index", "binop");
-    ("binop", "store");
-    ("pop", "load");
-  ]
-
 let rec compile_ops tvm (code : Bytecode.instr array) : op array =
   let t = tvm.eval in
   let h = Eval.heap t in
   (* Per-site resolvers, shared by plain and fused ops.  Each call mints
      the site's inline-cache state, so call once per compiled site. *)
   let make_load name : frame -> Value.t =
-    if tvm.opts.var_ic then begin
-      let site = Eval.var_site name in
-      fun fr ->
-        match Eval.cached_lookup t (cur fr) site with
-        | Some v -> v
-        | None ->
-          if Eval.host_exists t name then Value.Host name
-          else Eval.fail "undefined variable %s" name
-    end
-    else
-      fun fr ->
-        match Eval.scope_lookup t (cur fr) name with
-        | Some v -> v
-        | None ->
-          if Eval.host_exists t name then Value.Host name
-          else Eval.fail "undefined variable %s" name
+    let site = Eval.var_site name in
+    fun fr ->
+      match Eval.cached_lookup t (cur fr) site with
+      | Some v -> v
+      | None ->
+        if Eval.host_exists t name then Value.Host name
+        else Eval.fail "undefined variable %s" name
   in
   let make_store name : frame -> Value.t -> unit =
-    if tvm.opts.var_ic then begin
-      let site = Eval.var_site name in
-      fun fr v ->
-        if not (Eval.cached_assign t (cur fr) site v) then Eval.set_global t name v
-    end
-    else fun fr v -> Eval.scope_assign t (cur fr) name v
+    let site = Eval.var_site name in
+    fun fr v -> if not (Eval.cached_assign t (cur fr) site v) then Eval.set_global t name v
   in
   let make_member_load name : Value.t -> Value.t =
-    if tvm.opts.prop_ic then begin
-      let pic = pic_make () in
-      fun recv ->
-        match recv with
-        | Value.Obj o ->
-          let sh = Value.obj_shape_id o in
-          let slot = if pic.p_mega then -1 else pic_find pic sh in
-          if slot >= 0 then begin
-            tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
-            Value.obj_get_slot h o slot
-          end
-          else begin
-            tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
-            match Value.obj_slot_index o name with
-            | Some sl ->
-              if not pic.p_mega then pic_add pic sh sl;
-              Value.obj_get_slot h o sl
-            | None -> Eval.member_get t recv name
-          end
-        | recv -> Eval.member_get t recv name
-    end
-    else fun recv -> Eval.member_get t recv name
+    let pic = pic_make () in
+    fun recv ->
+      match recv with
+      | Value.Obj o ->
+        let sh = Value.obj_shape_id o in
+        let slot = if pic.p_mega then -1 else pic_find pic sh in
+        if slot >= 0 then begin
+          tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
+          Value.obj_get_slot h o slot
+        end
+        else begin
+          tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
+          match Value.obj_slot_index o name with
+          | Some sl ->
+            if not pic.p_mega then pic_add pic sh sl;
+            Value.obj_get_slot h o sl
+          | None -> Eval.member_get t recv name
+        end
+      | recv -> Eval.member_get t recv name
   in
   let make_member_store name : Value.t -> Value.t -> unit =
-    if tvm.opts.prop_ic then begin
-      let pic = pic_make () in
-      fun recv v ->
-        match recv with
-        | Value.Obj o ->
-          let sh = Value.obj_shape_id o in
-          let slot = if pic.p_mega then -1 else pic_find pic sh in
-          if slot >= 0 then begin
-            tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
-            Value.obj_set_slot h o slot v
-          end
-          else begin
-            tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
-            match Value.obj_slot_index o name with
-            | Some sl ->
-              if not pic.p_mega then pic_add pic sh sl;
-              Value.obj_set_slot h o sl v
-            | None ->
-              (* new property: transitions the shape — never cached *)
-              Eval.member_set t recv name v
-          end
-        | recv -> Eval.member_set t recv name v
-    end
-    else fun recv v -> Eval.member_set t recv name v
+    let pic = pic_make () in
+    fun recv v ->
+      match recv with
+      | Value.Obj o ->
+        let sh = Value.obj_shape_id o in
+        let slot = if pic.p_mega then -1 else pic_find pic sh in
+        if slot >= 0 then begin
+          tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
+          Value.obj_set_slot h o slot v
+        end
+        else begin
+          tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
+          match Value.obj_slot_index o name with
+          | Some sl ->
+            if not pic.p_mega then pic_add pic sh sl;
+            Value.obj_set_slot h o sl v
+          | None ->
+            (* new property: transitions the shape — never cached *)
+            Eval.member_set t recv name v
+        end
+      | recv -> Eval.member_set t recv name v
   in
   let make_op i (ins : Bytecode.instr) : op =
     let next = i + 1 in
@@ -475,190 +419,188 @@ let rec compile_ops tvm (code : Bytecode.instr array) : op array =
         Eval.tick t 1;
         raise (Treturn Value.Null)
   in
-  (* Superinstructions.  A fused op replaces the op at [i] and continues
-     at [i+2]; the standalone op at [i+1] survives for jumps landing
-     there.  The tick/work interleaving of the unfused pair is preserved
-     exactly (tick1, work1, tick1's charges already made, tick2, work2),
-     with intermediates held in locals instead of the operand stack. *)
+  (* Superinstructions: these arms are the fused pair set, selected from
+     opcode-pair measurements on the dromaeo and octane suites (report
+     --opcodes; the data and ranking are recorded in EXPERIMENTS.md).  A
+     fused op replaces the op at [i] and continues at [i+2]; the
+     standalone op at [i+1] survives for jumps landing there.  The
+     tick/work interleaving of the unfused pair is preserved exactly
+     (tick1, work1, tick1's charges already made, tick2, work2), with
+     intermediates held in locals instead of the operand stack. *)
   let make_fused i (a : Bytecode.instr) (b : Bytecode.instr) : op option =
-    if not (List.mem (Bytecode.mnemonic a, Bytecode.mnemonic b) fused_pairs) then None
-    else
-      let after = i + 2 in
-      match (a, b) with
-      | Bytecode.Load_var x, Bytecode.Load_var y ->
-        let lx = make_load x and ly = make_load y in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let vx = lx fr in
-            Eval.tick t 1;
-            let vy = ly fr in
-            push fr vx;
-            push fr vy;
-            fr.pc <- after)
-      | Bytecode.Load_var x, Bytecode.Push_num f ->
-        let lx = make_load x in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let vx = lx fr in
-            Eval.tick t 1;
-            push fr vx;
-            push fr (Value.Num f);
-            fr.pc <- after)
-      | Bytecode.Push_num f, Bytecode.Bin_op op ->
-        let vb = Value.Num f in
-        let bf = Eval.binary_fn op in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            Eval.tick t 1;
-            let a = pop fr in
-            push fr (bf t a vb);
-            fr.pc <- after)
-      | Bytecode.Load_var x, Bytecode.Bin_op op ->
-        let lx = make_load x in
-        let bf = Eval.binary_fn op in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let vb = lx fr in
-            Eval.tick t 1;
-            let a = pop fr in
-            push fr (bf t a vb);
-            fr.pc <- after)
-      | Bytecode.Bin_op op, Bytecode.Jump_if_false target ->
-        let bf = Eval.binary_fn op in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let b = pop fr in
-            let a = pop fr in
-            let v = bf t a b in
-            Eval.tick t 1;
-            fr.pc <- (if not (Eval.truthy_value v) then target else after))
-      | Bytecode.Store_var x, Bytecode.Pop ->
-        let store = make_store x in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            store fr (peek fr);
-            Eval.tick t 1;
-            ignore (pop fr);
-            fr.pc <- after)
-      | Bytecode.Load_var x, Bytecode.Load_member m ->
-        let lx = make_load x in
-        let mload = make_member_load m in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let recv = lx fr in
-            Eval.tick t 1;
-            push fr (mload recv);
-            fr.pc <- after)
-      | Bytecode.Load_var x, Bytecode.Load_index ->
-        let lx = make_load x in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let idx = lx fr in
-            Eval.tick t 1;
-            let obj = pop fr in
-            push fr (Eval.index_get t obj idx);
-            fr.pc <- after)
-      | Bytecode.Push_num f, Bytecode.Load_index ->
-        let idx = Value.Num f in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            Eval.tick t 1;
-            let obj = pop fr in
-            push fr (Eval.index_get t obj idx);
-            fr.pc <- after)
-      | Bytecode.Dup2, Bytecode.Load_index ->
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            if fr.sp < 2 then Eval.fail "vm: stack underflow";
-            let idx = fr.stk.(fr.sp - 1) in
-            let obj = fr.stk.(fr.sp - 2) in
-            Eval.tick t 1;
-            push fr (Eval.index_get t obj idx);
-            fr.pc <- after)
-      | Bytecode.Load_var x, Bytecode.Store_var y ->
-        let lx = make_load x in
-        let store = make_store y in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let v = lx fr in
-            Eval.tick t 1;
-            store fr v;
-            push fr v;
-            fr.pc <- after)
-      | Bytecode.Load_index, Bytecode.Bin_op op ->
-        let bf = Eval.binary_fn op in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let idx = pop fr in
-            let obj = pop fr in
-            let b = Eval.index_get t obj idx in
-            Eval.tick t 1;
-            let a = pop fr in
-            push fr (bf t a b);
-            fr.pc <- after)
-      | Bytecode.Bin_op op, Bytecode.Store_var x ->
-        let bf = Eval.binary_fn op in
-        let store = make_store x in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            let b = pop fr in
-            let a = pop fr in
-            let v = bf t a b in
-            Eval.tick t 1;
-            store fr v;
-            push fr v;
-            fr.pc <- after)
-      | Bytecode.Pop, Bytecode.Load_var x ->
-        let lx = make_load x in
-        Some
-          (fun fr ->
-            tvm.stats.super_execs <- tvm.stats.super_execs + 1;
-            Eval.tick t 1;
-            ignore (pop fr);
-            Eval.tick t 1;
-            push fr (lx fr);
-            fr.pc <- after)
-      | _ -> None
+    let after = i + 2 in
+    match (a, b) with
+    | Bytecode.Load_var x, Bytecode.Load_var y ->
+      let lx = make_load x and ly = make_load y in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let vx = lx fr in
+          Eval.tick t 1;
+          let vy = ly fr in
+          push fr vx;
+          push fr vy;
+          fr.pc <- after)
+    | Bytecode.Load_var x, Bytecode.Push_num f ->
+      let lx = make_load x in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let vx = lx fr in
+          Eval.tick t 1;
+          push fr vx;
+          push fr (Value.Num f);
+          fr.pc <- after)
+    | Bytecode.Push_num f, Bytecode.Bin_op op ->
+      let vb = Value.Num f in
+      let bf = Eval.binary_fn op in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          Eval.tick t 1;
+          let a = pop fr in
+          push fr (bf t a vb);
+          fr.pc <- after)
+    | Bytecode.Load_var x, Bytecode.Bin_op op ->
+      let lx = make_load x in
+      let bf = Eval.binary_fn op in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let vb = lx fr in
+          Eval.tick t 1;
+          let a = pop fr in
+          push fr (bf t a vb);
+          fr.pc <- after)
+    | Bytecode.Bin_op op, Bytecode.Jump_if_false target ->
+      let bf = Eval.binary_fn op in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let b = pop fr in
+          let a = pop fr in
+          let v = bf t a b in
+          Eval.tick t 1;
+          fr.pc <- (if not (Eval.truthy_value v) then target else after))
+    | Bytecode.Store_var x, Bytecode.Pop ->
+      let store = make_store x in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          store fr (peek fr);
+          Eval.tick t 1;
+          ignore (pop fr);
+          fr.pc <- after)
+    | Bytecode.Load_var x, Bytecode.Load_member m ->
+      let lx = make_load x in
+      let mload = make_member_load m in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let recv = lx fr in
+          Eval.tick t 1;
+          push fr (mload recv);
+          fr.pc <- after)
+    | Bytecode.Load_var x, Bytecode.Load_index ->
+      let lx = make_load x in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let idx = lx fr in
+          Eval.tick t 1;
+          let obj = pop fr in
+          push fr (Eval.index_get t obj idx);
+          fr.pc <- after)
+    | Bytecode.Push_num f, Bytecode.Load_index ->
+      let idx = Value.Num f in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          Eval.tick t 1;
+          let obj = pop fr in
+          push fr (Eval.index_get t obj idx);
+          fr.pc <- after)
+    | Bytecode.Dup2, Bytecode.Load_index ->
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          if fr.sp < 2 then Eval.fail "vm: stack underflow";
+          let idx = fr.stk.(fr.sp - 1) in
+          let obj = fr.stk.(fr.sp - 2) in
+          Eval.tick t 1;
+          push fr (Eval.index_get t obj idx);
+          fr.pc <- after)
+    | Bytecode.Load_var x, Bytecode.Store_var y ->
+      let lx = make_load x in
+      let store = make_store y in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let v = lx fr in
+          Eval.tick t 1;
+          store fr v;
+          push fr v;
+          fr.pc <- after)
+    | Bytecode.Load_index, Bytecode.Bin_op op ->
+      let bf = Eval.binary_fn op in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let idx = pop fr in
+          let obj = pop fr in
+          let b = Eval.index_get t obj idx in
+          Eval.tick t 1;
+          let a = pop fr in
+          push fr (bf t a b);
+          fr.pc <- after)
+    | Bytecode.Bin_op op, Bytecode.Store_var x ->
+      let bf = Eval.binary_fn op in
+      let store = make_store x in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          let b = pop fr in
+          let a = pop fr in
+          let v = bf t a b in
+          Eval.tick t 1;
+          store fr v;
+          push fr v;
+          fr.pc <- after)
+    | Bytecode.Pop, Bytecode.Load_var x ->
+      let lx = make_load x in
+      Some
+        (fun fr ->
+          tvm.stats.super_execs <- tvm.stats.super_execs + 1;
+          Eval.tick t 1;
+          ignore (pop fr);
+          Eval.tick t 1;
+          push fr (lx fr);
+          fr.pc <- after)
+    | _ -> None
   in
   let n = Array.length code in
   let ops = Array.mapi make_op code in
-  if tvm.opts.superinstructions then begin
-    let i = ref 0 in
-    while !i < n - 1 do
-      match make_fused !i code.(!i) code.(!i + 1) with
-      | Some op ->
-        ops.(!i) <- op;
-        tvm.stats.fused_sites <- tvm.stats.fused_sites + 1;
-        i := !i + 2
-      | None -> incr i
-    done
-  end;
+  let i = ref 0 in
+  while !i < n - 1 do
+    match make_fused !i code.(!i) code.(!i + 1) with
+    | Some op ->
+      ops.(!i) <- op;
+      i := !i + 2
+    | None -> incr i
+  done;
   ops
 
 (* Mirrors [Bytecode.call_value]: closures this VM minted re-enter the
@@ -720,14 +662,14 @@ and exec_ops tvm ops scope0 =
   tvm.frame_pool <- fr :: tvm.frame_pool;
   ret
 
-let run ~opts ~stats eval (program : Bytecode.program) =
+let run ~stats eval (program : Bytecode.program) =
   let tvm =
-    { eval; opts; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16;
+    { eval; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16;
       frame_pool = [] }
   in
   let heap = Eval.heap eval in
   let saved = Value.batched_slots heap in
-  Value.set_batched_slots heap opts.batched_slots;
+  Value.set_batched_slots heap true;
   Fun.protect
     ~finally:(fun () -> Value.set_batched_slots heap saved)
     (fun () -> exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval))

@@ -1,5 +1,6 @@
 (** The fast bytecode tier: direct-threaded (closure-compiled) dispatch,
-    profiler-selected superinstructions, and inline caches.
+    profiler-selected superinstructions, inline caches and batched slot
+    access, always all on.
 
     Architecturally invisible by construction: every layer elides only
     host-side OCaml work (decode, operand-stack traffic, hash probes)
@@ -7,26 +8,13 @@
     accesses and fault checks as the reference interpreter
     ({!Bytecode.run}).  Differential tests assert bit-identical cycles,
     compartment transitions and telemetry traces on every workload
-    kernel, per layer.  Only host wall-clock — and TLB hit counts, when
-    batched slot access is on — may differ. *)
-
-type opts = {
-  superinstructions : bool;  (** fuse measured-hot adjacent opcode pairs *)
-  var_ic : bool;  (** scope-walk inline caches (see {!Eval.cached_lookup}) *)
-  prop_ic : bool;  (** (shape, slot) property caches over hidden classes *)
-  batched_slots : bool;
-      (** one TLB probe per in-page 8-byte slot access
-          ({!Sim.Machine.read_f64_batched}) *)
-}
-
-val all_on : opts
-val all_off : opts
+    kernel.  Only host wall-clock — and TLB hit counts, from batched slot
+    access — may differ. *)
 
 type stats = {
   mutable prop_hits : int;
   mutable prop_misses : int;
   mutable super_execs : int;  (** fused-pair executions *)
-  mutable fused_sites : int;  (** fused sites emitted at compile time *)
 }
 
 val make_stats : unit -> stats
@@ -37,11 +25,8 @@ val make_stats : unit -> stats
 
 val reset_stats : stats -> unit
 
-val fused_pairs : (string * string) list
-(** The enabled superinstruction set, as mnemonic pairs — chosen from
-    [report --opcodes] measurements on dromaeo/octane (see
-    EXPERIMENTS.md). *)
-
-val run : opts:opts -> stats:stats -> Eval.t -> Bytecode.program -> Value.t
-(** Same contract as {!Bytecode.run}, same observable simulation, with
-    the given layers; [stats] is accumulated into, never reset here. *)
+val run : stats:stats -> Eval.t -> Bytecode.program -> Value.t
+(** Same contract as {!Bytecode.run}, same observable simulation;
+    [stats] is accumulated into, never reset here.  The heap's
+    batched-slot flag is on for the duration of the run and restored
+    after it. *)

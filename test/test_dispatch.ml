@@ -2,10 +2,9 @@
    (closure-compiled) dispatcher with superinstructions and inline caches
    must simulate bit-identically to the reference bytecode interpreter —
    same cycles, same transitions, same telemetry event trace — on every
-   workload kernel, with each optimisation layer on or off.  Also covers
-   IC invalidation (object shape changes, DOM mutation between selector
-   matches), the growable-buffer emitter's label targets, and the engine
-   counter plumbing. *)
+   workload kernel.  Also covers IC invalidation (object shape changes,
+   DOM mutation between selector matches), the growable-buffer emitter's
+   label targets, and the engine counter plumbing. *)
 
 let ok = function
   | Ok v -> v
@@ -54,16 +53,15 @@ type run_digest = {
   d_sink : Telemetry.Sink.t;
 }
 
-(* One measured run of [bench] under [mode] at the given engine tier,
-   with the threaded layers configured by [opts] — the runner's protocol
-   (page load is setup, counters reset, the traced script is timed). *)
-let measure ?opts ?selector_cache ?(mode = Pkru_safe.Config.Base) ?profile ~tier
+(* One measured run of [bench] under [mode] at the given engine tier —
+   the runner's protocol (page load is setup, counters reset, the traced
+   script is timed). *)
+let measure ?selector_cache ?(mode = Pkru_safe.Config.Base) ?profile ~tier
     (bench : Workloads.Bench_def.bench) =
   let profile = match profile with Some p -> p | None -> Runtime.Profile.create () in
   let env = ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make mode)) in
   let browser =
-    Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed ?engine_opts:opts
-      ?selector_cache env
+    Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed ?selector_cache env
   in
   Browser.load_page browser bench.Workloads.Bench_def.page;
   Pkru_safe.Env.reset_counters env;
@@ -89,45 +87,25 @@ let check_bit_identical name (reference : run_digest) (candidate : run_digest) =
     reference.d_transitions candidate.d_transitions;
   Alcotest.(check string) (name ^ ": trace bit-identical") reference.d_trace candidate.d_trace
 
-(* The headline differential: every kernel, four ways.  The AST tier must
-   agree on results; the three bytecode variants (reference interpreter,
-   threaded with every layer on, threaded with every layer off) must be
-   bit-identical in cycles, transitions and event traces. *)
+(* The headline differential: every kernel, three ways.  The AST tier must
+   agree on results; the two bytecode tiers (reference interpreter and
+   threaded) must be bit-identical in cycles, transitions and event
+   traces. *)
 let test_kernel_equivalence () =
   List.iter
     (fun (name, src) ->
       let bench = Workloads.Bench_def.bench ("dispatch-" ^ name) src in
       let ast = measure ~tier:Engine.Ast_tier bench in
       let reference = measure ~tier:Engine.Bytecode_tier bench in
-      let thr_on = measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on bench in
-      let thr_off = measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_off bench in
+      let threaded = measure ~tier:Engine.Threaded_tier bench in
       Alcotest.(check (list string)) (name ^ ": ast output agrees") ast.d_output
         reference.d_output;
-      check_bit_identical (name ^ " threaded/on") reference thr_on;
-      check_bit_identical (name ^ " threaded/off") reference thr_off)
+      check_bit_identical (name ^ " threaded") reference threaded)
     kernels
-
-(* Each IC layer alone must also be invisible (catches a layer whose
-   charges only balance when another layer is active). *)
-let test_single_layer_equivalence () =
-  let bench =
-    Workloads.Bench_def.bench "dispatch-layers" (Workloads.Kernels.richards ~iterations:4)
-  in
-  let reference = measure ~tier:Engine.Bytecode_tier bench in
-  List.iter
-    (fun (label, opts) ->
-      let d = measure ~tier:Engine.Threaded_tier ~opts bench in
-      check_bit_identical label reference d)
-    [
-      ("super only", { Engine.Threaded.all_off with superinstructions = true });
-      ("var-ic only", { Engine.Threaded.all_off with var_ic = true });
-      ("prop-ic only", { Engine.Threaded.all_off with prop_ic = true });
-      ("batched only", { Engine.Threaded.all_off with batched_slots = true });
-    ]
 
 (* DOM-bound equivalence under enforcement: gate transitions and fault
    checks interleave with engine work; Mpk mode must stay bit-identical
-   across dispatch variants, selector cache on or off. *)
+   across the bytecode tiers, selector cache on or off. *)
 let test_dom_equivalence () =
   let bench =
     Workloads.Bench_def.bench
@@ -138,21 +116,19 @@ let test_dom_equivalence () =
   let profile = Workloads.Runner.profile_suite suite in
   let mode = Pkru_safe.Config.Mpk in
   let reference = measure ~tier:Engine.Bytecode_tier ~mode ~profile bench in
-  let thr_on = measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on ~mode ~profile bench in
-  check_bit_identical "dom mpk threaded" reference thr_on;
+  let threaded = measure ~tier:Engine.Threaded_tier ~mode ~profile bench in
+  check_bit_identical "dom mpk threaded" reference threaded;
   Alcotest.(check bool) "selector cache hit during run" true
-    (Telemetry.Sink.count thr_on.d_sink "engine_selector_hit" > 0);
-  let uncached =
-    measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on ~selector_cache:false ~mode
-      ~profile bench
-  in
+    (Telemetry.Sink.count threaded.d_sink "engine_selector_hit" > 0);
+  let uncached = measure ~tier:Engine.Threaded_tier ~selector_cache:false ~mode ~profile bench in
   check_bit_identical "selector cache off" reference uncached;
   Alcotest.(check int) "no cache hits when disabled" 0
     (Telemetry.Sink.count uncached.d_sink "engine_selector_hit")
 
 (* Profiling mode exercises the fault + single-step path (every access
-   faults and is single-stepped); the dispatch variants must not perturb
-   it, and the profiles they produce must discover the same sites. *)
+   faults and is single-stepped); the threaded tier must not perturb
+   it, and the profiles both bytecode tiers produce must discover the
+   same sites. *)
 let test_profiling_equivalence () =
   let bench =
     Workloads.Bench_def.bench
@@ -163,8 +139,8 @@ let test_profiling_equivalence () =
   let profile = Workloads.Runner.profile_suite suite in
   let mode = Pkru_safe.Config.Profiling in
   let reference = measure ~tier:Engine.Bytecode_tier ~mode ~profile bench in
-  let thr_on = measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on ~mode ~profile bench in
-  check_bit_identical "profiling mode" reference thr_on;
+  let threaded = measure ~tier:Engine.Threaded_tier ~mode ~profile bench in
+  check_bit_identical "profiling mode" reference threaded;
   let sites tier =
     let p = Workloads.Runner.profile_bench ~engine_tier:tier bench in
     List.sort compare (List.map Runtime.Alloc_id.to_string (Runtime.Profile.sites p))
@@ -336,7 +312,7 @@ let test_counters_injected () =
   let bench =
     Workloads.Bench_def.bench "dispatch-cnt" (Workloads.Kernels.richards ~iterations:4)
   in
-  let thr = measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on bench in
+  let thr = measure ~tier:Engine.Threaded_tier bench in
   let count name = Telemetry.Sink.count thr.d_sink name in
   Alcotest.(check bool) "var IC hits" true (count "engine_var_ic_hit" > 0);
   Alcotest.(check bool) "prop IC hits" true (count "engine_prop_ic_hit" > 0);
@@ -375,7 +351,7 @@ let test_prometheus_engine_families () =
   let bench =
     Workloads.Bench_def.bench "dispatch-prom" (Workloads.Kernels.richards ~iterations:4)
   in
-  let thr = measure ~tier:Engine.Threaded_tier ~opts:Engine.Threaded.all_on bench in
+  let thr = measure ~tier:Engine.Threaded_tier bench in
   let text = Telemetry.Export.prometheus thr.d_sink in
   let expect family sink_counter =
     Alcotest.(check bool) (family ^ " populated from sink") true
@@ -413,8 +389,7 @@ let test_opstats_pairs () =
 
 let suite =
   [
-    Alcotest.test_case "kernels: 4-way equivalence" `Quick test_kernel_equivalence;
-    Alcotest.test_case "single-layer equivalence" `Quick test_single_layer_equivalence;
+    Alcotest.test_case "kernels: 3-way equivalence" `Quick test_kernel_equivalence;
     Alcotest.test_case "dom equivalence (mpk + selector cache)" `Quick test_dom_equivalence;
     Alcotest.test_case "profiling-mode equivalence" `Quick test_profiling_equivalence;
     Alcotest.test_case "prop IC shape invalidation" `Quick test_prop_ic_shape_invalidation;
