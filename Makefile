@@ -1,6 +1,6 @@
 # Convenience targets for the PKRU-Safe reproduction.
 
-.PHONY: all build test check lint-globals bench examples clean
+.PHONY: all build test check lint-globals lint-hotpath bench examples clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 	dune runtest --force
 
 # Everything CI runs: full build (all targets) + the complete test suite.
-check: lint-globals
+check: lint-globals lint-hotpath
 	dune build @all
 	dune runtest --force
 
@@ -25,6 +25,13 @@ lint-globals:
 	  echo "lint-globals: top-level mutable state in lib/ (move it onto its owning instance)"; \
 	  exit 1; \
 	fi
+
+# The clock tick (Eval.tick/charge) and the checked-access TLB hit
+# (Machine.translate/read_le/write_le/slot_page) must compile, in the
+# default dev profile, to code with no caml_apply and no indirect call.
+# See HACKING.md, "Hot paths".
+lint-hotpath:
+	@tools/lint-hotpath.sh
 
 bench:
 	dune exec bench/main.exe

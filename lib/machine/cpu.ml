@@ -6,13 +6,11 @@ type t = {
   mutable cycles : int;
   mutable wrpkru_retired : int;
   mutable pkru_epoch : int;
-  retired_acc : int ref;
   tlb : Tlb.t;
   ctx : Telemetry.Ctx.t;
 }
 
-let create ?(cost = Cost.default) ?(id = 0) ?retired ?(ctx = Telemetry.Ctx.create ()) () =
-  let retired_acc = match retired with Some r -> r | None -> ref 0 in
+let create ?(cost = Cost.default) ?(id = 0) ?(ctx = Telemetry.Ctx.create ()) () =
   {
     id;
     cost;
@@ -21,20 +19,14 @@ let create ?(cost = Cost.default) ?(id = 0) ?retired ?(ctx = Telemetry.Ctx.creat
     cycles = 0;
     wrpkru_retired = 0;
     pkru_epoch = 0;
-    retired_acc;
     tlb = Tlb.create ();
     ctx;
   }
 
-(* Every retired cycle flows through here, so this is where the sampling
-   profiler and the heap census tick and where the machine-wide retired
-   accumulator grows (keeping [Machine.total_cycles] O(1) instead of a
-   fold over harts).  The ticks charge nothing back, so sampled/censused
-   and plain runs retire identical cycle counts; disabled, the cost is
-   one load and one branch each, same as the sink discipline. *)
-let charge t n =
-  t.cycles <- t.cycles + n;
-  t.retired_acc := !(t.retired_acc) + n;
+(* The per-cycle telemetry hooks: the sampling profiler and the heap
+   census.  They charge nothing back, so sampled/censused and plain runs
+   retire identical cycle counts. *)
+let tick_hooks t n =
   let ctx = t.ctx in
   (match ctx.Telemetry.Ctx.sampler with
   | None -> ()
@@ -42,6 +34,14 @@ let charge t n =
   match ctx.Telemetry.Ctx.census with
   | None -> ()
   | Some census -> Telemetry.Census.tick census ~sink:ctx.Telemetry.Ctx.sink ~cpu:t.id n
+
+(* Every retired cycle flows through here.  This is the definition of a
+   charge; the hottest callers ([Machine]'s checked accesses, the AST
+   tier's tick) repeat these two lines inline, because a dev build
+   compiles every cross-module call as an unknown call. *)
+let charge t n =
+  t.cycles <- t.cycles + n;
+  if t.ctx.Telemetry.Ctx.hooked then tick_hooks t n
 
 (* All intentional PKRU updates come through here so the epoch advances
    and cached permission masks in the hart's TLB go stale.  (Direct
@@ -67,6 +67,4 @@ let rdpkru t =
 
 let cycles t = t.cycles
 
-let reset_cycles t =
-  t.retired_acc := !(t.retired_acc) - t.cycles;
-  t.cycles <- 0
+let reset_cycles t = t.cycles <- 0

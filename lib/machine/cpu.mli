@@ -11,29 +11,32 @@ type t = {
   mutable pkru : Mpk.Pkru.t;
   mutable trap_flag : bool;
   mutable cycles : int;
+      (** this hart's clock; written only by {!charge} (and its inline
+          copies in [Machine] and the AST tier) and {!reset_cycles} *)
   mutable wrpkru_retired : int;
   mutable pkru_epoch : int;
       (** bumped by every PKRU write through {!set_pkru} / {!wrpkru};
           part of the software TLB's invalidation protocol *)
-  retired_acc : int ref;
-      (** machine-wide retired-cycle accumulator shared by all harts of
-          one {!Machine}, kept current by {!charge} / {!reset_cycles} *)
   tlb : Tlb.t;  (** this hart's software TLB (architecturally invisible) *)
   ctx : Telemetry.Ctx.t;  (** the machine's telemetry slots, shared by every hart *)
 }
 
-val create :
-  ?cost:Cost.t -> ?id:int -> ?retired:int ref -> ?ctx:Telemetry.Ctx.t -> unit -> t
+val create : ?cost:Cost.t -> ?id:int -> ?ctx:Telemetry.Ctx.t -> unit -> t
 (** Fresh CPU with PKRU fully enabled (kernel default for a new thread).
-    [retired] and [ctx] share the machine-wide cycle accumulator and
-    telemetry slots; fresh ones are used when absent (standalone CPUs in
-    tests). *)
+    [ctx] shares the machine's telemetry slots; a fresh one is used when
+    absent (standalone CPUs in tests). *)
 
 val charge : t -> int -> unit
-(** [charge cpu n] retires [n] cycles of straight-line work, grows the
-    shared accumulator and ticks the context's {!Telemetry.Sampler}
-    (which charges nothing back, keeping sampled and unsampled cycle
-    counts identical). *)
+(** [charge cpu n] retires [n] cycles of straight-line work: it adds [n]
+    to {!field-cycles} and, when the context is
+    {!Telemetry.Ctx.field-hooked}, calls {!tick_hooks}.  Hot callers in
+    other modules repeat exactly these two steps inline. *)
+
+val tick_hooks : t -> int -> unit
+(** The armed slow path of {!charge}: ticks the context's
+    {!Telemetry.Sampler} and {!Telemetry.Census} with [n] cycles.  Both
+    charge nothing back, keeping hooked and plain cycle counts
+    identical. *)
 
 val set_pkru : t -> Mpk.Pkru.t -> unit
 (** Replaces the register and bumps {!field-pkru_epoch}, staling every
@@ -52,5 +55,4 @@ val cycles : t -> int
 (** Total cycles retired so far. *)
 
 val reset_cycles : t -> unit
-(** Zeroes the counter, deducting the same amount from the shared
-    accumulator (used between benchmark phases). *)
+(** Zeroes the counter (used between benchmark phases). *)

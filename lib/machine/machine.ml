@@ -5,7 +5,6 @@ type t = {
   mutable ncpus : int;
   signals : Signals.t;
   pkeys : Vmm.Pkeys.t;
-  retired : int ref;
   tlb_enabled : bool;
   (* Garmr syscall filter: when [Some trusted], kernel-interface entry
      points ([sys_pkey_mprotect] & co) refuse pkey/page-table mutations
@@ -18,9 +17,8 @@ type t = {
 }
 
 let create ?cost ?(tlb = true) () =
-  let retired = ref 0 in
   let ctx = Telemetry.Ctx.create () in
-  let boot = Cpu.create ?cost ~id:0 ~retired ~ctx () in
+  let boot = Cpu.create ?cost ~id:0 ~ctx () in
   {
     page_table = Vmm.Page_table.create ();
     cpu = boot;
@@ -28,14 +26,13 @@ let create ?cost ?(tlb = true) () =
     ncpus = 1;
     signals = Signals.create ctx;
     pkeys = Vmm.Pkeys.create ();
-    retired;
     tlb_enabled = tlb;
     syscall_filter = None;
     ctx;
   }
 
 let spawn_cpu t =
-  let cpu = Cpu.create ~cost:t.cpu.Cpu.cost ~id:t.ncpus ~retired:t.retired ~ctx:t.ctx () in
+  let cpu = Cpu.create ~cost:t.cpu.Cpu.cost ~id:t.ncpus ~ctx:t.ctx () in
   t.cpus_rev <- cpu :: t.cpus_rev;
   t.ncpus <- t.ncpus + 1;
   cpu
@@ -43,10 +40,12 @@ let spawn_cpu t =
 let cpus t = List.rev t.cpus_rev
 
 (* Telemetry timestamps are whole-machine cycles so that events from
-   different harts order consistently in one trace.  The shared
-   accumulator (grown by [Cpu.charge]) makes this O(1); telemetry emits
-   read it on every event. *)
-let total_cycles t = !(t.retired)
+   different harts order consistently in one trace.  Only a charge and
+   [Cpu.reset_cycles] write a hart's clock, so the sum over harts is
+   every cycle retired since the last reset.  Its readers (event
+   timestamps, fleet slice ends, the mitigator) are all off the
+   per-access path, which touches only the current hart's clock. *)
+let total_cycles t = List.fold_left (fun acc cpu -> acc + cpu.Cpu.cycles) 0 t.cpus_rev
 
 let tlb_enabled t = t.tlb_enabled
 
@@ -85,7 +84,25 @@ let run_on t cpu f =
       t.cpu <- previous)
     f
 
+(* --- The hot paths: no cross-module calls ---
+
+   A dev build compiles every module [-opaque], so each call into another
+   module is an unknown call through its module block (never inlined).
+   The clock tick and the TLB hit below therefore read and write the
+   other modules' records by field access and use the page geometry as
+   values; anything that must call out sits in an out-of-line slow path.
+   `make lint-hotpath` checks the compiled code. *)
+
 let page_size = Vmm.Layout.page_size
+let page_shift = Vmm.Layout.page_shift
+let[@inline always] page_offset addr = addr land (page_size - 1)
+
+let[@inline never] tick_hooks cpu n = Cpu.tick_hooks cpu n
+
+(* [Cpu.charge], inlined: that function is the definition of a charge. *)
+let[@inline always] charge_cpu (cpu : Cpu.t) n =
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + n;
+  if cpu.Cpu.ctx.Telemetry.Ctx.hooked then tick_hooks cpu n
 
 let check_page t access (page : Vmm.Page.t) =
   let prot_ok =
@@ -178,55 +195,87 @@ let resolve t access addr =
      recursive call threads the kind of a delivered fault. *)
   attempt 64 Vmm.Fault.Prot_violation
 
+(* The TLB hit probe, shared by [translate] and [slot_page].  The first
+   probe under a new mapping or PKRU epoch counts one flush generation;
+   then one hit or miss.  A hit needs the entry's tag, both epochs and
+   the raw PKRU value to match and its mask to include [abit].  Indices
+   are masked to [0, Tlb.size), so the unsafe reads stay in bounds. *)
+let[@inline always] tlb_hit t (cpu : Cpu.t) abit page_number =
+  let tlb = cpu.Cpu.tlb in
+  let map_epoch = t.page_table.Vmm.Page_table.epoch in
+  let pkru_epoch = cpu.Cpu.pkru_epoch in
+  if map_epoch <> tlb.Tlb.seen_map_epoch then begin
+    tlb.Tlb.seen_map_epoch <- map_epoch;
+    tlb.Tlb.flushes <- tlb.Tlb.flushes + 1
+  end;
+  if pkru_epoch <> tlb.Tlb.seen_pkru_epoch then begin
+    tlb.Tlb.seen_pkru_epoch <- pkru_epoch;
+    tlb.Tlb.flushes <- tlb.Tlb.flushes + 1
+  end;
+  let i = page_number land Tlb.index_mask in
+  if
+    Array.unsafe_get tlb.Tlb.tags i = page_number
+    && Array.unsafe_get tlb.Tlb.map_epochs i = map_epoch
+    && Array.unsafe_get tlb.Tlb.pkru_epochs i = pkru_epoch
+    && Array.unsafe_get tlb.Tlb.pkrus i = (cpu.Cpu.pkru :> int)
+    && Array.unsafe_get tlb.Tlb.perms i land abit <> 0
+  then begin
+    tlb.Tlb.hits <- tlb.Tlb.hits + 1;
+    true
+  end
+  else begin
+    tlb.Tlb.misses <- tlb.Tlb.misses + 1;
+    false
+  end
+
+let[@inline always] cached_page (cpu : Cpu.t) page_number =
+  Array.unsafe_get cpu.Cpu.tlb.Tlb.pages (page_number land Tlb.index_mask)
+
+(* The TLB miss path: resolve, then refill [tlb] with post-handler epochs
+   (the final successful check ran under exactly that state). *)
+let[@inline never] translate_miss t tlb access addr page_number =
+  let page = resolve t access addr in
+  Tlb.fill tlb ~map_epoch:t.page_table.Vmm.Page_table.epoch ~pkru_epoch:t.cpu.Cpu.pkru_epoch
+    ~pkru:t.cpu.Cpu.pkru page_number page;
+  page
+
 (* The checked-access fast path.  A TLB hit proves the slow path would
    have succeeded without delivering any fault or materialising any page
    (the entry is current under the mapping epoch, the PKRU epoch and the
    raw PKRU value), so skipping [resolve] is architecturally invisible:
    no cycles or events differ.  Misses — including every access that
-   would fault, single-step, or demand-page — fall through to [resolve]
-   and refill with post-handler epochs (the final successful check ran
-   under exactly that state). *)
+   would fault, single-step, or demand-page — take [translate_miss]. *)
 let translate t access abit addr =
   if t.tlb_enabled then begin
-    let page_number = Vmm.Layout.page_of_addr addr in
-    let tlb = t.cpu.Cpu.tlb in
-    if
-      Tlb.lookup tlb
-        ~map_epoch:(Vmm.Page_table.epoch t.page_table)
-        ~pkru_epoch:t.cpu.Cpu.pkru_epoch ~pkru:t.cpu.Cpu.pkru ~access_bit:abit
-        page_number
-    then Tlb.cached_page tlb page_number
-    else begin
-      let page = resolve t access addr in
-      Tlb.fill tlb
-        ~map_epoch:(Vmm.Page_table.epoch t.page_table)
-        ~pkru_epoch:t.cpu.Cpu.pkru_epoch ~pkru:t.cpu.Cpu.pkru page_number page;
-      page
-    end
+    let page_number = addr lsr page_shift in
+    let cpu = t.cpu in
+    if tlb_hit t cpu abit page_number then cached_page cpu page_number
+    else translate_miss t cpu.Cpu.tlb access addr page_number
   end
   else resolve t access addr
 
 (* The trap flag fires after the instruction completes (x86 #DB). *)
-let post_access t =
-  if t.cpu.Cpu.trap_flag then begin
-    t.cpu.Cpu.trap_flag <- false;
-    Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
-    (match t.ctx.Telemetry.Ctx.sink with
-    | None -> ()
-    | Some sink ->
-      Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
-        (Telemetry.Event.Signal_dispatch { signal = Telemetry.Event.Trap }));
-    Signals.deliver_trap t.signals
-  end
+let[@inline never] deliver_trap t =
+  t.cpu.Cpu.trap_flag <- false;
+  Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
+  (match t.ctx.Telemetry.Ctx.sink with
+  | None -> ()
+  | Some sink ->
+    Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
+      (Telemetry.Event.Signal_dispatch { signal = Telemetry.Event.Trap }));
+  Signals.deliver_trap t.signals
+
+let[@inline always] post_access t = if t.cpu.Cpu.trap_flag then deliver_trap t
 
 (* The common widths use the runtime's fixed-width accessors instead of a
    byte loop.  Results are bit-for-bit what the loop produced: values are
    accumulated modulo 2^63 (OCaml int), so the 8-byte case masks away the
    64th bit. *)
 let rec read_le t addr len =
-  let offset = Vmm.Layout.page_offset addr in
+  let offset = page_offset addr in
   if offset + len <= page_size then begin
-    Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.load;
+    let cpu = t.cpu in
+    charge_cpu cpu cpu.Cpu.cost.Cost.load;
     let page = translate t Vmm.Fault.Read Tlb.read_bit addr in
     let data = page.Vmm.Page.data in
     let v =
@@ -259,9 +308,10 @@ let rec read_le t addr len =
   end
 
 let rec write_le t addr len v =
-  let offset = Vmm.Layout.page_offset addr in
+  let offset = page_offset addr in
   if offset + len <= page_size then begin
-    Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.store;
+    let cpu = t.cpu in
+    charge_cpu cpu cpu.Cpu.cost.Cost.store;
     let page = translate t Vmm.Fault.Write Tlb.write_bit addr in
     let data = page.Vmm.Page.data in
     (match len with
@@ -317,31 +367,27 @@ let write_f64 t addr f =
    of the same total, so cycles, faults and event traces are bit-identical
    to the split path; only TLB hit counts differ (one probe, not two). *)
 let slot_page t abit addr =
-  if t.tlb_enabled && not t.cpu.Cpu.trap_flag && Vmm.Layout.page_offset addr + 8 <= page_size
-  then begin
-    let page_number = Vmm.Layout.page_of_addr addr in
-    let tlb = t.cpu.Cpu.tlb in
-    if
-      Tlb.lookup tlb
-        ~map_epoch:(Vmm.Page_table.epoch t.page_table)
-        ~pkru_epoch:t.cpu.Cpu.pkru_epoch ~pkru:t.cpu.Cpu.pkru ~access_bit:abit page_number
-    then Some (Tlb.cached_page tlb page_number)
-    else None
+  let cpu = t.cpu in
+  if t.tlb_enabled && (not cpu.Cpu.trap_flag) && page_offset addr + 8 <= page_size then begin
+    let page_number = addr lsr page_shift in
+    if tlb_hit t cpu abit page_number then Some (cached_page cpu page_number) else None
   end
   else None
 
 let read_f64_batched t addr =
   match slot_page t Tlb.read_bit addr with
   | Some page ->
-    Cpu.charge t.cpu (2 * t.cpu.Cpu.cost.Cost.load);
-    Int64.float_of_bits (Bytes.get_int64_le page.Vmm.Page.data (Vmm.Layout.page_offset addr))
+    let cpu = t.cpu in
+    charge_cpu cpu (2 * cpu.Cpu.cost.Cost.load);
+    Int64.float_of_bits (Bytes.get_int64_le page.Vmm.Page.data (page_offset addr))
   | None -> read_f64 t addr
 
 let write_f64_batched t addr f =
   match slot_page t Tlb.write_bit addr with
   | Some page ->
-    Cpu.charge t.cpu (2 * t.cpu.Cpu.cost.Cost.store);
-    Bytes.set_int64_le page.Vmm.Page.data (Vmm.Layout.page_offset addr) (Int64.bits_of_float f)
+    let cpu = t.cpu in
+    charge_cpu cpu (2 * cpu.Cpu.cost.Cost.store);
+    Bytes.set_int64_le page.Vmm.Page.data (page_offset addr) (Int64.bits_of_float f)
   | None -> write_f64 t addr f
 
 let read_bytes t addr len =
@@ -349,9 +395,9 @@ let read_bytes t addr len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = Vmm.Layout.page_offset a in
+    let offset = page_offset a in
     let chunk = min (len - !pos) (page_size - offset) in
-    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
+    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
     let page = translate t Vmm.Fault.Read Tlb.read_bit a in
     Bytes.blit page.Vmm.Page.data offset out !pos chunk;
     post_access t;
@@ -364,9 +410,9 @@ let write_bytes t addr src =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = Vmm.Layout.page_offset a in
+    let offset = page_offset a in
     let chunk = min (len - !pos) (page_size - offset) in
-    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
+    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
     let page = translate t Vmm.Fault.Write Tlb.write_bit a in
     Bytes.blit src !pos page.Vmm.Page.data offset chunk;
     post_access t;
@@ -379,9 +425,9 @@ let memset t addr byte len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = Vmm.Layout.page_offset a in
+    let offset = page_offset a in
     let chunk = min (len - !pos) (page_size - offset) in
-    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
+    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
     let page = translate t Vmm.Fault.Write Tlb.write_bit a in
     Bytes.fill page.Vmm.Page.data offset chunk byte;
     post_access t;
@@ -401,7 +447,7 @@ let priv_read_bytes t addr len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = Vmm.Layout.page_offset a in
+    let offset = page_offset a in
     let chunk = min (len - !pos) (page_size - offset) in
     let page = priv_page t a in
     Bytes.blit page.Vmm.Page.data offset out !pos chunk;
@@ -414,7 +460,7 @@ let priv_write_bytes t addr src =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = Vmm.Layout.page_offset a in
+    let offset = page_offset a in
     let chunk = min (len - !pos) (page_size - offset) in
     let page = priv_page t a in
     Bytes.blit src !pos page.Vmm.Page.data offset chunk;
@@ -438,7 +484,7 @@ let priv_write_u64 t addr v =
 
 let priv_read_string t addr len = Bytes.to_string (priv_read_bytes t addr len)
 
-let charge t n = Cpu.charge t.cpu n
+let charge t n = charge_cpu t.cpu n
 
 let cycles = total_cycles
 

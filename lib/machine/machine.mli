@@ -29,8 +29,6 @@ type t = {
   mutable ncpus : int;
   signals : Signals.t;
   pkeys : Vmm.Pkeys.t; (** the kernel's pkey_alloc/pkey_free state *)
-  retired : int ref;
-      (** machine-wide retired-cycle accumulator, shared with every hart *)
   tlb_enabled : bool;
   mutable syscall_filter : Mpk.Pkey.t option;
       (** Garmr syscall filter: when [Some trusted_key], the [sys_*]
@@ -125,9 +123,9 @@ val charge : t -> int -> unit
 (** Charges straight-line compute cycles on the current hart. *)
 
 val cycles : t -> int
-(** Total cycles retired across every hart.  O(1): maintained as a
-    running accumulator, not a fold over harts, so per-event telemetry
-    timestamps don't scale with thread count. *)
+(** Total cycles retired across every hart: the sum of the harts'
+    {!Cpu.field-cycles}.  A fold over harts; the per-access path never
+    reads it. *)
 
 (* {2 Kernel interface (Garmr syscall-confusion surface)}
 

@@ -17,6 +17,9 @@
       entries survive neither a WRPKRU (gate entry/exit, signal-handler
       swaps) nor a direct [cpu.pkru <- ...] assignment from test code.}}
 
+   The hit probe itself lives in [Machine] (its only caller), inline on
+   the access path; this module owns the entries, the fill and the stats.
+
    The TLB is architecturally invisible: it charges no cycles and emits
    no events, so simulated cycle counts and telemetry traces are
    bit-identical with the TLB on or off (asserted by test/test_tlb.ml). *)
@@ -80,42 +83,6 @@ let perm_mask (page : Vmm.Page.t) pkru =
   (if prot.Vmm.Prot.read && key_bits land 1 <> 0 then read_bit else 0)
   lor (if prot.Vmm.Prot.write && key_bits land 2 <> 0 then write_bit else 0)
   lor (if prot.Vmm.Prot.execute && key_bits land 1 <> 0 then execute_bit else 0)
-
-(* Lazy invalidation bookkeeping: the first lookup under a new epoch
-   counts one flush generation, so [flushes] reports how many
-   invalidation events (mapping changes or PKRU writes) this hart's TLB
-   actually observed. *)
-let note_epochs t ~map_epoch ~pkru_epoch =
-  if map_epoch <> t.seen_map_epoch then begin
-    t.seen_map_epoch <- map_epoch;
-    t.flushes <- t.flushes + 1
-  end;
-  if pkru_epoch <> t.seen_pkru_epoch then begin
-    t.seen_pkru_epoch <- pkru_epoch;
-    t.flushes <- t.flushes + 1
-  end
-
-(* Indices are masked to [0, size), so the unsafe accessors cannot go out
-   of bounds. *)
-let lookup t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number =
-  note_epochs t ~map_epoch ~pkru_epoch;
-  let i = page_number land index_mask in
-  if
-    Array.unsafe_get t.tags i = page_number
-    && Array.unsafe_get t.map_epochs i = map_epoch
-    && Array.unsafe_get t.pkru_epochs i = pkru_epoch
-    && Array.unsafe_get t.pkrus i = Mpk.Pkru.to_int pkru
-    && Array.unsafe_get t.perms i land access_bit <> 0
-  then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
-
-let cached_page t page_number = Array.unsafe_get t.pages (page_number land index_mask)
 
 let fill t ~map_epoch ~pkru_epoch ~pkru page_number (page : Vmm.Page.t) =
   let i = page_number land index_mask in

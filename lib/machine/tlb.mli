@@ -20,10 +20,31 @@
     cycles and emit no telemetry events, so cycle counts, fault sequences
     and event traces are bit-identical with the TLB on or off. *)
 
-type t
-
 val size : int
 (** Number of direct-mapped entries (256). *)
+
+val index_mask : int
+(** [size - 1]: a page number's entry index is [page_number land index_mask]. *)
+
+type t = {
+  tags : int array;  (** page number per entry, [-1] = invalid *)
+  pages : Vmm.Page.t array;
+  perms : int array;  (** access bits the entry permits *)
+  map_epochs : int array;  (** page-table epoch at fill time *)
+  pkru_epochs : int array;  (** hart PKRU epoch at fill time *)
+  pkrus : int array;  (** raw PKRU value the mask was computed under *)
+  mutable seen_map_epoch : int;
+  mutable seen_pkru_epoch : int;
+      (** the last epochs a probe observed: the first probe under a new
+          epoch counts one flush generation *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable flushes : int;
+}
+(** Concrete so that [Machine]'s hit probe reads entries by field
+    access, with no call.  Only [Machine] probes; it is the one place
+    that updates the [seen_*] epochs and the hit/miss/flush counts
+    outside {!flush}. *)
 
 val create : unit -> t
 (** An empty TLB (every entry invalid). *)
@@ -39,25 +60,7 @@ val execute_bit : int
 
 val access_bit : Vmm.Fault.access -> int
 
-(* {2 The fast path} *)
-
-val lookup :
-  t ->
-  map_epoch:int ->
-  pkru_epoch:int ->
-  pkru:Mpk.Pkru.t ->
-  access_bit:int ->
-  int ->
-  bool
-(** [lookup t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number] is
-    [true] when the entry for [page_number] is present, current under both
-    epochs and the PKRU value, and permits the access.  The page is then
-    {!cached_page}.  Counts one hit or miss, and one flush generation per
-    epoch change first observed. *)
-
-val cached_page : t -> int -> Vmm.Page.t
-(** The page cached in [page_number]'s slot — only meaningful immediately
-    after a [lookup] that returned [true] for the same page number. *)
+(* {2 Filling} *)
 
 val fill : t -> map_epoch:int -> pkru_epoch:int -> pkru:Mpk.Pkru.t -> int -> Vmm.Page.t -> unit
 (** Installs the slow path's resolved page, precomputing the permission

@@ -76,10 +76,14 @@ let promoted_sites t = Allocators.Pkalloc.quarantined_sites t.pkalloc
    serviced incident; an empty bucket escalates the policy to Abort so a
    probing attacker cannot use leniency as an unlimited access oracle.
    Tokens optionally trickle back at one per [refill_cycles] simulated
-   cycles (0 = no refill). *)
+   cycles (0 = no refill).  A clock that ran backwards (the harts were
+   reset between phases, as [Env.reset_counters] does) re-anchors the
+   mark at the new reading, so refill resumes instead of waiting for the
+   clock to pass the old mark. *)
 let refill t =
   if t.refill_cycles > 0 && t.tokens < t.budget then begin
     let now = Sim.Machine.cycles t.machine in
+    if now < t.refill_mark then t.refill_mark <- now;
     let earned = (now - t.refill_mark) / t.refill_cycles in
     if earned > 0 then begin
       t.tokens <- min t.budget (t.tokens + earned);

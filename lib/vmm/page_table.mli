@@ -12,7 +12,17 @@
     Pages carry MPK keys; [pkey_mprotect] retags a range, like the Linux
     syscall of the same name. *)
 
-type t
+type region
+(** One reservation: base, size, protection and key. *)
+
+type t = private {
+  pages : (int, Page.t) Hashtbl.t;  (** page number -> materialised page *)
+  mutable regions : region array;  (** disjoint, sorted by base *)
+  mutable demand_faults : int;
+  mutable epoch : int;  (** see {!epoch} *)
+}
+(** Private so that the simulator's TLB probe reads {!field-epoch} by
+    field access; only this module writes it. *)
 
 val create : unit -> t
 

@@ -83,7 +83,7 @@ let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation
     fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?tlb ?mitigation mode))
   in
   let ctx = Pkru_safe.Env.ctx env in
-  ctx.Telemetry.Ctx.flight <- recorder;
+  Telemetry.Ctx.set_recorder ctx recorder;
   (* Census tracking must cover page-load allocations too: objects built
      during setup are still live — and ageing — when the timed script
      runs. *)

@@ -236,6 +236,79 @@ let test_alloc_stats_peak () =
   Alcotest.(check int) "peak unchanged below high water" 300
     (Allocators.Alloc_stats.peak_live_bytes s)
 
+(* (9) The armed flag.  [Ctx.hooked] folds the sampler and census slots
+   into the one field a charge tests, so every bracket exit must leave it
+   matching the slots.  Nest each bracket inside the other, with and
+   without an inner raise: after the inner exit the outer hook must
+   still tick, and the cycles retired must equal an unhooked run. *)
+let test_hooked_flag_nesting () =
+  let workload env =
+    let m = Pkru_safe.Env.machine env in
+    let addr = Pkru_safe.Env.malloc_untrusted env 64 in
+    for i = 1 to 40 do
+      Sim.Machine.write_u64 m addr i;
+      ignore (Sim.Machine.read_u64 m addr);
+      Sim.Machine.charge m 3
+    done
+  in
+  let fresh () =
+    let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
+    Pkru_safe.Env.track_census env;
+    env
+  in
+  let plain =
+    let env = fresh () in
+    workload env;
+    workload env;
+    workload env;
+    Pkru_safe.Env.cycles env
+  in
+  let flag_matches what ctx =
+    Alcotest.(check bool) what
+      (Option.is_some ctx.Telemetry.Ctx.sampler || Option.is_some ctx.Telemetry.Ctx.census)
+      ctx.Telemetry.Ctx.hooked
+  in
+  let run ~census_outside ~inner_raises =
+    let env = fresh () in
+    let ctx = Pkru_safe.Env.ctx env in
+    let sampler = Telemetry.Sampler.create ~every:16 in
+    let census = Telemetry.Census.create ~every:16 () in
+    let with_sampler f = Telemetry.Ctx.with_sampler ctx sampler f in
+    let with_census f =
+      Telemetry.Ctx.with_census ctx ~provider:(Pkru_safe.Env.census_snapshot env) census f
+    in
+    let outer, inner, outer_ticks =
+      if census_outside then
+        (with_census, with_sampler, fun () -> Telemetry.Census.taken_total census)
+      else (with_sampler, with_census, fun () -> Telemetry.Sampler.samples_total sampler)
+    in
+    let label what =
+      Printf.sprintf "%s (%s outside%s)" what
+        (if census_outside then "census" else "sampler")
+        (if inner_raises then ", inner raise" else "")
+    in
+    outer (fun () ->
+        flag_matches (label "armed by the outer bracket") ctx;
+        workload env;
+        (try
+           inner (fun () ->
+               flag_matches (label "armed inside both") ctx;
+               workload env;
+               if inner_raises then failwith "inner")
+         with Failure _ -> ());
+        flag_matches (label "after the inner exit") ctx;
+        Alcotest.(check bool) (label "still armed") true ctx.Telemetry.Ctx.hooked;
+        let before = outer_ticks () in
+        workload env;
+        Alcotest.(check bool) (label "outer hook still ticks") true (outer_ticks () > before));
+    flag_matches (label "after the outer exit") ctx;
+    Alcotest.(check bool) (label "disarmed") false ctx.Telemetry.Ctx.hooked;
+    Alcotest.(check int) (label "cycles equal the unhooked run") plain (Pkru_safe.Env.cycles env)
+  in
+  List.iter
+    (fun (census_outside, inner_raises) -> run ~census_outside ~inner_raises)
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
 let suite =
   [
     Alcotest.test_case "census does not perturb measurements" `Quick
@@ -249,4 +322,5 @@ let suite =
     Alcotest.test_case "census metrics export" `Quick test_census_metrics_export;
     Alcotest.test_case "flight dump embeds census" `Quick test_flight_dump_embeds_census;
     Alcotest.test_case "alloc stats peak tracking" `Quick test_alloc_stats_peak;
+    Alcotest.test_case "armed flag survives nesting" `Quick test_hooked_flag_nesting;
   ]

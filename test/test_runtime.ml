@@ -373,6 +373,32 @@ let test_mitigator_token_refill () =
       Alcotest.(check int) "refilled token services the next incident" 7
         (Sim.Machine.read_u64 m addr))
 
+(* A clock reset between phases must not stall the refill: the mark
+   re-anchors at the reset clock, so one full period after the reset
+   earns one token (not one period after the old mark). *)
+let test_mitigator_refill_after_clock_reset () =
+  let m, pk, mit, gate =
+    mitigator_setup ~budget:1 ~refill_cycles:10_000 Runtime.Mitigator.Emulate
+  in
+  let addr = tracked_mt_object pk mit in
+  Sim.Machine.write_u64 m addr 9;
+  let incident () =
+    Runtime.Gate.call_untrusted gate (fun () -> ignore (Sim.Machine.read_u64 m addr))
+  in
+  (* Spend, earn back, spend again: the refill mark now sits a full
+     period past the machine's creation. *)
+  incident ();
+  Sim.Cpu.charge m.Sim.Machine.cpu 10_000;
+  Alcotest.(check int) "earned back before the reset" 1 (Runtime.Mitigator.tokens_left mit);
+  incident ();
+  Alcotest.(check int) "bucket empty" 0 (Runtime.Mitigator.tokens_left mit);
+  List.iter Sim.Cpu.reset_cycles (Sim.Machine.cpus m);
+  Alcotest.(check int) "clock reset" 0 (Sim.Machine.cycles m);
+  Alcotest.(check int) "nothing earned by the reset itself" 0 (Runtime.Mitigator.tokens_left mit);
+  Sim.Cpu.charge m.Sim.Machine.cpu 10_000;
+  Alcotest.(check int) "one period after the reset earns a token" 1
+    (Runtime.Mitigator.tokens_left mit)
+
 let test_mitigator_promote_quarantines_site () =
   let m, pk, mit, gate = mitigator_setup Runtime.Mitigator.Promote in
   let addr = tracked_mt_object ~id:91 pk mit in
@@ -461,6 +487,8 @@ let suite =
       test_profiler_not_charged_for_shadowed_fault;
     Alcotest.test_case "mitigator emulate + budget" `Quick test_mitigator_emulate_spends_budget;
     Alcotest.test_case "mitigator token refill" `Quick test_mitigator_token_refill;
+    Alcotest.test_case "mitigator refill after clock reset" `Quick
+      test_mitigator_refill_after_clock_reset;
     Alcotest.test_case "mitigator promote quarantines" `Quick
       test_mitigator_promote_quarantines_site;
     Alcotest.test_case "mitigator degrade graceful" `Quick test_mitigator_degrade_fails_gracefully;
