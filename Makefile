@@ -28,8 +28,9 @@ lint-globals:
 
 # The clock tick (Eval.tick/charge) and the checked-access TLB hit
 # (Machine.translate/read_le/write_le/slot_page) must compile, in the
-# default dev profile, to code with no caml_apply and no indirect call.
-# See HACKING.md, "Hot paths".
+# default dev profile, to code with no caml_apply and no indirect call;
+# the allocation, free, metadata-lookup and DOM-handle paths to code
+# with no polymorphic hash or compare.  See HACKING.md, "Hot paths".
 lint-hotpath:
 	@tools/lint-hotpath.sh
 

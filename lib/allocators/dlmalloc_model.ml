@@ -15,11 +15,22 @@ type segment = {
   seg_len : int;
 }
 
+(* Two host-side indices mirror what the simulated heap already says,
+   so the host never has to walk for it:
+   - [binmap], real dlmalloc's smallmap: bit b is set exactly when bin b
+     is non-empty.  An empty bin costs the simulation no read, so
+     skipping it here changes no cycle.
+   - [live], one bit per 16-byte granule of the pool (payloads are
+     16-aligned): set exactly for live payload addresses.  It grows with
+     the pool's frontier, never to the size of its reservation. *)
 type t = {
   machine : Sim.Machine.t;
   pool : Pool.t;
+  base : int; (* the pool's base: granule 0 of [live] *)
   bins : int array; (* head chunk address per bin; 0 = empty *)
-  live : (int, unit) Hashtbl.t; (* payload address -> () *)
+  binmap : int array; (* 32 bins per word *)
+  mutable live : Bytes.t;
+  mutable fit_size : int; (* size of the chunk [find_fit] returned *)
   mutable segments : segment list;
   stats : Alloc_stats.t;
 }
@@ -33,11 +44,42 @@ let create machine pool =
   {
     machine;
     pool;
+    base = Pool.base pool;
     bins = Array.make bin_count 0;
-    live = Hashtbl.create 256;
+    binmap = Array.make (bin_count / 32) 0;
+    live = Bytes.make 64 '\000';
+    fit_size = 0;
     segments = [];
     stats = Alloc_stats.create ();
   }
+
+(* --- the live-payload bitmap --- *)
+
+let is_live t payload =
+  let g = payload - t.base in
+  g >= 0
+  && g land 15 = 0
+  && (let g = g lsr 4 in
+      g lsr 3 < Bytes.length t.live
+      && Char.code (Bytes.unsafe_get t.live (g lsr 3)) land (1 lsl (g land 7)) <> 0)
+
+let set_live t payload =
+  let g = (payload - t.base) lsr 4 in
+  let i = g lsr 3 in
+  if i >= Bytes.length t.live then begin
+    let bigger = Bytes.make (max (i + 1) (2 * Bytes.length t.live)) '\000' in
+    Bytes.blit t.live 0 bigger 0 (Bytes.length t.live);
+    t.live <- bigger
+  end;
+  Bytes.unsafe_set t.live i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.live i) lor (1 lsl (g land 7))))
+
+(* [payload] must be live. *)
+let clear_live t payload =
+  let g = (payload - t.base) lsr 4 in
+  let i = g lsr 3 in
+  Bytes.unsafe_set t.live i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.live i) land lnot (1 lsl (g land 7))))
 
 let page_size = Vmm.Layout.page_size
 
@@ -68,14 +110,16 @@ let insert_free t c size =
   write t (c + 8) head;
   write t (c + 16) 0;
   if head <> 0 then write t (head + 16) c;
-  t.bins.(b) <- c
+  t.bins.(b) <- c;
+  t.binmap.(b lsr 5) <- t.binmap.(b lsr 5) lor (1 lsl (b land 31))
 
 let unlink_free t c size =
   let b = bin_index size in
   let fwd = read t (c + 8) in
   let bck = read t (c + 16) in
   if bck = 0 then t.bins.(b) <- fwd else write t (bck + 8) fwd;
-  if fwd <> 0 then write t (fwd + 16) bck
+  if fwd <> 0 then write t (fwd + 16) bck;
+  if t.bins.(b) = 0 then t.binmap.(b lsr 5) <- t.binmap.(b lsr 5) land lnot (1 lsl (b land 31))
 
 let new_segment t min_bytes =
   let pages = max default_segment_pages ((min_bytes + 16 + page_size - 1) / page_size) in
@@ -93,60 +137,75 @@ let new_segment t min_bytes =
     t.segments <- { seg_base = base; seg_len = len } :: t.segments;
     true
 
-(* First fit: scan bins from the request's bin upward, walking each list. *)
-let find_fit t req =
-  let rec scan_bin b =
-    if b >= bin_count then None
-    else
-      let rec walk c =
-        if c = 0 then scan_bin (b + 1)
-        else
-          let hdr = read t c in
-          if chunk_size hdr >= req then Some (c, chunk_size hdr) else walk (read t (c + 8))
-      in
-      walk t.bins.(b)
+(* The first non-empty bin among word [w]'s bits in [mask] and the words
+   above it; [bin_count] when none. *)
+let rec next_bin t w mask =
+  if w >= Array.length t.binmap then bin_count
+  else
+    let bits = Array.unsafe_get t.binmap w land mask in
+    if bits <> 0 then (w lsl 5) + Bits.lowest_set bits else next_bin t (w + 1) (-1)
+
+(* First fit: scan the non-empty bins from the request's bin upward,
+   walking each list.  The chunk's address, or 0; its size lands in
+   [t.fit_size]. *)
+let rec scan_bin t req b =
+  let b = if b >= bin_count then bin_count else next_bin t (b lsr 5) (-1 lsl (b land 31)) in
+  if b >= bin_count then 0 else walk_bin t req b t.bins.(b)
+
+and walk_bin t req b c =
+  if c = 0 then scan_bin t req (b + 1)
+  else
+    let hdr = read t c in
+    if chunk_size hdr >= req then begin
+      t.fit_size <- chunk_size hdr;
+      c
+    end
+    else walk_bin t req b (read t (c + 8))
+
+let find_fit t req = scan_bin t req (bin_index req)
+
+(* Carve [req] bytes from the front of the free chunk [c] found by
+   [find_fit], binning any remainder large enough to be a chunk. *)
+let take t c req =
+  let found_size = t.fit_size in
+  unlink_free t c found_size;
+  let remainder = found_size - req in
+  let size_taken =
+    if remainder >= min_chunk then begin
+      let r = c + req in
+      set_tags t r remainder false;
+      insert_free t r remainder;
+      req
+    end
+    else found_size
   in
-  scan_bin (bin_index req)
+  set_tags t c size_taken true;
+  c
 
 let alloc t size =
   if size <= 0 then invalid_arg "Dlmalloc_model.alloc: non-positive size";
   Sim.Machine.charge t.machine cost_op_overhead;
   let req = max min_chunk (round16 (size + 16)) in
-  let attempt () =
-    match find_fit t req with
-    | None -> None
-    | Some (c, found_size) ->
-      unlink_free t c found_size;
-      let remainder = found_size - req in
-      let size_taken =
-        if remainder >= min_chunk then begin
-          let r = c + req in
-          set_tags t r remainder false;
-          insert_free t r remainder;
-          req
-        end
-        else found_size
-      in
-      set_tags t c size_taken true;
-      Some c
+  let c = find_fit t req in
+  let c =
+    if c <> 0 then take t c req
+    else if new_segment t req then
+      let c = find_fit t req in
+      if c <> 0 then take t c req else 0
+    else 0
   in
-  let chunk =
-    match attempt () with
-    | Some c -> Some c
-    | None -> if new_segment t req then attempt () else None
-  in
-  match chunk with
-  | None -> None
-  | Some c ->
+  if c = 0 then None
+  else begin
     let payload = c + 8 in
-    Hashtbl.replace t.live payload ();
+    set_live t payload;
     Alloc_stats.record_alloc t.stats (chunk_size (read t c) - 16);
     Some payload
+  end
 
 let free t payload =
-  if not (Hashtbl.mem t.live payload) then
+  if not (is_live t payload) then
     invalid_arg (Printf.sprintf "Dlmalloc_model.free: unknown or freed pointer 0x%x" payload);
-  Hashtbl.remove t.live payload;
+  clear_live t payload;
   Sim.Machine.charge t.machine cost_op_overhead;
   let c = payload - 8 in
   let hdr = read t c in
@@ -185,7 +244,7 @@ let free t payload =
 (* In-place resize: the classic dlmalloc fast paths.  Shrinking carves the
    tail into a free chunk; growing absorbs a free successor. *)
 let try_resize t payload new_size =
-  if not (Hashtbl.mem t.live payload) then
+  if not (is_live t payload) then
     invalid_arg (Printf.sprintf "Dlmalloc_model.try_resize: unknown pointer 0x%x" payload);
   Sim.Machine.charge t.machine cost_op_overhead;
   let c = payload - 8 in
@@ -244,9 +303,9 @@ let try_resize t payload new_size =
   end
 
 let usable_size t payload =
-  if Hashtbl.mem t.live payload then Some (chunk_size (read t (payload - 8)) - 16) else None
+  if is_live t payload then Some (chunk_size (read t (payload - 8)) - 16) else None
 
-let owns t payload = Hashtbl.mem t.live payload
+let owns t payload = is_live t payload
 
 let stats t = t.stats
 
@@ -269,6 +328,13 @@ let check_heap t =
           end
         in
         walk head 0)
+      t.bins;
+    Array.iteri
+      (fun b head ->
+        let bit = t.binmap.(b lsr 5) land (1 lsl (b land 31)) <> 0 in
+        if bit <> (head <> 0) then
+          raise (Bad (Printf.sprintf "bin %d: bitmap bit %b but bin %s" b bit
+                        (if head = 0 then "empty" else "non-empty"))))
       t.bins;
     let seen_free = ref 0 in
     List.iter
@@ -294,7 +360,7 @@ let check_heap t =
               if not (Hashtbl.mem binned c) then
                 raise (Bad (Printf.sprintf "free chunk 0x%x not in any bin" c))
             end
-            else if not (Hashtbl.mem t.live (c + 8)) then
+            else if not (is_live t (c + 8)) then
               raise (Bad (Printf.sprintf "in-use chunk 0x%x not in live set" c));
             walk (c + size) free
         in

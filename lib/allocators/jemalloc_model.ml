@@ -1,18 +1,24 @@
 type run = {
   run_base : int;
   cls : Size_class.t;
-  bitmap : Bytes.t; (* one bit per slot *)
+  bitmap : int array; (* one bit per slot, 32 per word; bits past the last slot stay set *)
   mutable free_slots : int;
   mutable next_probe : int; (* rotating first-free search start *)
   mutable released : bool;
 }
 
+(* The host-side page indices are dense arrays over the pool's pages,
+   indexed by page number minus the pool's first page.  They grow with
+   the pool's frontier, never to the size of its reservation. *)
 type t = {
   machine : Sim.Machine.t;
   pool : Pool.t;
+  base_page : int;
   nonfull : run list array; (* per class, runs with at least one free slot *)
-  page_to_run : (int, run) Hashtbl.t;
-  large : (int, int) Hashtbl.t; (* base address -> pages *)
+  mutable page_to_run : run array; (* [no_run] where no live run *)
+  mutable large : int array; (* pages of the large block based at that page; 0 = none *)
+  no_run : run; (* [page_to_run]'s filler; never modified *)
+  mutable run_pages : int; (* pages mapped in [page_to_run] *)
   stats : Alloc_stats.t;
   mutable metadata_bytes : int;
 }
@@ -26,26 +32,44 @@ let cost_large = 150
 let cost_large_free = 60
 
 let create machine pool =
+  let no_run =
+    { run_base = 0; cls = Size_class.small_class 1; bitmap = [||]; free_slots = 0; next_probe = 0;
+      released = true }
+  in
   {
     machine;
     pool;
+    base_page = Vmm.Layout.page_of_addr (Pool.base pool);
     nonfull = Array.make Size_class.count [];
-    page_to_run = Hashtbl.create 256;
-    large = Hashtbl.create 64;
+    page_to_run = Array.make 64 no_run;
+    large = Array.make 64 0;
+    no_run;
+    run_pages = 0;
     stats = Alloc_stats.create ();
     metadata_bytes = 0;
   }
 
 let page_size = Vmm.Layout.page_size
 
-let bit_get bm i = Char.code (Bytes.get bm (i lsr 3)) land (1 lsl (i land 7)) <> 0
+(* Host bytes a run's slot bitmap stands for: one bit per slot. *)
+let bitmap_bytes slots = (slots + 7) / 8
 
-let bit_set bm i =
-  Bytes.set bm (i lsr 3) (Char.chr (Char.code (Bytes.get bm (i lsr 3)) lor (1 lsl (i land 7))))
+(* Index into the dense page arrays, or -1 outside the pool. *)
+let page_index t addr =
+  let i = Vmm.Layout.page_of_addr addr - t.base_page in
+  if i >= 0 && i < Array.length t.page_to_run then i else -1
 
-let bit_clear bm i =
-  Bytes.set bm (i lsr 3)
-    (Char.chr (Char.code (Bytes.get bm (i lsr 3)) land lnot (1 lsl (i land 7))))
+(* Grow both page arrays to hold index [i]. *)
+let reach t i =
+  let n = Array.length t.page_to_run in
+  if i >= n then begin
+    let n' = max (i + 1) (2 * n) in
+    let runs = Array.make n' t.no_run and large = Array.make n' 0 in
+    Array.blit t.page_to_run 0 runs 0 n;
+    Array.blit t.large 0 large 0 n;
+    t.page_to_run <- runs;
+    t.large <- large
+  end
 
 let new_run t cls =
   let pages = Size_class.run_pages cls in
@@ -53,21 +77,16 @@ let new_run t cls =
   | None -> None
   | Some run_base ->
     let slots = Size_class.slots_per_run cls in
-    let run =
-      {
-        run_base;
-        cls;
-        bitmap = Bytes.make ((slots + 7) / 8) '\000';
-        free_slots = slots;
-        next_probe = 0;
-        released = false;
-      }
-    in
-    let first_page = Vmm.Layout.page_of_addr run_base in
-    for p = first_page to first_page + pages - 1 do
-      Hashtbl.replace t.page_to_run p run
+    let bitmap = Array.make ((slots + 31) / 32) 0 in
+    if slots land 31 <> 0 then bitmap.(slots / 32) <- -1 lsl (slots land 31) land 0xFFFF_FFFF;
+    let run = { run_base; cls; bitmap; free_slots = slots; next_probe = 0; released = false } in
+    let first = Vmm.Layout.page_of_addr run_base - t.base_page in
+    reach t (first + pages - 1);
+    for i = first to first + pages - 1 do
+      t.page_to_run.(i) <- run
     done;
-    t.metadata_bytes <- t.metadata_bytes + 64 + Bytes.length run.bitmap;
+    t.run_pages <- t.run_pages + pages;
+    t.metadata_bytes <- t.metadata_bytes + 64 + bitmap_bytes slots;
     Sim.Machine.charge t.machine cost_run_setup;
     Some run
 
@@ -88,93 +107,117 @@ let rec current_run t cls =
     end
     else Some run
 
+(* The first clear bit of [bm] in words [w, last], or -1. *)
+let rec first_clear bm w last =
+  if w > last then -1
+  else
+    let free = lnot (Array.unsafe_get bm w) land 0xFFFF_FFFF in
+    if free <> 0 then (w lsl 5) + Bits.lowest_set free else first_clear bm (w + 1) last
+
+(* The first free slot at or after [next_probe], wrapping around: a
+   word at a time.  The rest of the start word is checked first; the
+   wrapped pass may re-check that word whole, because its bits from
+   [next_probe] on are known set by then. *)
 let find_free_slot run =
-  let slots = Size_class.slots_per_run run.cls in
-  let rec probe i remaining =
-    if remaining = 0 then None
-    else if not (bit_get run.bitmap i) then Some i
-    else probe ((i + 1) mod slots) (remaining - 1)
-  in
-  probe run.next_probe slots
+  let bm = run.bitmap in
+  let start = run.next_probe in
+  let w = start lsr 5 in
+  let free = lnot bm.(w) land 0xFFFF_FFFF land (-1 lsl (start land 31)) in
+  if free <> 0 then (w lsl 5) + Bits.lowest_set free
+  else
+    let slot = first_clear bm (w + 1) (Array.length bm - 1) in
+    if slot >= 0 then slot else first_clear bm 0 w
 
 let alloc_small t cls =
   match current_run t cls with
   | None -> None
   | Some run ->
-    (match find_free_slot run with
-    | None -> assert false (* free_slots > 0 guarantees a slot *)
-    | Some slot ->
-      bit_set run.bitmap slot;
-      run.free_slots <- run.free_slots - 1;
-      run.next_probe <- (slot + 1) mod Size_class.slots_per_run cls;
-      Sim.Machine.charge t.machine cost_alloc_fast;
-      Alloc_stats.record_alloc t.stats (Size_class.bytes cls);
-      Some (run.run_base + (slot * Size_class.bytes cls)))
+    (* free_slots > 0 guarantees a slot *)
+    let slot = find_free_slot run in
+    let w = slot lsr 5 in
+    run.bitmap.(w) <- run.bitmap.(w) lor (1 lsl (slot land 31));
+    run.free_slots <- run.free_slots - 1;
+    run.next_probe <- (slot + 1) mod Size_class.slots_per_run cls;
+    Sim.Machine.charge t.machine cost_alloc_fast;
+    Alloc_stats.record_alloc t.stats (Size_class.bytes cls);
+    Some (run.run_base + (slot * Size_class.bytes cls))
 
 let alloc_large t size =
   let pages = (size + page_size - 1) / page_size in
   match Pool.alloc_span t.pool pages with
   | None -> None
   | Some addr ->
-    Hashtbl.replace t.large addr pages;
+    let i = Vmm.Layout.page_of_addr addr - t.base_page in
+    reach t i;
+    t.large.(i) <- pages;
     Sim.Machine.charge t.machine cost_large;
     Alloc_stats.record_alloc t.stats (pages * page_size);
     Some addr
 
 let alloc t size =
   if size <= 0 then invalid_arg "Jemalloc_model.alloc: non-positive size";
-  match Size_class.of_size size with
-  | Some cls -> alloc_small t cls
-  | None -> alloc_large t size
+  if size <= Size_class.max_small then alloc_small t (Size_class.small_class size)
+  else alloc_large t size
 
-let run_of_addr t addr = Hashtbl.find_opt t.page_to_run (Vmm.Layout.page_of_addr addr)
+(* Pages of the large block based exactly at [addr], or 0. *)
+let large_pages t addr =
+  let i = page_index t addr in
+  if i >= 0 && Vmm.Layout.page_offset addr = 0 then t.large.(i) else 0
+
+(* The live run holding [addr], or [t.no_run]. *)
+let run_of_addr t addr =
+  let i = page_index t addr in
+  if i >= 0 then t.page_to_run.(i) else t.no_run
 
 let free t addr =
-  match Hashtbl.find_opt t.large addr with
-  | Some pages ->
-    Hashtbl.remove t.large addr;
+  let pages = large_pages t addr in
+  if pages > 0 then begin
+    t.large.(page_index t addr) <- 0;
     Pool.free_span t.pool addr pages;
     Sim.Machine.charge t.machine cost_large_free;
     Alloc_stats.record_free t.stats (pages * page_size)
-  | None ->
-    (match run_of_addr t addr with
-    | None -> invalid_arg (Printf.sprintf "Jemalloc_model.free: unknown pointer 0x%x" addr)
-    | Some run ->
-      let bytes = Size_class.bytes run.cls in
-      let offset = addr - run.run_base in
-      if offset mod bytes <> 0 then
-        invalid_arg (Printf.sprintf "Jemalloc_model.free: misaligned pointer 0x%x" addr);
-      let slot = offset / bytes in
-      if not (bit_get run.bitmap slot) then
-        invalid_arg (Printf.sprintf "Jemalloc_model.free: double free at 0x%x" addr);
-      bit_clear run.bitmap slot;
-      let was_full = run.free_slots = 0 in
-      run.free_slots <- run.free_slots + 1;
-      Sim.Machine.charge t.machine cost_free;
-      Alloc_stats.record_free t.stats bytes;
-      let slots = Size_class.slots_per_run run.cls in
-      if run.free_slots = slots then begin
-        (* Run entirely free: give its pages back to the pool. *)
-        run.released <- true;
-        let pages = Size_class.run_pages run.cls in
-        let first_page = Vmm.Layout.page_of_addr run.run_base in
-        for p = first_page to first_page + pages - 1 do
-          Hashtbl.remove t.page_to_run p
-        done;
-        t.metadata_bytes <- t.metadata_bytes - (64 + Bytes.length run.bitmap);
-        Pool.free_span t.pool run.run_base pages
-      end
-      else if was_full then
-        t.nonfull.(Size_class.to_int run.cls) <-
-          run :: t.nonfull.(Size_class.to_int run.cls))
+  end
+  else begin
+    let run = run_of_addr t addr in
+    if run == t.no_run then
+      invalid_arg (Printf.sprintf "Jemalloc_model.free: unknown pointer 0x%x" addr);
+    let bytes = Size_class.bytes run.cls in
+    let offset = addr - run.run_base in
+    if offset mod bytes <> 0 then
+      invalid_arg (Printf.sprintf "Jemalloc_model.free: misaligned pointer 0x%x" addr);
+    let slot = offset / bytes in
+    let w = slot lsr 5 and bit = 1 lsl (slot land 31) in
+    if run.bitmap.(w) land bit = 0 then
+      invalid_arg (Printf.sprintf "Jemalloc_model.free: double free at 0x%x" addr);
+    run.bitmap.(w) <- run.bitmap.(w) land lnot bit;
+    let was_full = run.free_slots = 0 in
+    run.free_slots <- run.free_slots + 1;
+    Sim.Machine.charge t.machine cost_free;
+    Alloc_stats.record_free t.stats bytes;
+    let slots = Size_class.slots_per_run run.cls in
+    if run.free_slots = slots then begin
+      (* Run entirely free: give its pages back to the pool. *)
+      run.released <- true;
+      let pages = Size_class.run_pages run.cls in
+      let first = Vmm.Layout.page_of_addr run.run_base - t.base_page in
+      for i = first to first + pages - 1 do
+        t.page_to_run.(i) <- t.no_run
+      done;
+      t.run_pages <- t.run_pages - pages;
+      t.metadata_bytes <- t.metadata_bytes - (64 + bitmap_bytes slots);
+      Pool.free_span t.pool run.run_base pages
+    end
+    else if was_full then
+      t.nonfull.(Size_class.to_int run.cls) <-
+        run :: t.nonfull.(Size_class.to_int run.cls)
+  end
 
 let usable_size t addr =
-  match Hashtbl.find_opt t.large addr with
-  | Some pages -> Some (pages * page_size)
-  | None ->
-    (match run_of_addr t addr with
-    | Some run -> Some (Size_class.bytes run.cls)
-    | None -> None)
+  let pages = large_pages t addr in
+  if pages > 0 then Some (pages * page_size)
+  else
+    let run = run_of_addr t addr in
+    if run == t.no_run then None else Some (Size_class.bytes run.cls)
 
 let try_resize t addr new_size =
   Sim.Machine.charge t.machine cost_free;
@@ -182,10 +225,50 @@ let try_resize t addr new_size =
   | Some usable -> new_size > 0 && new_size <= usable
   | None -> invalid_arg (Printf.sprintf "Jemalloc_model.try_resize: unknown pointer 0x%x" addr)
 
-let owns t addr = Hashtbl.mem t.large addr || run_of_addr t addr <> None
+let owns t addr = large_pages t addr > 0 || run_of_addr t addr != t.no_run
 
 let stats t = t.stats
 
 let metadata_bytes t = t.metadata_bytes
 
-let live_runs t = Hashtbl.length t.page_to_run
+let live_runs t = t.run_pages
+
+(* Index validator for the property tests: the page indices agree with
+   the runs and large blocks they point at. *)
+let check_index t =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
+  try
+    let mapped = ref 0 in
+    Array.iteri
+      (fun i run ->
+        if run != t.no_run then begin
+          incr mapped;
+          let first = Vmm.Layout.page_of_addr run.run_base - t.base_page in
+          let pages = Size_class.run_pages run.cls in
+          if run.released then bad "page %d maps a released run" i;
+          if i < first || i >= first + pages then bad "page %d maps a run at 0x%x" i run.run_base;
+          if t.large.(i) <> 0 then bad "page %d is both run and large base" i;
+          if i = first then begin
+            let slots = Size_class.slots_per_run run.cls in
+            let used = ref 0 in
+            for s = 0 to (32 * Array.length run.bitmap) - 1 do
+              let set = run.bitmap.(s lsr 5) land (1 lsl (s land 31)) <> 0 in
+              if s < slots then (if set then incr used)
+              else if not set then bad "run 0x%x: bit %d past the last slot is clear" run.run_base s
+            done;
+            if !used <> slots - run.free_slots then
+              bad "run 0x%x: %d slots marked, free_slots says %d" run.run_base !used
+                (slots - run.free_slots)
+          end
+        end)
+      t.page_to_run;
+    if !mapped <> t.run_pages then bad "%d pages mapped, run_pages says %d" !mapped t.run_pages;
+    Array.iteri
+      (fun i pages ->
+        for j = i to min (Array.length t.large - 1) (i + pages - 1) do
+          if t.page_to_run.(j) != t.no_run then bad "large block at page %d overlaps a run" i
+        done)
+      t.large;
+    Ok ()
+  with Bad msg -> Error msg

@@ -40,3 +40,10 @@ val metadata_bytes : t -> int
 
 val live_runs : t -> int
 (** Number of pages currently owned by small-class runs (for tests). *)
+
+val check_index : t -> (unit, string) result
+(** Validates the host-side page indices against the runs and large
+    blocks they name — every mapped page lies in a live run's span, the
+    mapped-page count matches, each run's slot bitmap agrees with its
+    free count, and no large block overlaps a run.  For the property
+    tests. *)

@@ -42,6 +42,7 @@ type t = {
      the runtime and cannot name Alloc_id).  The runtime consults it to
      redirect future MT allocations from these sites to MU. *)
   quarantined : (string, unit) Hashtbl.t;
+  mutable quarantine_gen : int; (* bumped by every new quarantine *)
   (* Fail-points (chaos harness): force the nth upcoming allocation on a
      pool to report exhaustion.  0 = disarmed; 1 = fail the next. *)
   mutable fail_mt_in : int;
@@ -86,6 +87,7 @@ let create ?backing ?(mu_backend = Mu_dlmalloc) ?(trusted_pkey = Mpk.Pkey.of_int
       mt;
       mu;
       quarantined = Hashtbl.create 16;
+      quarantine_gen = 0;
       fail_mt_in = 0;
       fail_mu_in = 0;
     }
@@ -157,10 +159,14 @@ let alloc_untrusted ?site t size =
    pool — the provenance invariant (§4.2) is about object identity, and
    realloc below still never migrates. *)
 let quarantine_site t site =
-  if not (Hashtbl.mem t.quarantined site) then Hashtbl.replace t.quarantined site ()
+  if not (Hashtbl.mem t.quarantined site) then begin
+    Hashtbl.replace t.quarantined site ();
+    t.quarantine_gen <- t.quarantine_gen + 1
+  end
 
 let site_quarantined t site = Hashtbl.mem t.quarantined site
 let quarantined_count t = Hashtbl.length t.quarantined
+let quarantine_generation t = t.quarantine_gen
 
 let quarantined_sites t =
   Hashtbl.fold (fun site () acc -> site :: acc) t.quarantined [] |> List.sort compare

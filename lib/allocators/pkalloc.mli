@@ -68,6 +68,10 @@ val quarantine_site : t -> string -> unit
 val site_quarantined : t -> string -> bool
 val quarantined_count : t -> int
 
+val quarantine_generation : t -> int
+(** Changes whenever a site is newly quarantined, so a caller may cache
+    {!site_quarantined} answers until it moves. *)
+
 val quarantined_sites : t -> string list
 (** Sorted list of quarantined sites (stable output for reports). *)
 

@@ -12,13 +12,17 @@ let count = Array.length ladder
 
 let max_small = ladder.(count - 1)
 
-let of_size n =
-  if n <= 0 || n > max_small then None
-  else
-    (* The ladder is tiny; a linear scan is clearer than binary search and
-       not a bottleneck (simulated cost is charged separately). *)
-    let rec find i = if ladder.(i) >= n then Some i else find (i + 1) in
-    find 0
+(* Every class size is a multiple of 8, so the class of [n] depends only
+   on [(n + 7) / 8]: character [k] of this (immutable) table is the
+   smallest class holding [8k] bytes. *)
+let by_eighth =
+  String.init ((max_small / 8) + 1) (fun k ->
+      let rec find i = if ladder.(i) >= 8 * k then i else find (i + 1) in
+      Char.chr (find 0))
+
+let small_class n = Char.code by_eighth.[(n + 7) lsr 3]
+
+let of_size n = if n <= 0 || n > max_small then None else Some (small_class n)
 
 let bytes c = ladder.(c)
 

@@ -17,6 +17,10 @@ val of_size : int -> t option
 (** [of_size n] is the smallest class that fits [n]; [None] when [n] is
     large (or non-positive). *)
 
+val small_class : int -> t
+(** [small_class n] is [Option.get (of_size n)] without the option, for
+    [1 <= n <= max_small]. *)
+
 val bytes : t -> int
 (** Slot size of the class in bytes. *)
 

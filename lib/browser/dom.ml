@@ -25,9 +25,10 @@ type t = {
   mutable tag_names : string array;
   tag_codes : (string, int) Hashtbl.t;
   mutable ntags : int;
-  addr_of : (node, int) Hashtbl.t;
-  id_at : (int, node) Hashtbl.t; (* address -> id, for pointer walks *)
+  mutable addr_of : int array; (* node id -> record address; 0 = no live node *)
+  id_at : node Util.Int_table.t; (* address -> id, for pointer walks; 0 = none *)
   mutable next_id : int;
+  mutable live_nodes : int;
   root : node;
 }
 
@@ -59,10 +60,16 @@ let intern t name =
     t.ntags <- t.ntags + 1;
     t.ntags - 1
 
+let[@inline never] unknown_node node = invalid_arg (Printf.sprintf "Dom: unknown node handle %d" node)
+
+(* Ids are issued densely from 1, so the handle is the index; id 0,
+   negative and never-issued ids fall outside, freed ones read 0. *)
 let addr t node =
-  match Hashtbl.find_opt t.addr_of node with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Dom: unknown node handle %d" node)
+  if node > 0 && node < Array.length t.addr_of then begin
+    let a = Array.unsafe_get t.addr_of node in
+    if a = 0 then unknown_node node else a
+  end
+  else unknown_node node
 
 let read t a off = Sim.Machine.read_u64 t.machine (a + off)
 let write t a off v = Sim.Machine.write_u64 t.machine (a + off) v
@@ -76,8 +83,14 @@ let alloc_node t ~code =
   t.next_id <- id + 1;
   write32 t a off_id id;
   write32 t a off_tag code;
-  Hashtbl.replace t.addr_of id a;
-  Hashtbl.replace t.id_at a id;
+  if id >= Array.length t.addr_of then begin
+    let bigger = Array.make (2 * id) 0 in
+    Array.blit t.addr_of 0 bigger 0 (Array.length t.addr_of);
+    t.addr_of <- bigger
+  end;
+  t.addr_of.(id) <- a;
+  Util.Int_table.replace t.id_at a id;
+  t.live_nodes <- t.live_nodes + 1;
   id
 
 let create env =
@@ -88,9 +101,10 @@ let create env =
       tag_names = Array.make 32 "";
       tag_codes = Hashtbl.create 32;
       ntags = 0;
-      addr_of = Hashtbl.create 256;
-      id_at = Hashtbl.create 256;
+      addr_of = Array.make 64 0;
+      id_at = Util.Int_table.create ~dummy:0 64;
       next_id = 1;
+      live_nodes = 0;
       root = 1;
     }
   in
@@ -102,7 +116,7 @@ let create env =
 
 let env t = t.env
 let root t = t.root
-let node_count t = Hashtbl.length t.addr_of
+let node_count t = t.live_nodes
 
 let create_element t tag = alloc_node t ~code:(intern t tag)
 
@@ -133,7 +147,10 @@ let is_text t node = tag_code t node = text_code
 
 let parent t node =
   let p = read t (addr t node) off_parent in
-  if p = 0 then None else Hashtbl.find_opt t.id_at p
+  if p = 0 then None
+  else
+    let id = Util.Int_table.get t.id_at p in
+    if id = 0 then None else Some id
 
 let append_child t ~parent ~child =
   let pa = addr t parent in
@@ -151,10 +168,14 @@ let append_child t ~parent ~child =
     write t pa off_last ca
   end
 
+let id_of_addr t a =
+  let id = Util.Int_table.get t.id_at a in
+  if id = 0 then raise Not_found else id
+
 let children t node =
   let rec walk a acc =
     if a = 0 then List.rev acc
-    else walk (read t a off_next) (Hashtbl.find t.id_at a :: acc)
+    else walk (read t a off_next) (id_of_addr t a :: acc)
   in
   walk (read t (addr t node) off_first) []
 
@@ -302,8 +323,9 @@ let rec free_subtree t node =
     end
   in
   free_attrs (read t a off_attrs);
-  Hashtbl.remove t.addr_of node;
-  Hashtbl.remove t.id_at a;
+  t.addr_of.(node) <- 0;
+  Util.Int_table.remove t.id_at a;
+  t.live_nodes <- t.live_nodes - 1;
   Pkru_safe.Env.dealloc t.env a
 
 let remove_children t node =

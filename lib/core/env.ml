@@ -3,6 +3,18 @@ type thread = {
   t_gate : Runtime.Gate.t;
 }
 
+(* An allocation site interned by this environment: resolved once
+   through [sites], after which every allocation from it reads its
+   placement here instead of re-asking the profile and the quarantine
+   table. *)
+type site = {
+  id : Runtime.Alloc_id.t;
+  mutable moved : bool; (* placement, decided under [epoch] *)
+  mutable epoch : int; (* [decision_epoch] when [moved] was decided *)
+  mutable label : string; (* printed id; "" until first needed *)
+  mutable next : site; (* next site whose id hashes alike *)
+}
+
 type t = {
   config : Config.t;
   machine : Sim.Machine.t;
@@ -13,7 +25,9 @@ type t = {
   profiler : Runtime.Profiler.t option;
   mitigator : Runtime.Mitigator.t option;
   input_profile : Runtime.Profile.t;
-  sites_seen : (Runtime.Alloc_id.t, unit) Hashtbl.t;
+  sites : site Util.Int_table.t; (* Alloc_id.hash -> chain of sites *)
+  no_site : site; (* the table's dummy; never modified *)
+  mutable sites_used : int;
   mutable sites_moved : int;
   mutable t_heap_bytes_mt : int; (* Env.alloc traffic kept in MT *)
   mutable t_heap_bytes_mu : int; (* Env.alloc traffic moved to MU *)
@@ -21,7 +35,7 @@ type t = {
      pools) plus per-object birth cycles, maintained only once
      [track_census] has been called so untracked runs pay nothing. *)
   mutable census_meta : Runtime.Metadata.t option;
-  census_births : (int, int) Hashtbl.t; (* addr -> birth cycle *)
+  census_births : int Util.Int_table.t; (* addr -> birth cycle *)
 }
 
 let create ?profile ?backing config =
@@ -72,6 +86,9 @@ let create ?profile ?backing config =
       Sim.Signals.set_sigframe_scrub machine.Sim.Machine.signals true;
     if defenses.Config.syscall_filter then
       Sim.Machine.set_syscall_filter machine (Some config.Config.trusted_pkey);
+    let rec no_site =
+      { id = Runtime.Alloc_id.synthetic 0; moved = false; epoch = 0; label = ""; next = no_site }
+    in
     Ok
       {
         config;
@@ -83,12 +100,14 @@ let create ?profile ?backing config =
         profiler;
         mitigator;
         input_profile;
-        sites_seen = Hashtbl.create 256;
+        sites = Util.Int_table.create ~dummy:no_site 16;
+        no_site;
+        sites_used = 0;
         sites_moved = 0;
         t_heap_bytes_mt = 0;
         t_heap_bytes_mu = 0;
         census_meta = None;
-        census_births = Hashtbl.create 64;
+        census_births = Util.Int_table.create ~dummy:0 16;
       }
 
 let config t = t.config
@@ -132,32 +151,65 @@ let activate_thread t thread =
   t.active <- thread;
   previous
 
-let note_site t site moved =
-  if not (Hashtbl.mem t.sites_seen site) then begin
-    Hashtbl.add t.sites_seen site ();
-    if moved then t.sites_moved <- t.sites_moved + 1
-  end
+(* A site draws from MU when the input profile names it, or when the
+   mitigator's Promote policy quarantined it at runtime (pkalloc's
+   site-override table, keyed by printed AllocIds).  Both only grow, and
+   each bumps a counter when it does, so their sum names the state a
+   cached decision was made under. *)
+let decision_epoch t =
+  Runtime.Profile.version t.input_profile + Allocators.Pkalloc.quarantine_generation t.pkalloc
 
-(* The AllocId label is only rendered when a telemetry sink is attached;
-   disabled runs never build the string. *)
-let site_label t site =
-  if (ctx t).Telemetry.Ctx.sink <> None then Some (Runtime.Alloc_id.to_string site) else None
+let site_label s =
+  if String.length s.label = 0 then s.label <- Runtime.Alloc_id.to_string s.id;
+  s.label
 
-(* A site draws from MU when the input profile names it — or when the
-   mitigator's Promote policy quarantined it at runtime (the pkalloc
-   site-override table).  The quarantine check is gated on a non-empty
-   table so the common path never builds the printed AllocId. *)
-let site_overridden t site =
-  Allocators.Pkalloc.quarantined_count t.pkalloc > 0
-  && Allocators.Pkalloc.site_quarantined t.pkalloc (Runtime.Alloc_id.to_string site)
+let[@inline never] decide t s epoch =
+  s.moved <-
+    Config.split_heap t.config
+    && (Runtime.Profile.mem t.input_profile s.id
+       || Allocators.Pkalloc.quarantined_count t.pkalloc > 0
+          && Allocators.Pkalloc.site_quarantined t.pkalloc (site_label s));
+  s.epoch <- epoch
+
+let same_id (a : Runtime.Alloc_id.t) (b : Runtime.Alloc_id.t) =
+  a.func_id = b.func_id && a.block_id = b.block_id && a.call_id = b.call_id
+
+(* First sight of a site (or a hash collision): walk the chain, and
+   intern the site when it is new.  [sites_moved] counts sites by the
+   placement of their first allocation. *)
+let[@inline never] intern t id h =
+  let head = Util.Int_table.get t.sites h in
+  let rec walk s =
+    if s == t.no_site then begin
+      let s = { id; moved = false; epoch = 0; label = ""; next = head } in
+      Util.Int_table.replace t.sites h s;
+      decide t s (decision_epoch t);
+      t.sites_used <- t.sites_used + 1;
+      if s.moved then t.sites_moved <- t.sites_moved + 1;
+      s
+    end
+    else if same_id s.id id then s
+    else walk s.next
+  in
+  walk head
+
+let site_of t id =
+  let h = Runtime.Alloc_id.hash id in
+  let s = Util.Int_table.get t.sites h in
+  if s != t.no_site && same_id s.id id then s else intern t id h
 
 let alloc t ~site size =
-  let moved =
-    Config.split_heap t.config
-    && (Runtime.Profile.mem t.input_profile site || site_overridden t site)
+  let s = site_of t site in
+  let epoch = decision_epoch t in
+  if s.epoch <> epoch then decide t s epoch;
+  let moved = s.moved in
+  (* The AllocId label is only rendered when a telemetry sink is
+     attached; disabled runs never build the string. *)
+  let label =
+    match (ctx t).Telemetry.Ctx.sink with
+    | None -> None
+    | Some _ -> Some (site_label s)
   in
-  note_site t site moved;
-  let label = site_label t site in
   let result =
     if moved then Allocators.Pkalloc.alloc_untrusted ?site:label t.pkalloc size
     else Allocators.Pkalloc.alloc_trusted ?site:label t.pkalloc size
@@ -176,7 +228,7 @@ let alloc t ~site size =
     (match t.census_meta with
     | Some meta ->
       Runtime.Metadata.on_alloc meta ~addr ~size ~alloc_id:site;
-      Hashtbl.replace t.census_births addr (Sim.Machine.cycles t.machine)
+      Util.Int_table.replace t.census_births addr (Sim.Machine.cycles t.machine)
     | None -> ());
     addr
 
@@ -190,7 +242,7 @@ let dealloc t addr =
   (match t.census_meta with
   | Some meta ->
     Runtime.Metadata.on_dealloc meta ~addr;
-    Hashtbl.remove t.census_births addr
+    Util.Int_table.remove t.census_births addr
   | None -> ());
   Allocators.Pkalloc.dealloc t.pkalloc addr
 
@@ -208,10 +260,10 @@ let realloc t addr new_size =
     | Some meta ->
       Runtime.Metadata.on_realloc meta ~old_addr:addr ~new_addr:fresh ~new_size;
       (* The object's identity — and so its birth — survives realloc. *)
-      (match Hashtbl.find_opt t.census_births addr with
+      (match Util.Int_table.find_opt t.census_births addr with
       | Some birth ->
-        Hashtbl.remove t.census_births addr;
-        Hashtbl.replace t.census_births fresh birth
+        Util.Int_table.remove t.census_births addr;
+        Util.Int_table.replace t.census_births fresh birth
       | None -> ())
     | None -> ());
     fresh
@@ -250,7 +302,7 @@ let percent_untrusted_bytes t =
 
 let t_heap_bytes t = (t.t_heap_bytes_mt, t.t_heap_bytes_mu)
 
-let sites_used t = Hashtbl.length t.sites_seen
+let sites_used t = t.sites_used
 let sites_moved t = t.sites_moved
 
 (* The sampling profiler's snapshot provider: the active thread's gate
@@ -333,7 +385,7 @@ let census_snapshot t () =
           (* Births recorded before a counter reset postdate "now";
              Histogram.observe clamps the negative age to 0. *)
           let birth =
-            match Hashtbl.find_opt t.census_births r.Runtime.Metadata.addr with
+            match Util.Int_table.find_opt t.census_births r.Runtime.Metadata.addr with
             | Some b -> b
             | None -> now
           in

@@ -18,7 +18,8 @@ let compare a b =
     | c -> c)
   | c -> c
 
-let hash a = Hashtbl.hash (a.func_id, a.block_id, a.call_id)
+let hash a =
+  Util.Int_table.mix (Util.Int_table.mix (Util.Int_table.mix a.func_id + a.block_id) + a.call_id)
 
 let pp fmt a = Format.fprintf fmt "alloc<%d:%d:%d>" a.func_id a.block_id a.call_id
 

@@ -23,6 +23,9 @@ val synthetic : int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** An integer mix of the three fields (non-negative): the key under
+    which an environment interns the site ({!Util.Int_table}). *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -4,35 +4,133 @@ type record = {
   alloc_id : Alloc_id.t;
 }
 
-module Addr_map = Map.Make (Int)
+(* The page index: for every page a live object touches, the records
+   whose base lies on that page (ascending by base), and the one record
+   that starts on an earlier page and reaches into it.  Live objects
+   never overlap, so at most one object reaches into a page from below,
+   and an interior pointer is resolved by one table probe plus a binary
+   search within its page. *)
+type page = {
+  mutable starts : record array; (* [0, n) ascending by addr *)
+  mutable n : int;
+  mutable spill : record; (* [none] when no earlier object reaches in *)
+}
 
-type t = { mutable by_base : record Addr_map.t }
+type t = {
+  pages : page Util.Int_table.t; (* page number -> page *)
+  no_page : page; (* the table's dummy; never modified *)
+  mutable live : int;
+}
 
-let create () = { by_base = Addr_map.empty }
+(* Size 0: contains no address. *)
+let none = { addr = 0; size = 0; alloc_id = Alloc_id.synthetic 0 }
 
+let create () =
+  let no_page = { starts = [||]; n = 0; spill = none } in
+  { pages = Util.Int_table.create ~dummy:no_page 64; no_page; live = 0 }
+
+let page_of a = a asr Vmm.Layout.page_shift
+let last_page r = page_of (r.addr + max r.size 1 - 1)
+
+(* Index of the last record in [p.starts] whose base is <= [a], or -1. *)
+let floor_index p a =
+  let lo = ref 0 and hi = ref p.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if (Array.unsafe_get p.starts mid).addr <= a then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+let page_for_insert t pn =
+  let p = Util.Int_table.get t.pages pn in
+  if p != t.no_page then p
+  else begin
+    let p = { starts = [||]; n = 0; spill = none } in
+    Util.Int_table.replace t.pages pn p;
+    p
+  end
+
+let drop_if_empty t pn p = if p.n = 0 && p.spill == none then Util.Int_table.remove t.pages pn
+
+(* Index in [p] (the page of [addr]) of the record based exactly at
+   [addr], or -1. *)
+let base_index p addr =
+  let i = floor_index p addr in
+  if i >= 0 && (Array.unsafe_get p.starts i).addr = addr then i else -1
+
+let remove_at t p i =
+  let r = p.starts.(i) in
+  Array.blit p.starts (i + 1) p.starts i (p.n - i - 1);
+  p.n <- p.n - 1;
+  p.starts.(p.n) <- none;
+  let first = page_of r.addr in
+  drop_if_empty t first p;
+  for pn = first + 1 to last_page r do
+    let q = Util.Int_table.get t.pages pn in
+    if q.spill == r then begin
+      q.spill <- none;
+      drop_if_empty t pn q
+    end
+  done;
+  t.live <- t.live - 1
+
+let insert t r =
+  let first = page_of r.addr in
+  let p = page_for_insert t first in
+  let i = floor_index p r.addr + 1 in
+  if p.n = Array.length p.starts then begin
+    let bigger = Array.make (max 4 (2 * p.n)) none in
+    Array.blit p.starts 0 bigger 0 p.n;
+    p.starts <- bigger
+  end;
+  Array.blit p.starts i p.starts (i + 1) (p.n - i);
+  p.starts.(i) <- r;
+  p.n <- p.n + 1;
+  for pn = first + 1 to last_page r do
+    let q = page_for_insert t pn in
+    if q.spill == none || q.spill.addr < r.addr then q.spill <- r
+  done;
+  t.live <- t.live + 1
+
+let on_dealloc t ~addr =
+  let p = Util.Int_table.get t.pages (page_of addr) in
+  let i = base_index p addr in
+  if i >= 0 then remove_at t p i
+
+(* A base that is already tracked is replaced, as a fresh object. *)
 let on_alloc t ~addr ~size ~alloc_id =
-  t.by_base <- Addr_map.add addr { addr; size; alloc_id } t.by_base
-
-let on_dealloc t ~addr = t.by_base <- Addr_map.remove addr t.by_base
+  on_dealloc t ~addr;
+  insert t { addr; size; alloc_id }
 
 let on_realloc t ~old_addr ~new_addr ~new_size =
-  match Addr_map.find_opt old_addr t.by_base with
-  | None -> ()
-  | Some record ->
-    t.by_base <- Addr_map.remove old_addr t.by_base;
-    t.by_base <-
-      Addr_map.add new_addr { addr = new_addr; size = new_size; alloc_id = record.alloc_id }
-        t.by_base
+  let p = Util.Int_table.get t.pages (page_of old_addr) in
+  let i = base_index p old_addr in
+  if i >= 0 then begin
+    let alloc_id = p.starts.(i).alloc_id in
+    remove_at t p i;
+    on_alloc t ~addr:new_addr ~size:new_size ~alloc_id
+  end
 
 let lookup t a =
-  (* Greatest base <= a, then a range check: objects never overlap. *)
-  match Addr_map.find_last_opt (fun base -> base <= a) t.by_base with
-  | Some (_, record) when a < record.addr + record.size -> Some record
-  | Some _ | None -> None
+  let p = Util.Int_table.get t.pages (page_of a) in
+  let i = floor_index p a in
+  let r = if i >= 0 then Array.unsafe_get p.starts i else p.spill in
+  if r != none && a < r.addr + r.size then Some r else None
 
-let live_count t = Addr_map.cardinal t.by_base
+let live_count t = t.live
 
 (* Census iteration: live records in ascending base-address order, so
    any aggregation over the table is deterministic. *)
-let fold f t init = Addr_map.fold (fun _base record acc -> f record acc) t.by_base init
-let iter f t = Addr_map.iter (fun _base record -> f record) t.by_base
+let fold f t init =
+  Array.fold_left
+    (fun acc pn ->
+      let p = Util.Int_table.get t.pages pn in
+      let acc = ref acc in
+      for i = 0 to p.n - 1 do
+        acc := f p.starts.(i) !acc
+      done;
+      !acc)
+    init
+    (Util.Int_table.sorted_keys t.pages)
+
+let iter f t = fold (fun r () -> f r) t ()

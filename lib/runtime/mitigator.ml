@@ -33,7 +33,7 @@ type t = {
   pkalloc : Allocators.Pkalloc.t;
   policy : policy;
   metadata : Metadata.t;
-  saved_pkru : (int, Mpk.Pkru.t) Hashtbl.t; (* per-hart single-step state *)
+  saved_pkru : Mpk.Pkru.t Util.Int_table.t; (* per-hart single-step state *)
   outcomes : (string, int) Hashtbl.t;
   budget : int;
   refill_cycles : int;
@@ -53,7 +53,7 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) ?(budget = 65536) ?(refill_cycles
     pkalloc;
     policy;
     metadata = Metadata.create ();
-    saved_pkru = Hashtbl.create 4;
+    saved_pkru = Util.Int_table.create ~dummy:Mpk.Pkru.all_enabled 4;
     outcomes = Hashtbl.create 8;
     budget;
     refill_cycles;
@@ -124,7 +124,7 @@ let record_incident t outcome =
    permissive PKRU + trap flag; the SIGTRAP handler restores the view. *)
 let single_step t =
   let cpu = t.machine.Sim.Machine.cpu in
-  Hashtbl.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
+  Util.Int_table.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
   Sim.Cpu.set_pkru cpu Mpk.Pkru.all_enabled;
   cpu.Sim.Cpu.trap_flag <- true;
   Sim.Signals.Retry
@@ -192,10 +192,10 @@ let on_segv t (fault : Vmm.Fault.t) =
 
 let on_trap t () =
   let cpu = t.machine.Sim.Machine.cpu in
-  match Hashtbl.find_opt t.saved_pkru cpu.Sim.Cpu.id with
+  match Util.Int_table.find_opt t.saved_pkru cpu.Sim.Cpu.id with
   | Some pkru ->
     Sim.Cpu.set_pkru cpu pkru;
-    Hashtbl.remove t.saved_pkru cpu.Sim.Cpu.id
+    Util.Int_table.remove t.saved_pkru cpu.Sim.Cpu.id
   | None -> ()
 
 let install t =

@@ -1,8 +1,13 @@
-type t = { mutable hits : int Alloc_id.Map.t }
+type t = {
+  mutable hits : int Alloc_id.Map.t;
+  mutable version : int; (* bumped whenever a new site joins *)
+}
 
-let create () = { hits = Alloc_id.Map.empty }
+let make hits = { hits; version = 0 }
+let create () = make Alloc_id.Map.empty
 
 let record t id =
+  if not (Alloc_id.Map.mem id t.hits) then t.version <- t.version + 1;
   t.hits <-
     Alloc_id.Map.update id
       (function
@@ -11,6 +16,7 @@ let record t id =
       t.hits
 
 let mem t id = Alloc_id.Map.mem id t.hits
+let version t = t.version
 
 let cardinal t = Alloc_id.Map.cardinal t.hits
 
@@ -21,14 +27,10 @@ let hit_count t id =
   | Some n -> n
   | None -> 0
 
-let merge a b =
-  { hits = Alloc_id.Map.union (fun _ x y -> Some (x + y)) a.hits b.hits }
+let merge a b = make (Alloc_id.Map.union (fun _ x y -> Some (x + y)) a.hits b.hits)
 
 let subset t ~fraction ~rng =
-  {
-    hits =
-      Alloc_id.Map.filter (fun _ _ -> Util.Rng.float rng 1.0 < fraction) t.hits;
-  }
+  make (Alloc_id.Map.filter (fun _ _ -> Util.Rng.float rng 1.0 < fraction) t.hits)
 
 let to_json t =
   let site (id, hits) =
@@ -58,11 +60,9 @@ let of_json j =
     (match Util.Json.to_list sites with
     | exception Invalid_argument _ -> invalid_arg "Profile.of_json: sites not a list"
     | l ->
-      {
-        hits =
-          List.fold_left (fun acc s -> let id, n = parse_site s in Alloc_id.Map.add id n acc)
-            Alloc_id.Map.empty l;
-      })
+      make
+        (List.fold_left (fun acc s -> let id, n = parse_site s in Alloc_id.Map.add id n acc)
+           Alloc_id.Map.empty l))
 
 let save t path =
   let oc = open_out path in

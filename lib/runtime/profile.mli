@@ -17,6 +17,11 @@ val record : t -> Alloc_id.t -> unit
     sites"). *)
 
 val mem : t -> Alloc_id.t -> bool
+
+val version : t -> int
+(** Changes whenever {!mem} may have changed (a new site was recorded):
+    lets a consumer cache membership answers. *)
+
 val cardinal : t -> int
 val sites : t -> Alloc_id.t list
 (** In increasing AllocId order. *)

@@ -3,8 +3,8 @@ type t = {
   trusted_pkey : Mpk.Pkey.t;
   metadata : Metadata.t;
   profile : Profile.t;
-  saved_pkru : (int, Mpk.Pkru.t) Hashtbl.t; (* per-hart single-step state *)
-  step_started : (int, int) Hashtbl.t; (* per-hart cycles at fault entry *)
+  saved_pkru : Mpk.Pkru.t Util.Int_table.t; (* per-hart single-step state *)
+  step_started : int Util.Int_table.t; (* per-hart cycles at fault entry *)
   mutable faults_serviced : int;
   mutable untracked_faults : int;
 }
@@ -15,8 +15,8 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
     trusted_pkey;
     metadata = Metadata.create ();
     profile = Profile.create ();
-    saved_pkru = Hashtbl.create 4;
-    step_started = Hashtbl.create 4;
+    saved_pkru = Util.Int_table.create ~dummy:Mpk.Pkru.all_enabled 4;
+    step_started = Util.Int_table.create ~dummy:0 4;
     faults_serviced = 0;
     untracked_faults = 0;
   }
@@ -38,9 +38,9 @@ let on_segv t (fault : Vmm.Fault.t) =
       | Some sink -> Telemetry.Sink.incr sink "profiler.untracked_faults"));
     t.faults_serviced <- t.faults_serviced + 1;
     let cpu = t.machine.Sim.Machine.cpu in
-    Hashtbl.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
+    Util.Int_table.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
     if sink t <> None then
-      Hashtbl.replace t.step_started cpu.Sim.Cpu.id (Sim.Machine.cycles t.machine);
+      Util.Int_table.replace t.step_started cpu.Sim.Cpu.id (Sim.Machine.cycles t.machine);
     Sim.Cpu.set_pkru cpu Mpk.Pkru.all_enabled;
     cpu.Sim.Cpu.trap_flag <- true;
     Sim.Signals.Retry
@@ -51,17 +51,17 @@ let on_segv t (fault : Vmm.Fault.t) =
 
 let on_trap t () =
   let cpu = t.machine.Sim.Machine.cpu in
-  match Hashtbl.find_opt t.saved_pkru cpu.Sim.Cpu.id with
+  match Util.Int_table.find_opt t.saved_pkru cpu.Sim.Cpu.id with
   | Some pkru ->
     Sim.Cpu.set_pkru cpu pkru;
-    Hashtbl.remove t.saved_pkru cpu.Sim.Cpu.id;
+    Util.Int_table.remove t.saved_pkru cpu.Sim.Cpu.id;
     (* Fault-to-trap round trip: the full single-step servicing of one
        recorded access (dispatch, permissive re-execution, #DB restore). *)
-    (match (sink t, Hashtbl.find_opt t.step_started cpu.Sim.Cpu.id) with
+    (match (sink t, Util.Int_table.find_opt t.step_started cpu.Sim.Cpu.id) with
     | Some sink, Some started ->
-      Hashtbl.remove t.step_started cpu.Sim.Cpu.id;
+      Util.Int_table.remove t.step_started cpu.Sim.Cpu.id;
       Telemetry.Sink.observe sink "single_step_cycles" (Sim.Machine.cycles t.machine - started)
-    | _ -> Hashtbl.remove t.step_started cpu.Sim.Cpu.id)
+    | _ -> Util.Int_table.remove t.step_started cpu.Sim.Cpu.id)
   | None -> ()
 
 let install t =

@@ -6,14 +6,22 @@ type region = {
 }
 
 type t = {
-  pages : (int, Page.t) Hashtbl.t; (* page number -> page *)
+  pages : Page.t Util.Int_table.t; (* page number -> page *)
+  no_page : Page.t; (* [pages]' dummy: never materialised or handed out *)
   mutable regions : region array; (* disjoint, sorted by base *)
   mutable demand_faults : int;
   mutable epoch : int;
 }
 
 let create () =
-  { pages = Hashtbl.create 4096; regions = [||]; demand_faults = 0; epoch = 0 }
+  let no_page = { Page.data = Bytes.empty; prot = Prot.none; pkey = Mpk.Pkey.default } in
+  {
+    pages = Util.Int_table.create ~dummy:no_page 64;
+    no_page;
+    regions = [||];
+    demand_faults = 0;
+    epoch = 0;
+  }
 
 let aligned addr = Layout.page_offset addr = 0
 
@@ -80,14 +88,14 @@ let reserve t ~base ~size ~prot ~pkey =
 
 let materialise t region page_number =
   let page = Page.create ~prot:region.prot ~pkey:region.pkey in
-  Hashtbl.replace t.pages page_number page;
+  Util.Int_table.replace t.pages page_number page;
   page
 
 let lookup t addr =
   let page_number = Layout.page_of_addr addr in
-  match Hashtbl.find_opt t.pages page_number with
-  | Some _ as found -> found
-  | None ->
+  let page = Util.Int_table.get t.pages page_number in
+  if page != t.no_page then Some page
+  else
     (match region_of t addr with
     | None -> None
     | Some region ->
@@ -116,9 +124,8 @@ let iter_range_pages t ~base ~size f =
   let first = Layout.page_of_addr base in
   let last = Layout.page_of_addr (base + size - 1) in
   for page_number = first to last do
-    match Hashtbl.find_opt t.pages page_number with
-    | Some page -> f page
-    | None -> ()
+    let page = Util.Int_table.get t.pages page_number in
+    if page != t.no_page then f page
   done
 
 let covering_regions t ~base ~size =
@@ -161,14 +168,14 @@ let mprotect t ~base ~size prot =
         bump_epoch t;
         Ok ())
 
-let resident_pages t = Hashtbl.length t.pages
+let resident_pages t = Util.Int_table.length t.pages
 
 (* Deterministic enumeration of materialised pages, sorted by page
    number.  The provenance auditor walks exactly what is resident, so a
    scan never demand-materialises pages (and never perturbs the
    demand-fault count). *)
 let resident_page_list t =
-  Hashtbl.fold (fun page_number page acc -> (page_number, page) :: acc) t.pages []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Util.Int_table.fold (fun page_number page acc -> (page_number, page) :: acc) t.pages []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let demand_faults t = t.demand_faults

@@ -16,7 +16,8 @@ type region
 (** One reservation: base, size, protection and key. *)
 
 type t = private {
-  pages : (int, Page.t) Hashtbl.t;  (** page number -> materialised page *)
+  pages : Page.t Util.Int_table.t;  (** page number -> materialised page *)
+  no_page : Page.t;  (** [pages]' dummy, returned for an absent page *)
   mutable regions : region array;  (** disjoint, sorted by base *)
   mutable demand_faults : int;
   mutable epoch : int;  (** see {!epoch} *)

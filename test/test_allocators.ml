@@ -158,7 +158,10 @@ let prop_je_no_overlap =
           let addr, _ = List.nth !live idx in
           Jemalloc_model.free je addr;
           live := List.filteri (fun i _ -> i <> idx) !live
-        end
+        end;
+        match Jemalloc_model.check_index je with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_report msg
       done;
       !result)
 

@@ -90,6 +90,41 @@ let test_dom_remove_children_frees () =
 
 (* --- Scripts against the DOM (base mode) --- *)
 
+(* Handles are dense ids: 0, negative, never-issued and freed handles
+   all fail the same way, and the live count follows removals. *)
+let test_dom_invalid_handles () =
+  let b = fresh Pkru_safe.Config.Base in
+  let dom = Browser.dom b in
+  let root = Browser.Dom.root dom in
+  let ul = Browser.Dom.create_element dom "ul" in
+  Browser.Dom.append_child dom ~parent:root ~child:ul;
+  let items =
+    List.init 3 (fun i ->
+        let li = Browser.Dom.create_element dom "li" in
+        Browser.Dom.append_child dom ~parent:ul ~child:li;
+        let txt = Browser.Dom.create_text dom (string_of_int i) in
+        Browser.Dom.append_child dom ~parent:li ~child:txt;
+        (li, txt))
+  in
+  Alcotest.(check int) "root + ul + 3 items + 3 texts" 8 (Browser.Dom.node_count dom);
+  let li, txt = List.nth items 1 in
+  Browser.Dom.remove_child dom ~parent:ul ~child:li;
+  Alcotest.(check int) "subtree of two freed" 6 (Browser.Dom.node_count dom);
+  let never_issued = txt + 1000 in
+  List.iter
+    (fun handle ->
+      let expected = Invalid_argument (Printf.sprintf "Dom: unknown node handle %d" handle) in
+      Alcotest.check_raises (Printf.sprintf "handle %d" handle) expected (fun () ->
+          ignore (Browser.Dom.tag_name dom handle)))
+    [ 0; -1; min_int; li; txt; never_issued ];
+  Browser.Dom.remove_children dom root;
+  Alcotest.(check int) "root only" 1 (Browser.Dom.node_count dom);
+  Alcotest.check_raises "freed ul" (Invalid_argument (Printf.sprintf "Dom: unknown node handle %d" ul))
+    (fun () -> ignore (Browser.Dom.children dom ul));
+  let fresh_node = Browser.Dom.create_element dom "p" in
+  Alcotest.(check string) "a new handle works" "p" (Browser.Dom.tag_name dom fresh_node);
+  Alcotest.(check int) "one more node" 2 (Browser.Dom.node_count dom)
+
 let test_script_builds_dom () =
   let b = fresh Pkru_safe.Config.Base in
   ignore
@@ -199,6 +234,37 @@ let test_enforced_browser_works_with_profile () =
   Alcotest.(check bool) "transitions happened" true (Pkru_safe.Env.transitions env > 10);
   Alcotest.(check bool) "some sites moved to MU" true (Pkru_safe.Env.sites_moved env >= 4);
   Alcotest.(check bool) "%MU positive" true (Pkru_safe.Env.percent_untrusted_bytes env > 0.0)
+
+(* The interned-site counters against the allocation event stream: a
+   site is used once it allocates, and moved when its first allocation
+   went to MU.  Checked on a profiling run (nothing moves) and on the
+   enforced run that follows it. *)
+let test_site_counters_match_events () =
+  let counted env run =
+    let sink = Telemetry.Sink.create ~capacity:1_000_000 () in
+    Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env) sink run;
+    Alcotest.(check int) "no events dropped" 0 (Telemetry.Sink.dropped sink);
+    let first = Hashtbl.create 16 in
+    List.iter
+      (fun (r : Telemetry.Event.record) ->
+        match r.Telemetry.Event.event with
+        | Telemetry.Event.Alloc { site = Some site; compartment; _ } ->
+          if not (Hashtbl.mem first site) then Hashtbl.add first site compartment
+        | _ -> ())
+      (Telemetry.Sink.events sink);
+    let moved =
+      Hashtbl.fold (fun _ c n -> if c = Telemetry.Event.Untrusted then n + 1 else n) first 0
+    in
+    Alcotest.(check int) "sites used" (Hashtbl.length first) (Pkru_safe.Env.sites_used env);
+    Alcotest.(check int) "sites moved" moved (Pkru_safe.Env.sites_moved env);
+    moved
+  in
+  let drive env () = ignore (drive_page (Browser.create env)) in
+  let prof_env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Profiling)) in
+  Alcotest.(check int) "profiling moves nothing" 0 (counted prof_env (drive prof_env));
+  let profile = Pkru_safe.Env.recorded_profile prof_env in
+  let env = ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
+  Alcotest.(check bool) "enforced run moves sites" true (counted env (drive env) > 0)
 
 let test_enforced_browser_without_profile_crashes () =
   let env =
@@ -399,6 +465,8 @@ let suite =
     Alcotest.test_case "dom memory in MT" `Quick test_dom_memory_in_trusted_pool;
     Alcotest.test_case "dom query + serialize" `Quick test_dom_query_and_serialize;
     Alcotest.test_case "dom remove children frees" `Quick test_dom_remove_children_frees;
+    Alcotest.test_case "dom invalid handles" `Quick test_dom_invalid_handles;
+    Alcotest.test_case "site counters match events" `Quick test_site_counters_match_events;
     Alcotest.test_case "script builds dom" `Quick test_script_builds_dom;
     Alcotest.test_case "script reads attrs + html" `Quick test_script_reads_attributes_and_html;
     Alcotest.test_case "script innerHTML assignment" `Quick test_script_inner_html_assignment;

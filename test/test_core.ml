@@ -92,6 +92,36 @@ let test_alloc_mode_splits_without_gates () =
   Pkru_safe.Env.ffi_call e (fun () -> ());
   Alcotest.(check int) "no gates in alloc config" 0 (Pkru_safe.Env.transitions e)
 
+(* Each site's placement is decided once and cached; the cache must
+   follow both inputs of the decision.  A site the Promote mitigator
+   quarantines mid-run sends its next allocation to MU, and so does a
+   site recorded into the input profile after the environment exists.
+   [sites_moved] keeps counting by each site's first allocation. *)
+let test_site_cache_follows_quarantine_and_profile () =
+  let profile = Runtime.Profile.create () in
+  let config =
+    Pkru_safe.Config.make ~mitigation:Runtime.Mitigator.Promote Pkru_safe.Config.Mpk
+  in
+  let e = ok (Pkru_safe.Env.create ~profile config) in
+  let m = Pkru_safe.Env.machine e in
+  let alloc n = Pkru_safe.Env.alloc e ~site:(site n) 64 in
+  let a = alloc 5 in
+  Alcotest.(check bool) "unprofiled site starts in MT" true (Vmm.Layout.in_trusted a);
+  Alcotest.(check bool) "other site in MT" true (Vmm.Layout.in_trusted (alloc 6));
+  Sim.Machine.write_u64 m a 7;
+  Pkru_safe.Env.ffi_call e (fun () ->
+      Alcotest.(check int) "U's access emulated" 7 (Sim.Machine.read_u64 m a));
+  Alcotest.(check bool) "promoted site's next allocation in MU" true
+    (Vmm.Layout.in_untrusted (alloc 5));
+  Alcotest.(check bool) "unpromoted site stays in MT" true (Vmm.Layout.in_trusted (alloc 6));
+  Runtime.Profile.record profile (site 6);
+  Alcotest.(check bool) "site profiled after creation moves" true
+    (Vmm.Layout.in_untrusted (alloc 6));
+  Runtime.Profile.record profile (site 7);
+  Alcotest.(check bool) "first-seen profiled site in MU" true (Vmm.Layout.in_untrusted (alloc 7));
+  Alcotest.(check int) "sites used" 3 (Pkru_safe.Env.sites_used e);
+  Alcotest.(check int) "sites moved at first sight" 1 (Pkru_safe.Env.sites_moved e)
+
 let test_callback_reopens_trusted_memory () =
   let e = env ~profile:(Runtime.Profile.create ()) Pkru_safe.Config.Mpk in
   let m = Pkru_safe.Env.machine e in
@@ -149,6 +179,8 @@ let suite =
     Alcotest.test_case "enforcement blocks unprofiled" `Quick test_enforcement_blocks_unprofiled_access;
     Alcotest.test_case "profile -> enforce cycle" `Quick test_full_profile_then_enforce_cycle;
     Alcotest.test_case "alloc mode splits, no gates" `Quick test_alloc_mode_splits_without_gates;
+    Alcotest.test_case "site cache follows quarantine + profile" `Quick
+      test_site_cache_follows_quarantine_and_profile;
     Alcotest.test_case "callback reopens MT" `Quick test_callback_reopens_trusted_memory;
     Alcotest.test_case "dealloc dispatch" `Quick test_dealloc_dispatch_both_pools;
     Alcotest.test_case "realloc keeps pool" `Quick test_realloc_keeps_pool_in_enforcement;

@@ -44,44 +44,113 @@ let test_metadata_realloc_keeps_id () =
   Runtime.Metadata.on_dealloc md ~addr:4096;
   Alcotest.(check int) "empty" 0 (Runtime.Metadata.live_count md)
 
+(* Random traffic against a naive model: objects of up to three pages,
+   in-place and moving reallocs, and bases reused after a free.  Every
+   lookup (random probes plus each live object's edges and page
+   boundaries) must agree with a scan of the model, and fold must visit
+   exactly the model's records in ascending base order. *)
 let prop_metadata_matches_model =
   QCheck.Test.make ~count:50 ~name:"metadata lookup matches a naive model"
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let rng = Util.Rng.create seed in
+      let page = Vmm.Layout.page_size in
       let md = Runtime.Metadata.create () in
-      let model = Hashtbl.create 32 in
-      let next_addr = ref 0x1000 in
-      for i = 1 to 200 do
-        match Util.Rng.int rng 3 with
-        | 0 ->
-          let size = 8 + Util.Rng.int rng 100 in
+      let model = Hashtbl.create 32 in (* base -> (size, id) *)
+      let freed = ref [] in (* (base, size) slots no live object overlaps *)
+      let next_addr = ref (0x1000 + Util.Rng.int rng page) in
+      let fresh_size () =
+        if Util.Rng.int rng 4 = 0 then 1 + Util.Rng.int rng (3 * page) else 8 + Util.Rng.int rng 100
+      in
+      (* Room for [size] bytes: a freed slot that fits, else the frontier. *)
+      let place size =
+        match List.find_opt (fun (_, room) -> room >= size) !freed with
+        | Some (base, _) when Util.Rng.bool rng ->
+          freed := List.filter (fun (b, _) -> b <> base) !freed;
+          base
+        | _ ->
           let addr = !next_addr in
-          next_addr := !next_addr + size + Util.Rng.int rng 64;
+          next_addr := addr + size + Util.Rng.int rng 64;
+          addr
+      in
+      let pick () =
+        let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
+        List.nth keys (Util.Rng.int rng (List.length keys))
+      in
+      for i = 1 to 200 do
+        match Util.Rng.int rng 4 with
+        | 0 | 1 ->
+          let size = fresh_size () in
+          let addr = place size in
           Runtime.Metadata.on_alloc md ~addr ~size ~alloc_id:(site i);
           Hashtbl.replace model addr (size, site i)
-        | 1 when Hashtbl.length model > 0 ->
-          let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
-          let addr = List.nth keys (Util.Rng.int rng (List.length keys)) in
+        | 2 when Hashtbl.length model > 0 ->
+          let addr = pick () in
+          let size, _ = Hashtbl.find model addr in
           Runtime.Metadata.on_dealloc md ~addr;
-          Hashtbl.remove model addr
+          Hashtbl.remove model addr;
+          freed := (addr, size) :: !freed
+        | 3 when Hashtbl.length model > 0 ->
+          let old_addr = pick () in
+          let old_size, id = Hashtbl.find model old_addr in
+          Hashtbl.remove model old_addr;
+          (* Shrink in place, or move (the old block is freed after the
+             new one is placed, so the two never overlap). *)
+          let new_addr, new_size =
+            if Util.Rng.bool rng then (old_addr, 1 + Util.Rng.int rng old_size)
+            else begin
+              let size = fresh_size () in
+              let addr = place size in
+              freed := (old_addr, old_size) :: !freed;
+              (addr, size)
+            end
+          in
+          Runtime.Metadata.on_realloc md ~old_addr ~new_addr ~new_size;
+          Hashtbl.replace model new_addr (new_size, id)
         | _ -> ()
       done;
-      (* Compare lookups on random probes. *)
       let naive a =
         Hashtbl.fold
           (fun addr (size, id) acc -> if a >= addr && a < addr + size then Some id else acc)
           model None
       in
-      List.for_all
-        (fun _ ->
-          let probe = Util.Rng.int rng !next_addr in
-          let got = Option.map (fun r -> r.Runtime.Metadata.alloc_id) (Runtime.Metadata.lookup md probe) in
-          (match (got, naive probe) with
-          | None, None -> true
-          | Some a, Some b -> Runtime.Alloc_id.equal a b
-          | _ -> false))
-        (List.init 100 Fun.id))
+      let agrees probe =
+        let got =
+          Option.map (fun r -> r.Runtime.Metadata.alloc_id) (Runtime.Metadata.lookup md probe)
+        in
+        match (got, naive probe) with
+        | None, None -> true
+        | Some a, Some b -> Runtime.Alloc_id.equal a b
+        | _ -> false
+      in
+      let edges =
+        Hashtbl.fold
+          (fun addr (size, _) acc ->
+            let boundaries = List.init (size / page + 2) (fun k -> ((addr / page) + k) * page) in
+            (addr - 1) :: addr :: (addr + size - 1) :: (addr + size) :: boundaries @ acc)
+          model []
+      in
+      let random = List.init 100 (fun _ -> Util.Rng.int rng !next_addr) in
+      let in_order =
+        List.sort compare (Hashtbl.fold (fun addr (size, _) acc -> (addr, size) :: acc) model [])
+      in
+      let folded =
+        List.rev
+          (Runtime.Metadata.fold
+             (fun r acc -> (r.Runtime.Metadata.addr, r.Runtime.Metadata.size) :: acc)
+             md [])
+      in
+      let ids_match =
+        Runtime.Metadata.fold
+          (fun r ok ->
+            ok
+            && Runtime.Alloc_id.equal r.Runtime.Metadata.alloc_id
+                 (snd (Hashtbl.find model r.Runtime.Metadata.addr)))
+          md true
+      in
+      List.for_all agrees (edges @ random)
+      && folded = in_order && ids_match
+      && Runtime.Metadata.live_count md = Hashtbl.length model)
 
 (* --- Profile --- *)
 

@@ -173,6 +173,42 @@ let test_table_pads_short_rows () =
   let out = Util.Table.render ~header:[ "a"; "b"; "c" ] [ [ "x" ] ] in
   Alcotest.(check bool) "renders" true (String.length out > 0)
 
+(* Int_table against Stdlib.Hashtbl under random replace/remove traffic:
+   small key ranges force long probe runs, so removal must shift later
+   members back correctly; large and negative keys exercise the mix. *)
+let prop_int_table_matches_hashtbl =
+  QCheck.Test.make ~count:100 ~name:"int table matches a Hashtbl model"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let t = Util.Int_table.create ~dummy:(-1) (Util.Rng.int rng 8) in
+      let model = Hashtbl.create 16 in
+      let range = 1 + Util.Rng.int rng 200 in
+      let key () =
+        match Util.Rng.int rng 4 with
+        | 0 -> (Util.Rng.int rng range * 4096) - (range * 2048)
+        | _ -> Util.Rng.int rng range
+      in
+      let agree k =
+        Util.Int_table.get t k = Option.value ~default:(-1) (Hashtbl.find_opt model k)
+        && Util.Int_table.find_opt t k = Hashtbl.find_opt model k
+      in
+      let ok = ref true in
+      for i = 1 to 600 do
+        let k = key () in
+        if Util.Rng.int rng 3 = 0 then begin
+          Util.Int_table.remove t k;
+          Hashtbl.remove model k
+        end
+        else begin
+          Util.Int_table.replace t k i;
+          Hashtbl.replace model k i
+        end;
+        ok := !ok && agree k && agree (key ()) && Util.Int_table.length t = Hashtbl.length model
+      done;
+      let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model []) in
+      !ok && Array.to_list (Util.Int_table.sorted_keys t) = keys && Hashtbl.fold (fun k _ b -> b && agree k) model true)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -185,6 +221,7 @@ let suite =
     Alcotest.test_case "json unicode escape" `Quick test_json_unicode_escape;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_roundtrip_pretty;
+    QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl;
     Alcotest.test_case "stats mean/geomean/overhead" `Quick test_stats_mean_geomean;
     Alcotest.test_case "stats geomean rejects non-positive" `Quick
       test_stats_geomean_rejects_nonpositive;

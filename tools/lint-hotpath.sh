@@ -1,6 +1,8 @@
 #!/bin/sh
-# Hot-path lint: the clock tick and the checked-access TLB hit must
-# compile to code with no unknown call.
+# Hot-path lint, two rules.
+#
+# 1. The clock tick and the checked-access TLB hit must compile to code
+#    with no unknown call.
 #
 # A dev build (dune's default profile) compiles every module -opaque, so
 # a call into another module is an unknown call: caml_applyN, or an
@@ -10,38 +12,83 @@
 # objects and fails if any of them contains a caml_apply relocation or
 # an indirect call, so a refactor cannot silently bring the calls back.
 #
+# 2. The allocation, free, fault-lookup and DOM-handle paths must not
+#    hash or compare polymorphically: no relocation to caml_hash, to the
+#    polymorphic comparisons (caml_compare, caml_equal, ...), or to the
+#    generic Stdlib Hashtbl/Map, whose lookups call them.  Those paths
+#    key their indices by integers (Util.Int_table, dense arrays,
+#    bitmaps); the helpers they call in their own module are checked
+#    too, as is the table itself.
+#
 # Usage: tools/lint-hotpath.sh   (from the repository root; `make lint-hotpath`)
 set -eu
 
 dune build @all
 objs=_build/default/lib
 status=0
+checked=0
 
-# check OBJECT MODULE FUNCTION...
-check() {
-  obj=$1
-  mod=$2
-  shift 2
+# body OBJECT MODULE FUNCTION: the function's disassembly with relocations.
+body() {
+  objdump -dr --no-show-raw-insn "$1" |
+    awk -v re="^[0-9a-f]+ <caml${2}(\\\\.|__)${3}_[0-9]+>:\$" \
+      '$0 ~ re { on = 1; print; next } on && NF == 0 { on = 0 } on'
+}
+
+# forbid WHY PATTERN OBJECT MODULE FUNCTION...
+forbid() {
+  why=$1
+  pattern=$2
+  obj=$3
+  mod=$4
+  shift 4
   for fn in "$@"; do
-    body=$(objdump -dr --no-show-raw-insn "$obj" |
-      awk -v re="^[0-9a-f]+ <caml${mod}(\\\\.|__)${fn}_[0-9]+>:\$" \
-        '$0 ~ re { on = 1; print; next } on && NF == 0 { on = 0 } on')
-    if [ -z "$body" ]; then
+    checked=$((checked + 1))
+    code=$(body "$obj" "$mod" "$fn")
+    if [ -z "$code" ]; then
       echo "lint-hotpath: no function $mod.$fn in $obj"
       status=1
       continue
     fi
-    bad=$(printf '%s\n' "$body" | grep -E 'caml_apply|call[q]? +\*' || true)
+    bad=$(printf '%s\n' "$code" | grep -E "$pattern" || true)
     if [ -n "$bad" ]; then
-      echo "lint-hotpath: $mod.$fn makes an unknown call (keep it off the hot path):"
+      echo "lint-hotpath: $mod.$fn $why:"
       printf '%s\n' "$bad"
       status=1
     fi
   done
 }
 
+# check OBJECT MODULE FUNCTION...: no unknown call.
+check() {
+  forbid "makes an unknown call (keep it off the hot path)" 'caml_apply|call[q]? +\*' "$@"
+}
+
+# check_hash OBJECT MODULE FUNCTION...: no polymorphic hash or compare.
+check_hash() {
+  forbid "hashes or compares polymorphically (key it by an int)" \
+    'caml_hash|caml_compare|caml_(not)?equal|caml_(less|greater)(than|equal)|camlStdlib__(Hashtbl|Map)' \
+    "$@"
+}
+
 check "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval tick charge
 check "$objs/machine/.sim.objs/native/sim__Machine.o" Sim__Machine translate read_le write_le slot_page
+call_free=$checked
 
-if [ "$status" -eq 0 ]; then echo "lint-hotpath: ok (6 functions call-free)"; fi
+check_hash "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc site_of
+check_hash "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom addr
+check_hash "$objs/runtime/.runtime.objs/native/runtime__Metadata.o" Runtime__Metadata \
+  lookup floor_index
+check_hash "$objs/allocators/.allocators.objs/native/allocators__Dlmalloc_model.o" \
+  Allocators__Dlmalloc_model alloc free find_fit scan_bin walk_bin next_bin take \
+  insert_free unlink_free is_live set_live clear_live
+check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.o" \
+  Allocators__Jemalloc_model alloc free alloc_small alloc_large current_run \
+  find_free_slot first_clear large_pages run_of_addr
+check_hash "$objs/util/.util.objs/native/util__Int_table.o" Util__Int_table \
+  get slot replace remove close_hole
+
+if [ "$status" -eq 0 ]; then
+  echo "lint-hotpath: ok ($call_free functions call-free, $((checked - call_free)) free of polymorphic hashing)"
+fi
 exit "$status"
