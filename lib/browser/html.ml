@@ -13,63 +13,61 @@ type cursor = { src : string; mutable pos : int }
 
 let fail cur msg = raise (Html_error (Printf.sprintf "%s at offset %d" msg cur.pos))
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+(* The byte at the cursor, or -1 past the end. *)
+let peek cur =
+  if cur.pos < String.length cur.src then Char.code (String.unsafe_get cur.src cur.pos) else -1
 
 let advance cur = cur.pos <- cur.pos + 1
 
 let is_name_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '-' || c = '_'
+  (c >= Char.code 'a' && c <= Char.code 'z')
+  || (c >= Char.code 'A' && c <= Char.code 'Z')
+  || (c >= Char.code '0' && c <= Char.code '9')
+  || c = Char.code '-' || c = Char.code '_'
 
 let rec skip_ws cur =
-  match peek cur with
-  | Some (' ' | '\t' | '\n' | '\r') ->
+  let c = peek cur in
+  if c = Char.code ' ' || c = Char.code '\t' || c = Char.code '\n' || c = Char.code '\r' then begin
     advance cur;
     skip_ws cur
-  | _ -> ()
+  end
 
 let read_name cur =
   let start = cur.pos in
-  let rec loop () =
-    match peek cur with
-    | Some c when is_name_char c ->
-      advance cur;
-      loop ()
-    | _ -> ()
-  in
-  loop ();
+  while is_name_char (peek cur) do
+    advance cur
+  done;
   if cur.pos = start then fail cur "expected a name";
   String.sub cur.src start (cur.pos - start)
+
+let rec to_quote cur =
+  let c = peek cur in
+  if c < 0 then fail cur "unterminated attribute value"
+  else if c <> Char.code '"' then begin
+    advance cur;
+    to_quote cur
+  end
 
 let read_attrs cur =
   let rec loop acc =
     skip_ws cur;
-    match peek cur with
-    | Some c when is_name_char c ->
+    if is_name_char (peek cur) then begin
       let name = read_name cur in
       skip_ws cur;
-      (match peek cur with
-      | Some '=' ->
+      if peek cur = Char.code '=' then begin
         advance cur;
         skip_ws cur;
-        (match peek cur with
-        | Some '"' ->
-          advance cur;
-          let start = cur.pos in
-          let rec to_quote () =
-            match peek cur with
-            | Some '"' -> ()
-            | Some _ ->
-              advance cur;
-              to_quote ()
-            | None -> fail cur "unterminated attribute value"
-          in
-          to_quote ();
-          let value = String.sub cur.src start (cur.pos - start) in
-          advance cur;
-          loop ((name, value) :: acc)
-        | _ -> fail cur "expected a quoted attribute value")
-      | _ -> loop ((name, "") :: acc))
-    | _ -> List.rev acc
+        if peek cur <> Char.code '"' then fail cur "expected a quoted attribute value";
+        advance cur;
+        let start = cur.pos in
+        to_quote cur;
+        let value = String.sub cur.src start (cur.pos - start) in
+        advance cur;
+        loop ((name, value) :: acc)
+      end
+      else loop ((name, "") :: acc)
+    end
+    else List.rev acc
   in
   loop []
 
@@ -77,21 +75,20 @@ let read_attrs cur =
 let rec parse_nodes cur stop_tag =
   let nodes = ref [] in
   let rec loop () =
-    match peek cur with
-    | None ->
-      (match stop_tag with
+    let c = peek cur in
+    if c < 0 then
+      match stop_tag with
       | None -> ()
-      | Some tag -> fail cur (Printf.sprintf "missing </%s>" tag))
-    | Some '<' ->
+      | Some tag -> fail cur (Printf.sprintf "missing </%s>" tag)
+    else if c = Char.code '<' then
       if cur.pos + 1 < String.length cur.src && cur.src.[cur.pos + 1] = '/' then begin
         (* Closing tag: consume and verify against the stop tag. *)
         advance cur;
         advance cur;
         let name = read_name cur in
         skip_ws cur;
-        (match peek cur with
-        | Some '>' -> advance cur
-        | _ -> fail cur "expected '>' in closing tag");
+        if peek cur <> Char.code '>' then fail cur "expected '>' in closing tag";
+        advance cur;
         match stop_tag with
         | Some tag when tag = name -> ()
         | Some tag -> fail cur (Printf.sprintf "expected </%s>, found </%s>" tag name)
@@ -102,34 +99,33 @@ let rec parse_nodes cur stop_tag =
         let name = read_name cur in
         let attrs = read_attrs cur in
         skip_ws cur;
-        (match peek cur with
-        | Some '/' ->
+        let c = peek cur in
+        if c = Char.code '/' then begin
           advance cur;
-          (match peek cur with
-          | Some '>' ->
-            advance cur;
-            nodes := Element (name, attrs, []) :: !nodes
-          | _ -> fail cur "expected '>' after '/'")
-        | Some '>' ->
+          if peek cur <> Char.code '>' then fail cur "expected '>' after '/'";
+          advance cur;
+          nodes := Element (name, attrs, []) :: !nodes
+        end
+        else if c = Char.code '>' then begin
           advance cur;
           let kids = parse_nodes cur (Some name) in
           nodes := Element (name, attrs, kids) :: !nodes
-        | _ -> fail cur "expected '>' in opening tag");
+        end
+        else fail cur "expected '>' in opening tag";
         loop ()
       end
-    | Some _ ->
+    else begin
       let start = cur.pos in
-      let rec to_tag () =
-        match peek cur with
-        | Some '<' | None -> ()
-        | Some _ ->
-          advance cur;
-          to_tag ()
-      in
-      to_tag ();
+      while
+        let c = peek cur in
+        c >= 0 && c <> Char.code '<'
+      do
+        advance cur
+      done;
       let text = String.sub cur.src start (cur.pos - start) in
       if String.trim text <> "" then nodes := Text text :: !nodes;
       loop ()
+    end
   in
   loop ();
   List.rev !nodes

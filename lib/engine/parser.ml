@@ -42,9 +42,20 @@ let ident st =
     name
   | _ -> fail st "expected identifier"
 
-(* Binary operator precedence, loosest first. *)
-let precedences = [ [ "||" ]; [ "&&" ]; [ "|" ]; [ "^" ]; [ "&" ]; [ "=="; "!=" ];
-                    [ "<"; "<="; ">"; ">=" ]; [ "<<"; ">>" ]; [ "+"; "-" ]; [ "*"; "/"; "%" ] ]
+(* Binary operator precedence, 1 binding loosest; 0 for a punctuator that
+   is not a binary operator. *)
+let precedence = function
+  | "||" -> 1
+  | "&&" -> 2
+  | "|" -> 3
+  | "^" -> 4
+  | "&" -> 5
+  | "==" | "!=" -> 6
+  | "<" | "<=" | ">" | ">=" -> 7
+  | "<<" | ">>" -> 8
+  | "+" | "-" -> 9
+  | "*" | "/" | "%" -> 10
+  | _ -> 0
 
 let rec parse_program st =
   let rec loop acc =
@@ -188,7 +199,7 @@ and parse_assign st =
   | _ -> lhs
 
 and parse_ternary st =
-  let cond = parse_binary st precedences in
+  let cond = parse_binary st 1 in
   if try_punct st "?" then begin
     let a = parse_assign st in
     eat_punct st ":";
@@ -197,20 +208,23 @@ and parse_ternary st =
   end
   else cond
 
-and parse_binary st levels =
-  match levels with
-  | [] -> parse_unary st
-  | ops :: tighter ->
-    let lhs = parse_binary st tighter in
-    let rec loop lhs =
-      match (current st).Lexer.tok with
-      | Lexer.Punct p when List.mem p ops ->
+(* Precedence climbing: folds operators binding at least [min_prec] (at
+   least 1) into a left-associative tree, the right operand taking only
+   tighter ones. *)
+and parse_binary st min_prec =
+  let rec loop lhs =
+    match (current st).Lexer.tok with
+    | Lexer.Punct p ->
+      let prec = precedence p in
+      if prec >= min_prec then begin
         advance st;
-        let rhs = parse_binary st tighter in
+        let rhs = parse_binary st (prec + 1) in
         loop (Ast.Binary (p, lhs, rhs))
-      | _ -> lhs
-    in
-    loop lhs
+      end
+      else lhs
+    | _ -> lhs
+  in
+  loop (parse_unary st)
 
 and parse_unary st =
   match (current st).Lexer.tok with

@@ -49,7 +49,7 @@ type heap = {
   mutable objects : int;
   mutable shapes : int;
   root_shape : shape;
-  owned : (int, unit) Hashtbl.t; (* engine-owned machine buffers *)
+  owned : unit Util.Int_table.t; (* engine-owned machine buffers, by address *)
   mutable batched_slots : bool;
       (* When set (the fast engine tier turns it on for the duration of a
          run), slot traffic goes through the machine's batched accessors:
@@ -72,7 +72,7 @@ let create_heap env =
         sh_count = 0;
         sh_transitions = [];
       };
-    owned = Hashtbl.create 256;
+    owned = Util.Int_table.create ~dummy:() 64;
     batched_slots = false;
   }
 
@@ -80,7 +80,7 @@ let env h = h.env
 
 let malloc h size =
   let addr = Pkru_safe.Env.malloc_untrusted h.env size in
-  Hashtbl.replace h.owned addr ();
+  Util.Int_table.replace h.owned addr ();
   addr
 
 (* --- NaN boxing ---
@@ -234,9 +234,9 @@ let grow h (a : arr) =
   let cap = a.a_cap * 2 in
   (* U's realloc: stays in MU and copies the slots; keep the ownership
      registry pointing at the (possibly moved) buffer. *)
-  Hashtbl.remove h.owned a.a_buf;
+  Util.Int_table.remove h.owned a.a_buf;
   a.a_buf <- Pkru_safe.Env.realloc h.env a.a_buf (cap * 8);
-  Hashtbl.replace h.owned a.a_buf ();
+  Util.Int_table.replace h.owned a.a_buf ();
   a.a_cap <- cap
 
 let arr_push h (a : arr) v =
@@ -390,13 +390,18 @@ let owned_buffer = function
   | Obj o -> Some o.o_addr
   | Null | Bool _ | Num _ | Fun _ | Host _ | Handle _ -> None
 
-let owned_count h = Hashtbl.length h.owned
+let owned_count h = Util.Int_table.length h.owned
 
+(* Frees in ascending address order, so the allocator sees the same
+   sequence of frees whatever the table's slot order. *)
 let sweep h ~live =
-  let victims = Hashtbl.fold (fun addr () acc -> if live addr then acc else addr :: acc) h.owned [] in
-  List.iter
-    (fun addr ->
-      Hashtbl.remove h.owned addr;
-      Pkru_safe.Env.dealloc h.env addr)
-    victims;
-  List.length victims
+  Array.fold_left
+    (fun freed addr ->
+      if live addr then freed
+      else begin
+        Util.Int_table.remove h.owned addr;
+        Pkru_safe.Env.dealloc h.env addr;
+        freed + 1
+      end)
+    0
+    (Util.Int_table.sorted_keys h.owned)

@@ -28,6 +28,50 @@ let test_html_errors () =
         | _ -> false))
     [ "<div>"; "</div>"; "<div></span>"; "<div attr=unquoted></div>"; "<a href=\"x></a>" ]
 
+(* Canonical forms of the benchmark and browsing pages, pinned from the
+   option-returning parser: (page, length, digest of [to_string]). *)
+let test_html_pages () =
+  let pages =
+    List.map (fun rows -> (Printf.sprintf "rows %d" rows, Workloads.Dom_scripts.page ~rows))
+      [ 1; 16; 256 ]
+    @ List.map
+        (fun s -> (s.Workloads.Browsing.session_name, s.Workloads.Browsing.page))
+        Workloads.Browsing.sessions
+  in
+  Alcotest.(check (list (pair string (pair int string)))) "canonical pages"
+    [ ("rows 1", (68, "0bbb1e438debeb6a2c9c7eaf242e096f"));
+      ("rows 16", (905, "8084c426b36bc985473e5f6e9f6802a5"));
+      ("rows 256", (14897, "533ffb715139262d0bd9046bb2c0ba39"));
+      ("wpt", (453, "2cac88379928ae3303e79b99f0df5683"));
+      ("jquery", (677, "3871e68c15f03e90cadcd011bbc753ef"));
+      ("webidl", (46, "0280d7a9de56b98ad37ffeb6107138ac"));
+      ("browse-search", (343, "fd930b9b0061d20eb8f1439de6d4b9dc"));
+      ("browse-wiki", (563, "b3ae5c77165d48eb7a8601ed84e20a4c"));
+      ("browse-video", (233, "38afbe10c4e8002ab3b3dc48815d1aae"));
+      ("browse-selectors", (508, "3e57501e87a353bf5b311ed41b471931")) ]
+    (List.map
+       (fun (name, src) ->
+         let canon = Browser.Html.to_string (Browser.Html.parse src) in
+         (name, (String.length canon, Digest.to_hex (Digest.string canon))))
+       pages)
+
+let test_html_error_messages () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "error for %S" src) expected
+        (match Browser.Html.parse src with
+        | exception Browser.Html.Html_error msg -> msg
+        | trees -> "parsed: " ^ Browser.Html.to_string trees))
+    [ ("<a href=\"x></a>", "unterminated attribute value at offset 15");
+      ("<div><p>x</p>", "missing </div> at offset 13");
+      ("</div>", "stray closing tag </div> at offset 6");
+      ("<div></span>", "expected </div>, found </span> at offset 12");
+      ("<a/ >", "expected '>' after '/' at offset 3");
+      ("<div attr=unquoted></div>", "expected a quoted attribute value at offset 10");
+      ("<>", "expected a name at offset 1");
+      ("<a></a x>", "expected '>' in closing tag at offset 7");
+      ("<a \"x\">", "expected '>' in opening tag at offset 3") ]
+
 (* --- DOM (base mode: no enforcement in the way) --- *)
 
 let test_dom_tree_construction () =
@@ -460,6 +504,8 @@ let suite =
   [
     Alcotest.test_case "html round-trip" `Quick test_html_roundtrip;
     Alcotest.test_case "html errors" `Quick test_html_errors;
+    Alcotest.test_case "html canonical pages" `Quick test_html_pages;
+    Alcotest.test_case "html error messages" `Quick test_html_error_messages;
     Alcotest.test_case "dom tree construction" `Quick test_dom_tree_construction;
     Alcotest.test_case "dom attributes" `Quick test_dom_attributes;
     Alcotest.test_case "dom memory in MT" `Quick test_dom_memory_in_trusted_pool;

@@ -78,6 +78,177 @@ let test_parser_errors () =
         | _ -> false))
     [ "var;"; "if (1) return;"; "1 +;"; "function () {};"; "{ x: 1 };"; "f(1,;" ]
 
+(* --- Front-end oracle ---
+
+   The lexer reads the script byte by byte out of machine memory, and in
+   a profiling build every one of those checked reads of a trusted (MT)
+   script buffer is an MPK fault the profiler services: the read
+   sequence is simulated behaviour, not an implementation detail.  These
+   pins were taken from the list-scanning, option-returning front end
+   and hold any rewrite to the same tokens, line numbers, trees, error
+   messages and ordered read offsets. *)
+
+let token_key = function
+  | Engine.Lexer.Num f -> Printf.sprintf "N%h" f
+  | Engine.Lexer.Str s -> "S" ^ String.escaped s
+  | Engine.Lexer.Ident s -> "I" ^ s
+  | Engine.Lexer.Keyword s -> "K" ^ s
+  | Engine.Lexer.Punct s -> "P" ^ s
+  | Engine.Lexer.Eof -> "E"
+
+type front_end_run = {
+  tokens : string;     (* "line:token" per token, or the Lex_error text *)
+  tree : string;       (* the marshalled AST, or the Parse_error text *)
+  reads : int list;    (* offsets of the lexer's checked reads, in order *)
+}
+
+(* Lexes and parses [src] the way the browser hands a script over: the
+   text sits in an MT buffer of a profiling build and the engine reads it
+   from the untrusted side, so each lexer read raises one [Mpk_fault]. *)
+let run_front_end env heap src =
+  let len = String.length src in
+  let buf = Pkru_safe.Env.alloc env ~site:Browser.Sites.script_source (max len 1) in
+  if len > 0 then Sim.Machine.write_string (Pkru_safe.Env.machine env) buf src;
+  let source =
+    match Engine.Value.of_foreign_buffer ~addr:buf ~len with
+    | Engine.Value.Str s -> s
+    | _ -> assert false
+  in
+  let sink = Telemetry.Sink.create ~capacity:((16 * len) + 1024) ~record_spans:false () in
+  let lexed =
+    Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env) sink (fun () ->
+        Pkru_safe.Env.ffi_call env (fun () ->
+            match Engine.Lexer.tokenize heap source with
+            | toks -> Ok toks
+            | exception Engine.Lexer.Lex_error msg -> Error ("Lex_error: " ^ msg)))
+  in
+  if Telemetry.Sink.dropped sink > 0 then Alcotest.fail "trace ring too small for the read log";
+  let reads =
+    List.filter_map
+      (fun r ->
+        match r.Telemetry.Event.event with
+        | Telemetry.Event.Mpk_fault { addr; _ } -> Some (addr - buf)
+        | _ -> None)
+      (Telemetry.Sink.events sink)
+  in
+  Pkru_safe.Env.dealloc env buf;
+  match lexed with
+  | Error msg -> { tokens = msg; tree = ""; reads }
+  | Ok toks ->
+    let tokens =
+      String.concat "\n"
+        (List.map
+           (fun l -> Printf.sprintf "%d:%s" l.Engine.Lexer.line (token_key l.Engine.Lexer.tok))
+           toks)
+    in
+    let tree =
+      match Engine.Parser.parse toks with
+      | prog -> Marshal.to_string prog [ Marshal.No_sharing ]
+      | exception Engine.Parser.Parse_error msg -> "Parse_error: " ^ msg
+    in
+    { tokens; tree; reads }
+
+let profiling_front_end () =
+  let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Profiling)) in
+  let heap = Engine.heap (Engine.create env) in
+  run_front_end env heap
+
+let dom_generators =
+  Workloads.Dom_scripts.
+    [ dom_attr; dom_create; dom_query; dom_html; dom_traverse; jslib_toggle; jslib_build;
+      dom_style; jslib_select; dom_events ]
+
+(* Inputs that stress the read sequence: number tails, lone and doubled
+   slashes, comments at the end of input, escapes, two-character
+   punctuators split by the end of input, non-ASCII bytes. *)
+let front_end_edge_cases =
+  [ ""; " \t\r\n"; "1"; "1."; "1.x"; "1.5"; "1.5e2"; "2E-3;"; "3e+4"; "7e"; "260;"; "0.25.5";
+    "a/b;"; "a /= 2;"; "/"; "//"; "// end"; "/**/"; "/* a\n*/ b"; "/*/ x */1;"; "1/"; "x/*";
+    "\"a\\nb\\t\\r\\\\\\\"\";"; "'it\\'s';"; "'\\q';"; "a==b!=c<=d>=e&&f||g<<h>>i;";
+    "x+=1;x-=2;x*=3;x%=4;"; "="; "!"; "<"; "a<"; "f(a,b)[c].d?e:f;"; "~-!x^y&z|w;"; "\xc3\xa9";
+    "var $_a9 = _b;"; "if(x){}else if(y){}else{}"; "for(;;){break;continue;}";
+    "return;"; "new Array(3);"; "{a:1,'b':2,var:3};"; "function(x){return x;}(1);";
+    "1 = 2;"; "a.b = c[d] = e;"; "x ? y ? 1 : 2 : 3;"; "1 + 2 * 3 - 4 / 5 % 6;";
+    "a || b && c | d ^ e & f == g < h << i + j * k;" ]
+
+(* Malformed inputs and their exact error text. *)
+let front_end_errors =
+  [ ("\"unterminated", "Lex_error: line 1: unterminated string literal");
+    ("'a\\", "Lex_error: line 1: unterminated escape");
+    ("1;\n/* open\n", "Lex_error: line 3: unterminated block comment");
+    ("var x = @;", "Lex_error: line 1: unexpected character '@'");
+    ("var x =\n 1e;", "Lex_error: line 2: bad number literal 1e");
+    ("a + ;", "Parse_error: line 1: expected expression (found \";\")");
+    ("1 = 2;", "Parse_error: line 1: invalid assignment target (found \"=\")");
+    ("a + b = c;", "Parse_error: line 1: invalid assignment target (found \"=\")");
+    ("var;", "Parse_error: line 1: expected identifier (found \";\")");
+    ("f(1,;", "Parse_error: line 1: expected expression (found \";\")");
+    ("{\n  x = 1;\n", "Parse_error: line 3: unterminated block (found end of input)");
+    ("new Foo();", "Parse_error: line 1: only `new Array(...)` is supported (found \";\")") ]
+
+let front_end_groups () =
+  let bench = List.map (fun b -> b.Workloads.Bench_def.script) Workloads.Registry.benches in
+  let browsing =
+    List.concat_map (fun s -> s.Workloads.Browsing.scripts) Workloads.Browsing.sessions
+  in
+  let dom = List.concat_map (fun g -> [ g ~iters:1; g ~iters:50 ]) dom_generators in
+  [ ("benchmarks", bench); ("browsing", browsing); ("dom generators", dom);
+    ("edge cases", front_end_edge_cases @ List.map fst front_end_errors) ]
+
+(* (group, script count, total reads, digests of the tokens, the trees
+   and the read offsets). *)
+let front_end_pins =
+  [ ("benchmarks", 93, 345640, "e7d62722e607684bf6889443b2d5f9c7",
+     "8b26cfd6f5533d829ec7871bfff4e6ed", "9935325b0f6a2a41d1e34baf2bfaade1");
+    ("browsing", 9, 5835, "800eaa57b40b6f4ceb01d6621cdc94a9",
+     "644293a4bbbcbf9d1e2bcf631bb51cbf", "d063ce03a7dcbf8c026cfdbfa78bea5a");
+    ("dom generators", 20, 20392, "f319cbf0f5bc3515a1233104fea0d435",
+     "0242551db4029f77238ce5d7234fd005", "f15d7076660eeaa1a21a662080d32874");
+    ("edge cases", 58, 1782, "20d710240abb6d91ac8585ce0835e15b",
+     "d472327193419d8f3b52f851fc3a2d23", "5a36a13769d012026af112e2efeafa8f") ]
+
+let test_front_end_oracle () =
+  let run = profiling_front_end () in
+  let got =
+    List.map
+      (fun (group, scripts) ->
+        let runs = List.map run scripts in
+        let digest f = Digest.to_hex (Digest.string (String.concat "\x00" (List.map f runs))) in
+        ( group,
+          List.length scripts,
+          List.fold_left (fun n r -> n + List.length r.reads) 0 runs,
+          digest (fun r -> r.tokens),
+          digest (fun r -> r.tree),
+          digest (fun r -> String.concat "," (List.map string_of_int r.reads)) ))
+      (front_end_groups ())
+  in
+  Alcotest.(check (list (pair string (pair int (pair int (pair string (pair string string)))))))
+    "tokens, trees and read offsets"
+    (List.map (fun (g, n, reads, t, a, r) -> (g, (n, (reads, (t, (a, r)))))) front_end_pins)
+    (List.map (fun (g, n, reads, t, a, r) -> (g, (n, (reads, (t, (a, r)))))) got)
+
+let test_front_end_errors () =
+  let run = profiling_front_end () in
+  List.iter
+    (fun (src, expected) ->
+      let r = run src in
+      let msg = if r.tree = "" then r.tokens else r.tree in
+      Alcotest.(check string) (Printf.sprintf "error for %S" src) expected msg)
+    front_end_errors
+
+(* The read sequence spelled out for three short inputs: [advance]
+   re-reads the byte it steps over, a lone '/' costs a [peek] and two
+   [peek2]s, a punctuator reads [peek2] before it settles on one
+   character, and a number tail or a comment close reads [peek] before
+   [peek2]. *)
+let test_front_end_read_sequence () =
+  let run = profiling_front_end () in
+  Alcotest.(check (list int)) "a/b"
+    [ 0; 0; 0; 0; 1; 1; 2; 2; 1; 2; 1; 2; 2; 2; 2 ] (run "a/b").reads;
+  Alcotest.(check (list int)) "1.5;"
+    [ 0; 0; 0; 0; 1; 1; 2; 1; 2; 2; 3; 3; 3; 3; 3 ] (run "1.5;").reads;
+  Alcotest.(check (list int)) "/**/" [ 0; 1; 1; 0; 1; 2; 3; 2; 3 ] (run "/**/").reads
+
 (* --- Arithmetic and operators --- *)
 
 let test_arithmetic () =
@@ -376,6 +547,9 @@ let suite =
     Alcotest.test_case "lexer line numbers" `Quick test_lexer_line_numbers;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
+    Alcotest.test_case "front-end oracle" `Quick test_front_end_oracle;
+    Alcotest.test_case "front-end error messages" `Quick test_front_end_errors;
+    Alcotest.test_case "front-end read sequence" `Quick test_front_end_read_sequence;
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "string ops" `Quick test_string_ops;
     Alcotest.test_case "arrays" `Quick test_arrays;

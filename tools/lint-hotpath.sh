@@ -1,5 +1,5 @@
 #!/bin/sh
-# Hot-path lint, two rules.
+# Hot-path lint, three rules.
 #
 # 1. The clock tick and the checked-access TLB hit must compile to code
 #    with no unknown call.
@@ -19,6 +19,13 @@
 #    key their indices by integers (Util.Int_table, dense arrays,
 #    bitmaps); the helpers they call in their own module are checked
 #    too, as is the table itself.
+#
+# 3. The front ends' byte loops (the script lexer's peek/advance/trivia
+#    skipping, the HTML parser's peek/whitespace skipping) must not
+#    allocate on the young heap: no `sub $N,%r15`, the bump of the
+#    minor-heap pointer.  (caml_call_gc is no signal: OCaml 5 poll points
+#    reference it too.)  A byte is an int, -1 past the end, never a
+#    `char option`.
 #
 # Usage: tools/lint-hotpath.sh   (from the repository root; `make lint-hotpath`)
 set -eu
@@ -64,6 +71,12 @@ check() {
   forbid "makes an unknown call (keep it off the hot path)" 'caml_apply|call[q]? +\*' "$@"
 }
 
+# check_alloc OBJECT MODULE FUNCTION...: no young-heap allocation.
+check_alloc() {
+  forbid "allocates on the young heap (return an int byte, not an option)" \
+    'sub +\$0x[0-9a-f]+,%r15' "$@"
+}
+
 # check_hash OBJECT MODULE FUNCTION...: no polymorphic hash or compare.
 check_hash() {
   forbid "hashes or compares polymorphically (key it by an int)" \
@@ -76,6 +89,7 @@ check "$objs/machine/.sim.objs/native/sim__Machine.o" Sim__Machine translate rea
 call_free=$checked
 
 check_hash "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc site_of
+check_hash "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value malloc grow
 check_hash "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom addr
 check_hash "$objs/runtime/.runtime.objs/native/runtime__Metadata.o" Runtime__Metadata \
   lookup floor_index
@@ -87,8 +101,14 @@ check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.
   find_free_slot first_clear large_pages run_of_addr
 check_hash "$objs/util/.util.objs/native/util__Int_table.o" Util__Int_table \
   get slot replace remove close_hole
+hash_free=$((checked - call_free))
+
+check_alloc "$objs/engine/.engine.objs/native/engine__Lexer.o" Engine__Lexer \
+  peek peek2 advance skip_trivia to_eol to_close
+check_alloc "$objs/browser/.browser.objs/native/browser__Html.o" Browser__Html peek skip_ws
 
 if [ "$status" -eq 0 ]; then
-  echo "lint-hotpath: ok ($call_free functions call-free, $((checked - call_free)) free of polymorphic hashing)"
+  echo "lint-hotpath: ok ($call_free functions call-free, $hash_free free of polymorphic hashing," \
+    "$((checked - call_free - hash_free)) allocation-free)"
 fi
 exit "$status"
