@@ -3,71 +3,26 @@
    reported numbers, then runs the ablation studies and a bechamel pass
    over scaled-down versions of each experiment.
 
-   Usage: main.exe [--skip-bechamel] [--only SECTION]...
+   Usage: main.exe [--skip-bechamel] [--only SECTION]... [--json DIR]
                    [--compare BASELINE] [--baseline-out FILE]
-                   [--wall-tolerance X] [--compare-strict]
-   --only may repeat; with none given, every section runs.
-   Sections: micro fig3 table1 table2 fig5 fig6 fig7 security sites
-             ablations tlb mitigation census dispatch fleet garmr bechamel
+   Sections, in run order: micro fig3 table1 table2 fig5 fig6 fig7
+     security sites ablations tlb mitigation census dispatch fleet garmr
+     bechamel sentinel
+   --only may repeat; with none given, every section but the sentinel
+   runs.  An unknown section or argument, or an unreadable --compare
+   file, prints one line and exits 2 before any section runs.
+
+   Each section computes its results once, fails the run (exit 1) on any
+   broken hard gate, prints its table and hands back the JSON artifacts
+   it owns.  --json DIR writes the artifacts of the sections that ran,
+   then host.json (per-section host wall time, plus the tlb and dispatch
+   blocks when those sections ran) and manifest.json.
 
    --compare / --baseline-out run only the regression-sentinel probes
    (unless sections are also requested with --only): --baseline-out
    regenerates BENCH_BASELINE.json, --compare diffs a fresh probe run
-   against a checked-in baseline.  Simulated-cycle drift is flagged hard
-   but, being a warn-only CI gate, only fails the process under
-   --compare-strict; host wall-clock always warns only. *)
-
-let skip_bechamel = ref false
-let only : string list ref = ref []
-let json_dir : string option ref = ref None
-let compare_file : string option ref = ref None
-let baseline_out : string option ref = ref None
-let wall_tolerance = ref Workloads.Sentinel.default_wall_tolerance
-let compare_strict = ref false
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--skip-bechamel" :: rest ->
-      skip_bechamel := true;
-      parse rest
-    | "--only" :: section :: rest ->
-      only := section :: !only;
-      parse rest
-    | "--json" :: dir :: rest ->
-      json_dir := Some dir;
-      parse rest
-    | "--compare" :: file :: rest ->
-      compare_file := Some file;
-      parse rest
-    | "--baseline-out" :: file :: rest ->
-      baseline_out := Some file;
-      parse rest
-    | "--wall-tolerance" :: x :: rest ->
-      (match float_of_string_opt x with
-      | Some t when t > 1.0 -> wall_tolerance := t
-      | _ -> failwith ("--wall-tolerance must be a factor > 1.0, got " ^ x));
-      parse rest
-    | "--compare-strict" :: rest ->
-      compare_strict := true;
-      parse rest
-    | arg :: _ -> failwith ("unknown argument " ^ arg)
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-(* A sentinel-only invocation skips the report sections unless some were
-   explicitly requested. *)
-let sentinel_requested () = !compare_file <> None || !baseline_out <> None
-let section name = (!only = [] && not (sentinel_requested ())) || List.mem name !only
-
-(* Per-section host wall-clock, recorded for every section that runs and
-   emitted into host.json alongside the simulated-cycle results. *)
-let section_walls : (string * float) list ref = ref []
-
-let timed name f =
-  let start = Unix.gettimeofday () in
-  f ();
-  section_walls := !section_walls @ [ (name, Unix.gettimeofday () -. start) ]
+   against a checked-in baseline.  Any simulated-cycle or transition
+   drift exits 1; host wall-clock only warns. *)
 
 let header title = Printf.printf "\n=== %s ===\n\n" title
 
@@ -77,6 +32,11 @@ let ratio r = Printf.sprintf "%.2fx" r
 let bar ?(scale = 40.0) v =
   let n = int_of_float (Float.min (v *. scale /. 2.0) 60.0) in
   String.make (max n 1) '#'
+
+let env_exn ?profile mode =
+  match Pkru_safe.Env.create ?profile (Pkru_safe.Config.make mode) with
+  | Ok env -> env
+  | Error msg -> failwith msg
 
 (* --- §5.2 Micro-benchmarks --- *)
 
@@ -95,7 +55,21 @@ let run_micro () =
            ratio r.Workloads.Microbench.overhead_x;
            ratio (List.assoc r.Workloads.Microbench.name paper);
          ])
-       results)
+       results);
+  [
+    ( "micro.json",
+      Util.Json.List
+        (List.map
+           (fun (r : Workloads.Microbench.result) ->
+             Util.Json.Obj
+               [
+                 ("name", Util.Json.String r.Workloads.Microbench.name);
+                 ("ungated", Util.Json.Float r.Workloads.Microbench.ungated_cycles_per_call);
+                 ("gated", Util.Json.Float r.Workloads.Microbench.gated_cycles_per_call);
+                 ("overhead_x", Util.Json.Float r.Workloads.Microbench.overhead_x);
+               ])
+           results) );
+  ]
 
 (* --- Figure 3 --- *)
 
@@ -109,7 +83,16 @@ let run_fig3 () =
        (fun (loops, overhead) ->
          [ string_of_int loops; Printf.sprintf "%.2f" overhead; bar ~scale:8.0 overhead ])
        sweep);
-  print_endline "(paper: starts near the Empty ratio and decays toward 1.0 by loop count 200)"
+  print_endline "(paper: starts near the Empty ratio and decays toward 1.0 by loop count 200)";
+  [
+    ( "fig3.json",
+      Util.Json.List
+        (List.map
+           (fun (loops, overhead) ->
+             Util.Json.Obj
+               [ ("loop_count", Util.Json.Int loops); ("normalized", Util.Json.Float overhead) ])
+           sweep) );
+  ]
 
 (* --- Suite execution (shared by Table 1/2 and Figures 4-7) --- *)
 
@@ -158,6 +141,9 @@ let print_fig ~title (result : Workloads.Runner.suite_result) =
   if disagreements <> [] then
     Printf.printf "WARNING: %d benchmarks produced diverging outputs!\n" (List.length disagreements)
 
+(* The four suite runs are the only results shared between sections:
+   Table 1 reads all of them, Table 2 the Dromaeo sub-suites and Figures
+   5-7 one suite each.  Whichever section runs first pays for the run. *)
 let dromaeo_sub_runs =
   lazy
     (List.map
@@ -176,27 +162,77 @@ let dromaeo_aggregate () =
     List.fold_left (fun acc (_, r) -> acc + r.Workloads.Runner.total_transitions) 0 subs,
     means (fun r -> r.Workloads.Runner.mean_pct_mu) )
 
+(* Artifact-style machine-readable suite results (the docker image's
+   bench-results/*.json folders), one file per suite. *)
+let measurement_json (m : Workloads.Runner.measurement) =
+  Util.Json.Obj
+    ([
+       ("cycles", Util.Json.Int m.Workloads.Runner.cycles);
+       ("transitions", Util.Json.Int m.Workloads.Runner.transitions);
+       ("pct_mu", Util.Json.Float m.Workloads.Runner.pct_mu);
+     ]
+    @ (match m.Workloads.Runner.trace with
+      | Some sink ->
+        let attribution =
+          Telemetry.Attribution.of_sink ~total_cycles:m.Workloads.Runner.cycles sink
+        in
+        [
+          ( "telemetry",
+            Telemetry.Export.summary_json ?census:m.Workloads.Runner.census sink );
+          ("site_heat", Telemetry.Attribution.site_heat_json ~limit:10 attribution);
+          ("flow_matrix", Telemetry.Attribution.flow_json attribution);
+        ]
+      | None -> [])
+    @ (match m.Workloads.Runner.census with
+      | Some census -> [ ("census", Telemetry.Census.digest_json census) ]
+      | None -> [])
+    @
+    match m.Workloads.Runner.samples with
+    | Some sampler -> [ ("profile", Telemetry.Sampler.to_json sampler) ]
+    | None -> [])
+
+let suite_file label (result : Workloads.Runner.suite_result) =
+  ( label ^ ".json",
+    Util.Json.Obj
+      [
+        ("suite", Util.Json.String result.Workloads.Runner.suite);
+        ("mean_alloc_pct", Util.Json.Float result.Workloads.Runner.mean_alloc_pct);
+        ("mean_mpk_pct", Util.Json.Float result.Workloads.Runner.mean_mpk_pct);
+        ("total_transitions", Util.Json.Int result.Workloads.Runner.total_transitions);
+        ("pct_mu", Util.Json.Float result.Workloads.Runner.mean_pct_mu);
+        ( "benchmarks",
+          Util.Json.List
+            (List.map
+               (fun (r : Workloads.Runner.bench_result) ->
+                 Util.Json.Obj
+                   [
+                     ("name", Util.Json.String r.Workloads.Runner.bench);
+                     ("base", measurement_json r.Workloads.Runner.base);
+                     ("alloc", measurement_json r.Workloads.Runner.alloc);
+                     ("mpk", measurement_json r.Workloads.Runner.mpk);
+                     ("alloc_overhead_pct", Util.Json.Float r.Workloads.Runner.alloc_overhead_pct);
+                     ("mpk_overhead_pct", Util.Json.Float r.Workloads.Runner.mpk_overhead_pct);
+                     ("outputs_agree", Util.Json.Bool r.Workloads.Runner.outputs_agree);
+                   ])
+               result.Workloads.Runner.bench_results) );
+      ] )
+
+let dromaeo_files () =
+  List.map (fun (label, r) -> suite_file ("dromaeo-" ^ label) r) (Lazy.force dromaeo_sub_runs)
+
 (* --- Table 1 --- *)
 
 let run_table1 () =
   header "Table 1: Servo-equivalent mean benchmark overhead and statistics";
   let d_alloc, d_mpk, d_trans, d_mu = dromaeo_aggregate () in
-  let suite_row label (result : Workloads.Runner.suite_result) =
-    [
-      label;
-      pct result.Workloads.Runner.mean_alloc_pct;
-      pct result.Workloads.Runner.mean_mpk_pct;
-      string_of_int result.Workloads.Runner.total_transitions;
-      Printf.sprintf "%.2f%%" result.Workloads.Runner.mean_pct_mu;
-    ]
-  in
   let measured =
     [ "Dromaeo"; pct d_alloc; pct d_mpk; string_of_int d_trans; Printf.sprintf "%.2f%%" d_mu ]
-    :: [
-         suite_row "JetStream2" (Lazy.force jetstream_run);
-         suite_row "Kraken" (Lazy.force kraken_run);
-         suite_row "Octane" (Lazy.force octane_run);
-       ]
+    :: suite_rows
+         [
+           ("JetStream2", Lazy.force jetstream_run);
+           ("Kraken", Lazy.force kraken_run);
+           ("Octane", Lazy.force octane_run);
+         ]
   in
   Util.Table.print ~header:[ "suite"; "alloc"; "mpk"; "transitions"; "%MU" ] measured;
   print_endline "\nPaper (Table 1):";
@@ -210,7 +246,13 @@ let run_table1 () =
            string_of_int row.Workloads.Paper.t1_transitions;
            Printf.sprintf "%.2f%%" row.Workloads.Paper.t1_pct_mu;
          ])
-       Workloads.Paper.table1)
+       Workloads.Paper.table1);
+  dromaeo_files ()
+  @ [
+      suite_file "kraken" (Lazy.force kraken_run);
+      suite_file "octane" (Lazy.force octane_run);
+      suite_file "jetstream2" (Lazy.force jetstream_run);
+    ]
 
 (* --- Table 2 / Figure 4 --- *)
 
@@ -245,18 +287,22 @@ let run_table2 () =
     (fun (label, (result : Workloads.Runner.suite_result)) ->
       let norm = 1.0 +. (result.Workloads.Runner.mean_mpk_pct /. 100.0) in
       Printf.printf "  %-10s %.3f %s\n" label norm (bar ~scale:40.0 norm))
-    subs
+    subs;
+  dromaeo_files ()
 
 (* --- Figures 5-7, Table 3 --- *)
 
-let run_fig5 () = print_fig ~title:"Figure 5: Kraken normalized runtime" (Lazy.force kraken_run)
-let run_fig6 () = print_fig ~title:"Figure 6: Octane normalized runtime" (Lazy.force octane_run)
+let run_fig ~title ~file run () =
+  let result = Lazy.force run in
+  print_fig ~title result;
+  [ suite_file file result ]
 
 let run_fig7 () =
-  print_fig ~title:"Figure 7: JetStream2 normalized runtime" (Lazy.force jetstream_run);
+  let artifacts =
+    run_fig ~title:"Figure 7: JetStream2 normalized runtime" ~file:"jetstream2" jetstream_run ()
+  in
   header "Table 3: JetStream2 overall scores (geometric mean; higher is better)";
-  let result = Lazy.force jetstream_run in
-  let score = Workloads.Runner.geomean_score result in
+  let score = Workloads.Runner.geomean_score (Lazy.force jetstream_run) in
   let base = score Pkru_safe.Config.Base in
   let alloc = score Pkru_safe.Config.Alloc in
   let mpk = score Pkru_safe.Config.Mpk in
@@ -268,25 +314,14 @@ let run_fig7 () =
         Printf.sprintf "%.2f" (mpk /. base *. 100.0) ];
       [ "overhead"; "-"; pct (overhead alloc); pct (overhead mpk) ];
     ];
-  print_endline "\nPaper (Table 3): scores 60.31 / 61.20 / 59.94 -> overhead alloc -1.48%, mpk +0.61%"
+  print_endline "\nPaper (Table 3): scores 60.31 / 61.20 / 59.94 -> overhead alloc -1.48%, mpk +0.61%";
+  artifacts
 
 (* --- Software-TLB microbench --- *)
 
-(* Kept so host.json can reuse the section's result instead of re-running
-   the workload. *)
-let last_tlb : Workloads.Microbench.tlb_result option ref = ref None
-
-let tlb_result ?pages ?iters () =
-  match !last_tlb with
-  | Some r -> r
-  | None ->
-    let r = Workloads.Microbench.tlb_hot ?pages ?iters () in
-    last_tlb := Some r;
-    r
-
 let run_tlb () =
   header "Software TLB: page-hot checked-access loop, host wall-clock";
-  let r = tlb_result () in
+  let r = Workloads.Microbench.tlb_hot () in
   if r.Workloads.Microbench.cycles_on <> r.Workloads.Microbench.cycles_off then
     failwith
       (Printf.sprintf "TLB changed simulated cycles: %d (on) vs %d (off)"
@@ -306,20 +341,61 @@ let run_tlb () =
     r.Workloads.Microbench.speedup
     (100.0 *. Sim.Tlb.hit_rate stats)
     stats.Sim.Tlb.hits stats.Sim.Tlb.misses stats.Sim.Tlb.flushes;
-  print_endline "(simulated cycles are identical by construction: the TLB is architecturally invisible)"
+  print_endline "(simulated cycles are identical by construction: the TLB is architecturally invisible)";
+  [
+    ( "host.json",
+      Util.Json.Obj
+        [
+          ( "tlb",
+            Util.Json.Obj
+              [
+                ("pages", Util.Json.Int r.Workloads.Microbench.pages);
+                ("iters", Util.Json.Int r.Workloads.Microbench.iters);
+                ("wall_on_s", Util.Json.Float r.Workloads.Microbench.wall_on_s);
+                ("wall_off_s", Util.Json.Float r.Workloads.Microbench.wall_off_s);
+                ("speedup", Util.Json.Float r.Workloads.Microbench.speedup);
+                ("cycles_on", Util.Json.Int r.Workloads.Microbench.cycles_on);
+                ("cycles_off", Util.Json.Int r.Workloads.Microbench.cycles_off);
+                ("cycles_identical", Util.Json.Bool true);
+                ("hits", Util.Json.Int stats.Sim.Tlb.hits);
+                ("misses", Util.Json.Int stats.Sim.Tlb.misses);
+                ("flushes", Util.Json.Int stats.Sim.Tlb.flushes);
+              ] );
+        ] );
+  ]
 
 (* --- §5.4 Security --- *)
 
 let run_security () =
   header "Security (paper 5.4 / E3): CVE-2019-11707-style arbitrary write";
-  List.iter
-    (fun mode ->
-      match Exploit.run mode with
-      | Ok outcome -> Format.printf "%a@." Exploit.pp_outcome outcome
-      | Error msg -> Printf.printf "error: %s\n" msg)
-    [ Pkru_safe.Config.Base; Pkru_safe.Config.Mpk ];
+  let outcomes =
+    List.filter_map
+      (fun mode ->
+        match Exploit.run mode with
+        | Ok outcome ->
+          Format.printf "%a@." Exploit.pp_outcome outcome;
+          Some outcome
+        | Error msg ->
+          Printf.printf "error: %s\n" msg;
+          None)
+      [ Pkru_safe.Config.Base; Pkru_safe.Config.Mpk ]
+  in
   print_endline
-    "(paper: the base build's secret is overwritten 42 -> 1337; the mpk build dies on an MPK violation)"
+    "(paper: the base build's secret is overwritten 42 -> 1337; the mpk build dies on an MPK violation)";
+  [
+    ( "security.json",
+      Util.Json.List
+        (List.map
+           (fun (o : Exploit.outcome) ->
+             Util.Json.Obj
+               [
+                 ("mode", Util.Json.String (Pkru_safe.Config.mode_to_string o.Exploit.mode));
+                 ("secret_before", Util.Json.Int o.Exploit.secret_before);
+                 ("secret_after", Util.Json.Int o.Exploit.secret_after);
+                 ("crashed", Util.Json.Bool o.Exploit.crashed);
+               ])
+           outcomes) );
+  ]
 
 (* --- §5.3 site statistics --- *)
 
@@ -331,11 +407,7 @@ let run_sites () =
   in
   let suite = { Workloads.Bench_def.suite_name = "sites"; benches = [ bench ] } in
   let profile = Workloads.Runner.profile_suite suite in
-  let env =
-    match Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) with
-    | Ok env -> env
-    | Error msg -> failwith msg
-  in
+  let env = env_exn ~profile Pkru_safe.Config.Mpk in
   let browser = Browser.create env in
   Browser.load_page browser bench.Workloads.Bench_def.page;
   ignore (Browser.exec_script browser bench.Workloads.Bench_def.script);
@@ -347,7 +419,8 @@ let run_sites () =
     Workloads.Paper.servo_sites_moved Workloads.Paper.servo_alloc_sites
     (100.0
     *. float_of_int Workloads.Paper.servo_sites_moved
-    /. float_of_int Workloads.Paper.servo_alloc_sites)
+    /. float_of_int Workloads.Paper.servo_alloc_sites);
+  []
 
 (* --- Ablations --- *)
 
@@ -374,11 +447,7 @@ let run_ablations () =
        coverage);
   header "Ablation: engine execution tier (AST walker vs bytecode VM)";
   (let cycles tier =
-     let env =
-       match Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base) with
-       | Ok env -> env
-       | Error msg -> failwith msg
-     in
+     let env = env_exn Pkru_safe.Config.Base in
      let engine = Engine.create ~seed:7 env in
      ignore (Engine.eval_string ~tier engine (Workloads.Kernels.fft ~n:256));
      Pkru_safe.Env.cycles env
@@ -391,44 +460,34 @@ let run_ablations () =
    print_endline "(both tiers are observationally identical; see the differential tests)");
   header "Ablation: static analysis vs dynamic profiling (paper 6)";
   (let source =
-     (* Use the shipped sample program when run from the repo root;
-        otherwise build the equivalent module directly. *)
-     if Sys.file_exists "examples/programs/shared_buffer.ir" then
-       Ir.Ir_text.of_string
-         (In_channel.with_open_text "examples/programs/shared_buffer.ir" In_channel.input_all)
-     else begin
-       let m = Ir.Module_ir.create () in
-       let u = Ir.Builder.create ~name:"u_write" ~crate:"clib" ~nparams:1 () in
-       Ir.Builder.store u ~src:(Ir.Instr.Imm 1337) ~addr:(Ir.Instr.Reg 0) ();
-       Ir.Builder.ret u None;
-       Ir.Module_ir.add_func m (Ir.Builder.finish u);
-       Ir.Module_ir.mark_untrusted m "clib";
-       let f = Ir.Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
-       let shared = Ir.Builder.alloc f (Ir.Instr.Imm 64) in
-       ignore (Ir.Builder.call f "u_write" [ Ir.Instr.Reg shared ]);
-       let v = Ir.Builder.load f (Ir.Instr.Reg shared) in
-       Ir.Builder.ret f (Some (Ir.Instr.Reg v));
-       Ir.Module_ir.add_func m (Ir.Builder.finish f);
-       m
-     end
+     (* The smallest mixed-language module with one shared allocation:
+        trusted main allocates a buffer, untrusted u_write stores 1337
+        into it, and main returns what it reads back. *)
+     let m = Ir.Module_ir.create () in
+     let u = Ir.Builder.create ~name:"u_write" ~crate:"clib" ~nparams:1 () in
+     Ir.Builder.store u ~src:(Ir.Instr.Imm 1337) ~addr:(Ir.Instr.Reg 0) ();
+     Ir.Builder.ret u None;
+     Ir.Module_ir.add_func m (Ir.Builder.finish u);
+     Ir.Module_ir.mark_untrusted m "clib";
+     let f = Ir.Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
+     let shared = Ir.Builder.alloc f (Ir.Instr.Imm 64) in
+     ignore (Ir.Builder.call f "u_write" [ Ir.Instr.Reg shared ]);
+     let v = Ir.Builder.load f (Ir.Instr.Reg shared) in
+     Ir.Builder.ret f (Some (Ir.Instr.Reg v));
+     Ir.Module_ir.add_func m (Ir.Builder.finish f);
+     m
    in
+   let ok = function Ok r -> r | Error msg -> failwith msg in
    let dynamic =
-     match
-       Toolchain.Pipeline.collect_profile source
-         ~inputs:[ (fun i -> ignore (Toolchain.Interp.run i "main" [])) ]
-     with
-     | Ok p -> p
-     | Error msg -> failwith msg
+     ok
+       (Toolchain.Pipeline.collect_profile source
+          ~inputs:[ (fun i -> ignore (Toolchain.Interp.run i "main" [])) ])
    in
    let dyn_build =
-     match Toolchain.Pipeline.build ~profile:dynamic ~mode:Pkru_safe.Config.Mpk source with
-     | Ok b -> b
-     | Error msg -> failwith msg
+     ok (Toolchain.Pipeline.build ~profile:dynamic ~mode:Pkru_safe.Config.Mpk source)
    in
    let static_build, static_result =
-     match Toolchain.Pipeline.build_static ~mode:Pkru_safe.Config.Mpk source with
-     | Ok r -> r
-     | Error msg -> failwith msg
+     ok (Toolchain.Pipeline.build_static ~mode:Pkru_safe.Config.Mpk source)
    in
    let run b = Toolchain.Interp.run b.Toolchain.Pipeline.interp "main" [] in
    Printf.printf "dynamic profile: %d site(s) moved, main() = %d\n"
@@ -441,50 +500,32 @@ let run_ablations () =
   header "Ablation: single-step profiling vs switch-on-fault (paper 4.3.2)";
   let stepped, switched = Workloads.Ablation.single_step_vs_switch () in
   Printf.printf "sites recorded with single-stepping:       %d\n" stepped;
-  Printf.printf "sites recorded with compartment-switching: %d (misses later flows)\n" switched
+  Printf.printf "sites recorded with compartment-switching: %d (misses later flows)\n" switched;
+  []
 
 (* --- Mitigation: enforcement-mode fault-recovery policies --- *)
 
 let mitigation_seed = 1337
-
-(* Shared between the printed section and mitigation.json so the chaos
-   runs happen at most once per invocation. *)
-let mitigation_reports =
-  lazy
-    (List.map
-       (fun policy ->
-         (policy, Chaos.run ~scenario:Chaos.Coverage_gap ~policy ~seed:mitigation_seed ()))
-       Runtime.Mitigator.all_policies)
 
 let mitigation_bench =
   Workloads.Bench_def.bench
     ~page:(Workloads.Dom_scripts.page ~rows:8)
     "mitigation" (Workloads.Dom_scripts.dom_attr ~iters:60)
 
-let mitigation_cycles =
-  lazy
-    (let suite =
-       { Workloads.Bench_def.suite_name = "mitigation"; benches = [ mitigation_bench ] }
-     in
-     let profile = Workloads.Runner.profile_suite suite in
-     let cycles m = m.Workloads.Runner.cycles in
-     let baseline =
-       cycles (Workloads.Runner.run_config ~mode:Pkru_safe.Config.Mpk ~profile mitigation_bench)
-     in
-     let per_policy =
-       List.map
-         (fun policy ->
-           ( policy,
-             cycles
-               (Workloads.Runner.run_config ~mitigation:policy ~mode:Pkru_safe.Config.Mpk
-                  ~profile mitigation_bench) ))
-         Runtime.Mitigator.all_policies
-     in
-     (baseline, per_policy))
-
 let run_mitigation () =
   header "Mitigation: fault-recovery policy overhead (full profile, no faults)";
-  let baseline, per_policy = Lazy.force mitigation_cycles in
+  let profile =
+    Workloads.Runner.profile_suite
+      { Workloads.Bench_def.suite_name = "mitigation"; benches = [ mitigation_bench ] }
+  in
+  let cycles ?mitigation () =
+    (Workloads.Runner.run_config ?mitigation ~mode:Pkru_safe.Config.Mpk ~profile mitigation_bench)
+      .Workloads.Runner.cycles
+  in
+  let baseline = cycles () in
+  let per_policy =
+    List.map (fun policy -> (policy, cycles ~mitigation:policy ())) Runtime.Mitigator.all_policies
+  in
   Util.Table.print
     ~header:[ "policy"; "cycles"; "vs no mitigator" ]
     ([ "(none)"; string_of_int baseline; "-" ]
@@ -504,6 +545,12 @@ let run_mitigation () =
     "(an installed mitigator costs nothing until an unprofiled site faults; Abort is\n\
     \ bit-identical to no mitigator by construction)";
   header "Mitigation: coverage-gap chaos run per policy (10% of profile dropped)";
+  let reports =
+    List.map
+      (fun policy ->
+        (policy, Chaos.run ~scenario:Chaos.Coverage_gap ~policy ~seed:mitigation_seed ()))
+      Runtime.Mitigator.all_policies
+  in
   Util.Table.print
     ~header:[ "policy"; "outcome"; "incidents"; "rerun"; "promoted sites"; "invariants" ]
     (List.map
@@ -517,10 +564,25 @@ let run_mitigation () =
            (if r.Chaos.invariant_failures = [] then "ok"
             else String.concat "; " r.Chaos.invariant_failures);
          ])
-       (Lazy.force mitigation_reports));
+       reports);
   print_endline
     "(abort dies exactly like the seed; emulate/promote complete with incidents counted;\n\
-    \ promote's rerun faults strictly less: quarantined sites now allocate in MU)"
+    \ promote's rerun faults strictly less: quarantined sites now allocate in MU)";
+  [
+    ( "mitigation.json",
+      Util.Json.Obj
+        [
+          ("seed", Util.Json.Int mitigation_seed);
+          ( "full_profile_cycles",
+            Util.Json.Obj
+              (("none", Util.Json.Int baseline)
+              :: List.map
+                   (fun (policy, c) -> (Runtime.Mitigator.policy_to_string policy, Util.Json.Int c))
+                   per_policy) );
+          ( "coverage_gap",
+            Util.Json.List (List.map (fun (_, r) -> Chaos.report_to_json r) reports) );
+        ] );
+  ]
 
 (* --- Heap census + provenance audit --- *)
 
@@ -531,48 +593,69 @@ let census_bench =
     ~page:(Workloads.Dom_scripts.page ~rows:12)
     "census" (Workloads.Dom_scripts.dom_attr ~iters:60)
 
-(* Shared between the printed section and census.json: one uncensused and
-   one censused run (cycles must be identical — the census is
-   architecturally invisible) plus a post-run provenance scan. *)
-let census_runs =
-  lazy
-    (let suite = { Workloads.Bench_def.suite_name = "census"; benches = [ census_bench ] } in
-     let profile = Workloads.Runner.profile_suite suite in
-     let plain = Workloads.Runner.run_config ~mode:Pkru_safe.Config.Mpk ~profile census_bench in
-     let censused =
-       Workloads.Runner.run_config ~census_every:census_every_default
-         ~mode:Pkru_safe.Config.Mpk ~profile census_bench
-     in
-     let env =
-       match Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) with
-       | Ok env -> env
-       | Error msg -> failwith msg
-     in
-     Pkru_safe.Env.track_census env;
-     let browser =
-       Browser.create ~engine_seed:census_bench.Workloads.Bench_def.engine_seed env
-     in
-     Browser.load_page browser census_bench.Workloads.Bench_def.page;
-     ignore (Browser.exec_script browser census_bench.Workloads.Bench_def.script);
-     let audit_report =
-       Audit.scan
-         ~metadata:(Option.get (Pkru_safe.Env.census_metadata env))
-         (Pkru_safe.Env.pkalloc env)
-     in
-     (plain, censused, audit_report))
+(* One telemetry-instrumented run per substrate family: histogram
+   summaries (gate round-trip, allocation sizes, fault service) plus the
+   attribution digests — site heat, the compartment flow matrix and the
+   cycle-sampled folded stacks.  The traced runs are separate from every
+   timing run, so telemetry cannot perturb the reported numbers even in
+   principle. *)
+let traced_bench name bench =
+  let suite = { Workloads.Bench_def.suite_name = name; benches = [ bench ] } in
+  let profile = Workloads.Runner.profile_suite suite in
+  let m =
+    Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
+      ~profile bench
+  in
+  ( name,
+    match m.Workloads.Runner.trace with
+    | Some sink ->
+      let attribution =
+        Telemetry.Attribution.of_sink ~total_cycles:m.Workloads.Runner.cycles sink
+      in
+      Util.Json.Obj
+        ([
+           ("summary", Telemetry.Export.summary_json sink);
+           ("site_heat", Telemetry.Attribution.site_heat_json ~limit:10 attribution);
+           ("flow_matrix", Telemetry.Attribution.flow_json attribution);
+         ]
+        @
+        match m.Workloads.Runner.samples with
+        | Some sampler -> [ ("profile", Telemetry.Sampler.to_json sampler) ]
+        | None -> [])
+    | None -> Util.Json.Null )
 
+(* One uncensused and one censused run (cycles must be identical — the
+   census is architecturally invisible), a post-run provenance scan that
+   must find no MT object reachable from U, and the traced telemetry
+   runs. *)
 let run_census () =
   header "Heap census + provenance audit (dom-attr, mpk)";
-  let plain, censused, audit_report = Lazy.force census_runs in
+  let profile =
+    Workloads.Runner.profile_suite
+      { Workloads.Bench_def.suite_name = "census"; benches = [ census_bench ] }
+  in
+  let plain = Workloads.Runner.run_config ~mode:Pkru_safe.Config.Mpk ~profile census_bench in
+  let censused =
+    Workloads.Runner.run_config ~census_every:census_every_default ~mode:Pkru_safe.Config.Mpk
+      ~profile census_bench
+  in
+  let audit_report =
+    let env = env_exn ~profile Pkru_safe.Config.Mpk in
+    Pkru_safe.Env.track_census env;
+    let browser = Browser.create ~engine_seed:census_bench.Workloads.Bench_def.engine_seed env in
+    Browser.load_page browser census_bench.Workloads.Bench_def.page;
+    ignore (Browser.exec_script browser census_bench.Workloads.Bench_def.script);
+    Audit.scan
+      ~metadata:(Option.get (Pkru_safe.Env.census_metadata env))
+      (Pkru_safe.Env.pkalloc env)
+  in
   if plain.Workloads.Runner.cycles <> censused.Workloads.Runner.cycles then
     failwith
       (Printf.sprintf "census changed simulated cycles: %d (off) vs %d (on)"
          plain.Workloads.Runner.cycles censused.Workloads.Runner.cycles);
   Printf.printf "cycles %d with the census off and on (identical by construction)\n"
     plain.Workloads.Runner.cycles;
-  let census =
-    match censused.Workloads.Runner.census with Some c -> c | None -> assert false
-  in
+  let census = Option.get censused.Workloads.Runner.census in
   Printf.printf "%d snapshot(s), 1 every %d cycles\n"
     (Telemetry.Census.taken_total census)
     (Telemetry.Census.every census);
@@ -602,7 +685,28 @@ let run_census () =
      else
        Printf.sprintf "%d MT object(s) REACHABLE FROM U" (List.length audit_report.Audit.findings));
   if not (Audit.leak_free audit_report) then
-    failwith "provenance audit found MT objects reachable from U on a seed workload"
+    failwith "provenance audit found MT objects reachable from U on a seed workload";
+  [
+    ( "telemetry.json",
+      Util.Json.Obj
+        [
+          traced_bench "dom-attr"
+            (Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:12) "dom-attr"
+               (Workloads.Dom_scripts.dom_attr ~iters:60));
+          traced_bench "richards"
+            (Workloads.Bench_def.bench "richards" (Workloads.Kernels.richards ~iterations:40));
+        ] );
+    ( "census.json",
+      Util.Json.Obj
+        [
+          ("bench", Util.Json.String census_bench.Workloads.Bench_def.name);
+          ("cycles_off", Util.Json.Int plain.Workloads.Runner.cycles);
+          ("cycles_on", Util.Json.Int censused.Workloads.Runner.cycles);
+          ("cycles_identical", Util.Json.Bool true);
+          ("census", Telemetry.Census.digest_json census);
+          ("audit", Audit.to_json audit_report);
+        ] );
+  ]
 
 (* --- Dispatch: execution-tier equivalence + host speedup --- *)
 
@@ -631,32 +735,11 @@ let dispatch_suites =
 
 let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
   let profile = Runtime.Profile.create () in
-  let mode = Pkru_safe.Config.Base in
-  let row =
-    ref
-      {
-        dr_label = label;
-        dr_benches = List.length suite.Workloads.Bench_def.benches;
-        dr_cycles = 0;
-        dr_wall_ast = 0.0;
-        dr_wall_ref = 0.0;
-        dr_wall_thr = 0.0;
-        dr_var_hits = 0;
-        dr_var_misses = 0;
-        dr_prop_hits = 0;
-        dr_prop_misses = 0;
-        dr_super_execs = 0;
-      }
-  in
   (* Setup (machine, browser, page) is untimed — only the script run is
      the engine's work; cycles/transitions are the post-setup deltas,
      exactly as [Runner.run_config] measures them. *)
   let timed_run tier (bench : Workloads.Bench_def.bench) =
-    let env =
-      match Pkru_safe.Env.create ~profile (Pkru_safe.Config.make mode) with
-      | Ok env -> env
-      | Error msg -> failwith msg
-    in
+    let env = env_exn ~profile Pkru_safe.Config.Base in
     let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
     Browser.load_page browser bench.Workloads.Bench_def.page;
     Pkru_safe.Env.reset_counters env;
@@ -671,8 +754,8 @@ let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
       Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)),
       Engine.threaded_stats (Browser.engine browser) )
   in
-  List.iter
-    (fun (bench : Workloads.Bench_def.bench) ->
+  List.fold_left
+    (fun row (bench : Workloads.Bench_def.bench) ->
       let name = bench.Workloads.Bench_def.name in
       let t_ast, _, _, out_ast, _, _ = timed_run Engine.Ast_tier bench in
       let t_ref, cyc_ref, trans_ref, out_ref, _, _ = timed_run Engine.Bytecode_tier bench in
@@ -685,23 +768,32 @@ let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
              "dispatch: %s simulated divergence — reference %d cycles/%d transitions vs \
               threaded %d/%d"
              name cyc_ref trans_ref cyc_thr trans_thr);
-      row :=
-        {
-          !row with
-          dr_cycles = !row.dr_cycles + cyc_ref;
-          dr_wall_ast = !row.dr_wall_ast +. t_ast;
-          dr_wall_ref = !row.dr_wall_ref +. t_ref;
-          dr_wall_thr = !row.dr_wall_thr +. t_thr;
-          dr_var_hits = !row.dr_var_hits + ic.Engine.Eval.var_hits;
-          dr_var_misses = !row.dr_var_misses + ic.Engine.Eval.var_misses;
-          dr_prop_hits = !row.dr_prop_hits + ts.Engine.Threaded.prop_hits;
-          dr_prop_misses = !row.dr_prop_misses + ts.Engine.Threaded.prop_misses;
-          dr_super_execs = !row.dr_super_execs + ts.Engine.Threaded.super_execs;
-        })
-    suite.Workloads.Bench_def.benches;
-  !row
-
-let dispatch_rows = lazy (List.map run_dispatch_suite dispatch_suites)
+      {
+        row with
+        dr_cycles = row.dr_cycles + cyc_ref;
+        dr_wall_ast = row.dr_wall_ast +. t_ast;
+        dr_wall_ref = row.dr_wall_ref +. t_ref;
+        dr_wall_thr = row.dr_wall_thr +. t_thr;
+        dr_var_hits = row.dr_var_hits + ic.Engine.Eval.var_hits;
+        dr_var_misses = row.dr_var_misses + ic.Engine.Eval.var_misses;
+        dr_prop_hits = row.dr_prop_hits + ts.Engine.Threaded.prop_hits;
+        dr_prop_misses = row.dr_prop_misses + ts.Engine.Threaded.prop_misses;
+        dr_super_execs = row.dr_super_execs + ts.Engine.Threaded.super_execs;
+      })
+    {
+      dr_label = label;
+      dr_benches = List.length suite.Workloads.Bench_def.benches;
+      dr_cycles = 0;
+      dr_wall_ast = 0.0;
+      dr_wall_ref = 0.0;
+      dr_wall_thr = 0.0;
+      dr_var_hits = 0;
+      dr_var_misses = 0;
+      dr_prop_hits = 0;
+      dr_prop_misses = 0;
+      dr_super_execs = 0;
+    }
+    suite.Workloads.Bench_def.benches
 
 let hit_rate hits misses =
   let total = hits + misses in
@@ -709,7 +801,7 @@ let hit_rate hits misses =
 
 let run_dispatch () =
   header "Execution tiers: threaded dispatch + superinstructions + inline caches";
-  let rows = Lazy.force dispatch_rows in
+  let rows = List.map run_dispatch_suite dispatch_suites in
   Util.Table.print
     ~header:
       [ "suite"; "sim cycles"; "ast wall"; "bytecode wall"; "threaded wall"; "vs bytecode";
@@ -741,37 +833,45 @@ let run_dispatch () =
     rows;
   print_endline
     "(simulated cycles are identical across the bytecode tiers by construction — the \n\
-    \ section hard-fails on any divergence; walls are host-side only)"
-
-let dispatch_json () =
-  Util.Json.Obj
-    (List.map
-       (fun r ->
-         ( r.dr_label,
-           Util.Json.Obj
-             [
-               ("benches", Util.Json.Int r.dr_benches);
-               ("sim_cycles", Util.Json.Int r.dr_cycles);
-               ("cycles_identical", Util.Json.Bool true);
-               ("ast_wall_s", Util.Json.Float r.dr_wall_ast);
-               ("bytecode_wall_s", Util.Json.Float r.dr_wall_ref);
-               ("threaded_wall_s", Util.Json.Float r.dr_wall_thr);
-               ("speedup_vs_bytecode", Util.Json.Float (r.dr_wall_ref /. r.dr_wall_thr));
-               ("speedup_vs_ast", Util.Json.Float (r.dr_wall_ast /. r.dr_wall_thr));
-               ( "inline_caches",
-                 Util.Json.Obj
-                   [
-                     ("var_hits", Util.Json.Int r.dr_var_hits);
-                     ("var_misses", Util.Json.Int r.dr_var_misses);
-                     ("var_hit_rate_pct", Util.Json.Float (hit_rate r.dr_var_hits r.dr_var_misses));
-                     ("prop_hits", Util.Json.Int r.dr_prop_hits);
-                     ("prop_misses", Util.Json.Int r.dr_prop_misses);
-                     ( "prop_hit_rate_pct",
-                       Util.Json.Float (hit_rate r.dr_prop_hits r.dr_prop_misses) );
-                     ("super_execs", Util.Json.Int r.dr_super_execs);
-                   ] );
-             ] ))
-       (Lazy.force dispatch_rows))
+    \ section hard-fails on any divergence; walls are host-side only)";
+  (* The host walls appear in dispatch.json and again in host.json. *)
+  let walls r =
+    [
+      ("ast_wall_s", Util.Json.Float r.dr_wall_ast);
+      ("bytecode_wall_s", Util.Json.Float r.dr_wall_ref);
+      ("threaded_wall_s", Util.Json.Float r.dr_wall_thr);
+      ("speedup_vs_bytecode", Util.Json.Float (r.dr_wall_ref /. r.dr_wall_thr));
+      ("speedup_vs_ast", Util.Json.Float (r.dr_wall_ast /. r.dr_wall_thr));
+    ]
+  in
+  let per_suite fields =
+    Util.Json.Obj (List.map (fun r -> (r.dr_label, Util.Json.Obj (fields r))) rows)
+  in
+  [
+    ( "dispatch.json",
+      per_suite (fun r ->
+          [
+            ("benches", Util.Json.Int r.dr_benches);
+            ("sim_cycles", Util.Json.Int r.dr_cycles);
+            ("cycles_identical", Util.Json.Bool true);
+          ]
+          @ walls r
+          @ [
+              ( "inline_caches",
+                Util.Json.Obj
+                  [
+                    ("var_hits", Util.Json.Int r.dr_var_hits);
+                    ("var_misses", Util.Json.Int r.dr_var_misses);
+                    ("var_hit_rate_pct", Util.Json.Float (hit_rate r.dr_var_hits r.dr_var_misses));
+                    ("prop_hits", Util.Json.Int r.dr_prop_hits);
+                    ("prop_misses", Util.Json.Int r.dr_prop_misses);
+                    ( "prop_hit_rate_pct",
+                      Util.Json.Float (hit_rate r.dr_prop_hits r.dr_prop_misses) );
+                    ("super_execs", Util.Json.Int r.dr_super_execs);
+                  ] );
+            ]) );
+    ("host.json", Util.Json.Obj [ ("dispatch", per_suite walls) ]);
+  ]
 
 (* --- Fleet: multi-session scheduling throughput (per-CPU run queues) --- *)
 
@@ -803,18 +903,6 @@ let fleet_point ~sessions ~cpus jobs =
          sessions r.Fleet.r_oom r.Fleet.r_failed);
   (r, wall)
 
-(* The scaling table (1k at 1/2/4 CPUs, 10k at 4) plus the 100k smoke.
-   Shared by the printed section and fleet.json. *)
-let fleet_runs =
-  lazy
-    (let scale =
-       List.map
-         (fun (sessions, cpus) -> fleet_point ~sessions ~cpus fleet_mixed_jobs)
-         [ (1_000, 1); (1_000, 2); (1_000, 4); (10_000, 4) ]
-     in
-     let smoke = fleet_point ~sessions:100_000 ~cpus:4 [ fleet_tiny_job ] in
-     (scale, smoke))
-
 let fleet_trace_json sink =
   Util.Json.to_string
     (Util.Json.List (List.map Telemetry.Event.record_to_json (Telemetry.Sink.events sink)))
@@ -823,44 +911,48 @@ let fleet_trace_json sink =
    transitions, same event trace — with a timeslice small enough that the
    fleet run yields mid-script, proving the yield hook is architecturally
    invisible.  Returns (cycles, yields) for the report. *)
-let fleet_identity =
-  lazy
-    (let profile = Runtime.Profile.create () in
-     let runner =
-       Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Base ~profile
-         fleet_ident_bench
-     in
-     let fleet =
-       Fleet.run ~telemetry:true ~timeslice:200 ~sessions:1
-         [ Fleet.job_of_bench fleet_ident_bench ]
-     in
-     let sr = List.hd fleet.Fleet.r_results in
-     if sr.Fleet.sr_cycles <> runner.Workloads.Runner.cycles then
-       failwith
-         (Printf.sprintf "fleet: single-session cycles diverge from runner — %d vs %d"
-            sr.Fleet.sr_cycles runner.Workloads.Runner.cycles);
-     if sr.Fleet.sr_transitions <> runner.Workloads.Runner.transitions then
-       failwith
-         (Printf.sprintf "fleet: single-session transitions diverge from runner — %d vs %d"
-            sr.Fleet.sr_transitions runner.Workloads.Runner.transitions);
-     (match (fleet.Fleet.r_trace, runner.Workloads.Runner.trace) with
-     | Some ft, Some rt ->
-       if fleet_trace_json ft <> fleet_trace_json rt then
-         failwith "fleet: single-session event trace diverges from runner";
-       List.iter
-         (fun counter ->
-           if Telemetry.Sink.count ft counter <> Telemetry.Sink.count rt counter then
-             failwith
-               (Printf.sprintf "fleet: single-session counter %S diverges from runner" counter))
-         [ "tlb_hit"; "tlb_miss"; "tlb_flush"; "engine_var_ic_hit"; "engine_var_ic_miss";
-           "engine_prop_ic_hit"; "engine_prop_ic_miss"; "engine_super_exec";
-           "engine_selector_hit"; "engine_selector_miss" ]
-     | _ -> failwith "fleet: missing trace on one side of the identity check");
-     (sr.Fleet.sr_cycles, fleet.Fleet.r_yields))
+let fleet_identity () =
+  let profile = Runtime.Profile.create () in
+  let runner =
+    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Base ~profile
+      fleet_ident_bench
+  in
+  let fleet =
+    Fleet.run ~telemetry:true ~timeslice:200 ~sessions:1 [ Fleet.job_of_bench fleet_ident_bench ]
+  in
+  let sr = List.hd fleet.Fleet.r_results in
+  if sr.Fleet.sr_cycles <> runner.Workloads.Runner.cycles then
+    failwith
+      (Printf.sprintf "fleet: single-session cycles diverge from runner — %d vs %d"
+         sr.Fleet.sr_cycles runner.Workloads.Runner.cycles);
+  if sr.Fleet.sr_transitions <> runner.Workloads.Runner.transitions then
+    failwith
+      (Printf.sprintf "fleet: single-session transitions diverge from runner — %d vs %d"
+         sr.Fleet.sr_transitions runner.Workloads.Runner.transitions);
+  (match (fleet.Fleet.r_trace, runner.Workloads.Runner.trace) with
+  | Some ft, Some rt ->
+    if fleet_trace_json ft <> fleet_trace_json rt then
+      failwith "fleet: single-session event trace diverges from runner";
+    List.iter
+      (fun counter ->
+        if Telemetry.Sink.count ft counter <> Telemetry.Sink.count rt counter then
+          failwith
+            (Printf.sprintf "fleet: single-session counter %S diverges from runner" counter))
+      [ "tlb_hit"; "tlb_miss"; "tlb_flush"; "engine_var_ic_hit"; "engine_var_ic_miss";
+        "engine_prop_ic_hit"; "engine_prop_ic_miss"; "engine_super_exec";
+        "engine_selector_hit"; "engine_selector_miss" ]
+  | _ -> failwith "fleet: missing trace on one side of the identity check");
+  (sr.Fleet.sr_cycles, fleet.Fleet.r_yields)
 
 let run_fleet () =
   header "Fleet: N concurrent sessions, per-CPU run queues, cooperative scheduling";
-  let scale, (smoke, smoke_wall) = Lazy.force fleet_runs in
+  (* The scaling table (1k at 1/2/4 CPUs, 10k at 4) plus the 100k smoke. *)
+  let scale =
+    List.map
+      (fun (sessions, cpus) -> fleet_point ~sessions ~cpus fleet_mixed_jobs)
+      [ (1_000, 1); (1_000, 2); (1_000, 4); (10_000, 4) ]
+  in
+  let smoke, smoke_wall = fleet_point ~sessions:100_000 ~cpus:4 [ fleet_tiny_job ] in
   Util.Table.print
     ~header:
       [ "sessions"; "cpus"; "sessions/sec"; "p50 latency"; "p99 latency"; "yields"; "steals";
@@ -878,19 +970,17 @@ let run_fleet () =
            Printf.sprintf "%.2fs" wall;
          ])
        (scale @ [ (smoke, smoke_wall) ]));
+  let at_1k ~cpus =
+    fst
+      (List.find
+         (fun ((r : Fleet.result), _) -> r.Fleet.r_sessions = 1_000 && r.Fleet.r_cpus = cpus)
+         scale)
+  in
   (* Throughput must scale: 4 CPUs at least 2x 1 CPU on the same 1k
      workload (a hard gate — the simulated scheduler has no contention
      excuse for less). *)
-  let sps ~sessions ~cpus =
-    let r, _ =
-      List.find
-        (fun ((r : Fleet.result), _) ->
-          r.Fleet.r_sessions = sessions && r.Fleet.r_cpus = cpus)
-        scale
-    in
-    r.Fleet.r_sessions_per_sec
-  in
-  let s1 = sps ~sessions:1_000 ~cpus:1 and s4 = sps ~sessions:1_000 ~cpus:4 in
+  let s1 = (at_1k ~cpus:1).Fleet.r_sessions_per_sec
+  and s4 = (at_1k ~cpus:4).Fleet.r_sessions_per_sec in
   if s4 < 2.0 *. s1 then
     failwith
       (Printf.sprintf "fleet: poor scaling — %.0f sessions/sec at 4 CPUs vs %.0f at 1" s4 s1);
@@ -898,80 +988,68 @@ let run_fleet () =
   (* Per-session results must not depend on the CPU count: each session
      owns its machine, so cycles and checksums are structural. *)
   let digest ~cpus =
-    let r, _ =
-      List.find
-        (fun ((r : Fleet.result), _) -> r.Fleet.r_sessions = 1_000 && r.Fleet.r_cpus = cpus)
-        scale
-    in
     List.map
-      (fun (sr : Fleet.session_result) -> (sr.Fleet.sr_name, sr.Fleet.sr_cycles, sr.Fleet.sr_checksum))
-      r.Fleet.r_results
+      (fun (sr : Fleet.session_result) ->
+        (sr.Fleet.sr_name, sr.Fleet.sr_cycles, sr.Fleet.sr_checksum))
+      (at_1k ~cpus).Fleet.r_results
   in
   if digest ~cpus:1 <> digest ~cpus:4 then
     failwith "fleet: per-session results changed with the CPU count";
   print_endline "per-session cycles/checksums identical at 1, 2 and 4 CPUs";
-  let ident_cycles, ident_yields = Lazy.force fleet_identity in
+  let ident_cycles, ident_yields = fleet_identity () in
   Printf.printf
     "single-session fleet run bit-identical to the runner (%d cycles, %d mid-script \
      yield(s); cycles, transitions, event trace and all injected counters compared)\n"
-    ident_cycles ident_yields
-
-let fleet_json () =
-  let scale, (smoke, smoke_wall) = Lazy.force fleet_runs in
-  let ident_cycles, ident_yields = Lazy.force fleet_identity in
+    ident_cycles ident_yields;
   let point ((r : Fleet.result), wall) =
     match Fleet.to_json r with
     | Util.Json.Obj fields -> Util.Json.Obj (fields @ [ ("host_wall_s", Util.Json.Float wall) ])
     | other -> other
   in
-  Util.Json.Obj
-    [
-      ("scaling", Util.Json.List (List.map point scale));
-      ("smoke_100k", point (smoke, smoke_wall));
-      ( "single_session_identity",
-        Util.Json.Obj
-          [
-            ("bit_identical", Util.Json.Bool true);
-            ("cycles", Util.Json.Int ident_cycles);
-            ("mid_script_yields", Util.Json.Int ident_yields);
-          ] );
-    ]
+  [
+    ( "fleet.json",
+      Util.Json.Obj
+        [
+          ("scaling", Util.Json.List (List.map point scale));
+          ("smoke_100k", point (smoke, smoke_wall));
+          ( "single_session_identity",
+            Util.Json.Obj
+              [
+                ("bit_identical", Util.Json.Bool true);
+                ("cycles", Util.Json.Int ident_cycles);
+                ("mid_script_yields", Util.Json.Int ident_yields);
+              ] );
+        ] );
+  ]
 
 (* --- Garmr: attack battery + hardened-gate defense invisibility --- *)
 
-(* Arming every defense on a benign fleet must be architecturally
-   invisible: the scrub/filter/re-verify pass paths charge no cycles and
-   emit nothing, so per-session cycles, transitions and checksums — and
-   the makespan — are bit-identical to the undefended run.  Hard gate. *)
-let garmr_invisibility =
-  lazy
-    (let run defenses = Fleet.run ~defenses ~cpus:2 ~timeslice:200 ~sessions:16 fleet_mixed_jobs in
-     let off = run Pkru_safe.Config.no_defenses in
-     let on = run Pkru_safe.Config.all_defenses in
-     let digest (r : Fleet.result) =
-       List.map
-         (fun (sr : Fleet.session_result) ->
-           (sr.Fleet.sr_name, sr.Fleet.sr_cycles, sr.Fleet.sr_transitions, sr.Fleet.sr_checksum))
-         r.Fleet.r_results
-     in
-     if digest off <> digest on then
-       failwith "garmr: armed defenses changed a benign fleet's cycles/checksums";
-     if off.Fleet.r_makespan_cycles <> on.Fleet.r_makespan_cycles then
-       failwith "garmr: armed defenses changed the benign fleet's makespan";
-     (off, on))
-
 let garmr_seed = 20_220_405
-
-let garmr_reports = lazy (Chaos.run_attacks ~harts:2 ~seed:garmr_seed ())
 
 let run_garmr () =
   header "Garmr attack battery: concurrent attacks vs hardened-gate defenses";
-  let off, _on = Lazy.force garmr_invisibility in
+  (* Arming every defense on a benign fleet must be architecturally
+     invisible: the scrub/filter/re-verify pass paths charge no cycles
+     and emit nothing, so per-session cycles, transitions and checksums —
+     and the makespan — are bit-identical to the undefended run. *)
+  let run defenses = Fleet.run ~defenses ~cpus:2 ~timeslice:200 ~sessions:16 fleet_mixed_jobs in
+  let off = run Pkru_safe.Config.no_defenses in
+  let on = run Pkru_safe.Config.all_defenses in
+  let digest (r : Fleet.result) =
+    List.map
+      (fun (sr : Fleet.session_result) ->
+        (sr.Fleet.sr_name, sr.Fleet.sr_cycles, sr.Fleet.sr_transitions, sr.Fleet.sr_checksum))
+      r.Fleet.r_results
+  in
+  if digest off <> digest on then
+    failwith "garmr: armed defenses changed a benign fleet's cycles/checksums";
+  if off.Fleet.r_makespan_cycles <> on.Fleet.r_makespan_cycles then
+    failwith "garmr: armed defenses changed the benign fleet's makespan";
   Printf.printf
     "invisibility: %d-session benign fleet bit-identical with all defenses armed (makespan \
      %d cycles, %d yields)\n\n"
     off.Fleet.r_sessions off.Fleet.r_makespan_cycles off.Fleet.r_yields;
-  let reports = Lazy.force garmr_reports in
+  let reports = Chaos.run_attacks ~harts:2 ~seed:garmr_seed () in
   Util.Table.print
     ~header:[ "attack"; "defense"; "undefended"; "defended"; "resume kills"; "dumps" ]
     (List.map
@@ -990,38 +1068,29 @@ let run_garmr () =
     failwith ("garmr: battery invariants violated — " ^ String.concat "; " broken);
   Printf.printf
     "\nall %d attack classes leak the secret undefended and are defeated defended (seed %d)\n"
-    (List.length reports) garmr_seed
-
-let garmr_json () =
-  let off, _on = Lazy.force garmr_invisibility in
-  Util.Json.Obj
-    [
-      ( "invisibility",
-        Util.Json.Obj
-          [
-            ("bit_identical", Util.Json.Bool true);
-            ("sessions", Util.Json.Int off.Fleet.r_sessions);
-            ("makespan_cycles", Util.Json.Int off.Fleet.r_makespan_cycles);
-          ] );
-      ("seed", Util.Json.Int garmr_seed);
-      ( "battery",
-        Util.Json.List (List.map Chaos.attack_report_to_json (Lazy.force garmr_reports)) );
-    ]
+    (List.length reports) garmr_seed;
+  [
+    ( "garmr.json",
+      Util.Json.Obj
+        [
+          ( "invisibility",
+            Util.Json.Obj
+              [
+                ("bit_identical", Util.Json.Bool true);
+                ("sessions", Util.Json.Int off.Fleet.r_sessions);
+                ("makespan_cycles", Util.Json.Int off.Fleet.r_makespan_cycles);
+              ] );
+          ("seed", Util.Json.Int garmr_seed);
+          ("battery", Util.Json.List (List.map Chaos.attack_report_to_json reports));
+        ] );
+  ]
 
 (* --- Bechamel --- *)
 
 let run_bechamel () =
   header "Bechamel wall-clock micro-benchmarks (scaled-down experiment per table/figure)";
   let open Bechamel in
-  let fresh_env () =
-    match
-      Pkru_safe.Env.create ~profile:(Runtime.Profile.create ())
-        (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
-    with
-    | Ok env -> env
-    | Error msg -> failwith msg
-  in
-  let gate_env = fresh_env () in
+  let gate_env = env_exn ~profile:(Runtime.Profile.create ()) Pkru_safe.Config.Mpk in
   let gate = Pkru_safe.Env.gate gate_env in
   let machine = Pkru_safe.Env.machine gate_env in
   let buf = Pkru_safe.Env.malloc_untrusted gate_env 64 in
@@ -1071,266 +1140,12 @@ let run_bechamel () =
            | _ -> "n/a"
          in
          [ name; estimate ])
-       (List.sort compare rows))
-
-(* Artifact-style machine-readable results (the docker image's
-   bench-results/*.json folders). *)
-let measurement_json (m : Workloads.Runner.measurement) =
-  Util.Json.Obj
-    ([
-       ("cycles", Util.Json.Int m.Workloads.Runner.cycles);
-       ("transitions", Util.Json.Int m.Workloads.Runner.transitions);
-       ("pct_mu", Util.Json.Float m.Workloads.Runner.pct_mu);
-     ]
-    @ (match m.Workloads.Runner.trace with
-      | Some sink ->
-        let attribution =
-          Telemetry.Attribution.of_sink ~total_cycles:m.Workloads.Runner.cycles sink
-        in
-        [
-          ( "telemetry",
-            Telemetry.Export.summary_json ?census:m.Workloads.Runner.census sink );
-          ("site_heat", Telemetry.Attribution.site_heat_json ~limit:10 attribution);
-          ("flow_matrix", Telemetry.Attribution.flow_json attribution);
-        ]
-      | None -> [])
-    @ (match m.Workloads.Runner.census with
-      | Some census -> [ ("census", Telemetry.Census.digest_json census) ]
-      | None -> [])
-    @
-    match m.Workloads.Runner.samples with
-    | Some sampler -> [ ("profile", Telemetry.Sampler.to_json sampler) ]
-    | None -> [])
-
-let suite_json (result : Workloads.Runner.suite_result) =
-  Util.Json.Obj
-    [
-      ("suite", Util.Json.String result.Workloads.Runner.suite);
-      ("mean_alloc_pct", Util.Json.Float result.Workloads.Runner.mean_alloc_pct);
-      ("mean_mpk_pct", Util.Json.Float result.Workloads.Runner.mean_mpk_pct);
-      ("total_transitions", Util.Json.Int result.Workloads.Runner.total_transitions);
-      ("pct_mu", Util.Json.Float result.Workloads.Runner.mean_pct_mu);
-      ( "benchmarks",
-        Util.Json.List
-          (List.map
-             (fun (r : Workloads.Runner.bench_result) ->
-               Util.Json.Obj
-                 [
-                   ("name", Util.Json.String r.Workloads.Runner.bench);
-                   ("base", measurement_json r.Workloads.Runner.base);
-                   ("alloc", measurement_json r.Workloads.Runner.alloc);
-                   ("mpk", measurement_json r.Workloads.Runner.mpk);
-                   ("alloc_overhead_pct", Util.Json.Float r.Workloads.Runner.alloc_overhead_pct);
-                   ("mpk_overhead_pct", Util.Json.Float r.Workloads.Runner.mpk_overhead_pct);
-                   ("outputs_agree", Util.Json.Bool r.Workloads.Runner.outputs_agree);
-                 ])
-             result.Workloads.Runner.bench_results) );
-    ]
-
-let artifact_schema = "pkru-safe.bench-artifact/1"
-
-let write_json_results dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let commit = Workloads.Sentinel.commit_hash () in
-  let written = ref [] in
-  (* Object-rooted artifacts carry the schema + commit stamp inline;
-     list-rooted ones (micro.json, fig3.json, security.json) keep their
-     shape — the CLI `compare` subcommand pattern-matches on it — and are
-     covered by manifest.json instead. *)
-  let stamp = function
-    | Util.Json.Obj fields ->
-      Util.Json.Obj
-        (("schema", Util.Json.String artifact_schema)
-        :: ("commit", Util.Json.String commit)
-        :: fields)
-    | other -> other
-  in
-  let write name json =
-    written := name :: !written;
-    let oc = open_out (Filename.concat dir name) in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Util.Json.to_string_pretty (stamp json)))
-  in
-  write "micro.json"
-    (Util.Json.List
-       (List.map
-          (fun (r : Workloads.Microbench.result) ->
-            Util.Json.Obj
-              [
-                ("name", Util.Json.String r.Workloads.Microbench.name);
-                ("ungated", Util.Json.Float r.Workloads.Microbench.ungated_cycles_per_call);
-                ("gated", Util.Json.Float r.Workloads.Microbench.gated_cycles_per_call);
-                ("overhead_x", Util.Json.Float r.Workloads.Microbench.overhead_x);
-              ])
-          (Workloads.Microbench.run ())));
-  write "fig3.json"
-    (Util.Json.List
-       (List.map
-          (fun (loops, overhead) ->
-            Util.Json.Obj
-              [ ("loop_count", Util.Json.Int loops); ("normalized", Util.Json.Float overhead) ])
-          (Workloads.Microbench.sweep ~loop_counts:[ 0; 5; 10; 25; 50; 75; 100; 125; 150; 175; 200 ] ())));
-  List.iter
-    (fun (label, result) -> write (label ^ ".json") (suite_json result))
-    (List.map (fun (l, r) -> ("dromaeo-" ^ l, r)) (Lazy.force dromaeo_sub_runs)
-    @ [
-        ("kraken", Lazy.force kraken_run);
-        ("octane", Lazy.force octane_run);
-        ("jetstream2", Lazy.force jetstream_run);
-      ]);
-  let security =
-    List.filter_map
-      (fun mode ->
-        match Exploit.run mode with
-        | Ok o ->
-          Some
-            (Util.Json.Obj
-               [
-                 ("mode", Util.Json.String (Pkru_safe.Config.mode_to_string o.Exploit.mode));
-                 ("secret_before", Util.Json.Int o.Exploit.secret_before);
-                 ("secret_after", Util.Json.Int o.Exploit.secret_after);
-                 ("crashed", Util.Json.Bool o.Exploit.crashed);
-               ])
-        | Error _ -> None)
-      [ Pkru_safe.Config.Base; Pkru_safe.Config.Mpk ]
-  in
-  write "security.json" (Util.Json.List security);
-  (let baseline, per_policy = Lazy.force mitigation_cycles in
-   write "mitigation.json"
-     (Util.Json.Obj
-        [
-          ("seed", Util.Json.Int mitigation_seed);
-          ( "full_profile_cycles",
-            Util.Json.Obj
-              (("none", Util.Json.Int baseline)
-              :: List.map
-                   (fun (policy, c) ->
-                     (Runtime.Mitigator.policy_to_string policy, Util.Json.Int c))
-                   per_policy) );
-          ( "coverage_gap",
-            Util.Json.List
-              (List.map (fun (_, r) -> Chaos.report_to_json r) (Lazy.force mitigation_reports))
-          );
-        ]));
-  (* One telemetry-instrumented run per substrate family: histogram
-     summaries (gate round-trip, allocation sizes, fault service) plus the
-     attribution digests — site heat, the compartment flow matrix and the
-     cycle-sampled folded stacks — ride along with the artifact's result
-     folders.  The traced runs are separate from the timing runs above, so
-     telemetry cannot perturb the reported numbers even in principle. *)
-  let traced_bench name bench =
-    let suite = { Workloads.Bench_def.suite_name = name; benches = [ bench ] } in
-    let profile = Workloads.Runner.profile_suite suite in
-    let m =
-      Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
-        ~profile bench
-    in
-    ( name,
-      match m.Workloads.Runner.trace with
-      | Some sink ->
-        let attribution =
-          Telemetry.Attribution.of_sink ~total_cycles:m.Workloads.Runner.cycles sink
-        in
-        Util.Json.Obj
-          ([
-             ("summary", Telemetry.Export.summary_json sink);
-             ("site_heat", Telemetry.Attribution.site_heat_json ~limit:10 attribution);
-             ("flow_matrix", Telemetry.Attribution.flow_json attribution);
-           ]
-          @
-          match m.Workloads.Runner.samples with
-          | Some sampler -> [ ("profile", Telemetry.Sampler.to_json sampler) ]
-          | None -> [])
-      | None -> Util.Json.Null )
-  in
-  write "telemetry.json"
-    (Util.Json.Obj
-       [
-         traced_bench "dom-attr"
-           (Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:12) "dom-attr"
-              (Workloads.Dom_scripts.dom_attr ~iters:60));
-         traced_bench "richards"
-           (Workloads.Bench_def.bench "richards" (Workloads.Kernels.richards ~iterations:40));
-       ]);
-  (let plain, censused, audit_report = Lazy.force census_runs in
-   write "census.json"
-     (Util.Json.Obj
-        [
-          ("bench", Util.Json.String census_bench.Workloads.Bench_def.name);
-          ("cycles_off", Util.Json.Int plain.Workloads.Runner.cycles);
-          ("cycles_on", Util.Json.Int censused.Workloads.Runner.cycles);
-          ( "cycles_identical",
-            Util.Json.Bool (plain.Workloads.Runner.cycles = censused.Workloads.Runner.cycles)
-          );
-          ( "census",
-            match censused.Workloads.Runner.census with
-            | Some c -> Telemetry.Census.digest_json c
-            | None -> Util.Json.Null );
-          ("audit", Audit.to_json audit_report);
-        ]));
-  write "dispatch.json" (dispatch_json ());
-  write "fleet.json" (fleet_json ());
-  write "garmr.json" (garmr_json ());
-  (* Host-side timing: per-section wall clock for whatever ran this
-     invocation, plus the TLB microbench digest (reusing the tlb
-     section's result, or running a scaled-down one here) and the
-     execution-tier wall comparison.  Format is documented in
-     EXPERIMENTS.md. *)
-  let tlb = tlb_result ~pages:8 ~iters:20_000 () in
-  write "host.json"
-    (Util.Json.Obj
-       [
-         ( "section_wall_seconds",
-           Util.Json.Obj
-             (List.map (fun (name, s) -> (name, Util.Json.Float s)) !section_walls) );
-         ( "dispatch",
-           Util.Json.Obj
-             (List.map
-                (fun r ->
-                  ( r.dr_label,
-                    Util.Json.Obj
-                      [
-                        ("ast_wall_s", Util.Json.Float r.dr_wall_ast);
-                        ("bytecode_wall_s", Util.Json.Float r.dr_wall_ref);
-                        ("threaded_wall_s", Util.Json.Float r.dr_wall_thr);
-                        ( "speedup_vs_bytecode",
-                          Util.Json.Float (r.dr_wall_ref /. r.dr_wall_thr) );
-                        ("speedup_vs_ast", Util.Json.Float (r.dr_wall_ast /. r.dr_wall_thr));
-                      ] ))
-                (Lazy.force dispatch_rows)) );
-         ( "tlb",
-           Util.Json.Obj
-             [
-               ("pages", Util.Json.Int tlb.Workloads.Microbench.pages);
-               ("iters", Util.Json.Int tlb.Workloads.Microbench.iters);
-               ("wall_on_s", Util.Json.Float tlb.Workloads.Microbench.wall_on_s);
-               ("wall_off_s", Util.Json.Float tlb.Workloads.Microbench.wall_off_s);
-               ("speedup", Util.Json.Float tlb.Workloads.Microbench.speedup);
-               ("cycles_on", Util.Json.Int tlb.Workloads.Microbench.cycles_on);
-               ("cycles_off", Util.Json.Int tlb.Workloads.Microbench.cycles_off);
-               ( "cycles_identical",
-                 Util.Json.Bool
-                   (tlb.Workloads.Microbench.cycles_on = tlb.Workloads.Microbench.cycles_off) );
-               ("hits", Util.Json.Int tlb.Workloads.Microbench.tlb.Sim.Tlb.hits);
-               ("misses", Util.Json.Int tlb.Workloads.Microbench.tlb.Sim.Tlb.misses);
-               ("flushes", Util.Json.Int tlb.Workloads.Microbench.tlb.Sim.Tlb.flushes);
-             ] );
-       ]);
-  (* Written last so it lists every other artifact in this directory. *)
-  write "manifest.json"
-    (Util.Json.Obj
-       [
-         ( "files",
-           Util.Json.List
-             (List.rev_map (fun f -> Util.Json.String f) !written) );
-       ]);
-  Printf.printf "JSON results written to %s/
-" dir
+       (List.sort compare rows));
+  []
 
 (* --- Regression sentinel (--compare / --baseline-out) --- *)
 
-let run_sentinel () =
+let run_sentinel ~compare ~baseline_out () =
   header "Regression sentinel: deterministic probe workloads";
   let results = Workloads.Sentinel.run_probes () in
   Util.Table.print
@@ -1355,66 +1170,173 @@ let run_sentinel () =
     failwith
       (Printf.sprintf "sentinel twin probes diverged: %s"
          (String.concat ", " (List.map (fun (a, b) -> a ^ " vs " ^ b) pairs))));
-  (match !baseline_out with
-  | Some path ->
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc
-          (Util.Json.to_string_pretty (Workloads.Sentinel.baseline_json results) ^ "\n"));
-    Printf.printf "baseline written to %s (commit %s)\n" path (Workloads.Sentinel.commit_hash ())
-  | None -> ());
-  match !compare_file with
-  | None -> true
-  | Some path ->
-    let commit, baseline =
-      Workloads.Sentinel.baseline_of_json
-        (Util.Json.of_string (In_channel.with_open_text path In_channel.input_all))
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            (Util.Json.to_string_pretty (Workloads.Sentinel.baseline_json results) ^ "\n"));
+      Printf.printf "baseline written to %s (commit %s)\n" path (Workloads.Sentinel.commit_hash ()))
+    baseline_out;
+  Option.iter
+    (fun (commit, baseline) ->
+      let verdicts = Workloads.Sentinel.compare_results ~baseline results in
+      print_newline ();
+      print_string (Workloads.Sentinel.render_comparison ~commit verdicts);
+      if Workloads.Sentinel.has_regression verdicts then
+        failwith
+          "cycle drift against the baseline (regenerate it with --baseline-out if the change \
+           is intended)")
+    compare;
+  []
+
+(* --- Command line and the section registry --- *)
+
+type options = {
+  skip_bechamel : bool;
+  only : string list;
+  json_dir : string option;
+  compare : (string * Workloads.Sentinel.probe_result list) option;  (* baseline commit, probes *)
+  baseline_out : string option;
+}
+
+let usage =
+  "main.exe [--skip-bechamel] [--only SECTION]... [--json DIR] [--compare BASELINE] \
+   [--baseline-out FILE]"
+
+(* Argument errors print one line and exit 2 before any section runs. *)
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); exit 2) fmt
+
+let load_baseline path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg -> usage_error "--compare: %s" msg
+  | text -> (
+    match Workloads.Sentinel.baseline_of_json (Util.Json.of_string text) with
+    | baseline -> baseline
+    | exception (Util.Json.Parse_error msg | Invalid_argument msg) ->
+      usage_error "--compare %s: %s" path msg
+    | exception Not_found -> usage_error "--compare %s: not a bench baseline" path)
+
+let parse_args args =
+  let rec go o = function
+    | [] -> o
+    | "--skip-bechamel" :: rest -> go { o with skip_bechamel = true } rest
+    | "--only" :: name :: rest -> go { o with only = name :: o.only } rest
+    | "--json" :: dir :: rest -> go { o with json_dir = Some dir } rest
+    | "--compare" :: file :: rest -> go { o with compare = Some (load_baseline file) } rest
+    | "--baseline-out" :: file :: rest -> go { o with baseline_out = Some file } rest
+    | [ ("--only" | "--json" | "--compare" | "--baseline-out") as flag ] ->
+      usage_error "%s needs a value; usage: %s" flag usage
+    | arg :: _ -> usage_error "unknown argument %s; usage: %s" arg usage
+  in
+  go { skip_bechamel = false; only = []; json_dir = None; compare = None; baseline_out = None } args
+
+(* Every section in run order.  Each function computes its results once,
+   fails on a broken hard gate, prints its report and returns the JSON
+   artifacts it owns: the files written under --json, plus blocks for
+   host.json returned under that name. *)
+let registry o =
+  [
+    ("micro", run_micro);
+    ("fig3", run_fig3);
+    ("table1", run_table1);
+    ("table2", run_table2);
+    ("fig5", run_fig ~title:"Figure 5: Kraken normalized runtime" ~file:"kraken" kraken_run);
+    ("fig6", run_fig ~title:"Figure 6: Octane normalized runtime" ~file:"octane" octane_run);
+    ("fig7", run_fig7);
+    ("security", run_security);
+    ("sites", run_sites);
+    ("ablations", run_ablations);
+    ("tlb", run_tlb);
+    ("mitigation", run_mitigation);
+    ("census", run_census);
+    ("dispatch", run_dispatch);
+    ("fleet", run_fleet);
+    ("garmr", run_garmr);
+    ("bechamel", run_bechamel);
+    ("sentinel", run_sentinel ~compare:o.compare ~baseline_out:o.baseline_out);
+  ]
+
+let artifact_schema = "pkru-safe.bench-artifact/1"
+
+(* Writes each artifact once, in the order the sections returned them
+   (a file two sections share is written by the first), then host.json
+   — the per-section walls followed by the sections' host blocks in name
+   order — and last manifest.json, listing every other file. *)
+let write_json dir ran =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let commit = Workloads.Sentinel.commit_hash () in
+  let artifacts = List.concat_map (fun (_, _, artifacts) -> artifacts) ran in
+  let host, files = List.partition (fun (file, _) -> file = "host.json") artifacts in
+  let files =
+    List.rev
+      (List.fold_left
+         (fun acc (file, json) -> if List.mem_assoc file acc then acc else (file, json) :: acc)
+         [] files)
+  in
+  let host_blocks =
+    List.concat_map (function _, Util.Json.Obj blocks -> blocks | _ -> []) host
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let walls = List.map (fun (name, wall, _) -> (name, Util.Json.Float wall)) ran in
+  let host = Util.Json.Obj (("section_wall_seconds", Util.Json.Obj walls) :: host_blocks) in
+  let files = files @ [ ("host.json", host) ] in
+  (* Object-rooted artifacts carry the schema + commit stamp inline;
+     list-rooted ones (micro.json, fig3.json, security.json) keep their
+     shape — the CLI `compare` subcommand pattern-matches on it — and are
+     covered by manifest.json instead. *)
+  let write (file, json) =
+    let json =
+      match json with
+      | Util.Json.Obj fields ->
+        Util.Json.Obj
+          (("schema", Util.Json.String artifact_schema)
+          :: ("commit", Util.Json.String commit)
+          :: fields)
+      | other -> other
     in
-    let verdicts =
-      Workloads.Sentinel.compare_results ~wall_tolerance:!wall_tolerance ~baseline results
-    in
-    print_newline ();
-    print_string (Workloads.Sentinel.render_comparison ~commit verdicts);
-    if not (Workloads.Sentinel.has_regression verdicts) then true
-    else begin
-      print_endline
-        (if !compare_strict then "cycle drift detected; failing (--compare-strict)"
-         else
-           "cycle drift detected — warn-only gate, not failing the build; re-run with \
-            --compare-strict to gate hard, or regenerate the baseline with --baseline-out \
-            if the change is intended");
-      not !compare_strict
-    end
+    Out_channel.with_open_text (Filename.concat dir file) (fun oc ->
+        output_string oc (Util.Json.to_string_pretty json))
+  in
+  List.iter write files;
+  write
+    ( "manifest.json",
+      Util.Json.Obj
+        [ ("files", Util.Json.List (List.map (fun (file, _) -> Util.Json.String file) files)) ] );
+  Printf.printf "JSON results written to %s/\n" dir
 
 let () =
+  let o = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let sections = registry o in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name sections) then
+        usage_error "unknown section %S; sections: %s" name
+          (String.concat " " (List.map fst sections)))
+    o.only;
+  (* A sentinel-only invocation skips the report sections unless some
+     were explicitly requested. *)
+  let sentinel_requested = o.compare <> None || o.baseline_out <> None in
+  let runs = function
+    | "sentinel" -> sentinel_requested || List.mem "sentinel" o.only
+    | "bechamel" when o.skip_bechamel -> false
+    | name -> if o.only = [] then not sentinel_requested else List.mem name o.only
+  in
   print_endline "PKRU-Safe reproduction: benchmark harness";
   print_endline "Cycle counts are simulated machine cycles; see DESIGN.md section 5.";
-  if section "micro" then timed "micro" run_micro;
-  if section "fig3" then timed "fig3" run_fig3;
-  if section "table1" then timed "table1" run_table1;
-  if section "table2" then timed "table2" run_table2;
-  if section "fig5" then timed "fig5" run_fig5;
-  if section "fig6" then timed "fig6" run_fig6;
-  if section "fig7" then timed "fig7" run_fig7;
-  if section "security" then timed "security" run_security;
-  if section "sites" then timed "sites" run_sites;
-  if section "ablations" then timed "ablations" run_ablations;
-  if section "tlb" then timed "tlb" run_tlb;
-  if section "mitigation" then timed "mitigation" run_mitigation;
-  if section "census" then timed "census" run_census;
-  if section "dispatch" then timed "dispatch" run_dispatch;
-  if section "fleet" then timed "fleet" run_fleet;
-  if section "garmr" then timed "garmr" run_garmr;
-  if (not !skip_bechamel) && section "bechamel" then timed "bechamel" run_bechamel;
-  let sentinel_ok =
-    if sentinel_requested () then begin
-      let ok = ref true in
-      timed "sentinel" (fun () -> ok := run_sentinel ());
-      !ok
-    end
-    else true
+  let ran =
+    List.filter_map
+      (fun (name, run) ->
+        if not (runs name) then None
+        else begin
+          let start = Unix.gettimeofday () in
+          match run () with
+          | artifacts -> Some (name, Unix.gettimeofday () -. start, artifacts)
+          | exception Failure msg ->
+            flush stdout;
+            prerr_endline (Printf.sprintf "bench: %s section failed: %s" name msg);
+            exit 1
+        end)
+      sections
   in
-  (match !json_dir with
-  | Some dir -> write_json_results dir
-  | None -> ());
-  print_endline "\ndone.";
-  if not sentinel_ok then exit 1
+  Option.iter (fun dir -> write_json dir ran) o.json_dir;
+  print_endline "\ndone."

@@ -242,9 +242,10 @@ let is_warning = function
   | Wall_slow _ | Missing_in_baseline -> true
   | Match | Cycle_drift _ | Missing_in_run -> false
 
-let default_wall_tolerance = 2.5
+(* CI machines are slow and noisy: only flag order-of-magnitude problems. *)
+let wall_tolerance = 2.5
 
-let compare_results ?(wall_tolerance = default_wall_tolerance) ~baseline fresh =
+let compare_results ~baseline fresh =
   let verdict_for (b : probe_result) (f : probe_result) =
     if b.p_cycles <> f.p_cycles || b.p_transitions <> f.p_transitions then
       Cycle_drift { base_cycles = b.p_cycles; base_transitions = b.p_transitions }

@@ -17,7 +17,7 @@ type probe_result = {
   p_tier : string;  (** engine execution tier: ["ast"], ["bytecode"] or ["threaded"] *)
   p_cycles : int;  (** simulated cycles — deterministic, compared exactly *)
   p_transitions : int;  (** gate transitions — deterministic, compared exactly *)
-  p_wall_s : float;  (** host wall time — machine-dependent, warn-only *)
+  p_wall_s : float;  (** host wall time — machine-dependent, only ever warns *)
 }
 
 val probe_names : string list
@@ -57,10 +57,10 @@ type verdict =
       (** simulated cycles or transitions differ from the baseline — a
           hard flag, the deterministic simulation changed *)
   | Wall_slow of { base_wall_s : float; ratio : float }
-      (** host wall time exceeded [wall_tolerance] × baseline {e and} the
-          absolute slowdown exceeds 50ms — warn-only; the probes take
-          ~1ms, so a ratio alone would warn on scheduler noise *)
-  | Missing_in_baseline  (** probe ran but the baseline has no entry — warn-only *)
+      (** host wall time exceeded 2.5× baseline {e and} the absolute
+          slowdown exceeds 50ms — a warning only; the probes take ~1ms,
+          so a ratio alone would warn on scheduler noise *)
+  | Missing_in_baseline  (** probe ran but the baseline has no entry — a warning only *)
   | Missing_in_run  (** baseline entry with no fresh result — hard flag *)
 
 val is_regression : verdict -> bool
@@ -69,12 +69,7 @@ val is_regression : verdict -> bool
 val is_warning : verdict -> bool
 (** [Wall_slow] and [Missing_in_baseline]. *)
 
-val default_wall_tolerance : float
-(** 2.5× — CI machines are slow and noisy; only flag order-of-magnitude
-    problems. *)
-
 val compare_results :
-  ?wall_tolerance:float ->
   baseline:probe_result list ->
   probe_result list ->
   (string * probe_result * verdict) list

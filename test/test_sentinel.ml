@@ -1,6 +1,6 @@
 (* Tests for the bench regression sentinel: probe determinism, baseline
-   round-trips, the comparison verdicts (cycle drift hard, wall-clock
-   warn-only), and that the checked-in BENCH_BASELINE.json still matches
+   round-trips, the comparison verdicts (cycle drift hard, wall-clock a
+   warning only), and that the checked-in BENCH_BASELINE.json still matches
    this tree's deterministic cycles. *)
 
 let contains haystack needle =
