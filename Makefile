@@ -30,9 +30,10 @@ lint-globals:
 # (Machine.translate/read_le/write_le/slot_page) must compile, in the
 # default dev profile, to code with no caml_apply and no indirect call;
 # the allocation, free, metadata-lookup and DOM-handle paths to code
-# with no polymorphic hash or compare; the script lexer's and HTML
-# parser's byte loops to code with no young-heap allocation.  See
-# HACKING.md, "Hot paths".
+# with no polymorphic hash or compare (the DOM's page build and sibling
+# iteration: no Util.Int_table either); the script lexer's and HTML
+# parser's byte loops, the DOM's page build and sibling iteration to
+# code with no young-heap allocation.  See HACKING.md, "Hot paths".
 lint-hotpath:
 	@tools/lint-hotpath.sh
 

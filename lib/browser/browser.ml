@@ -87,7 +87,12 @@ let rec install_bindings t =
      crosses the reverse gate. *)
   let bind name fn =
     Engine.register_host t.engine name (fun args ->
-        Pkru_safe.Env.callback t.env (fun () -> fn args))
+        Pkru_safe.Env.callback t.env (fun () ->
+            (* A DOM call the DOM refuses (an unknown handle, a node
+               attached twice, a cycle) is the script's error. *)
+            match fn args with
+            | v -> v
+            | exception Invalid_argument msg -> fail "%s" msg))
   in
   bind "domRoot" (fun _ -> Engine.Value.Handle (Dom.root t.dom));
   bind "domCreateElement" (fun args ->
@@ -135,10 +140,7 @@ let rec install_bindings t =
   bind "domSetInnerHTML" (fun args ->
       match args with
       | [ n; html ] ->
-        let node = arg_handle n in
-        let trees = Html.parse (arg_string t html) in
-        Dom.remove_children t.dom node;
-        build_trees t node trees;
+        set_inner_html t (arg_handle n) (arg_string t html);
         Engine.Value.Null
       | _ -> fail "domSetInnerHTML(node, html)");
   bind "domChildCount" (fun args ->
@@ -316,18 +318,33 @@ and dispatch_event t node name =
   bubble node;
   !fired
 
-and build_trees t parent trees =
-  List.iter
-    (fun tree ->
-      match tree with
-      | Html.Text text ->
-        Dom.append_child t.dom ~parent ~child:(Dom.create_text t.dom text)
-      | Html.Element (tag, attrs, kids) ->
-        let node = Dom.create_element t.dom tag in
-        List.iter (fun (k, v) -> Dom.set_attribute t.dom node k v) attrs;
-        Dom.append_child t.dom ~parent ~child:node;
-        build_trees t node kids)
-    trees
+(* The parse comes first, so malformed markup leaves the node's subtree
+   as it was. *)
+and set_inner_html t node html =
+  let trees = Html.parse html in
+  Dom.remove_children t.dom node;
+  build_trees t node trees
+
+(* Each element is created, its attributes set in source order, appended,
+   then its children built: recursion over the parsed lists, with no
+   closure per node. *)
+and build_trees t parent = function
+  | [] -> ()
+  | Html.Text text :: rest ->
+    Dom.append_child t.dom ~parent ~child:(Dom.create_text t.dom text);
+    build_trees t parent rest
+  | Html.Element (tag, attrs, kids) :: rest ->
+    let node = Dom.create_element t.dom tag in
+    set_attributes t node attrs;
+    Dom.append_child t.dom ~parent ~child:node;
+    build_trees t node kids;
+    build_trees t parent rest
+
+and set_attributes t node = function
+  | [] -> ()
+  | (name, value) :: rest ->
+    Dom.set_attribute t.dom node name value;
+    set_attributes t node rest
 
 let create ?engine_seed ?engine_fuel ?(selector_cache = true) env =
   let machine = Pkru_safe.Env.machine env in

@@ -47,6 +47,11 @@ val load_page : t -> string -> unit
 (** Parses HTML (trusted-side work) and builds the DOM under the root.
     @raise Html.Html_error on bad markup. *)
 
+val set_inner_html : t -> Dom.node -> string -> unit
+(** [domSetInnerHTML]: parses the markup, frees the node's subtree and
+    builds the parsed trees under it.
+    @raise Html.Html_error on bad markup, leaving the DOM untouched. *)
+
 val exec_script :
   ?tier:Engine.tier -> ?opstats:Engine.Opstats.t -> t -> string -> Engine.Value.t
 (** Runs a script in the untrusted compartment against this page.

@@ -7,7 +7,15 @@
     performed by trusted code.
 
     Node handles are small integers (the values handed across the FFI to
-    the engine); the id-to-address map is trusted host state. *)
+    the engine); the id-to-address map is trusted host state.
+
+    Host work per operation is kept to indexing: walks follow sibling
+    chains in simulated memory by record address ({!fold_children}) and
+    resolve a handle only for a node they hand back; building a node
+    hashes nothing per node (names are interned in a table keyed by
+    their bytes, handles found by index).  Every checked read and write,
+    charge, allocation and free is the same, in the same order, as in a
+    list-walking DOM that resolves every child (DESIGN.md §3.1). *)
 
 type node = int
 
@@ -24,12 +32,19 @@ val create_element : t -> string -> node
 val create_text : t -> string -> node
 
 val append_child : t -> parent:node -> child:node -> unit
-(** @raise Invalid_argument on unknown handles or if [child] already has a
-    parent. *)
+(** @raise Invalid_argument on unknown handles, if [child] already has a
+    parent, if [parent] is a text node, or if [child] is [parent] or one
+    of its ancestors.  The last two checks use host state only; a
+    rejected call changes nothing. *)
 
 val remove_children : t -> node -> unit
 (** Detaches and frees an element's entire subtree (records, text and
     attribute storage go back to the allocator). *)
+
+val detach : t -> parent:node -> child:node -> unit
+(** Unlinks one child from [parent], keeping its subtree alive (it can be
+    appended again).
+    @raise Invalid_argument if [child] is not a child of [parent]. *)
 
 val remove_child : t -> parent:node -> child:node -> unit
 (** Detaches one child and frees its subtree.
@@ -37,7 +52,8 @@ val remove_child : t -> parent:node -> child:node -> unit
 
 val insert_before : t -> parent:node -> child:node -> before:node -> unit
 (** Inserts an unattached [child] in front of existing child [before].
-    @raise Invalid_argument on attachment violations. *)
+    @raise Invalid_argument on attachment violations, and like
+    {!append_child} when [child] is [parent] or one of its ancestors. *)
 
 val get_element_by_id : t -> string -> node option
 (** Document-order scan for an element whose [id] attribute matches
@@ -54,6 +70,7 @@ val children : t -> node -> node list
 val child_count : t -> node -> int
 
 val set_attribute : t -> node -> string -> string -> unit
+
 val get_attribute : t -> node -> string -> string option
 val attribute_count : t -> node -> int
 
@@ -92,6 +109,40 @@ val query_tag : t -> string -> node list
 
 val serialize : t -> node -> string
 (** innerHTML-style serialisation of the node's children. *)
+
+(* {2 Record-address walks}
+
+   A [record] is the simulated address of a live node's record.  The
+   selector and layout walks work on records, so that a handle is
+   resolved only for a node handed back to a caller.  Each [_at]
+   function performs exactly the charged reads of its handle version. *)
+
+type record = int
+
+val record : t -> node -> record
+(** The node's record (host-side, no charge).
+    @raise Invalid_argument on unknown handles. *)
+
+val node_at : t -> record -> node
+(** The handle of the live node whose record is at the address, or 0
+    (host-side, no charge). *)
+
+val fold_children : t -> record -> (t -> 'c -> 'a -> record -> 'a) -> 'c -> 'a -> 'a
+(** [fold_children t r f ctx acc] reads [r]'s whole sibling chain (the
+    first-child link, then each next-sibling link) before it calls [f t
+    ctx acc child] on the children in order.  The chain is kept on a host
+    stack, so [f] may walk further ([f] should be a closed function: no
+    closure is allocated per child). *)
+
+val tag_code_at : t -> record -> int
+val tag_name_at : t -> record -> string
+val is_text_at : t -> record -> bool
+val text_at : t -> record -> string
+val parent_at : t -> record -> record
+(** 0 when the node has no parent. *)
+
+val attribute_by_code_at : t -> record -> int -> string option
+val get_attribute_at : t -> record -> string -> string option
 
 (* {2 Buffer-returning variants used by the FFI bindings}
 

@@ -19,39 +19,53 @@ let peek cur =
 
 let advance cur = cur.pos <- cur.pos + 1
 
+(* The byte loops run on a local index and return where they stop; the
+   cursor moves once per token. *)
 let is_name_char c =
-  (c >= Char.code 'a' && c <= Char.code 'z')
-  || (c >= Char.code 'A' && c <= Char.code 'Z')
-  || (c >= Char.code '0' && c <= Char.code '9')
-  || c = Char.code '-' || c = Char.code '_'
+  match c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> true
+  | _ -> false
 
-let rec skip_ws cur =
-  let c = peek cur in
-  if c = Char.code ' ' || c = Char.code '\t' || c = Char.code '\n' || c = Char.code '\r' then begin
-    advance cur;
-    skip_ws cur
-  end
+let rec name_end s i = if i < String.length s && is_name_char (String.unsafe_get s i) then name_end s (i + 1) else i
+
+let rec ws_end s i =
+  if
+    i < String.length s
+    &&
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  then ws_end s (i + 1)
+  else i
+
+(* The first [c] at or after [i], or the end of [s]. *)
+let rec find_byte s c i = if i < String.length s && String.unsafe_get s i <> c then find_byte s c (i + 1) else i
+
+(* [String.trim] would leave nothing of [s] in [i, stop). *)
+let rec is_blank s i stop =
+  i = stop
+  ||
+  match String.unsafe_get s i with
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> is_blank s (i + 1) stop
+  | _ -> false
+
+let skip_ws cur = cur.pos <- ws_end cur.src cur.pos
 
 let read_name cur =
   let start = cur.pos in
-  while is_name_char (peek cur) do
-    advance cur
-  done;
-  if cur.pos = start then fail cur "expected a name";
-  String.sub cur.src start (cur.pos - start)
+  let stop = name_end cur.src start in
+  if stop = start then fail cur "expected a name";
+  cur.pos <- stop;
+  String.sub cur.src start (stop - start)
 
-let rec to_quote cur =
-  let c = peek cur in
-  if c < 0 then fail cur "unterminated attribute value"
-  else if c <> Char.code '"' then begin
-    advance cur;
-    to_quote cur
-  end
+let to_quote cur =
+  cur.pos <- find_byte cur.src '"' cur.pos;
+  if cur.pos = String.length cur.src then fail cur "unterminated attribute value"
 
 let read_attrs cur =
   let rec loop acc =
     skip_ws cur;
-    if is_name_char (peek cur) then begin
+    if cur.pos < String.length cur.src && is_name_char (String.unsafe_get cur.src cur.pos) then begin
       let name = read_name cur in
       skip_ws cur;
       if peek cur = Char.code '=' then begin
@@ -116,14 +130,9 @@ let rec parse_nodes cur stop_tag =
       end
     else begin
       let start = cur.pos in
-      while
-        let c = peek cur in
-        c >= 0 && c <> Char.code '<'
-      do
-        advance cur
-      done;
-      let text = String.sub cur.src start (cur.pos - start) in
-      if String.trim text <> "" then nodes := Text text :: !nodes;
+      cur.pos <- find_byte cur.src '<' start;
+      if not (is_blank cur.src start cur.pos) then
+        nodes := Text (String.sub cur.src start (cur.pos - start)) :: !nodes;
       loop ()
     end
   in

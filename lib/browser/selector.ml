@@ -77,53 +77,51 @@ let to_string t =
            (List.map (fun compound -> String.concat "" (List.map simple_to_string compound)) path))
        t)
 
-(* --- Matching --- *)
+(* --- Matching ---
 
-let has_class dom node cls =
-  match Dom.get_attribute dom node "class" with
+   Candidates are node records ({!Dom.record}): a walk resolves a handle
+   only for a node it returns. *)
+
+let has_class dom a cls =
+  match Dom.get_attribute_at dom a "class" with
   | None -> false
   | Some value -> List.mem cls (split_on_whitespace value)
 
-let matches_simple dom node = function
+let matches_simple dom a = function
   | Universal -> true
-  | Tag tag -> Dom.tag_name dom node = tag
-  | Id id -> Dom.get_attribute dom node "id" = Some id
-  | Class cls -> has_class dom node cls
+  | Tag tag -> Dom.tag_name_at dom a = tag
+  | Id id -> Dom.get_attribute_at dom a "id" = Some id
+  | Class cls -> has_class dom a cls
 
-let matches_compound dom node compound =
-  (not (Dom.is_text dom node)) && List.for_all (matches_simple dom node) compound
+let matches_compound dom a compound =
+  (not (Dom.is_text_at dom a)) && List.for_all (matches_simple dom a) compound
 
 (* rev_path is the descendant chain rightmost-first; the head must match
-   [node], the rest must match some strictly-ascending ancestors. *)
-let rec matches_rev_path dom node = function
+   [a], the rest must match some strictly-ascending ancestors. *)
+let rec matches_rev_path dom a = function
   | [] -> true
   | compound :: rest ->
-    matches_compound dom node compound
+    matches_compound dom a compound
     &&
     let rec some_ancestor current =
-      match Dom.parent dom current with
-      | None -> rest = []
-      | Some parent ->
-        (match rest with
-        | [] -> true
-        | next :: _ ->
-          ignore next;
-          matches_rev_path dom parent rest || some_ancestor parent)
+      let parent = Dom.parent_at dom current in
+      if parent = 0 then rest = [] else matches_rev_path dom parent rest || some_ancestor parent
     in
     (match rest with
     | [] -> true
-    | _ -> some_ancestor node)
+    | _ -> some_ancestor a)
 
-let matches dom node t = List.exists (fun path -> matches_rev_path dom node (List.rev path)) t
+let matches_at dom a t = List.exists (fun path -> matches_rev_path dom a (List.rev path)) t
+
+let matches dom node t = matches_at dom (Dom.record dom node) t
+
+let rec query_visit dom (root, t) acc a =
+  let acc = if a <> root && matches_at dom a t then Dom.node_at dom a :: acc else acc in
+  Dom.fold_children dom a query_visit (root, t) acc
 
 let query_all dom t =
-  let acc = ref [] in
-  let rec walk node =
-    if node <> Dom.root dom && matches dom node t then acc := node :: !acc;
-    List.iter walk (Dom.children dom node)
-  in
-  walk (Dom.root dom);
-  List.rev !acc
+  let root = Dom.record dom (Dom.root dom) in
+  List.rev (query_visit dom (root, t) [] root)
 
 let query_first dom t =
   match query_all dom t with
@@ -164,7 +162,7 @@ type csimple =
 
 type compiled = {
   source : t;
-  cpaths : csimple list list list; (* mirrors [t]'s structure *)
+  cpaths : csimple list list list; (* [t]'s paths, each reversed: rightmost compound first *)
 }
 
 let nref name = { n_name = name; n_code = -1; n_snap = -1 }
@@ -186,55 +184,67 @@ let compile (sel : t) : compiled =
   in
   {
     source = sel;
-    cpaths = List.map (List.map (List.map compile_simple)) sel;
+    cpaths = List.map (fun path -> List.rev_map (List.map compile_simple) path) sel;
   }
 
 let source c = c.source
 
-let matches_csimple ~split dom node = function
+let matches_csimple ~split dom a = function
   | Cuniversal -> true
   | Ctag r ->
     let code = code_of dom r in
     (* The header read is charged whether or not the tag is known, just
        like the interpreted [tag_name] comparison. *)
-    Dom.tag_code dom node = code && code >= 0
+    Dom.tag_code_at dom a = code && code >= 0
   | Cattr (r, wanted) ->
     let code = code_of dom r in
     if code < 0 then false (* uninterned name: no charged reads, like get_attribute *)
-    else Dom.attribute_by_code dom node code = Some wanted
+    else Dom.attribute_by_code_at dom a code = Some wanted
   | Cclass (r, cls) ->
     let code = code_of dom r in
     if code < 0 then false
     else (
-      match Dom.attribute_by_code dom node code with
+      match Dom.attribute_by_code_at dom a code with
       | None -> false
       | Some value -> List.mem cls (split value))
 
-let matches_ccompound ~split dom node compound =
-  (not (Dom.is_text dom node)) && List.for_all (matches_csimple ~split dom node) compound
+let rec matches_ccompound ~split dom a = function
+  | [] -> true
+  | simple :: rest -> matches_csimple ~split dom a simple && matches_ccompound ~split dom a rest
 
-let rec matches_rev_cpath ~split dom node = function
+let rec matches_rev_cpath ~split dom a = function
   | [] -> true
   | compound :: rest ->
-    matches_ccompound ~split dom node compound
+    (not (Dom.is_text_at dom a))
+    && matches_ccompound ~split dom a compound
     &&
-    let rec some_ancestor current =
-      match Dom.parent dom current with
-      | None -> rest = []
-      | Some parent -> matches_rev_cpath ~split dom parent rest || some_ancestor parent
-    in
-    (match rest with
+    match rest with
     | [] -> true
-    | _ -> some_ancestor node)
+    | _ -> some_cancestor ~split dom rest a
 
-let matches_compiled ~split dom node c =
-  List.exists (fun path -> matches_rev_cpath ~split dom node (List.rev path)) c.cpaths
+and some_cancestor ~split dom rest current =
+  let parent = Dom.parent_at dom current in
+  parent <> 0 && (matches_rev_cpath ~split dom parent rest || some_cancestor ~split dom rest parent)
+
+let rec matches_cpaths ~split dom a = function
+  | [] -> false
+  | path :: rest -> matches_rev_cpath ~split dom a path || matches_cpaths ~split dom a rest
+
+let matches_compiled ~split dom node c = matches_cpaths ~split dom (Dom.record dom node) c.cpaths
+
+type walk = {
+  split : string -> string list;
+  root : Dom.record;
+  paths : csimple list list list;
+}
+
+let rec cquery_visit dom w acc a =
+  let acc =
+    if a <> w.root && matches_cpaths ~split:w.split dom a w.paths then Dom.node_at dom a :: acc
+    else acc
+  in
+  Dom.fold_children dom a cquery_visit w acc
 
 let query_all_compiled ~split dom c =
-  let acc = ref [] in
-  let rec walk node =
-    if node <> Dom.root dom && matches_compiled ~split dom node c then acc := node :: !acc;
-    List.iter walk (Dom.children dom node)
-  in
-  walk (Dom.root dom);
-  List.rev !acc
+  let root = Dom.record dom (Dom.root dom) in
+  List.rev (cquery_visit dom { split; root; paths = c.cpaths } [] root)

@@ -165,35 +165,34 @@ let deliver_fault t fault =
    (return-from-handler normally re-executes the faulting instruction);
    when it trips, the exception carries the kind of the last fault
    actually delivered, not a made-up one. *)
-let resolve t access addr =
-  let rec attempt retries last_kind =
-    if retries = 0 then
-      raise (Vmm.Fault.Unhandled { Vmm.Fault.addr; access; kind = last_kind });
-    let faults_before = Vmm.Page_table.demand_faults t.page_table in
-    match Vmm.Page_table.lookup t.page_table addr with
-    | None ->
+let rec attempt t access addr retries last_kind =
+  if retries = 0 then raise (Vmm.Fault.Unhandled { Vmm.Fault.addr; access; kind = last_kind });
+  let faults_before = Vmm.Page_table.demand_faults t.page_table in
+  match Vmm.Page_table.lookup t.page_table addr with
+  | None ->
+    Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
+    deliver_fault t { Vmm.Fault.addr; access; kind = Vmm.Fault.Not_mapped };
+    attempt t access addr (retries - 1) Vmm.Fault.Not_mapped
+  | Some page ->
+    if Vmm.Page_table.demand_faults t.page_table > faults_before then begin
+      Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.soft_page_fault;
+      match t.ctx.Telemetry.Ctx.sink with
+      | None -> ()
+      | Some sink ->
+        Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
+          (Telemetry.Event.Page_fault { addr; kind = Telemetry.Event.Demand_paged })
+    end;
+    (match check_page t access page with
+    | None -> page
+    | Some kind ->
       Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
-      deliver_fault t { Vmm.Fault.addr; access; kind = Vmm.Fault.Not_mapped };
-      attempt (retries - 1) Vmm.Fault.Not_mapped
-    | Some page ->
-      if Vmm.Page_table.demand_faults t.page_table > faults_before then begin
-        Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.soft_page_fault;
-        match t.ctx.Telemetry.Ctx.sink with
-        | None -> ()
-        | Some sink ->
-          Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
-            (Telemetry.Event.Page_fault { addr; kind = Telemetry.Event.Demand_paged })
-      end;
-      (match check_page t access page with
-      | None -> page
-      | Some kind ->
-        Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
-        deliver_fault t { Vmm.Fault.addr; access; kind };
-        attempt (retries - 1) kind)
-  in
-  (* The seed kind is never observed: retries start positive, and every
-     recursive call threads the kind of a delivered fault. *)
-  attempt 64 Vmm.Fault.Prot_violation
+      deliver_fault t { Vmm.Fault.addr; access; kind };
+      attempt t access addr (retries - 1) kind)
+
+(* The seed kind is never observed: retries start positive, and every
+   recursive call threads the kind of a delivered fault.  [attempt] is a
+   top-level loop, so a resolve allocates no closure. *)
+let resolve t access addr = attempt t access addr 64 Vmm.Fault.Prot_violation
 
 (* The TLB hit probe, shared by [translate] and [slot_page].  The first
    probe under a new mapping or PKRU epoch counts one flush generation;
@@ -405,8 +404,24 @@ let read_bytes t addr len =
   done;
   out
 
-let write_bytes t addr src =
-  let len = Bytes.length src in
+(* [read_bytes] appended straight to [buf]: the same charges, checks and
+   faults, with no intermediate copy. *)
+let read_to_buffer t addr len buf =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let offset = page_offset a in
+    let chunk = min (len - !pos) (page_size - offset) in
+    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
+    let page = translate t Vmm.Fault.Read Tlb.read_bit a in
+    Buffer.add_subbytes buf page.Vmm.Page.data offset chunk;
+    post_access t;
+    pos := !pos + chunk
+  done
+
+(* The string is blitted straight into the page: no host copy first. *)
+let write_string t addr src =
+  let len = String.length src in
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
@@ -414,12 +429,12 @@ let write_bytes t addr src =
     let chunk = min (len - !pos) (page_size - offset) in
     charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
     let page = translate t Vmm.Fault.Write Tlb.write_bit a in
-    Bytes.blit src !pos page.Vmm.Page.data offset chunk;
+    Bytes.blit_string src !pos page.Vmm.Page.data offset chunk;
     post_access t;
     pos := !pos + chunk
   done
 
-let write_string t addr s = write_bytes t addr (Bytes.of_string s)
+let write_bytes t addr src = write_string t addr (Bytes.unsafe_to_string src)
 
 let memset t addr byte len =
   let pos = ref 0 in

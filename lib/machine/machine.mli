@@ -98,8 +98,14 @@ val write_f64_batched : t -> int -> float -> unit
 val read_bytes : t -> int -> int -> Bytes.t
 (** [read_bytes t addr len]; charged one load per 8 bytes. *)
 
+val read_to_buffer : t -> int -> int -> Buffer.t -> unit
+(** [read_to_buffer t addr len buf]: {!read_bytes} appended to [buf],
+    with identical charges and checks. *)
+
 val write_bytes : t -> int -> Bytes.t -> unit
 val write_string : t -> int -> string -> unit
+(** Charged one store per 8 bytes, like {!write_bytes}; the string is
+    written without a host copy. *)
 
 val memset : t -> int -> char -> int -> unit
 (** [memset t addr byte len]; charged one store per 8 bytes. *)

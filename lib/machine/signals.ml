@@ -11,8 +11,8 @@ exception Process_killed of string
 type t = {
   mutable segv_chain : segv_handler list; (* head = most recently registered *)
   mutable trap : trap_handler option;
-  mutable last_fault : (Vmm.Fault.t * int) option;
-      (* most recent SIGSEGV delivered, with the hart it was delivered on *)
+  mutable last_fault : Vmm.Fault.t; (* most recent SIGSEGV delivered; [no_fault] = none *)
+  mutable last_hart : int; (* the hart it was delivered on *)
   (* Signal-frame model (Garmr).  On delivery the kernel saves the
      interrupted context — including PKRU — in a frame on the user stack,
      and sigreturn restores it.  The frame is writable by the interrupted
@@ -29,11 +29,16 @@ type t = {
   ctx : Telemetry.Ctx.t; (* the machine's telemetry slots *)
 }
 
+(* [last_fault]'s value before any delivery: fault records are stored as
+   delivered, so a delivery allocates no option or pair. *)
+let no_fault = { Vmm.Fault.addr = -1; access = Vmm.Fault.Read; kind = Vmm.Fault.Not_mapped }
+
 let create ctx =
   {
     segv_chain = [];
     trap = None;
-    last_fault = None;
+    last_fault = no_fault;
+    last_hart = 0;
     sigframe_tamper = None;
     scrub_sigframes = false;
     sigreturn_forged = 0;
@@ -56,7 +61,7 @@ let unregister_segv t =
 
 let reorder_segv t f = t.segv_chain <- f t.segv_chain
 
-let last_fault t = t.last_fault
+let last_fault t = if t.last_fault == no_fault then None else Some (t.last_fault, t.last_hart)
 
 let tamper_sigframe t forged = t.sigframe_tamper <- forged
 let set_sigframe_scrub t on = t.scrub_sigframes <- on
@@ -73,16 +78,12 @@ let note t delivery =
    The dump is a no-op when no recorder is attached and touches neither the
    sink's counters nor simulated cycles, so enforcement runs stay
    bit-identical. *)
-let fault_details ?cpu fault =
+let fault_details (cpu : Cpu.t) fault =
   [
     ("fault", Util.Json.String (Vmm.Fault.to_string fault));
     ("addr", Util.Json.Int fault.Vmm.Fault.addr);
+    ("hart", Util.Json.Int cpu.Cpu.id);
   ]
-  @ (match cpu with None -> [] | Some (c : Cpu.t) -> [ ("hart", Util.Json.Int c.Cpu.id) ])
-
-let hart_id = function
-  | Some (c : Cpu.t) -> c.Cpu.id
-  | None -> 0
 
 (* Handler return = sigreturn(2): the kernel reinstates the saved frame.
    Untampered frames restore exactly the context the handler chain left
@@ -99,41 +100,42 @@ let sigreturn t cpu fault =
       note t "signals.sigreturn_blocked";
       Telemetry.Ctx.dump t.ctx ~reason:"sigreturn PKRU forgery blocked (scrubbed signal frame)"
         ~details:
-          (("forged_pkru", Util.Json.Int (Mpk.Pkru.to_int forged)) :: fault_details ?cpu fault)
+          (("forged_pkru", Util.Json.Int (Mpk.Pkru.to_int forged)) :: fault_details cpu fault)
         ();
       raise
         (Process_killed
            (Printf.sprintf "sigreturn: forged PKRU 0x%08x in signal frame (hart %d)"
-              (Mpk.Pkru.to_int forged) (hart_id cpu)))
+              (Mpk.Pkru.to_int forged) cpu.Cpu.id))
     end
     else begin
       t.sigreturn_forged <- t.sigreturn_forged + 1;
       note t "signals.sigreturn_forged";
-      match cpu with
-      | Some c -> Cpu.set_pkru c forged
-      | None -> ()
+      Cpu.set_pkru cpu forged
     end
 
-let deliver_segv t ?cpu fault =
-  t.last_fault <- Some (fault, hart_id cpu);
+(* The chain walk is a top-level loop, so a delivery allocates no
+   closure. *)
+let rec walk_chain t cpu fault = function
+  | [] ->
+    note t "signals.unhandled";
+    Telemetry.Ctx.dump t.ctx ~reason:"unhandled SIGSEGV" ~details:(fault_details cpu fault) ();
+    raise (Vmm.Fault.Unhandled fault)
+  | handler :: rest ->
+    (match handler fault with
+    | Retry -> sigreturn t cpu fault
+    | Pass -> walk_chain t cpu fault rest
+    | Kill msg ->
+      note t "signals.killed";
+      Telemetry.Ctx.dump t.ctx ~reason:"SIGSEGV handler killed the process"
+        ~details:(("message", Util.Json.String msg) :: fault_details cpu fault)
+        ();
+      raise (Process_killed msg))
+
+let deliver_segv t ~cpu fault =
+  t.last_fault <- fault;
+  t.last_hart <- cpu.Cpu.id;
   note t "signals.segv_delivered";
-  let rec walk = function
-    | [] ->
-      note t "signals.unhandled";
-      Telemetry.Ctx.dump t.ctx ~reason:"unhandled SIGSEGV" ~details:(fault_details ?cpu fault) ();
-      raise (Vmm.Fault.Unhandled fault)
-    | handler :: rest ->
-      (match handler fault with
-      | Retry -> sigreturn t cpu fault
-      | Pass -> walk rest
-      | Kill msg ->
-        note t "signals.killed";
-        Telemetry.Ctx.dump t.ctx ~reason:"SIGSEGV handler killed the process"
-          ~details:(("message", Util.Json.String msg) :: fault_details ?cpu fault)
-          ();
-        raise (Process_killed msg))
-  in
-  walk t.segv_chain
+  walk_chain t cpu fault t.segv_chain
 
 let deliver_trap t =
   note t "signals.trap_delivered";
@@ -145,7 +147,7 @@ let deliver_trap t =
        on which hart) to diagnose which interposer armed single-stepping
        and then lost its trap handler. *)
     let last =
-      match t.last_fault with
+      match last_fault t with
       | Some (fault, hart) -> Printf.sprintf "%s (hart %d)" (Vmm.Fault.to_string fault) hart
       | None -> "none"
     in

@@ -52,9 +52,8 @@ val reorder_segv : t -> (segv_handler list -> segv_handler list) -> unit
 
 val last_fault : t -> (Vmm.Fault.t * int) option
 (** The most recent fault delivered via {!deliver_segv}, if any, paired
-    with the id of the hart it was delivered on (0 when the delivery did
-    not name a hart) so concurrent-attack post-mortems attribute the
-    fault to the right CPU. *)
+    with the id of the hart it was delivered on, so concurrent-attack
+    post-mortems attribute the fault to the right CPU. *)
 
 val tamper_sigframe : t -> Mpk.Pkru.t option -> unit
 (** Garmr attack model: scribble a forged PKRU over the saved-PKRU field
@@ -78,11 +77,12 @@ val sigreturn_forged : t -> int
 val sigreturn_blocked : t -> int
 (** Forged PKRU restores refused by the scrubber (scrubbing on). *)
 
-val deliver_segv : t -> ?cpu:Cpu.t -> Vmm.Fault.t -> unit
+val deliver_segv : t -> cpu:Cpu.t -> Vmm.Fault.t -> unit
 (** Walks the handler chain.  Returns normally iff some handler said
     [Retry] (after which sigreturn reinstates the saved frame — see
     {!tamper_sigframe}).  [cpu] names the faulting hart for post-mortem
-    attribution and is the target of any sigreturn PKRU restore.
+    attribution and is the target of any sigreturn PKRU restore.  A
+    delivery allocates nothing.
     @raise Vmm.Fault.Unhandled when no handler resolves the fault
     @raise Process_killed when a handler demands termination *)
 

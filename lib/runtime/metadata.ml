@@ -111,11 +111,17 @@ let on_realloc t ~old_addr ~new_addr ~new_size =
     on_alloc t ~addr:new_addr ~size:new_size ~alloc_id
   end
 
-let lookup t a =
+let missing = none
+
+let find t a =
   let p = Util.Int_table.get t.pages (page_of a) in
   let i = floor_index p a in
   let r = if i >= 0 then Array.unsafe_get p.starts i else p.spill in
-  if r != none && a < r.addr + r.size then Some r else None
+  if r != none && a < r.addr + r.size then r else none
+
+let lookup t a =
+  let r = find t a in
+  if r == none then None else Some r
 
 let live_count t = t.live
 

@@ -30,6 +30,13 @@ val lookup : t -> int -> record option
     (not just its base address — the faulting access may be anywhere
     inside the object). *)
 
+val find : t -> int -> record
+(** {!lookup} without the option: {!missing} when no live object
+    contains the address (the fault path allocates nothing). *)
+
+val missing : record
+(** [find]'s answer for an untracked address (compare with [==]). *)
+
 val live_count : t -> int
 
 val fold : (record -> 'a -> 'a) -> t -> 'a -> 'a

@@ -7,11 +7,12 @@ let make hits = { hits; version = 0 }
 let create () = make Alloc_id.Map.empty
 
 let record t id =
-  if not (Alloc_id.Map.mem id t.hits) then t.version <- t.version + 1;
   t.hits <-
     Alloc_id.Map.update id
       (function
-        | None -> Some 1
+        | None ->
+          t.version <- t.version + 1;
+          Some 1
         | Some n -> Some (n + 1))
       t.hits
 

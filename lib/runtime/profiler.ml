@@ -3,8 +3,8 @@ type t = {
   trusted_pkey : Mpk.Pkey.t;
   metadata : Metadata.t;
   profile : Profile.t;
-  saved_pkru : Mpk.Pkru.t Util.Int_table.t; (* per-hart single-step state *)
-  step_started : int Util.Int_table.t; (* per-hart cycles at fault entry *)
+  mutable saved_pkru : int array; (* by hart id: single-step state; -1 = none *)
+  mutable step_started : int array; (* by hart id: cycles at fault entry; -1 = none *)
   mutable faults_serviced : int;
   mutable untracked_faults : int;
 }
@@ -15,13 +15,18 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
     trusted_pkey;
     metadata = Metadata.create ();
     profile = Profile.create ();
-    saved_pkru = Util.Int_table.create ~dummy:Mpk.Pkru.all_enabled 4;
-    step_started = Util.Int_table.create ~dummy:0 4;
+    saved_pkru = Array.make 4 (-1);
+    step_started = Array.make 4 (-1);
     faults_serviced = 0;
     untracked_faults = 0;
   }
 
 let sink t = t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink
+
+let[@inline never] grow_harts t id =
+  let grow a = Array.append a (Array.make (id + 1) (-1)) in
+  t.saved_pkru <- grow t.saved_pkru;
+  t.step_started <- grow t.step_started
 
 let on_segv t (fault : Vmm.Fault.t) =
   match fault.Vmm.Fault.kind with
@@ -29,18 +34,22 @@ let on_segv t (fault : Vmm.Fault.t) =
     (* Fig. 2 steps 4-5: look up the faulting object's metadata and record
        its AllocId, then single-step the access with a temporarily
        permissive PKRU. *)
-    (match Metadata.lookup t.metadata fault.Vmm.Fault.addr with
-    | Some record -> Profile.record t.profile record.Metadata.alloc_id
-    | None ->
+    let record = Metadata.find t.metadata fault.Vmm.Fault.addr in
+    if record != Metadata.missing then Profile.record t.profile record.Metadata.alloc_id
+    else begin
       t.untracked_faults <- t.untracked_faults + 1;
-      (match sink t with
+      match sink t with
       | None -> ()
-      | Some sink -> Telemetry.Sink.incr sink "profiler.untracked_faults"));
+      | Some sink -> Telemetry.Sink.incr sink "profiler.untracked_faults"
+    end;
     t.faults_serviced <- t.faults_serviced + 1;
     let cpu = t.machine.Sim.Machine.cpu in
-    Util.Int_table.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
-    if sink t <> None then
-      Util.Int_table.replace t.step_started cpu.Sim.Cpu.id (Sim.Machine.cycles t.machine);
+    let hart = cpu.Sim.Cpu.id in
+    if hart >= Array.length t.saved_pkru then grow_harts t hart;
+    t.saved_pkru.(hart) <- Mpk.Pkru.to_int cpu.Sim.Cpu.pkru;
+    (match sink t with
+    | None -> ()
+    | Some _ -> t.step_started.(hart) <- Sim.Machine.cycles t.machine);
     Sim.Cpu.set_pkru cpu Mpk.Pkru.all_enabled;
     cpu.Sim.Cpu.trap_flag <- true;
     Sim.Signals.Retry
@@ -51,18 +60,20 @@ let on_segv t (fault : Vmm.Fault.t) =
 
 let on_trap t () =
   let cpu = t.machine.Sim.Machine.cpu in
-  match Util.Int_table.find_opt t.saved_pkru cpu.Sim.Cpu.id with
-  | Some pkru ->
-    Sim.Cpu.set_pkru cpu pkru;
-    Util.Int_table.remove t.saved_pkru cpu.Sim.Cpu.id;
+  let hart = cpu.Sim.Cpu.id in
+  let pkru = if hart < Array.length t.saved_pkru then t.saved_pkru.(hart) else -1 in
+  if pkru >= 0 then begin
+    Sim.Cpu.set_pkru cpu (Mpk.Pkru.of_int pkru);
+    t.saved_pkru.(hart) <- -1;
     (* Fault-to-trap round trip: the full single-step servicing of one
        recorded access (dispatch, permissive re-execution, #DB restore). *)
-    (match (sink t, Util.Int_table.find_opt t.step_started cpu.Sim.Cpu.id) with
-    | Some sink, Some started ->
-      Util.Int_table.remove t.step_started cpu.Sim.Cpu.id;
+    let started = t.step_started.(hart) in
+    t.step_started.(hart) <- -1;
+    match sink t with
+    | Some sink when started >= 0 ->
       Telemetry.Sink.observe sink "single_step_cycles" (Sim.Machine.cycles t.machine - started)
-    | _ -> Util.Int_table.remove t.step_started cpu.Sim.Cpu.id)
-  | None -> ()
+    | _ -> ()
+  end
 
 let install t =
   Sim.Signals.register_segv t.machine.Sim.Machine.signals (on_segv t);

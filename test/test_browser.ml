@@ -500,6 +500,423 @@ captured = null;
   Alcotest.(check (list string)) "captured data survived the GC" [ "kept-by-listener" ]
     (Browser.console b)
 
+(* --- DOM oracle ---
+
+   Every DOM operation is a sequence of checked machine accesses,
+   allocations and frees, all simulated behaviour.  Driven from the
+   untrusted side of a profiling build, each access to a DOM record in
+   MT is one [Mpk_fault] the profiler services, so the ordered event log
+   spells out the whole access sequence.  These pins were taken from the
+   list-walking, hash-indexed DOM and hold any rewrite to the same
+   accesses, allocations and frees in the same order, the same final
+   cycles and the same tree: a walk reads a node's whole sibling chain
+   before it visits the first child, and reading the chain lazily while
+   visiting reorders the log. *)
+
+let dom_event_key (r : Telemetry.Event.record) =
+  match r.Telemetry.Event.event with
+  | Telemetry.Event.Mpk_fault { addr; _ } -> Some (Printf.sprintf "F%x" addr)
+  | Telemetry.Event.Alloc { site; addr; size; _ } ->
+    Some (Printf.sprintf "A%s:%x:%d" (Option.value site ~default:"-") addr size)
+  | Telemetry.Event.Free { addr; _ } -> Some (Printf.sprintf "D%x" addr)
+  | _ -> None
+
+(* Runs [f] from U under a fresh sink; the step's log is the filtered
+   events followed by [f]'s rendered result. *)
+let dom_step b f =
+  let env = Browser.env b in
+  let sink = Telemetry.Sink.create ~capacity:(1 lsl 20) ~record_spans:false () in
+  let result =
+    Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx env) sink (fun () ->
+        Pkru_safe.Env.ffi_call env (fun () ->
+            match f () with
+            | r -> r
+            | exception Browser.Html.Html_error msg -> "Html_error: " ^ msg
+            | exception Invalid_argument msg -> "Invalid_argument: " ^ msg))
+  in
+  if Telemetry.Sink.dropped sink > 0 then Alcotest.fail "trace ring too small for the DOM log";
+  let log = List.filter_map dom_event_key (Telemetry.Sink.events sink) @ [ "R" ^ result ] in
+  (List.length log, Digest.to_hex (Digest.string (String.concat "\n" log)),
+   Sim.Machine.cycles (Pkru_safe.Env.machine env))
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let dom_oracle_walk_page =
+  {|<div id="main" class="box" style="margin:4;padding:2"><p class="a b">hello <span id="s1">world</span></p><ul><li>one</li><li class="b">two</li><li id="s1b" style="display:none">x</li></ul></div><div id="side" style="width:120">side <b>bold</b> text</div>|}
+  ^ Workloads.Dom_scripts.page ~rows:16
+
+(* (input, steps): each step is (name, thunk) run in order on one
+   profiling browser; the loads are driven from U as well. *)
+let dom_oracle_inputs () =
+  let load page b () =
+    Browser.load_page b page;
+    string_of_int (Browser.Dom.node_count (Browser.dom b))
+  in
+  let loads =
+    List.map (fun rows -> (Printf.sprintf "load rows %d" rows, Workloads.Dom_scripts.page ~rows))
+      [ 16; 32; 64; 128; 256 ]
+    @ List.map
+        (fun s -> ("load " ^ s.Workloads.Browsing.session_name, s.Workloads.Browsing.page))
+        Workloads.Browsing.sessions
+  in
+  List.map (fun (name, page) -> (name, fun b -> [ ("load", load page b) ])) loads
+  @ [ ( "innerHTML",
+        fun b ->
+          let dom = Browser.dom b in
+          let first_div () = List.hd (Browser.Dom.query_tag dom "div") in
+          let set html () =
+            Browser.set_inner_html b (first_div ()) html;
+            string_of_int (Browser.Dom.node_count dom)
+          in
+          [ ("load", load (Workloads.Dom_scripts.page ~rows:16) b);
+            ("set", set {|<p class="x" id="q">a<b>b</b>  </p><span>c</span><br/>|});
+            ("replace", set "<i>only</i>");
+            ("malformed", set "<p><b></p>");
+            ("empty", set "") ] );
+      ( "walks",
+        fun b ->
+          let dom = Browser.dom b in
+          let root = Browser.Dom.root dom in
+          let by_id id = Option.get (Browser.Dom.get_element_by_id dom id) in
+          let sel text () = ints (Browser.Selector.query_all dom (Browser.Selector.parse text)) in
+          let csel text () =
+            ints
+              (Browser.Selector.query_all_compiled ~split:Browser.Selector.split_on_whitespace dom
+                 (Browser.Selector.compile (Browser.Selector.parse text)))
+          in
+          [ ("load", load dom_oracle_walk_page b);
+            ("query_tag div", fun () -> ints (Browser.Dom.query_tag dom "div"));
+            ("query_tag li", fun () -> ints (Browser.Dom.query_tag dom "li"));
+            ("query_tag absent", fun () -> ints (Browser.Dom.query_tag dom "table"));
+            ("children", fun () -> ints (Browser.Dom.children dom root));
+            ("child_count", fun () -> string_of_int (Browser.Dom.child_count dom (by_id "main")));
+            ("parent", fun () -> ints (Option.to_list (Browser.Dom.parent dom (by_id "s1"))));
+            ("text_content root", fun () -> Browser.Dom.text_content dom root);
+            ("text_content side", fun () -> Browser.Dom.text_content dom (by_id "side"));
+            ("serialize root", fun () -> Browser.Dom.serialize dom root);
+            ("by id s1", fun () -> ints (Option.to_list (Browser.Dom.get_element_by_id dom "s1")));
+            ("by id absent", fun () -> ints (Option.to_list (Browser.Dom.get_element_by_id dom "zz")));
+            ("selector div.row span", sel "div.row span");
+            ("selector list", sel "#main p, li.b, #side b");
+            ("selector *", sel "*");
+            ("compiled div.row span", csel "div.row span");
+            ("compiled list", csel "#main p, li.b, #side b");
+            ("reflow", fun () ->
+                let l = Browser.Layout.reflow dom in
+                Printf.sprintf "%d/%d" (Browser.Layout.document_height l)
+                  (Browser.Layout.boxes_computed l));
+            ("clone main", fun () ->
+                let c = Browser.Dom.clone_subtree dom (by_id "main") in
+                Browser.Dom.append_child dom ~parent:root ~child:c;
+                Browser.Dom.serialize dom c);
+            ("insert_before", fun () ->
+                let ul = List.hd (Browser.Dom.query_tag dom "ul") in
+                let li = Browser.Dom.create_element dom "li" in
+                Browser.Dom.insert_before dom ~parent:ul ~child:li ~before:(by_id "s1b");
+                Browser.Dom.serialize dom ul);
+            ("remove_child", fun () ->
+                let ul = List.hd (Browser.Dom.query_tag dom "ul") in
+                Browser.Dom.remove_child dom ~parent:ul ~child:(by_id "s1b");
+                Browser.Dom.serialize dom ul);
+            ("remove_children main", fun () ->
+                Browser.Dom.remove_children dom (by_id "main");
+                string_of_int (Browser.Dom.node_count dom));
+            ("text_content after", fun () -> Browser.Dom.text_content dom root) ] ) ]
+
+(* (input, log entries, digest of the logs, final cycles, digest of
+   [serialize] of the root). *)
+let dom_oracle_pins =
+  [ ("load rows 16", 858, "a8b77229926bdd579533a178ed07494f", 1026300, "7bc86c4bc9bde9b61d5eeba7976f51d4");
+    ("load rows 32", 1706, "3b56d972520a968731d3ad327171d3c3", 2039964, "27d154a8d239c39b28e331442cdf3065");
+    ("load rows 64", 3402, "a80e80cfe76665779b9a56075594e85b", 4067292, "702d1846b621c101c60eaa7769759b88");
+    ("load rows 128", 6794, "ac46fa00f5adfb287e3919cadedc87cc", 8121948, "d8b8e9dc350b2c148efe1f20b80323f5");
+    ("load rows 256", 13578, "96b62f11df7c7a76bad204c68d6cb133", 16231740, "b9589d71e92b670d784a79716ea73cfc");
+    ("load wpt", 434, "2e70b66d9a74dee98691e1f4314e206b", 519708, "106bd7bf798ccb8e4f2cfabb9d6985ee");
+    ("load jquery", 646, "94a45f85c34f547c50b702b59cdb6673", 773004, "7dcf57dfee10b7f8c69aa1eac3055327");
+    ("load webidl", 54, "a3449fbd700cc23daa998fbe0840bdf9", 65186, "51ca1a7aaf976ef6f93c48cdc72af213");
+    ("load browse-search", 328, "c54e2ff06e3171b10ea6bb881bbf61c9", 393060, "8d54926b96507d441f917425f15abf53");
+    ("load browse-wiki", 540, "8d71445e2a9e841c9eb82c67558d1b9e", 646356, "d02af4bbfbad658f239810a2f4b07f80");
+    ("load browse-video", 222, "30c63c813c47ff618c4d61762d027a5c", 266412, "3532cc93bce636bbf584c9abe6c85a2e");
+    ("load browse-selectors", 487, "599ebd437d5ea9390090bad9d9315d87", 583032, "0f77a1041e170f9669b29e7e1c89a8ab");
+    ("innerHTML", 1669, "367981a390f6ed0b4f18e91de1344aea", 2107038, "a3ef063ad9c5e08980a3fb3b038bb89f");
+    ("walks", 7087, "729e93b54da152770e9b301bfa6a0b96", 9496286, "73f86b6def31d3ae33fbb619670a52cc") ]
+
+let test_dom_oracle () =
+  let got =
+    List.map
+      (fun (name, steps) ->
+        let b = fresh Pkru_safe.Config.Profiling in
+        let logs = List.map (fun (step, f) -> (step, dom_step b f)) (steps b) in
+        let entries = List.fold_left (fun n (_, (e, _, _)) -> n + e) 0 logs in
+        let digest =
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\n" (List.map (fun (step, (e, d, c)) -> Printf.sprintf "%s %d %s %d" step e d c) logs)))
+        in
+        let cycles = Sim.Machine.cycles (Pkru_safe.Env.machine (Browser.env b)) in
+        let dom = Browser.dom b in
+        let html = Browser.Dom.serialize dom (Browser.Dom.root dom) in
+        (name, (entries, (digest, (cycles, Digest.to_hex (Digest.string html))))))
+      (dom_oracle_inputs ())
+  in
+  Alcotest.(check (list (pair string (pair int (pair string (pair int string))))))
+    "ordered faults, allocations and frees; cycles; tree"
+    (List.map (fun (n, e, d, c, h) -> (n, (e, (d, (c, h))))) dom_oracle_pins)
+    got
+
+(* --- Hierarchy checks ---
+
+   Appending a node under its own descendant, or anything under a text
+   node, is refused with host state alone: the refused call performs the
+   reads of the checks before it (the child's parent link), no more, and
+   leaves the tree as it was. *)
+
+let script_error b src =
+  match Browser.exec_script b src with
+  | _ -> Alcotest.failf "accepted: %s" src
+  | exception Engine.Eval.Script_error msg -> msg
+
+let test_dom_rejects_cycles () =
+  let b = fresh Pkru_safe.Config.Base in
+  let dom = Browser.dom b in
+  ignore
+    (Browser.exec_script b
+       {|var a = domCreateElement("div"); var c = domCreateElement("p");
+domAppendChild(a, c); domAppendChild(c, domCreateText("x"));|});
+  let a = 2 and c = 3 in
+  let before = Browser.Dom.serialize dom a in
+  Alcotest.(check string) "a's parent's child, appended under it" "Dom.append_child: the child is an ancestor of the parent"
+    (script_error b {|domAppendChild(c, a);|});
+  Alcotest.(check string) "the root under a descendant"
+    "Dom.append_child: the child is an ancestor of the parent"
+    (script_error b {|domAppendChild(domRoot(), a); domAppendChild(c, domRoot());|});
+  Browser.Dom.detach dom ~parent:(Browser.Dom.root dom) ~child:a;
+  Alcotest.(check string) "tree unchanged" before (Browser.Dom.serialize dom a);
+  Alcotest.(check (option int)) "a still has no parent" None (Browser.Dom.parent dom a);
+  Alcotest.(check (list int)) "a's children" [ c ] (Browser.Dom.children dom a);
+  Alcotest.(check string) "text content terminates" "x" (Browser.Dom.text_content dom a);
+  (* insert_before: [a] under its grandchild's parent [c], before the text. *)
+  let txt = List.hd (Browser.Dom.children dom c) in
+  Alcotest.check_raises "insert_before cycle"
+    (Invalid_argument "Dom.insert_before: the child is an ancestor of the parent") (fun () ->
+      Browser.Dom.insert_before dom ~parent:c ~child:a ~before:txt);
+  Alcotest.(check string) "still unchanged" before (Browser.Dom.serialize dom a);
+  (* The refused call costs what a refused self-append costs: one read. *)
+  let cycles f =
+    let c0 = Pkru_safe.Env.cycles (Browser.env b) in
+    (try f () with Invalid_argument _ -> ());
+    Pkru_safe.Env.cycles (Browser.env b) - c0
+  in
+  Alcotest.(check int) "no extra checked read"
+    (cycles (fun () -> Browser.Dom.append_child dom ~parent:a ~child:a))
+    (cycles (fun () -> Browser.Dom.append_child dom ~parent:c ~child:a))
+
+let test_dom_rejects_text_parent () =
+  let b = fresh Pkru_safe.Config.Base in
+  let dom = Browser.dom b in
+  Alcotest.(check string) "element under text" "Dom.append_child: a text node cannot have children"
+    (script_error b {|var t = domCreateText("x"); var e = domCreateElement("b"); domAppendChild(t, e);|});
+  ignore (Browser.exec_script b {|print(domChildCount(t)); print(domParent(e) == null ? "free" : "attached");|});
+  Alcotest.(check (list string)) "text keeps no child" [ "0"; "free" ] (Browser.console b);
+  Alcotest.(check string) "text under text" "Dom.append_child: a text node cannot have children"
+    (script_error b {|domAppendChild(t, domCreateText("y"));|});
+  Alcotest.(check int) "nothing attached" 0 (Browser.Dom.child_count dom 2);
+  Alcotest.(check string) "text intact" "x" (Browser.Dom.text_of dom 2)
+
+(* --- DOM model test ---
+
+   Random operation sequences, invalid calls included, checked step by
+   step against a pure tree model: children order, parent, attributes,
+   text, node count and serialisation.  A refused call changes nothing. *)
+
+type mnode = {
+  m_tag : string; (* "" for a text node *)
+  mutable m_text : string;
+  mutable m_attrs : (string * string) list; (* stored order: newest first *)
+  mutable m_kids : int list;
+  mutable m_parent : int; (* 0 = none *)
+}
+
+type model = { nodes : (int, mnode) Hashtbl.t; mutable next : int }
+
+type op =
+  | Create of string
+  | Create_text of string
+  | Append of int * int
+  | Insert of int * int * int
+  | Remove of int * int
+  | Remove_all of int
+  | Detach of int * int
+  | Set_attr of int * string * string
+  | Set_text of int * string
+  | Clone of int
+
+let show_op = function
+  | Create t -> Printf.sprintf "create %s" t
+  | Create_text s -> Printf.sprintf "text %S" s
+  | Append (p, c) -> Printf.sprintf "append %d %d" p c
+  | Insert (p, c, x) -> Printf.sprintf "insert %d %d before %d" p c x
+  | Remove (p, c) -> Printf.sprintf "remove %d %d" p c
+  | Remove_all n -> Printf.sprintf "remove_children %d" n
+  | Detach (p, c) -> Printf.sprintf "detach %d %d" p c
+  | Set_attr (n, k, v) -> Printf.sprintf "set %d %s=%S" n k v
+  | Set_text (n, s) -> Printf.sprintf "set_text %d %S" n s
+  | Clone n -> Printf.sprintf "clone %d" n
+
+exception Refused
+
+let live m n = match Hashtbl.find_opt m.nodes n with Some x -> x | None -> raise Refused
+
+let rec ancestor_or_self m anc n = n <> 0 && (n = anc || ancestor_or_self m anc (live m n).m_parent)
+
+let rec free_model m n =
+  List.iter (free_model m) (live m n).m_kids;
+  Hashtbl.remove m.nodes n
+
+let add_node m tag text =
+  let id = m.next in
+  m.next <- id + 1;
+  Hashtbl.replace m.nodes id { m_tag = tag; m_text = text; m_attrs = []; m_kids = []; m_parent = 0 };
+  id
+
+let unlink m p c =
+  let pn = live m p in
+  pn.m_kids <- List.filter (fun k -> k <> c) pn.m_kids;
+  (live m c).m_parent <- 0
+
+let rec clone_model m n =
+  let src = live m n in
+  let id = add_node m src.m_tag src.m_text in
+  (* A text node's clone is its text alone. *)
+  if src.m_tag <> "" then (live m id).m_attrs <- src.m_attrs;
+  List.iter
+    (fun k ->
+      let kc = clone_model m k in
+      (live m kc).m_parent <- id;
+      (live m id).m_kids <- (live m id).m_kids @ [ kc ])
+    src.m_kids;
+  id
+
+(* The model's answer to [op]; raises [Refused] before changing anything. *)
+let apply_model m = function
+  | Create tag -> ignore (add_node m tag "")
+  | Create_text s -> ignore (add_node m "" s)
+  | Append (p, c) ->
+    let pn = live m p and cn = live m c in
+    if cn.m_parent <> 0 || p = c || pn.m_tag = "" || ancestor_or_self m c p then raise Refused;
+    cn.m_parent <- p;
+    pn.m_kids <- pn.m_kids @ [ c ]
+  | Insert (p, c, x) ->
+    let pn = live m p and cn = live m c and xn = live m x in
+    if cn.m_parent <> 0 || xn.m_parent <> p || ancestor_or_self m c p then raise Refused;
+    cn.m_parent <- p;
+    pn.m_kids <- List.concat_map (fun k -> if k = x then [ c; x ] else [ k ]) pn.m_kids
+  | Remove (p, c) ->
+    ignore (live m p);
+    if (live m c).m_parent <> p then raise Refused;
+    unlink m p c;
+    free_model m c
+  | Remove_all n ->
+    let nn = live m n in
+    List.iter (free_model m) nn.m_kids;
+    nn.m_kids <- []
+  | Detach (p, c) ->
+    ignore (live m p);
+    if (live m c).m_parent <> p then raise Refused;
+    unlink m p c
+  | Set_attr (n, k, v) ->
+    let nn = live m n in
+    nn.m_attrs <-
+      (if List.mem_assoc k nn.m_attrs then List.map (fun (k', v') -> (k', if k' = k then v else v')) nn.m_attrs
+       else (k, v) :: nn.m_attrs)
+  | Set_text (n, s) ->
+    let nn = live m n in
+    if nn.m_tag <> "" then raise Refused;
+    nn.m_text <- s
+  | Clone n -> ignore (clone_model m n)
+
+let apply_dom dom = function
+  | Create tag -> ignore (Browser.Dom.create_element dom tag)
+  | Create_text s -> ignore (Browser.Dom.create_text dom s)
+  | Append (p, c) -> Browser.Dom.append_child dom ~parent:p ~child:c
+  | Insert (p, c, x) -> Browser.Dom.insert_before dom ~parent:p ~child:c ~before:x
+  | Remove (p, c) -> Browser.Dom.remove_child dom ~parent:p ~child:c
+  | Remove_all n -> Browser.Dom.remove_children dom n
+  | Detach (p, c) -> Browser.Dom.detach dom ~parent:p ~child:c
+  | Set_attr (n, k, v) -> Browser.Dom.set_attribute dom n k v
+  | Set_text (n, s) -> Browser.Dom.set_text dom n s
+  | Clone n -> ignore (Browser.Dom.clone_subtree dom n)
+
+let rec serialize_model m buf n =
+  let nn = live m n in
+  if nn.m_tag = "" then Buffer.add_string buf nn.m_text
+  else begin
+    Printf.bprintf buf "<%s" nn.m_tag;
+    List.iter (fun (k, v) -> Printf.bprintf buf " %s=\"%s\"" k v) nn.m_attrs;
+    Buffer.add_char buf '>';
+    List.iter (serialize_model m buf) nn.m_kids;
+    Printf.bprintf buf "</%s>" nn.m_tag
+  end
+
+let model_attr_names = [ "id"; "class"; "x" ]
+
+(* Every observable of every live node agrees with the model. *)
+let agrees dom m =
+  Browser.Dom.node_count dom = Hashtbl.length m.nodes
+  && Hashtbl.fold
+       (fun n nn ok ->
+         ok
+         && Browser.Dom.children dom n = nn.m_kids
+         && Browser.Dom.parent dom n = (if nn.m_parent = 0 then None else Some nn.m_parent)
+         && Browser.Dom.is_text dom n = (nn.m_tag = "")
+         && (nn.m_tag = "" || Browser.Dom.tag_name dom n = nn.m_tag)
+         && (nn.m_tag <> "" || Browser.Dom.text_of dom n = nn.m_text)
+         && List.for_all
+              (fun k -> Browser.Dom.get_attribute dom n k = List.assoc_opt k nn.m_attrs)
+              model_attr_names
+         && Browser.Dom.serialize dom n
+            = (let buf = Buffer.create 64 in
+               List.iter (serialize_model m buf) nn.m_kids;
+               Buffer.contents buf))
+       m.nodes true
+
+let gen_ops =
+  let open QCheck.Gen in
+  (* Handles: the root, recent ids (live or freed), and never-issued ones. *)
+  let handle = frequency [ (1, return 1); (8, int_range 1 24); (1, oneofl [ 0; -1; 999 ]) ] in
+  let word = oneofl [ ""; "a"; "bb"; "item 1" ] in
+  let op =
+    frequency
+      [ (3, map (fun t -> Create t) (oneofl [ "div"; "p"; "span" ]));
+        (2, map (fun s -> Create_text s) word);
+        (6, map2 (fun p c -> Append (p, c)) handle handle);
+        (2, map3 (fun p c x -> Insert (p, c, x)) handle handle handle);
+        (1, map2 (fun p c -> Remove (p, c)) handle handle);
+        (1, map (fun n -> Remove_all n) handle);
+        (1, map2 (fun p c -> Detach (p, c)) handle handle);
+        (2, map3 (fun n k v -> Set_attr (n, k, v)) handle (oneofl model_attr_names) word);
+        (1, map2 (fun n s -> Set_text (n, s)) handle word);
+        (1, map (fun n -> Clone n) handle) ]
+  in
+  list_size (int_range 1 60) op
+
+let prop_dom_model =
+  QCheck.Test.make ~count:200 ~name:"dom agrees with a tree model"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) gen_ops)
+    (fun ops ->
+      let dom = Browser.dom (fresh Pkru_safe.Config.Base) in
+      let m = { nodes = Hashtbl.create 16; next = 2 } in
+      Hashtbl.replace m.nodes 1 { m_tag = "html"; m_text = ""; m_attrs = []; m_kids = []; m_parent = 0 };
+      List.for_all
+        (fun op ->
+          let expect_ok = match apply_model m op with () -> true | exception Refused -> false in
+          let dom_ok = match apply_dom dom op with () -> true | exception Invalid_argument _ -> false in
+          if expect_ok <> dom_ok then
+            QCheck.Test.fail_reportf "%s: model %b, dom %b" (show_op op) expect_ok dom_ok;
+          if not (agrees dom m) then QCheck.Test.fail_reportf "state differs after %s" (show_op op);
+          true)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "html round-trip" `Quick test_html_roundtrip;
@@ -530,4 +947,8 @@ let suite =
     Alcotest.test_case "event callbacks nest transitions" `Quick test_event_callbacks_nest_transitions;
     Alcotest.test_case "listeners fire in order" `Quick test_multiple_listeners_fire_in_order;
     Alcotest.test_case "gc roots protect listener captures" `Quick test_gc_roots_protect_listener_captures;
+    Alcotest.test_case "dom oracle" `Quick test_dom_oracle;
+    Alcotest.test_case "dom rejects cycles" `Quick test_dom_rejects_cycles;
+    Alcotest.test_case "dom rejects text parents" `Quick test_dom_rejects_text_parent;
+    QCheck_alcotest.to_alcotest prop_dom_model;
   ]

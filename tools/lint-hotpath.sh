@@ -18,14 +18,19 @@
 #    generic Stdlib Hashtbl/Map, whose lookups call them.  Those paths
 #    key their indices by integers (Util.Int_table, dense arrays,
 #    bitmaps); the helpers they call in their own module are checked
-#    too, as is the table itself.
+#    too, as is the table itself.  The DOM's page-build path and its
+#    sibling iteration go further: no Util.Int_table either, since a
+#    node is found by index (the per-page slot arrays, whose table is
+#    probed only out of line, once per page).
 #
 # 3. The front ends' byte loops (the script lexer's peek/advance/trivia
-#    skipping, the HTML parser's peek/whitespace skipping) must not
-#    allocate on the young heap: no `sub $N,%r15`, the bump of the
-#    minor-heap pointer.  (caml_call_gc is no signal: OCaml 5 poll points
-#    reference it too.)  A byte is an int, -1 past the end, never a
-#    `char option`.
+#    skipping, the HTML parser's name/whitespace/text scans), the DOM's
+#    page-build path and its sibling iteration must not allocate on the
+#    young heap: no `sub $N,%r15`, the bump of the minor-heap pointer.
+#    (caml_call_gc is no signal: OCaml 5 poll points reference it too.)
+#    A byte is an int, -1 past the end, never a `char option`; a scan
+#    runs on a local index; a walk keeps the chain on a host stack, not
+#    in a list or a closure.
 #
 # Usage: tools/lint-hotpath.sh   (from the repository root; `make lint-hotpath`)
 set -eu
@@ -73,7 +78,7 @@ check() {
 
 # check_alloc OBJECT MODULE FUNCTION...: no young-heap allocation.
 check_alloc() {
-  forbid "allocates on the young heap (return an int byte, not an option)" \
+  forbid "allocates on the young heap (no option, tuple, list or closure here)" \
     'sub +\$0x[0-9a-f]+,%r15' "$@"
 }
 
@@ -101,11 +106,29 @@ check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.
   find_free_slot first_clear large_pages run_of_addr
 check_hash "$objs/util/.util.objs/native/util__Int_table.o" Util__Int_table \
   get slot replace remove close_hole
+
+# check_dom OBJECT MODULE FUNCTION...: rule 2 without Util.Int_table.
+check_dom() {
+  forbid "hashes per node (index it)" \
+    'caml_hash|caml_compare|caml_(not)?equal|caml_(less|greater)(than|equal)|camlStdlib__(Hashtbl|Map)|camlUtil__Int_table' \
+    "$@"
+}
+
+# The DOM's page-build path (what Browser.build_trees calls per node) and
+# its sibling iteration.
+dom_build="alloc_node set_slot node_at create_element create_text write_text set_attribute
+  set_attribute_at alloc_value find_attr find_attr_from intern find_name probe_name hash_name
+  append_child check_hierarchy push_chain fold_children"
+# shellcheck disable=SC2086
+check_dom "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom $dom_build
 hash_free=$((checked - call_free))
 
 check_alloc "$objs/engine/.engine.objs/native/engine__Lexer.o" Engine__Lexer \
   peek peek2 advance skip_trivia to_eol to_close
-check_alloc "$objs/browser/.browser.objs/native/browser__Html.o" Browser__Html peek skip_ws
+check_alloc "$objs/browser/.browser.objs/native/browser__Html.o" Browser__Html peek skip_ws \
+  name_end ws_end find_byte to_quote is_blank
+# shellcheck disable=SC2086
+check_alloc "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom $dom_build
 
 if [ "$status" -eq 0 ]; then
   echo "lint-hotpath: ok ($call_free functions call-free, $hash_free free of polymorphic hashing," \
