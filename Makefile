@@ -27,7 +27,7 @@ lint-globals:
 	fi
 
 # The clock tick (Eval.tick/charge) and the checked-access TLB hit
-# (Machine.translate/read_le/write_le/slot_page) must compile, in the
+# (Machine.translate/read_le/write_le) must compile, in the
 # default dev profile, to code with no caml_apply and no indirect call;
 # the allocation, free, metadata-lookup and DOM-handle paths to code
 # with no polymorphic hash or compare (the DOM's page build and sibling

@@ -938,9 +938,7 @@ let fleet_identity () =
         if Telemetry.Sink.count ft counter <> Telemetry.Sink.count rt counter then
           failwith
             (Printf.sprintf "fleet: single-session counter %S diverges from runner" counter))
-      [ "tlb_hit"; "tlb_miss"; "tlb_flush"; "engine_var_ic_hit"; "engine_var_ic_miss";
-        "engine_prop_ic_hit"; "engine_prop_ic_miss"; "engine_super_exec";
-        "engine_selector_hit"; "engine_selector_miss" ]
+      [ "tlb_hit"; "tlb_miss"; "tlb_flush"; "engine_selector_hit"; "engine_selector_miss" ]
   | _ -> failwith "fleet: missing trace on one side of the identity check");
   (sr.Fleet.sr_cycles, fleet.Fleet.r_yields)
 

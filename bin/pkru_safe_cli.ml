@@ -73,49 +73,6 @@ let emit ~what output rendered =
     | () -> `Ok (Printf.printf "%s written to %s\n" what path)
     | exception Sys_error msg -> `Error (false, Printf.sprintf "cannot write %s: %s" what msg))
 
-(* Execution-tier selection, shared by `browse`, `report` and `fleet`.
-   Every tier simulates the same machine: the bytecode tiers are
-   bit-identical to each other by construction, so the flag changes host
-   wall-clock only (plus the AST tier's different — but still
-   deterministic — cycle accounting). *)
-let tier_conv =
-  let parse = function
-    | "ast" -> Ok Engine.Ast_tier
-    | "bytecode" -> Ok Engine.Bytecode_tier
-    | "threaded" -> Ok Engine.Threaded_tier
-    | s -> Error (`Msg (Printf.sprintf "unknown tier %S (ast|bytecode|threaded)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt t ->
-        Format.pp_print_string fmt
-          (match t with
-          | Engine.Ast_tier -> "ast"
-          | Engine.Bytecode_tier -> "bytecode"
-          | Engine.Threaded_tier -> "threaded") )
-
-let tier_flag =
-  Arg.(value & opt tier_conv Engine.Ast_tier
-       & info [ "tier" ] ~docv:"TIER"
-           ~doc:"Engine execution tier: ast (default), bytecode (the reference interpreter) \
-                 or threaded (fast tier: closure-compiled dispatch, superinstructions, \
-                 inline caches — simulates bit-identically to bytecode)")
-
-let engine_tier_digest tier browser =
-  (* Only the fast tier has ICs / superinstructions to report on. *)
-  if tier = Engine.Threaded_tier then begin
-    let engine = Browser.engine browser in
-    let v = Engine.Eval.ic_stats (Engine.evaluator engine)
-    and s = Engine.threaded_stats engine in
-    Printf.printf
-      "engine[threaded]: var IC %d/%d hits, prop IC %d/%d hits, %d superinstruction exec(s)\n"
-      v.Engine.Eval.var_hits
-      (v.Engine.Eval.var_hits + v.Engine.Eval.var_misses)
-      s.Engine.Threaded.prop_hits
-      (s.Engine.Threaded.prop_hits + s.Engine.Threaded.prop_misses)
-      s.Engine.Threaded.super_execs
-  end
-
 (* --flight FILE: a black-box recorder for the duration of a run; any
    post-mortem dump lands in FILE, ready for `doctor`. *)
 let flight_flag =
@@ -206,7 +163,7 @@ print("data = " + d);
 print("innerHTML = " + domGetInnerHTML(app));
 print("children = " + domChildCount(app));|}
 
-let run_browse mode page script mitigation flight tier =
+let browse mode page script mitigation flight =
   let profile =
     match mode with
     | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
@@ -224,11 +181,10 @@ let run_browse mode page script mitigation flight tier =
     fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
   in
   let browser = Browser.create env in
-  Engine.reset_stats (Browser.engine browser);
   with_flight flight (fun recorder ->
       with_env_recorder env recorder (fun () ->
           Browser.load_page browser page;
-          match Browser.exec_script ~tier browser script with
+          match Browser.exec_script browser script with
           | _ -> ()
           | exception Vmm.Fault.Unhandled fault ->
             Printf.printf "script killed: %s\n" (Vmm.Fault.to_string fault)
@@ -253,9 +209,17 @@ let run_browse mode page script mitigation flight tier =
     (Pkru_safe.Config.mode_to_string mode)
     (Pkru_safe.Env.cycles env) (Pkru_safe.Env.transitions env)
     (Pkru_safe.Env.percent_untrusted_bytes env)
-    (Pkru_safe.Env.sites_moved env) (Pkru_safe.Env.sites_used env);
-  engine_tier_digest tier browser;
-  `Ok ()
+    (Pkru_safe.Env.sites_moved env) (Pkru_safe.Env.sites_used env)
+
+(* A page or script that fails to parse or run, in the profiling pre-run
+   or the measured run, is bad input: one line naming the error. *)
+let run_browse mode page script mitigation flight =
+  match browse mode page script mitigation flight with
+  | () -> `Ok ()
+  | exception Engine.Lexer.Lex_error msg -> `Error (false, "script lex error: " ^ msg)
+  | exception Engine.Parser.Parse_error msg -> `Error (false, "script parse error: " ^ msg)
+  | exception Engine.Eval.Script_error msg -> `Error (false, "script error: " ^ msg)
+  | exception Browser.Html.Html_error msg -> `Error (false, "page error: " ^ msg)
 
 (* --- exploit (E3) --- *)
 
@@ -402,49 +366,8 @@ let run_trace bench_name mode format output flight =
 
 (* --- report: attribution + sampled-flamegraph analysis of one benchmark --- *)
 
-(* report --opcodes: opcode / adjacent-pair frequency profile of the
-   reference bytecode interpreter over one benchmark.  This is the data
-   the fast tier's superinstruction set is chosen from (EXPERIMENTS.md
-   records the suite-wide ranking); collection is host-side only, so the
-   profiled run is bit-identical to an unprofiled one. *)
-let run_opcode_report bench_name mode format output =
-  match Workloads.Registry.bench_of_name bench_name with
-  | Error msg -> `Error (false, msg)
-  | Ok bench -> (
-    let profile = profile_for ~mode bench in
-    let st = Engine.Opstats.create () in
-    let m =
-      Workloads.Runner.run_config ~engine_tier:Engine.Bytecode_tier ~opstats:st ~mode ~profile
-        bench
-    in
-    match
-      match format with
-      | `Table ->
-        Ok
-          (Printf.sprintf "opcode profile: %s [%s] (reference bytecode tier, %d cycles)\n\n"
-             bench_name
-             (Pkru_safe.Config.mode_to_string mode)
-             m.Workloads.Runner.cycles
-          ^ Engine.Opstats.render st)
-      | `Json ->
-        Ok
-          (Util.Json.to_string_pretty
-             (Util.Json.Obj
-                [
-                  ("bench", Util.Json.String bench_name);
-                  ("mode", Util.Json.String (Pkru_safe.Config.mode_to_string mode));
-                  ("cycles", Util.Json.Int m.Workloads.Runner.cycles);
-                  ("opcodes", Engine.Opstats.to_json st);
-                ])
-          ^ "\n")
-      | `Prom | `Folded -> Error "--opcodes supports only table or json output"
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok rendered -> emit ~what:"opcode profile" output rendered)
-
-let run_report bench_name mode sample_every format output mitigation flight opcodes tier =
-  if opcodes then run_opcode_report bench_name mode format output
-  else if sample_every <= 0 then `Error (false, "--sample-every must be positive")
+let run_report bench_name mode sample_every format output mitigation flight =
+  if sample_every <= 0 then `Error (false, "--sample-every must be positive")
   else
     match Workloads.Registry.bench_of_name bench_name with
     | Error msg -> `Error (false, msg)
@@ -453,7 +376,7 @@ let run_report bench_name mode sample_every format output mitigation flight opco
       let m =
         with_flight flight (fun recorder ->
             Workloads.Runner.run_config ~telemetry:true ~sample_every ?mitigation ?recorder ~mode
-              ~profile ~engine_tier:tier bench)
+              ~profile bench)
       in
       let sink = Option.get m.Workloads.Runner.trace in
       let sampler = Option.get m.Workloads.Runner.samples in
@@ -569,12 +492,12 @@ let run_corpus save_dir =
   Printf.printf "deployment profile: %d shared sites\n" (Runtime.Profile.cardinal merged);
   let fragile = Runtime.Corpus.fragile_sites corpus ~max_runs:1 in
   Printf.printf "fragile sites (seen by a single run): %d\n" (List.length fragile);
-  (match save_dir with
-  | Some dir ->
-    Runtime.Corpus.save_dir corpus dir;
-    Printf.printf "corpus written to %s/\n" dir
-  | None -> ());
-  `Ok ()
+  match save_dir with
+  | None -> `Ok ()
+  | Some dir -> (
+    match Runtime.Corpus.save_dir corpus dir with
+    | () -> `Ok (Printf.printf "corpus written to %s/\n" dir)
+    | exception Sys_error msg -> `Error (false, "cannot save corpus: " ^ msg))
 
 (* --- compare: diff two --json result directories --- *)
 
@@ -586,34 +509,46 @@ let run_compare dir_a dir_b =
     |> List.filter (fun f -> Filename.check_suffix f ".json" && Sys.file_exists (Filename.concat dir_b f))
     |> List.sort compare
   in
+  (* Every pair is parsed before anything prints, so a malformed file
+     is one error line naming it. *)
+  let load dir file =
+    let path = Filename.concat dir file in
+    match load_json path with
+    | json -> json
+    | exception Util.Json.Parse_error msg ->
+      failwith (Printf.sprintf "%s: not valid JSON (%s)" path msg)
+    | exception Sys_error msg -> failwith msg
+  in
   if files = [] then `Error (false, "no common .json result files")
-  else begin
-    List.iter
-      (fun file ->
-        match (load_json (Filename.concat dir_a file), load_json (Filename.concat dir_b file)) with
-        | Util.Json.Obj _ as a, (Util.Json.Obj _ as b) ->
-          (* Suite result files: compare the suite means. *)
-          (try
-             let mean j key = Util.Json.to_float (Util.Json.member key j) in
-             Printf.printf "%-28s alloc %+6.2f%% -> %+6.2f%%   mpk %+6.2f%% -> %+6.2f%%\n"
-               file (mean a "mean_alloc_pct") (mean b "mean_alloc_pct")
-               (mean a "mean_mpk_pct") (mean b "mean_mpk_pct")
-           with Not_found | Invalid_argument _ ->
-             Printf.printf "%-28s (not a suite file; skipped)\n" file)
-        | Util.Json.List a_rows, Util.Json.List b_rows
-          when file = "micro.json" && List.length a_rows = List.length b_rows ->
-          List.iter2
-            (fun a b ->
-              try
-                let name = Util.Json.to_str (Util.Json.member "name" a) in
-                let ov j = Util.Json.to_float (Util.Json.member "overhead_x" j) in
-                Printf.printf "%-28s %-10s %.2fx -> %.2fx\n" file name (ov a) (ov b)
-              with Not_found | Invalid_argument _ -> ())
-            a_rows b_rows
-        | _ -> Printf.printf "%-28s (unrecognised shape; skipped)\n" file)
-      files;
-    `Ok ()
-  end
+  else
+    match List.map (fun file -> (file, load dir_a file, load dir_b file)) files with
+    | exception Failure msg -> `Error (false, msg)
+    | loaded ->
+      List.iter
+        (fun (file, a, b) ->
+          match (a, b) with
+          | Util.Json.Obj _, Util.Json.Obj _ ->
+            (* Suite result files: compare the suite means. *)
+            (try
+               let mean j key = Util.Json.to_float (Util.Json.member key j) in
+               Printf.printf "%-28s alloc %+6.2f%% -> %+6.2f%%   mpk %+6.2f%% -> %+6.2f%%\n"
+                 file (mean a "mean_alloc_pct") (mean b "mean_alloc_pct")
+                 (mean a "mean_mpk_pct") (mean b "mean_mpk_pct")
+             with Not_found | Invalid_argument _ ->
+               Printf.printf "%-28s (not a suite file; skipped)\n" file)
+          | Util.Json.List a_rows, Util.Json.List b_rows
+            when file = "micro.json" && List.length a_rows = List.length b_rows ->
+            List.iter2
+              (fun a b ->
+                try
+                  let name = Util.Json.to_str (Util.Json.member "name" a) in
+                  let ov j = Util.Json.to_float (Util.Json.member "overhead_x" j) in
+                  Printf.printf "%-28s %-10s %.2fx -> %.2fx\n" file name (ov a) (ov b)
+                with Not_found | Invalid_argument _ -> ())
+              a_rows b_rows
+          | _ -> Printf.printf "%-28s (unrecognised shape; skipped)\n" file)
+        loaded;
+      `Ok ()
 
 (* --- chaos: deterministic fault injection over the enforcement pipeline --- *)
 
@@ -900,7 +835,7 @@ let fleet_table (r : Fleet.result) =
       b.Fleet.bk_min_available b.Fleet.bk_denials);
   Buffer.contents buf
 
-let run_fleet bench_name sessions cpus timeslice max_live page_budget mode tier format output
+let run_fleet bench_name sessions cpus timeslice max_live page_budget mode format output
     per_session =
   if sessions <= 0 then `Error (false, "--sessions must be positive")
   else if cpus <= 0 then `Error (false, "--cpus must be positive")
@@ -914,7 +849,7 @@ let run_fleet bench_name sessions cpus timeslice max_live page_budget mode tier 
          workload first, exactly as `browse` does. *)
       let profile = profile_for ~mode bench in
       let r =
-        Fleet.run ~mode ~profile ~cpus ~timeslice ~max_live ?page_budget ~tier ~sessions
+        Fleet.run ~mode ~profile ~cpus ~timeslice ~max_live ?page_budget ~sessions
           [ Fleet.job_of_bench bench ]
       in
       let rendered =
@@ -974,7 +909,7 @@ let browse_cmd =
   Cmd.v (Cmd.info "browse" ~doc:"Run a page + script under a configuration (E2-style)")
     Term.(
       ret
-        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag $ tier_flag))
+        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag))
 
 let exploit_cmd =
   Cmd.v (Cmd.info "exploit" ~doc:"Run the E3 security experiment")
@@ -1032,20 +967,13 @@ let report_cmd =
             folded (collapsed stacks for flamegraph.pl / speedscope)"
       (table_json_prom @ [ ("folded", `Folded) ])
   in
-  let opcodes =
-    Arg.(value & flag
-         & info [ "opcodes" ]
-             ~doc:"Profile opcode and adjacent-pair frequencies on the reference bytecode \
-                   tier instead of the attribution report (the data behind the fast tier's \
-                   superinstruction set; table or json format)")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Run one benchmark with telemetry + cycle sampling and print the attribution report")
     Term.(
       ret
         (const run_report $ bench_arg $ mode $ sample_every $ format $ output_flag $ mitigation_flag
-        $ flight_flag $ opcodes $ tier_flag))
+        $ flight_flag))
 
 let compare_cmd =
   let dir n doc = Arg.(required & pos n (some dir) None & info [] ~docv:"DIR" ~doc) in
@@ -1193,7 +1121,7 @@ let fleet_cmd =
     Term.(
       ret
         (const run_fleet $ bench_arg $ sessions $ cpus $ timeslice $ max_live $ page_budget
-        $ mode $ tier_flag $ format $ output_flag $ per_session))
+        $ mode $ format $ output_flag $ per_session))
 
 let doctor_cmd =
   let path =

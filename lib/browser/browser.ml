@@ -403,7 +403,7 @@ let load_page t html =
   with_phase t "phase:load-page" (fun () ->
       build_trees t (Dom.root t.dom) (Html.parse html))
 
-let exec_script_body ?tier ?opstats t src =
+let exec_script_body ?tier t src =
   t.scripts_run <- t.scripts_run + 1;
   let len = String.length src in
   (* The script text is trusted-side data handed to the engine by pointer:
@@ -415,10 +415,10 @@ let exec_script_body ?tier ?opstats t src =
     | Engine.Value.Str s -> s
     | _ -> assert false
   in
-  Pkru_safe.Env.ffi_call t.env (fun () -> Engine.eval_source ?tier ?opstats t.engine source)
+  Pkru_safe.Env.ffi_call t.env (fun () -> Engine.eval_source ?tier t.engine source)
 
-let exec_script ?tier ?opstats t src =
-  with_phase t "phase:exec-script" (fun () -> exec_script_body ?tier ?opstats t src)
+let exec_script ?tier t src =
+  with_phase t "phase:exec-script" (fun () -> exec_script_body ?tier t src)
 
 let console t = Engine.take_output t.engine
 

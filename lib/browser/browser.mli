@@ -52,12 +52,11 @@ val set_inner_html : t -> Dom.node -> string -> unit
     builds the parsed trees under it.
     @raise Html.Html_error on bad markup, leaving the DOM untouched. *)
 
-val exec_script :
-  ?tier:Engine.tier -> ?opstats:Engine.Opstats.t -> t -> string -> Engine.Value.t
+val exec_script : ?tier:Engine.tier -> t -> string -> Engine.Value.t
 (** Runs a script in the untrusted compartment against this page.
-    [tier] selects the execution tier (default [Ast_tier]); every tier is
-    observationally equivalent.  [opstats] profiles opcodes on the
-    reference bytecode tier ({!Engine.eval_source}).
+    [tier] selects the execution tier (default [Ast_tier], the one every
+    product path runs; the bytecode pair serves fleet-browse and the
+    tier-equivalence tests, see {!Engine.tier}).
     @raise Engine.Eval.Script_error and the engine's parse errors;
     @raise Vmm.Fault.Unhandled when enforcement kills an access. *)
 

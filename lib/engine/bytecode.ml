@@ -355,43 +355,6 @@ let instr_to_string = function
   | Ret -> "ret"
   | Ret_null -> "ret_null"
 
-(* Operand-free opcode name, the unit of opcode-frequency profiling (and
-   the granularity at which superinstructions are selected). *)
-let mnemonic = function
-  | Push_num _ -> "push_num"
-  | Push_bool _ -> "push_bool"
-  | Push_null -> "push_null"
-  | Push_str _ -> "push_str"
-  | Load_var _ -> "load"
-  | Store_var _ -> "store"
-  | Decl_var _ -> "decl"
-  | Pop -> "pop"
-  | Dup -> "dup"
-  | Dup2 -> "dup2"
-  | Bin_op _ -> "binop"
-  | Un_op _ -> "unop"
-  | Jump _ -> "jump"
-  | Jump_if_false _ -> "jump_if_false"
-  | Jump_if_false_peek _ -> "jump_if_false_peek"
-  | Jump_if_true_peek _ -> "jump_if_true_peek"
-  | Load_index -> "load_index"
-  | Store_index_keep -> "store_index"
-  | Load_member _ -> "load_member"
-  | Store_member_keep _ -> "store_member"
-  | Call_top _ -> "call"
-  | Method_call _ -> "method_call"
-  | Ns_call _ -> "ns_call"
-  | Print_op _ -> "print"
-  | New_array_op -> "new_array"
-  | Make_array _ -> "make_array"
-  | Make_object _ -> "make_object"
-  | Make_closure _ -> "make_closure"
-  | Push_scope -> "push_scope"
-  | Pop_scope -> "pop_scope"
-  | Pop_scopes _ -> "pop_scopes"
-  | Ret -> "ret"
-  | Ret_null -> "ret_null"
-
 let disassemble p =
   let buf = Buffer.create 256 in
   Array.iteri
@@ -413,7 +376,6 @@ type vm = {
   eval : Eval.t;
   vm_closures : (int, Eval.func) Hashtbl.t;
   code_cache : (Ast.stmt list, instr array) Hashtbl.t;
-  opstats : Opstats.t option; (* opcode profile collector, if any *)
 }
 
 (* A function body is never "toplevel": its result comes only from return
@@ -447,23 +409,9 @@ let rec exec vm (code : instr array) scope0 =
   let current_scope () = List.hd !scopes in
   let pc = ref 0 in
   let n = Array.length code in
-  (* Opcode profiling (host-side only; see Opstats).  Pairs count only
-     fall-through adjacency inside this frame — the shapes a fused
-     superinstruction could cover. *)
-  let last_pc = ref (-2) in
-  let last_m = ref "" in
   (try
      while !pc < n do
-       let pc0 = !pc in
-       let instr = code.(pc0) in
-       (match vm.opstats with
-       | Some st ->
-         let m = mnemonic instr in
-         if pc0 = !last_pc + 1 then Opstats.record st ~prev:!last_m m
-         else Opstats.record st m;
-         last_pc := pc0;
-         last_m := m
-       | None -> ());
+       let instr = code.(!pc) in
        incr pc;
        Eval.tick t 1;
        match instr with
@@ -591,6 +539,6 @@ and call_value vm callee args =
     exec vm (body_code vm (Eval.func_body fn)) scope
   | callee -> Eval.call_value vm.eval callee args
 
-let run ?opstats eval program =
-  let vm = { eval; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16; opstats } in
+let run eval program =
+  let vm = { eval; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16 } in
   exec vm program.top (Eval.globals_scope eval)

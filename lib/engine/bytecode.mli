@@ -60,9 +60,6 @@ val compile_body : Ast.stmt list -> toplevel:bool -> instr array
 (** Lower a statement list (a function body when [toplevel:false] — its
     value comes only from [return]). *)
 
-val mnemonic : instr -> string
-(** Operand-free opcode name (the opcode-profiling granularity). *)
-
 val instr_to_string : instr -> string
 
 val disassemble : program -> string
@@ -71,9 +68,7 @@ val disassemble : program -> string
 val instruction_count : program -> int
 (** Instructions in the top-level code object. *)
 
-val run : ?opstats:Opstats.t -> Eval.t -> program -> Value.t
+val run : Eval.t -> program -> Value.t
 (** Executes top-level code against the evaluator's global scope; like the
     AST tier, yields the value of the final expression statement.
-    [opstats] counts every executed opcode and fall-through pair into the
-    collector (host-side only; the run is bit-identical either way).
     @raise Eval.Script_error on runtime errors / fuel exhaustion. *)

@@ -5,7 +5,6 @@ module Ast = Ast
 module Eval = Eval
 module Bytecode = Bytecode
 module Threaded = Threaded
-module Opstats = Opstats
 
 type tier =
   | Ast_tier
@@ -59,7 +58,7 @@ let with_phase t name f =
           Telemetry.Sink.span_exit sink ~ts:(Sim.Machine.cycles machine) ~cpu ~id ())
       f
 
-let eval_source ?(tier = Ast_tier) ?opstats t src =
+let eval_source ?(tier = Ast_tier) t src =
   let program =
     with_phase t "engine:parse" (fun () ->
         let tokens = Lexer.tokenize t.heap src in
@@ -68,8 +67,7 @@ let eval_source ?(tier = Ast_tier) ?opstats t src =
   match tier with
   | Ast_tier -> with_phase t "engine:eval" (fun () -> Eval.run_program t.eval program)
   | Bytecode_tier ->
-    with_phase t "engine:bytecode" (fun () ->
-        Bytecode.run ?opstats t.eval (Bytecode.compile program))
+    with_phase t "engine:bytecode" (fun () -> Bytecode.run t.eval (Bytecode.compile program))
   | Threaded_tier ->
     with_phase t "engine:bytecode" (fun () ->
         Threaded.run ~stats:t.tstats t.eval (Bytecode.compile program))

@@ -13,8 +13,10 @@ module Ast = Ast
 module Eval = Eval
 module Bytecode = Bytecode
 module Threaded = Threaded
-module Opstats = Opstats
 
+(** Every product path runs [Ast_tier].  The bytecode pair stays only as
+    the engine of perfbench's fleet-browse workload and as the subject of
+    the tier-equivalence tests and sentinel twins. *)
 type tier =
   | Ast_tier
       (** AST compiled once to closures that charge per AST step, as a
@@ -43,12 +45,10 @@ val reset_stats : t -> unit
 val register_host : t -> string -> Eval.host -> unit
 (** Expose an embedder function (e.g. a DOM binding) as a script global. *)
 
-val eval_source : ?tier:tier -> ?opstats:Opstats.t -> t -> Value.str -> Value.t
+val eval_source : ?tier:tier -> t -> Value.str -> Value.t
 (** Tokenise, parse and run a script held in machine memory (possibly a
     buffer owned by the trusted side — the classic shared data flow).
-    Both tiers are observationally equivalent; the default is the AST
-    tier.  [opstats] profiles opcodes on [Bytecode_tier] (ignored by the
-    other tiers).
+    The default is the AST tier, the only one the product runs.
     @raise Eval.Script_error / Lexer.Lex_error / Parser.Parse_error *)
 
 val eval_string : ?tier:tier -> t -> string -> Value.t

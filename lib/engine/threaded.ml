@@ -18,10 +18,11 @@
      done]; each op advances [fr.pc] itself, so there is no central
      decode.  Operand stacks are growable arrays, not lists.
 
-   - {b Superinstructions}: adjacent instruction pairs that the opcode
-     profiler (Opstats, [report --opcodes]) measures as hot are fused
-     into single specialised closures that keep intermediate values in
-     OCaml locals instead of bouncing them through the operand stack.
+   - {b Superinstructions}: adjacent instruction pairs that an opcode
+     profile of the reference interpreter measured as hot (EXPERIMENTS.md
+     records the ranking) are fused into single specialised closures that
+     keep intermediate values in OCaml locals instead of bouncing them
+     through the operand stack.
      Fusing never disturbs the instruction index space: the fused op at
      [i] does both instructions' work and continues at [i+2], while
      [ops.(i+1)] keeps its standalone closure for jumps that land there.
@@ -34,12 +35,7 @@
      walk would have charged — see Eval.cached_lookup); property sites
      cache (shape id, slot) pairs against Value's hidden classes,
      mono- then polymorphic up to {!pic_limit} entries, charging exactly
-     [prop_cost] on a hit like the name-keyed path.
-
-   - {b Batched slot access}: for the duration of a run, 8-byte slot
-     loads and stores flow through the width-specialised batched TLB path
-     ([Sim.Machine.read_f64_batched]), which charges the same cycles with
-     one TLB probe per access. *)
+     [prop_cost] on a hit like the name-keyed path. *)
 
 type stats = {
   mutable prop_hits : int;
@@ -420,11 +416,11 @@ let rec compile_ops tvm (code : Bytecode.instr array) : op array =
         raise (Treturn Value.Null)
   in
   (* Superinstructions: these arms are the fused pair set, selected from
-     opcode-pair measurements on the dromaeo and octane suites (report
-     --opcodes; the data and ranking are recorded in EXPERIMENTS.md).  A
-     fused op replaces the op at [i] and continues at [i+2]; the
-     standalone op at [i+1] survives for jumps landing there.  The
-     tick/work interleaving of the unfused pair is preserved exactly
+     opcode-pair measurements on the dromaeo and octane suites (the data
+     and ranking are recorded in EXPERIMENTS.md).  A fused op replaces
+     the op at [i] and continues at [i+2]; the standalone op at [i+1]
+     survives for jumps landing there.  The tick/work interleaving of the
+     unfused pair is preserved exactly
      (tick1, work1, tick1's charges already made, tick2, work2), with
      intermediates held in locals instead of the operand stack. *)
   let make_fused i (a : Bytecode.instr) (b : Bytecode.instr) : op option =
@@ -667,9 +663,4 @@ let run ~stats eval (program : Bytecode.program) =
     { eval; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16;
       frame_pool = [] }
   in
-  let heap = Eval.heap eval in
-  let saved = Value.batched_slots heap in
-  Value.set_batched_slots heap true;
-  Fun.protect
-    ~finally:(fun () -> Value.set_batched_slots heap saved)
-    (fun () -> exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval))
+  exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval)

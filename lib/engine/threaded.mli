@@ -1,6 +1,7 @@
 (** The fast bytecode tier: direct-threaded (closure-compiled) dispatch,
-    profiler-selected superinstructions, inline caches and batched slot
-    access, always all on.
+    profiler-selected superinstructions and inline caches, always all on.
+    No product path runs it: it is the engine of perfbench's fleet-browse
+    workload and the subject of the tier-equivalence tests.
 
     Architecturally invisible by construction: every layer elides only
     host-side OCaml work (decode, operand-stack traffic, hash probes)
@@ -8,8 +9,7 @@
     accesses and fault checks as the reference interpreter
     ({!Bytecode.run}).  Differential tests assert bit-identical cycles,
     compartment transitions and telemetry traces on every workload
-    kernel.  Only host wall-clock — and TLB hit counts, from batched slot
-    access — may differ. *)
+    kernel.  Only host wall-clock may differ. *)
 
 type stats = {
   mutable prop_hits : int;
@@ -27,6 +27,4 @@ val reset_stats : stats -> unit
 
 val run : stats:stats -> Eval.t -> Bytecode.program -> Value.t
 (** Same contract as {!Bytecode.run}, same observable simulation;
-    [stats] is accumulated into, never reset here.  The heap's
-    batched-slot flag is on for the duration of the run and restored
-    after it. *)
+    [stats] is accumulated into, never reset here. *)

@@ -50,10 +50,6 @@ type heap = {
   mutable shapes : int;
   root_shape : shape;
   owned : unit Util.Int_table.t; (* engine-owned machine buffers, by address *)
-  mutable batched_slots : bool;
-      (* When set (the fast engine tier turns it on for the duration of a
-         run), slot traffic goes through the machine's batched accessors:
-         same cycles, faults and events, one TLB probe instead of two. *)
 }
 
 let create_heap env =
@@ -73,7 +69,6 @@ let create_heap env =
         sh_transitions = [];
       };
     owned = Util.Int_table.create ~dummy:() 64;
-    batched_slots = false;
   }
 
 let env h = h.env
@@ -131,19 +126,10 @@ let unbox_bits h bits =
 let box = box_bits
 let unbox = unbox_bits
 
-let batched_slots h = h.batched_slots
-let set_batched_slots h on = h.batched_slots <- on
-
 let write_slot h addr v =
-  let f = Int64.float_of_bits (box_bits h v) in
-  if h.batched_slots then Sim.Machine.write_f64_batched h.machine addr f
-  else Sim.Machine.write_f64 h.machine addr f
+  Sim.Machine.write_f64 h.machine addr (Int64.float_of_bits (box_bits h v))
 
-let read_slot h addr =
-  unbox_bits h
-    (Int64.bits_of_float
-       (if h.batched_slots then Sim.Machine.read_f64_batched h.machine addr
-        else Sim.Machine.read_f64 h.machine addr))
+let read_slot h addr = unbox_bits h (Int64.bits_of_float (Sim.Machine.read_f64 h.machine addr))
 
 (* --- Strings --- *)
 

@@ -124,14 +124,6 @@ val obj_set_slot : heap -> obj -> int -> t -> unit
 val obj_iter : (string -> t -> unit) -> obj -> unit
 (** Iterate properties in insertion (slot) order. *)
 
-val set_batched_slots : heap -> bool -> unit
-(** When set, this heap's array/slot traffic uses
-    {!Sim.Machine.read_f64_batched} / [write_f64_batched] — bit-identical
-    cycles and traces, fewer host-side TLB probes.  The fast dispatch tier
-    enables it for the duration of a run; default off. *)
-
-val batched_slots : heap -> bool
-
 (* {2 NaN boxing (exposed for tests)} *)
 
 val box : heap -> t -> int64

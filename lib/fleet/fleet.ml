@@ -173,7 +173,6 @@ let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess (
          end));
   Browser.load_page browser sess.s_job.job_page;
   Pkru_safe.Env.reset_counters env;
-  Engine.reset_stats (Browser.engine browser);
   Browser.reset_selector_stats browser;
   let exec () =
     List.iter

@@ -194,11 +194,11 @@ let rec attempt t access addr retries last_kind =
    top-level loop, so a resolve allocates no closure. *)
 let resolve t access addr = attempt t access addr 64 Vmm.Fault.Prot_violation
 
-(* The TLB hit probe, shared by [translate] and [slot_page].  The first
-   probe under a new mapping or PKRU epoch counts one flush generation;
-   then one hit or miss.  A hit needs the entry's tag, both epochs and
-   the raw PKRU value to match and its mask to include [abit].  Indices
-   are masked to [0, Tlb.size), so the unsafe reads stay in bounds. *)
+(* The TLB hit probe of [translate].  The first probe under a new
+   mapping or PKRU epoch counts one flush generation; then one hit or
+   miss.  A hit needs the entry's tag, both epochs and the raw PKRU value
+   to match and its mask to include [abit].  Indices are masked to
+   [0, Tlb.size), so the unsafe reads stay in bounds. *)
 let[@inline always] tlb_hit t (cpu : Cpu.t) abit page_number =
   let tlb = cpu.Cpu.tlb in
   let map_epoch = t.page_table.Vmm.Page_table.epoch in
@@ -283,7 +283,7 @@ let rec read_le t addr len =
       | 2 -> Bytes.get_uint16_le data offset
       | 4 -> Int32.to_int (Bytes.get_int32_le data offset) land 0xFFFF_FFFF
       | 7 ->
-        (* the low half of an unbatched f64 slot *)
+        (* the low half of an f64 slot *)
         Int32.to_int (Bytes.get_int32_le data offset) land 0xFFFF_FFFF
         lor (Bytes.get_uint16_le data (offset + 4) lsl 32)
         lor (Bytes.get_uint8 data (offset + 6) lsl 48)
@@ -357,37 +357,6 @@ let write_f64 t addr f =
   let bits = Int64.bits_of_float f in
   write_le t addr 7 Int64.(to_int (logand bits 0xFF_FFFF_FFFF_FFFFL));
   write_le t (addr + 7) 1 Int64.(to_int (logand (shift_right_logical bits 56) 0xFFL))
-
-(* Batched slot access: one TLB probe covers both constituent fixed-width
-   accesses of an aligned 8-byte slot.  Sound because a hit proves both
-   loads (7+1 bytes, same page) would hit too — nothing between them can
-   change TLB state — and with the trap flag clear both [post_access]
-   calls are no-ops.  The two per-access charges collapse into one charge
-   of the same total, so cycles, faults and event traces are bit-identical
-   to the split path; only TLB hit counts differ (one probe, not two). *)
-let slot_page t abit addr =
-  let cpu = t.cpu in
-  if t.tlb_enabled && (not cpu.Cpu.trap_flag) && page_offset addr + 8 <= page_size then begin
-    let page_number = addr lsr page_shift in
-    if tlb_hit t cpu abit page_number then Some (cached_page cpu page_number) else None
-  end
-  else None
-
-let read_f64_batched t addr =
-  match slot_page t Tlb.read_bit addr with
-  | Some page ->
-    let cpu = t.cpu in
-    charge_cpu cpu (2 * cpu.Cpu.cost.Cost.load);
-    Int64.float_of_bits (Bytes.get_int64_le page.Vmm.Page.data (page_offset addr))
-  | None -> read_f64 t addr
-
-let write_f64_batched t addr f =
-  match slot_page t Tlb.write_bit addr with
-  | Some page ->
-    let cpu = t.cpu in
-    charge_cpu cpu (2 * cpu.Cpu.cost.Cost.store);
-    Bytes.set_int64_le page.Vmm.Page.data (page_offset addr) (Int64.bits_of_float f)
-  | None -> write_f64 t addr f
 
 let read_bytes t addr len =
   let out = Bytes.create len in

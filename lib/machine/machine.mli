@@ -86,15 +86,6 @@ val write_u64 : t -> int -> int -> unit
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
 
-val read_f64_batched : t -> int -> float
-val write_f64_batched : t -> int -> float -> unit
-(** Width-specialized slot access: one TLB probe covers both constituent
-    fixed-width accesses of an in-page 8-byte slot, charging the same
-    total cycles.  Bit-identical to {!read_f64}/{!write_f64} in cycles,
-    faults and event traces (falls back to the split path on a TLB miss,
-    a pending trap, a page-straddling slot, or a TLB-off machine); only
-    TLB hit counts differ (one probe instead of two). *)
-
 val read_bytes : t -> int -> int -> Bytes.t
 (** [read_bytes t addr len]; charged one load per 8 bytes. *)
 

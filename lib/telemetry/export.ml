@@ -281,24 +281,12 @@ let to_metrics ?attribution ?sampler ?census ?series_window ?tlb sink =
   Metrics.incr ~by:tlb_flushes
     (Metrics.counter reg ~help:"Software-TLB invalidation generations observed"
        "pkru_tlb_flushes_total");
-  (* Fast-tier engine effectiveness: like the TLB families, always
-     exposed — all-zero cells on an AST- or reference-tier run are the
-     datum that the fast tier was not in play.  Values come from the
-     counters the runner injects post-run (never from the execution path,
-     so traces stay bit-identical across tiers). *)
+  (* DOM selector-cache effectiveness: like the TLB families, always
+     exposed.  Values come from the counters the runner injects post-run
+     (never from the execution path, so traces stay bit-identical). *)
   let engine_counter sink_name family help =
     Metrics.incr ~by:(Sink.count sink sink_name) (Metrics.counter reg ~help family)
   in
-  engine_counter "engine_var_ic_hit" "pkru_engine_var_ic_hits_total"
-    "Variable-IC hits (scope walk elided; charges unchanged)";
-  engine_counter "engine_var_ic_miss" "pkru_engine_var_ic_misses_total"
-    "Variable-IC misses (cache refilled by a genuine walk)";
-  engine_counter "engine_prop_ic_hit" "pkru_engine_prop_ic_hits_total"
-    "Property-IC hits keyed on object shape";
-  engine_counter "engine_prop_ic_miss" "pkru_engine_prop_ic_misses_total"
-    "Property-IC misses (shape transition or polymorphic overflow)";
-  engine_counter "engine_super_exec" "pkru_engine_superinstructions_total"
-    "Fused opcode-pair (superinstruction) executions";
   engine_counter "engine_selector_hit" "pkru_engine_selector_hits_total"
     "DOM selector-cache hits";
   engine_counter "engine_selector_miss" "pkru_engine_selector_misses_total"

@@ -52,10 +52,8 @@ let profile_suite (suite : Bench_def.suite) =
    injects the post-run counters.  TLB counters are injected after the
    timed run, never emitted from the access path, so event traces and
    timestamps stay bit-identical with the TLB on or off; only these
-   counter values differ.  The engine fast-tier counters (inline-cache
-   hit/miss digests, superinstruction executions — all zero on the AST
-   and reference bytecode tiers) and the selector cache counters are
-   injected the same way. *)
+   counter values differ.  The selector cache counters are injected the
+   same way. *)
 let run_traced sink browser exec =
   let env = Browser.env browser in
   let machine = Pkru_safe.Env.machine env in
@@ -66,19 +64,12 @@ let run_traced sink browser exec =
   add (after.Sim.Tlb.hits - before.Sim.Tlb.hits) "tlb_hit";
   add (after.Sim.Tlb.misses - before.Sim.Tlb.misses) "tlb_miss";
   add (after.Sim.Tlb.flushes - before.Sim.Tlb.flushes) "tlb_flush";
-  let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
-  let ts = Engine.threaded_stats (Browser.engine browser) in
-  add ic.Engine.Eval.var_hits "engine_var_ic_hit";
-  add ic.Engine.Eval.var_misses "engine_var_ic_miss";
-  add ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
-  add ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
-  add ts.Engine.Threaded.super_execs "engine_super_exec";
   let sel = Browser.selector_stats browser in
   add sel.Browser.sel_hits "engine_selector_hit";
   add sel.Browser.sel_misses "engine_selector_miss"
 
 let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation ?engine_tier
-    ?recorder ?opstats ~mode ~profile (bench : Bench_def.bench) =
+    ?recorder ~mode ~profile (bench : Bench_def.bench) =
   let env =
     fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?tlb ?mitigation mode))
   in
@@ -92,12 +83,9 @@ let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation
   Browser.load_page browser bench.Bench_def.page;
   (* Page construction is setup; the script run is what the suites time. *)
   Pkru_safe.Env.reset_counters env;
-  (* Engine IC / superinstruction counters are per-instance; reset so the
-     deltas injected below describe this timed run only. *)
-  Engine.reset_stats (Browser.engine browser);
   Browser.reset_selector_stats browser;
   let exec () =
-    ignore (Browser.exec_script ?tier:engine_tier ?opstats browser bench.Bench_def.script)
+    ignore (Browser.exec_script ?tier:engine_tier browser bench.Bench_def.script)
   in
   let sampler = Option.map (fun every -> Telemetry.Sampler.create ~every) sample_every in
   let exec =

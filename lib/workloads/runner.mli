@@ -60,12 +60,9 @@ val run_traced : Telemetry.Sink.t -> Browser.t -> (unit -> unit) -> unit
     browser's machine, then injects the post-run counters: the machine's
     TLB hit/miss/flush deltas over the run as ["tlb_hit"]/["tlb_miss"]/
     ["tlb_flush"] (never emitted from the access path, so traces stay
-    bit-identical TLB on or off), and the engine and selector counters
-    as ["engine_var_ic_hit"/"engine_var_ic_miss"/"engine_prop_ic_hit"/
-    "engine_prop_ic_miss"/"engine_super_exec"/"engine_selector_hit"/
-    "engine_selector_miss"] — the engine ones all zero outside the fast
-    tier.  Engine and selector counters are injected as totals, so reset
-    them before the run. *)
+    bit-identical TLB on or off), and the selector cache counters as
+    ["engine_selector_hit"]/["engine_selector_miss"].  Selector counters
+    are injected as totals, so reset them before the run. *)
 
 val run_config :
   ?telemetry:bool ->
@@ -75,7 +72,6 @@ val run_config :
   ?mitigation:Runtime.Mitigator.policy ->
   ?engine_tier:Engine.tier ->
   ?recorder:Telemetry.Flight.t ->
-  ?opstats:Engine.Opstats.t ->
   mode:Pkru_safe.Config.mode ->
   profile:Runtime.Profile.t ->
   Bench_def.bench ->
@@ -95,9 +91,10 @@ val run_config :
     [tlb] forwards to {!Pkru_safe.Config.make} (default on), as does
     [mitigation] (a fault-recovery policy for [Mpk] runs; default none).
     [engine_tier] selects the engine execution tier for the timed script
-    (default AST).  [recorder] is attached to the machine for the whole
-    run, so failures dump into it; [opstats] profiles the timed script's
-    opcodes on the reference bytecode tier. *)
+    (default AST, the product's tier; the sentinel twins and the
+    tier-equivalence tests pick the bytecode pair).  [recorder] is
+    attached to the machine for the whole run, so failures dump into
+    it. *)
 
 val run_bench :
   ?telemetry:bool ->

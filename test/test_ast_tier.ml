@@ -143,7 +143,7 @@ let test_unknown_unary () =
   Alcotest.(check (list string)) "operand not run" [] (Engine.take_output engine)
 
 (* The AST tier's variable caches do not count into [ic_stats]: the
-   injected engine_var_ic_* counters are a fast-tier figure. *)
+   variable-IC counters are a fast-tier figure. *)
 let test_ic_stats_untouched () =
   List.iter
     (fun (name, src, _, _, _) ->

@@ -306,86 +306,59 @@ let test_emitter_growth_boundary () =
 
 (* --- Counters --- *)
 
-(* The runner injects IC / superinstruction / selector counters post-run;
-   they must be live under the threaded tier and zero elsewhere. *)
+(* The runner injects the selector-cache counters post-run: live on a
+   DOM script, zero on a script that queries no selector. *)
+let dom_select_bench () =
+  Workloads.Bench_def.bench
+    ~page:(Workloads.Dom_scripts.page ~rows:5)
+    "dispatch-sel" (Workloads.Dom_scripts.jslib_select ~iters:8)
+
 let test_counters_injected () =
+  let dom = measure ~tier:Engine.Ast_tier (dom_select_bench ()) in
+  Alcotest.(check bool) "selector hits" true
+    (Telemetry.Sink.count dom.d_sink "engine_selector_hit" > 0);
   let bench =
     Workloads.Bench_def.bench "dispatch-cnt" (Workloads.Kernels.richards ~iterations:4)
   in
-  let thr = measure ~tier:Engine.Threaded_tier bench in
-  let count name = Telemetry.Sink.count thr.d_sink name in
-  Alcotest.(check bool) "var IC hits" true (count "engine_var_ic_hit" > 0);
-  Alcotest.(check bool) "prop IC hits" true (count "engine_prop_ic_hit" > 0);
-  Alcotest.(check bool) "superinstructions executed" true (count "engine_super_exec" > 0);
-  let reference = measure ~tier:Engine.Bytecode_tier bench in
+  let plain = measure ~tier:Engine.Ast_tier bench in
   List.iter
     (fun name ->
-      Alcotest.(check int) (name ^ " zero on reference tier") 0
-        (Telemetry.Sink.count reference.d_sink name))
-    [
-      "engine_var_ic_hit"; "engine_var_ic_miss"; "engine_prop_ic_hit";
-      "engine_prop_ic_miss"; "engine_super_exec"; "engine_selector_hit";
-      "engine_selector_miss";
-    ];
-  (* The summary JSON digest (bench --json) carries the IC counters. *)
-  Alcotest.(check bool) "summary_json carries IC digests" true
+      Alcotest.(check int) (name ^ " zero without selectors") 0
+        (Telemetry.Sink.count plain.d_sink name))
+    [ "engine_selector_hit"; "engine_selector_miss" ];
+  (* The summary JSON digest (bench --json) carries the selector counters. *)
+  Alcotest.(check bool) "summary_json carries selector digests" true
     (contains
-       (Util.Json.to_string (Telemetry.Export.summary_json thr.d_sink))
-       "engine_var_ic_hit")
+       (Util.Json.to_string (Telemetry.Export.summary_json dom.d_sink))
+       "engine_selector_hit")
 
-(* The pkru_engine_* Prometheus families: always exposed (zero cells
-   outside the fast tier), populated from the runner-injected sink
-   counters. *)
+(* The pkru_engine_* Prometheus families are the selector-cache pair:
+   always exposed (zero cells on a run with no selector), populated from
+   the runner-injected sink counters. *)
 let test_prometheus_engine_families () =
   let empty = Telemetry.Export.prometheus (Telemetry.Sink.create ()) in
+  let families = [ "pkru_engine_selector_hits_total"; "pkru_engine_selector_misses_total" ] in
   List.iter
     (fun family ->
       Alcotest.(check bool) (family ^ " exposed at zero") true
         (contains empty (family ^ " 0")))
-    [
-      "pkru_engine_var_ic_hits_total"; "pkru_engine_var_ic_misses_total";
-      "pkru_engine_prop_ic_hits_total"; "pkru_engine_prop_ic_misses_total";
-      "pkru_engine_superinstructions_total"; "pkru_engine_selector_hits_total";
-      "pkru_engine_selector_misses_total";
-    ];
-  let bench =
-    Workloads.Bench_def.bench "dispatch-prom" (Workloads.Kernels.richards ~iterations:4)
+    families;
+  let engine_lines =
+    List.filter
+      (fun line -> String.starts_with ~prefix:"pkru_engine_" line)
+      (String.split_on_char '\n' empty)
   in
-  let thr = measure ~tier:Engine.Threaded_tier bench in
-  let text = Telemetry.Export.prometheus thr.d_sink in
+  Alcotest.(check int) "only the selector families" (List.length families)
+    (List.length engine_lines);
+  let dom = measure ~tier:Engine.Ast_tier (dom_select_bench ()) in
+  let text = Telemetry.Export.prometheus dom.d_sink in
   let expect family sink_counter =
     Alcotest.(check bool) (family ^ " populated from sink") true
       (contains text
-         (Printf.sprintf "%s %d" family (Telemetry.Sink.count thr.d_sink sink_counter)))
+         (Printf.sprintf "%s %d" family (Telemetry.Sink.count dom.d_sink sink_counter)))
   in
-  expect "pkru_engine_var_ic_hits_total" "engine_var_ic_hit";
-  expect "pkru_engine_prop_ic_hits_total" "engine_prop_ic_hit";
-  expect "pkru_engine_superinstructions_total" "engine_super_exec"
-
-(* Opcode profiling: adjacent-pair counts cover the fused pairs that the
-   superinstruction set is built from. *)
-let test_opstats_pairs () =
-  let e = fresh_engine () in
-  let st = Engine.Opstats.create () in
-  (match
-     Engine.Value.str_of_string (Engine.heap e)
-       "var s = 0; var t = 0;\n\
-        for (var i = 0; i < 50; i = i + 1) { s = s + i; t = t + s; }\n\
-        s + t;"
-   with
-  | Engine.Value.Str src ->
-    ignore (Engine.eval_source ~tier:Engine.Bytecode_tier ~opstats:st e src)
-  | _ -> assert false);
-  Alcotest.(check bool) "instructions counted" true (Engine.Opstats.total st > 0);
-  let singles = Engine.Opstats.singles st in
-  Alcotest.(check bool) "load counted" true (List.mem_assoc "load" singles);
-  let pairs = Engine.Opstats.pairs st in
-  Alcotest.(check bool) "load,load pair seen" true
-    (List.exists (fun ((a, b), _) -> a = "load" && b = "load") pairs);
-  let rendered = Engine.Opstats.render st in
-  Alcotest.(check bool) "render names opcodes" true (contains rendered "load");
-  Alcotest.(check bool) "json has pairs" true
-    (contains (Util.Json.to_string (Engine.Opstats.to_json st)) "\"pairs\"")
+  expect "pkru_engine_selector_hits_total" "engine_selector_hit";
+  expect "pkru_engine_selector_misses_total" "engine_selector_miss"
 
 let suite =
   [
@@ -400,5 +373,4 @@ let suite =
     Alcotest.test_case "counters injected + digests" `Quick test_counters_injected;
     Alcotest.test_case "prometheus pkru_engine_* families" `Quick
       test_prometheus_engine_families;
-    Alcotest.test_case "opcode pair profiling" `Quick test_opstats_pairs;
   ]

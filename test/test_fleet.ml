@@ -68,9 +68,7 @@ let test_single_session_bit_identity () =
       (fun counter ->
         Alcotest.(check int) counter (Telemetry.Sink.count rt counter)
           (Telemetry.Sink.count ft counter))
-      [ "tlb_hit"; "tlb_miss"; "tlb_flush"; "engine_var_ic_hit"; "engine_var_ic_miss";
-        "engine_prop_ic_hit"; "engine_prop_ic_miss"; "engine_super_exec";
-        "engine_selector_hit"; "engine_selector_miss" ]
+      [ "tlb_hit"; "tlb_miss"; "tlb_flush"; "engine_selector_hit"; "engine_selector_miss" ]
   | _ -> Alcotest.fail "expected traces on both sides"
 
 (* Satellite regression: object-origin ids are per-evaluator, so two

@@ -199,8 +199,9 @@ let test_cycle_accounting_sums_harts () =
 
 (* TLB accounting is host-side, but it is still part of the contract:
    one fixed mpk run per tier must probe, miss and flush exactly as it
-   did before the probe moved inline into Machine.  The threaded tier's
-   batched slot probes make its hit count differ from the AST tier's. *)
+   did before the probe moved inline into Machine.  Every tier takes the
+   same checked slot accesses, so the threaded tier probes exactly like
+   the AST tier; only its cycle accounting differs. *)
 let test_tlb_stats_pinned_per_tier () =
   let bench = ok (Workloads.Registry.bench_of_name "dom-attr") in
   let profile = Workloads.Runner.profile_bench bench in
@@ -217,12 +218,15 @@ let test_tlb_stats_pinned_per_tier () =
   in
   let pinned = Alcotest.(pair int (pair int (pair int int))) in
   let nest (c, h, m, f) = (c, (h, (m, f))) in
+  let ((_, ast_h, ast_m, ast_f) as ast) = stats Engine.Ast_tier in
   Alcotest.check pinned "ast tier: cycles, hits, misses, flushes"
     (nest (182641, 20387, 3471, 1043))
-    (nest (stats Engine.Ast_tier));
-  Alcotest.check pinned "threaded tier: cycles, hits, misses, flushes"
-    (nest (182384, 20363, 3472, 1043))
-    (nest (stats Engine.Threaded_tier))
+    (nest ast);
+  let thr_c, thr_h, thr_m, thr_f = stats Engine.Threaded_tier in
+  Alcotest.(check int) "threaded tier: cycles" 182384 thr_c;
+  Alcotest.(check (triple int int int))
+    "threaded tier: hits, misses, flushes as on the ast tier" (ast_h, ast_m, ast_f)
+    (thr_h, thr_m, thr_f)
 
 let test_prometheus_tlb_families () =
   let sink = Telemetry.Sink.create () in

@@ -90,7 +90,7 @@ check_hash() {
 }
 
 check "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval tick charge
-check "$objs/machine/.sim.objs/native/sim__Machine.o" Sim__Machine translate read_le write_le slot_page
+check "$objs/machine/.sim.objs/native/sim__Machine.o" Sim__Machine translate read_le write_le
 call_free=$checked
 
 check_hash "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc site_of
