@@ -1,6 +1,6 @@
 # Convenience targets for the PKRU-Safe reproduction.
 
-.PHONY: all build test check lint-globals lint-hotpath bench examples clean
+.PHONY: all build test check lint-globals lint-hotpath lint-exports bench examples clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 	dune runtest --force
 
 # Everything CI runs: full build (all targets) + the complete test suite.
-check: lint-globals lint-hotpath
+check: lint-globals lint-hotpath lint-exports
 	dune build @all
 	dune runtest --force
 
@@ -36,6 +36,13 @@ lint-globals:
 # code with no young-heap allocation.  See HACKING.md, "Hot paths".
 lint-hotpath:
 	@tools/lint-hotpath.sh
+
+# Every value a lib/ interface exports has a user outside its own module
+# in lib/ bin/ bench/ perfbench/ examples/, or is allowlisted with a
+# reason in tools/exports-allowlist.txt; a stale allowlist entry fails
+# too.  See HACKING.md, "Exports".
+lint-exports:
+	@tools/lint-exports.sh
 
 bench:
 	dune exec bench/main.exe

@@ -1147,14 +1147,13 @@ let run_sentinel ~compare ~baseline_out () =
   header "Regression sentinel: deterministic probe workloads";
   let results = Workloads.Sentinel.run_probes () in
   Util.Table.print
-    ~header:[ "probe"; "sim cycles"; "transitions"; "host wall" ]
+    ~header:[ "probe"; "sim cycles"; "transitions" ]
     (List.map
        (fun (r : Workloads.Sentinel.probe_result) ->
          [
            r.Workloads.Sentinel.p_name;
            string_of_int r.Workloads.Sentinel.p_cycles;
            string_of_int r.Workloads.Sentinel.p_transitions;
-           Printf.sprintf "%.3fs" r.Workloads.Sentinel.p_wall_s;
          ])
        results);
   (* Twin probes express an optimisation's architectural invisibility as

@@ -841,6 +841,8 @@ let run_fleet bench_name sessions cpus timeslice max_live page_budget mode forma
   else if cpus <= 0 then `Error (false, "--cpus must be positive")
   else if timeslice <= 0 then `Error (false, "--timeslice must be positive")
   else if max_live <= 0 then `Error (false, "--max-live must be positive")
+  else if (match page_budget with Some b -> b <= 0 | None -> false) then
+    `Error (false, "--page-budget must be positive")
   else
     match Workloads.Registry.bench_of_name bench_name with
     | Error msg -> `Error (false, msg)

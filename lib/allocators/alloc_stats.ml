@@ -22,7 +22,3 @@ let record_free t bytes =
 
 let live_objects t = t.allocs - t.frees
 let peak_live_bytes t = t.peak_live
-
-let pp fmt t =
-  Format.fprintf fmt "allocs=%d frees=%d bytes=%d live=%d peak=%d" t.allocs t.frees
-    t.bytes_allocated (live_bytes t) t.peak_live

@@ -22,4 +22,3 @@ val peak_live_bytes : t -> int
 
 val record_alloc : t -> int -> unit
 val record_free : t -> int -> unit
-val pp : Format.formatter -> t -> unit

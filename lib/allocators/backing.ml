@@ -39,7 +39,6 @@ let give t n =
   t.available <- min t.total (t.available + n)
 
 let total t = t.total
-let available t = t.available
 let min_available t = t.min_available
 let takes t = t.takes
 let denials t = t.denials

@@ -21,10 +21,10 @@ val give : t -> int -> unit
 (** Returns [n] pages to the budget (clamped at [total]). *)
 
 val total : t -> int
-val available : t -> int
 
 val min_available : t -> int
-(** Low-water mark of {!available} — peak fleet-wide memory pressure. *)
+(** Low-water mark of the pages left in the budget — peak fleet-wide
+    memory pressure. *)
 
 val takes : t -> int
 (** Successful reservations. *)

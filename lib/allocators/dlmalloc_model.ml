@@ -305,8 +305,6 @@ let try_resize t payload new_size =
 let usable_size t payload =
   if is_live t payload then Some (chunk_size (read t (payload - 8)) - 16) else None
 
-let owns t payload = is_live t payload
-
 let stats t = t.stats
 
 (* Heap validator for the property tests; uses privileged reads so it does

@@ -33,10 +33,6 @@ val try_resize : t -> int -> int -> bool
     chunk when it is free and large enough.  Returns whether the block at
     [addr] now holds at least [new_size] usable bytes. *)
 
-val owns : t -> int -> bool
-(** True iff [addr] is a currently-live payload pointer of this
-    allocator. *)
-
 val stats : t -> Alloc_stats.t
 
 val check_heap : t -> (unit, string) result

@@ -20,7 +20,6 @@ type t = {
   no_run : run; (* [page_to_run]'s filler; never modified *)
   mutable run_pages : int; (* pages mapped in [page_to_run] *)
   stats : Alloc_stats.t;
-  mutable metadata_bytes : int;
 }
 
 (* Cycle costs of the allocator itself (fast paths, per §5.3 jemalloc is
@@ -46,13 +45,9 @@ let create machine pool =
     no_run;
     run_pages = 0;
     stats = Alloc_stats.create ();
-    metadata_bytes = 0;
   }
 
 let page_size = Vmm.Layout.page_size
-
-(* Host bytes a run's slot bitmap stands for: one bit per slot. *)
-let bitmap_bytes slots = (slots + 7) / 8
 
 (* Index into the dense page arrays, or -1 outside the pool. *)
 let page_index t addr =
@@ -86,7 +81,6 @@ let new_run t cls =
       t.page_to_run.(i) <- run
     done;
     t.run_pages <- t.run_pages + pages;
-    t.metadata_bytes <- t.metadata_bytes + 64 + bitmap_bytes slots;
     Sim.Machine.charge t.machine cost_run_setup;
     Some run
 
@@ -204,7 +198,6 @@ let free t addr =
         t.page_to_run.(i) <- t.no_run
       done;
       t.run_pages <- t.run_pages - pages;
-      t.metadata_bytes <- t.metadata_bytes - (64 + bitmap_bytes slots);
       Pool.free_span t.pool run.run_base pages
     end
     else if was_full then
@@ -225,13 +218,7 @@ let try_resize t addr new_size =
   | Some usable -> new_size > 0 && new_size <= usable
   | None -> invalid_arg (Printf.sprintf "Jemalloc_model.try_resize: unknown pointer 0x%x" addr)
 
-let owns t addr = large_pages t addr > 0 || run_of_addr t addr != t.no_run
-
 let stats t = t.stats
-
-let metadata_bytes t = t.metadata_bytes
-
-let live_runs t = t.run_pages
 
 (* Index validator for the property tests: the page indices agree with
    the runs and large blocks they point at. *)

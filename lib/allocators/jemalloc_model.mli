@@ -5,8 +5,8 @@
     spans.  All pages come from one {!Pool.t} and return to it, never to
     another pool — this is the property pkalloc depends on.
 
-    Bookkeeping lives in OCaml (conceptually inside the pool's own pages;
-    we account for it via {!metadata_bytes}), and operations charge a
+    Bookkeeping lives in OCaml (conceptually inside the pool's own pages),
+    and operations charge a
     calibrated cycle cost on the machine, making this the "fast" allocator
     of the pair, as jemalloc is in the paper. *)
 
@@ -31,15 +31,7 @@ val try_resize : t -> int -> int -> bool
     class (small) or page span (large) — jemalloc never migrates a slot in
     place. *)
 
-val owns : t -> int -> bool
-
 val stats : t -> Alloc_stats.t
-
-val metadata_bytes : t -> int
-(** Bytes of allocator bookkeeping attributed to the pool's compartment. *)
-
-val live_runs : t -> int
-(** Number of pages currently owned by small-class runs (for tests). *)
 
 val check_index : t -> (unit, string) result
 (** Validates the host-side page indices against the runs and large

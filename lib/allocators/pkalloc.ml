@@ -196,8 +196,6 @@ let dealloc t addr =
       (Telemetry.Event.Free { compartment; addr }));
   (backend_of_addr t addr).b_free addr
 
-let usable_size t addr = (backend_of_addr t addr).b_usable addr
-
 (* Reallocation never migrates between pools: "memory is always reallocated
    from the same pool its base pointer originated from" (§4.2). *)
 let realloc t addr new_size =

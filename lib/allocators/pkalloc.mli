@@ -81,8 +81,6 @@ val fail_nth_alloc : t -> [ `Trusted | `Untrusted ] -> int -> unit
     exactly once, then disarm.  [0] disarms immediately.
     @raise Invalid_argument on negative [n]. *)
 
-val usable_size : t -> int -> int option
-
 val pool_of_addr : t -> int -> [ `Trusted | `Untrusted ] option
 (** Which compartment's pool an address belongs to (reservation-range
     test, usable on any address including the secret page). *)

@@ -22,8 +22,6 @@ let by_eighth =
 
 let small_class n = Char.code by_eighth.[(n + 7) lsr 3]
 
-let of_size n = if n <= 0 || n > max_small then None else Some (small_class n)
-
 let bytes c = ladder.(c)
 
 let page_size = Vmm.Layout.page_size

@@ -13,13 +13,9 @@ val max_small : int
 val count : int
 (** Number of small classes. *)
 
-val of_size : int -> t option
-(** [of_size n] is the smallest class that fits [n]; [None] when [n] is
-    large (or non-positive). *)
-
 val small_class : int -> t
-(** [small_class n] is [Option.get (of_size n)] without the option, for
-    [1 <= n <= max_small]. *)
+(** [small_class n] is the smallest class that fits [n], for
+    [1 <= n <= max_small]; larger requests are large allocations. *)
 
 val bytes : t -> int
 (** Slot size of the class in bytes. *)

@@ -52,13 +52,6 @@ val scan : metadata:Runtime.Metadata.t -> Allocators.Pkalloc.t -> report
 val leak_free : report -> bool
 (** No MT object reachable from U — the invariant chaos asserts. *)
 
-val corroborate : report -> Telemetry.Attribution.t -> (string * bool) list
-(** Cross-check against the flow matrix / site heat of a traced run: for
-    every leaking site, whether the trace also saw MPK faults landing in
-    that site's allocations.  A corroborated finding is a site the
-    enforcement build already tripped over; an uncorroborated one is a
-    latent leak the workload never dereferenced from U. *)
-
 val promote : Allocators.Pkalloc.t -> report -> string list
 (** Feed the evidence into pkalloc's quarantine/site-override table:
     every leaking site not already quarantined is quarantined, so its
@@ -68,11 +61,9 @@ val promote : Allocators.Pkalloc.t -> report -> string list
 
 val to_json : report -> Util.Json.t
 val render : ?attribution:Telemetry.Attribution.t -> report -> string
-(** Human-readable table; with [attribution], each site row carries the
-    {!corroborate} verdict. *)
-
-val to_metrics : report -> Telemetry.Metrics.t
-(** [pkru_audit_*] families: scanned pages/words, findings total, and
-    per-site leaked objects / bytes / refs gauges. *)
+(** Human-readable table.  With [attribution], each site row says whether
+    the traced run corroborates it ([corroborated]: MPK faults landed in
+    that site's allocations, so enforcement already tripped over it) or
+    not ([latent]: a leak the workload never dereferenced from U). *)
 
 val prometheus : report -> string

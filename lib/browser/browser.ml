@@ -17,7 +17,6 @@ type t = {
   dom : Dom.t;
   engine : Engine.t;
   mutable title : string;
-  mutable scripts_run : int;
   mutable last_layout : Layout.t option;
   listeners : (Dom.node * string, Engine.Value.t list) Hashtbl.t;
     (* (node, event) -> engine callbacks, innermost-first registration *)
@@ -33,6 +32,10 @@ type t = {
   sel_stats : selector_stats;
 }
 
+(* Size bound on [split_memo].  When full, the memo is cleared; the
+   evicted entries are added to [sel_memo_evictions] and counted into the
+   machine's sink (if any) as [selector_memo_evict] -- a host-side
+   counter only, never an event or a cycle. *)
 let split_memo_cap = 4096
 
 let secret_value = 42
@@ -355,7 +358,6 @@ let create ?engine_seed ?engine_fuel ?(selector_cache = true) env =
       dom = Dom.create env;
       engine = Engine.create ?seed:engine_seed ?fuel:engine_fuel env;
       title = "";
-      scripts_run = 0;
       last_layout = None;
       listeners = Hashtbl.create 32;
       selectors = Hashtbl.create 16;
@@ -404,7 +406,6 @@ let load_page t html =
       build_trees t (Dom.root t.dom) (Html.parse html))
 
 let exec_script_body ?tier t src =
-  t.scripts_run <- t.scripts_run + 1;
   let len = String.length src in
   (* The script text is trusted-side data handed to the engine by pointer:
      the canonical shared allocation. *)
@@ -425,8 +426,6 @@ let console t = Engine.take_output t.engine
 let collect t = Engine.collect t.engine
 
 let read_secret t = Sim.Machine.priv_read_u64 t.machine Vmm.Layout.secret_addr
-
-let scripts_run t = t.scripts_run
 
 let selector_stats t = t.sel_stats
 

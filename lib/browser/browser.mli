@@ -73,8 +73,6 @@ val secret_value : int
 val read_secret : t -> int
 (** Reads the secret back (trusted-side, as the program-exit log). *)
 
-val scripts_run : t -> int
-
 (* {2 Selector cache observability}
 
    [domQuery] compiles selectors once per source text and caches them for
@@ -91,10 +89,3 @@ type selector_stats = {
 
 val selector_stats : t -> selector_stats
 val reset_selector_stats : t -> unit
-
-val split_memo_cap : int
-(** Size bound on the browser's content-keyed class-split memo.  When
-    full, the memo is cleared; the evicted entries are added to
-    [sel_memo_evictions] and counted into the machine's sink (if any) as
-    [selector_memo_evict] — a host-side counter only, never an event or
-    a cycle. *)

@@ -284,7 +284,6 @@ let create_text t text =
   id
 
 let tag_code_at t a = read32 t a off_tag
-let tag_code t node = tag_code_at t (addr t node)
 let tag_name_at t a = t.tag_names.(tag_code_at t a)
 let tag_name t node = tag_name_at t (addr t node)
 
@@ -298,7 +297,6 @@ let find_code t name =
   if code < 0 then None else Some code
 
 let is_text_at t a = tag_code_at t a = text_code
-let is_text t node = is_text_at t (addr t node)
 
 let parent_at t a =
   let p = read t a off_parent in
@@ -410,10 +408,6 @@ let get_attribute t node name =
   | None -> None
   | Some code -> attribute_by_code t node code
 
-let rec count_attrs t r n = if r = 0 then n else count_attrs t (read t r 24) (n + 1)
-
-let attribute_count t node = count_attrs t (read t (addr t node) off_attrs) 0
-
 (* --- Text --- *)
 
 let set_text t node text =
@@ -428,8 +422,6 @@ let text_at t a =
   let buf = read t a off_text in
   let len = read t a off_text_len in
   read_string t buf len
-
-let text_of t node = text_at t (addr t node)
 
 (* [text_at], appended to [out]. *)
 let add_text t a out =
@@ -615,5 +607,3 @@ let text_to_buffer t ~site text =
   let buf = Pkru_safe.Env.alloc t.env ~site (max len 1) in
   if len > 0 then Sim.Machine.write_string t.machine buf text;
   (buf, len)
-
-let free_buffer t addr = Pkru_safe.Env.dealloc t.env addr

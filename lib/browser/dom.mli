@@ -41,11 +41,6 @@ val remove_children : t -> node -> unit
 (** Detaches and frees an element's entire subtree (records, text and
     attribute storage go back to the allocator). *)
 
-val detach : t -> parent:node -> child:node -> unit
-(** Unlinks one child from [parent], keeping its subtree alive (it can be
-    appended again).
-    @raise Invalid_argument if [child] is not a child of [parent]. *)
-
 val remove_child : t -> parent:node -> child:node -> unit
 (** Detaches one child and frees its subtree.
     @raise Invalid_argument if [child] is not a child of [parent]. *)
@@ -64,7 +59,6 @@ val clone_subtree : t -> node -> node
     payloads; the clone is unattached. *)
 
 val tag_name : t -> node -> string
-val is_text : t -> node -> bool
 val parent : t -> node -> node option
 val children : t -> node -> node list
 val child_count : t -> node -> int
@@ -72,7 +66,6 @@ val child_count : t -> node -> int
 val set_attribute : t -> node -> string -> string -> unit
 
 val get_attribute : t -> node -> string -> string option
-val attribute_count : t -> node -> int
 
 (* {2 Interned-code access}
 
@@ -81,25 +74,14 @@ val attribute_count : t -> node -> int
    and revalidate against {!tag_count}; the charged machine reads of a
    code-keyed probe are exactly those of the name-keyed one. *)
 
-val tag_code : t -> node -> int
-(** The node's interned tag code (one charged header read, like
-    {!tag_name}). *)
-
 val tag_count : t -> int
 (** Names interned so far (monotonic; host-side, no charge). *)
 
 val find_code : t -> string -> int option
 (** Code for an already-interned name (host-side, no charge). *)
 
-val attribute_by_code : t -> node -> int -> string option
-(** {!get_attribute} given a pre-resolved name code: identical charged
-    reads (attribute-chain walk + value bytes). *)
-
 val set_text : t -> node -> string -> unit
 (** Replaces a text node's payload. @raise Invalid_argument on elements. *)
-
-val text_of : t -> node -> string
-(** A text node's payload. @raise Invalid_argument on elements. *)
 
 val text_content : t -> node -> string
 (** Concatenated descendant text (a checked-read tree walk). *)
@@ -150,6 +132,3 @@ val get_attribute_at : t -> record -> string -> string option
    return (address, length) — the object that then flows to the engine. *)
 
 val text_to_buffer : t -> site:Runtime.Alloc_id.t -> string -> int * int
-
-val free_buffer : t -> int -> unit
-(** Returns a binding buffer to the allocator. *)

@@ -113,8 +113,6 @@ let rec matches_rev_path dom a = function
 
 let matches_at dom a t = List.exists (fun path -> matches_rev_path dom a (List.rev path)) t
 
-let matches dom node t = matches_at dom (Dom.record dom node) t
-
 let rec query_visit dom (root, t) acc a =
   let acc = if a <> root && matches_at dom a t then Dom.node_at dom a :: acc else acc in
   Dom.fold_children dom a query_visit (root, t) acc
@@ -122,11 +120,6 @@ let rec query_visit dom (root, t) acc a =
 let query_all dom t =
   let root = Dom.record dom (Dom.root dom) in
   List.rev (query_visit dom (root, t) [] root)
-
-let query_first dom t =
-  match query_all dom t with
-  | [] -> None
-  | node :: _ -> Some node
 
 (* --- Compiled matching ---
 
@@ -229,8 +222,6 @@ and some_cancestor ~split dom rest current =
 let rec matches_cpaths ~split dom a = function
   | [] -> false
   | path :: rest -> matches_rev_cpath ~split dom a path || matches_cpaths ~split dom a rest
-
-let matches_compiled ~split dom node c = matches_cpaths ~split dom (Dom.record dom node) c.cpaths
 
 type walk = {
   split : string -> string list;

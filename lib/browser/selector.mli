@@ -21,15 +21,9 @@ val parse : string -> t
 val to_string : t -> string
 (** Canonical rendering (single spaces, original component order). *)
 
-val matches : Dom.t -> Dom.node -> t -> bool
-(** Whether a node matches (considering its ancestors for descendant
-    combinators). *)
-
 val query_all : Dom.t -> t -> Dom.node list
 (** All matching elements, in document order (the root itself is never
     returned; text nodes never match). *)
-
-val query_first : Dom.t -> t -> Dom.node option
 
 (* {2 Compiled selectors}
 
@@ -53,9 +47,5 @@ val source : compiled -> t
 val split_on_whitespace : string -> string list
 (** Whitespace split of a [class] attribute value: the pure function the
     browser memoizes and passes as [split]. *)
-
-val matches_compiled : split:(string -> string list) -> Dom.t -> Dom.node -> compiled -> bool
-(** [split] splits class values; it must return what
-    {!split_on_whitespace} does. *)
 
 val query_all_compiled : split:(string -> string list) -> Dom.t -> compiled -> Dom.node list

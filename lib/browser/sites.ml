@@ -12,11 +12,4 @@ let inner_html = site 6
 let get_attribute = site 7
 let text_content = site 8
 let query_result = site 9
-let style_record = site 10
 let layout_scratch = site 11
-
-let all =
-  [ node_record; text_buffer; attr_record; attr_value; title_buffer; script_source; inner_html;
-    get_attribute; text_content; query_result; style_record; layout_scratch ]
-
-let shared_with_engine = [ script_source; inner_html; get_attribute; text_content ]

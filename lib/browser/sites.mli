@@ -35,16 +35,5 @@ val text_content : Runtime.Alloc_id.t
 val query_result : Runtime.Alloc_id.t
 (** scratch used to build query results *)
 
-val style_record : Runtime.Alloc_id.t
-(** computed-style records *)
-
 val layout_scratch : Runtime.Alloc_id.t
 (** layout pass scratch buffers *)
-
-
-val all : Runtime.Alloc_id.t list
-(** Every browser site, for statistics. *)
-
-val shared_with_engine : Runtime.Alloc_id.t list
-(** The sites whose objects are, by construction of the bindings, read by
-    the engine — what a correct profile must contain. *)

@@ -64,43 +64,3 @@ let to_string t =
   if t.margin > 0 then add (Printf.sprintf "margin:%d" t.margin);
   if t.padding > 0 then add (Printf.sprintf "padding:%d" t.padding);
   String.concat ";" (List.rev !parts)
-
-(* Record layout: display(u8) | has_width(u8) | has_height(u8) | pad |
-   width(u32) height(u32) margin(u32) padding(u32) — 20 bytes, rounded. *)
-let record_size = 24
-
-let display_code = function
-  | Block -> 0
-  | Inline -> 1
-  | None_display -> 2
-
-let display_of_code = function
-  | 1 -> Inline
-  | 2 -> None_display
-  | _ -> Block
-
-let write_record env t =
-  let machine = Pkru_safe.Env.machine env in
-  let addr = Pkru_safe.Env.alloc env ~site:Sites.style_record record_size in
-  Sim.Machine.write_u8 machine addr (display_code t.display);
-  Sim.Machine.write_u8 machine (addr + 1) (if t.width <> None then 1 else 0);
-  Sim.Machine.write_u8 machine (addr + 2) (if t.height <> None then 1 else 0);
-  Sim.Machine.write_u32 machine (addr + 4) (Option.value t.width ~default:0);
-  Sim.Machine.write_u32 machine (addr + 8) (Option.value t.height ~default:0);
-  Sim.Machine.write_u32 machine (addr + 12) t.margin;
-  Sim.Machine.write_u32 machine (addr + 16) t.padding;
-  addr
-
-let read_record machine addr =
-  let display = display_of_code (Sim.Machine.read_u8 machine addr) in
-  let has_width = Sim.Machine.read_u8 machine (addr + 1) = 1 in
-  let has_height = Sim.Machine.read_u8 machine (addr + 2) = 1 in
-  let width = Sim.Machine.read_u32 machine (addr + 4) in
-  let height = Sim.Machine.read_u32 machine (addr + 8) in
-  {
-    display;
-    width = (if has_width then Some width else None);
-    height = (if has_height then Some height else None);
-    margin = Sim.Machine.read_u32 machine (addr + 12);
-    padding = Sim.Machine.read_u32 machine (addr + 16);
-  }

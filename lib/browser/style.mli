@@ -1,9 +1,4 @@
-(** Styles: parsed [style="..."] attributes and computed style records.
-
-    A computed style is stored as a machine-resident record (site
-    {!Sites.style_record}) owned by the trusted side — layout data is
-    exactly the kind of browser-internal state the paper's partition keeps
-    in MT unless profiling shows it shared. *)
+(** Styles: parsed [style="..."] attributes, the input to {!Layout}. *)
 
 type display =
   | Block
@@ -27,14 +22,3 @@ val parse : string -> t
 
 val to_string : t -> string
 (** Canonical rendering of the non-default properties. *)
-
-(* Machine-resident computed-style records. *)
-
-val record_size : int
-
-val write_record : Pkru_safe.Env.t -> t -> int
-(** Allocates a style record (from {!Sites.style_record}) and serialises
-    the computed style into it; returns its address. *)
-
-val read_record : Sim.Machine.t -> int -> t
-(** Reads a computed style back from machine memory. *)

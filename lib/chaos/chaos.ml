@@ -471,16 +471,6 @@ let run ?(drop = 0.10) ?(oom_at = 40) ~scenario ~policy ~seed () =
   | Gate_corruption -> gate_corruption ~policy ~seed
   | Handler_tamper -> handler_tamper ~drop ~policy ~seed
 
-let run_all ?drop ?oom_at ~seed () =
-  List.concat_map
-    (fun scenario ->
-      List.mapi
-        (fun i policy ->
-          let derived = seed + (1000 * i) + (17 * String.length (scenario_to_string scenario)) in
-          run ?drop ?oom_at ~scenario ~policy ~seed:derived ())
-        Runtime.Mitigator.all_policies)
-    all_scenarios
-
 (* --- The Garmr attack battery (defended vs undefended) -------------------
 
    For each attack class the battery runs the same seeded scenario twice

@@ -94,9 +94,6 @@ val run :
     no-op on small profiles; [oom_at] (default 40) the 1-based
     allocation index [Pkalloc_oom] poisons. *)
 
-val run_all : ?drop:float -> ?oom_at:int -> seed:int -> unit -> report list
-(** Every scenario under every policy, seeds derived from [seed]. *)
-
 val report_to_json : report -> Util.Json.t
 val pp_report : Format.formatter -> report -> unit
 
@@ -128,11 +125,6 @@ type attack_report = {
   ar_flight_dumps : Util.Json.t list;
       (** both halves' post-mortems, undefended first *)
 }
-
-val run_attack :
-  ?harts:int -> attack:Exploit.Garmr.attack -> seed:int -> unit -> attack_report
-(** One attack class, undefended then defended, on [harts] (default 2)
-    concurrently scheduled programs. *)
 
 val run_attacks :
   ?harts:int -> ?attacks:Exploit.Garmr.attack list -> seed:int -> unit -> attack_report list

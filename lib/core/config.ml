@@ -13,18 +13,6 @@ type defenses = {
 let no_defenses = { sigframe_scrub = false; syscall_filter = false; gate_reverify = false }
 let all_defenses = { sigframe_scrub = true; syscall_filter = true; gate_reverify = true }
 
-let defenses_to_string d =
-  let flags =
-    List.filter_map
-      (fun (on, name) -> if on then Some name else None)
-      [
-        (d.sigframe_scrub, "sigframe-scrub");
-        (d.syscall_filter, "syscall-filter");
-        (d.gate_reverify, "gate-reverify");
-      ]
-  in
-  match flags with [] -> "none" | _ -> String.concat "," flags
-
 type t = {
   mode : mode;
   mu_backend : Allocators.Pkalloc.mu_backend;

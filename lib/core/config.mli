@@ -43,9 +43,6 @@ val no_defenses : defenses
 val all_defenses : defenses
 (** Every policy on (what a hardened deployment would run). *)
 
-val defenses_to_string : defenses -> string
-(** Comma-separated enabled flags, ["none"] when all are off. *)
-
 type t = {
   mode : mode;
   mu_backend : Allocators.Pkalloc.mu_backend;

@@ -19,7 +19,6 @@ type t = {
   config : Config.t;
   machine : Sim.Machine.t;
   pkalloc : Allocators.Pkalloc.t;
-  main : thread;
   mutable active : thread;
   mutable threads : thread list;
   profiler : Runtime.Profiler.t option;
@@ -94,7 +93,6 @@ let create ?profile ?backing config =
         config;
         machine;
         pkalloc;
-        main;
         active = main;
         threads = [ main ];
         profiler;
@@ -118,8 +116,6 @@ let gate t = t.active.t_gate
 let profiler t = t.profiler
 let mitigator t = t.mitigator
 
-let main_thread t = t.main
-
 let spawn_thread t =
   let thread =
     {
@@ -129,13 +125,6 @@ let spawn_thread t =
   in
   t.threads <- t.threads @ [ thread ];
   thread
-
-let run_on_thread t thread f =
-  let previous = t.active in
-  t.active <- thread;
-  Fun.protect
-    ~finally:(fun () -> t.active <- previous)
-    (fun () -> Sim.Machine.run_on t.machine thread.t_cpu f)
 
 let thread_cpu thread = thread.t_cpu
 let thread_gate thread = thread.t_gate

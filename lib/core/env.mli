@@ -71,24 +71,19 @@ val malloc_untrusted : t -> int -> int
 
 type thread
 
-val main_thread : t -> thread
 val spawn_thread : t -> thread
 (** A fresh thread starts, like a new kernel thread, with full access;
     its gates and compartment stack are its own. *)
-
-val run_on_thread : t -> thread -> (unit -> 'a) -> 'a
-(** Executes a block as the given thread: the machine's current hart and
-    the environment's active gate are switched for its duration
-    (exception-safe, re-entrant). *)
 
 val thread_cpu : thread -> Sim.Cpu.t
 val thread_gate : thread -> Runtime.Gate.t
 
 val activate_thread : t -> thread -> thread
-(** Non-bracketed thread switch, returning the previously active thread.
-    For effect-based schedulers whose slices cross [Effect.perform]
-    boundaries (where {!run_on_thread}'s bracket cannot reach): the
-    scheduler restores the returned thread itself after each slice. *)
+(** Switches the active thread (the machine's current hart and the
+    environment's gate), returning the previously active one.  Not a
+    bracket, so an effect-based scheduler's slices can cross
+    [Effect.perform]: the scheduler restores the returned thread itself
+    after each slice. *)
 
 (* {2 The compartment boundary} *)
 

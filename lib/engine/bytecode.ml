@@ -362,8 +362,6 @@ let disassemble p =
     p.top;
   Buffer.contents buf
 
-let instruction_count p = Array.length p.top
-
 (* --- VM --- *)
 
 exception Vm_return of Value.t

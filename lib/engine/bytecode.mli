@@ -60,13 +60,8 @@ val compile_body : Ast.stmt list -> toplevel:bool -> instr array
 (** Lower a statement list (a function body when [toplevel:false] — its
     value comes only from [return]). *)
 
-val instr_to_string : instr -> string
-
 val disassemble : program -> string
 (** Human-readable listing of the top-level code (for tests/debugging). *)
-
-val instruction_count : program -> int
-(** Instructions in the top-level code object. *)
 
 val run : Eval.t -> program -> Value.t
 (** Executes top-level code against the evaluator's global scope; like the

@@ -54,6 +54,7 @@ and t = {
   mutable output : string list; (* reversed *)
   mutable fuel : int;
   mutable steps : int;
+  mutable depth : int; (* script calls in progress; see [max_call_depth] *)
   mutable gc_roots : (unit -> Value.t list) list;
   mutable origin_counter : int;
       (* per-evaluator, so scope-origin ids don't depend on how many other
@@ -87,6 +88,7 @@ let create ?(seed = 1) ?(fuel = 200_000_000) heap =
     output = [];
     fuel;
     steps = 0;
+    depth = 0;
     gc_roots = [];
     origin_counter = 0;
     ic = { var_hits = 0; var_misses = 0 };
@@ -123,8 +125,6 @@ let declare scope name v =
 
 let set_global t name v = declare t.globals name v
 
-let get_global t name = Option.map ( ! ) (Hashtbl.find_opt t.globals.vars name)
-
 let take_output t =
   let lines = List.rev t.output in
   t.output <- [];
@@ -133,6 +133,14 @@ let take_output t =
 let steps t = t.steps
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Script_error msg)) fmt
+
+(* Script calls nest on the host stack, a few hundred bytes per level:
+   this bound keeps a runaway recursion a script error, far inside
+   OCaml's default stack, and far above what any registered benchmark
+   reaches.  Any other exception out of a call aborts the whole run, so
+   only the normal and [return] exits count the depth back down, and
+   [run_program] resets it. *)
+let max_call_depth = 10_000
 
 let[@inline never] tick_hooks cpu n = Sim.Cpu.tick_hooks cpu n
 
@@ -753,13 +761,18 @@ and call_value t callee args =
   charge t t.machine.Sim.Machine.cpu.Sim.Cpu.cost.Sim.Cost.call;
   match callee with
   | Value.Fun id ->
+    if t.depth >= max_call_depth then fail "maximum call stack size exceeded";
     let c = t.closures.(id) in
     let scope = { vars = Hashtbl.create 8; decls = 0; parent = Some c.c_scope; origin = 0; slots = no_slots } in
     bind_params scope c.c_func.f_params args;
-    (try
-       Lazy.force c.c_func.f_code t scope;
-       Value.Null
-     with Return_exc v -> v)
+    t.depth <- t.depth + 1;
+    (match Lazy.force c.c_func.f_code t scope with
+    | () ->
+      t.depth <- t.depth - 1;
+      Value.Null
+    | exception Return_exc v ->
+      t.depth <- t.depth - 1;
+      v)
   | Value.Host name ->
     (match Hashtbl.find_opt t.hosts name with
     | Some fn -> fn args
@@ -1262,6 +1275,7 @@ let gc t =
   Value.sweep t.heap ~live:(Hashtbl.mem live)
 
 let run_program t (prog : Ast.program) =
+  t.depth <- 0;
   let result = ref Value.Null in
   (* A top-level expression statement takes no statement tick: its value
      is the program's result so far. *)

@@ -32,7 +32,6 @@ val register_host : t -> string -> host -> unit
 (** Exposes a native function as a global. *)
 
 val set_global : t -> string -> Value.t -> unit
-val get_global : t -> string -> Value.t option
 
 val run_program : t -> Ast.program -> Value.t
 (** Executes top-level statements; the value of the last expression

@@ -123,9 +123,6 @@ let unbox_bits h bits =
     | _ -> Bool true
   else Num (Int64.float_of_bits bits)
 
-let box = box_bits
-let unbox = unbox_bits
-
 let write_slot h addr v =
   Sim.Machine.write_f64 h.machine addr (Int64.float_of_bits (box_bits h v))
 
@@ -292,10 +289,6 @@ let obj_set h (o : obj) name v =
     o.o_slots.(i) <- v;
     o.o_shape <- next
 
-let obj_has h (o : obj) name =
-  Sim.Machine.charge h.machine prop_cost;
-  Hashtbl.mem o.o_shape.sh_fields name
-
 (* {2 Shape/slot access for inline caches}
 
    An IC that has validated the receiver's shape may address the slot
@@ -367,14 +360,6 @@ let equals h a b =
   | Host x, Host y -> x = y
   | Handle x, Handle y -> x = y
   | _ -> false
-
-let stats_objects h = h.objects
-
-let owned_buffer = function
-  | Str s -> if s.s_owned then Some s.s_addr else None
-  | Arr a -> Some a.a_buf
-  | Obj o -> Some o.o_addr
-  | Null | Bool _ | Num _ | Fun _ | Host _ | Handle _ -> None
 
 let owned_count h = Util.Int_table.length h.owned
 

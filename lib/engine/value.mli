@@ -82,7 +82,6 @@ val str_get : heap -> str -> int -> int
 
 val str_concat : heap -> str -> str -> t
 val str_sub : heap -> str -> int -> int -> t
-val str_equal : heap -> str -> str -> bool
 val str_index_of : heap -> str -> str -> int
 (** Index of first occurrence, or -1. *)
 
@@ -105,7 +104,6 @@ val obj_get : heap -> obj -> string -> t
 (** [Null] for a missing property. *)
 
 val obj_set : heap -> obj -> string -> t -> unit
-val obj_has : heap -> obj -> string -> bool
 
 (* {2 Shape/slot access for inline caches}
 
@@ -124,13 +122,6 @@ val obj_set_slot : heap -> obj -> int -> t -> unit
 val obj_iter : (string -> t -> unit) -> obj -> unit
 (** Iterate properties in insertion (slot) order. *)
 
-(* {2 NaN boxing (exposed for tests)} *)
-
-val box : heap -> t -> int64
-(** Encode a value into a 64-bit slot bit pattern. *)
-
-val unbox : heap -> int64 -> t
-
 (* {2 Misc} *)
 
 val truthy : t -> bool
@@ -142,19 +133,12 @@ val to_display_string : heap -> t -> string
 val equals : heap -> t -> t -> bool
 (** MiniJS [==]: numeric / string content equality, identity otherwise. *)
 
-val stats_objects : heap -> int
-(** Objects allocated so far. *)
-
 (* {2 Garbage collection support}
 
    The engine heap is collected by mark-sweep (see [Eval.gc]): the
    evaluator marks reachable values, then {!sweep} frees every engine-owned
    machine buffer the marker did not visit.  Foreign (browser-owned)
    buffers are never engine-owned and never swept. *)
-
-val owned_buffer : t -> int option
-(** The machine buffer this value owns, if any: an owned string's bytes,
-    an array's slot buffer, an object's header. *)
 
 val owned_count : heap -> int
 (** Live engine-owned buffers currently registered. *)

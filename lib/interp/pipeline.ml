@@ -45,7 +45,3 @@ let collect_profile ?hosts source ~inputs =
   let* profiling = build ?hosts ~mode:Pkru_safe.Config.Profiling source in
   List.iter (fun input -> input profiling.interp) inputs;
   Ok (Pkru_safe.Env.recorded_profile profiling.env)
-
-let full_cycle ?hosts source ~inputs =
-  let* profile = collect_profile ?hosts source ~inputs in
-  build ?hosts ~profile ~mode:Pkru_safe.Config.Mpk source

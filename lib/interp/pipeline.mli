@@ -51,11 +51,3 @@ val collect_profile :
   (Runtime.Profile.t, string) result
 (** Builds the profiling configuration and runs every profiling input
     against it, returning the merged profile. *)
-
-val full_cycle :
-  ?hosts:host_spec list ->
-  Ir.Module_ir.t ->
-  inputs:(Interp.t -> unit) list ->
-  (build, string) result
-(** Stages 2–4 in one step: profile with [inputs], then produce the final
-    enforcing build. *)

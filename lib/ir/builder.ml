@@ -85,8 +85,6 @@ let alloca t size =
        });
   dst
 
-let dealloc t addr = emit t (Instr.Dealloc addr)
-
 let realloc t ~addr ~size =
   let dst = fresh t in
   emit t (Instr.Realloc { dst; addr; size });

@@ -9,7 +9,6 @@ type t
 val create : name:string -> crate:string -> nparams:int -> ?exported:bool -> unit -> t
 (** Starts a function with entry block 0 selected. *)
 
-val params : t -> Instr.reg list
 val fresh : t -> Instr.reg
 
 val new_block : t -> int
@@ -27,7 +26,6 @@ val load : t -> ?width:int -> Instr.operand -> Instr.reg
 val store : t -> ?width:int -> src:Instr.operand -> addr:Instr.operand -> unit -> unit
 val alloc : t -> Instr.operand -> Instr.reg
 val alloca : t -> Instr.operand -> Instr.reg
-val dealloc : t -> Instr.operand -> unit
 val realloc : t -> addr:Instr.operand -> size:Instr.operand -> Instr.reg
 val call : t -> ?ret:bool -> string -> Instr.operand list -> Instr.reg option
 val call_indirect : t -> ?ret:bool -> Instr.operand -> Instr.operand list -> Instr.reg option

@@ -102,8 +102,6 @@ type terminator =
   | Br of int
   | Cond_br of operand * int * int
 
-val pp_operand : Format.formatter -> operand -> unit
-val binop_to_string : binop -> string
 val pp : Format.formatter -> t -> unit
 val pp_terminator : Format.formatter -> terminator -> unit
 

@@ -17,8 +17,6 @@ val create : unit -> t
 val declare_crate : t -> string -> unit
 (** Idempotent. *)
 
-val crates : t -> crate list
-
 val crate : t -> string -> crate
 (** @raise Not_found for an undeclared crate. *)
 

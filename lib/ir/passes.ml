@@ -35,6 +35,8 @@ let resolve_func_addrs m =
           | Instr.Func_addr (_, name) -> ignore (Module_ir.func_index m name)
           | _ -> ()))
 
+(* Allocations made by untrusted code are U's own malloc and always come
+   from MU, in every configuration. *)
 let lower_untrusted_allocs m =
   Module_ir.iter_funcs m (fun f ->
       if Module_ir.is_untrusted_fn m f then
@@ -45,6 +47,9 @@ let lower_untrusted_allocs m =
             | Instr.Alloca a -> a.shared <- true
             | _ -> ()))
 
+(* Marks every trusted allocation site for runtime provenance tracking
+   (the inserted [log_alloc] callbacks of Fig. 2).  Returns the number of
+   sites instrumented. *)
 let instrument_provenance m =
   let count = ref 0 in
   Module_ir.iter_funcs m (fun f ->
@@ -85,6 +90,14 @@ let make_wrapper ~name ~enter ~exit ~callee (target : Func.t) =
   f.Func.is_wrapper <- true;
   f
 
+(* Wraps the compartment boundary: every direct T->U call is rewritten to
+   a generated wrapper that drops MT access around the callee; every
+   exported or address-taken T function gets an entry wrapper restoring
+   MT access, and the indirect-call table is retargeted to it;
+   address-taken U functions get exit wrappers, so function pointers
+   flowing from U into T still transition correctly when invoked.
+   Returns the number of wrappers created (the prototype "automatically
+   creates hundreds of callgates"). *)
 let insert_gates m =
   Module_ir.declare_crate m gates_crate;
   let wrappers = ref 0 in
@@ -159,6 +172,9 @@ let insert_gates m =
     originals;
   !wrappers
 
+(* Retargets every trusted allocation site the profile recorded to
+   [__rust_untrusted_alloc].  Returns the number of sites moved (274 of
+   Servo's 12088, paper section 5.3). *)
 let apply_profile m ~in_profile =
   let moved = ref 0 in
   Module_ir.iter_funcs m (fun f ->

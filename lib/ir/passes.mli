@@ -10,33 +10,6 @@ val assign_alloc_ids : Module_ir.t -> int
     block, call-site) triple.  Returns the number of sites assigned
     (Servo has 12088 of these, §5.3). *)
 
-val lower_untrusted_allocs : Module_ir.t -> unit
-(** Allocations made {e by} untrusted code are U's own malloc and always
-    come from MU, in every configuration. *)
-
-val instrument_provenance : Module_ir.t -> int
-(** Marks every trusted allocation site for runtime provenance tracking
-    (the inserted [log_alloc] callbacks of Fig. 2).  Returns the number of
-    sites instrumented. *)
-
-val insert_gates : Module_ir.t -> int
-(** Wraps the compartment boundary:
-    {ul
-    {- every direct T→U call is rewritten to a generated wrapper that
-       drops MT access around the callee;}
-    {- every exported or address-taken T function gets an entry wrapper
-       restoring MT access, and the indirect-call table is retargeted to
-       it;}
-    {- address-taken U functions get exit wrappers so function pointers
-       flowing from U into T still transition correctly when invoked.}}
-    Returns the number of wrappers created (the prototype "automatically
-    creates hundreds of callgates"). *)
-
-val apply_profile : Module_ir.t -> in_profile:(Runtime.Alloc_id.t -> bool) -> int
-(** Retargets every trusted allocation site recorded by the profile to
-    [__rust_untrusted_alloc].  Returns the number of sites moved (274 of
-    Servo's 12088, §5.3). *)
-
 type stats = {
   alloc_sites : int;
   sites_instrumented : int;

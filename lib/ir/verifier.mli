@@ -8,8 +8,6 @@
     mirroring the CFI assumption that stray WRPKRU sequences are not
     reachable), and every register is defined on all paths before use. *)
 
-val verify_func : Module_ir.t -> hosts:(string -> bool) -> Func.t -> (unit, string) result
-
 val verify : ?hosts:(string -> bool) -> Module_ir.t -> (unit, string) result
 (** [hosts] says which host (embedder-provided) functions exist; defaults
     to accepting none. *)

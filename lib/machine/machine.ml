@@ -47,8 +47,6 @@ let cpus t = List.rev t.cpus_rev
    per-access path, which touches only the current hart's clock. *)
 let total_cycles t = List.fold_left (fun acc cpu -> acc + cpu.Cpu.cycles) 0 t.cpus_rev
 
-let tlb_enabled t = t.tlb_enabled
-
 let tlb_stats t =
   List.fold_left
     (fun acc cpu -> Tlb.add_stats acc (Tlb.stats cpu.Cpu.tlb))

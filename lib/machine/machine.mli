@@ -110,8 +110,6 @@ val probe : t -> Vmm.Fault.access -> int -> Vmm.Fault.kind option
 
 val priv_read_u64 : t -> int -> int
 val priv_write_u64 : t -> int -> int -> unit
-val priv_read_bytes : t -> int -> int -> Bytes.t
-val priv_write_bytes : t -> int -> Bytes.t -> unit
 val priv_read_string : t -> int -> int -> string
 
 (* {2 Convenience} *)
@@ -155,8 +153,6 @@ val sys_pkey_free : t -> Mpk.Pkey.t -> (unit, string) result
 (** pkey_free(2).  Subject to the filter. *)
 
 (* {2 TLB observability} *)
-
-val tlb_enabled : t -> bool
 
 val tlb_stats : t -> Tlb.stats
 (** Aggregate hit/miss/flush counts across every hart's TLB.  All zero

@@ -32,11 +32,6 @@ let read_bit = 1
 let write_bit = 2
 let execute_bit = 4
 
-let access_bit = function
-  | Vmm.Fault.Read -> read_bit
-  | Vmm.Fault.Write -> write_bit
-  | Vmm.Fault.Execute -> execute_bit
-
 type stats = {
   hits : int;
   misses : int;

@@ -56,9 +56,6 @@ val create : unit -> t
 
 val read_bit : int
 val write_bit : int
-val execute_bit : int
-
-val access_bit : Vmm.Fault.access -> int
 
 (* {2 Filling} *)
 

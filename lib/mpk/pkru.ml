@@ -56,5 +56,3 @@ let all_disabled_except keys =
   build 0 all_enabled
 
 let equal = Int.equal
-
-let pp fmt pkru = Format.fprintf fmt "pkru:0x%08x" pkru

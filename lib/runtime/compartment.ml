@@ -11,8 +11,6 @@ let to_string = function
   | Trusted -> "trusted"
   | Untrusted -> "untrusted"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let trusted_view = Mpk.Pkru.all_enabled
 
 let untrusted_view ~trusted_pkey:_ = Mpk.Pkru.all_disabled_except []

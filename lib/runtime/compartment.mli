@@ -12,7 +12,6 @@ type t =
   | Untrusted
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val trusted_view : Mpk.Pkru.t

@@ -166,8 +166,6 @@ let callback_trusted t f =
 let transitions t = t.transitions
 let reset_transitions t = t.transitions <- 0
 
-let resident_view t = t.resident
-
 (* Garmr defense: gate re-verification at a scheduling boundary.  A
    continuation restore puts a parked thread back on its hart with
    whatever PKRU the hart last held — if a sibling flipped it mid-slice

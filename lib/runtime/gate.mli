@@ -56,14 +56,10 @@ val transitions : t -> int
 
 val reset_transitions : t -> unit
 
-val resident_view : t -> Mpk.Pkru.t
-(** The PKRU view installed by this thread's last verified gate
-    transition ([all_enabled] before any transition).  The reference a
-    scheduler-boundary re-verification checks the live value against. *)
-
 val reverify : ?attack:string -> t -> unit
-(** Garmr defense: re-checks the hart's live PKRU against
-    {!resident_view} — called by the fleet scheduler before resuming a
+(** Garmr defense: re-checks the hart's live PKRU against the view this
+    thread's last verified gate transition installed ([all_enabled]
+    before any) — called by the fleet scheduler before resuming a
     parked continuation, catching a sibling hart's mid-slice WRPKRU flip
     before the slice runs.  On mismatch, dumps the flight recorder
     (expected vs observed PKRU, hart, and [attack] when given) and kills

@@ -40,7 +40,6 @@ type t = {
   mutable tokens : int;
   mutable refill_mark : int; (* machine cycles at last refill accounting *)
   mutable incidents : int;
-  mutable degraded : bool;
 }
 
 let create ?(trusted_pkey = Mpk.Pkey.of_int 1) ?(budget = 65536) ?(refill_cycles = 0) ~policy
@@ -60,11 +59,9 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) ?(budget = 65536) ?(refill_cycles
     tokens = budget;
     refill_mark = Sim.Machine.cycles machine;
     incidents = 0;
-    degraded = false;
   }
 
 let policy t = t.policy
-let is_degraded t = t.degraded
 let incidents t = t.incidents
 
 let outcome_counts t =
@@ -139,7 +136,6 @@ let on_segv t (fault : Vmm.Fault.t) =
          mitigator installed. *)
       Sim.Signals.Pass
     | Degrade ->
-      t.degraded <- true;
       record_incident t "degraded";
       Telemetry.Ctx.dump t.machine.Sim.Machine.ctx
         ~reason:"mitigator degraded: U denied MT access"

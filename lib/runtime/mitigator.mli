@@ -89,7 +89,6 @@ val outcome_counts : t -> (string * int) list
     [pkru_mitigation_total{policy,outcome}]. *)
 
 val tokens_left : t -> int
-val is_degraded : t -> bool
 
 val promoted_sites : t -> string list
 (** Sites quarantined so far (sorted) — pkalloc's site-override table. *)

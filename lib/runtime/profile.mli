@@ -37,8 +37,6 @@ val subset : t -> fraction:float -> rng:Util.Rng.t -> t
     profiling corpus for the profile-coverage ablation (§6). *)
 
 val to_json : t -> Util.Json.t
-val of_json : Util.Json.t -> t
-(** @raise Invalid_argument on malformed input. *)
 
 val save : t -> string -> unit
 (** Writes pretty JSON to a file. *)

@@ -42,9 +42,6 @@ type flow = {
   mutable mpk_faults : int;
 }
 
-val unattributed : string
-(** Site key used for allocations that carried no AllocId label. *)
-
 val of_sink : ?total_cycles:int -> Sink.t -> t
 (** Folds the sink's retained events.  Execution is assumed to start in
     the trusted compartment at cycle 0 (the runner resets counters before
@@ -64,25 +61,17 @@ val unmatched_frees : t -> int
 val total_cycles : t -> int
 (** [cycles_trusted + cycles_untrusted]. *)
 
-val compartment_cycle_share : t -> float * float
-(** [(trusted, untrusted)] shares of attributed cycles, each in [0, 1];
-    [(0, 0)] when no cycles were attributed. *)
-
 val pool_of_site : site -> string
 (** ["MT"], ["MU"] or ["MT+MU"]. *)
 
 (* {2 Exports} *)
 
-val site_json : site -> Util.Json.t
 val site_heat_json : ?limit:int -> t -> Util.Json.t
 (** [limit] keeps only the hottest N sites (the digest form bench results
     embed); [sites_total] always reports the full count. *)
 
 val flow_json : t -> Util.Json.t
 val to_json : ?site_limit:int -> t -> Util.Json.t
-
-val site_table : ?limit:int -> t -> string
-val flow_table : t -> string
 
 val report : ?site_limit:int -> t -> string
 (** Flow matrix + site heat as aligned text tables. *)

@@ -47,11 +47,9 @@ type snapshot = {
 
 type t
 
-val default_keep : int
-(** 64 retained snapshots. *)
-
 val create : ?keep:int -> every:int -> unit -> t
-(** @raise Invalid_argument when [every <= 0] or [keep <= 0]. *)
+(** Keeps the last [keep] (default 64) snapshots.
+    @raise Invalid_argument when [every <= 0] or [keep <= 0]. *)
 
 val every : t -> int
 

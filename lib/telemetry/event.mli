@@ -16,14 +16,10 @@ type signal =
   | Segv
   | Trap
 
-val signal_to_string : signal -> string
-
 type page_fault_kind =
   | Not_mapped       (** access to an unmapped address *)
   | Prot_violation   (** page-protection (not pkey) denial *)
   | Demand_paged     (** first touch materialised a reserved page *)
-
-val page_fault_kind_to_string : page_fault_kind -> string
 
 type t =
   | Gate_enter of { target : compartment }

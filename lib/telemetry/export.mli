@@ -4,9 +4,6 @@ val to_json : Sink.t -> Util.Json.t
 (** Full snapshot: counters, histogram summaries, the trace, and the
     span store (digest + closed + open records). *)
 
-val spans_json : Sink.t -> Util.Json.t
-(** Just the span store: [{digest; closed; open}]. *)
-
 val chrome_trace : Sink.t -> Util.Json.t
 (** Chrome trace_event format, loadable in [chrome://tracing] or Perfetto
     ([ui.perfetto.dev]).  Gate enters/exits become nested duration slices

@@ -15,9 +15,6 @@
 
 type t
 
-val schema_version : string
-(** ["pkru-safe.flight/1"] — stamped into every dump. *)
-
 val create : ?path:string -> ?max_dumps:int -> unit -> t
 (** [path] writes each dump to that file (latest wins); [max_dumps]
     (default 8) bounds the in-memory dump list. *)

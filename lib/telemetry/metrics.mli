@@ -50,10 +50,6 @@ val observe_series : series -> cycle:int -> float -> unit
 (** Adds [v] into the bucket containing [cycle].
     @raise Invalid_argument on a negative cycle. *)
 
-val series_points : series -> (int * float) list
-(** [(window_start_cycle, accumulated value)] per populated bucket,
-    ascending. *)
-
 val series_window : series -> int
 
 (* {2 Export} *)

@@ -30,9 +30,3 @@ let to_list t =
       | None -> assert false)
 
 let iter t f = List.iter f (to_list t)
-
-let clear t =
-  Array.fill t.data 0 t.capacity None;
-  t.next <- 0;
-  t.length <- 0;
-  t.dropped <- 0

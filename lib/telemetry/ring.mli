@@ -22,4 +22,3 @@ val to_list : 'a t -> 'a list
 (** Live elements, oldest first. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
-val clear : 'a t -> unit

@@ -38,13 +38,10 @@ val samples_total : t -> int
 val stacks : t -> (string * int) list
 (** [(folded stack, samples)], sorted by stack for deterministic output. *)
 
-val leaf_counts : t -> (string * int) list
-(** Samples aggregated by innermost frame — the per-compartment sample
-    distribution checked against the flow matrix's cycle totals. *)
-
 val leaf_shares : t -> (string * float) list
-(** {!leaf_counts} normalised to fractions of all samples (empty when no
-    samples were taken). *)
+(** Samples aggregated by innermost frame, as fractions of all samples
+    (empty when no samples were taken): the per-compartment distribution
+    checked against the flow matrix's cycle totals. *)
 
 val to_folded : t -> string
 (** One ["stack count"] line per distinct stack. *)

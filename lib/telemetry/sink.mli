@@ -14,17 +14,13 @@
 
 type t
 
-val default_capacity : int
-(** 65536 trace records (counters and histograms are unbounded-precision
-    regardless of ring capacity). *)
-
-val default_gate_tail : int
-(** 256 — the dedicated last-N ring of gate transitions kept for the
-    flight recorder. *)
-
 val create :
   ?capacity:int -> ?span_capacity:int -> ?record_spans:bool -> ?gate_tail:int -> unit -> t
-(** [record_spans] (default true) switches the span layer off entirely:
+(** [capacity] (default 65536) bounds the trace ring; counters and
+    histograms are unbounded-precision regardless.  [gate_tail] (default
+    256) is the dedicated last-N ring of gate transitions kept for the
+    flight recorder.  [record_spans] (default true) switches the span
+    layer off entirely:
     span calls become no-ops and the event trace is bit-identical to a
     span-recording sink's. *)
 

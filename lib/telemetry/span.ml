@@ -116,12 +116,6 @@ let open_spans t =
   Hashtbl.fold (fun _ s acc -> List.rev_append !s acc) t.stacks []
   |> List.sort (fun a b -> compare a.id b.id)
 
-(* The open chain on one hart, root first: the causal path to "now". *)
-let open_chain t ~cpu =
-  match Hashtbl.find_opt t.stacks cpu with
-  | None -> []
-  | Some s -> List.rev !s
-
 let record_to_json r =
   let open Util.Json in
   Obj

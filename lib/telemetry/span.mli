@@ -16,7 +16,6 @@ type kind =
   | Census    (** one heap-census snapshot walk (instant) *)
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 type record = {
   id : int;             (** 1-based, unique within the store *)
@@ -57,9 +56,6 @@ val closed : t -> record list
 
 val open_spans : t -> record list
 (** Every open span across all harts, by id. *)
-
-val open_chain : t -> cpu:int -> record list
-(** The open spans on one hart, root first: the causal path to "now". *)
 
 val opened_total : t -> int
 val dropped : t -> int

@@ -33,13 +33,6 @@ let percentile p xs =
       (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
     end
 
-let stddev = function
-  | [] | [ _ ] -> 0.0
-  | xs ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
-    sqrt var
-
 let percent_overhead ~baseline ~measured =
   assert (baseline <> 0.0);
   (measured -. baseline) /. baseline *. 100.0

@@ -14,9 +14,6 @@ val percentile : float -> float list -> float
     @raise Invalid_argument on an empty sample or a rank outside
     [\[0, 100\]]. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0.0 for fewer than two samples. *)
-
 val percent_overhead : baseline:float -> measured:float -> float
 (** [(measured - baseline) / baseline * 100].  [baseline] must be non-zero. *)
 

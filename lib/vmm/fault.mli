@@ -25,7 +25,5 @@ exception Unhandled of t
 (** Raised when no registered handler services the fault; the simulated
     process dies, matching default SIGSEGV disposition. *)
 
-val access_to_string : access -> string
 val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -32,9 +32,3 @@ let pkey_free t key =
     t.taken.(k) <- false;
     Ok ()
   end
-
-let is_allocated t key = t.taken.(Mpk.Pkey.to_int key)
-
-let allocated_count t =
-  let total = Array.fold_left (fun acc taken -> if taken then acc + 1 else acc) 0 t.taken in
-  total - 1 (* key 0 is permanently taken but not "allocated" *)

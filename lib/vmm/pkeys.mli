@@ -23,7 +23,3 @@ val reserve : t -> Mpk.Pkey.t -> (unit, string) result
 val pkey_free : t -> Mpk.Pkey.t -> (unit, string) result
 (** [Error "EINVAL"] when the key is not currently allocated (or is
     key 0). *)
-
-val is_allocated : t -> Mpk.Pkey.t -> bool
-val allocated_count : t -> int
-(** Number of keys currently handed out (excluding key 0). *)

@@ -5,18 +5,10 @@ type t = {
 }
 
 let none = { read = false; write = false; execute = false }
-let read_only = { read = true; write = false; execute = false }
 let read_write = { read = true; write = true; execute = false }
-let read_execute = { read = true; write = false; execute = true }
 
 let validate t =
   if t.write && t.execute then Error "W^X violation: page both writable and executable"
   else Ok t
 
 let equal a b = a.read = b.read && a.write = b.write && a.execute = b.execute
-
-let pp fmt t =
-  Format.fprintf fmt "%c%c%c"
-    (if t.read then 'r' else '-')
-    (if t.write then 'w' else '-')
-    (if t.execute then 'x' else '-')

@@ -10,12 +10,9 @@ type t = {
 }
 
 val none : t
-val read_only : t
 val read_write : t
-val read_execute : t
 
 val validate : t -> (t, string) result
 (** Rejects W^X violations (write && execute). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -16,10 +16,6 @@ type session = {
 val sessions : session list
 (** wpt / jquery / webidl suite stand-ins plus browsing sessions. *)
 
-val run_session : Pkru_safe.Env.t -> session -> string list
-(** Loads the page and executes the scripts in an existing environment,
-    returning collected console output. *)
-
 val collect : unit -> Runtime.Corpus.t
 (** Runs every session on a fresh profiling build and collects the runs. *)
 

@@ -43,8 +43,6 @@ let table2 =
 let table2_mean_alloc = 5.89
 let table2_mean_mpk = 11.55
 
-let table3_scores = [ ("base", 60.31); ("alloc", 61.20); ("mpk", 59.94) ]
-
 let micro_overheads = [ ("Empty", 8.55); ("Read-One", 7.61); ("Callback", 6.17) ]
 
 let servo_alloc_sites = 12088

@@ -24,9 +24,6 @@ val table2 : table2_row list
 val table2_mean_alloc : float
 val table2_mean_mpk : float
 
-val table3_scores : (string * float) list
-(** base / alloc / mpk JetStream2 overall scores. *)
-
 val micro_overheads : (string * float) list
 (** Empty 8.55x, Read-One 7.61x, Callback 6.17x. *)
 

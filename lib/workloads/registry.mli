@@ -4,20 +4,16 @@
     harness, so an unknown name always fails with the same message — one
     that lists every valid spelling — instead of a bare "unknown". *)
 
-val suites : (string * Bench_def.suite) list
-(** Every addressable suite: the four paper suites plus the Dromaeo
-    sub-suites ([dom], [v8], [sunspider], [jslib]). *)
-
-val suite_names : string list
-
 val benches : Bench_def.bench list
 (** Every benchmark, enumerated from the four top-level suites (the
     Dromaeo sub-suites partition [dromaeo], so no benchmark repeats). *)
 
-val bench_names : string list
-
 val suite_of_name : string -> (Bench_def.suite, string) result
-(** [Error] carries a message listing all of {!suite_names}. *)
+(** [Error] carries a message listing every suite name. *)
 
 val bench_of_name : string -> (Bench_def.bench, string) result
-(** [Error] carries a message listing all of {!bench_names}. *)
+(** Accepts a benchmark's bare name, or [Suite/name] with the suite's
+    [suite_name] (for instance [JetStream2/ai-astar]).  A bare name that
+    several suites use is refused: the [Error] lists its qualified forms.
+    An unknown name's [Error] lists one accepted spelling per benchmark:
+    the bare name where it is unique, the qualified one otherwise. *)

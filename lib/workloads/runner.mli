@@ -96,13 +96,6 @@ val run_config :
     attached to the machine for the whole run, so failures dump into
     it. *)
 
-val run_bench :
-  ?telemetry:bool ->
-  ?sample_every:int ->
-  profile:Runtime.Profile.t ->
-  Bench_def.bench ->
-  bench_result
-
 val run_suite :
   ?progress:(string -> unit) ->
   ?telemetry:bool ->

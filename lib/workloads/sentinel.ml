@@ -4,11 +4,11 @@
    cycles, run against a checked-in baseline (BENCH_BASELINE.json).  The
    comparison rules follow what the simulator guarantees:
 
-   - simulated cycles and gate transitions are deterministic, so ANY
-     drift against the baseline is a real behavioural change (a perf
-     regression or an unacknowledged improvement) and is flagged exactly;
-   - host wall-clock is machine-dependent, so it only warns, and only
-     past a generous tolerance factor.
+   simulated cycles and gate transitions are deterministic, so ANY drift
+   against the baseline is a real behavioural change (a perf regression
+   or an unacknowledged improvement) and fails exactly.  Host time is
+   not the sentinel's business: it is machine-dependent, and perfbench
+   measures it under a repeated-trial protocol.
 
    The baseline file is schema-versioned and stamped with the commit that
    produced it, so `bench --compare` output can always say what it was
@@ -21,7 +21,6 @@ type probe_result = {
   p_tier : string;
   p_cycles : int;
   p_transitions : int;
-  p_wall_s : float;
 }
 
 (* --- the probe set --- *)
@@ -120,8 +119,6 @@ let probes =
     };
   ]
 
-let probe_names = List.map (fun p -> p.name) probes
-
 (* Probe pairs the baseline pins cycle-equal: each optimisation's
    architectural invisibility, expressed as data.  Checked by
    [twin_mismatches] on every fresh run too, so a divergence is caught
@@ -147,18 +144,15 @@ let run_probe p =
   let profile =
     Runner.profile_suite { Bench_def.suite_name = "sentinel"; benches = [ p.bench ] }
   in
-  let t0 = Unix.gettimeofday () in
   let m =
     Runner.run_config ?mitigation:p.mitigation ?census_every:p.census_every
       ~engine_tier:p.tier ~mode:p.mode ~profile p.bench
   in
-  let wall = Unix.gettimeofday () -. t0 in
   {
     p_name = p.name;
     p_tier = tier_name p.tier;
     p_cycles = m.Runner.cycles;
     p_transitions = m.Runner.transitions;
-    p_wall_s = wall;
   }
 
 let run_probes () = List.map run_probe probes
@@ -186,7 +180,6 @@ let result_to_json r =
       ("tier", String r.p_tier);
       ("cycles", Int r.p_cycles);
       ("transitions", Int r.p_transitions);
-      ("wall_s", Float r.p_wall_s);
     ]
 
 let result_of_json j =
@@ -199,7 +192,6 @@ let result_of_json j =
       | _ | (exception Not_found) -> "ast" (* pre-tier baselines *));
     p_cycles = to_int (member "cycles" j);
     p_transitions = to_int (member "transitions" j);
-    p_wall_s = to_float (member "wall_s" j);
   }
 
 let baseline_json ?commit results =
@@ -230,34 +222,14 @@ let baseline_of_json j =
 type verdict =
   | Match
   | Cycle_drift of { base_cycles : int; base_transitions : int }
-  | Wall_slow of { base_wall_s : float; ratio : float }
   | Missing_in_baseline
   | Missing_in_run
-
-let is_regression = function
-  | Cycle_drift _ | Missing_in_run -> true
-  | Match | Wall_slow _ | Missing_in_baseline -> false
-
-let is_warning = function
-  | Wall_slow _ | Missing_in_baseline -> true
-  | Match | Cycle_drift _ | Missing_in_run -> false
-
-(* CI machines are slow and noisy: only flag order-of-magnitude problems. *)
-let wall_tolerance = 2.5
 
 let compare_results ~baseline fresh =
   let verdict_for (b : probe_result) (f : probe_result) =
     if b.p_cycles <> f.p_cycles || b.p_transitions <> f.p_transitions then
       Cycle_drift { base_cycles = b.p_cycles; base_transitions = b.p_transitions }
-    else begin
-      (* Guard against a zero/garbage baseline wall time, and require an
-         absolute slowdown too: the probes take ~1ms, where a ratio alone
-         would warn on scheduler noise. *)
-      let ratio = if b.p_wall_s > 1e-9 then f.p_wall_s /. b.p_wall_s else 1.0 in
-      if ratio > wall_tolerance && f.p_wall_s -. b.p_wall_s > 0.05 then
-        Wall_slow { base_wall_s = b.p_wall_s; ratio }
-      else Match
-    end
+    else Match
   in
   let fresh_verdicts =
     List.map
@@ -284,32 +256,25 @@ let render_comparison ~commit verdicts =
       let line =
         match verdict with
         | Match ->
-          Printf.sprintf "  ok    %-22s %10d cycles  %5d transitions  %.3fs" name r.p_cycles
-            r.p_transitions r.p_wall_s
+          Printf.sprintf "  ok    %-22s %10d cycles  %5d transitions" name r.p_cycles
+            r.p_transitions
         | Cycle_drift { base_cycles; base_transitions } ->
           Printf.sprintf
             "  DRIFT %-22s cycles %d -> %d (%+d), transitions %d -> %d — deterministic \
              simulation changed"
             name base_cycles r.p_cycles (r.p_cycles - base_cycles) base_transitions
             r.p_transitions
-        | Wall_slow { base_wall_s; ratio } ->
-          Printf.sprintf
-            "  warn  %-22s host wall %.3fs vs baseline %.3fs (%.1fx > tolerance) — \
-             machine-dependent, not gating"
-            name r.p_wall_s base_wall_s ratio
         | Missing_in_baseline ->
-          Printf.sprintf "  warn  %-22s not in baseline (new probe?) — re-generate with \
+          Printf.sprintf "  DRIFT %-22s not in baseline (new probe?) — re-generate with \
                           --baseline-out" name
         | Missing_in_run -> Printf.sprintf "  DRIFT %-22s in baseline but not produced by this run" name
       in
       Buffer.add_string buf (line ^ "\n"))
     verdicts;
-  let regressions = List.filter (fun (_, _, v) -> is_regression v) verdicts in
-  let warnings = List.filter (fun (_, _, v) -> is_warning v) verdicts in
+  let drifts = List.length (List.filter (fun (_, _, v) -> v <> Match) verdicts) in
   Buffer.add_string buf
-    (Printf.sprintf "%d probes: %d ok, %d drift, %d warnings\n" (List.length verdicts)
-       (List.length verdicts - List.length regressions - List.length warnings)
-       (List.length regressions) (List.length warnings));
+    (Printf.sprintf "%d probes: %d ok, %d drift\n" (List.length verdicts)
+       (List.length verdicts - drifts) drifts);
   Buffer.contents buf
 
-let has_regression verdicts = List.exists (fun (_, _, v) -> is_regression v) verdicts
+let has_regression verdicts = List.exists (fun (_, _, v) -> v <> Match) verdicts

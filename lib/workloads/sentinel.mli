@@ -3,25 +3,17 @@
     A fixed set of small probe workloads whose simulated cycle counts are
     deterministic, compared against a checked-in, schema-versioned
     baseline ([BENCH_BASELINE.json]).  Because the simulator is
-    deterministic, the cycle comparison is {e exact}: any drift means the
-    simulation's behaviour changed and is flagged hard.  Host wall-clock
-    is machine-dependent and only ever warns, past a generous tolerance
-    factor. *)
-
-val schema_version : string
-(** ["pkru-safe.bench-baseline/1"] — stamped into every baseline file and
-    checked on load. *)
+    deterministic, the comparison is {e exact}: any drift in cycles or
+    gate transitions, and any probe missing on either side, means the
+    simulation's behaviour changed and fails.  The sentinel records no
+    host time: that is machine-dependent, and perfbench measures it. *)
 
 type probe_result = {
   p_name : string;
   p_tier : string;  (** engine execution tier: ["ast"], ["bytecode"] or ["threaded"] *)
   p_cycles : int;  (** simulated cycles — deterministic, compared exactly *)
   p_transitions : int;  (** gate transitions — deterministic, compared exactly *)
-  p_wall_s : float;  (** host wall time — machine-dependent, only ever warns *)
 }
-
-val probe_names : string list
-(** Names of the probes [run_probes] produces, in order. *)
 
 val twin_pairs : (string * string) list
 (** Probe pairs the baseline pins cycle-equal: the mitigator's, the
@@ -40,9 +32,6 @@ val run_probes : unit -> probe_result list
 val commit_hash : unit -> string
 (** [git rev-parse HEAD], or ["unknown"] outside a git checkout. *)
 
-val result_to_json : probe_result -> Util.Json.t
-val result_of_json : Util.Json.t -> probe_result
-
 val baseline_json : ?commit:string -> probe_result list -> Util.Json.t
 (** Wrap results as a baseline artifact: [{schema; commit; probes}].
     [commit] defaults to {!commit_hash}[ ()]. *)
@@ -54,20 +43,10 @@ val baseline_of_json : Util.Json.t -> string * probe_result list
 type verdict =
   | Match
   | Cycle_drift of { base_cycles : int; base_transitions : int }
-      (** simulated cycles or transitions differ from the baseline — a
-          hard flag, the deterministic simulation changed *)
-  | Wall_slow of { base_wall_s : float; ratio : float }
-      (** host wall time exceeded 2.5× baseline {e and} the absolute
-          slowdown exceeds 50ms — a warning only; the probes take ~1ms,
-          so a ratio alone would warn on scheduler noise *)
-  | Missing_in_baseline  (** probe ran but the baseline has no entry — a warning only *)
-  | Missing_in_run  (** baseline entry with no fresh result — hard flag *)
-
-val is_regression : verdict -> bool
-(** [Cycle_drift] and [Missing_in_run]. *)
-
-val is_warning : verdict -> bool
-(** [Wall_slow] and [Missing_in_baseline]. *)
+      (** simulated cycles or transitions differ from the baseline — the
+          deterministic simulation changed *)
+  | Missing_in_baseline  (** probe ran but the baseline has no entry *)
+  | Missing_in_run  (** baseline entry with no fresh result *)
 
 val compare_results :
   baseline:probe_result list ->
@@ -78,6 +57,8 @@ val compare_results :
     the run did not produce (carrying the baseline's own result). *)
 
 val has_regression : (string * probe_result * verdict) list -> bool
+(** Any verdict other than [Match]: the probe set is fixed in code, so a
+    probe missing on either side fails like drift. *)
 
 val render_comparison : commit:string -> (string * probe_result * verdict) list -> string
 (** Human-readable comparison table, one line per probe plus a summary

@@ -42,38 +42,28 @@ let test_pool_contains () =
 (* --- Size classes --- *)
 
 let test_size_class_ladder () =
-  Alcotest.(check bool) "1 byte" true (Size_class.of_size 1 <> None);
-  (match Size_class.of_size 9 with
-  | Some c -> Alcotest.(check int) "9 -> 16" 16 (Size_class.bytes c)
-  | None -> Alcotest.fail "class expected");
-  (match Size_class.of_size 3584 with
-  | Some c -> Alcotest.(check int) "3584 exact" 3584 (Size_class.bytes c)
-  | None -> Alcotest.fail "class expected");
-  Alcotest.(check bool) "3585 is large" true (Size_class.of_size 3585 = None);
-  Alcotest.(check bool) "0 invalid" true (Size_class.of_size 0 = None)
+  Alcotest.(check int) "1 byte -> 8" 8 (Size_class.bytes (Size_class.small_class 1));
+  Alcotest.(check int) "9 -> 16" 16 (Size_class.bytes (Size_class.small_class 9));
+  Alcotest.(check int) "3584 exact" 3584 (Size_class.bytes (Size_class.small_class 3584));
+  Alcotest.(check bool) "3585 is large" true (3585 > Size_class.max_small)
 
 let prop_size_class_fits =
   QCheck.Test.make ~count:500 ~name:"size class fits and is minimal"
     QCheck.(int_range 1 3584)
     (fun n ->
-      match Size_class.of_size n with
-      | None -> false
-      | Some c ->
-        let b = Size_class.bytes c in
-        b >= n
-        && (Size_class.to_int c = 0
-           || Size_class.bytes (Option.get (Size_class.of_size (b - 1))) <= b))
+      let c = Size_class.small_class n in
+      let b = Size_class.bytes c in
+      b >= n
+      && (Size_class.to_int c = 0 || Size_class.bytes (Size_class.small_class (b - 1)) <= b))
 
 let prop_runs_fill_pages =
   QCheck.Test.make ~count:100 ~name:"run geometry consistent"
     QCheck.(int_range 1 3584)
     (fun n ->
-      match Size_class.of_size n with
-      | None -> false
-      | Some c ->
-        Size_class.slots_per_run c * Size_class.bytes c
-        <= Size_class.run_pages c * Vmm.Layout.page_size
-        && Size_class.slots_per_run c >= 1)
+      let c = Size_class.small_class n in
+      Size_class.slots_per_run c * Size_class.bytes c
+      <= Size_class.run_pages c * Vmm.Layout.page_size
+      && Size_class.slots_per_run c >= 1)
 
 (* --- Jemalloc model --- *)
 
@@ -82,7 +72,8 @@ let fresh_je ?(pages = 4096) () =
   (m, Jemalloc_model.create m pool)
 
 let test_je_basic_roundtrip () =
-  let m, je = fresh_je () in
+  let m, pool = fresh_pool () in
+  let je = Jemalloc_model.create m pool in
   let a = Option.get (Jemalloc_model.alloc je 100) in
   let b = Option.get (Jemalloc_model.alloc je 100) in
   Alcotest.(check bool) "distinct" true (a <> b);
@@ -91,13 +82,13 @@ let test_je_basic_roundtrip () =
   Alcotest.(check int) "payload round-trip" 0xFEED (Sim.Machine.read_u64 m a);
   Jemalloc_model.free je a;
   Jemalloc_model.free je b;
-  Alcotest.(check int) "all runs released" 0 (Jemalloc_model.live_runs je)
+  Alcotest.(check int) "all runs released" 0 (Pool.pages_in_use pool)
 
 let test_je_slot_reuse () =
   let _, je = fresh_je () in
   (* Fill one whole run of the 64-byte class, then free a single slot: the
      next allocation must reuse exactly that slot. *)
-  let cls = Option.get (Size_class.of_size 64) in
+  let cls = Size_class.small_class 64 in
   let slots = Size_class.slots_per_run cls in
   let addrs = Array.init slots (fun _ -> Option.get (Jemalloc_model.alloc je 64)) in
   let victim = addrs.(slots / 2) in
@@ -181,7 +172,7 @@ let test_dl_basic_roundtrip () =
   | Some n -> Alcotest.(check bool) "usable >= requested" true (n >= 100)
   | None -> Alcotest.fail "usable_size");
   Dlmalloc_model.free dl a;
-  Alcotest.(check bool) "not owned after free" false (Dlmalloc_model.owns dl a);
+  Alcotest.(check (option int)) "not owned after free" None (Dlmalloc_model.usable_size dl a);
   ok (Dlmalloc_model.check_heap dl)
 
 let test_dl_coalescing () =

@@ -84,7 +84,7 @@ let test_dom_tree_construction () =
   Browser.Dom.append_child dom ~parent:div ~child:txt;
   Alcotest.(check int) "children of root" 1 (Browser.Dom.child_count dom root);
   Alcotest.(check string) "tag" "div" (Browser.Dom.tag_name dom div);
-  Alcotest.(check bool) "text node" true (Browser.Dom.is_text dom txt);
+  Alcotest.(check string) "text node" "#text" (Browser.Dom.tag_name dom txt);
   Alcotest.(check string) "text content walks tree" "hello" (Browser.Dom.text_content dom root);
   Alcotest.(check (option int)) "parent" (Some div)
     (Browser.Dom.parent dom txt)
@@ -100,7 +100,9 @@ let test_dom_attributes () =
   Browser.Dom.set_attribute dom div "id" "other-longer-value";
   Alcotest.(check (option string)) "overwrite" (Some "other-longer-value")
     (Browser.Dom.get_attribute dom div "id");
-  Alcotest.(check int) "two attrs" 2 (Browser.Dom.attribute_count dom div)
+  Browser.Dom.append_child dom ~parent:(Browser.Dom.root dom) ~child:div;
+  Alcotest.(check string) "two attrs" {|<div class="big" id="other-longer-value"></div>|}
+    (Browser.Dom.serialize dom (Browser.Dom.root dom))
 
 let test_dom_memory_in_trusted_pool () =
   let b = fresh Pkru_safe.Config.Base in
@@ -689,8 +691,9 @@ domAppendChild(a, c); domAppendChild(c, domCreateText("x"));|});
     (script_error b {|domAppendChild(c, a);|});
   Alcotest.(check string) "the root under a descendant"
     "Dom.append_child: the child is an ancestor of the parent"
-    (script_error b {|domAppendChild(domRoot(), a); domAppendChild(c, domRoot());|});
-  Browser.Dom.detach dom ~parent:(Browser.Dom.root dom) ~child:a;
+    (script_error b
+       {|var a2 = domCreateElement("div"); var c2 = domCreateElement("p"); domAppendChild(a2, c2);
+domAppendChild(domRoot(), a2); domAppendChild(c2, domRoot());|});
   Alcotest.(check string) "tree unchanged" before (Browser.Dom.serialize dom a);
   Alcotest.(check (option int)) "a still has no parent" None (Browser.Dom.parent dom a);
   Alcotest.(check (list int)) "a's children" [ c ] (Browser.Dom.children dom a);
@@ -721,7 +724,7 @@ let test_dom_rejects_text_parent () =
   Alcotest.(check string) "text under text" "Dom.append_child: a text node cannot have children"
     (script_error b {|domAppendChild(t, domCreateText("y"));|});
   Alcotest.(check int) "nothing attached" 0 (Browser.Dom.child_count dom 2);
-  Alcotest.(check string) "text intact" "x" (Browser.Dom.text_of dom 2)
+  Alcotest.(check string) "text intact" "x" (Browser.Dom.text_content dom 2)
 
 (* --- DOM model test ---
 
@@ -746,7 +749,6 @@ type op =
   | Insert of int * int * int
   | Remove of int * int
   | Remove_all of int
-  | Detach of int * int
   | Set_attr of int * string * string
   | Set_text of int * string
   | Clone of int
@@ -758,7 +760,6 @@ let show_op = function
   | Insert (p, c, x) -> Printf.sprintf "insert %d %d before %d" p c x
   | Remove (p, c) -> Printf.sprintf "remove %d %d" p c
   | Remove_all n -> Printf.sprintf "remove_children %d" n
-  | Detach (p, c) -> Printf.sprintf "detach %d %d" p c
   | Set_attr (n, k, v) -> Printf.sprintf "set %d %s=%S" n k v
   | Set_text (n, s) -> Printf.sprintf "set_text %d %S" n s
   | Clone n -> Printf.sprintf "clone %d" n
@@ -820,10 +821,6 @@ let apply_model m = function
     let nn = live m n in
     List.iter (free_model m) nn.m_kids;
     nn.m_kids <- []
-  | Detach (p, c) ->
-    ignore (live m p);
-    if (live m c).m_parent <> p then raise Refused;
-    unlink m p c
   | Set_attr (n, k, v) ->
     let nn = live m n in
     nn.m_attrs <-
@@ -842,7 +839,6 @@ let apply_dom dom = function
   | Insert (p, c, x) -> Browser.Dom.insert_before dom ~parent:p ~child:c ~before:x
   | Remove (p, c) -> Browser.Dom.remove_child dom ~parent:p ~child:c
   | Remove_all n -> Browser.Dom.remove_children dom n
-  | Detach (p, c) -> Browser.Dom.detach dom ~parent:p ~child:c
   | Set_attr (n, k, v) -> Browser.Dom.set_attribute dom n k v
   | Set_text (n, s) -> Browser.Dom.set_text dom n s
   | Clone n -> ignore (Browser.Dom.clone_subtree dom n)
@@ -868,9 +864,8 @@ let agrees dom m =
          ok
          && Browser.Dom.children dom n = nn.m_kids
          && Browser.Dom.parent dom n = (if nn.m_parent = 0 then None else Some nn.m_parent)
-         && Browser.Dom.is_text dom n = (nn.m_tag = "")
-         && (nn.m_tag = "" || Browser.Dom.tag_name dom n = nn.m_tag)
-         && (nn.m_tag <> "" || Browser.Dom.text_of dom n = nn.m_text)
+         && Browser.Dom.tag_name dom n = (if nn.m_tag = "" then "#text" else nn.m_tag)
+         && (nn.m_tag <> "" || Browser.Dom.text_content dom n = nn.m_text)
          && List.for_all
               (fun k -> Browser.Dom.get_attribute dom n k = List.assoc_opt k nn.m_attrs)
               model_attr_names
@@ -893,7 +888,6 @@ let gen_ops =
         (2, map3 (fun p c x -> Insert (p, c, x)) handle handle handle);
         (1, map2 (fun p c -> Remove (p, c)) handle handle);
         (1, map (fun n -> Remove_all n) handle);
-        (1, map2 (fun p c -> Detach (p, c)) handle handle);
         (2, map3 (fun n k v -> Set_attr (n, k, v)) handle (oneofl model_attr_names) word);
         (1, map2 (fun n s -> Set_text (n, s)) handle word);
         (1, map (fun n -> Clone n) handle) ]

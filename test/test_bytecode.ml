@@ -98,7 +98,7 @@ let test_disassembler () =
          let rec scan i = i + nl <= hl && (String.sub listing i nl = needle || scan (i + 1)) in
          scan 0))
     [ "push_num 1"; "decl x"; "load x"; "binop +"; "ret" ];
-  Alcotest.(check bool) "has instructions" true (Engine.Bytecode.instruction_count program >= 5)
+  Alcotest.(check bool) "has instructions" true (Array.length program.Engine.Bytecode.top >= 5)
 
 (* The big differential test: every benchmark kernel agrees across tiers. *)
 let test_kernels_agree_across_tiers () =

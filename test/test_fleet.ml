@@ -174,9 +174,10 @@ let test_telemetry_per_machine () =
       | None -> Alcotest.fail "expected a fleet trace");
   Alcotest.(check int) "unrelated sink untouched" 0 (Telemetry.Sink.events_total unrelated)
 
-(* Satellite regression: the browser's selector split-memo is bounded and
+(* The browser's selector split-memo is bounded (4096 entries) and
    counts its evictions. *)
 let test_selector_memo_bounded () =
+  let split_memo_cap = 4096 in
   let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
   let browser = Browser.create env in
   Browser.load_page browser "<div id=\"app\"><p>x</p></div>";
@@ -191,8 +192,8 @@ let test_selector_memo_bounded () =
               domSetAttribute(root, 'class', 'c' + i + ' d' + i);
               domQuery('.needle');
             }|}
-          (Browser.split_memo_cap + 64)));
-  Alcotest.(check int) "one full memo evicted" Browser.split_memo_cap
+          (split_memo_cap + 64)));
+  Alcotest.(check int) "one full memo evicted" split_memo_cap
     (Browser.selector_stats browser).Browser.sel_memo_evictions;
   Alcotest.(check int) "a fresh browser has evicted nothing" 0
     (Browser.selector_stats (Browser.create env)).Browser.sel_memo_evictions

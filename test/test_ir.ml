@@ -14,11 +14,9 @@ let expect_error = function
 let sample_module () =
   let m = Module_ir.create () in
   let u = Builder.create ~name:"u_read" ~crate:"clib" ~nparams:1 () in
-  (match Builder.params u with
-  | [ p ] ->
-    let v = Builder.load u (Instr.Reg p) in
-    Builder.ret u (Some (Instr.Reg v))
-  | _ -> assert false);
+  (* The parameter occupies the first register. *)
+  let v = Builder.load u (Instr.Reg 0) in
+  Builder.ret u (Some (Instr.Reg v));
   Module_ir.add_func m (Builder.finish u);
   Module_ir.mark_untrusted m "clib";
   let f = Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
@@ -159,10 +157,10 @@ let test_assign_ids_unique () =
   Alcotest.(check int) "all unique" 4 (List.length unique)
 
 let test_insert_gates_rewrites_call () =
-  let m = sample_module () in
-  ignore (Passes.assign_alloc_ids m);
-  let wrappers = Passes.insert_gates m in
-  Alcotest.(check bool) "wrappers created" true (wrappers >= 1);
+  let m, stats =
+    ok (Passes.compile ~gates:true ~instrument:false ~hosts:(fun _ -> false) (sample_module ()))
+  in
+  Alcotest.(check bool) "wrappers created" true (stats.Passes.wrappers >= 1);
   (* main's call now goes through the gate wrapper. *)
   let main = Module_ir.func m "main" in
   let callees = ref [] in
@@ -173,8 +171,7 @@ let test_insert_gates_rewrites_call () =
   Alcotest.(check (list string)) "rewritten" [ "__pkru_gate$u_read" ] !callees;
   (* The wrapper exists, is marked, and contains the gate pair. *)
   let w = Module_ir.func m "__pkru_gate$u_read" in
-  Alcotest.(check bool) "is wrapper" true w.Func.is_wrapper;
-  ok (Verifier.verify m)
+  Alcotest.(check bool) "is wrapper" true w.Func.is_wrapper
 
 let test_insert_gates_retargets_table () =
   let m = Module_ir.create () in
@@ -208,7 +205,7 @@ let test_lower_untrusted_allocs () =
   Builder.ret u (Some (Instr.Reg p));
   Module_ir.add_func m (Builder.finish u);
   Module_ir.mark_untrusted m "clib";
-  Passes.lower_untrusted_allocs m;
+  let m, _ = ok (Passes.compile ~gates:false ~instrument:false ~hosts:(fun _ -> false) m) in
   Func.iter_instrs (Module_ir.func m "u_mk") (fun _ i ->
       match i with
       | Instr.Alloc a ->
@@ -220,11 +217,12 @@ let test_apply_profile_moves_only_recorded () =
   ignore (Passes.assign_alloc_ids m);
   let sites = alloc_sites_of m in
   let target = List.hd sites in
-  let moved = Passes.apply_profile m ~in_profile:(Runtime.Alloc_id.equal target) in
-  Alcotest.(check int) "one site moved" 1 moved;
+  let profile = Runtime.Alloc_id.equal target in
+  let compile m = ok (Passes.compile ~gates:false ~instrument:false ~profile ~hosts:(fun _ -> false) m) in
+  let moved, stats = compile m in
+  Alcotest.(check int) "one site moved" 1 stats.Passes.sites_moved;
   (* Idempotent: a second application moves nothing. *)
-  Alcotest.(check int) "idempotent" 0
-    (Passes.apply_profile m ~in_profile:(Runtime.Alloc_id.equal target))
+  Alcotest.(check int) "idempotent" 0 (snd (compile moved)).Passes.sites_moved
 
 let test_compile_copies_source () =
   let m = sample_module () in

@@ -1,7 +1,6 @@
-(* Tests for the style system and the layout pass — the Servo-flavoured
-   substrate: computed styles and boxes live in machine memory, and box
-   data returned through the bindings is a shared cross-compartment
-   flow. *)
+(* Tests for the style parser and the layout pass — the Servo-flavoured
+   substrate: boxes live in machine memory, and box data returned
+   through the bindings is a shared cross-compartment flow. *)
 
 let ok = function
   | Ok v -> v
@@ -38,14 +37,6 @@ let test_style_to_string_roundtrip () =
       let s' = Browser.Style.parse (Browser.Style.to_string s) in
       Alcotest.(check bool) ("round-trip " ^ text) true (s = s'))
     cases
-
-let test_style_record_machine_roundtrip () =
-  let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
-  let machine = Pkru_safe.Env.machine env in
-  let s = Browser.Style.parse "display:inline;width:123;margin:7;padding:1" in
-  let addr = Browser.Style.write_record env s in
-  Alcotest.(check bool) "record in MT" true (Vmm.Layout.in_trusted addr);
-  Alcotest.(check bool) "round-trip" true (Browser.Style.read_record machine addr = s)
 
 (* --- Layout --- *)
 
@@ -175,7 +166,6 @@ let suite =
     Alcotest.test_case "style parse" `Quick test_style_parse;
     Alcotest.test_case "style error recovery" `Quick test_style_error_recovery;
     Alcotest.test_case "style to_string round-trip" `Quick test_style_to_string_roundtrip;
-    Alcotest.test_case "style record machine round-trip" `Quick test_style_record_machine_roundtrip;
     Alcotest.test_case "block stacking" `Quick test_block_stacking;
     Alcotest.test_case "nested boxes + padding" `Quick test_nested_boxes_and_padding;
     Alcotest.test_case "text line model" `Quick test_text_line_model;

@@ -109,6 +109,12 @@ let expected_shared plan =
   | None -> ());
   Array.fold_left (fun acc flag -> if flag then acc + 1 else acc) 0 shared
 
+(* Stages 2-4 as the pipeline command runs them: profile with [inputs],
+   then build the enforcing image. *)
+let full_cycle source ~inputs =
+  Result.bind (Toolchain.Pipeline.collect_profile source ~inputs) (fun profile ->
+      Toolchain.Pipeline.build ~profile ~mode:Pkru_safe.Config.Mpk source)
+
 let run_main build = Toolchain.Interp.run build.Toolchain.Pipeline.interp "main" []
 
 let prop_pipeline_equivalence =
@@ -121,7 +127,7 @@ let prop_pipeline_equivalence =
       let base = ok (Toolchain.Pipeline.build ~mode:Pkru_safe.Config.Base source) in
       let expected = run_main base in
       let enforced =
-        ok (Toolchain.Pipeline.full_cycle source
+        ok (full_cycle source
               ~inputs:[ (fun interp -> ignore (Toolchain.Interp.run interp "main" [])) ])
       in
       let moved = enforced.Toolchain.Pipeline.pass_stats.Passes.sites_moved in

@@ -167,7 +167,15 @@ let test_profile_json_roundtrip () =
   Runtime.Profile.record p (Runtime.Alloc_id.make ~func_id:3 ~block_id:1 ~call_id:0);
   Runtime.Profile.record p (site 9);
   Runtime.Profile.record p (site 9);
-  let p' = Runtime.Profile.of_json (Runtime.Profile.to_json p) in
+  (* Through the file format [save] writes and [load] reads. *)
+  let path = Filename.temp_file "pkru" ".profile.json" in
+  let p' =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Runtime.Profile.save p path;
+        Runtime.Profile.load path)
+  in
   Alcotest.(check int) "cardinal" 2 (Runtime.Profile.cardinal p');
   Alcotest.(check int) "hits preserved" 2 (Runtime.Profile.hit_count p' (site 9))
 
@@ -489,7 +497,6 @@ let test_mitigator_degrade_fails_gracefully () =
   (match Runtime.Gate.call_untrusted gate (fun () -> ignore (Sim.Machine.read_u64 m addr)) with
   | exception Runtime.Mitigator.Degraded _ -> ()
   | _ -> Alcotest.fail "expected Degraded");
-  Alcotest.(check bool) "degraded flag" true (Runtime.Mitigator.is_degraded mit);
   Alcotest.(check int) "gate restored by the unwind" 0
     (Runtime.Comp_stack.depth (Runtime.Gate.stack gate));
   Alcotest.(check bool) "back in trusted view" true

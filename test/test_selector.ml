@@ -88,14 +88,13 @@ let test_query_first_and_matches () =
   let b = fresh () in
   Browser.load_page b page;
   let dom = Browser.dom b in
-  (match Browser.Selector.query_first dom (Browser.Selector.parse ".item") with
-  | Some n -> Alcotest.(check string) "first item is a li" "li" (Browser.Dom.tag_name dom n)
-  | None -> Alcotest.fail "expected a match");
+  (match Browser.Selector.query_all dom (Browser.Selector.parse ".item") with
+  | n :: _ -> Alcotest.(check string) "first item is a li" "li" (Browser.Dom.tag_name dom n)
+  | [] -> Alcotest.fail "expected a match");
   let last = Option.get (Browser.Dom.get_element_by_id dom "last") in
-  Alcotest.(check bool) "matches positive" true
-    (Browser.Selector.matches dom last (Browser.Selector.parse "ul li.item"));
-  Alcotest.(check bool) "matches negative" false
-    (Browser.Selector.matches dom last (Browser.Selector.parse "p li"))
+  let matches text = List.mem last (Browser.Selector.query_all dom (Browser.Selector.parse text)) in
+  Alcotest.(check bool) "matches positive" true (matches "ul li.item");
+  Alcotest.(check bool) "matches negative" false (matches "p li")
 
 let test_dom_query_binding () =
   let b = fresh () in

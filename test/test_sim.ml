@@ -86,7 +86,7 @@ let test_unmapped_faults () =
 
 let test_prot_violation () =
   let m = Sim.Machine.create () in
-  ok (Vmm.Page_table.reserve m.Sim.Machine.page_table ~base ~size:page ~prot:Vmm.Prot.read_only
+  ok (Vmm.Page_table.reserve m.Sim.Machine.page_table ~base ~size:page ~prot:{ Vmm.Prot.read = true; write = false; execute = false }
         ~pkey:(key 0));
   ignore (Sim.Machine.read_u8 m base);
   match Sim.Machine.write_u8 m base 1 with

@@ -211,6 +211,13 @@ let test_with_sink_restores () =
   Alcotest.(check bool) "restored after raise" true (ctx.Telemetry.Ctx.sink = None)
 
 (* (5) Causal spans: parenting, exit-by-id unwind coherence, digesting. *)
+(* The open spans on one hart, root first: a span opens after its parent,
+   so ids grow along the chain. *)
+let open_chain spans ~cpu =
+  List.filter
+    (fun (r : Telemetry.Span.record) -> r.Telemetry.Span.cpu = cpu)
+    (Telemetry.Span.open_spans spans)
+
 let test_span_nesting () =
   let spans = Telemetry.Span.create () in
   let a = Telemetry.Span.enter spans ~ts:10 ~cpu:0 ~kind:Telemetry.Span.Phase "outer" in
@@ -230,14 +237,14 @@ let test_span_nesting () =
   Alcotest.(check (list int)) "open chain root first" [ a; b ]
     (List.map
        (fun (r : Telemetry.Span.record) -> r.Telemetry.Span.id)
-       (Telemetry.Span.open_chain spans ~cpu:0));
+       (open_chain spans ~cpu:0));
   (* Closing the OUTER span by id closes the abandoned inner span at the
      same timestamp — the exception-unwind case. *)
   Telemetry.Span.exit spans ~ts:40 ~cpu:0 ~id:a ();
   Alcotest.(check (list int)) "cpu0 stack empty" []
     (List.map
        (fun (r : Telemetry.Span.record) -> r.Telemetry.Span.id)
-       (Telemetry.Span.open_chain spans ~cpu:0));
+       (open_chain spans ~cpu:0));
   Alcotest.(check int) "abandoned inner closed at unwind ts" 40 (by_id b).Telemetry.Span.t_end;
   Alcotest.(check int) "outer duration" 30 (Telemetry.Span.duration (by_id a));
   Alcotest.(check bool) "other hart still open" true (Telemetry.Span.is_open (by_id other));
@@ -428,7 +435,7 @@ let test_flight_dump_and_render () =
   let dump = Option.get (Telemetry.Flight.last recorder) in
   (* Self-contained: survives serialise/parse, then renders. *)
   let dump = Util.Json.of_string (Util.Json.to_string dump) in
-  Alcotest.(check string) "schema" Telemetry.Flight.schema_version
+  Alcotest.(check string) "schema" "pkru-safe.flight/1"
     (Util.Json.to_str (Util.Json.member "schema" dump));
   let report = Telemetry.Flight.render dump in
   let contains needle =

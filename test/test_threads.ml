@@ -10,6 +10,12 @@ let ok = function
 
 let env ?profile mode = ok (Pkru_safe.Env.create ?profile (Pkru_safe.Config.make mode))
 
+(* Runs [f] as [thread], switching threads the way the fleet scheduler
+   does around each slice. *)
+let on_thread e thread f =
+  let previous = Pkru_safe.Env.activate_thread e thread in
+  Fun.protect ~finally:(fun () -> ignore (Pkru_safe.Env.activate_thread e previous)) f
+
 let test_harts_have_independent_pkru () =
   let m = Sim.Machine.create () in
   let worker = Sim.Machine.spawn_cpu m in
@@ -46,7 +52,7 @@ let test_interleaved_compartment_stacks () =
   Runtime.Gate.enter_untrusted gate_a;
   Alcotest.(check string) "A is untrusted" "untrusted"
     (Runtime.Compartment.to_string (Runtime.Gate.current gate_a));
-  Pkru_safe.Env.run_on_thread e thread_b (fun () ->
+  on_thread e thread_b (fun () ->
       let gate_b = Pkru_safe.Env.gate e in
       Alcotest.(check bool) "B has its own gate" true (not (gate_b == gate_a));
       Alcotest.(check string) "B starts trusted" "trusted"
@@ -71,7 +77,7 @@ let test_enforcement_is_per_thread () =
   let addr = Pkru_safe.Env.alloc e ~site:(site 1) 64 in
   Sim.Machine.write_u64 m addr 7;
   let worker = Pkru_safe.Env.spawn_thread e in
-  Pkru_safe.Env.run_on_thread e worker (fun () ->
+  on_thread e worker (fun () ->
       Pkru_safe.Env.ffi_call e (fun () ->
           match Sim.Machine.read_u64 m addr with
           | exception Vmm.Fault.Unhandled { Vmm.Fault.kind = Vmm.Fault.Pkey_violation _; _ } -> ()
@@ -94,7 +100,7 @@ let test_profiler_single_steps_per_thread () =
   Runtime.Gate.enter_untrusted gate_main;
   ignore (Sim.Machine.read_u64 m obj_a);
   (* ...then, still inside U on the main thread, the worker faults too. *)
-  Pkru_safe.Env.run_on_thread e worker (fun () ->
+  on_thread e worker (fun () ->
       Pkru_safe.Env.ffi_call e (fun () -> ignore (Sim.Machine.read_u64 m obj_b)));
   (* Main thread's restricted view survived the worker's single step. *)
   Alcotest.(check string) "main still untrusted" "untrusted"
@@ -119,7 +125,7 @@ let test_two_browsers_two_threads () =
   let worker = Pkru_safe.Env.spawn_thread e in
   ignore (Browser.exec_script browser
             {|var d = domQueryTag("div")[0]; print(domGetAttribute(d, "data"));|});
-  Pkru_safe.Env.run_on_thread e worker (fun () ->
+  on_thread e worker (fun () ->
       ignore (Browser.exec_script browser {|print(1 + 1);|}));
   Alcotest.(check (list string)) "both outputs" [ "x"; "2" ] (Browser.console browser)
 

@@ -109,7 +109,7 @@ let test_pkey_mprotect_invalidates () =
 let test_mprotect_invalidates () =
   let m = machine_with_region ~pkey:(key 0) () in
   Sim.Machine.write_u64 m base 5;
-  ok (Vmm.Page_table.mprotect m.Sim.Machine.page_table ~base ~size:page Vmm.Prot.read_only);
+  ok (Vmm.Page_table.mprotect m.Sim.Machine.page_table ~base ~size:page { Vmm.Prot.read = true; write = false; execute = false });
   Alcotest.(check int) "read still fine" 5 (Sim.Machine.read_u64 m base);
   match Sim.Machine.write_u64 m base 6 with
   | exception Vmm.Fault.Unhandled { Vmm.Fault.kind = Vmm.Fault.Prot_violation; _ } -> ()
@@ -171,7 +171,7 @@ let test_stats_accumulate_and_off_machine_stays_zero () =
   Alcotest.(check bool) "tlb-off machine reports zero stats" true
     (Sim.Machine.tlb_stats off = Sim.Tlb.zero_stats);
   Alcotest.(check bool) "tlb flag readable" true
-    (Sim.Machine.tlb_enabled m && not (Sim.Machine.tlb_enabled off))
+    (m.Sim.Machine.tlb_enabled && not off.Sim.Machine.tlb_enabled)
 
 let test_cycle_accounting_sums_harts () =
   (* Machine.cycles is the sum of the hart clocks: charges and resets on

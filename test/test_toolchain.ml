@@ -13,11 +13,9 @@ let ok = function
 let e1_module () =
   let m = Module_ir.create () in
   let u = Builder.create ~name:"untrusted_write" ~crate:"clib" ~nparams:1 () in
-  (match Builder.params u with
-  | [ p ] ->
-    Builder.store u ~src:(Instr.Imm 1337) ~addr:(Instr.Reg p) ();
-    Builder.ret u None
-  | _ -> assert false);
+  (* The parameter occupies the first register. *)
+  Builder.store u ~src:(Instr.Imm 1337) ~addr:(Instr.Reg 0) ();
+  Builder.ret u None;
   Module_ir.add_func m (Builder.finish u);
   Module_ir.mark_untrusted m "clib";
   let f = Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
@@ -55,8 +53,14 @@ let test_e1_step2_profile () =
   (* Exactly one of the two allocation sites crossed the boundary. *)
   Alcotest.(check int) "one shared site" 1 (Runtime.Profile.cardinal profile)
 
+(* Stages 2-4 as the pipeline command runs them: profile with [inputs],
+   then build the enforcing image. *)
+let full_cycle source ~inputs =
+  Result.bind (Toolchain.Pipeline.collect_profile source ~inputs) (fun profile ->
+      Toolchain.Pipeline.build ~profile ~mode:Pkru_safe.Config.Mpk source)
+
 let test_e1_step3_enforce () =
-  let b = ok (Toolchain.Pipeline.full_cycle (e1_module ())
+  let b = ok (full_cycle (e1_module ())
                 ~inputs:[ (fun interp -> ignore (Toolchain.Interp.run interp "main" [])) ]) in
   Alcotest.(check int) "enforced run works" 1379 (Toolchain.Interp.run b.Toolchain.Pipeline.interp "main" []);
   Alcotest.(check int) "one site moved" 1 b.Toolchain.Pipeline.pass_stats.Passes.sites_moved;
@@ -69,11 +73,8 @@ let test_e1_private_data_stays_protected () =
      it even after a correct profile for the shared object. *)
   let m = e1_module () in
   let evil = Builder.create ~name:"untrusted_snoop" ~crate:"clib" ~nparams:1 () in
-  (match Builder.params evil with
-  | [ p ] ->
-    let v = Builder.load evil (Instr.Reg p) in
-    Builder.ret evil (Some (Instr.Reg v))
-  | _ -> assert false);
+  let v = Builder.load evil (Instr.Reg 0) in
+  Builder.ret evil (Some (Instr.Reg v));
   Module_ir.add_func m (Builder.finish evil);
   let g = Builder.create ~name:"main_snoop" ~crate:"app" ~nparams:0 () in
   let shared = Builder.alloc g (Instr.Imm 64) in
@@ -197,7 +198,7 @@ let test_realloc_in_ir_keeps_profile_provenance () =
   let r = Builder.call f ~ret:true "u_touch" [ Instr.Reg q ] in
   Builder.ret f (Some (Instr.Reg (Option.get r)));
   Module_ir.add_func m (Builder.finish f);
-  let b = ok (Toolchain.Pipeline.full_cycle m
+  let b = ok (full_cycle m
                 ~inputs:[ (fun interp -> ignore (Toolchain.Interp.run interp "main" [])) ]) in
   Alcotest.(check int) "works end to end" 99 (Toolchain.Interp.run b.Toolchain.Pipeline.interp "main" []);
   Alcotest.(check int) "site moved via realloc provenance" 1

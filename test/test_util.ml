@@ -152,10 +152,6 @@ let test_stats_percentile_rejects () =
   Alcotest.(check bool) "p < 0" true (raises (fun () -> Util.Stats.percentile (-1.0) [ 1.0 ]));
   Alcotest.(check bool) "p > 100" true (raises (fun () -> Util.Stats.percentile 101.0 [ 1.0 ]))
 
-let test_stats_stddev () =
-  check_float "stddev" 2.0 (Util.Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ]);
-  check_float "single" 0.0 (Util.Stats.stddev [ 3.0 ])
-
 let test_table_render () =
   let out =
     Util.Table.render ~header:[ "name"; "value" ] [ [ "alpha"; "1" ]; [ "b"; "22" ] ]
@@ -227,7 +223,6 @@ let suite =
       test_stats_geomean_rejects_nonpositive;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats percentile rejects" `Quick test_stats_percentile_rejects;
-    Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads short rows" `Quick test_table_pads_short_rows;
   ]

@@ -38,7 +38,7 @@ let test_reserve_overlap_rejected () =
   expect_error
     (Vmm.Page_table.reserve pt ~base:(2 * page) ~size:(4 * page) ~prot:Vmm.Prot.read_write ~pkey:(key 0));
   (* Adjacent is fine. *)
-  ok (Vmm.Page_table.reserve pt ~base:(4 * page) ~size:page ~prot:Vmm.Prot.read_only ~pkey:(key 0))
+  ok (Vmm.Page_table.reserve pt ~base:(4 * page) ~size:page ~prot:{ Vmm.Prot.read = true; write = false; execute = false } ~pkey:(key 0))
 
 let test_reserve_validation () =
   let pt = fresh () in
@@ -75,7 +75,7 @@ let test_pkey_mprotect_applies_to_future_pages () =
 let test_mprotect () =
   let pt = fresh () in
   ok (Vmm.Page_table.map_now pt ~base:0 ~size:page ~prot:Vmm.Prot.read_write ~pkey:(key 0));
-  ok (Vmm.Page_table.mprotect pt ~base:0 ~size:page Vmm.Prot.read_only);
+  ok (Vmm.Page_table.mprotect pt ~base:0 ~size:page { Vmm.Prot.read = true; write = false; execute = false });
   (match Vmm.Page_table.lookup pt 0 with
   | Some p -> Alcotest.(check bool) "read-only now" false p.Vmm.Page.prot.Vmm.Prot.write
   | None -> Alcotest.fail "lookup");
@@ -124,7 +124,7 @@ let test_many_regions_sorted_lookup () =
 
 let test_prot_wx () =
   expect_error (Vmm.Prot.validate { Vmm.Prot.read = true; write = true; execute = true });
-  ignore (ok (Vmm.Prot.validate Vmm.Prot.read_execute))
+  ignore (ok (Vmm.Prot.validate { Vmm.Prot.read = true; write = false; execute = true }))
 
 let test_layout_helpers () =
   Alcotest.(check bool) "secret in trusted" true (Vmm.Layout.in_trusted Vmm.Layout.secret_addr);
@@ -147,19 +147,17 @@ let test_fault_printing () =
 
 let test_pkey_syscalls () =
   let pk = Vmm.Pkeys.create () in
-  Alcotest.(check int) "none allocated" 0 (Vmm.Pkeys.allocated_count pk);
   (* Lowest-first allocation. *)
   (match Vmm.Pkeys.pkey_alloc pk with
   | Ok k -> Alcotest.(check int) "first key" 1 (Mpk.Pkey.to_int k)
   | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "allocated" true (Vmm.Pkeys.is_allocated pk (key 1));
-  (* Exhaustion after 15 keys. *)
-  for _ = 2 to 15 do
+  Alcotest.(check (result unit string)) "allocated" (Error "EBUSY") (Vmm.Pkeys.reserve pk (key 1));
+  (* Exhaustion after 15 keys: none was allocated at creation. *)
+  for k = 2 to 15 do
     match Vmm.Pkeys.pkey_alloc pk with
-    | Ok _ -> ()
+    | Ok got -> Alcotest.(check int) "next key" k (Mpk.Pkey.to_int got)
     | Error e -> Alcotest.fail e
   done;
-  Alcotest.(check int) "all taken" 15 (Vmm.Pkeys.allocated_count pk);
   (match Vmm.Pkeys.pkey_alloc pk with
   | Error "ENOSPC" -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected ENOSPC");
@@ -183,8 +181,8 @@ let test_pkalloc_claims_its_key () =
     | Ok pk -> pk
     | Error e -> Alcotest.fail e
   in
-  Alcotest.(check bool) "key 1 claimed" true
-    (Vmm.Pkeys.is_allocated m.Sim.Machine.pkeys (key 1));
+  Alcotest.(check (result unit string)) "key 1 claimed" (Error "EBUSY")
+    (Vmm.Pkeys.reserve m.Sim.Machine.pkeys (key 1));
   (* A second pkalloc on the same machine cannot claim the same key. *)
   match Allocators.Pkalloc.create m with
   | Error msg -> Alcotest.(check bool) "EBUSY surfaced" true (String.length msg > 0)

@@ -125,8 +125,7 @@ let test_runner_single_bench () =
       (Workloads.Dom_scripts.dom_attr ~iters:15)
   in
   let suite = { Workloads.Bench_def.suite_name = "mini"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
-  let r = Workloads.Runner.run_bench ~profile bench in
+  let r = List.hd (Workloads.Runner.run_suite suite).Workloads.Runner.bench_results in
   Alcotest.(check bool) "outputs agree across configs" true r.Workloads.Runner.outputs_agree;
   Alcotest.(check bool) "mpk run crossed the boundary" true
     (r.Workloads.Runner.mpk.Workloads.Runner.transitions > 30);
@@ -145,8 +144,8 @@ let test_dom_suite_overhead_exceeds_compute_suite () =
   let compute_bench = Workloads.Bench_def.bench "fft" (Workloads.Kernels.fft ~n:128) in
   let run b =
     let suite = { Workloads.Bench_def.suite_name = "s"; benches = [ b ] } in
-    let profile = Workloads.Runner.profile_suite suite in
-    (Workloads.Runner.run_bench ~profile b).Workloads.Runner.mpk_overhead_pct
+    (List.hd (Workloads.Runner.run_suite suite).Workloads.Runner.bench_results)
+      .Workloads.Runner.mpk_overhead_pct
   in
   let dom_pct = run dom_bench in
   let compute_pct = run compute_bench in
@@ -182,6 +181,14 @@ let test_suite_definitions_well_formed () =
     (Workloads.Dromaeo.all :: Workloads.Kraken.all :: Workloads.Octane.all
      :: Workloads.Jetstream.all :: Workloads.Dromaeo.sub_suites)
 
+(* A browsing session as the corpus runs it: load the page, run the
+   scripts, collect the console. *)
+let run_session env (session : Workloads.Browsing.session) =
+  let b = Browser.create env in
+  Browser.load_page b session.Workloads.Browsing.page;
+  List.iter (fun script -> ignore (Browser.exec_script b script)) session.Workloads.Browsing.scripts;
+  Browser.console b
+
 let test_browsing_corpus () =
   let corpus = Workloads.Browsing.collect () in
   Alcotest.(check int) "seven sessions" 7 (Runtime.Corpus.run_count corpus);
@@ -191,13 +198,14 @@ let test_browsing_corpus () =
       Alcotest.(check bool)
         (Printf.sprintf "corpus covers %s" (Runtime.Alloc_id.to_string site))
         true (Runtime.Profile.mem profile site))
-    Browser.Sites.shared_with_engine;
+    (* The sites the bindings hand to the engine by construction. *)
+    Browser.Sites.[ script_source; inner_html; get_attribute; text_content ];
   (* Every session replays cleanly on an enforcement build carrying the
      deployment profile (the paper's E2 behaviour). *)
   List.iter
     (fun session ->
       let env = ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
-      let out = Workloads.Browsing.run_session env session in
+      let out = run_session env session in
       Alcotest.(check bool)
         (session.Workloads.Browsing.session_name ^ " produced output")
         true (out <> []))
@@ -215,7 +223,7 @@ let test_single_session_profile_is_incomplete () =
      crashes under its profile — the missed-dataflow behaviour. *)
   let wpt_only =
     let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Profiling)) in
-    ignore (Workloads.Browsing.run_session env (List.hd Workloads.Browsing.sessions));
+    ignore (run_session env (List.hd Workloads.Browsing.sessions));
     Pkru_safe.Env.recorded_profile env
   in
   let crashed = ref 0 in
@@ -224,11 +232,50 @@ let test_single_session_profile_is_incomplete () =
       let env =
         ok (Pkru_safe.Env.create ~profile:wpt_only (Pkru_safe.Config.make Pkru_safe.Config.Mpk))
       in
-      match Workloads.Browsing.run_session env session with
+      match run_session env session with
       | _ -> ()
       | exception Vmm.Fault.Unhandled _ -> incr crashed)
     Workloads.Browsing.sessions;
   Alcotest.(check bool) "some session crashes on the thin profile" true (!crashed > 0)
+
+(* Every registered benchmark is reachable: each unknown-name error
+   lists exactly one spelling per benchmark, and that spelling resolves
+   to the benchmark itself.  A name two suites share is refused bare and
+   accepted qualified. *)
+let test_registry_reaches_every_bench () =
+  let known =
+    match Workloads.Registry.bench_of_name "no-such-bench" with
+    | Ok _ -> Alcotest.fail "bogus bench accepted"
+    | Error msg ->
+      let marker = "; known: " in
+      let rec find i = if String.sub msg i (String.length marker) = marker then i else find (i + 1) in
+      let start = find 0 + String.length marker in
+      String.split_on_char ',' (String.sub msg start (String.length msg - start))
+      |> List.map String.trim
+  in
+  Alcotest.(check int) "one spelling per benchmark" (List.length Workloads.Registry.benches)
+    (List.length known);
+  List.iter2
+    (fun name (bench : Workloads.Bench_def.bench) ->
+      match Workloads.Registry.bench_of_name name with
+      | Ok b -> Alcotest.(check bool) (name ^ " resolves to itself") true (b == bench)
+      | Error msg -> Alcotest.fail msg)
+    known Workloads.Registry.benches;
+  (match Workloads.Registry.bench_of_name "ai-astar" with
+  | Ok _ -> Alcotest.fail "ambiguous name accepted"
+  | Error msg ->
+    Alcotest.(check string) "ambiguity lists the qualified forms"
+      "ambiguous benchmark \"ai-astar\"; use one of: Kraken/ai-astar, JetStream2/ai-astar" msg);
+  List.iter
+    (fun (qualified, suite) ->
+      match Workloads.Registry.bench_of_name qualified with
+      | Ok b -> Alcotest.(check bool) (qualified ^ " picks its suite's bench") true (List.memq b suite.Workloads.Bench_def.benches)
+      | Error msg -> Alcotest.fail msg)
+    [ ("Kraken/ai-astar", Workloads.Kraken.all); ("JetStream2/ai-astar", Workloads.Jetstream.all);
+      ("Octane/Box2D", Workloads.Octane.all); ("JetStream2/Box2D", Workloads.Jetstream.all);
+      ("Kraken/stanford-crypto-pbkdf2", Workloads.Kraken.all);
+      ("JetStream2/stanford-crypto-pbkdf2", Workloads.Jetstream.all);
+      ("Dromaeo/dom-attr", Workloads.Dromaeo.all) ]
 
 let suite =
   [
@@ -243,4 +290,5 @@ let suite =
     Alcotest.test_case "suite definitions" `Quick test_suite_definitions_well_formed;
     Alcotest.test_case "browsing corpus" `Quick test_browsing_corpus;
     Alcotest.test_case "single-session profile incomplete" `Quick test_single_session_profile_is_incomplete;
+    Alcotest.test_case "registry reaches every bench" `Quick test_registry_reaches_every_bench;
   ]
