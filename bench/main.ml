@@ -4,25 +4,19 @@
    over scaled-down versions of each experiment.
 
    Usage: main.exe [--skip-bechamel] [--only SECTION]... [--json DIR]
-                   [--compare BASELINE] [--baseline-out FILE]
    Sections, in run order: micro fig3 table1 table2 fig5 fig6 fig7
      security sites ablations tlb mitigation census dispatch fleet garmr
-     bechamel sentinel
-   --only may repeat; with none given, every section but the sentinel
-   runs.  An unknown section or argument, or an unreadable --compare
-   file, prints one line and exits 2 before any section runs.
+     bechamel
+   --only may repeat; with none given, every section runs.  An unknown
+   section or argument, or a --json DIR that cannot be created, prints
+   one line and exits 2 before any section runs.
 
    Each section computes its results once, fails the run (exit 1) on any
    broken hard gate, prints its table and hands back the JSON artifacts
    it owns.  --json DIR writes the artifacts of the sections that ran,
    then host.json (per-section host wall time, plus the tlb and dispatch
-   blocks when those sections ran) and manifest.json.
-
-   --compare / --baseline-out run only the regression-sentinel probes
-   (unless sections are also requested with --only): --baseline-out
-   regenerates BENCH_BASELINE.json, --compare diffs a fresh probe run
-   against a checked-in baseline.  Any simulated-cycle or transition
-   drift exits 1; host wall-clock only warns. *)
+   blocks when those sections ran) and manifest.json.  The probe
+   workloads' cycles are pinned in test/test_pins.ml, not here. *)
 
 let header title = Printf.printf "\n=== %s ===\n\n" title
 
@@ -1141,97 +1135,13 @@ let run_bechamel () =
        (List.sort compare rows));
   []
 
-(* --- Regression sentinel (--compare / --baseline-out) --- *)
-
-let run_sentinel ~compare ~baseline_out () =
-  header "Regression sentinel: deterministic probe workloads";
-  let results = Workloads.Sentinel.run_probes () in
-  Util.Table.print
-    ~header:[ "probe"; "sim cycles"; "transitions" ]
-    (List.map
-       (fun (r : Workloads.Sentinel.probe_result) ->
-         [
-           r.Workloads.Sentinel.p_name;
-           string_of_int r.Workloads.Sentinel.p_cycles;
-           string_of_int r.Workloads.Sentinel.p_transitions;
-         ])
-       results);
-  (* Twin probes express an optimisation's architectural invisibility as
-     data; any divergence is a hard failure regardless of the baseline. *)
-  (match Workloads.Sentinel.twin_mismatches results with
-  | [] ->
-    Printf.printf "twin probes cycle-equal: %s\n"
-      (String.concat ", "
-         (List.map (fun (a, b) -> Printf.sprintf "%s = %s" a b) Workloads.Sentinel.twin_pairs))
-  | pairs ->
-    failwith
-      (Printf.sprintf "sentinel twin probes diverged: %s"
-         (String.concat ", " (List.map (fun (a, b) -> a ^ " vs " ^ b) pairs))));
-  Option.iter
-    (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Util.Json.to_string_pretty (Workloads.Sentinel.baseline_json results) ^ "\n"));
-      Printf.printf "baseline written to %s (commit %s)\n" path (Workloads.Sentinel.commit_hash ()))
-    baseline_out;
-  Option.iter
-    (fun (commit, baseline) ->
-      let verdicts = Workloads.Sentinel.compare_results ~baseline results in
-      print_newline ();
-      print_string (Workloads.Sentinel.render_comparison ~commit verdicts);
-      if Workloads.Sentinel.has_regression verdicts then
-        failwith
-          "cycle drift against the baseline (regenerate it with --baseline-out if the change \
-           is intended)")
-    compare;
-  []
-
 (* --- Command line and the section registry --- *)
-
-type options = {
-  skip_bechamel : bool;
-  only : string list;
-  json_dir : string option;
-  compare : (string * Workloads.Sentinel.probe_result list) option;  (* baseline commit, probes *)
-  baseline_out : string option;
-}
-
-let usage =
-  "main.exe [--skip-bechamel] [--only SECTION]... [--json DIR] [--compare BASELINE] \
-   [--baseline-out FILE]"
-
-(* Argument errors print one line and exit 2 before any section runs. *)
-let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); exit 2) fmt
-
-let load_baseline path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> usage_error "--compare: %s" msg
-  | text -> (
-    match Workloads.Sentinel.baseline_of_json (Util.Json.of_string text) with
-    | baseline -> baseline
-    | exception (Util.Json.Parse_error msg | Invalid_argument msg) ->
-      usage_error "--compare %s: %s" path msg
-    | exception Not_found -> usage_error "--compare %s: not a bench baseline" path)
-
-let parse_args args =
-  let rec go o = function
-    | [] -> o
-    | "--skip-bechamel" :: rest -> go { o with skip_bechamel = true } rest
-    | "--only" :: name :: rest -> go { o with only = name :: o.only } rest
-    | "--json" :: dir :: rest -> go { o with json_dir = Some dir } rest
-    | "--compare" :: file :: rest -> go { o with compare = Some (load_baseline file) } rest
-    | "--baseline-out" :: file :: rest -> go { o with baseline_out = Some file } rest
-    | [ ("--only" | "--json" | "--compare" | "--baseline-out") as flag ] ->
-      usage_error "%s needs a value; usage: %s" flag usage
-    | arg :: _ -> usage_error "unknown argument %s; usage: %s" arg usage
-  in
-  go { skip_bechamel = false; only = []; json_dir = None; compare = None; baseline_out = None } args
 
 (* Every section in run order.  Each function computes its results once,
    fails on a broken hard gate, prints its report and returns the JSON
    artifacts it owns: the files written under --json, plus blocks for
    host.json returned under that name. *)
-let registry o =
+let sections =
   [
     ("micro", run_micro);
     ("fig3", run_fig3);
@@ -1250,8 +1160,57 @@ let registry o =
     ("fleet", run_fleet);
     ("garmr", run_garmr);
     ("bechamel", run_bechamel);
-    ("sentinel", run_sentinel ~compare:o.compare ~baseline_out:o.baseline_out);
   ]
+
+type options = {
+  skip_bechamel : bool;
+  only : string list;
+  json_dir : string option;
+}
+
+let usage = "main.exe [--skip-bechamel] [--only SECTION]... [--json DIR]"
+
+(* Argument errors print one line and exit 2 before any section runs. *)
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); exit 2) fmt
+
+(* Every check runs before any section: each --only name must be a
+   section, and the --json directory is created (or found) here, so an
+   unusable one fails first. *)
+let parse_args args =
+  let rec go o = function
+    | [] -> o
+    | "--skip-bechamel" :: rest -> go { o with skip_bechamel = true } rest
+    | "--only" :: name :: rest -> go { o with only = name :: o.only } rest
+    | "--json" :: dir :: rest -> go { o with json_dir = Some dir } rest
+    | [ ("--only" | "--json") as flag ] -> usage_error "%s needs a value; usage: %s" flag usage
+    | arg :: _ -> usage_error "unknown argument %s; usage: %s" arg usage
+  in
+  let o = go { skip_bechamel = false; only = []; json_dir = None } args in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name sections) then
+        usage_error "unknown section %S; sections: %s" name
+          (String.concat " " (List.map fst sections)))
+    o.only;
+  Option.iter
+    (fun dir ->
+      match Sys.mkdir dir 0o755 with
+      | () -> ()
+      | exception Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
+      | exception Sys_error msg -> usage_error "--json DIR: %s" msg)
+    o.json_dir;
+  o
+
+(* `git rev-parse HEAD`, tolerating environments with no git or no repo:
+   artifacts are still valid, just unstamped. *)
+let commit_hash () =
+  try
+    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when String.length line >= 7 -> line
+    | _ -> "unknown"
+  with Unix.Unix_error _ | Sys_error _ -> "unknown"
 
 let artifact_schema = "pkru-safe.bench-artifact/1"
 
@@ -1260,8 +1219,7 @@ let artifact_schema = "pkru-safe.bench-artifact/1"
    — the per-section walls followed by the sections' host blocks in name
    order — and last manifest.json, listing every other file. *)
 let write_json dir ran =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let commit = Workloads.Sentinel.commit_hash () in
+  let commit = commit_hash () in
   let artifacts = List.concat_map (fun (_, _, artifacts) -> artifacts) ran in
   let host, files = List.partition (fun (file, _) -> file = "host.json") artifacts in
   let files =
@@ -1303,20 +1261,9 @@ let write_json dir ran =
 
 let () =
   let o = parse_args (List.tl (Array.to_list Sys.argv)) in
-  let sections = registry o in
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name sections) then
-        usage_error "unknown section %S; sections: %s" name
-          (String.concat " " (List.map fst sections)))
-    o.only;
-  (* A sentinel-only invocation skips the report sections unless some
-     were explicitly requested. *)
-  let sentinel_requested = o.compare <> None || o.baseline_out <> None in
   let runs = function
-    | "sentinel" -> sentinel_requested || List.mem "sentinel" o.only
     | "bechamel" when o.skip_bechamel -> false
-    | name -> if o.only = [] then not sentinel_requested else List.mem name o.only
+    | name -> o.only = [] || List.mem name o.only
   in
   print_endline "PKRU-Safe reproduction: benchmark harness";
   print_endline "Cycle counts are simulated machine cycles; see DESIGN.md section 5.";

@@ -25,6 +25,13 @@ let mode_conv =
   in
   Arg.conv (parse, fun fmt mode -> Format.pp_print_string fmt (Pkru_safe.Config.mode_to_string mode))
 
+let mode_flag =
+  Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
+
+let bench_flag =
+  Arg.(required & opt (some string) None
+       & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Benchmark name (e.g. richards, dom-attr)")
+
 let mitigation_conv =
   let parse s =
     match Runtime.Mitigator.policy_of_string s with
@@ -424,61 +431,68 @@ let run_report bench_name mode sample_every format output mitigation flight =
 
 (* --- run: execute a textual IR program through the toolchain --- *)
 
+let run_ir source mode use_static entry telemetry =
+  let build =
+    if use_static then begin
+      let b, result = fail_on_error (Toolchain.Pipeline.build_static ~mode source) in
+      Printf.printf "static analysis: %d shared site(s), %d fixpoint round(s)\n"
+        (Runtime.Alloc_id.Set.cardinal result.Ir.Static_taint.shared)
+        result.Ir.Static_taint.iterations;
+      b
+    end
+    else begin
+      let profile =
+        match mode with
+        | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
+          let p =
+            fail_on_error
+              (Toolchain.Pipeline.collect_profile source
+                 ~inputs:[ (fun i -> ignore (Toolchain.Interp.run i entry [])) ])
+          in
+          Printf.printf "dynamic profile: %d shared site(s)\n" (Runtime.Profile.cardinal p);
+          p
+        | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
+      in
+      fail_on_error (Toolchain.Pipeline.build ~profile ~mode source)
+    end
+  in
+  let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
+  let execute () =
+    match sink with
+    | Some s ->
+      Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx build.Toolchain.Pipeline.env) s (fun () ->
+          Toolchain.Interp.run build.Toolchain.Pipeline.interp entry [])
+    | None -> Toolchain.Interp.run build.Toolchain.Pipeline.interp entry []
+  in
+  (match execute () with
+  | result ->
+    Printf.printf "%s() = %d\n" entry result;
+    Printf.printf "[%s] cycles=%d transitions=%d sites=%d moved=%d wrappers=%d\n"
+      (Pkru_safe.Config.mode_to_string mode)
+      (Pkru_safe.Env.cycles build.Toolchain.Pipeline.env)
+      (Pkru_safe.Env.transitions build.Toolchain.Pipeline.env)
+      build.Toolchain.Pipeline.pass_stats.Ir.Passes.alloc_sites
+      build.Toolchain.Pipeline.pass_stats.Ir.Passes.sites_moved
+      build.Toolchain.Pipeline.pass_stats.Ir.Passes.wrappers
+  | exception Vmm.Fault.Unhandled fault ->
+    Printf.printf "program killed: %s\n" (Vmm.Fault.to_string fault));
+  (match sink with
+  | Some s ->
+    print_newline ();
+    print_string (Telemetry.Export.summary s)
+  | None -> ())
+
+(* A trap (a missing entry function, division by zero, an unknown
+   callee), in the profiling pre-run or the measured run, is bad input:
+   one line naming the file and the trap. *)
 let run_ir_file path mode use_static entry telemetry =
   let text = In_channel.with_open_text path In_channel.input_all in
   match Ir.Ir_text.of_string text with
   | exception Ir.Ir_text.Syntax_error msg -> `Error (false, path ^ ": " ^ msg)
-  | source ->
-    let build =
-      if use_static then begin
-        let b, result = fail_on_error (Toolchain.Pipeline.build_static ~mode source) in
-        Printf.printf "static analysis: %d shared site(s), %d fixpoint round(s)\n"
-          (Runtime.Alloc_id.Set.cardinal result.Ir.Static_taint.shared)
-          result.Ir.Static_taint.iterations;
-        b
-      end
-      else begin
-        let profile =
-          match mode with
-          | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
-            let p =
-              fail_on_error
-                (Toolchain.Pipeline.collect_profile source
-                   ~inputs:[ (fun i -> ignore (Toolchain.Interp.run i entry [])) ])
-            in
-            Printf.printf "dynamic profile: %d shared site(s)\n" (Runtime.Profile.cardinal p);
-            p
-          | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
-        in
-        fail_on_error (Toolchain.Pipeline.build ~profile ~mode source)
-      end
-    in
-    let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
-    let execute () =
-      match sink with
-      | Some s ->
-        Telemetry.Ctx.with_sink (Pkru_safe.Env.ctx build.Toolchain.Pipeline.env) s (fun () ->
-            Toolchain.Interp.run build.Toolchain.Pipeline.interp entry [])
-      | None -> Toolchain.Interp.run build.Toolchain.Pipeline.interp entry []
-    in
-    (match execute () with
-    | result ->
-      Printf.printf "%s() = %d\n" entry result;
-      Printf.printf "[%s] cycles=%d transitions=%d sites=%d moved=%d wrappers=%d\n"
-        (Pkru_safe.Config.mode_to_string mode)
-        (Pkru_safe.Env.cycles build.Toolchain.Pipeline.env)
-        (Pkru_safe.Env.transitions build.Toolchain.Pipeline.env)
-        build.Toolchain.Pipeline.pass_stats.Ir.Passes.alloc_sites
-        build.Toolchain.Pipeline.pass_stats.Ir.Passes.sites_moved
-        build.Toolchain.Pipeline.pass_stats.Ir.Passes.wrappers
-    | exception Vmm.Fault.Unhandled fault ->
-      Printf.printf "program killed: %s\n" (Vmm.Fault.to_string fault));
-    (match sink with
-    | Some s ->
-      print_newline ();
-      print_string (Telemetry.Export.summary s)
-    | None -> ());
-    `Ok ()
+  | source -> (
+    match run_ir source mode use_static entry telemetry with
+    | () -> `Ok ()
+    | exception Toolchain.Interp.Trap msg -> `Error (false, Printf.sprintf "%s: trap: %s" path msg))
 
 (* --- corpus: collect, inspect and persist the profiling corpus --- *)
 
@@ -899,9 +913,6 @@ let pipeline_cmd =
     Term.(ret (const run_pipeline $ const ()))
 
 let browse_cmd =
-  let mode =
-    Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
-  in
   let page =
     Arg.(value & opt string default_page & info [ "p"; "page" ] ~doc:"HTML page to load")
   in
@@ -911,7 +922,7 @@ let browse_cmd =
   Cmd.v (Cmd.info "browse" ~doc:"Run a page + script under a configuration (E2-style)")
     Term.(
       ret
-        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag))
+        (const run_browse $ mode_flag $ page $ script $ mitigation_flag $ flight_flag))
 
 let exploit_cmd =
   Cmd.v (Cmd.info "exploit" ~doc:"Run the E3 security experiment")
@@ -935,13 +946,6 @@ let suite_cmd =
     Term.(ret (const run_suite $ suite_arg $ telemetry_flag))
 
 let trace_cmd =
-  let bench_arg =
-    Arg.(required & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Benchmark name (e.g. richards, dom-attr)")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
-  in
   let format =
     format_flag
       ~doc:"chrome (trace_event for chrome://tracing / Perfetto), json, or summary"
@@ -949,16 +953,9 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run one benchmark with telemetry enabled and export the trace")
-    Term.(ret (const run_trace $ bench_arg $ mode $ format $ output_flag $ flight_flag))
+    Term.(ret (const run_trace $ bench_flag $ mode_flag $ format $ output_flag $ flight_flag))
 
 let report_cmd =
-  let bench_arg =
-    Arg.(required & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Benchmark name (e.g. richards, dom-attr)")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
-  in
   let sample_every =
     Arg.(value & opt int 64
          & info [ "sample-every" ] ~docv:"CYCLES" ~doc:"Cycles between profile samples")
@@ -974,8 +971,8 @@ let report_cmd =
        ~doc:"Run one benchmark with telemetry + cycle sampling and print the attribution report")
     Term.(
       ret
-        (const run_report $ bench_arg $ mode $ sample_every $ format $ output_flag $ mitigation_flag
-        $ flight_flag))
+        (const run_report $ bench_flag $ mode_flag $ sample_every $ format $ output_flag
+        $ mitigation_flag $ flight_flag))
 
 let compare_cmd =
   let dir n doc = Arg.(required & pos n (some dir) None & info [] ~docv:"DIR" ~doc) in
@@ -994,15 +991,12 @@ let run_cmd =
   let path =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Textual IR program")
   in
-  let mode =
-    Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
-  in
   let use_static =
     Arg.(value & flag & info [ "static" ] ~doc:"Partition with the static analysis instead of profiling")
   in
   let entry = Arg.(value & opt string "main" & info [ "entry" ] ~doc:"Entry function") in
   Cmd.v (Cmd.info "run" ~doc:"Compile and run a .ir program through the pipeline")
-    Term.(ret (const run_ir_file $ path $ mode $ use_static $ entry $ telemetry_flag))
+    Term.(ret (const run_ir_file $ path $ mode_flag $ use_static $ entry $ telemetry_flag))
 
 let chaos_cmd =
   let scenario =
@@ -1051,13 +1045,6 @@ let chaos_cmd =
         $ flight_flag $ attacks $ attack $ harts))
 
 let audit_cmd =
-  let bench_arg =
-    Arg.(required & opt (some string) None
-         & info [ "b"; "bench" ] ~docv:"BENCH" ~doc:"Benchmark name (e.g. richards, dom-attr)")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
-  in
   let census_every =
     Arg.(value & opt int 256
          & info [ "census-every" ] ~docv:"CYCLES" ~doc:"Cycles between heap-census snapshots")
@@ -1076,7 +1063,7 @@ let audit_cmd =
              an unresolved leak is found")
     Term.(
       ret
-        (const run_audit $ bench_arg $ mode $ census_every $ promote $ format $ output_flag
+        (const run_audit $ bench_flag $ mode_flag $ census_every $ promote $ format $ output_flag
         $ mitigation_flag $ flight_flag))
 
 let fleet_cmd =
@@ -1108,9 +1095,6 @@ let fleet_cmd =
              ~doc:"Shared backing-page budget all sessions contend for; exhaustion retires \
                    the victim session with an oom outcome")
   in
-  let mode =
-    Arg.(value & opt mode_conv Pkru_safe.Config.Mpk & info [ "m"; "mode" ] ~doc:"Build mode")
-  in
   let format = format_flag ~doc:"table, json, or prom" table_json_prom in
   let per_session =
     Arg.(value & flag
@@ -1123,7 +1107,7 @@ let fleet_cmd =
     Term.(
       ret
         (const run_fleet $ bench_arg $ sessions $ cpus $ timeslice $ max_live $ page_budget
-        $ mode $ format $ output_flag $ per_session))
+        $ mode_flag $ format $ output_flag $ per_session))
 
 let doctor_cmd =
   let path =

@@ -16,7 +16,7 @@ module Threaded = Threaded
 
 (** Every product path runs [Ast_tier].  The bytecode pair stays only as
     the engine of perfbench's fleet-browse workload and as the subject of
-    the tier-equivalence tests and sentinel twins. *)
+    the tier-equivalence tests and the bytecode twin pins. *)
 type tier =
   | Ast_tier
       (** AST compiled once to closures that charge per AST step, as a

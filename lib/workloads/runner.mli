@@ -91,7 +91,7 @@ val run_config :
     [tlb] forwards to {!Pkru_safe.Config.make} (default on), as does
     [mitigation] (a fault-recovery policy for [Mpk] runs; default none).
     [engine_tier] selects the engine execution tier for the timed script
-    (default AST, the product's tier; the sentinel twins and the
+    (default AST, the product's tier; the bytecode twin pins and the
     tier-equivalence tests pick the bytecode pair).  [recorder] is
     attached to the machine for the whole run, so failures dump into
     it. *)
