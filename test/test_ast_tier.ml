@@ -153,6 +153,179 @@ let test_ic_stats_untouched () =
         (ic.Engine.Eval.var_hits, ic.Engine.Eval.var_misses))
     programs
 
+(* --- Scoping pins ---
+
+   Which binding an identifier reaches, and what the walk to it costs,
+   for the cases a compile-time resolution of locals has to get right.
+   Each runs in a browser page (so DOM listeners work) on the AST tier
+   and on the threaded tier, whose closures the AST tier runs when a host
+   or a builtin calls them back.  Recorded from the per-call hash-table
+   scopes that preceded static frames. *)
+
+let scope_untaken_if =
+  {|var x = 5;
+function f(c) { if (c) { var x = 1; } return x; }
+function g(c) { if (c) { var x = 1; } x = x + 10; return x; }
+print(f(false), f(true), g(false), g(true), x);
+x;|}
+
+let scope_late_var =
+  {|var y = 7; var t = "G";
+function g() { var a = y; var y = 3; return a * 10 + y; }
+function h() { var r = ""; for (var i = 0; i < 2; i = i + 1) { r = r + t; var t = i; } return r + t; }
+print(g(), h());
+y + t;|}
+
+let scope_for_capture =
+  {|function mk() {
+  var fs = [];
+  for (var i = 0; i < 3; i = i + 1) { var k = i * 2; fs.push(function (d) { k = k + 1; return i * 100 + k + d; }); }
+  return fs;
+}
+var fs = mk();
+var out = "";
+for (var j = 0; j < fs.length; j = j + 1) { out = out + fs[j](j) + ","; }
+var top = [];
+for (var m = 0; m < 2; m = m + 1) { top.push(function () { return m; }); }
+print(out, top[0](), top[1]());
+out;|}
+
+let scope_params =
+  {|function d(a, a, b) { return a + "/" + b; }
+function m(p, q) { var p2 = p; return q; }
+function e(a, a) { var a = a + 1; return a; }
+print(d(1, 2), d(1), d(1, 2, 3), m(5), e(1, 2));
+function n(u) { return u + v; }
+n(1);|}
+
+let scope_nested_decls =
+  {|function outer(c) {
+  if (c) { function pick() { return "if"; } } else { function pick() { return "else"; } }
+  { function blk() { return "block"; } print(blk()); }
+  return pick();
+}
+print(outer(true), outer(false));
+blk();|}
+
+let scope_parent_late =
+  {|var late = "g";
+function outer() {
+  function inner() { return late; }
+  var r = inner();
+  var late = "l";
+  r = r + inner();
+  late = "m";
+  for (var i = 0; i < 2; i = i + 1) {
+    var seen = function () { return late + i; };
+    r = r + seen();
+    var late = "f";
+    r = r + seen();
+  }
+  return r + inner();
+}
+print(outer(), late);
+late;|}
+
+let scope_implicit_global =
+  {|function s() { fresh = 42; var loc = 1; fresh = fresh + loc; for (var i = 0; i < 2; i = i + 1) { { deep = i; } } }
+s();
+function t2() { return fresh * 2 + deep; }
+print(fresh, deep, t2());
+t2();|}
+
+let scope_callbacks =
+  {|var hits = 0; var base = 10;
+function onclick(ev) { var local = base; hits = hits + local; for (var i = 0; i < 2; i = i + 1) { hits = hits + i; } return hits; }
+var root = domRoot();
+domAddEventListener(root, "click", onclick);
+domDispatchEvent(root, "click");
+function run(k) { var scale = k; return [1, 2, 3].map(function (v) { var w = v * scale; return w + hits; }); }
+var sq = run(3);
+domDispatchEvent(root, "click");
+print(hits, sq.join(","), run(2).join(","));
+hits;|}
+
+(* (name, source, [(tier, result or "error: ...", cycles, output digest)]) *)
+let scoping_pins =
+  [
+    ( "untaken if var shadows a global",
+      scope_untaken_if,
+      [
+        (Engine.Ast_tier, "15", 3861, "7e35b7ed506adc50cefcba6cb840b2d5");
+        (Engine.Threaded_tier, "15", 3847, "7e35b7ed506adc50cefcba6cb840b2d5");
+      ] );
+    ( "read before a late var",
+      scope_late_var,
+      [
+        (Engine.Ast_tier, "7G", 5085, "1e592792bf6f7a0c909854c52e4fcff7");
+        (Engine.Threaded_tier, "7G", 5085, "1e592792bf6f7a0c909854c52e4fcff7");
+      ] );
+    ( "closures capture a for scope",
+      scope_for_capture,
+      [
+        (Engine.Ast_tier, "305,307,309,", 6978, "1b3bb00f24002f99572e04e92b1f68fd");
+        (Engine.Threaded_tier, "305,307,309,", 6958, "1b3bb00f24002f99572e04e92b1f68fd");
+      ] );
+    ( "duplicate and missing parameters",
+      scope_params,
+      [
+        (Engine.Ast_tier, "error: undefined variable v", 5539, "f20d130899ceb6c9926f74e6d994550c");
+        (Engine.Threaded_tier, "error: undefined variable v", 5515, "f20d130899ceb6c9926f74e6d994550c");
+      ] );
+    ( "function declarations in blocks and ifs",
+      scope_nested_decls,
+      [
+        (Engine.Ast_tier, "error: undefined variable blk", 4768, "4d736a0397ad846af47c85f47a49d1a6");
+        (Engine.Threaded_tier, "error: undefined variable blk", 4746, "4d736a0397ad846af47c85f47a49d1a6");
+      ] );
+    ( "parent var declared after the inner function",
+      scope_parent_late,
+      [
+        (Engine.Ast_tier, "g", 6361, "43ae96cb0b6ad5e9ed1154297f5b7844");
+        (Engine.Threaded_tier, "g", 6331, "43ae96cb0b6ad5e9ed1154297f5b7844");
+      ] );
+    ( "undeclared assignment creates a global",
+      scope_implicit_global,
+      [
+        (Engine.Ast_tier, "87", 3976, "90499555ee23353df076751e3fab0252");
+        (Engine.Threaded_tier, "87", 3975, "90499555ee23353df076751e3fab0252");
+      ] );
+    ( "callbacks into threaded-tier closures",
+      scope_callbacks,
+      [
+        (Engine.Ast_tier, "22", 7109, "459fd81dd003a95f3d7fdba1a55bcbee");
+        (Engine.Threaded_tier, "22", 7094, "459fd81dd003a95f3d7fdba1a55bcbee");
+      ] );
+  ]
+
+let scoping_run tier src =
+  let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+  let b = Browser.create env in
+  Browser.load_page b "<html><body><div id=\"main\">hi</div></body></html>";
+  let v = try Ok (Browser.exec_script ~tier b src) with Engine.Eval.Script_error msg -> Error msg in
+  let cycles = Pkru_safe.Env.cycles env in
+  let result =
+    match v with
+    | Ok v -> Engine.Value.to_display_string (Engine.heap (Browser.engine b)) v
+    | Error msg -> "error: " ^ msg
+  in
+  (result, cycles, Digest.to_hex (Digest.string (String.concat "\n" (Browser.console b))))
+
+let tier_name = function
+  | Engine.Ast_tier -> "ast"
+  | Engine.Bytecode_tier -> "bytecode"
+  | Engine.Threaded_tier -> "threaded"
+
+let test_scoping (name, src, pins) () =
+  List.iter
+    (fun (tier, result, cycles, digest) ->
+      let r, c, d = scoping_run tier src in
+      let what = name ^ " (" ^ tier_name tier ^ ")" in
+      Alcotest.(check string) (what ^ ": result") result r;
+      Alcotest.(check int) (what ^ ": cycles") cycles c;
+      Alcotest.(check string) (what ^ ": output digest") digest d)
+    pins
+
 (* (bench, cycles, transitions, MD5 of the output lines joined by '\n'),
    each timed script run under [base] with an empty profile, recorded from
    the tree walker. *)
@@ -279,3 +452,6 @@ let suite =
       Alcotest.test_case "ic stats untouched" `Quick test_ic_stats_untouched;
       Alcotest.test_case "registered benchmarks golden" `Quick test_bench_goldens;
     ]
+  @ List.map
+      (fun ((name, _, _) as p) -> Alcotest.test_case ("scoping: " ^ name) `Quick (test_scoping p))
+      scoping_pins
