@@ -29,11 +29,13 @@ lint-globals:
 # The clock tick (Eval.tick/charge) and the checked-access TLB hit
 # (Machine.translate/read_le/write_le) must compile, in the
 # default dev profile, to code with no caml_apply and no indirect call;
-# the allocation, free, metadata-lookup and DOM-handle paths to code
-# with no polymorphic hash or compare (the DOM's page build and sibling
-# iteration: no Util.Int_table either); the script lexer's and HTML
-# parser's byte loops, the DOM's page build and sibling iteration to
-# code with no young-heap allocation.  See HACKING.md, "Hot paths".
+# the allocation, free, metadata-lookup and DOM-handle paths and the AST
+# tier's static-frame variable access to code with no polymorphic hash
+# or compare (the DOM's page build and sibling iteration: no
+# Util.Int_table either); the script lexer's and HTML parser's byte
+# loops, the DOM's page build and sibling iteration and the AST tier's
+# static-frame variable access to code with no young-heap allocation.
+# See HACKING.md, "Hot paths".
 lint-hotpath:
 	@tools/lint-hotpath.sh
 

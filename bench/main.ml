@@ -828,7 +828,7 @@ let run_dispatch () =
   print_endline
     "(simulated cycles are identical across the bytecode tiers by construction — the \n\
     \ section hard-fails on any divergence; walls are host-side only)";
-  (* The host walls appear in dispatch.json and again in host.json. *)
+  (* Host walls go to host.json only, so dispatch.json is reproducible. *)
   let walls r =
     [
       ("ast_wall_s", Util.Json.Float r.dr_wall_ast);
@@ -848,22 +848,19 @@ let run_dispatch () =
             ("benches", Util.Json.Int r.dr_benches);
             ("sim_cycles", Util.Json.Int r.dr_cycles);
             ("cycles_identical", Util.Json.Bool true);
-          ]
-          @ walls r
-          @ [
-              ( "inline_caches",
-                Util.Json.Obj
-                  [
-                    ("var_hits", Util.Json.Int r.dr_var_hits);
-                    ("var_misses", Util.Json.Int r.dr_var_misses);
-                    ("var_hit_rate_pct", Util.Json.Float (hit_rate r.dr_var_hits r.dr_var_misses));
-                    ("prop_hits", Util.Json.Int r.dr_prop_hits);
-                    ("prop_misses", Util.Json.Int r.dr_prop_misses);
-                    ( "prop_hit_rate_pct",
-                      Util.Json.Float (hit_rate r.dr_prop_hits r.dr_prop_misses) );
-                    ("super_execs", Util.Json.Int r.dr_super_execs);
-                  ] );
-            ]) );
+            ( "inline_caches",
+              Util.Json.Obj
+                [
+                  ("var_hits", Util.Json.Int r.dr_var_hits);
+                  ("var_misses", Util.Json.Int r.dr_var_misses);
+                  ("var_hit_rate_pct", Util.Json.Float (hit_rate r.dr_var_hits r.dr_var_misses));
+                  ("prop_hits", Util.Json.Int r.dr_prop_hits);
+                  ("prop_misses", Util.Json.Int r.dr_prop_misses);
+                  ( "prop_hit_rate_pct",
+                    Util.Json.Float (hit_rate r.dr_prop_hits r.dr_prop_misses) );
+                  ("super_execs", Util.Json.Int r.dr_super_execs);
+                ] );
+          ]) );
     ("host.json", Util.Json.Obj [ ("dispatch", per_suite walls) ]);
   ]
 
@@ -993,12 +990,19 @@ let run_fleet () =
     "single-session fleet run bit-identical to the runner (%d cycles, %d mid-script \
      yield(s); cycles, transitions, event trace and all injected counters compared)\n"
     ident_cycles ident_yields;
-  let point ((r : Fleet.result), wall) =
-    match Fleet.to_json r with
-    | Util.Json.Obj fields -> Util.Json.Obj (fields @ [ ("host_wall_s", Util.Json.Float wall) ])
-    | other -> other
-  in
+  (* Host walls go to host.json only, so fleet.json is reproducible. *)
+  let point (r, _) = Fleet.to_json r and wall (_, w) = Util.Json.Float w in
   [
+    ( "host.json",
+      Util.Json.Obj
+        [
+          ( "fleet",
+            Util.Json.Obj
+              [
+                ("scaling_wall_s", Util.Json.List (List.map wall scale));
+                ("smoke_100k_wall_s", Util.Json.Float smoke_wall);
+              ] );
+        ] );
     ( "fleet.json",
       Util.Json.Obj
         [

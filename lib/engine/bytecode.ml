@@ -524,19 +524,12 @@ and call_value vm callee args =
   match callee with
   | Value.Fun id when Hashtbl.mem vm.vm_closures id ->
     let fn = Hashtbl.find vm.vm_closures id in
-    let scope = Eval.new_scope ~parent:(Eval.closure_scope vm.eval id) () in
-    List.iteri
-      (fun i p ->
-        let v =
-          match List.nth_opt args i with
-          | Some v -> v
-          | None -> Value.Null
-        in
-        Eval.scope_declare scope p v)
-      (Eval.func_params fn);
-    exec vm (body_code vm (Eval.func_body fn)) scope
+    let scope = Eval.enter_call vm.eval id (Eval.func_params fn) args in
+    let v = exec vm (body_code vm (Eval.func_body fn)) scope in
+    Eval.leave_call vm.eval;
+    v
   | callee -> Eval.call_value vm.eval callee args
 
 let run eval program =
   let vm = { eval; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16 } in
-  exec vm program.top (Eval.globals_scope eval)
+  exec vm program.top (Eval.start_run eval)

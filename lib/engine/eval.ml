@@ -8,29 +8,38 @@ let () =
 type host = Value.t list -> Value.t
 
 type scope = {
-  vars : (string, Value.t ref) Hashtbl.t;
+  mutable vals : Value.t array;
+      (* static frame: slot i holds [layout.(i)], [unbound] until declared;
+         dynamic scope: slot i holds the i-th name declared *)
+  kind : kind;
   mutable decls : int;
-      (* bumped only when a NEW name is declared in this scope; re-declaring
-         an existing name updates its ref in place.  Variable inline caches
-         validate against this epoch: an unchanged [decls] on every scope a
-         cached walk skipped proves no new shadowing binding appeared. *)
+      (* names bound so far: a cached walk that skipped this scope is
+         valid while it is unchanged (no new shadowing binding) *)
   parent : scope option;
   origin : int;
-      (* shared by every scope minted at one closure-call site (0 = not
-         tracked).  Declarations at such a site form a fixed sequence —
-         params first, then the body's own-scope [var]s in body order —
-         so (origin, decls) determines the name of every slot below
-         [decls], which is what the slot-resolved variable IC validates
-         against. *)
-  mutable slots : Value.t ref array; (* i-th newly declared binding, origin scopes only *)
+      (* shared by the dynamic scopes minted at one closure-call site (0 =
+         untracked), whose declarations come in a fixed order, so
+         (origin, decls) fixes every slot's name: the slot cache's key *)
 }
+
+and kind =
+  | Static of string array (* an AST-tier frame: its site's layout, fixed at compile time *)
+  | Dynamic of (string, int) Hashtbl.t (* name -> slot *)
 
 (* A function literal's code: compiled on first call, then shared by every
    closure minted at its site. *)
 and func = {
   f_params : string list;
   f_body : Ast.stmt list;
-  f_code : (t -> scope -> unit) Lazy.t;
+  f_code : code Lazy.t;
+}
+
+(* A compiled body and its call frame: every call mints a frame of
+   [c_kind]'s layout and binds parameter i into slot [c_params.(i)]. *)
+and code = {
+  c_kind : kind;
+  c_params : int array;
+  c_body : t -> scope -> unit;
 }
 
 and closure = {
@@ -60,6 +69,7 @@ and t = {
       (* per-evaluator, so scope-origin ids don't depend on how many other
          sessions ran first in the process (fleet order-independence) *)
   ic : ic_stats;
+  unbound : Value.t; (* an undeclared slot, and a lookup's "no binding": no script makes it *)
   mutable yield_hook : (unit -> unit) option;
       (* fleet scheduling only: called once per tick, after the charge.
          Charges nothing and emits nothing itself, so installing a hook
@@ -72,17 +82,16 @@ exception Return_exc of Value.t
 exception Break_exc
 exception Continue_exc
 
-let no_slots : Value.t ref array = [||]
+let dynamic_scope ~origin ~size parent =
+  { vals = [||]; kind = Dynamic (Hashtbl.create size); decls = 0; parent; origin }
 
 let create ?(seed = 1) ?(fuel = 200_000_000) heap =
-  let root size = { vars = Hashtbl.create size; decls = 0; parent = None; origin = 0; slots = no_slots } in
-  let unused = { f_params = []; f_body = []; f_code = Lazy.from_val (fun _ _ -> ()) } in
   {
     heap;
     machine = Pkru_safe.Env.machine (Value.env heap);
-    globals = root 64;
+    globals = dynamic_scope ~origin:0 ~size:64 None;
     hosts = Hashtbl.create 32;
-    closures = Array.make 16 { c_func = unused; c_scope = root 1 };
+    closures = [||];
     nclosures = 0;
     rng = Util.Rng.create seed;
     output = [];
@@ -92,6 +101,7 @@ let create ?(seed = 1) ?(fuel = 200_000_000) heap =
     gc_roots = [];
     origin_counter = 0;
     ic = { var_hits = 0; var_misses = 0 };
+    unbound = Value.Host "<unbound>";
     yield_hook = None;
   }
 
@@ -106,22 +116,24 @@ let fresh_origin t =
   t.origin_counter <- t.origin_counter + 1;
   t.origin_counter
 
+(* [var name = v] in a dynamic scope (an AST-tier frame declares by slot,
+   see [declare_slot]). *)
 let declare scope name v =
-  match Hashtbl.find_opt scope.vars name with
-  | Some r -> r := v
-  | None ->
-    let r = ref v in
-    Hashtbl.replace scope.vars name r;
-    if scope.origin > 0 then begin
+  match scope.kind with
+  | Static _ -> invalid_arg "Eval.declare: a static frame declares by slot"
+  | Dynamic vars ->
+    (match Hashtbl.find_opt vars name with
+    | Some i -> scope.vals.(i) <- v
+    | None ->
       let n = scope.decls in
-      if n >= Array.length scope.slots then begin
-        let bigger = Array.make (max 4 (2 * Array.length scope.slots)) r in
-        Array.blit scope.slots 0 bigger 0 n;
-        scope.slots <- bigger
+      if n >= Array.length scope.vals then begin
+        let bigger = Array.make (max 4 (2 * n)) v in
+        Array.blit scope.vals 0 bigger 0 n;
+        scope.vals <- bigger
       end;
-      scope.slots.(n) <- r
-    end;
-    scope.decls <- scope.decls + 1
+      scope.vals.(n) <- v;
+      Hashtbl.replace vars name n;
+      scope.decls <- n + 1)
 
 let set_global t name v = declare t.globals name v
 
@@ -134,13 +146,19 @@ let steps t = t.steps
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Script_error msg)) fmt
 
-(* Script calls nest on the host stack, a few hundred bytes per level:
-   this bound keeps a runaway recursion a script error, far inside
-   OCaml's default stack, and far above what any registered benchmark
-   reaches.  Any other exception out of a call aborts the whole run, so
-   only the normal and [return] exits count the depth back down, and
-   [run_program] resets it. *)
+(* Script calls nest on the host stack, a few hundred bytes per level
+   on every tier: this bound keeps a runaway recursion a script error,
+   far inside OCaml's default stack, and far above what any registered
+   benchmark reaches.  Any other exception out of a call aborts the whole
+   run, so only the normal and [return] exits count the depth back down,
+   and a run ([run_program], [start_run]) resets it. *)
 let max_call_depth = 10_000
+
+let count_call t =
+  if t.depth >= max_call_depth then fail "maximum call stack size exceeded";
+  t.depth <- t.depth + 1
+
+let leave_call t = t.depth <- t.depth - 1
 
 let[@inline never] tick_hooks cpu n = Sim.Cpu.tick_hooks cpu n
 
@@ -164,7 +182,7 @@ let set_yield_hook t hook = t.yield_hook <- hook
 
 let add_closure t c =
   if t.nclosures >= Array.length t.closures then begin
-    let bigger = Array.make (2 * Array.length t.closures) c in
+    let bigger = Array.make (max 16 (2 * t.nclosures)) c in
     Array.blit t.closures 0 bigger 0 t.nclosures;
     t.closures <- bigger
   end;
@@ -172,116 +190,89 @@ let add_closure t c =
   t.nclosures <- t.nclosures + 1;
   t.nclosures - 1
 
-(* The binding [name] resolves to, charging 2 cycles per level probed. *)
-let rec lookup_ref t scope name =
+(* [name]'s slot in a frame layout, or -1. *)
+let rec layout_index layout name i =
+  if i >= Array.length layout then -1
+  else if String.equal layout.(i) name then i
+  else layout_index layout name (i + 1)
+
+(* The slot [name] is bound in within [s], or -1 (a static frame: only
+   when a walk above a call frame passes it). *)
+let find_slot t s name =
+  match s.kind with
+  | Dynamic vars -> Option.value (Hashtbl.find_opt vars name) ~default:(-1)
+  | Static layout ->
+    let i = layout_index layout name 0 in
+    if i >= 0 && s.vals.(i) != t.unbound then i else -1
+
+(* The value [name] resolves to from [s] ([t.unbound]: none), charging 2
+   cycles per level probed. *)
+let rec lookup_name t s name =
   charge t 2;
-  match Hashtbl.find_opt scope.vars name with
-  | Some _ as hit -> hit
-  | None ->
-    (match scope.parent with
-    | Some p -> lookup_ref t p name
-    | None -> None)
+  let i = find_slot t s name in
+  if i >= 0 then s.vals.(i)
+  else match s.parent with Some p -> lookup_name t p name | None -> t.unbound
 
-let rec assign_existing t scope name v =
-  match Hashtbl.find_opt scope.vars name with
-  | Some r ->
-    r := v;
-    true
-  | None ->
-    (match scope.parent with
-    | Some p -> assign_existing t p name v
-    | None -> false)
+let rec assign_name t s name v =
+  let i = find_slot t s name in
+  if i >= 0 then (s.vals.(i) <- v; true)
+  else match s.parent with Some p -> assign_name t p name v | None -> false
 
-(* --- Variable inline caches ---
+(* --- Variable resolution and inline caches (DESIGN.md §11) ---
 
-   A call site that resolves the same name repeatedly can skip the
-   host-side hash lookups of the scope walk while charging exactly the
-   cycles the walk would have charged.  Two cache levels:
+   AST-tier identifiers resolve through static frames below their
+   function's call frame ([static_lookup]) and a per-site {!walk} cache
+   above it, anchored on the call frame's parent.  Bytecode-tier sites
+   put a slot cache (scopes of one [origin]) and a {e full} walk cache
+   (anchored on the innermost scope itself) in front of a real,
+   charged probe of the innermost scope and the walk cache above it.
+   Every hit charges what the walk it elides would have charged.  After
+   [streak_limit] consecutive misses a site stops refilling and walks. *)
 
-   - The {e full-walk} cache is anchored on the innermost scope itself.
-     While [cur] is physically the same scope (loop bodies, block and
-     global scopes survive across iterations) and no scope the walk
-     probed has declared a new name since ([decls] epoch — nothing can
-     shadow the cached binding), a hit needs zero hash probes.  It
-     charges 2 cycles per level the uncached walk would have probed
-     (misses below the holder plus the holder itself), so cycle counts
-     are bit-identical.
-
-   - Per-call scopes are fresh hash tables, so the full-walk anchor
-     never validates inside function bodies.  The fallback performs (and
-     charges) the real level-0 probe, then consults the {e walk-above}
-     cache anchored on [cur.parent] — the captured scope chain, which IS
-     stable across calls to the same closure.
-
-   Sites whose anchors never stabilise (every access lands in a freshly
-   minted scope, e.g. locals of a block re-entered each iteration) stop
-   paying the cache-refill overhead: after [streak_limit] consecutive
-   misses without a hit the site disables itself and reverts to the
-   plain charged walk. *)
-
-(* [ic_stats] is declared above [t] (the evaluator owns its counters, so
-   concurrent sessions don't cross-pollute each other's hit rates). *)
 let ic_stats t = t.ic
 
 let reset_ic_stats t =
   t.ic.var_hits <- 0;
   t.ic.var_misses <- 0
 
+(* A cached walk: valid while its start is physically [anchor] and no
+   scope in [path] (the ones it skipped, with their [decls] at fill time)
+   has declared a new name since, so nothing can shadow the binding at
+   slot [idx] of [holder]. *)
+type walk = {
+  mutable anchor : scope;
+  mutable holder : scope;
+  mutable idx : int;
+  mutable path : (scope * int) array;
+}
+
 type var_site = {
   vsite_name : string;
-  (* slot cache, keyed on the scope's call-site origin: valid for every
-     scope minted at that site while its declaration epoch matches *)
-  mutable vslot_origin : int; (* 0 = empty *)
+  mutable above : walk option; (* started above the innermost static or probed level *)
+  mutable full : walk option; (* bytecode tiers: started at the innermost scope *)
+  (* slot cache, keyed on the scope's call-site origin (0 = empty) *)
+  mutable vslot_origin : int;
   mutable vslot_decls : int;
   mutable vslot_idx : int;
-  (* full-walk cache, anchored on [cur] at fill time *)
-  mutable vfull_anchor : scope option;
-  mutable vfull_hit : Value.t ref option; (* the binding, preallocated as a result *)
-  mutable vfull_path : (scope * int) array; (* probed-and-missed scopes + decls snapshots *)
-  (* walk-above-cur cache, anchored on [cur.parent] at fill time *)
-  mutable vsite_anchor : scope option;
-  mutable vsite_hit : Value.t ref option;
-  mutable vsite_levels : int; (* scopes the walk probed below [cur], holder included *)
-  mutable vsite_path : (scope * int) array; (* skipped scopes + decls snapshots *)
   mutable vsite_streak : int; (* consecutive misses; negative = site disabled *)
   vsite_counted : bool; (* hits and misses feed [ic_stats] (bytecode-tier sites only) *)
-  vsite_outer : bool;
-      (* known at compile time never to be bound in the innermost scope, so
-         the level-0 probe is charged but not performed *)
 }
 
 let streak_limit = 32
 
-let make_site ~counted ~outer name =
-  { vsite_name = name;
-    vslot_origin = 0; vslot_decls = 0; vslot_idx = 0;
-    vfull_anchor = None; vfull_hit = None; vfull_path = [||];
-    vsite_anchor = None; vsite_hit = None;
-    vsite_levels = 0; vsite_path = [||]; vsite_streak = 0; vsite_counted = counted;
-    vsite_outer = outer }
+let make_site ~counted name =
+  { vsite_name = name; above = None; full = None; vslot_origin = 0; vslot_decls = 0;
+    vslot_idx = 0; vsite_streak = 0; vsite_counted = counted }
 
-let var_site name = make_site ~counted:true ~outer:false name
+let var_site name = make_site ~counted:true name
 
-let count_hit t site = if site.vsite_counted then t.ic.var_hits <- t.ic.var_hits + 1
+let count_hit t site =
+  if site.vsite_counted then t.ic.var_hits <- t.ic.var_hits + 1;
+  site.vsite_streak <- 0
+
 let count_miss t site = if site.vsite_counted then t.ic.var_misses <- t.ic.var_misses + 1
 
-(* A level-0 find in an origin-tracked scope can be slot-cached: the ref
-   sits in [cur.slots] at a fixed index for every scope of this origin at
-   this declaration epoch. *)
-let vslot_learn site cur r =
-  if cur.origin > 0 then begin
-    let n = cur.decls in
-    let rec idx i = if i >= n then -1 else if cur.slots.(i) == r then i else idx (i + 1) in
-    match idx 0 with
-    | -1 -> ()
-    | i ->
-      site.vslot_origin <- cur.origin;
-      site.vslot_decls <- n;
-      site.vslot_idx <- i
-  end
-
-(* No scope in [path] from [i] on has declared a new name since the fill.
-   A direct recursion: [Array.for_all]'s loop closure would allocate on
+(* A direct recursion: [Array.for_all]'s loop closure would allocate on
    every cache hit. *)
 let rec path_valid path i =
   i >= Array.length path
@@ -289,151 +280,134 @@ let rec path_valid path i =
   let s, d = path.(i) in
   s.decls = d && path_valid path (i + 1)
 
-let vfull_valid site cur =
-  (match site.vfull_anchor with Some a -> a == cur | None -> false)
-  && path_valid site.vfull_path 0
+let walk_valid w start =
+  match w with
+  | Some w -> w.anchor == start && path_valid w.path 0
+  | None -> false
 
-let vsite_valid site parent =
-  match site.vsite_anchor with
-  | Some a when a == parent -> path_valid site.vsite_path 0
-  | _ -> false
+(* A hit charges 2 per scope the walk probed: those it skipped and the
+   holder. *)
+let walk_levels w = match w with Some w -> Array.length w.path + 1 | None -> 0
+let walk_get t w = match w with Some w -> w.holder.vals.(w.idx) | None -> t.unbound
+let walk_set w v = match w with Some w -> w.holder.vals.(w.idx) <- v | None -> ()
 
-(* Walk from [start] (= cur.parent) resolving [site.vsite_name], charging 2
-   per level when [charged] (lookup semantics; assignment charges nothing),
-   and refill both cache levels on success. *)
-let vsite_fill t ~charged site cur start =
-  let missed = ref [] in
-  let rec go depth s =
-    if charged then charge t 2;
-    match Hashtbl.find_opt s.vars site.vsite_name with
-    | Some _ as hit ->
-      let path = Array.of_list (List.rev_map (fun sc -> (sc, sc.decls)) !missed) in
-      site.vsite_anchor <- Some start;
-      site.vsite_hit <- hit;
-      site.vsite_levels <- depth + 1;
-      site.vsite_path <- path;
-      site.vfull_anchor <- Some cur;
-      site.vfull_hit <- hit;
-      site.vfull_path <- Array.append [| (cur, cur.decls) |] path;
-      hit
-    | None ->
-      missed := s :: !missed;
-      (match s.parent with
-      | Some p -> go (depth + 1) p
-      | None -> None)
-  in
-  go 0 start
+(* [w] refilled in place; a site's first fill makes its walk. *)
+let walk_fill w start holder idx path =
+  match w with
+  | Some r ->
+    r.anchor <- start;
+    r.holder <- holder;
+    r.idx <- idx;
+    r.path <- path;
+    w
+  | None -> Some { anchor = start; holder; idx; path }
 
-let vsite_miss t site =
-  count_miss t site;
-  if site.vsite_streak >= 0 then begin
-    site.vsite_streak <- site.vsite_streak + 1;
-    if site.vsite_streak > streak_limit then site.vsite_streak <- -1
-  end
-
-let probe_innermost site cur =
-  if site.vsite_outer then None else Hashtbl.find_opt cur.vars site.vsite_name
-
-(* The binding [site] resolves to from [cur], with {!scope_lookup}'s
-   charges.  Cache hits return the preallocated result: no allocation. *)
-let lookup_binding t cur site =
-  if site.vsite_streak < 0 then begin
-    count_miss t site;
-    lookup_ref t cur site.vsite_name
-  end
-  else if
-    cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
-  then begin
+(* The walk from [start] for [site.vsite_name], charging 2 per level when
+   [charged] (lookup semantics; assignment charges nothing): [true] with
+   the binding in [site.above], refilled from [start] — and, when [full],
+   [site.full] from [cur], whose own probe missed just before. *)
+let[@inline never] resolve_above t ~charged ~full site cur start =
+  if site.vsite_streak >= 0 && walk_valid site.above start then begin
     count_hit t site;
-    site.vsite_streak <- 0;
-    charge t 2;
-    Some cur.slots.(site.vslot_idx)
-  end
-  else if vfull_valid site cur then begin
-    count_hit t site;
-    site.vsite_streak <- 0;
-    charge t (2 * (Array.length site.vfull_path + 1));
-    site.vfull_hit
+    if charged then charge t (2 * walk_levels site.above);
+    true
   end
   else begin
-    charge t 2;
-    match probe_innermost site cur with
-    | Some r as hit ->
-      (* found in the innermost scope: re-anchor the full-walk cache *)
-      site.vsite_streak <- 0;
-      site.vfull_anchor <- Some cur;
-      site.vfull_hit <- hit;
-      site.vfull_path <- [||];
-      vslot_learn site cur r;
-      hit
-    | None ->
-      (match cur.parent with
-      | None -> None
-      | Some p ->
-        if vsite_valid site p then begin
-          count_hit t site;
-          site.vsite_streak <- 0;
-          charge t (2 * site.vsite_levels);
-          site.vsite_hit
-        end
-        else begin
-          vsite_miss t site;
-          vsite_fill t ~charged:true site cur p
-        end)
-  end
-
-let cached_lookup t cur site = Option.map ( ! ) (lookup_binding t cur site)
-
-(* Cache hits imply a filled binding. *)
-let set_hit hit v = match hit with Some r -> r := v | None -> ()
-
-let cached_assign t cur site v =
-  if site.vsite_streak < 0 then begin
     count_miss t site;
-    assign_existing t cur site.vsite_name v
+    if site.vsite_streak >= 0 then begin
+      site.vsite_streak <- site.vsite_streak + 1;
+      if site.vsite_streak > streak_limit then site.vsite_streak <- -1
+    end;
+    (* a disabled site walks without keeping a path: its cache is never
+       consulted again *)
+    let fill = site.vsite_streak >= 0 in
+    let rec go missed s =
+      if charged then charge t 2;
+      let i = find_slot t s site.vsite_name in
+      if i >= 0 then begin
+        let path = if fill then Array.of_list (List.rev_map (fun sc -> (sc, sc.decls)) missed) else [||] in
+        site.above <- walk_fill site.above start s i path;
+        if fill && full then
+          site.full <- walk_fill site.full cur s i (Array.append [| (cur, cur.decls) |] path);
+        true
+      end
+      else match s.parent with Some p -> go (if fill then s :: missed else missed) p | None -> false
+    in
+    go [] start
   end
-  else if
-    cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
-  then begin
-    count_hit t site;
-    site.vsite_streak <- 0;
-    cur.slots.(site.vslot_idx) := v;
-    true
-  end
-  else if vfull_valid site cur then begin
-    count_hit t site;
-    site.vsite_streak <- 0;
-    set_hit site.vfull_hit v;
-    true
+
+let lookup_above t ~full site cur start =
+  if resolve_above t ~charged:true ~full site cur start then walk_get t site.above else t.unbound
+
+let assign_above t ~full site cur start v =
+  resolve_above t ~charged:false ~full site cur start && (walk_set site.above v; true)
+
+(* An AST-tier identifier: [slots.(i)] is its name's slot in the i-th
+   static frame up from [s] (-1: absent), skipped while unbound; past the
+   last, [lookup_above].  Charges 2 per level probed, like the walk. *)
+let rec static_lookup t slots site s i =
+  if i = Array.length slots then begin
+    if i > 0 then charge t (2 * i);
+    lookup_above t ~full:false site s s
   end
   else
-    match probe_innermost site cur with
-    | Some r as hit ->
-      site.vsite_streak <- 0;
-      site.vfull_anchor <- Some cur;
-      site.vfull_hit <- hit;
-      site.vfull_path <- [||];
-      vslot_learn site cur r;
-      r := v;
-      true
-    | None ->
-      (match cur.parent with
-      | None -> false
-      | Some p ->
-        if vsite_valid site p then begin
-          count_hit t site;
-          site.vsite_streak <- 0;
-          set_hit site.vsite_hit v;
-          true
-        end
-        else begin
-          vsite_miss t site;
-          match vsite_fill t ~charged:false site cur p with
-          | Some r ->
-            r := v;
-            true
-          | None -> false
-        end)
+    let j = Array.unsafe_get slots i in
+    let v = if j >= 0 then s.vals.(j) else t.unbound in
+    if v != t.unbound then (charge t (2 * (i + 1)); v)
+    else match s.parent with Some p -> static_lookup t slots site p (i + 1) | None -> t.unbound
+
+(* The assignment counterpart: charges nothing. *)
+let rec static_assign t slots site s i v =
+  if i = Array.length slots then assign_above t ~full:false site s s v
+  else
+    let j = Array.unsafe_get slots i in
+    if j >= 0 && s.vals.(j) != t.unbound then (s.vals.(j) <- v; true)
+    else match s.parent with Some p -> static_assign t slots site p (i + 1) v | None -> false
+
+(* A [var], function declaration or parameter into slot [i]. *)
+let declare_slot t s i v =
+  if s.vals.(i) == t.unbound then s.decls <- s.decls + 1;
+  s.vals.(i) <- v
+
+let slot_cached site cur =
+  cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
+
+(* A bytecode-tier site found its name at slot [i] of [cur] itself. *)
+let learn_innermost site cur i =
+  site.vsite_streak <- 0;
+  site.full <- walk_fill site.full cur cur i [||];
+  if cur.origin > 0 then begin
+    site.vslot_origin <- cur.origin;
+    site.vslot_decls <- cur.decls;
+    site.vslot_idx <- i
+  end
+
+let cached_lookup t cur site =
+  let v =
+    if site.vsite_streak < 0 then lookup_above t ~full:false site cur cur
+    else if slot_cached site cur then (count_hit t site; charge t 2; cur.vals.(site.vslot_idx))
+    else if walk_valid site.full cur then begin
+      count_hit t site;
+      charge t (2 * walk_levels site.full);
+      walk_get t site.full
+    end
+    else begin
+      charge t 2;
+      let i = find_slot t cur site.vsite_name in
+      if i >= 0 then (learn_innermost site cur i; cur.vals.(i))
+      else match cur.parent with Some p -> lookup_above t ~full:true site cur p | None -> t.unbound
+    end
+  in
+  if v == t.unbound then None else Some v
+
+let cached_assign t cur site v =
+  if site.vsite_streak < 0 then assign_above t ~full:false site cur cur v
+  else if slot_cached site cur then (count_hit t site; cur.vals.(site.vslot_idx) <- v; true)
+  else if walk_valid site.full cur then (count_hit t site; walk_set site.full v; true)
+  else
+    let i = find_slot t cur site.vsite_name in
+    if i >= 0 then (learn_innermost site cur i; cur.vals.(i) <- v; true)
+    else match cur.parent with Some p -> assign_above t ~full:true site cur p v | None -> false
 
 let to_num t v =
   match v with
@@ -454,10 +428,17 @@ let wrap32 x =
   let m = x land 0xFFFFFFFF in
   if m >= 0x80000000 then m - 0x100000000 else m
 
+(* Inside +-2^62 a number truncates to an int exactly, and wrapping that
+   int is what the general path computes for integers and fractions
+   alike: no C call.  NaN, infinities and huge values take the general
+   path. *)
 let to_i32 t v =
-  let f = to_num t v in
-  if Float.is_nan f || Float.is_integer f = false then wrap32 (int_of_float f)
-  else wrap32 (int_of_float (Float.rem f 4294967296.0))
+  match v with
+  | Value.Num f when Float.abs f < 0x1p62 -> wrap32 (int_of_float f)
+  | v ->
+    let f = to_num t v in
+    if Float.is_nan f || Float.is_integer f = false then wrap32 (int_of_float f)
+    else wrap32 (int_of_float (Float.rem f 4294967296.0))
 
 let of_i32 x = float_of_int (wrap32 x)
 
@@ -590,16 +571,22 @@ let json_ns_call t name args =
 
 (* --- Value methods --- *)
 
-(* Parameters in order, missing arguments bound to null. *)
-let rec bind_params scope params args =
-  match (params, args) with
-  | [], _ -> ()
-  | p :: ps, v :: vs ->
-    declare scope p v;
-    bind_params scope ps vs
-  | p :: ps, [] ->
-    declare scope p Value.Null;
-    bind_params scope ps []
+(* Parameter [i] into slot [params.(i)], in order, missing arguments
+   bound to null. *)
+let rec bind_params t frame params i args =
+  if i < Array.length params then
+    match args with
+    | v :: rest ->
+      declare_slot t frame params.(i) v;
+      bind_params t frame params (i + 1) rest
+    | [] ->
+      declare_slot t frame params.(i) Value.Null;
+      bind_params t frame params (i + 1) []
+
+(* A fresh static frame of [kind]'s layout, every slot unbound. *)
+let new_frame t kind parent =
+  let n = match kind with Static layout -> Array.length layout | Dynamic _ -> 0 in
+  { vals = Array.make n t.unbound; kind; decls = 0; parent = Some parent; origin = 0 }
 
 let rec method_call t recv name args =
   match recv with
@@ -761,17 +748,17 @@ and call_value t callee args =
   charge t t.machine.Sim.Machine.cpu.Sim.Cpu.cost.Sim.Cost.call;
   match callee with
   | Value.Fun id ->
-    if t.depth >= max_call_depth then fail "maximum call stack size exceeded";
+    count_call t;
     let c = t.closures.(id) in
-    let scope = { vars = Hashtbl.create 8; decls = 0; parent = Some c.c_scope; origin = 0; slots = no_slots } in
-    bind_params scope c.c_func.f_params args;
-    t.depth <- t.depth + 1;
-    (match Lazy.force c.c_func.f_code t scope with
+    let code = Lazy.force c.c_func.f_code in
+    let frame = new_frame t code.c_kind c.c_scope in
+    bind_params t frame code.c_params 0 args;
+    (match code.c_body t frame with
     | () ->
-      t.depth <- t.depth - 1;
+      leave_call t;
       Value.Null
     | exception Return_exc v ->
-      t.depth <- t.depth - 1;
+      leave_call t;
       v)
   | Value.Host name ->
     (match Hashtbl.find_opt t.hosts name with
@@ -914,33 +901,42 @@ let make_closure t fn scope = Value.Fun (add_closure t { c_func = fn; c_scope = 
    special forms — is decided here instead.  Compilation is total and
    pure: errors stay where the walk raised them, inside the closures.
 
-   Identifier reads and assignment targets each own a {!var_site}.  Its
-   caches charge 2 cycles per level the walk would probe, like [lookup];
-   AST-tier sites are uncounted, so [ic_stats] stays a fast-tier figure.
-   Scopes are minted as before — a fresh one per [For]/[Block] execution
-   and per call, all with origin 0: [var]s here are declared in dynamic
-   order (e.g. inside an [if]), which the slot cache cannot assume. *)
+   Every call, [for] and block execution mints a static frame of its
+   site's layout (DESIGN.md §11): declarations write by slot, and each
+   identifier read or assignment target carries its slot in every
+   static frame up to its function's call frame.  Top-level code runs
+   in the global scope, which stays dynamic. *)
 
 type expr_code = t -> scope -> Value.t
 type stmt_code = t -> scope -> unit
 
-(* [local] lists every name the innermost scope can ever bind, when that
-   is known: a call, [for] or block scope only holds what its own code
-   declares (parameters, and [var]s and function declarations outside
-   nested [for]s, blocks and functions).  [None] is the global scope,
-   which any assignment can extend. *)
-let ast_site local name =
-  let outer = match local with Some names -> not (List.mem name names) | None -> false in
-  make_site ~counted:false ~outer name
+(* [local] is the list of static frame layouts from the innermost out to
+   the function's call frame ([] at top level).  A name's slot in each of
+   them, -1 where absent. *)
+let resolve local name = Array.of_list (List.map (fun layout -> layout_index layout name 0) local)
 
-(* What a statement declares into the scope it runs in ([if] and [while]
-   bodies share it; [for] and blocks open their own). *)
-let rec own_decls acc (s : Ast.stmt) =
-  match s with
-  | Ast.Var (name, _) | Ast.Func_decl (name, _, _) -> name :: acc
-  | Ast.If (_, a, b) -> List.fold_left own_decls (List.fold_left own_decls acc a) b
-  | Ast.While (_, body) -> List.fold_left own_decls acc body
-  | Ast.Expr _ | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _ -> acc
+(* A frame's layout: [names], then what [stmts] declare into the scope
+   they run in ([if] and [while] bodies share it; [for] and blocks open
+   their own), each name once, in first-declaration order. *)
+let layout_of ?(names = []) stmts =
+  let add acc n = if List.mem n acc then acc else n :: acc in
+  let rec go acc (s : Ast.stmt) =
+    match s with
+    | Ast.Var (name, _) | Ast.Func_decl (name, _, _) -> add acc name
+    | Ast.If (_, a, b) -> List.fold_left go (List.fold_left go acc a) b
+    | Ast.While (_, body) -> List.fold_left go acc body
+    | Ast.Expr _ | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _ -> acc
+  in
+  Array.of_list (List.rev (List.fold_left go (List.fold_left add [] names) stmts))
+
+(* A [var] or function declaration's store: by slot into the innermost
+   static frame, by name into the global scope at top level. *)
+let declarer local name =
+  match local with
+  | layout :: _ ->
+    let i = layout_index layout name 0 in
+    fun t scope v -> declare_slot t scope i v
+  | [] -> fun _ scope v -> declare scope name v
 
 (* Left to right, like the walk's [List.map]. *)
 let rec eval_args t scope = function
@@ -948,9 +944,6 @@ let rec eval_args t scope = function
   | c :: cs ->
     let v = c t scope in
     v :: eval_args t scope cs
-
-let block_scope scope =
-  { vars = Hashtbl.create 4; decls = 0; parent = Some scope; origin = 0; slots = no_slots }
 
 let rec compile_expr local (e : Ast.expr) : expr_code =
   match e with
@@ -977,12 +970,13 @@ let rec compile_expr local (e : Ast.expr) : expr_code =
       tick t 1;
       fail "namespace %s cannot be used as a value" ns
   | Ast.Ident name ->
-    let site = ast_site local name in
+    let slots = resolve local name and site = make_site ~counted:false name in
     fun t scope ->
       tick t 1;
-      (match lookup_binding t scope site with
-      | Some r -> !r
-      | None -> if Hashtbl.mem t.hosts name then Value.Host name else fail "undefined variable %s" name)
+      let v = static_lookup t slots site scope 0 in
+      if v != t.unbound then v
+      else if Hashtbl.mem t.hosts name then Value.Host name
+      else fail "undefined variable %s" name
   | Ast.Array_lit items ->
     let cs = List.map (compile_expr local) items in
     fun t scope ->
@@ -1128,8 +1122,8 @@ let rec compile_expr local (e : Ast.expr) : expr_code =
 and compile_store local (lhs : Ast.expr) : t -> scope -> Value.t -> unit =
   match lhs with
   | Ast.Ident name ->
-    let site = ast_site local name in
-    fun t scope v -> if not (cached_assign t scope site v) then declare t.globals name v
+    let slots = resolve local name and site = make_site ~counted:false name in
+    fun t scope v -> if not (static_assign t slots site scope 0 v) then declare t.globals name v
   | Ast.Index (a, i) ->
     let ca = compile_expr local a and ci = compile_expr local i in
     fun t scope v ->
@@ -1149,15 +1143,15 @@ and compile_stmt local (s : Ast.stmt) : stmt_code =
       tick t 1;
       ignore (c t scope)
   | Ast.Var (name, init) ->
-    let c = compile_expr local init in
+    let c = compile_expr local init and decl = declarer local name in
     fun t scope ->
       tick t 1;
-      declare scope name (c t scope)
+      decl t scope (c t scope)
   | Ast.Func_decl (name, params, body) ->
-    let fn = func ~params ~body in
+    let fn = func ~params ~body and decl = declarer local name in
     fun t scope ->
       tick t 1;
-      declare scope name (make_closure t fn scope)
+      decl t scope (make_closure t fn scope)
   | Ast.If (cond, then_, else_) ->
     let cc = compile_expr local cond and ct = compile_stmts local then_ and ce = compile_stmts local else_ in
     fun t scope ->
@@ -1174,7 +1168,8 @@ and compile_stmt local (s : Ast.stmt) : stmt_code =
        with Break_exc -> ())
   | Ast.For (init, cond, step, body) ->
     let opt = function Some s -> [ s ] | None -> [] in
-    let local = Some (List.fold_left own_decls [] (opt init @ opt step @ body)) in
+    let layout = layout_of (opt init @ opt step @ body) in
+    let kind = Static layout and local = layout :: local in
     let opt_stmt = function Some s -> compile_stmt local s | None -> fun _ _ -> () in
     let ci = opt_stmt init and cs = opt_stmt step and cb = compile_stmts local body in
     let check =
@@ -1186,7 +1181,7 @@ and compile_stmt local (s : Ast.stmt) : stmt_code =
     in
     fun t scope ->
       tick t 1;
-      let loop_scope = block_scope scope in
+      let loop_scope = new_frame t kind scope in
       ci t loop_scope;
       (try
          while check t loop_scope do
@@ -1212,10 +1207,11 @@ and compile_stmt local (s : Ast.stmt) : stmt_code =
       tick t 1;
       raise Continue_exc
   | Ast.Block body ->
-    let cb = compile_stmts (Some (List.fold_left own_decls [] body)) body in
+    let layout = layout_of body in
+    let kind = Static layout and cb = compile_stmts (layout :: local) body in
     fun t scope ->
       tick t 1;
-      cb t (block_scope scope)
+      cb t (new_frame t kind scope)
 
 and compile_stmts local stmts : stmt_code =
   match List.map (compile_stmt local) stmts with
@@ -1229,7 +1225,13 @@ and compile_stmts local stmts : stmt_code =
       done
 
 and func ~params ~body =
-  let code = lazy (compile_stmts (Some (List.fold_left own_decls params body)) body) in
+  let code =
+    lazy
+      (let layout = layout_of ~names:params body in
+       { c_kind = Static layout;
+         c_params = Array.of_list (List.map (fun p -> layout_index layout p 0) params);
+         c_body = compile_stmts [ layout ] body })
+  in
   { f_params = params; f_body = body; f_code = code }
 let func_params fn = fn.f_params
 let func_body fn = fn.f_body
@@ -1264,7 +1266,9 @@ let gc t =
   and mark_scope scope =
     if not (List.memq scope !seen_scopes) then begin
       seen_scopes := scope :: !seen_scopes;
-      Hashtbl.iter (fun _ r -> mark_value !r) scope.vars;
+      (match scope.kind with
+      | Dynamic vars -> Hashtbl.iter (fun _ i -> mark_value scope.vals.(i)) vars
+      | Static _ -> Array.iter (fun v -> if v != t.unbound then mark_value v) scope.vals);
       match scope.parent with
       | Some parent -> mark_scope parent
       | None -> ()
@@ -1283,10 +1287,10 @@ let run_program t (prog : Ast.program) =
     List.map
       (function
         | Ast.Expr e ->
-          let c = compile_expr None e in
+          let c = compile_expr [] e in
           fun () -> result := c t t.globals
         | s ->
-          let c = compile_stmt None s in
+          let c = compile_stmt [] s in
           fun () -> c t t.globals)
       prog
   in
@@ -1297,17 +1301,29 @@ let call_function t f args = call_value t f args
 
 (* --- The tier-shared semantic core (see the interface) --- *)
 
-let globals_scope t = t.globals
+let start_run t =
+  t.depth <- 0;
+  t.globals
 
-let new_scope ?(origin = 0) ~parent () =
-  { vars = Hashtbl.create 8; decls = 0; parent = Some parent; origin; slots = no_slots }
+let new_scope ~parent () = dynamic_scope ~origin:0 ~size:8 (Some parent)
 
-let scope_declare scope name v = declare scope name v
+let enter_call ?(origin = 0) t id params args =
+  count_call t;
+  let scope = dynamic_scope ~origin ~size:8 (Some t.closures.(id).c_scope) in
+  let bind args p =
+    declare scope p (match args with v :: _ -> v | [] -> Value.Null);
+    match args with _ :: rest -> rest | [] -> []
+  in
+  ignore (List.fold_left bind args params);
+  scope
 
-let scope_lookup t scope name = Option.map ( ! ) (lookup_ref t scope name)
+let scope_declare = declare
 
-let scope_assign t scope name v =
-  if not (assign_existing t scope name v) then declare t.globals name v
+let scope_lookup t scope name =
+  let v = lookup_name t scope name in
+  if v == t.unbound then None else Some v
+
+let scope_assign t scope name v = if not (assign_name t scope name v) then declare t.globals name v
 
 let host_exists t name = Hashtbl.mem t.hosts name
 
@@ -1316,7 +1332,5 @@ let print_values t args =
   t.output <- String.concat " " parts :: t.output
 
 let array_of_size t n = Value.arr_make t.heap (to_int t n)
-
-let closure_scope t id = t.closures.(id).c_scope
 
 let add_gc_root t provider = t.gc_roots <- provider :: t.gc_roots

@@ -4,8 +4,8 @@
     closures that run against machine-resident data (see {!Value}).  A
     compiled node ticks and charges exactly what visiting it in a tree
     walk would, in the same order; operators, literals and special forms
-    are decoded at compile time, and every identifier read or assignment
-    target carries its own variable cache.  Function bodies compile on
+    are decoded at compile time, and every local variable resolves to a
+    slot of a static frame.  Function bodies compile on
     their first call and are shared by every closure minted at the same
     literal.  Built-in namespaces ([Math], [JSON], [String]) and methods
     on strings/arrays are provided here; embedder bindings (the DOM API)
@@ -55,12 +55,21 @@ val steps : t -> int
 
 type scope
 
-val globals_scope : t -> scope
-val new_scope : ?origin:int -> parent:scope -> unit -> scope
-(** [origin] (from {!fresh_origin}) marks every scope minted at one
-    closure-call site as sharing a deterministic declaration layout,
-    enabling the slot-resolved variable IC; omit it for scopes with no
-    such guarantee. *)
+val start_run : t -> scope
+(** A bytecode-tier run's global scope; resets the call depth. *)
+
+val enter_call : ?origin:int -> t -> int -> string list -> Value.t list -> scope
+(** [enter_call t id params args] starts a bytecode-tier call of [Fun id]
+    one level deeper, charging nothing: the child of the closure's scope
+    with [params] declared (missing arguments null).  [origin] (from
+    {!fresh_origin}) marks one call site's scopes for the slot cache.
+    @raise Script_error at the AST tier's call-depth bound. *)
+
+val leave_call : t -> unit
+(** A normal return from {!enter_call}. *)
+
+val new_scope : parent:scope -> unit -> scope
+(** A block or loop scope. *)
 
 val fresh_origin : t -> int
 (** A per-evaluator-unique id for one closure-call site's scopes.
@@ -81,18 +90,14 @@ val host_exists : t -> string -> bool
 
 (* {2 Variable inline caches}
 
-   A bytecode load/store site that resolves the same name repeatedly can
-   cache the binding it found and skip the host-side hash probes of the
-   scope walk — while charging exactly what the walk would have charged,
-   so simulated cycles stay bit-identical.  Two cache levels: a full-walk
-   cache anchored on the innermost scope itself (zero probes while that
-   scope is physically stable, as loop and global scopes are), and a
-   walk-above fallback anchored on the current scope's parent — the
-   captured chain, stable across calls to the same closure — behind a
-   genuinely probed (and charged) innermost level.  Both validate that no
-   scope they skip has declared a new (possibly shadowing) name since the
-   fill; sites whose anchors never stabilise disable themselves and
-   revert to the plain charged walk. *)
+   A bytecode load/store site caches the binding it found and skips the
+   host-side probes of the scope walk, charging exactly what the walk
+   would have charged: a full-walk cache anchored on the innermost scope
+   (stable in loops and at top level), a walk-above cache anchored on its
+   parent (stable across calls to one closure) behind a real, charged
+   probe of the innermost level, and a slot cache for scopes of one call
+   site.  A cache is valid while no scope it skipped has declared a new
+   name; a site whose anchors never stabilise reverts to the plain walk. *)
 
 type var_site
 
@@ -156,10 +161,6 @@ val func_body : func -> Ast.stmt list
 val make_closure : t -> func -> scope -> Value.t
 (** A [Fun] capturing [scope]; calling it through {!call_value} runs the
     function's AST-tier code. *)
-
-val closure_scope : t -> int -> scope
-(** The scope a [Fun] id captured (the VMs call their own closures in a
-    child of it). *)
 
 val tick : t -> int -> unit
 (** One evaluation step: fuel accounting plus a cycle charge.

@@ -608,17 +608,9 @@ and call_value tvm callee args =
   | Value.Fun id ->
     (match Hashtbl.find_opt tvm.vm_closures id with
     | Some (params, origin, ops_l) ->
-      let scope = Eval.new_scope ~origin ~parent:(Eval.closure_scope tvm.eval id) () in
-      List.iteri
-        (fun i p ->
-          let v =
-            match List.nth_opt args i with
-            | Some v -> v
-            | None -> Value.Null
-          in
-          Eval.scope_declare scope p v)
-        params;
-      exec_ops tvm (Lazy.force ops_l) scope
+      let v = exec_ops tvm (Lazy.force ops_l) (Eval.enter_call ~origin tvm.eval id params args) in
+      Eval.leave_call tvm.eval;
+      v
     | None -> Eval.call_value tvm.eval callee args)
   | callee -> Eval.call_value tvm.eval callee args
 
@@ -663,4 +655,4 @@ let run ~stats eval (program : Bytecode.program) =
     { eval; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16;
       frame_pool = [] }
   in
-  exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval)
+  exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.start_run eval)

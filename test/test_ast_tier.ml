@@ -1,10 +1,11 @@
 (* The AST tier's contract: it compiles each program once into closures,
    and those closures must tick, charge and order side effects exactly as
    a tree walk of the same AST.  Pins evaluation order, the double
-   evaluation of compound-assignment targets, variable caches against
+   evaluation of compound-assignment targets, variable resolution against
    dynamic declaration order and late shadowing, step counts (fuel), the
-   fast-tier-only IC counters, and golden cycles / transitions / output
-   digests for every registered benchmark under [base]. *)
+   fast-tier-only IC counters, scoping cases on the AST and threaded
+   tiers, and golden cycles / transitions / output digests for every
+   registered benchmark under [base]. *)
 
 let ok = function
   | Ok v -> v

@@ -195,6 +195,29 @@ let test_vm_runtime_errors () =
       ("method on null", "null.f();");
     ]
 
+(* A runaway recursion is a script error on every tier, not a host stack
+   overflow, even on a small host stack: the stack limit is lowered to
+   200k words, as OCAMLRUNPARAM=l=200k would. *)
+let test_call_depth_bound () =
+  let src = "function f() { return f(); } f();" in
+  let outcome tier =
+    let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+    let e = Engine.create env in
+    let gc = Gc.get () in
+    Gc.set { gc with Gc.stack_limit = 200_000 };
+    Fun.protect
+      ~finally:(fun () -> Gc.set gc)
+      (fun () ->
+        match Engine.eval_string ~tier e src with
+        | _ -> "returned"
+        | exception Engine.Eval.Script_error msg -> msg
+        | exception Stack_overflow -> "host stack overflow")
+  in
+  List.iter
+    (fun (name, tier) ->
+      Alcotest.(check string) name "maximum call stack size exceeded" (outcome tier))
+    [ ("ast", Engine.Ast_tier); ("bytecode", Engine.Bytecode_tier); ("threaded", Engine.Threaded_tier) ]
+
 let test_vm_under_enforcement () =
   (* The bytecode tier is subject to the same compartment rules: a VM-run
      script reading an unprofiled trusted buffer crashes. *)
@@ -236,5 +259,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tiers_agree_on_fuzzed_arithmetic;
     Alcotest.test_case "vm fuel exhaustion" `Quick test_vm_fuel_exhaustion;
     Alcotest.test_case "vm runtime errors" `Quick test_vm_runtime_errors;
+    Alcotest.test_case "call depth bound" `Quick test_call_depth_bound;
     Alcotest.test_case "vm under enforcement" `Quick test_vm_under_enforcement;
   ]

@@ -321,6 +321,76 @@ let test_bitwise_ops () =
   check_num "precedence vs cmp" 1.0 "(1 & 3) == 1 ? 1 : 0;";
   check_num "shift binds tighter than and" 4.0 "1 << 2 & 12;"
 
+(* --- ToInt32 ---
+
+   The bitwise operators convert through ToInt32.  The formula the
+   evaluator used before its integral fast path is kept here as the
+   reference: every number must convert exactly as it says. *)
+
+let ref_to_i32 f =
+  let wrap32 x =
+    let m = x land 0xFFFFFFFF in
+    if m >= 0x80000000 then m - 0x100000000 else m
+  in
+  if Float.is_nan f || Float.is_integer f = false then wrap32 (int_of_float f)
+  else wrap32 (int_of_float (Float.rem f 4294967296.0))
+
+(* [x | 0], [~x] and [x << 1] for [x = f], through a global set from the
+   host: the exact float reaches the operator, no literal in between. *)
+let to_i32_engine = lazy (fresh_engine ())
+
+let int32_views f =
+  let e = Lazy.force to_i32_engine in
+  Engine.Eval.set_global (Engine.evaluator e) "x" (Engine.Value.Num f);
+  match Engine.eval_string e "[x | 0, ~x, x << 1];" with
+  | Engine.Value.Arr a ->
+    List.init 3 (fun i ->
+        match Engine.Value.arr_get (Engine.heap e) a i with
+        | Engine.Value.Num r -> r
+        | _ -> Float.nan)
+  | _ -> []
+
+let expected_views f =
+  let wrap x = float_of_int (ref_to_i32 (float_of_int x)) in
+  let i = ref_to_i32 f in
+  [ float_of_int i; wrap (lnot i); wrap (i lsl 1) ]
+
+let to_i32_agrees f = List.equal Float.equal (int32_views f) (expected_views f)
+
+let test_to_i32_edges () =
+  let p k = Float.ldexp 1.0 k in
+  List.iter
+    (fun f ->
+      Alcotest.(check (list (float 0.0))) (Printf.sprintf "%h" f) (expected_views f) (int32_views f))
+    ([ 0.0; -0.0; 1.0; -1.0; 0.75; -0.5; -1.5; -2147483648.5; -4294967296.25; Float.infinity;
+       Float.neg_infinity; Float.nan ]
+    @ List.concat_map
+        (fun k ->
+          (* the next doubles above 2^k and below -2^k, and one with odd low bits *)
+          let step = p (max 0 (k - 52)) in
+          [ p k; -.p k; p k -. 1.0; -.p k +. 1.0; p k +. step; -.p k -. step; p k +. (3.0 *. step) ])
+        [ 31; 32; 53; 62; 63; 64 ])
+
+let prop_to_i32 =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map float_of_int int;
+          map2 (fun i k -> Float.ldexp (float_of_int i) k) small_signed_int (int_range 0 70);
+          map (fun f -> Float.trunc f) float;
+          (* full 53-bit mantissas from 2^52 to 2^73, either sign *)
+          map3
+            (fun m k neg -> Float.ldexp (float_of_int (if neg then -m else m)) k)
+            (int_range (1 lsl 52) ((1 lsl 53) - 1))
+            (int_range 0 21) bool;
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"ToInt32 fast path matches the reference formula"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    to_i32_agrees
+
 let test_extended_builtins () =
   check_num "parseInt" 42.0 "parseInt('42.9');";
   check_num "parseFloat" 2.5 "parseFloat('2.5');";
@@ -560,6 +630,8 @@ let suite =
     Alcotest.test_case "functions + closures" `Quick test_functions_and_closures;
     Alcotest.test_case "control flow" `Quick test_control_flow;
     Alcotest.test_case "bitwise ops" `Quick test_bitwise_ops;
+    Alcotest.test_case "ToInt32 edge values" `Quick test_to_i32_edges;
+    QCheck_alcotest.to_alcotest prop_to_i32;
     Alcotest.test_case "extended builtins" `Quick test_extended_builtins;
     Alcotest.test_case "higher-order arrays" `Quick test_higher_order_arrays;
     Alcotest.test_case "math + seeded random" `Quick test_math_and_random;

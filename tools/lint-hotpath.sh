@@ -12,12 +12,13 @@
 # objects and fails if any of them contains a caml_apply relocation or
 # an indirect call, so a refactor cannot silently bring the calls back.
 #
-# 2. The allocation, free, fault-lookup and DOM-handle paths must not
-#    hash or compare polymorphically: no relocation to caml_hash, to the
+# 2. The allocation, free, fault-lookup and DOM-handle paths, and the AST
+#    tier's variable reads, stores and declarations, must not hash or
+#    compare polymorphically: no relocation to caml_hash, to the
 #    polymorphic comparisons (caml_compare, caml_equal, ...), or to the
 #    generic Stdlib Hashtbl/Map, whose lookups call them.  Those paths
 #    key their indices by integers (Util.Int_table, dense arrays,
-#    bitmaps); the helpers they call in their own module are checked
+#    bitmaps, slot indices fixed at compile time); the helpers they call in their own module are checked
 #    too, as is the table itself.  The DOM's page-build path and its
 #    sibling iteration go further: no Util.Int_table either, since a
 #    node is found by index (the per-page slot arrays, whose table is
@@ -25,8 +26,9 @@
 #
 # 3. The front ends' byte loops (the script lexer's peek/advance/trivia
 #    skipping, the HTML parser's name/whitespace/text scans), the DOM's
-#    page-build path and its sibling iteration must not allocate on the
-#    young heap: no `sub $N,%r15`, the bump of the minor-heap pointer.
+#    page-build path and its sibling iteration, and the AST tier's
+#    static-frame variable access must not allocate on the young heap:
+#    no `sub $N,%r15`, the bump of the minor-heap pointer.
 #    (caml_call_gc is no signal: OCaml 5 poll points reference it too.)
 #    A byte is an int, -1 past the end, never a `char option`; a scan
 #    runs on a local index; a walk keeps the chain on a host stack, not
@@ -106,6 +108,10 @@ check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.
   find_free_slot first_clear large_pages run_of_addr
 check_hash "$objs/util/.util.objs/native/util__Int_table.o" Util__Int_table \
   get slot replace remove close_hole
+# The AST tier's variable access: static-frame slots, no name hashing.
+eval_static="static_lookup static_assign declare_slot"
+# shellcheck disable=SC2086
+check_hash "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
 
 # check_dom OBJECT MODULE FUNCTION...: rule 2 without Util.Int_table.
 check_dom() {
@@ -129,6 +135,8 @@ check_alloc "$objs/browser/.browser.objs/native/browser__Html.o" Browser__Html p
   name_end ws_end find_byte to_quote is_blank
 # shellcheck disable=SC2086
 check_alloc "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom $dom_build
+# shellcheck disable=SC2086
+check_alloc "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
 
 if [ "$status" -eq 0 ]; then
   echo "lint-hotpath: ok ($call_free functions call-free, $hash_free free of polymorphic hashing," \
