@@ -28,21 +28,25 @@ lint-globals:
 
 # The clock tick (Eval.tick/charge) and the checked-access TLB hit
 # (Machine.translate/read_le/write_le) must compile, in the
-# default dev profile, to code with no caml_apply and no indirect call;
-# the allocation, free, metadata-lookup and DOM-handle paths and the AST
-# tier's static-frame variable access to code with no polymorphic hash
-# or compare (the DOM's page build and sibling iteration: no
-# Util.Int_table either); the script lexer's and HTML parser's byte
-# loops, the DOM's page build and sibling iteration and the AST tier's
-# static-frame variable access to code with no young-heap allocation.
-# See HACKING.md, "Hot paths".
+# default dev profile, to code with no caml_apply and no indirect call,
+# and no AST node may call Eval.tick (engine__Eval.o: no relocation to
+# it, so every tick is inlined); the allocation, free, metadata-lookup
+# and DOM-handle paths, the engine's NaN-boxed slot accessors
+# (Value.read_slot/write_slot) and the AST tier's static-frame variable
+# access to code with no polymorphic hash or compare (the DOM's page
+# build and sibling iteration: no Util.Int_table either); the script
+# lexer's and HTML parser's byte loops, the DOM's page build and
+# sibling iteration, the AST tier's static-frame variable access and
+# the slot store (Value.write_slot) to code with no young-heap
+# allocation.  See HACKING.md, "Hot paths".
 lint-hotpath:
 	@tools/lint-hotpath.sh
 
 # Every value a lib/ interface exports has a user outside its own module
-# in lib/ bin/ bench/ perfbench/ examples/, or is allowlisted with a
-# reason in tools/exports-allowlist.txt; a stale allowlist entry fails
-# too.  See HACKING.md, "Exports".
+# in lib/ bin/ bench/ perfbench/ examples/ -- a value path in the typed
+# trees dune writes (.cmt), read by tools/lint_exports -- or is
+# allowlisted with a reason in tools/exports-allowlist.txt; a stale
+# allowlist entry fails too.  See HACKING.md, "Exports".
 lint-exports:
 	@tools/lint-exports.sh
 

@@ -40,5 +40,4 @@ let give t n =
 
 let total t = t.total
 let min_available t = t.min_available
-let takes t = t.takes
 let denials t = t.denials

@@ -26,9 +26,6 @@ val min_available : t -> int
 (** Low-water mark of the pages left in the budget — peak fleet-wide
     memory pressure. *)
 
-val takes : t -> int
-(** Successful reservations. *)
-
 val denials : t -> int
 (** Failed reservations (each one surfaces as an allocator [None] /
     session [Out_of_memory]). *)

@@ -243,8 +243,3 @@ let trusted_pool t = t.mt_pool
 let untrusted_pool t = t.mu_pool
 let trusted_stats t = t.mt.b_stats
 let untrusted_stats t = t.mu.b_stats
-
-let percent_untrusted_bytes t =
-  let mt = float_of_int t.mt.b_stats.Alloc_stats.bytes_allocated in
-  let mu = float_of_int t.mu.b_stats.Alloc_stats.bytes_allocated in
-  if mt +. mu = 0.0 then 0.0 else 100.0 *. mu /. (mt +. mu)

@@ -89,7 +89,3 @@ val trusted_pool : t -> Pool.t
 val untrusted_pool : t -> Pool.t
 val trusted_stats : t -> Alloc_stats.t
 val untrusted_stats : t -> Alloc_stats.t
-
-val percent_untrusted_bytes : t -> float
-(** Fraction (in percent) of all allocated bytes served from MU — the
-    "%MU" column of Table 1. *)

@@ -107,8 +107,6 @@ let retire t =
 
 let contains t addr = addr >= t.base && addr < t.base + t.size
 
-let pkey t = t.pkey
 let base t = t.base
-let size t = t.size
 let pages_in_use t = t.pages_in_use
 let high_water_pages t = t.high_water

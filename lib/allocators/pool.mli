@@ -34,9 +34,7 @@ val free_span : t -> int -> int -> unit
 val contains : t -> int -> bool
 (** Whether an address lies inside this pool's reservation. *)
 
-val pkey : t -> Mpk.Pkey.t
 val base : t -> int
-val size : t -> int
 
 val pages_in_use : t -> int
 (** Pages currently handed out to the allocator. *)

@@ -180,8 +180,6 @@ let compile (sel : t) : compiled =
     cpaths = List.map (fun path -> List.rev_map (List.map compile_simple) path) sel;
   }
 
-let source c = c.source
-
 let matches_csimple ~split dom a = function
   | Cuniversal -> true
   | Ctag r ->

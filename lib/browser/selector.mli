@@ -41,9 +41,6 @@ type compiled
 
 val compile : t -> compiled
 
-val source : compiled -> t
-(** The parsed selector this was compiled from. *)
-
 val split_on_whitespace : string -> string list
 (** Whitespace split of a [class] attribute value: the pure function the
     browser memoizes and passes as [split]. *)

@@ -24,7 +24,6 @@ let create ?seed ?fuel env =
   let heap = Value.create_heap env in
   { env; heap; eval = Eval.create ?seed ?fuel heap; tstats = Threaded.make_stats () }
 
-let env t = t.env
 let heap t = t.heap
 let evaluator t = t.eval
 let threaded_stats t = t.tstats

@@ -30,7 +30,6 @@ type t
 
 val create : ?seed:int -> ?fuel:int -> Pkru_safe.Env.t -> t
 
-val env : t -> Pkru_safe.Env.t
 val heap : t -> Value.heap
 val evaluator : t -> Eval.t
 

@@ -26,20 +26,23 @@ and kind =
   | Static of string array (* an AST-tier frame: its site's layout, fixed at compile time *)
   | Dynamic of (string, int) Hashtbl.t (* name -> slot *)
 
-(* A function literal's code: compiled on first call, then shared by every
-   closure minted at its site. *)
+(* A function literal's code: compiled on its first call, against the
+   calling evaluator, then shared by every closure minted at its site. *)
 and func = {
   f_params : string list;
   f_body : Ast.stmt list;
-  f_code : code Lazy.t;
+  mutable f_code : code option;
 }
 
 (* A compiled body and its call frame: every call mints a frame of
-   [c_kind]'s layout and binds parameter i into slot [c_params.(i)]. *)
+   [c_kind]'s layout and binds parameter i into slot [c_params.(i)].  The
+   body's closures hold [c_owner], the evaluator they were compiled
+   against; a call from another evaluator compiles its own. *)
 and code = {
+  c_owner : t;
   c_kind : kind;
   c_params : int array;
-  c_body : t -> scope -> unit;
+  c_body : scope -> unit;
 }
 
 and closure = {
@@ -171,10 +174,13 @@ let[@inline] charge t n =
   cpu.Sim.Cpu.cycles <- cpu.Sim.Cpu.cycles + n;
   if cpu.Sim.Cpu.ctx.Telemetry.Ctx.hooked then tick_hooks cpu n
 
-let tick t n =
+let[@inline never] out_of_fuel () = fail "script ran out of fuel"
+
+(* Inlined into every AST node: the exhaustion error is out of line. *)
+let[@inline] tick t n =
   t.steps <- t.steps + 1;
   t.fuel <- t.fuel - 1;
-  if t.fuel <= 0 then fail "script ran out of fuel";
+  if t.fuel <= 0 then out_of_fuel ();
   charge t n;
   match t.yield_hook with None -> () | Some hook -> hook ()
 
@@ -409,7 +415,8 @@ let cached_assign t cur site v =
     if i >= 0 then (learn_innermost site cur i; cur.vals.(i) <- v; true)
     else match cur.parent with Some p -> assign_above t ~full:true site cur p v | None -> false
 
-let to_num t v =
+(* The non-[Num] cases of [to_num], out of line. *)
+let[@inline never] to_num_slow t v =
   match v with
   | Value.Num f -> f
   | Value.Bool true -> 1.0
@@ -421,7 +428,9 @@ let to_num t v =
     | None -> Float.nan)
   | v -> fail "cannot convert %s to a number" (Value.type_name v)
 
-let to_int t v = int_of_float (to_num t v)
+let[@inline] to_num t v = match v with Value.Num f -> f | v -> to_num_slow t v
+
+let[@inline] to_int t v = int_of_float (to_num t v)
 
 (* JS ToInt32: wrap the integral part into signed 32-bit range. *)
 let wrap32 x =
@@ -432,15 +441,29 @@ let wrap32 x =
    int is what the general path computes for integers and fractions
    alike: no C call.  NaN, infinities and huge values take the general
    path. *)
-let to_i32 t v =
+let[@inline never] to_i32_slow t v =
+  let f = to_num t v in
+  if Float.is_nan f || Float.is_integer f = false then wrap32 (int_of_float f)
+  else wrap32 (int_of_float (Float.rem f 4294967296.0))
+
+let[@inline] to_i32 t v =
   match v with
   | Value.Num f when Float.abs f < 0x1p62 -> wrap32 (int_of_float f)
-  | v ->
-    let f = to_num t v in
-    if Float.is_nan f || Float.is_integer f = false then wrap32 (int_of_float f)
-    else wrap32 (int_of_float (Float.rem f 4294967296.0))
+  | v -> to_i32_slow t v
 
-let of_i32 x = float_of_int (wrap32 x)
+let[@inline] of_i32 x = float_of_int (wrap32 x)
+
+(* The two booleans every comparison, [!] and [isNaN] return: static
+   constants, so a test allocates nothing. *)
+let[@inline] of_bool b = if b then Value.Bool true else Value.Bool false
+
+(* [Value.truthy] with a comparison's result and a number decided in
+   line. *)
+let[@inline] truthy v =
+  match v with
+  | Value.Bool b -> b
+  | Value.Num f -> f <> 0.0 && f = f
+  | v -> Value.truthy v
 
 let to_str t v =
   match v with
@@ -588,6 +611,194 @@ let new_frame t kind parent =
   let n = match kind with Static layout -> Array.length layout | Dynamic _ -> 0 in
   { vals = Array.make n t.unbound; kind; decls = 0; parent = Some parent; origin = 0 }
 
+(* The binary operators, resolved once per site: the operator string is
+   matched when the site is compiled, not on every execution.  Each
+   returned closure charges 1, then performs the operation; an unknown
+   operator yields a closure that still charges 1 before failing. *)
+let binary_fn op : t -> Value.t -> Value.t -> Value.t =
+  match op with
+  | "+" ->
+    fun t a b ->
+      charge t 1;
+      (match (a, b) with
+      | Value.Str _, _ | _, Value.Str _ ->
+        Value.str_concat t.heap (as_str (to_str t a)) (as_str (to_str t b))
+      | _ -> Value.Num (to_num t a +. to_num t b))
+  | "-" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (to_num t a -. to_num t b)
+  | "*" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (to_num t a *. to_num t b)
+  | "/" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (to_num t a /. to_num t b)
+  | "%" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (Float.rem (to_num t a) (to_num t b))
+  | "&" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (of_i32 (to_i32 t a land to_i32 t b))
+  | "|" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (of_i32 (to_i32 t a lor to_i32 t b))
+  | "^" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (of_i32 (to_i32 t a lxor to_i32 t b))
+  | "<<" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (of_i32 (to_i32 t a lsl (to_i32 t b land 31)))
+  | ">>" ->
+    fun t a b ->
+      charge t 1;
+      Value.Num (of_i32 (to_i32 t a asr (to_i32 t b land 31)))
+  | "==" ->
+    fun t a b ->
+      charge t 1;
+      of_bool (Value.equals t.heap a b)
+  | "!=" ->
+    fun t a b ->
+      charge t 1;
+      of_bool (not (Value.equals t.heap a b))
+  | "<" ->
+    fun t a b ->
+      charge t 1;
+      of_bool (to_num t a < to_num t b)
+  | "<=" ->
+    fun t a b ->
+      charge t 1;
+      of_bool (to_num t a <= to_num t b)
+  | ">" ->
+    fun t a b ->
+      charge t 1;
+      of_bool (to_num t a > to_num t b)
+  | ">=" ->
+    fun t a b ->
+      charge t 1;
+      of_bool (to_num t a >= to_num t b)
+  | op ->
+    fun t _ _ ->
+      charge t 1;
+      fail "unknown operator %s" op
+
+let truthy_value = Value.truthy
+
+let unary_op t op v =
+  match op with
+  | "!" -> of_bool (not (truthy v))
+  | "-" -> Value.Num (-.to_num t v)
+  | "~" -> Value.Num (of_i32 (lnot (to_i32 t v)))
+  | op -> fail "unknown unary operator %s" op
+
+let member_get t recv name =
+  match (recv, name) with
+  | Value.Arr a, "length" -> Value.Num (float_of_int a.Value.a_len)
+  | Value.Str s, "length" -> Value.Num (float_of_int s.Value.s_len)
+  | Value.Obj o, _ -> Value.obj_get t.heap o name
+  | v, _ -> fail "cannot read property %s of %s" name (Value.type_name v)
+
+let member_set t recv name v =
+  match recv with
+  | Value.Obj o -> Value.obj_set t.heap o name v
+  | v -> fail "cannot set property %s on %s" name (Value.type_name v)
+
+let index_get t recv idx =
+  match recv with
+  | Value.Arr arr ->
+    let i = to_int t idx in
+    if i < 0 || i >= arr.Value.a_len then Value.Null else Value.arr_get t.heap arr i
+  | Value.Str s ->
+    let i = to_int t idx in
+    if i < 0 || i >= s.Value.s_len then Value.Null else Value.str_sub t.heap s i 1
+  | Value.Obj o -> Value.obj_get t.heap o (Value.string_of_str t.heap (as_str (to_str t idx)))
+  | v -> fail "cannot index %s" (Value.type_name v)
+
+let index_set t recv idx v =
+  match recv with
+  | Value.Arr arr ->
+    let i = to_int t idx in
+    if i = arr.Value.a_len then Value.arr_push t.heap arr v
+    else if i >= 0 && i < arr.Value.a_len then Value.arr_set t.heap arr i v
+    else fail "array store out of range: %d (len %d)" i arr.Value.a_len
+  | Value.Obj o -> Value.obj_set t.heap o (Value.string_of_str t.heap (as_str (to_str t idx))) v
+  | v -> fail "cannot index-assign %s" (Value.type_name v)
+
+let ns_call t ns name args =
+  match ns with
+  | "Math" -> math_call t name args
+  | "JSON" -> json_ns_call t name args
+  | "String" -> string_ns_call t name args
+  | ns -> fail "unknown namespace %s" ns
+
+let make_closure t fn scope = Value.Fun (add_closure t { c_func = fn; c_scope = scope })
+
+let func ~params ~body = { f_params = params; f_body = body; f_code = None }
+
+(* --- The AST tier: compile once, then run closures ---
+
+   Each AST node is translated a single time into an OCaml closure of
+   one argument, the current scope, that holds the evaluator it was
+   compiled against: a child node is a direct call through its code
+   pointer, with no arity check.  A closure performs exactly the
+   ticks and charges a tree walk of its node would, in the same order:
+   every expression ticks once on entry, every statement ticks once
+   (top-level expression statements excepted, see [run_program]), and
+   everything the walk decoded per visit — operator strings, literals,
+   special forms — is decided here instead.  Compilation is total and
+   pure: errors stay where the walk raised them, inside the closures.
+
+   Every call, [for] and block execution mints a static frame of its
+   site's layout (DESIGN.md §11): declarations write by slot, and each
+   identifier read or assignment target carries its slot in every
+   static frame up to its function's call frame.  Top-level code runs
+   in the global scope, which stays dynamic. *)
+
+type expr_code = scope -> Value.t
+type stmt_code = scope -> unit
+
+(* [local] is the list of static frame layouts from the innermost out to
+   the function's call frame ([] at top level).  A name's slot in each of
+   them, -1 where absent. *)
+let resolve local name = Array.of_list (List.map (fun layout -> layout_index layout name 0) local)
+
+(* A frame's layout: [names], then what [stmts] declare into the scope
+   they run in ([if] and [while] bodies share it; [for] and blocks open
+   their own), each name once, in first-declaration order. *)
+let layout_of ?(names = []) stmts =
+  let add acc n = if List.mem n acc then acc else n :: acc in
+  let rec go acc (s : Ast.stmt) =
+    match s with
+    | Ast.Var (name, _) | Ast.Func_decl (name, _, _) -> add acc name
+    | Ast.If (_, a, b) -> List.fold_left go (List.fold_left go acc a) b
+    | Ast.While (_, body) -> List.fold_left go acc body
+    | Ast.Expr _ | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _ -> acc
+  in
+  Array.of_list (List.rev (List.fold_left go (List.fold_left add [] names) stmts))
+
+(* A [var] or function declaration's store: by slot into the innermost
+   static frame, by name into the global scope at top level. *)
+let declarer t local name =
+  match local with
+  | layout :: _ ->
+    let i = layout_index layout name 0 in
+    fun scope v -> declare_slot t scope i v
+  | [] -> fun scope v -> declare scope name v
+
+(* Left to right, like the walk's [List.map]. *)
+let rec eval_args scope = function
+  | [] -> []
+  | (c : expr_code) :: cs ->
+    let v = c scope in
+    v :: eval_args scope cs
+
 let rec method_call t recv name args =
   match recv with
   | Value.Arr a ->
@@ -657,7 +868,7 @@ let rec method_call t recv name args =
       let o = as_arr out in
       for i = 0 to a.Value.a_len - 1 do
         let v = Value.arr_get t.heap a i in
-        if Value.truthy (call_value t f [ v ]) then Value.arr_push t.heap o v
+        if truthy (call_value t f [ v ]) then Value.arr_push t.heap o v
       done;
       out
     | "reduce", [ f; init ] ->
@@ -688,7 +899,15 @@ let rec method_call t recv name args =
       if i < 0 || i >= s.Value.s_len then Value.str_of_string t.heap ""
       else Value.str_sub t.heap s i 1
     | "substring", [ a; b ] ->
-      let a = to_int t a and b = to_int t b in
+      (* each argument clamped to [0, len], NaN read as 0, then ordered *)
+      let len = s.Value.s_len in
+      let clamp v =
+        let f = to_num t v in
+        if Float.is_nan f || f <= 0.0 then 0
+        else if f >= float_of_int len then len
+        else int_of_float f
+      in
+      let a = clamp a and b = clamp b in
       let lo = min a b and hi = max a b in
       Value.str_sub t.heap s lo (hi - lo)
     | "indexOf", [ needle ] ->
@@ -712,7 +931,7 @@ let rec method_call t recv name args =
     | "trim", [] ->
       Value.str_of_string t.heap (String.trim (Value.string_of_str t.heap s))
     | "startsWith", [ p ] ->
-      Value.Bool (Value.str_index_of t.heap s (as_str p) = 0)
+      of_bool (Value.str_index_of t.heap s (as_str p) = 0)
     | "replace", [ find; repl ] ->
       (* First occurrence only, like the JS string (not regex) form. *)
       let find = as_str find in
@@ -737,23 +956,20 @@ let rec method_call t recv name args =
     | f -> call_value t f args)
   | v -> fail "%s has no methods" (Value.type_name v)
 
-and member t recv name =
-  match (recv, name) with
-  | Value.Arr a, "length" -> Value.Num (float_of_int a.Value.a_len)
-  | Value.Str s, "length" -> Value.Num (float_of_int s.Value.s_len)
-  | Value.Obj o, _ -> Value.obj_get t.heap o name
-  | v, _ -> fail "cannot read property %s of %s" name (Value.type_name v)
-
 and call_value t callee args =
   charge t t.machine.Sim.Machine.cpu.Sim.Cpu.cost.Sim.Cost.call;
   match callee with
   | Value.Fun id ->
     count_call t;
     let c = t.closures.(id) in
-    let code = Lazy.force c.c_func.f_code in
+    let code =
+      match c.c_func.f_code with
+      | Some code when code.c_owner == t -> code
+      | _ -> compile_func t c.c_func
+    in
     let frame = new_frame t code.c_kind c.c_scope in
     bind_params t frame code.c_params 0 args;
-    (match code.c_body t frame with
+    (match code.c_body frame with
     | () ->
       leave_call t;
       Value.Null
@@ -766,473 +982,297 @@ and call_value t callee args =
     | None -> fail "unknown host function %s" name)
   | v -> fail "%s is not callable" (Value.type_name v)
 
-(* The binary operators, resolved once per site: the operator string is
-   matched when the site is compiled, not on every execution.  Each
-   returned closure charges 1, then performs the operation; an unknown
-   operator yields a closure that still charges 1 before failing. *)
-let binary_fn op : t -> Value.t -> Value.t -> Value.t =
-  match op with
-  | "+" ->
-    fun t a b ->
-      charge t 1;
-      (match (a, b) with
-      | Value.Str _, _ | _, Value.Str _ ->
-        Value.str_concat t.heap (as_str (to_str t a)) (as_str (to_str t b))
-      | _ -> Value.Num (to_num t a +. to_num t b))
-  | "-" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (to_num t a -. to_num t b)
-  | "*" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (to_num t a *. to_num t b)
-  | "/" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (to_num t a /. to_num t b)
-  | "%" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (Float.rem (to_num t a) (to_num t b))
-  | "&" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (of_i32 (to_i32 t a land to_i32 t b))
-  | "|" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (of_i32 (to_i32 t a lor to_i32 t b))
-  | "^" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (of_i32 (to_i32 t a lxor to_i32 t b))
-  | "<<" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (of_i32 (to_i32 t a lsl (to_i32 t b land 31)))
-  | ">>" ->
-    fun t a b ->
-      charge t 1;
-      Value.Num (of_i32 (to_i32 t a asr (to_i32 t b land 31)))
-  | "==" ->
-    fun t a b ->
-      charge t 1;
-      Value.Bool (Value.equals t.heap a b)
-  | "!=" ->
-    fun t a b ->
-      charge t 1;
-      Value.Bool (not (Value.equals t.heap a b))
-  | "<" ->
-    fun t a b ->
-      charge t 1;
-      Value.Bool (to_num t a < to_num t b)
-  | "<=" ->
-    fun t a b ->
-      charge t 1;
-      Value.Bool (to_num t a <= to_num t b)
-  | ">" ->
-    fun t a b ->
-      charge t 1;
-      Value.Bool (to_num t a > to_num t b)
-  | ">=" ->
-    fun t a b ->
-      charge t 1;
-      Value.Bool (to_num t a >= to_num t b)
-  | op ->
-    fun t _ _ ->
-      charge t 1;
-      fail "unknown operator %s" op
-
-let truthy_value = Value.truthy
-
-let unary_op t op v =
-  match op with
-  | "!" -> Value.Bool (not (Value.truthy v))
-  | "-" -> Value.Num (-.to_num t v)
-  | "~" -> Value.Num (of_i32 (lnot (to_i32 t v)))
-  | op -> fail "unknown unary operator %s" op
-
-let member_get t recv name = member t recv name
-
-let member_set t recv name v =
-  match recv with
-  | Value.Obj o -> Value.obj_set t.heap o name v
-  | v -> fail "cannot set property %s on %s" name (Value.type_name v)
-
-let index_get t recv idx =
-  match recv with
-  | Value.Arr arr ->
-    let i = to_int t idx in
-    if i < 0 || i >= arr.Value.a_len then Value.Null else Value.arr_get t.heap arr i
-  | Value.Str s ->
-    let i = to_int t idx in
-    if i < 0 || i >= s.Value.s_len then Value.Null else Value.str_sub t.heap s i 1
-  | Value.Obj o -> Value.obj_get t.heap o (Value.string_of_str t.heap (as_str (to_str t idx)))
-  | v -> fail "cannot index %s" (Value.type_name v)
-
-let index_set t recv idx v =
-  match recv with
-  | Value.Arr arr ->
-    let i = to_int t idx in
-    if i = arr.Value.a_len then Value.arr_push t.heap arr v
-    else if i >= 0 && i < arr.Value.a_len then Value.arr_set t.heap arr i v
-    else fail "array store out of range: %d (len %d)" i arr.Value.a_len
-  | Value.Obj o -> Value.obj_set t.heap o (Value.string_of_str t.heap (as_str (to_str t idx))) v
-  | v -> fail "cannot index-assign %s" (Value.type_name v)
-
-let ns_call t ns name args =
-  match ns with
-  | "Math" -> math_call t name args
-  | "JSON" -> json_ns_call t name args
-  | "String" -> string_ns_call t name args
-  | ns -> fail "unknown namespace %s" ns
-
-let make_closure t fn scope = Value.Fun (add_closure t { c_func = fn; c_scope = scope })
-
-(* --- The AST tier: compile once, then run closures ---
-
-   Each AST node is translated a single time into an OCaml closure over
-   the evaluator and the current scope.  A closure performs exactly the
-   ticks and charges a tree walk of its node would, in the same order:
-   every expression ticks once on entry, every statement ticks once
-   (top-level expression statements excepted, see [run_program]), and
-   everything the walk decoded per visit — operator strings, literals,
-   special forms — is decided here instead.  Compilation is total and
-   pure: errors stay where the walk raised them, inside the closures.
-
-   Every call, [for] and block execution mints a static frame of its
-   site's layout (DESIGN.md §11): declarations write by slot, and each
-   identifier read or assignment target carries its slot in every
-   static frame up to its function's call frame.  Top-level code runs
-   in the global scope, which stays dynamic. *)
-
-type expr_code = t -> scope -> Value.t
-type stmt_code = t -> scope -> unit
-
-(* [local] is the list of static frame layouts from the innermost out to
-   the function's call frame ([] at top level).  A name's slot in each of
-   them, -1 where absent. *)
-let resolve local name = Array.of_list (List.map (fun layout -> layout_index layout name 0) local)
-
-(* A frame's layout: [names], then what [stmts] declare into the scope
-   they run in ([if] and [while] bodies share it; [for] and blocks open
-   their own), each name once, in first-declaration order. *)
-let layout_of ?(names = []) stmts =
-  let add acc n = if List.mem n acc then acc else n :: acc in
-  let rec go acc (s : Ast.stmt) =
-    match s with
-    | Ast.Var (name, _) | Ast.Func_decl (name, _, _) -> add acc name
-    | Ast.If (_, a, b) -> List.fold_left go (List.fold_left go acc a) b
-    | Ast.While (_, body) -> List.fold_left go acc body
-    | Ast.Expr _ | Ast.For _ | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Block _ -> acc
-  in
-  Array.of_list (List.rev (List.fold_left go (List.fold_left add [] names) stmts))
-
-(* A [var] or function declaration's store: by slot into the innermost
-   static frame, by name into the global scope at top level. *)
-let declarer local name =
-  match local with
-  | layout :: _ ->
-    let i = layout_index layout name 0 in
-    fun t scope v -> declare_slot t scope i v
-  | [] -> fun _ scope v -> declare scope name v
-
-(* Left to right, like the walk's [List.map]. *)
-let rec eval_args t scope = function
-  | [] -> []
-  | c :: cs ->
-    let v = c t scope in
-    v :: eval_args t scope cs
-
-let rec compile_expr local (e : Ast.expr) : expr_code =
+and compile_expr t local (e : Ast.expr) : expr_code =
   match e with
   | Ast.Num f ->
     let v = Value.Num f in
-    fun t _ ->
+    fun _ ->
       tick t 1;
       v
   | Ast.Str s ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       Value.str_of_string t.heap s
   | Ast.Bool b ->
     let v = Value.Bool b in
-    fun t _ ->
+    fun _ ->
       tick t 1;
       v
   | Ast.Null ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       Value.Null
   | Ast.Ident (("Math" | "JSON" | "String") as ns) ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       fail "namespace %s cannot be used as a value" ns
   | Ast.Ident name ->
     let slots = resolve local name and site = make_site ~counted:false name in
-    fun t scope ->
+    fun scope ->
       tick t 1;
       let v = static_lookup t slots site scope 0 in
       if v != t.unbound then v
       else if Hashtbl.mem t.hosts name then Value.Host name
       else fail "undefined variable %s" name
   | Ast.Array_lit items ->
-    let cs = List.map (compile_expr local) items in
-    fun t scope ->
+    let cs = List.map (compile_expr t local) items in
+    fun scope ->
       tick t 1;
       let arr = Value.arr_make t.heap 0 in
       let a = as_arr arr in
-      List.iter (fun c -> Value.arr_push t.heap a (c t scope)) cs;
+      List.iter (fun c -> Value.arr_push t.heap a (c scope)) cs;
       arr
   | Ast.Object_lit fields ->
-    let cs = List.map (fun (k, v) -> (k, compile_expr local v)) fields in
-    fun t scope ->
+    let cs = List.map (fun (k, v) -> (k, compile_expr t local v)) fields in
+    fun scope ->
       tick t 1;
       let obj = Value.obj_make t.heap in
       (match obj with
-      | Value.Obj o -> List.iter (fun (k, c) -> Value.obj_set t.heap o k (c t scope)) cs
+      | Value.Obj o -> List.iter (fun (k, c) -> Value.obj_set t.heap o k (c scope)) cs
       | _ -> assert false);
       obj
   | Ast.Func_lit (params, body) ->
     let fn = func ~params ~body in
-    fun t scope ->
+    fun scope ->
       tick t 1;
       make_closure t fn scope
   | Ast.Unary ((("!" | "-" | "~") as op), e) ->
-    let c = compile_expr local e in
-    fun t scope ->
+    let c = compile_expr t local e in
+    fun scope ->
       tick t 1;
-      unary_op t op (c t scope)
+      unary_op t op (c scope)
   | Ast.Unary (op, _) ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       fail "unknown unary operator %s" op
   | Ast.Binary ("&&", a, b) ->
-    let ca = compile_expr local a and cb = compile_expr local b in
-    fun t scope ->
+    let ca = compile_expr t local a and cb = compile_expr t local b in
+    fun scope ->
       tick t 1;
-      let va = ca t scope in
-      if Value.truthy va then cb t scope else va
+      let va = ca scope in
+      if truthy va then cb scope else va
   | Ast.Binary ("||", a, b) ->
-    let ca = compile_expr local a and cb = compile_expr local b in
-    fun t scope ->
+    let ca = compile_expr t local a and cb = compile_expr t local b in
+    fun scope ->
       tick t 1;
-      let va = ca t scope in
-      if Value.truthy va then va else cb t scope
+      let va = ca scope in
+      if truthy va then va else cb scope
   | Ast.Binary (op, a, b) ->
-    let f = binary_fn op and ca = compile_expr local a and cb = compile_expr local b in
-    fun t scope ->
+    let f = binary_fn op and ca = compile_expr t local a and cb = compile_expr t local b in
+    fun scope ->
       tick t 1;
       (* The right operand first: the order the walk's applicative
          [binary t op (eval a) (eval b)] got from ocamlopt. *)
-      let vb = cb t scope in
-      let va = ca t scope in
+      let vb = cb scope in
+      let va = ca scope in
       f t va vb
   | Ast.Ternary (c, a, b) ->
-    let cc = compile_expr local c and ca = compile_expr local a and cb = compile_expr local b in
-    fun t scope ->
+    let cc = compile_expr t local c and ca = compile_expr t local a and cb = compile_expr t local b in
+    fun scope ->
       tick t 1;
-      if Value.truthy (cc t scope) then ca t scope else cb t scope
+      if truthy (cc scope) then ca scope else cb scope
   | Ast.Assign ("=", lhs, rhs) ->
-    let crhs = compile_expr local rhs and st = compile_store local lhs in
-    fun t scope ->
+    let crhs = compile_expr t local rhs and st = compile_store t local lhs in
+    fun scope ->
       tick t 1;
-      let v = crhs t scope in
-      st t scope v;
+      let v = crhs scope in
+      st scope v;
       v
   | Ast.Assign (op, lhs, rhs) ->
     (* [x op= e]: the rhs, then the lhs as an expression, then the store
        re-evaluates the lhs subexpressions. *)
-    let crhs = compile_expr local rhs and clhs = compile_expr local lhs and st = compile_store local lhs in
+    let crhs = compile_expr t local rhs and clhs = compile_expr t local lhs and st = compile_store t local lhs in
     let f = binary_fn (String.sub op 0 (min 1 (String.length op))) in
-    fun t scope ->
+    fun scope ->
       tick t 1;
-      let v = crhs t scope in
-      let v = f t (clhs t scope) v in
-      st t scope v;
+      let v = crhs scope in
+      let v = f t (clhs scope) v in
+      st scope v;
       v
   | Ast.Index (a, i) ->
-    let ca = compile_expr local a and ci = compile_expr local i in
-    fun t scope ->
+    let ca = compile_expr t local a and ci = compile_expr t local i in
+    fun scope ->
       tick t 1;
-      (match ca t scope with
-      | (Value.Arr _ | Value.Str _ | Value.Obj _) as recv -> index_get t recv (ci t scope)
+      (match ca scope with
+      | (Value.Arr _ | Value.Str _ | Value.Obj _) as recv -> index_get t recv (ci scope)
       | v -> fail "cannot index %s" (Value.type_name v))
   | Ast.Member (e, name) ->
-    let c = compile_expr local e in
-    fun t scope ->
+    let c = compile_expr t local e in
+    fun scope ->
       tick t 1;
-      member t (c t scope) name
+      member_get t (c scope) name
   | Ast.Method_call (Ast.Ident (("Math" | "JSON" | "String") as ns), name, args) ->
-    let cs = List.map (compile_expr local) args in
-    fun t scope ->
+    let cs = List.map (compile_expr t local) args in
+    fun scope ->
       tick t 1;
-      ns_call t ns name (eval_args t scope cs)
+      ns_call t ns name (eval_args scope cs)
   | Ast.Method_call (recv, name, args) ->
-    let cr = compile_expr local recv and cs = List.map (compile_expr local) args in
-    fun t scope ->
+    let cr = compile_expr t local recv and cs = List.map (compile_expr t local) args in
+    fun scope ->
       tick t 1;
-      let recv = cr t scope in
-      let args = eval_args t scope cs in
+      let recv = cr scope in
+      let args = eval_args scope cs in
       charge t 3;
       method_call t recv name args
   | Ast.Call (Ast.Ident "parseInt", [ arg ]) ->
-    let c = compile_expr local arg in
-    fun t scope ->
+    let c = compile_expr t local arg in
+    fun scope ->
       tick t 1;
-      Value.Num (Float.trunc (to_num t (c t scope)))
+      Value.Num (Float.trunc (to_num t (c scope)))
   | Ast.Call (Ast.Ident ("parseFloat" | "Number"), [ arg ]) ->
-    let c = compile_expr local arg in
-    fun t scope ->
+    let c = compile_expr t local arg in
+    fun scope ->
       tick t 1;
-      Value.Num (to_num t (c t scope))
+      Value.Num (to_num t (c scope))
   | Ast.Call (Ast.Ident "isNaN", [ arg ]) ->
-    let c = compile_expr local arg in
-    fun t scope ->
+    let c = compile_expr t local arg in
+    fun scope ->
       tick t 1;
-      Value.Bool (Float.is_nan (to_num t (c t scope)))
+      of_bool (Float.is_nan (to_num t (c scope)))
   | Ast.Call (Ast.Ident "typeof", [ arg ]) ->
-    let c = compile_expr local arg in
-    fun t scope ->
+    let c = compile_expr t local arg in
+    fun scope ->
       tick t 1;
-      Value.str_of_string t.heap (Value.type_name (c t scope))
+      Value.str_of_string t.heap (Value.type_name (c scope))
   | Ast.Call (Ast.Ident "print", args) ->
-    let cs = List.map (compile_expr local) args in
-    fun t scope ->
+    let cs = List.map (compile_expr t local) args in
+    fun scope ->
       tick t 1;
       (* each argument is rendered before the next one runs *)
-      let parts = List.map (fun c -> Value.to_display_string t.heap (c t scope)) cs in
+      let parts = List.map (fun c -> Value.to_display_string t.heap (c scope)) cs in
       t.output <- String.concat " " parts :: t.output;
       Value.Null
   | Ast.Call (Ast.Ident "__new_array", [ n ]) ->
-    let c = compile_expr local n in
-    fun t scope ->
+    let c = compile_expr t local n in
+    fun scope ->
       tick t 1;
-      Value.arr_make t.heap (to_int t (c t scope))
+      Value.arr_make t.heap (to_int t (c scope))
   | Ast.Call (callee, args) ->
-    let cc = compile_expr local callee and cs = List.map (compile_expr local) args in
-    fun t scope ->
+    let cc = compile_expr t local callee and cs = List.map (compile_expr t local) args in
+    fun scope ->
       tick t 1;
-      let callee = cc t scope in
-      let args = eval_args t scope cs in
+      let callee = cc scope in
+      let args = eval_args scope cs in
       call_value t callee args
 
 (* Stores [v] into an assignment target; charges nothing itself. *)
-and compile_store local (lhs : Ast.expr) : t -> scope -> Value.t -> unit =
+and compile_store t local (lhs : Ast.expr) : scope -> Value.t -> unit =
   match lhs with
   | Ast.Ident name ->
     let slots = resolve local name and site = make_site ~counted:false name in
-    fun t scope v -> if not (static_assign t slots site scope 0 v) then declare t.globals name v
+    fun scope v -> if not (static_assign t slots site scope 0 v) then declare t.globals name v
   | Ast.Index (a, i) ->
-    let ca = compile_expr local a and ci = compile_expr local i in
-    fun t scope v ->
-      (match ca t scope with
-      | (Value.Arr _ | Value.Obj _) as recv -> index_set t recv (ci t scope) v
+    let ca = compile_expr t local a and ci = compile_expr t local i in
+    fun scope v ->
+      (match ca scope with
+      | (Value.Arr _ | Value.Obj _) as recv -> index_set t recv (ci scope) v
       | v -> fail "cannot index-assign %s" (Value.type_name v))
   | Ast.Member (e, name) ->
-    let c = compile_expr local e in
-    fun t scope v -> member_set t (c t scope) name v
-  | _ -> fun _ _ _ -> fail "invalid assignment target"
+    let c = compile_expr t local e in
+    fun scope v -> member_set t (c scope) name v
+  | _ -> fun _ _ -> fail "invalid assignment target"
 
-and compile_stmt local (s : Ast.stmt) : stmt_code =
+and compile_stmt t local (s : Ast.stmt) : stmt_code =
   match s with
   | Ast.Expr e ->
-    let c = compile_expr local e in
-    fun t scope ->
+    let c = compile_expr t local e in
+    fun scope ->
       tick t 1;
-      ignore (c t scope)
+      ignore (c scope)
   | Ast.Var (name, init) ->
-    let c = compile_expr local init and decl = declarer local name in
-    fun t scope ->
+    let c = compile_expr t local init and decl = declarer t local name in
+    fun scope ->
       tick t 1;
-      decl t scope (c t scope)
+      decl scope (c scope)
   | Ast.Func_decl (name, params, body) ->
-    let fn = func ~params ~body and decl = declarer local name in
-    fun t scope ->
+    let fn = func ~params ~body and decl = declarer t local name in
+    fun scope ->
       tick t 1;
-      decl t scope (make_closure t fn scope)
+      decl scope (make_closure t fn scope)
   | Ast.If (cond, then_, else_) ->
-    let cc = compile_expr local cond and ct = compile_stmts local then_ and ce = compile_stmts local else_ in
-    fun t scope ->
+    let cc = compile_expr t local cond and ct = compile_stmts t local then_ and ce = compile_stmts t local else_ in
+    fun scope ->
       tick t 1;
-      if Value.truthy (cc t scope) then ct t scope else ce t scope
+      if truthy (cc scope) then ct scope else ce scope
   | Ast.While (cond, body) ->
-    let cc = compile_expr local cond and cb = compile_stmts local body in
-    fun t scope ->
+    let cc = compile_expr t local cond and cb = compile_stmts t local body in
+    fun scope ->
       tick t 1;
       (try
-         while Value.truthy (cc t scope) do
-           try cb t scope with Continue_exc -> ()
+         while truthy (cc scope) do
+           try cb scope with Continue_exc -> ()
          done
        with Break_exc -> ())
   | Ast.For (init, cond, step, body) ->
     let opt = function Some s -> [ s ] | None -> [] in
     let layout = layout_of (opt init @ opt step @ body) in
     let kind = Static layout and local = layout :: local in
-    let opt_stmt = function Some s -> compile_stmt local s | None -> fun _ _ -> () in
-    let ci = opt_stmt init and cs = opt_stmt step and cb = compile_stmts local body in
+    let opt_stmt = function Some s -> compile_stmt t local s | None -> fun _ -> () in
+    let ci = opt_stmt init and cs = opt_stmt step and cb = compile_stmts t local body in
     let check =
       match cond with
       | Some c ->
-        let c = compile_expr local c in
-        fun t scope -> Value.truthy (c t scope)
-      | None -> fun _ _ -> true
+        let c = compile_expr t local c in
+        fun scope -> truthy (c scope)
+      | None -> fun _ -> true
     in
-    fun t scope ->
+    fun scope ->
       tick t 1;
       let loop_scope = new_frame t kind scope in
-      ci t loop_scope;
+      ci loop_scope;
       (try
-         while check t loop_scope do
-           (try cb t loop_scope with Continue_exc -> ());
-           cs t loop_scope
+         while check loop_scope do
+           (try cb loop_scope with Continue_exc -> ());
+           cs loop_scope
          done
        with Break_exc -> ())
   | Ast.Return None ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       raise (Return_exc Value.Null)
   | Ast.Return (Some e) ->
-    let c = compile_expr local e in
-    fun t scope ->
+    let c = compile_expr t local e in
+    fun scope ->
       tick t 1;
-      raise (Return_exc (c t scope))
+      raise (Return_exc (c scope))
   | Ast.Break ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       raise Break_exc
   | Ast.Continue ->
-    fun t _ ->
+    fun _ ->
       tick t 1;
       raise Continue_exc
   | Ast.Block body ->
     let layout = layout_of body in
-    let kind = Static layout and cb = compile_stmts (layout :: local) body in
-    fun t scope ->
+    let kind = Static layout and cb = compile_stmts t (layout :: local) body in
+    fun scope ->
       tick t 1;
-      cb t (new_frame t kind scope)
+      cb (new_frame t kind scope)
 
-and compile_stmts local stmts : stmt_code =
-  match List.map (compile_stmt local) stmts with
-  | [] -> fun _ _ -> ()
+and compile_stmts t local stmts : stmt_code =
+  match List.map (compile_stmt t local) stmts with
+  | [] -> fun _ -> ()
   | [ a ] -> a
   | cs ->
     let cs = Array.of_list cs in
-    fun t scope ->
+    fun scope ->
       for i = 0 to Array.length cs - 1 do
-        cs.(i) t scope
+        cs.(i) scope
       done
 
-and func ~params ~body =
+(* [fn]'s body compiled against [t], kept for the calls that follow. *)
+and compile_func t fn =
+  let layout = layout_of ~names:fn.f_params fn.f_body in
   let code =
-    lazy
-      (let layout = layout_of ~names:params body in
-       { c_kind = Static layout;
-         c_params = Array.of_list (List.map (fun p -> layout_index layout p 0) params);
-         c_body = compile_stmts [ layout ] body })
+    { c_owner = t;
+      c_kind = Static layout;
+      c_params = Array.of_list (List.map (fun p -> layout_index layout p 0) fn.f_params);
+      c_body = compile_stmts t [ layout ] fn.f_body }
   in
-  { f_params = params; f_body = body; f_code = code }
+  fn.f_code <- Some code;
+  code
+
 let func_params fn = fn.f_params
 let func_body fn = fn.f_body
 
@@ -1287,11 +1327,11 @@ let run_program t (prog : Ast.program) =
     List.map
       (function
         | Ast.Expr e ->
-          let c = compile_expr [] e in
-          fun () -> result := c t t.globals
+          let c = compile_expr t [] e in
+          fun () -> result := c t.globals
         | s ->
-          let c = compile_stmt [] s in
-          fun () -> c t t.globals)
+          let c = compile_stmt t [] s in
+          fun () -> c t.globals)
       prog
   in
   List.iter (fun run -> run ()) code;

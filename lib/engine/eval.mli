@@ -1,13 +1,15 @@
 (** The MiniJS evaluator.
 
     The AST tier: each program is compiled once, node by node, into OCaml
-    closures that run against machine-resident data (see {!Value}).  A
+    closures of one argument (the scope) that hold the evaluator they
+    were compiled against and run against machine-resident data (see
+    {!Value}).  A
     compiled node ticks and charges exactly what visiting it in a tree
     walk would, in the same order; operators, literals and special forms
     are decoded at compile time, and every local variable resolves to a
     slot of a static frame.  Function bodies compile on
-    their first call and are shared by every closure minted at the same
-    literal.  Built-in namespaces ([Math], [JSON], [String]) and methods
+    their first call, against the calling evaluator, and are shared by
+    every closure minted at the same literal.  Built-in namespaces ([Math], [JSON], [String]) and methods
     on strings/arrays are provided here; embedder bindings (the DOM API)
     are registered as host functions and appear as globals.
 
@@ -149,8 +151,9 @@ val array_of_size : t -> Value.t -> Value.t
 
 type func
 (** A function literal: parameters, body, and the body's AST-tier code,
-    compiled on the first call and shared by every closure made from this
-    value. *)
+    compiled on the first call against the calling evaluator and shared
+    by every closure made from this value (a call from another evaluator
+    compiles its own). *)
 
 val func : params:string list -> body:Ast.stmt list -> func
 (** Make one per literal site, so closures minted there share one compile. *)

@@ -80,20 +80,17 @@ let malloc h size =
 
 (* --- NaN boxing ---
 
-   Slots are 64-bit patterns, stored with the machine's f64 accessors (the
-   full 64 bits survive OCaml's 63-bit ints that way).  Numbers are their
-   own IEEE bits, canonicalised so a computed NaN cannot collide with a
-   box.  The 0xFFF1 tag carries a table index for reference values, 0xFFF2
-   carries the three immediates. *)
+   A slot is a 64-bit pattern moved as two checked accesses, the low 7
+   bytes ([Sim.Machine.read_u56]) and the top byte ([read_u8]), so all 64
+   bits survive OCaml's 63-bit ints without passing through a float.
+   Numbers are their own IEEE bits, canonicalised so a computed NaN cannot
+   collide with a box.  The top 16 bits 0xFFF1 tag a table index for
+   reference values, 0xFFF2 the three immediates: in the halves, the top
+   byte 0xFF and bits 48-55 of the low half the tag's low byte. *)
 
-let tag_ref = 0xFFF1
-let tag_imm = 0xFFF2
-
-let canonical_nan = Int64.of_string "0x7FF8000000000000"
-
-let tag_of bits = Int64.to_int (Int64.shift_right_logical bits 48)
-let payload_of bits = Int64.to_int (Int64.logand bits 0xFFFF_FFFF_FFFFL)
-let with_tag tag payload = Int64.logor (Int64.shift_left (Int64.of_int tag) 48) (Int64.of_int payload)
+let tag_ref = 0xF1
+let tag_imm = 0xF2
+let payload_mask = 0xFFFF_FFFF_FFFF
 
 let box_ref h v =
   if h.nboxed >= Array.length h.boxed then begin
@@ -105,28 +102,36 @@ let box_ref h v =
   h.nboxed <- h.nboxed + 1;
   h.nboxed - 1
 
-let box_bits h v =
-  match v with
-  | Num f -> if Float.is_nan f then canonical_nan else Int64.bits_of_float f
-  | Null -> with_tag tag_imm 0
-  | Bool false -> with_tag tag_imm 1
-  | Bool true -> with_tag tag_imm 2
-  | Str _ | Arr _ | Obj _ | Fun _ | Host _ | Handle _ -> with_tag tag_ref (box_ref h v)
+let[@inline] write_halves h addr low high =
+  Sim.Machine.write_u56 h.machine addr low;
+  Sim.Machine.write_u8 h.machine (addr + 7) high
 
-let unbox_bits h bits =
-  let tag = tag_of bits in
-  if tag = tag_ref then h.boxed.(payload_of bits)
-  else if tag = tag_imm then
-    match payload_of bits with
+let write_slot h addr v =
+  match v with
+  | Num f ->
+    if Float.is_nan f then write_halves h addr 0xF8_0000_0000_0000 0x7F (* 0x7FF8000000000000 *)
+    else
+      let bits = Int64.bits_of_float f in
+      write_halves h addr
+        (Int64.to_int bits land 0xFF_FFFF_FFFF_FFFF)
+        (Int64.to_int (Int64.shift_right_logical bits 56))
+  | Null -> write_halves h addr (tag_imm lsl 48) 0xFF
+  | Bool false -> write_halves h addr ((tag_imm lsl 48) lor 1) 0xFF
+  | Bool true -> write_halves h addr ((tag_imm lsl 48) lor 2) 0xFF
+  | Str _ | Arr _ | Obj _ | Fun _ | Host _ | Handle _ ->
+    write_halves h addr ((tag_ref lsl 48) lor box_ref h v) 0xFF
+
+let read_slot h addr =
+  let low = Sim.Machine.read_u56 h.machine addr in
+  let high = Sim.Machine.read_u8 h.machine (addr + 7) in
+  let tag = low lsr 48 in
+  if high = 0xFF && tag = tag_ref then h.boxed.(low land payload_mask)
+  else if high = 0xFF && tag = tag_imm then
+    match low land payload_mask with
     | 0 -> Null
     | 1 -> Bool false
     | _ -> Bool true
-  else Num (Int64.float_of_bits bits)
-
-let write_slot h addr v =
-  Sim.Machine.write_f64 h.machine addr (Int64.float_of_bits (box_bits h v))
-
-let read_slot h addr = unbox_bits h (Int64.bits_of_float (Sim.Machine.read_f64 h.machine addr))
+  else Num (Int64.float_of_bits (Int64.logor (Int64.of_int low) (Int64.shift_left (Int64.of_int high) 56)))
 
 (* --- Strings --- *)
 

@@ -52,14 +52,6 @@ let job_of_bench (b : Workloads.Bench_def.bench) =
     job_seed = b.Workloads.Bench_def.engine_seed;
   }
 
-let job_of_session (s : Workloads.Browsing.session) =
-  {
-    job_name = s.Workloads.Browsing.session_name;
-    job_page = s.Workloads.Browsing.page;
-    job_scripts = s.Workloads.Browsing.scripts;
-    job_seed = 1;
-  }
-
 type outcome =
   | Completed
   | Oom

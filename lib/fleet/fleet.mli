@@ -27,7 +27,6 @@ type job = {
 }
 
 val job_of_bench : Workloads.Bench_def.bench -> job
-val job_of_session : Workloads.Browsing.session -> job
 
 type outcome =
   | Completed

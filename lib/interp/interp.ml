@@ -29,9 +29,7 @@ let create ?(fuel = 500_000_000) modul env =
 
 let register_host t name fn = Hashtbl.replace t.hosts name fn
 
-let env t = t.env
 let modul t = t.modul
-let steps t = t.steps
 
 let () =
   Printexc.register_printer (function

@@ -21,13 +21,9 @@ val create : ?fuel:int -> Ir.Module_ir.t -> Pkru_safe.Env.t -> t
 
 val register_host : t -> string -> host_fn -> unit
 
-val env : t -> Pkru_safe.Env.t
 val modul : t -> Ir.Module_ir.t
 
 val run : t -> string -> int list -> int
 (** [run t fn args] calls [fn]; functions returning no value yield 0.
     @raise Trap on dynamic errors
     @raise Vmm.Fault.Unhandled when enforcement kills an access *)
-
-val steps : t -> int
-(** Instructions retired so far. *)

@@ -9,8 +9,6 @@ type t
 val create : name:string -> crate:string -> nparams:int -> ?exported:bool -> unit -> t
 (** Starts a function with entry block 0 selected. *)
 
-val fresh : t -> Instr.reg
-
 val new_block : t -> int
 (** Creates a block and returns its id (does not switch to it). *)
 

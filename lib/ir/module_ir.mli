@@ -17,9 +17,6 @@ val create : unit -> t
 val declare_crate : t -> string -> unit
 (** Idempotent. *)
 
-val crate : t -> string -> crate
-(** @raise Not_found for an undeclared crate. *)
-
 val mark_untrusted : t -> string -> unit
 (** The developer annotation: tag a crate as an untrusted interface.
     @raise Not_found for an undeclared crate. *)

@@ -164,5 +164,3 @@ let analyze ?(hosts_are_sinks = true) modul =
           f.Func.blocks)
   done;
   { shared = reachability_closure st; iterations = !iterations }
-
-let in_profile result site = Site_set.mem site result.shared

@@ -34,6 +34,3 @@ type result = {
 val analyze : ?hosts_are_sinks:bool -> Module_ir.t -> result
 (** [hosts_are_sinks] (default true): whether values passed to host
     functions are assumed to escape to the untrusted side. *)
-
-val in_profile : result -> Runtime.Alloc_id.t -> bool
-(** Adapter matching the profile predicate used by {!Passes.compile}. *)

@@ -281,7 +281,7 @@ let rec read_le t addr len =
       | 2 -> Bytes.get_uint16_le data offset
       | 4 -> Int32.to_int (Bytes.get_int32_le data offset) land 0xFFFF_FFFF
       | 7 ->
-        (* the low half of an f64 slot *)
+        (* [read_u56]: the low 7 bytes of a 64-bit word *)
         Int32.to_int (Bytes.get_int32_le data offset) land 0xFFFF_FFFF
         lor (Bytes.get_uint16_le data (offset + 4) lsl 32)
         lor (Bytes.get_uint8 data (offset + 6) lsl 48)
@@ -344,17 +344,11 @@ let write_u16 t addr v = write_le t addr 2 v
 let write_u32 t addr v = write_le t addr 4 v
 let write_u64 t addr v = write_le t addr 8 v
 
-(* Floats are stored via their bit pattern.  OCaml ints hold 63 bits, so we
-   move the top byte separately. *)
-let read_f64 t addr =
-  let low = read_le t addr 7 in
-  let high = read_le t (addr + 7) 1 in
-  Int64.float_of_bits Int64.(logor (of_int low) (shift_left (of_int high) 56))
-
-let write_f64 t addr f =
-  let bits = Int64.bits_of_float f in
-  write_le t addr 7 Int64.(to_int (logand bits 0xFF_FFFF_FFFF_FFFFL));
-  write_le t (addr + 7) 1 Int64.(to_int (logand (shift_right_logical bits 56) 0xFFL))
+(* The low 56 bits of a 64-bit word, one 7-byte access: with [read_u8]
+   of the eighth byte it moves a full 64-bit pattern, which an OCaml int
+   (63 bits) cannot hold in one piece. *)
+let read_u56 t addr = read_le t addr 7
+let write_u56 t addr v = write_le t addr 7 v
 
 let read_bytes t addr len =
   let out = Bytes.create len in

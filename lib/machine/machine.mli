@@ -83,8 +83,11 @@ val write_u16 : t -> int -> int -> unit
 val write_u32 : t -> int -> int -> unit
 val write_u64 : t -> int -> int -> unit
 
-val read_f64 : t -> int -> float
-val write_f64 : t -> int -> float -> unit
+val read_u56 : t -> int -> int
+val write_u56 : t -> int -> int -> unit
+(** The low 7 bytes of a 64-bit word, in one checked access (a 56-bit
+    value).  With {!read_u8}/{!write_u8} of the eighth byte, a 64-bit
+    pattern moves as two accesses without passing through a float. *)
 
 val read_bytes : t -> int -> int -> Bytes.t
 (** [read_bytes t addr len]; charged one load per 8 bytes. *)

@@ -88,10 +88,6 @@ let fill t ~map_epoch ~pkru_epoch ~pkru page_number (page : Vmm.Page.t) =
   t.pkru_epochs.(i) <- pkru_epoch;
   t.pkrus.(i) <- Mpk.Pkru.to_int pkru
 
-let flush t =
-  Array.fill t.tags 0 size (-1);
-  t.flushes <- t.flushes + 1
-
 let stats t : stats = { hits = t.hits; misses = t.misses; flushes = t.flushes }
 
 let add_stats (a : stats) (b : stats) =

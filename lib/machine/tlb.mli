@@ -63,15 +63,12 @@ val fill : t -> map_epoch:int -> pkru_epoch:int -> pkru:Mpk.Pkru.t -> int -> Vmm
 (** Installs the slow path's resolved page, precomputing the permission
     mask from the page's protection, its key and [pkru]. *)
 
-val flush : t -> unit
-(** Invalidates every entry (counted as one flush). *)
-
 (* {2 Statistics} *)
 
 type stats = {
   hits : int;
   misses : int;
-  flushes : int; (** invalidation generations observed + explicit flushes *)
+  flushes : int; (** invalidation generations observed *)
 }
 
 val stats : t -> stats

@@ -11,5 +11,3 @@ let to_int k = k
 let default = 0
 
 let equal = Int.equal
-let compare = Int.compare
-let pp fmt k = Format.fprintf fmt "pkey%d" k

@@ -20,5 +20,3 @@ val default : t
 (** Key 0: the kernel assigns it to all pages unless told otherwise. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -8,8 +8,6 @@ let make ~func_id ~block_id ~call_id = { func_id; block_id; call_id }
 
 let synthetic n = { func_id = -1; block_id = 0; call_id = n }
 
-let equal a b = a.func_id = b.func_id && a.block_id = b.block_id && a.call_id = b.call_id
-
 let compare a b =
   match Int.compare a.func_id b.func_id with
   | 0 ->

@@ -2,11 +2,6 @@ type t =
   | Trusted
   | Untrusted
 
-let equal a b =
-  match (a, b) with
-  | Trusted, Trusted | Untrusted, Untrusted -> true
-  | Trusted, Untrusted | Untrusted, Trusted -> false
-
 let to_string = function
   | Trusted -> "trusted"
   | Untrusted -> "untrusted"

@@ -11,7 +11,6 @@ type t =
   | Trusted
   | Untrusted
 
-val equal : t -> t -> bool
 val to_string : t -> string
 
 val trusted_view : Mpk.Pkru.t

@@ -30,14 +30,6 @@ let marginal_gains t =
       (name, Alloc_id.Set.cardinal fresh))
     (runs t)
 
-let sample t ~fraction ~rng =
-  let sampled = create () in
-  List.iter
-    (fun (name, profile) ->
-      if Util.Rng.float rng 1.0 < fraction then add_run sampled ~name profile)
-    (runs t);
-  sampled
-
 let index_file = "corpus.json"
 
 let save_dir t dir =

@@ -35,10 +35,6 @@ val marginal_gains : t -> (string * int) list
     earlier run had — a corpus-growth curve (flat tail = saturated
     corpus). *)
 
-val sample : t -> fraction:float -> rng:Util.Rng.t -> t
-(** Keeps each run with probability [fraction]: the telemetry model where
-    only a subset of installations report. *)
-
 val save_dir : t -> string -> unit
 (** Writes one [<name>.profile.json] per run plus a [corpus.json] index.
     Creates the directory if needed. *)

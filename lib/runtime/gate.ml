@@ -31,8 +31,6 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
     pkru_corruptor = None;
   }
 
-let machine t = t.machine
-let trusted_pkey t = t.trusted_pkey
 let stack t = t.stack
 
 let cpu t = t.machine.Sim.Machine.cpu

@@ -23,8 +23,6 @@ type t
 val create : ?trusted_pkey:Mpk.Pkey.t -> Sim.Machine.t -> t
 (** [trusted_pkey] defaults to key 1 (pkalloc's default). *)
 
-val machine : t -> Sim.Machine.t
-val trusted_pkey : t -> Mpk.Pkey.t
 val stack : t -> Comp_stack.t
 
 val current : t -> Compartment.t

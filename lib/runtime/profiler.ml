@@ -87,6 +87,5 @@ let log_realloc t ~old_addr ~new_addr ~new_size =
 let log_dealloc t ~addr = Metadata.on_dealloc t.metadata ~addr
 
 let profile t = t.profile
-let metadata t = t.metadata
 let faults_serviced t = t.faults_serviced
 let untracked_faults t = t.untracked_faults

@@ -31,7 +31,6 @@ val log_realloc : t -> old_addr:int -> new_addr:int -> new_size:int -> unit
 val log_dealloc : t -> addr:int -> unit
 
 val profile : t -> Profile.t
-val metadata : t -> Metadata.t
 
 val faults_serviced : t -> int
 (** MPK violations this profiler resolved by single-stepping. *)

@@ -137,12 +137,3 @@ let digest_json t =
       ("snapshots_kept", Int (List.length t.snapshots));
       ("latest", (match latest t with None -> Null | Some s -> snapshot_json s));
     ]
-
-let to_json t =
-  let open Util.Json in
-  Obj
-    [
-      ("census_every_cycles", Int t.every);
-      ("snapshots_total", Int t.taken);
-      ("snapshots", List (List.map snapshot_json (snapshots t)));
-    ]

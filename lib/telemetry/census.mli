@@ -80,6 +80,3 @@ val snapshot_json : snapshot -> Util.Json.t
 val digest_json : t -> Util.Json.t
 (** Totals plus the latest snapshot — the [census] digest carried by
     report and bench artifacts. *)
-
-val to_json : t -> Util.Json.t
-(** Every retained snapshot. *)

@@ -27,15 +27,16 @@ val summary : Sink.t -> string
     percentile table, exact gate round-trip percentiles, and a per-name
     span table when any spans were recorded. *)
 
-val to_metrics :
+val prometheus :
   ?attribution:Attribution.t ->
   ?sampler:Sampler.t ->
   ?census:Census.t ->
   ?series_window:int ->
   ?tlb:int * int * int ->
   Sink.t ->
-  Metrics.t
-(** Folds a sink snapshot into a {!Metrics} registry: event-kind counters
+  string
+(** The Prometheus text format ([Metrics.expose]) of a sink snapshot
+    folded into a {!Metrics} registry: event-kind counters
     ([pkru_events_total{kind=...}]), the sink's histograms, windowed
     gate-crossing / allocation series ([series_window] cycles per bucket,
     default 1/50th of the trace span), plus labelled site-heat and
@@ -52,13 +53,3 @@ val to_metrics :
     [(hits, misses, flushes)] when given, otherwise from the sink
     counters ["tlb_hit"] / ["tlb_miss"] / ["tlb_flush"] that
     [Workloads.Runner] injects after a timed run. *)
-
-val prometheus :
-  ?attribution:Attribution.t ->
-  ?sampler:Sampler.t ->
-  ?census:Census.t ->
-  ?series_window:int ->
-  ?tlb:int * int * int ->
-  Sink.t ->
-  string
-(** [Metrics.expose] of {!to_metrics}: the Prometheus text format. *)

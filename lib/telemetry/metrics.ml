@@ -2,7 +2,7 @@
    counters / gauges / histograms / windowed series, each family holding
    one cell per label set.  The registry is a passive container — nothing
    in the hot path touches it; exporters build one from a sink snapshot
-   (see Export.to_metrics) and render it with [expose]. *)
+   (see Export.prometheus) and render it with [expose]. *)
 
 type labels = (string * string) list
 
@@ -99,12 +99,6 @@ let gauge t ?(help = "") ?(labels = []) name =
 
 let set r v = r := v
 
-let histogram t ?(help = "") ?(labels = []) name =
-  let f = family t ~kind:"histogram" ~help name in
-  match cell f labels (fun () -> Hist (Histogram.create ())) with
-  | Hist h -> h
-  | _ -> wrong_kind name
-
 let attach_histogram t ?(help = "") ?(labels = []) name h =
   let f = family t ~kind:"histogram" ~help name in
   ignore (cell f labels (fun () -> Hist h))
@@ -126,8 +120,6 @@ let observe_series s ~cycle v =
 let series_points s =
   Hashtbl.fold (fun bucket r acc -> (bucket * s.s_window, !r) :: acc) s.s_buckets []
   |> List.sort compare
-
-let series_window s = s.s_window
 
 (* --- Prometheus text exposition (version 0.0.4) --- *)
 
@@ -220,42 +212,3 @@ let expose t =
       |> List.iter (fun (labels, c) -> render_cell buf f.f_name labels c))
     families;
   Buffer.contents buf
-
-let cell_json = function
-  | Counter r -> Util.Json.Int !r
-  | Gauge r -> Util.Json.Float !r
-  | Hist h -> Histogram.to_json h
-  | Series s ->
-    Util.Json.List
-      (List.map
-         (fun (start, v) ->
-           Util.Json.Obj [ ("window_start", Util.Json.Int start); ("value", Util.Json.Float v) ])
-         (series_points s))
-
-let to_json t =
-  let families =
-    Hashtbl.fold (fun _ f acc -> f :: acc) t.families []
-    |> List.sort (fun a b -> compare a.f_name b.f_name)
-  in
-  Util.Json.Obj
-    (List.map
-       (fun f ->
-         let cells =
-           Hashtbl.fold (fun labels c acc -> (labels, c) :: acc) f.f_cells []
-           |> List.sort (fun (a, _) (b, _) -> compare a b)
-           |> List.map (fun (labels, c) ->
-                  Util.Json.Obj
-                    [
-                      ( "labels",
-                        Util.Json.Obj (List.map (fun (k, v) -> (k, Util.Json.String v)) labels) );
-                      ("value", cell_json c);
-                    ])
-         in
-         ( f.f_name,
-           Util.Json.Obj
-             [
-               ("type", Util.Json.String f.f_kind);
-               ("help", Util.Json.String f.f_help);
-               ("cells", Util.Json.List cells);
-             ] ))
-       families)

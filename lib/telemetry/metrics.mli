@@ -34,8 +34,6 @@ val incr : ?by:int -> int ref -> unit
 val gauge : t -> ?help:string -> ?labels:labels -> string -> float ref
 val set : float ref -> float -> unit
 
-val histogram : t -> ?help:string -> ?labels:labels -> string -> Histogram.t
-
 val attach_histogram : t -> ?help:string -> ?labels:labels -> string -> Histogram.t -> unit
 (** Registers an already-populated histogram (e.g. one owned by a sink)
     under the family without copying it. *)
@@ -50,8 +48,6 @@ val observe_series : series -> cycle:int -> float -> unit
 (** Adds [v] into the bucket containing [cycle].
     @raise Invalid_argument on a negative cycle. *)
 
-val series_window : series -> int
-
 (* {2 Export} *)
 
 val expose : t -> string
@@ -62,5 +58,3 @@ val expose : t -> string
     values escape backslash, double-quote and newline; help text escapes
     backslash and newline; non-finite gauge values render as [NaN] /
     [+Inf] / [-Inf] per the spec. *)
-
-val to_json : t -> Util.Json.t

@@ -28,5 +28,3 @@ let to_list t =
       match t.data.((start + i) mod t.capacity) with
       | Some v -> v
       | None -> assert false)
-
-let iter t f = List.iter f (to_list t)

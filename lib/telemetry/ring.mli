@@ -20,5 +20,3 @@ val dropped : 'a t -> int
 
 val to_list : 'a t -> 'a list
 (** Live elements, oldest first. *)
-
-val iter : 'a t -> ('a -> unit) -> unit

@@ -61,7 +61,6 @@ let count t name =
 let events_total t = t.events_total
 let events t = Ring.to_list t.ring
 let dropped t = Ring.dropped t.ring
-let histogram t name = Hashtbl.find_opt t.histograms name
 
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []

@@ -48,7 +48,6 @@ val events : t -> Event.record list
 (** Trace contents, oldest first. *)
 
 val dropped : t -> int
-val histogram : t -> string -> Histogram.t option
 val counters : t -> (string * int) list
 val histograms : t -> (string * Histogram.t) list
 

@@ -33,9 +33,6 @@ val duration : record -> int
 
 type t
 
-val default_capacity : int
-(** 8192 closed spans. *)
-
 val create : ?capacity:int -> unit -> t
 
 val enter : t -> ts:int -> cpu:int -> kind:kind -> string -> int

@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators", OOPSLA 2014. *)
 let next t =

@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state so two streams can diverge. *)
-
 val next : t -> int64
 (** [next t] returns the next raw 64-bit value. *)
 

@@ -36,7 +36,3 @@ let percentile p xs =
 let percent_overhead ~baseline ~measured =
   assert (baseline <> 0.0);
   (measured -. baseline) /. baseline *. 100.0
-
-let normalized ~baseline ~measured =
-  assert (baseline <> 0.0);
-  measured /. baseline

@@ -16,6 +16,3 @@ val percentile : float -> float list -> float
 
 val percent_overhead : baseline:float -> measured:float -> float
 (** [(measured - baseline) / baseline * 100].  [baseline] must be non-zero. *)
-
-val normalized : baseline:float -> measured:float -> float
-(** [measured / baseline].  [baseline] must be non-zero. *)

@@ -25,5 +25,4 @@ exception Unhandled of t
 (** Raised when no registered handler services the fault; the simulated
     process dies, matching default SIGSEGV disposition. *)
 
-val kind_to_string : kind -> string
 val to_string : t -> string

@@ -29,8 +29,6 @@ let aligned addr = Layout.page_offset addr = 0
    (the simulator's software TLB compares this epoch on every lookup). *)
 let bump_epoch t = t.epoch <- t.epoch + 1
 
-let epoch t = t.epoch
-
 (* Regions are disjoint and sorted by base, so point and range queries
    binary-search instead of scanning the whole list — demand misses used
    to pay O(regions) per fault. *)

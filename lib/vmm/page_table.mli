@@ -20,7 +20,13 @@ type t = private {
   no_page : Page.t;  (** [pages]' dummy, returned for an absent page *)
   mutable regions : region array;  (** disjoint, sorted by base *)
   mutable demand_faults : int;
-  mutable epoch : int;  (** see {!epoch} *)
+  mutable epoch : int;
+      (** The mapping epoch: a generation counter bumped by every
+          successful [reserve], [map_now], [mprotect] and
+          [pkey_mprotect].  Cached translations (the simulator's
+          software TLB) record the epoch at fill time and revalidate
+          against it on every lookup, so mapping or protection changes
+          invalidate them without any eager flush. *)
 }
 (** Private so that the simulator's TLB probe reads {!field-epoch} by
     field access; only this module writes it. *)
@@ -59,10 +65,3 @@ val resident_page_list : t -> (int * Page.t) list
 
 val demand_faults : t -> int
 (** Number of pages materialised lazily, i.e. soft page faults taken. *)
-
-val epoch : t -> int
-(** The mapping epoch: a generation counter bumped by every successful
-    [reserve], [map_now], [mprotect] and [pkey_mprotect].  Cached
-    translations (the simulator's software TLB) record the epoch at fill
-    time and revalidate against it on every lookup, so mapping or
-    protection changes invalidate them without any eager flush. *)

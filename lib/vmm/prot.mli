@@ -14,5 +14,3 @@ val read_write : t
 
 val validate : t -> (t, string) result
 (** Rejects W^X violations (write && execute). *)
-
-val equal : t -> t -> bool

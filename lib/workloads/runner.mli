@@ -104,9 +104,5 @@ val run_suite :
   suite_result
 (** Full methodology for one suite; [progress] is called per benchmark. *)
 
-val score : measurement -> float
-(** JetStream-style score: inversely proportional to runtime (higher is
-    better). *)
-
 val geomean_score : suite_result -> (Pkru_safe.Config.mode -> float)
 (** Geometric-mean score per configuration (Table 3). *)

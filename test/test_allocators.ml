@@ -345,7 +345,9 @@ let test_pk_percent_untrusted () =
   let _, pk = fresh_pk () in
   ignore (Option.get (Pkalloc.alloc_trusted pk 1000));
   ignore (Option.get (Pkalloc.alloc_untrusted pk 1000));
-  let pct = Pkalloc.percent_untrusted_bytes pk in
+  let bytes stats = float_of_int stats.Alloc_stats.bytes_allocated in
+  let mt = bytes (Pkalloc.trusted_stats pk) and mu = bytes (Pkalloc.untrusted_stats pk) in
+  let pct = 100.0 *. mu /. (mt +. mu) in
   Alcotest.(check bool) "roughly half" true (pct > 30.0 && pct < 70.0)
 
 let test_pk_mu_jemalloc_ablation () =

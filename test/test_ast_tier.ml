@@ -143,6 +143,50 @@ let test_unknown_unary () =
   Alcotest.(check int) "cycles" 822 (Pkru_safe.Env.cycles env);
   Alcotest.(check (list string)) "operand not run" [] (Engine.take_output engine)
 
+(* [substring] clamps each argument to [0, len], a NaN to 0, then orders
+   them, as JS does. *)
+let test_substring_clamps () =
+  List.iter
+    (fun (src, expected) ->
+      let r, _, _, _ = run src in
+      Alcotest.(check string) src expected r)
+    [
+      ("'hello'.substring(1, 4);", "ell");
+      ("'hello'.substring(4, 1);", "ell");
+      ("'hello'.substring(-2, 3);", "hel");
+      ("'hello'.substring(3, -2);", "hel");
+      ("'hello'.substring(-5, -1);", "");
+      ("'hello'.substring(0 / 0, 2);", "he");
+      ("'hello'.substring(2, 0 / 0);", "he");
+      ("'hello'.substring(1, 99);", "ello");
+      ("'hello'.substring(99, 1);", "ello");
+      ("'hello'.substring(7, 9);", "");
+      ("'hello'.substring(1.7, 3.2);", "el");
+      ("'hello'.substring('1', '3');", "el");
+    ]
+
+(* The bytecode tiers make one [Eval.func] per literal site, with no
+   evaluator: a program compiled once and run on two evaluators shares
+   it.  A host callback ([map]) runs its AST-tier code compiled against
+   the evaluator that calls it, so each run charges only its own
+   machine. *)
+let test_func_shared_across_evaluators () =
+  let open Engine.Ast in
+  let inc = Func_lit ([ "x" ], [ Return (Some (Binary ("+", Ident "x", Num 1.0))) ]) in
+  let prog = Engine.Bytecode.compile [ Expr (Method_call (Array_lit [ Num 1.0; Num 2.0 ], "map", [ inc ])) ] in
+  let run_on (env, engine) =
+    let v = Engine.Bytecode.run (Engine.evaluator engine) prog in
+    let shown = Engine.Value.to_display_string (Engine.heap engine) v in
+    (shown, Pkru_safe.Env.cycles env)
+  in
+  let a = fresh_engine () and b = fresh_engine () in
+  let ra, ca = run_on a in
+  let rb, cb = run_on b in
+  Alcotest.(check string) "first evaluator" "[2,3]" ra;
+  Alcotest.(check string) "second evaluator" "[2,3]" rb;
+  Alcotest.(check int) "same cycles on each" ca cb;
+  Alcotest.(check int) "the first machine charged nothing more" ca (Pkru_safe.Env.cycles (fst a))
+
 (* The AST tier's variable caches do not count into [ic_stats]: the
    variable-IC counters are a fast-tier figure. *)
 let test_ic_stats_untouched () =
@@ -450,6 +494,8 @@ let suite =
   @ [
       Alcotest.test_case "fuel exhaustion step" `Quick test_fuel;
       Alcotest.test_case "unknown unary operator" `Quick test_unknown_unary;
+      Alcotest.test_case "substring clamps its arguments" `Quick test_substring_clamps;
+      Alcotest.test_case "a literal shared by two evaluators" `Quick test_func_shared_across_evaluators;
       Alcotest.test_case "ic stats untouched" `Quick test_ic_stats_untouched;
       Alcotest.test_case "registered benchmarks golden" `Quick test_bench_goldens;
     ]

@@ -539,6 +539,176 @@ let test_nan_boxing_roundtrip () =
       | a, b -> Alcotest.(check bool) "identity round-trip" true (a == b || a = b))
     values
 
+(* --- Slot encoding ---
+
+   A slot moves as a 7-byte and a 1-byte checked access.  The reference
+   is the path slots took through a float: the NaN-boxed bits
+   ([ref_box_bits]) as a float, stored and loaded by the composition the
+   machine's f64 accessors made ([ref_write_f64]/[ref_read_f64]), and
+   decoded by [ref_unbox]. *)
+
+let ref_with_tag tag payload = Int64.(logor (shift_left (of_int tag) 48) (of_int payload))
+
+(* [refs] is the boxed-reference table as the heap fills it: a fresh
+   heap numbers its references 0, 1, 2, ... in store order. *)
+let ref_box_bits refs v =
+  match v with
+  | Engine.Value.Num f -> if Float.is_nan f then 0x7FF8_0000_0000_0000L else Int64.bits_of_float f
+  | Engine.Value.Null -> ref_with_tag 0xFFF2 0
+  | Engine.Value.Bool false -> ref_with_tag 0xFFF2 1
+  | Engine.Value.Bool true -> ref_with_tag 0xFFF2 2
+  | _ ->
+    refs := !refs @ [ v ];
+    ref_with_tag 0xFFF1 (List.length !refs - 1)
+
+let ref_unbox refs bits =
+  let tag = Int64.(to_int (shift_right_logical bits 48)) in
+  let payload = Int64.(to_int (logand bits 0xFFFF_FFFF_FFFFL)) in
+  if tag = 0xFFF1 then List.nth refs payload
+  else if tag = 0xFFF2 then
+    match payload with 0 -> Engine.Value.Null | 1 -> Engine.Value.Bool false | _ -> Engine.Value.Bool true
+  else Engine.Value.Num (Int64.float_of_bits bits)
+
+let ref_write_f64 m addr f =
+  let bits = Int64.bits_of_float f in
+  Sim.Machine.write_u56 m addr Int64.(to_int (logand bits 0xFF_FFFF_FFFF_FFFFL));
+  Sim.Machine.write_u8 m (addr + 7) Int64.(to_int (logand (shift_right_logical bits 56) 0xFFL))
+
+let ref_read_f64 m addr =
+  let low = Sim.Machine.read_u56 m addr in
+  let high = Sim.Machine.read_u8 m (addr + 7) in
+  Int64.float_of_bits Int64.(logor (of_int low) (shift_left (of_int high) 56))
+
+let same_value a b =
+  match (a, b) with
+  | Engine.Value.Num x, Engine.Value.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | (Engine.Value.Null | Engine.Value.Bool _), _ -> a = b
+  | _ -> a == b
+
+(* A fresh engine and a one-slot array: two calls give the same address,
+   cycles and TLB state. *)
+let slot_fixture () =
+  let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+  let e = Engine.create env in
+  let heap = Engine.heap e in
+  let a = match Engine.Value.arr_make heap 1 with Engine.Value.Arr a -> a | _ -> assert false in
+  (heap, Pkru_safe.Env.machine env, a)
+
+(* What one access sequence costs: cycles, TLB hits, TLB misses. *)
+let measured m f =
+  let cycles () = Sim.Machine.cycles m and tlb () = Sim.Machine.tlb_stats m in
+  let c0 = cycles () and t0 = tlb () in
+  let r = f () in
+  let t1 = tlb () in
+  (r, (cycles () - c0, t1.Sim.Tlb.hits - t0.Sim.Tlb.hits, t1.Sim.Tlb.misses - t0.Sim.Tlb.misses))
+
+let test_slot_encoding () =
+  let heap, m, a = slot_fixture () in
+  let _, m_ref, a_ref = slot_fixture () in
+  let addr = a.Engine.Value.a_buf in
+  Alcotest.(check int) "fixtures agree" addr a_ref.Engine.Value.a_buf;
+  let cost = m.Sim.Machine.cpu.Sim.Cpu.cost in
+  let bits = Int64.float_of_bits in
+  let values =
+    [
+      ("nan", Engine.Value.Num Float.nan);
+      ("-nan", Engine.Value.Num (Float.neg Float.nan));
+      ("signalling nan", Engine.Value.Num (bits 0x7FF0_0000_0000_0001L));
+      ("nan with the reference tag", Engine.Value.Num (bits 0xFFF1_0000_0000_0000L));
+      ("nan with the immediate tag", Engine.Value.Num (bits 0xFFF2_0000_0000_0002L));
+      ("0", Engine.Value.Num 0.0);
+      ("-0", Engine.Value.Num (-0.0));
+      ("inf", Engine.Value.Num Float.infinity);
+      ("-inf", Engine.Value.Num Float.neg_infinity);
+      ("subnormal", Engine.Value.Num (bits 1L));
+      ("-subnormal", Engine.Value.Num (bits 0x800F_FFFF_FFFF_FFFFL));
+      ("max_float", Engine.Value.Num Float.max_float);
+      ("-max_float", Engine.Value.Num (-.Float.max_float));
+      ("1.5", Engine.Value.Num 1.5);
+      ("null", Engine.Value.Null);
+      ("false", Engine.Value.Bool false);
+      ("true", Engine.Value.Bool true);
+      ("string", Engine.Value.str_of_string heap "xyz");
+      ("array", Engine.Value.arr_make heap 2);
+      ("object", Engine.Value.obj_make heap);
+      ("function", Engine.Value.Fun 3);
+      ("host", Engine.Value.Host "print");
+      ("handle", Engine.Value.Handle 99);
+    ]
+  in
+  let refs = ref [] in
+  List.iter
+    (fun (name, v) ->
+      let (), store = measured m (fun () -> Engine.Value.arr_set heap a 0 v) in
+      let (), store_ref = measured m_ref (fun () -> ref_write_f64 m_ref addr (bits (ref_box_bits refs v))) in
+      Alcotest.(check string) (name ^ ": bytes") (Sim.Machine.priv_read_string m_ref addr 8)
+        (Sim.Machine.priv_read_string m addr 8);
+      let v', load = measured m (fun () -> Engine.Value.arr_get heap a 0) in
+      let v_ref, load_ref =
+        measured m_ref (fun () -> ref_unbox !refs (Int64.bits_of_float (ref_read_f64 m_ref addr)))
+      in
+      Alcotest.(check bool) (name ^ ": the old path's value") true (same_value v_ref v');
+      let expected = match v with Engine.Value.Num f when Float.is_nan f -> Engine.Value.Num Float.nan | v -> v in
+      Alcotest.(check bool) (name ^ ": round-trip") true
+        (match (expected, v') with
+        | Engine.Value.Num x, Engine.Value.Num y when Float.is_nan x -> Float.is_nan y
+        | _ -> same_value expected v');
+      let triple = Alcotest.(triple int int int) in
+      Alcotest.check triple (name ^ ": store cycles, TLB hits, misses") store_ref store;
+      Alcotest.check triple (name ^ ": load cycles, TLB hits, misses") load_ref load;
+      let c, _, _ = store and c', _, _ = load in
+      Alcotest.(check (pair int int)) (name ^ ": 2 stores, 2 loads")
+        (2 * cost.Sim.Cost.store, 2 * cost.Sim.Cost.load) (c, c'))
+    values;
+  Alcotest.(check int) "every NaN stored canonical" 0
+    (List.length
+       (List.filter
+          (fun (_, v) ->
+            match v with
+            | Engine.Value.Num f when Float.is_nan f ->
+              Engine.Value.arr_set heap a 0 v;
+              Sim.Machine.priv_read_string m addr 8 <> "\x00\x00\x00\x00\x00\x00\xf8\x7f"
+            | _ -> false)
+          values))
+
+(* Any 64-bit pattern written raw through the old path reads back as the
+   old path decoded it.  Reference tags carry an index the heap has
+   boxed. *)
+let prop_slot_patterns =
+  let fixture =
+    lazy
+      (let heap, m, a = slot_fixture () in
+       let refs = ref [] in
+       List.iter
+         (fun v ->
+           Engine.Value.arr_set heap a 0 v;
+           ignore (ref_box_bits refs v))
+         [ Engine.Value.str_of_string heap "r"; Engine.Value.Handle 7; Engine.Value.Fun 1; Engine.Value.Host "h" ];
+       (heap, m, a, !refs))
+  in
+  QCheck.Test.make ~count:500 ~name:"slot reads = the old path on raw 64-bit patterns"
+    QCheck.(pair int64 (int_bound 3))
+    (fun (raw, shape) ->
+      let heap, m, a, refs = Lazy.force fixture in
+      let low48 = Int64.logand raw 0xFFFF_FFFF_FFFFL in
+      let bits =
+        match shape with
+        | 0 -> raw
+        | 1 -> ref_with_tag 0xFFF1 (Int64.to_int low48)
+        | 2 -> Int64.logor 0xFFF2_0000_0000_0000L (Int64.logand raw 3L)
+        | _ -> Int64.logor 0x7FF0_0000_0000_0000L raw (* the NaN and infinity space *)
+      in
+      (* a reference tag indexes the references boxed so far *)
+      let bits =
+        if Int64.shift_right_logical bits 48 = 0xFFF1L then
+          ref_with_tag 0xFFF1 (Int64.to_int (Int64.logand bits 0xFFFF_FFFF_FFFFL) mod List.length refs)
+        else bits
+      in
+      let addr = a.Engine.Value.a_buf in
+      ref_write_f64 m addr (Int64.float_of_bits bits);
+      let old = ref_unbox refs (Int64.bits_of_float (ref_read_f64 m addr)) in
+      same_value old (Engine.Value.arr_get heap a 0))
+
 let test_values_survive_array_storage () =
   (* Mixed-type array contents survive the NaN-boxed machine slots. *)
   check_str "mixed array" "[1.5,x,true,null,[2]]"
@@ -644,6 +814,8 @@ let suite =
     Alcotest.test_case "host function as value" `Quick test_host_function_as_value;
     Alcotest.test_case "nan-boxing round-trip" `Quick test_nan_boxing_roundtrip;
     Alcotest.test_case "mixed arrays survive slots" `Quick test_values_survive_array_storage;
+    Alcotest.test_case "slot encoding = the float path" `Quick test_slot_encoding;
+    QCheck_alcotest.to_alcotest prop_slot_patterns;
     Alcotest.test_case "gc reclaims garbage" `Quick test_gc_reclaims_garbage;
     Alcotest.test_case "gc handles cycles" `Quick test_gc_handles_cycles;
     Alcotest.test_case "gc spares foreign buffers" `Quick test_gc_never_frees_foreign_buffers;

@@ -153,7 +153,7 @@ let test_assign_ids_unique () =
   let n = Passes.assign_alloc_ids m in
   Alcotest.(check int) "4 sites" 4 n;
   let sites = alloc_sites_of m in
-  let unique = List.sort_uniq Runtime.Alloc_id.compare sites in
+  let unique = List.sort_uniq compare sites in
   Alcotest.(check int) "all unique" 4 (List.length unique)
 
 let test_insert_gates_rewrites_call () =
@@ -217,7 +217,7 @@ let test_apply_profile_moves_only_recorded () =
   ignore (Passes.assign_alloc_ids m);
   let sites = alloc_sites_of m in
   let target = List.hd sites in
-  let profile = Runtime.Alloc_id.equal target in
+  let profile = ( = ) target in
   let compile m = ok (Passes.compile ~gates:false ~instrument:false ~profile ~hosts:(fun _ -> false) m) in
   let moved, stats = compile m in
   Alcotest.(check int) "one site moved" 1 stats.Passes.sites_moved;

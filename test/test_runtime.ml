@@ -13,9 +13,9 @@ let ok = function
 let test_alloc_id_order_and_json () =
   let a = Runtime.Alloc_id.make ~func_id:1 ~block_id:2 ~call_id:3 in
   let b = Runtime.Alloc_id.make ~func_id:1 ~block_id:2 ~call_id:4 in
-  Alcotest.(check bool) "ordered" true (Runtime.Alloc_id.compare a b < 0);
+  Alcotest.(check bool) "ordered" true (compare a b < 0);
   Alcotest.(check bool) "equal" true
-    (Runtime.Alloc_id.equal a (Runtime.Alloc_id.of_json (Runtime.Alloc_id.to_json a)));
+    (( = ) a (Runtime.Alloc_id.of_json (Runtime.Alloc_id.to_json a)));
   Alcotest.(check string) "printed" "alloc<1:2:3>" (Runtime.Alloc_id.to_string a)
 
 (* --- Metadata --- *)
@@ -25,7 +25,7 @@ let test_metadata_interior_lookup () =
   Runtime.Metadata.on_alloc md ~addr:1000 ~size:64 ~alloc_id:(site 1);
   Runtime.Metadata.on_alloc md ~addr:2000 ~size:16 ~alloc_id:(site 2);
   (match Runtime.Metadata.lookup md 1063 with
-  | Some r -> Alcotest.(check bool) "interior hit" true (Runtime.Alloc_id.equal r.Runtime.Metadata.alloc_id (site 1))
+  | Some r -> Alcotest.(check bool) "interior hit" true (( = ) r.Runtime.Metadata.alloc_id (site 1))
   | None -> Alcotest.fail "interior lookup failed");
   Alcotest.(check bool) "one past end misses" true (Runtime.Metadata.lookup md 1064 = None);
   Alcotest.(check bool) "gap misses" true (Runtime.Metadata.lookup md 1500 = None);
@@ -39,7 +39,7 @@ let test_metadata_realloc_keeps_id () =
   (match Runtime.Metadata.lookup md 4200 with
   | Some r ->
     Alcotest.(check bool) "id survives realloc" true
-      (Runtime.Alloc_id.equal r.Runtime.Metadata.alloc_id (site 7))
+      (( = ) r.Runtime.Metadata.alloc_id (site 7))
   | None -> Alcotest.fail "new range not tracked");
   Runtime.Metadata.on_dealloc md ~addr:4096;
   Alcotest.(check int) "empty" 0 (Runtime.Metadata.live_count md)
@@ -120,7 +120,7 @@ let prop_metadata_matches_model =
         in
         match (got, naive probe) with
         | None, None -> true
-        | Some a, Some b -> Runtime.Alloc_id.equal a b
+        | Some a, Some b -> ( = ) a b
         | _ -> false
       in
       let edges =
@@ -144,7 +144,7 @@ let prop_metadata_matches_model =
         Runtime.Metadata.fold
           (fun r ok ->
             ok
-            && Runtime.Alloc_id.equal r.Runtime.Metadata.alloc_id
+            && ( = ) r.Runtime.Metadata.alloc_id
                  (snd (Hashtbl.find model r.Runtime.Metadata.addr)))
           md true
       in
@@ -229,9 +229,9 @@ let test_compartment_views () =
   Alcotest.(check bool) "untrusted view blocked from MT" false (Mpk.Pkru.can_read uv tk);
   Alcotest.(check bool) "untrusted view reads MU" true (Mpk.Pkru.can_read uv Mpk.Pkey.default);
   Alcotest.(check bool) "classify trusted" true
-    (Runtime.Compartment.equal (Runtime.Compartment.of_pkru ~trusted_pkey:tk Runtime.Compartment.trusted_view) Runtime.Compartment.Trusted);
+    (( = ) (Runtime.Compartment.of_pkru ~trusted_pkey:tk Runtime.Compartment.trusted_view) Runtime.Compartment.Trusted);
   Alcotest.(check bool) "classify untrusted" true
-    (Runtime.Compartment.equal (Runtime.Compartment.of_pkru ~trusted_pkey:tk uv) Runtime.Compartment.Untrusted)
+    (( = ) (Runtime.Compartment.of_pkru ~trusted_pkey:tk uv) Runtime.Compartment.Untrusted)
 
 (* --- Gate --- *)
 
@@ -242,10 +242,10 @@ let fresh_gate () =
 let test_gate_transitions_and_views () =
   let m, g = fresh_gate () in
   Alcotest.(check bool) "starts trusted" true
-    (Runtime.Compartment.equal (Runtime.Gate.current g) Runtime.Compartment.Trusted);
+    (( = ) (Runtime.Gate.current g) Runtime.Compartment.Trusted);
   Runtime.Gate.enter_untrusted g;
   Alcotest.(check bool) "now untrusted" true
-    (Runtime.Compartment.equal (Runtime.Gate.current g) Runtime.Compartment.Untrusted);
+    (( = ) (Runtime.Gate.current g) Runtime.Compartment.Untrusted);
   Runtime.Gate.exit_untrusted g;
   Alcotest.(check bool) "restored" true
     (Mpk.Pkru.equal m.Sim.Machine.cpu.Sim.Cpu.pkru Mpk.Pkru.all_enabled);
@@ -263,7 +263,7 @@ let test_gate_nested_callback () =
           Runtime.Gate.call_untrusted g note);
       note ());
   Alcotest.(check bool) "final state trusted" true
-    (Runtime.Compartment.equal (Runtime.Gate.current g) Runtime.Compartment.Trusted);
+    (( = ) (Runtime.Gate.current g) Runtime.Compartment.Trusted);
   Alcotest.(check (list string)) "compartment sequence"
     [ "untrusted"; "trusted"; "untrusted"; "untrusted" ]
     (List.rev_map Runtime.Compartment.to_string !observed);
@@ -274,7 +274,7 @@ let test_gate_restores_on_exception () =
   let _, g = fresh_gate () in
   (try Runtime.Gate.call_untrusted g (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check bool) "restored after raise" true
-    (Runtime.Compartment.equal (Runtime.Gate.current g) Runtime.Compartment.Trusted);
+    (( = ) (Runtime.Gate.current g) Runtime.Compartment.Trusted);
   Alcotest.(check int) "stack empty" 0 (Runtime.Comp_stack.depth (Runtime.Gate.stack g))
 
 let test_gate_unbalanced_exit () =
@@ -500,7 +500,7 @@ let test_mitigator_degrade_fails_gracefully () =
   Alcotest.(check int) "gate restored by the unwind" 0
     (Runtime.Comp_stack.depth (Runtime.Gate.stack gate));
   Alcotest.(check bool) "back in trusted view" true
-    (Runtime.Compartment.equal (Runtime.Gate.current gate) Runtime.Compartment.Trusted);
+    (( = ) (Runtime.Gate.current gate) Runtime.Compartment.Trusted);
   Alcotest.(check (list (pair string int))) "outcome" [ ("degraded", 1) ]
     (Runtime.Mitigator.outcome_counts mit)
 

@@ -36,24 +36,37 @@ let test_straddling_access () =
   Alcotest.(check int) "low byte" 0x08 (Sim.Machine.read_u8 m addr);
   Alcotest.(check int) "crossing byte" 0x05 (Sim.Machine.read_u8 m (addr + 3))
 
+(* A 64-bit word moves as a 7-byte access and a 1-byte access, the way
+   the engine stores its NaN-boxed slots.  These two compose them the way
+   the machine's former f64 accessors did, from and to a float's bits:
+   the reference the slot path must match. *)
+let write_f64 m addr f =
+  let bits = Int64.bits_of_float f in
+  Sim.Machine.write_u56 m addr Int64.(to_int (logand bits 0xFF_FFFF_FFFF_FFFFL));
+  Sim.Machine.write_u8 m (addr + 7) Int64.(to_int (logand (shift_right_logical bits 56) 0xFFL))
+
+let read_f64 m addr =
+  let low = Sim.Machine.read_u56 m addr in
+  let high = Sim.Machine.read_u8 m (addr + 7) in
+  Int64.float_of_bits Int64.(logor (of_int low) (shift_left (of_int high) 56))
+
 let test_f64_roundtrip () =
   let m = machine_with_region ~pkey:(key 0) ~base () in
   List.iter
     (fun f ->
-      Sim.Machine.write_f64 m base f;
-      Alcotest.(check (float 0.0)) "f64" f (Sim.Machine.read_f64 m base))
+      write_f64 m base f;
+      Alcotest.(check (float 0.0)) "f64" f (read_f64 m base))
     [ 0.0; 1.5; -3.25; 1e300; -1e-300; Float.max_float ]
 
 let prop_f64_roundtrip =
   QCheck.Test.make ~count:300 ~name:"f64 machine round-trip" QCheck.float (fun f ->
       let m = machine_with_region ~pkey:(key 0) ~base () in
-      Sim.Machine.write_f64 m base f;
-      let f' = Sim.Machine.read_f64 m base in
+      write_f64 m base f;
+      let f' = read_f64 m base in
       Int64.bits_of_float f = Int64.bits_of_float f')
 
-(* The f64 path splits a slot into a 7-byte and a 1-byte access; the
-   7-byte width must lay out and read back exactly the little-endian bytes
-   of the bit pattern, in-page and page-straddling. *)
+(* The 7-byte width must lay out and read back exactly the little-endian
+   bytes of the bit pattern, in-page and page-straddling. *)
 let prop_f64_byte_layout =
   QCheck.Test.make ~count:300 ~name:"f64 7+1-byte layout" QCheck.(pair float (int_bound 15))
     (fun (f, off) ->
@@ -62,11 +75,12 @@ let prop_f64_byte_layout =
       let byte i = Int64.(to_int (logand (shift_right_logical bits (8 * i)) 0xFFL)) in
       List.for_all
         (fun addr ->
-          Sim.Machine.write_f64 m addr f;
+          write_f64 m addr f;
           let laid_out = List.init 8 (fun i -> Sim.Machine.read_u8 m (addr + i)) in
           List.iteri (fun i _ -> Sim.Machine.write_u8 m (addr + 8 + i) (byte i)) laid_out;
           laid_out = List.init 8 byte
-          && Int64.bits_of_float (Sim.Machine.read_f64 m (addr + 8)) = bits)
+          && Int64.bits_of_float (read_f64 m (addr + 8)) = bits
+          && Sim.Machine.read_u56 m addr = Int64.to_int bits land 0xFF_FFFF_FFFF_FFFF)
         [ base + off; base + page - 16 + off ])
 
 let test_bytes_helpers () =

@@ -95,7 +95,7 @@ let test_many_regions_sorted_lookup () =
         (Vmm.Page_table.reserve pt ~base:(b * page) ~size:page ~prot:Vmm.Prot.read_write
            ~pkey:(key 0)))
     bases;
-  let e0 = Vmm.Page_table.epoch pt in
+  let e0 = pt.Vmm.Page_table.epoch in
   (* Every reserved page resolves; the gaps in between do not. *)
   List.iter
     (fun b ->
@@ -120,7 +120,7 @@ let test_many_regions_sorted_lookup () =
   (match Vmm.Page_table.lookup pt (40 * page) with
   | Some p -> Alcotest.(check int) "neighbour untouched" 0 (Mpk.Pkey.to_int p.Vmm.Page.pkey)
   | None -> Alcotest.fail "lookup");
-  Alcotest.(check bool) "mapping changes bump the epoch" true (Vmm.Page_table.epoch pt > e0)
+  Alcotest.(check bool) "mapping changes bump the epoch" true (pt.Vmm.Page_table.epoch > e0)
 
 let test_prot_wx () =
   expect_error (Vmm.Prot.validate { Vmm.Prot.read = true; write = true; execute = true });

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Hot-path lint, three rules.
+# Hot-path lint, four rules.
 #
 # 1. The clock tick and the checked-access TLB hit must compile to code
 #    with no unknown call.
@@ -12,8 +12,9 @@
 # objects and fails if any of them contains a caml_apply relocation or
 # an indirect call, so a refactor cannot silently bring the calls back.
 #
-# 2. The allocation, free, fault-lookup and DOM-handle paths, and the AST
-#    tier's variable reads, stores and declarations, must not hash or
+# 2. The allocation, free, fault-lookup and DOM-handle paths, the AST
+#    tier's variable reads, stores and declarations, and the engine's
+#    NaN-boxed slot accessors must not hash or
 #    compare polymorphically: no relocation to caml_hash, to the
 #    polymorphic comparisons (caml_compare, caml_equal, ...), or to the
 #    generic Stdlib Hashtbl/Map, whose lookups call them.  Those paths
@@ -26,13 +27,20 @@
 #
 # 3. The front ends' byte loops (the script lexer's peek/advance/trivia
 #    skipping, the HTML parser's name/whitespace/text scans), the DOM's
-#    page-build path and its sibling iteration, and the AST tier's
-#    static-frame variable access must not allocate on the young heap:
+#    page-build path and its sibling iteration, the AST tier's
+#    static-frame variable access and the engine's slot store
+#    (Value.write_slot: a slot is two int halves, never a boxed float or
+#    int64) must not allocate on the young heap:
 #    no `sub $N,%r15`, the bump of the minor-heap pointer.
 #    (caml_call_gc is no signal: OCaml 5 poll points reference it too.)
 #    A byte is an int, -1 past the end, never a `char option`; a scan
 #    runs on a local index; a walk keeps the chain on a host stack, not
 #    in a list or a closure.
+#
+# 4. The AST tier's node closures tick in line: engine__Eval.o has no
+#    call to Eval.tick (a relocation to camlEngine__Eval.tick_<digits>).
+#    A tick that stops being inlinable -- its fuel error back in line, say
+#    -- becomes a call per AST node.
 #
 # Usage: tools/lint-hotpath.sh   (from the repository root; `make lint-hotpath`)
 set -eu
@@ -96,7 +104,8 @@ check "$objs/machine/.sim.objs/native/sim__Machine.o" Sim__Machine translate rea
 call_free=$checked
 
 check_hash "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc site_of
-check_hash "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value malloc grow
+check_hash "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value malloc grow \
+  read_slot write_slot
 check_hash "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom addr
 check_hash "$objs/runtime/.runtime.objs/native/runtime__Metadata.o" Runtime__Metadata \
   lookup floor_index
@@ -137,9 +146,20 @@ check_alloc "$objs/browser/.browser.objs/native/browser__Html.o" Browser__Html p
 check_alloc "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom $dom_build
 # shellcheck disable=SC2086
 check_alloc "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
+check_alloc "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value write_slot
+
+# Rule 4: a relocation line naming tick_<digits> (not tick_hooks_<digits>).
+eval_o="$objs/engine/.engine.objs/native/engine__Eval.o"
+tick_calls=$(objdump -dr --no-show-raw-insn "$eval_o" |
+  grep -E 'R_X86_64_[A-Z0-9_]+[[:space:]]+camlEngine__Eval\.tick_[0-9]+' || true)
+if [ -n "$tick_calls" ]; then
+  echo "lint-hotpath: $eval_o calls Eval.tick (keep it inlinable, its slow path out of line):"
+  printf '%s\n' "$tick_calls"
+  status=1
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "lint-hotpath: ok ($call_free functions call-free, $hash_free free of polymorphic hashing," \
-    "$((checked - call_free - hash_free)) allocation-free)"
+    "$((checked - call_free - hash_free)) allocation-free, Eval.tick inlined)"
 fi
 exit "$status"
