@@ -1,12 +1,11 @@
 (* The benchmark harness: regenerates every table and figure from the
    paper's evaluation (§5), printing measured results next to the paper's
-   reported numbers, then runs the ablation studies and a bechamel pass
-   over scaled-down versions of each experiment.
+   reported numbers, then runs the ablation studies and the reproduction's
+   own gates (TLB, mitigation, census, dispatch, fleet, Garmr).
 
-   Usage: main.exe [--skip-bechamel] [--only SECTION]... [--json DIR]
+   Usage: main.exe [--only SECTION]... [--json DIR]
    Sections, in run order: micro fig3 table1 table2 fig5 fig6 fig7
      security sites ablations tlb mitigation census dispatch fleet garmr
-     bechamel
    --only may repeat; with none given, every section runs.  An unknown
    section or argument, or a --json DIR that cannot be created, prints
    one line and exits 2 before any section runs.
@@ -14,9 +13,10 @@
    Each section computes its results once, fails the run (exit 1) on any
    broken hard gate, prints its table and hands back the JSON artifacts
    it owns.  --json DIR writes the artifacts of the sections that ran,
-   then host.json (per-section host wall time, plus the tlb and dispatch
-   blocks when those sections ran) and manifest.json.  The probe
-   workloads' cycles are pinned in test/test_pins.ml, not here. *)
+   then manifest.json.  Every number is simulated, so stdout and the
+   artifacts depend only on the source tree (and the commit stamp); host
+   time is measured by perfbench/.  The probe workloads' cycles are
+   pinned in test/test_pins.ml, not here. *)
 
 let header title = Printf.printf "\n=== %s ===\n\n" title
 
@@ -311,10 +311,10 @@ let run_fig7 () =
   print_endline "\nPaper (Table 3): scores 60.31 / 61.20 / 59.94 -> overhead alloc -1.48%, mpk +0.61%";
   artifacts
 
-(* --- Software-TLB microbench --- *)
+(* --- Software-TLB identity --- *)
 
 let run_tlb () =
-  header "Software TLB: page-hot checked-access loop, host wall-clock";
+  header "Software TLB: page-hot checked-access loop, TLB on vs off";
   let r = Workloads.Microbench.tlb_hot () in
   if r.Workloads.Microbench.cycles_on <> r.Workloads.Microbench.cycles_off then
     failwith
@@ -323,38 +323,28 @@ let run_tlb () =
   Printf.printf "working set %d pages x %d rounds (read+write u64 per page)\n"
     r.Workloads.Microbench.pages r.Workloads.Microbench.iters;
   Util.Table.print
-    ~header:[ "config"; "host wall ms"; "sim cycles" ]
+    ~header:[ "config"; "sim cycles" ]
     [
-      [ "tlb off"; Printf.sprintf "%.1f" (1000.0 *. r.Workloads.Microbench.wall_off_s);
-        string_of_int r.Workloads.Microbench.cycles_off ];
-      [ "tlb on"; Printf.sprintf "%.1f" (1000.0 *. r.Workloads.Microbench.wall_on_s);
-        string_of_int r.Workloads.Microbench.cycles_on ];
+      [ "tlb off"; string_of_int r.Workloads.Microbench.cycles_off ];
+      [ "tlb on"; string_of_int r.Workloads.Microbench.cycles_on ];
     ];
   let stats = r.Workloads.Microbench.tlb in
-  Printf.printf "speedup: %.2fx  hit rate: %.2f%% (%d hits, %d misses, %d flush generations)\n"
-    r.Workloads.Microbench.speedup
+  Printf.printf "hit rate: %.2f%% (%d hits, %d misses, %d flush generations)\n"
     (100.0 *. Sim.Tlb.hit_rate stats)
     stats.Sim.Tlb.hits stats.Sim.Tlb.misses stats.Sim.Tlb.flushes;
   print_endline "(simulated cycles are identical by construction: the TLB is architecturally invisible)";
   [
-    ( "host.json",
+    ( "tlb.json",
       Util.Json.Obj
         [
-          ( "tlb",
-            Util.Json.Obj
-              [
-                ("pages", Util.Json.Int r.Workloads.Microbench.pages);
-                ("iters", Util.Json.Int r.Workloads.Microbench.iters);
-                ("wall_on_s", Util.Json.Float r.Workloads.Microbench.wall_on_s);
-                ("wall_off_s", Util.Json.Float r.Workloads.Microbench.wall_off_s);
-                ("speedup", Util.Json.Float r.Workloads.Microbench.speedup);
-                ("cycles_on", Util.Json.Int r.Workloads.Microbench.cycles_on);
-                ("cycles_off", Util.Json.Int r.Workloads.Microbench.cycles_off);
-                ("cycles_identical", Util.Json.Bool true);
-                ("hits", Util.Json.Int stats.Sim.Tlb.hits);
-                ("misses", Util.Json.Int stats.Sim.Tlb.misses);
-                ("flushes", Util.Json.Int stats.Sim.Tlb.flushes);
-              ] );
+          ("pages", Util.Json.Int r.Workloads.Microbench.pages);
+          ("iters", Util.Json.Int r.Workloads.Microbench.iters);
+          ("cycles_on", Util.Json.Int r.Workloads.Microbench.cycles_on);
+          ("cycles_off", Util.Json.Int r.Workloads.Microbench.cycles_off);
+          ("cycles_identical", Util.Json.Bool true);
+          ("hits", Util.Json.Int stats.Sim.Tlb.hits);
+          ("misses", Util.Json.Int stats.Sim.Tlb.misses);
+          ("flushes", Util.Json.Int stats.Sim.Tlb.flushes);
         ] );
   ]
 
@@ -399,8 +389,7 @@ let run_sites () =
     Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:12) "site-stats"
       (Workloads.Dom_scripts.dom_attr ~iters:60)
   in
-  let suite = { Workloads.Bench_def.suite_name = "sites"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
+  let profile = Workloads.Runner.profile_bench bench in
   let env = env_exn ~profile Pkru_safe.Config.Mpk in
   let browser = Browser.create env in
   Browser.load_page browser bench.Workloads.Bench_def.page;
@@ -508,10 +497,7 @@ let mitigation_bench =
 
 let run_mitigation () =
   header "Mitigation: fault-recovery policy overhead (full profile, no faults)";
-  let profile =
-    Workloads.Runner.profile_suite
-      { Workloads.Bench_def.suite_name = "mitigation"; benches = [ mitigation_bench ] }
-  in
+  let profile = Workloads.Runner.profile_bench mitigation_bench in
   let cycles ?mitigation () =
     (Workloads.Runner.run_config ?mitigation ~mode:Pkru_safe.Config.Mpk ~profile mitigation_bench)
       .Workloads.Runner.cycles
@@ -591,16 +577,15 @@ let census_bench =
    summaries (gate round-trip, allocation sizes, fault service) plus the
    attribution digests — site heat, the compartment flow matrix and the
    cycle-sampled folded stacks.  The traced runs are separate from every
-   timing run, so telemetry cannot perturb the reported numbers even in
+   measured run, so telemetry cannot perturb the reported numbers even in
    principle. *)
-let traced_bench name bench =
-  let suite = { Workloads.Bench_def.suite_name = name; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
+let traced_bench (bench : Workloads.Bench_def.bench) =
+  let profile = Workloads.Runner.profile_bench bench in
   let m =
     Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
       ~profile bench
   in
-  ( name,
+  ( bench.Workloads.Bench_def.name,
     match m.Workloads.Runner.trace with
     | Some sink ->
       let attribution =
@@ -624,10 +609,7 @@ let traced_bench name bench =
    runs. *)
 let run_census () =
   header "Heap census + provenance audit (dom-attr, mpk)";
-  let profile =
-    Workloads.Runner.profile_suite
-      { Workloads.Bench_def.suite_name = "census"; benches = [ census_bench ] }
-  in
+  let profile = Workloads.Runner.profile_bench census_bench in
   let plain = Workloads.Runner.run_config ~mode:Pkru_safe.Config.Mpk ~profile census_bench in
   let censused =
     Workloads.Runner.run_config ~census_every:census_every_default ~mode:Pkru_safe.Config.Mpk
@@ -684,10 +666,10 @@ let run_census () =
     ( "telemetry.json",
       Util.Json.Obj
         [
-          traced_bench "dom-attr"
+          traced_bench
             (Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:12) "dom-attr"
                (Workloads.Dom_scripts.dom_attr ~iters:60));
-          traced_bench "richards"
+          traced_bench
             (Workloads.Bench_def.bench "richards" (Workloads.Kernels.richards ~iterations:40));
         ] );
     ( "census.json",
@@ -702,15 +684,12 @@ let run_census () =
         ] );
   ]
 
-(* --- Dispatch: execution-tier equivalence + host speedup --- *)
+(* --- Dispatch: execution-tier equivalence --- *)
 
 type dispatch_row = {
   dr_label : string;
   dr_benches : int;
   dr_cycles : int;  (* summed over the suite; identical across bytecode tiers *)
-  dr_wall_ast : float;
-  dr_wall_ref : float;
-  dr_wall_thr : float;
   dr_var_hits : int;
   dr_var_misses : int;
   dr_prop_hits : int;
@@ -729,20 +708,16 @@ let dispatch_suites =
 
 let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
   let profile = Runtime.Profile.create () in
-  (* Setup (machine, browser, page) is untimed — only the script run is
-     the engine's work; cycles/transitions are the post-setup deltas,
+  (* Cycles/transitions are the post-setup deltas of the script run,
      exactly as [Runner.run_config] measures them. *)
-  let timed_run tier (bench : Workloads.Bench_def.bench) =
+  let run tier (bench : Workloads.Bench_def.bench) =
     let env = env_exn ~profile Pkru_safe.Config.Base in
     let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
     Browser.load_page browser bench.Workloads.Bench_def.page;
     Pkru_safe.Env.reset_counters env;
     Engine.reset_stats (Browser.engine browser);
-    let t0 = Unix.gettimeofday () in
     ignore (Browser.exec_script ~tier browser bench.Workloads.Bench_def.script);
-    let wall = Unix.gettimeofday () -. t0 in
-    ( wall,
-      Pkru_safe.Env.cycles env,
+    ( Pkru_safe.Env.cycles env,
       Pkru_safe.Env.transitions env,
       Browser.console browser,
       Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)),
@@ -751,9 +726,9 @@ let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
   List.fold_left
     (fun row (bench : Workloads.Bench_def.bench) ->
       let name = bench.Workloads.Bench_def.name in
-      let t_ast, _, _, out_ast, _, _ = timed_run Engine.Ast_tier bench in
-      let t_ref, cyc_ref, trans_ref, out_ref, _, _ = timed_run Engine.Bytecode_tier bench in
-      let t_thr, cyc_thr, trans_thr, out_thr, ic, ts = timed_run Engine.Threaded_tier bench in
+      let _, _, out_ast, _, _ = run Engine.Ast_tier bench in
+      let cyc_ref, trans_ref, out_ref, _, _ = run Engine.Bytecode_tier bench in
+      let cyc_thr, trans_thr, out_thr, ic, ts = run Engine.Threaded_tier bench in
       if out_ast <> out_ref || out_ref <> out_thr then
         failwith (Printf.sprintf "dispatch: %s outputs disagree across tiers" name);
       if cyc_ref <> cyc_thr || trans_ref <> trans_thr then
@@ -765,9 +740,6 @@ let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
       {
         row with
         dr_cycles = row.dr_cycles + cyc_ref;
-        dr_wall_ast = row.dr_wall_ast +. t_ast;
-        dr_wall_ref = row.dr_wall_ref +. t_ref;
-        dr_wall_thr = row.dr_wall_thr +. t_thr;
         dr_var_hits = row.dr_var_hits + ic.Engine.Eval.var_hits;
         dr_var_misses = row.dr_var_misses + ic.Engine.Eval.var_misses;
         dr_prop_hits = row.dr_prop_hits + ts.Engine.Threaded.prop_hits;
@@ -778,9 +750,6 @@ let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
       dr_label = label;
       dr_benches = List.length suite.Workloads.Bench_def.benches;
       dr_cycles = 0;
-      dr_wall_ast = 0.0;
-      dr_wall_ref = 0.0;
-      dr_wall_thr = 0.0;
       dr_var_hits = 0;
       dr_var_misses = 0;
       dr_prop_hits = 0;
@@ -797,20 +766,10 @@ let run_dispatch () =
   header "Execution tiers: threaded dispatch + superinstructions + inline caches";
   let rows = List.map run_dispatch_suite dispatch_suites in
   Util.Table.print
-    ~header:
-      [ "suite"; "sim cycles"; "ast wall"; "bytecode wall"; "threaded wall"; "vs bytecode";
-        "vs ast" ]
+    ~header:[ "suite"; "sim cycles" ]
     (List.map
        (fun r ->
-         [
-           Printf.sprintf "%s (%d benches)" r.dr_label r.dr_benches;
-           string_of_int r.dr_cycles;
-           Printf.sprintf "%.1fms" (1000.0 *. r.dr_wall_ast);
-           Printf.sprintf "%.1fms" (1000.0 *. r.dr_wall_ref);
-           Printf.sprintf "%.1fms" (1000.0 *. r.dr_wall_thr);
-           ratio (r.dr_wall_ref /. r.dr_wall_thr);
-           ratio (r.dr_wall_ast /. r.dr_wall_thr);
-         ])
+         [ Printf.sprintf "%s (%d benches)" r.dr_label r.dr_benches; string_of_int r.dr_cycles ])
        rows);
   List.iter
     (fun r ->
@@ -826,42 +785,34 @@ let run_dispatch () =
         r.dr_super_execs)
     rows;
   print_endline
-    "(simulated cycles are identical across the bytecode tiers by construction — the \n\
-    \ section hard-fails on any divergence; walls are host-side only)";
-  (* Host walls go to host.json only, so dispatch.json is reproducible. *)
-  let walls r =
-    [
-      ("ast_wall_s", Util.Json.Float r.dr_wall_ast);
-      ("bytecode_wall_s", Util.Json.Float r.dr_wall_ref);
-      ("threaded_wall_s", Util.Json.Float r.dr_wall_thr);
-      ("speedup_vs_bytecode", Util.Json.Float (r.dr_wall_ref /. r.dr_wall_thr));
-      ("speedup_vs_ast", Util.Json.Float (r.dr_wall_ast /. r.dr_wall_thr));
-    ]
-  in
-  let per_suite fields =
-    Util.Json.Obj (List.map (fun r -> (r.dr_label, Util.Json.Obj (fields r))) rows)
-  in
+    "(simulated cycles are identical across the bytecode tiers by construction — the\n\
+    \ section hard-fails on any divergence)";
   [
     ( "dispatch.json",
-      per_suite (fun r ->
-          [
-            ("benches", Util.Json.Int r.dr_benches);
-            ("sim_cycles", Util.Json.Int r.dr_cycles);
-            ("cycles_identical", Util.Json.Bool true);
-            ( "inline_caches",
-              Util.Json.Obj
-                [
-                  ("var_hits", Util.Json.Int r.dr_var_hits);
-                  ("var_misses", Util.Json.Int r.dr_var_misses);
-                  ("var_hit_rate_pct", Util.Json.Float (hit_rate r.dr_var_hits r.dr_var_misses));
-                  ("prop_hits", Util.Json.Int r.dr_prop_hits);
-                  ("prop_misses", Util.Json.Int r.dr_prop_misses);
-                  ( "prop_hit_rate_pct",
-                    Util.Json.Float (hit_rate r.dr_prop_hits r.dr_prop_misses) );
-                  ("super_execs", Util.Json.Int r.dr_super_execs);
-                ] );
-          ]) );
-    ("host.json", Util.Json.Obj [ ("dispatch", per_suite walls) ]);
+      Util.Json.Obj
+        (List.map
+           (fun r ->
+             ( r.dr_label,
+               Util.Json.Obj
+                 [
+                   ("benches", Util.Json.Int r.dr_benches);
+                   ("sim_cycles", Util.Json.Int r.dr_cycles);
+                   ("cycles_identical", Util.Json.Bool true);
+                   ( "inline_caches",
+                     Util.Json.Obj
+                       [
+                         ("var_hits", Util.Json.Int r.dr_var_hits);
+                         ("var_misses", Util.Json.Int r.dr_var_misses);
+                         ( "var_hit_rate_pct",
+                           Util.Json.Float (hit_rate r.dr_var_hits r.dr_var_misses) );
+                         ("prop_hits", Util.Json.Int r.dr_prop_hits);
+                         ("prop_misses", Util.Json.Int r.dr_prop_misses);
+                         ( "prop_hit_rate_pct",
+                           Util.Json.Float (hit_rate r.dr_prop_hits r.dr_prop_misses) );
+                         ("super_execs", Util.Json.Int r.dr_super_execs);
+                       ] );
+                 ] ))
+           rows) );
   ]
 
 (* --- Fleet: multi-session scheduling throughput (per-CPU run queues) --- *)
@@ -884,15 +835,13 @@ let fleet_ident_bench =
     (Workloads.Dom_scripts.dom_attr ~iters:12)
 
 let fleet_point ~sessions ~cpus jobs =
-  let t0 = Unix.gettimeofday () in
   let r = Fleet.run ~cpus ~timeslice:500 ~max_live:64 ~sessions jobs in
-  let wall = Unix.gettimeofday () -. t0 in
   if r.Fleet.r_completed <> sessions then
     failwith
       (Printf.sprintf "fleet: %d of %d session(s) did not complete (%d oom, %d failed)"
          (sessions - r.Fleet.r_completed)
          sessions r.Fleet.r_oom r.Fleet.r_failed);
-  (r, wall)
+  r
 
 let fleet_trace_json sink =
   Util.Json.to_string
@@ -941,13 +890,11 @@ let run_fleet () =
       (fun (sessions, cpus) -> fleet_point ~sessions ~cpus fleet_mixed_jobs)
       [ (1_000, 1); (1_000, 2); (1_000, 4); (10_000, 4) ]
   in
-  let smoke, smoke_wall = fleet_point ~sessions:100_000 ~cpus:4 [ fleet_tiny_job ] in
+  let smoke = fleet_point ~sessions:100_000 ~cpus:4 [ fleet_tiny_job ] in
   Util.Table.print
-    ~header:
-      [ "sessions"; "cpus"; "sessions/sec"; "p50 latency"; "p99 latency"; "yields"; "steals";
-        "host wall" ]
+    ~header:[ "sessions"; "cpus"; "sessions/sec"; "p50 latency"; "p99 latency"; "yields"; "steals" ]
     (List.map
-       (fun ((r : Fleet.result), wall) ->
+       (fun (r : Fleet.result) ->
          [
            string_of_int r.Fleet.r_sessions;
            string_of_int r.Fleet.r_cpus;
@@ -956,14 +903,12 @@ let run_fleet () =
            Printf.sprintf "%.0fns" r.Fleet.r_p99_latency_ns;
            string_of_int r.Fleet.r_yields;
            string_of_int r.Fleet.r_steals;
-           Printf.sprintf "%.2fs" wall;
          ])
-       (scale @ [ (smoke, smoke_wall) ]));
+       (scale @ [ smoke ]));
   let at_1k ~cpus =
-    fst
-      (List.find
-         (fun ((r : Fleet.result), _) -> r.Fleet.r_sessions = 1_000 && r.Fleet.r_cpus = cpus)
-         scale)
+    List.find
+      (fun (r : Fleet.result) -> r.Fleet.r_sessions = 1_000 && r.Fleet.r_cpus = cpus)
+      scale
   in
   (* Throughput must scale: 4 CPUs at least 2x 1 CPU on the same 1k
      workload (a hard gate — the simulated scheduler has no contention
@@ -990,24 +935,12 @@ let run_fleet () =
     "single-session fleet run bit-identical to the runner (%d cycles, %d mid-script \
      yield(s); cycles, transitions, event trace and all injected counters compared)\n"
     ident_cycles ident_yields;
-  (* Host walls go to host.json only, so fleet.json is reproducible. *)
-  let point (r, _) = Fleet.to_json r and wall (_, w) = Util.Json.Float w in
   [
-    ( "host.json",
-      Util.Json.Obj
-        [
-          ( "fleet",
-            Util.Json.Obj
-              [
-                ("scaling_wall_s", Util.Json.List (List.map wall scale));
-                ("smoke_100k_wall_s", Util.Json.Float smoke_wall);
-              ] );
-        ] );
     ( "fleet.json",
       Util.Json.Obj
         [
-          ("scaling", Util.Json.List (List.map point scale));
-          ("smoke_100k", point (smoke, smoke_wall));
+          ("scaling", Util.Json.List (List.map Fleet.to_json scale));
+          ("smoke_100k", Fleet.to_json smoke);
           ( "single_session_identity",
             Util.Json.Obj
               [
@@ -1081,70 +1014,11 @@ let run_garmr () =
         ] );
   ]
 
-(* --- Bechamel --- *)
-
-let run_bechamel () =
-  header "Bechamel wall-clock micro-benchmarks (scaled-down experiment per table/figure)";
-  let open Bechamel in
-  let gate_env = env_exn ~profile:(Runtime.Profile.create ()) Pkru_safe.Config.Mpk in
-  let gate = Pkru_safe.Env.gate gate_env in
-  let machine = Pkru_safe.Env.machine gate_env in
-  let buf = Pkru_safe.Env.malloc_untrusted gate_env 64 in
-  let mk_suite_test ~name bench =
-    let suite = { Workloads.Bench_def.suite_name = name; benches = [ bench ] } in
-    let profile = Workloads.Runner.profile_suite suite in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Workloads.Runner.run_config ~mode:Pkru_safe.Config.Mpk ~profile bench)))
-  in
-  let tests =
-    [
-      Test.make ~name:"micro.table"
-        (Staged.stage (fun () -> ignore (Workloads.Microbench.run ~iterations:50 ())));
-      Test.make ~name:"fig3.gate-roundtrip"
-        (Staged.stage (fun () -> Runtime.Gate.call_untrusted gate (fun () -> ())));
-      Test.make ~name:"sim.read_write_u64"
-        (Staged.stage (fun () ->
-             Sim.Machine.write_u64 machine buf 42;
-             ignore (Sim.Machine.read_u64 machine buf)));
-      mk_suite_test ~name:"table1.dromaeo-dom"
-        (Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:4) "t1"
-           (Workloads.Dom_scripts.dom_attr ~iters:8));
-      mk_suite_test ~name:"table2.fig4.dromaeo-v8"
-        (Workloads.Bench_def.bench "t2" (Workloads.Kernels.richards ~iterations:25));
-      mk_suite_test ~name:"fig5.kraken-fft"
-        (Workloads.Bench_def.bench "f5" (Workloads.Kernels.fft ~n:64));
-      mk_suite_test ~name:"fig6.octane-splay"
-        (Workloads.Bench_def.bench "f6" (Workloads.Kernels.splay ~nodes:60 ~lookups:60));
-      mk_suite_test ~name:"fig7.table3.jetstream-sha"
-        (Workloads.Bench_def.bench "f7" (Workloads.Kernels.crypto_sha ~iters:250));
-    ]
-  in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) ~kde:None () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"pkru" ~fmt:"%s %s" tests) in
-  let results = Analyze.all ols (List.hd instances) raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  Util.Table.print
-    ~header:[ "benchmark"; "ns/run" ]
-    (List.map
-       (fun (name, ols) ->
-         let estimate =
-           match Analyze.OLS.estimates ols with
-           | Some (e :: _) -> Printf.sprintf "%.0f" e
-           | _ -> "n/a"
-         in
-         [ name; estimate ])
-       (List.sort compare rows));
-  []
-
 (* --- Command line and the section registry --- *)
 
 (* Every section in run order.  Each function computes its results once,
    fails on a broken hard gate, prints its report and returns the JSON
-   artifacts it owns: the files written under --json, plus blocks for
-   host.json returned under that name. *)
+   artifacts it owns: the files written under --json. *)
 let sections =
   [
     ("micro", run_micro);
@@ -1163,16 +1037,14 @@ let sections =
     ("dispatch", run_dispatch);
     ("fleet", run_fleet);
     ("garmr", run_garmr);
-    ("bechamel", run_bechamel);
   ]
 
 type options = {
-  skip_bechamel : bool;
   only : string list;
   json_dir : string option;
 }
 
-let usage = "main.exe [--skip-bechamel] [--only SECTION]... [--json DIR]"
+let usage = "main.exe [--only SECTION]... [--json DIR]"
 
 (* Argument errors print one line and exit 2 before any section runs. *)
 let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); exit 2) fmt
@@ -1183,13 +1055,12 @@ let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg
 let parse_args args =
   let rec go o = function
     | [] -> o
-    | "--skip-bechamel" :: rest -> go { o with skip_bechamel = true } rest
     | "--only" :: name :: rest -> go { o with only = name :: o.only } rest
     | "--json" :: dir :: rest -> go { o with json_dir = Some dir } rest
     | [ ("--only" | "--json") as flag ] -> usage_error "%s needs a value; usage: %s" flag usage
     | arg :: _ -> usage_error "unknown argument %s; usage: %s" arg usage
   in
-  let o = go { skip_bechamel = false; only = []; json_dir = None } args in
+  let o = go { only = []; json_dir = None } args in
   List.iter
     (fun name ->
       if not (List.mem_assoc name sections) then
@@ -1219,26 +1090,16 @@ let commit_hash () =
 let artifact_schema = "pkru-safe.bench-artifact/1"
 
 (* Writes each artifact once, in the order the sections returned them
-   (a file two sections share is written by the first), then host.json
-   — the per-section walls followed by the sections' host blocks in name
-   order — and last manifest.json, listing every other file. *)
-let write_json dir ran =
+   (a file two sections share is written by the first), then
+   manifest.json, listing every other file. *)
+let write_json dir artifacts =
   let commit = commit_hash () in
-  let artifacts = List.concat_map (fun (_, _, artifacts) -> artifacts) ran in
-  let host, files = List.partition (fun (file, _) -> file = "host.json") artifacts in
   let files =
     List.rev
       (List.fold_left
          (fun acc (file, json) -> if List.mem_assoc file acc then acc else (file, json) :: acc)
-         [] files)
+         [] artifacts)
   in
-  let host_blocks =
-    List.concat_map (function _, Util.Json.Obj blocks -> blocks | _ -> []) host
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let walls = List.map (fun (name, wall, _) -> (name, Util.Json.Float wall)) ran in
-  let host = Util.Json.Obj (("section_wall_seconds", Util.Json.Obj walls) :: host_blocks) in
-  let files = files @ [ ("host.json", host) ] in
   (* Object-rooted artifacts carry the schema + commit stamp inline;
      list-rooted ones (micro.json, fig3.json, security.json) keep their
      shape — the CLI `compare` subcommand pattern-matches on it — and are
@@ -1265,26 +1126,20 @@ let write_json dir ran =
 
 let () =
   let o = parse_args (List.tl (Array.to_list Sys.argv)) in
-  let runs = function
-    | "bechamel" when o.skip_bechamel -> false
-    | name -> o.only = [] || List.mem name o.only
-  in
   print_endline "PKRU-Safe reproduction: benchmark harness";
   print_endline "Cycle counts are simulated machine cycles; see DESIGN.md section 5.";
-  let ran =
-    List.filter_map
+  let artifacts =
+    List.concat_map
       (fun (name, run) ->
-        if not (runs name) then None
-        else begin
-          let start = Unix.gettimeofday () in
+        if o.only <> [] && not (List.mem name o.only) then []
+        else
           match run () with
-          | artifacts -> Some (name, Unix.gettimeofday () -. start, artifacts)
+          | artifacts -> artifacts
           | exception Failure msg ->
             flush stdout;
             prerr_endline (Printf.sprintf "bench: %s section failed: %s" name msg);
-            exit 1
-        end)
+            exit 1)
       sections
   in
-  Option.iter (fun dir -> write_json dir ran) o.json_dir;
+  Option.iter (fun dir -> write_json dir artifacts) o.json_dir;
   print_endline "\ndone."

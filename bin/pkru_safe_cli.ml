@@ -331,11 +331,7 @@ let run_suite name telemetry =
    profile collected from the same workload first. *)
 let profile_for ~mode (bench : Workloads.Bench_def.bench) =
   match mode with
-  | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
-    let suite =
-      { Workloads.Bench_def.suite_name = bench.Workloads.Bench_def.name; benches = [ bench ] }
-    in
-    Workloads.Runner.profile_suite suite
+  | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk -> Workloads.Runner.profile_bench bench
   | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
 
 let run_trace bench_name mode format output flight =

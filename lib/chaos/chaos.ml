@@ -57,15 +57,6 @@ let workload =
     "gate-bound"
     (Workloads.Dom_scripts.dom_attr ~iters:120)
 
-let profile_workload () =
-  let env =
-    ok_exn (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Profiling))
-  in
-  let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
-  Browser.load_page browser workload.Workloads.Bench_def.page;
-  ignore (Browser.exec_script browser workload.Workloads.Bench_def.script);
-  Pkru_safe.Env.recorded_profile env
-
 let make_env ~profile ~policy =
   ok_exn
     (Pkru_safe.Env.create ~profile
@@ -277,7 +268,7 @@ let drop_sites full ~drop ~rng =
   profile
 
 let coverage_gap ~drop ~policy ~seed =
-  let full = profile_workload () in
+  let full = Workloads.Runner.profile_bench workload in
   let rng = Util.Rng.create seed in
   let profile = drop_sites full ~drop ~rng in
   let dropped = Runtime.Profile.cardinal full - Runtime.Profile.cardinal profile in
@@ -317,7 +308,7 @@ let coverage_gap ~drop ~policy ~seed =
     ~profile env
 
 let pkalloc_oom ~oom_at ~policy ~seed =
-  let profile = profile_workload () in
+  let profile = Workloads.Runner.profile_bench workload in
   let env = make_env ~profile ~policy in
   let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
   Browser.load_page browser workload.Workloads.Bench_def.page;
@@ -369,7 +360,7 @@ let pkalloc_oom ~oom_at ~policy ~seed =
   { report with invariant_failures = report.invariant_failures @ List.rev !extra }
 
 let gate_corruption ~policy ~seed =
-  let profile = profile_workload () in
+  let profile = Workloads.Runner.profile_bench workload in
   let env = make_env ~profile ~policy in
   let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
   Browser.load_page browser workload.Workloads.Bench_def.page;
@@ -416,7 +407,7 @@ let gate_corruption ~policy ~seed =
   { report with invariant_failures = report.invariant_failures @ extra }
 
 let handler_tamper ~drop ~policy ~seed =
-  let full = profile_workload () in
+  let full = Workloads.Runner.profile_bench workload in
   let rng = Util.Rng.create seed in
   let profile = drop_sites full ~drop ~rng in
   let env = make_env ~profile ~policy in

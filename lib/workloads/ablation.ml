@@ -25,15 +25,12 @@ let measure ~mode ~mu_backend ~cost ~profile (bench : Bench_def.bench) =
   ignore (Browser.exec_script browser bench.Bench_def.script);
   Pkru_safe.Env.cycles env
 
-let profile_for (bench : Bench_def.bench) =
-  Runner.profile_suite { Bench_def.suite_name = "ablation"; benches = [ bench ] }
-
 let overhead_pct ~base ~measured =
   Util.Stats.percent_overhead ~baseline:(float_of_int base) ~measured:(float_of_int measured)
 
 let fast_mu_allocator () =
   let bench = alloc_heavy_bench in
-  let profile = profile_for bench in
+  let profile = Runner.profile_bench bench in
   let cost = Sim.Cost.default in
   let run mu_backend mode = measure ~mode ~mu_backend ~cost ~profile bench in
   let base = run Allocators.Pkalloc.Mu_dlmalloc Pkru_safe.Config.Base in
@@ -43,7 +40,7 @@ let fast_mu_allocator () =
 
 let gate_cost_sweep ~wrpkru_costs =
   let bench = binding_bound_bench in
-  let profile = profile_for bench in
+  let profile = Runner.profile_bench bench in
   List.map
     (fun wrpkru ->
       let cost = Sim.Cost.with_wrpkru Sim.Cost.default wrpkru in
@@ -55,7 +52,7 @@ let gate_cost_sweep ~wrpkru_costs =
 
 let profile_coverage ~fractions ~seed =
   let bench = binding_bound_bench in
-  let full = profile_for bench in
+  let full = Runner.profile_bench bench in
   let rng = Util.Rng.create seed in
   List.map
     (fun fraction ->

@@ -85,20 +85,17 @@ let run ?(iterations = 20_000) () =
     run_one ~iterations "Callback" (fun f ~gated -> callback_body f ~gated);
   ]
 
-(* {2 The software-TLB microbench}
+(* {2 The software-TLB identity check}
 
    A page-hot loop — the TLB's best case and the checked path's common
    case — run twice on identical machines, once with the TLB and once
    forced down the slow resolve path.  Simulated cycles must agree
-   exactly (the TLB is architecturally invisible); only host wall-clock
-   differs, and the ratio is the reported speedup. *)
+   exactly: the TLB is architecturally invisible.  Its host cost is
+   measured by perfbench's [machine.read_hit_ns]/[read_miss_ns] probes. *)
 
 type tlb_result = {
   pages : int;
   iters : int;
-  wall_on_s : float;
-  wall_off_s : float;
-  speedup : float;
   cycles_on : int;
   cycles_off : int;
   tlb : Sim.Tlb.stats;
@@ -133,24 +130,13 @@ let tlb_run ~tlb ~pages ~iters =
   let machine = tlb_machine ~tlb ~pages in
   (* One warm-up round so both variants start page-hot. *)
   tlb_workload machine ~pages ~iters:1;
-  let start = Unix.gettimeofday () in
   tlb_workload machine ~pages ~iters;
-  let wall = Unix.gettimeofday () -. start in
-  (wall, Sim.Machine.cycles machine, Sim.Machine.tlb_stats machine)
+  (Sim.Machine.cycles machine, Sim.Machine.tlb_stats machine)
 
 let tlb_hot ?(pages = 8) ?(iters = 200_000) () =
-  let wall_off_s, cycles_off, _ = tlb_run ~tlb:false ~pages ~iters in
-  let wall_on_s, cycles_on, stats = tlb_run ~tlb:true ~pages ~iters in
-  {
-    pages;
-    iters;
-    wall_on_s;
-    wall_off_s;
-    speedup = (if wall_on_s > 0.0 then wall_off_s /. wall_on_s else 0.0);
-    cycles_on;
-    cycles_off;
-    tlb = stats;
-  }
+  let cycles_off, _ = tlb_run ~tlb:false ~pages ~iters in
+  let cycles_on, tlb = tlb_run ~tlb:true ~pages ~iters in
+  { pages; iters; cycles_on; cycles_off; tlb }
 
 let sweep ~loop_counts ?(iterations = 5_000) () =
   List.map

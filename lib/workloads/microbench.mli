@@ -24,14 +24,11 @@ val run : ?iterations:int -> unit -> result list
 val sweep : loop_counts:int list -> ?iterations:int -> unit -> (int * float) list
 (** [(loop_count, normalised_runtime)] pairs for Figure 3. *)
 
-(** {2 Software-TLB microbench} *)
+(** {2 Software-TLB identity} *)
 
 type tlb_result = {
   pages : int;   (** working-set size, in pages *)
-  iters : int;   (** timed rounds over the working set *)
-  wall_on_s : float;   (** host wall-clock with the TLB, seconds *)
-  wall_off_s : float;  (** host wall-clock down the slow path, seconds *)
-  speedup : float;     (** [wall_off_s /. wall_on_s] *)
+  iters : int;   (** rounds over the working set *)
   cycles_on : int;     (** simulated cycles with the TLB *)
   cycles_off : int;    (** simulated cycles without — must equal [cycles_on] *)
   tlb : Sim.Tlb.stats; (** hit/miss/flush counts from the TLB-on run *)
@@ -41,5 +38,4 @@ val tlb_hot : ?pages:int -> ?iters:int -> unit -> tlb_result
 (** A page-hot read+write loop over a small working set (default 8 pages
     x 200k rounds), run on two otherwise identical machines with the
     software TLB on and off.  Simulated cycle counts are identical by
-    construction; the host wall-clock ratio is the TLB's speedup on the
-    checked-access fast path. *)
+    construction; the TLB's host cost is perfbench's to measure. *)

@@ -48,12 +48,14 @@ type suite_result = {
   mean_pct_mu : float;      (** byte-weighted %MU across the suite *)
 }
 
-val profile_suite : Bench_def.suite -> Runtime.Profile.t
-(** Runs every benchmark once on a profiling build and merges the results. *)
-
 val profile_bench : ?engine_tier:Engine.tier -> Bench_def.bench -> Runtime.Profile.t
-(** One profiling run (used by the dispatch-equivalence tests to exercise
-    the fault + single-step path under a chosen tier). *)
+(** One benchmark's profile: a fresh profiling build loads the page and
+    runs the script once, and the sites its provenance runtime recorded
+    are returned.  Every single-benchmark methodology run (the CLI's
+    enforcement modes, the ablations, chaos, bench's site, mitigation and
+    census sections) starts here; {!run_suite} merges one per benchmark
+    into the suite's profiling corpus.  [engine_tier] runs the script
+    under another tier (default AST), for the tier-equivalence tests. *)
 
 val run_traced : Telemetry.Sink.t -> Browser.t -> (unit -> unit) -> unit
 (** [run_traced sink browser exec] runs [exec] with [sink] attached to the
@@ -102,7 +104,9 @@ val run_suite :
   ?sample_every:int ->
   Bench_def.suite ->
   suite_result
-(** Full methodology for one suite; [progress] is called per benchmark. *)
+(** Full methodology for one suite: the merge of every benchmark's
+    {!profile_bench} is the profile for all of its enforcement runs;
+    [progress] is called per benchmark. *)
 
 val geomean_score : suite_result -> (Pkru_safe.Config.mode -> float)
 (** Geometric-mean score per configuration (Table 3). *)

@@ -228,10 +228,7 @@ let sampled_bench =
     (Workloads.Dom_scripts.dom_attr ~iters:8)
 
 let test_sampled_profile_matches_flow_matrix () =
-  let profile =
-    Workloads.Runner.profile_suite
-      { Workloads.Bench_def.suite_name = "attribution"; benches = [ sampled_bench ] }
-  in
+  let profile = Workloads.Runner.profile_bench sampled_bench in
   let m =
     Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
       ~profile sampled_bench
@@ -273,10 +270,7 @@ let test_sampled_profile_matches_flow_matrix () =
 (* The Prometheus exposition of a real run carries the attribution and
    profile families end to end. *)
 let test_prometheus_end_to_end () =
-  let profile =
-    Workloads.Runner.profile_suite
-      { Workloads.Bench_def.suite_name = "attribution"; benches = [ sampled_bench ] }
-  in
+  let profile = Workloads.Runner.profile_bench sampled_bench in
   let m =
     Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
       ~profile sampled_bench

@@ -116,10 +116,7 @@ let test_seed_workloads_leak_free () =
   in
   List.iter
     (fun (bench : Workloads.Bench_def.bench) ->
-      let profile =
-        Workloads.Runner.profile_suite
-          { Workloads.Bench_def.suite_name = "audit"; benches = [ bench ] }
-      in
+      let profile = Workloads.Runner.profile_bench bench in
       let env =
         ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk))
       in

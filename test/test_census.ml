@@ -11,8 +11,7 @@ let small_bench =
     (Workloads.Dom_scripts.dom_attr ~iters:8)
 
 let bench_profile () =
-  Workloads.Runner.profile_suite
-    { Workloads.Bench_def.suite_name = "census"; benches = [ small_bench ] }
+  Workloads.Runner.profile_bench small_bench
 
 (* (1) The census must not perturb measurements: a censused run equals an
    uncensused one in every field the paper's tables derive from, and two

@@ -107,8 +107,7 @@ let test_abort_bit_identical () =
     Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:6) "abort-eq"
       (Workloads.Dom_scripts.dom_attr ~iters:12)
   in
-  let suite = { Workloads.Bench_def.suite_name = "abort-eq"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
+  let profile = Workloads.Runner.profile_bench bench in
   let run mitigation =
     Workloads.Runner.run_config ?mitigation ~telemetry:true ~mode:Pkru_safe.Config.Mpk ~profile
       bench

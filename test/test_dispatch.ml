@@ -112,8 +112,7 @@ let test_dom_equivalence () =
       ~page:(Workloads.Dom_scripts.page ~rows:5)
       "dispatch-dom" (Workloads.Dom_scripts.jslib_select ~iters:8)
   in
-  let suite = { Workloads.Bench_def.suite_name = "dispatch-dom"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
+  let profile = Workloads.Runner.profile_bench bench in
   let mode = Pkru_safe.Config.Mpk in
   let reference = measure ~tier:Engine.Bytecode_tier ~mode ~profile bench in
   let threaded = measure ~tier:Engine.Threaded_tier ~mode ~profile bench in
@@ -135,8 +134,7 @@ let test_profiling_equivalence () =
       ~page:(Workloads.Dom_scripts.page ~rows:4)
       "dispatch-prof" (Workloads.Dom_scripts.dom_attr ~iters:6)
   in
-  let suite = { Workloads.Bench_def.suite_name = "dispatch-prof"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
+  let profile = Workloads.Runner.profile_bench bench in
   let mode = Pkru_safe.Config.Profiling in
   let reference = measure ~tier:Engine.Bytecode_tier ~mode ~profile bench in
   let threaded = measure ~tier:Engine.Threaded_tier ~mode ~profile bench in

@@ -11,8 +11,7 @@ let small_bench =
     (Workloads.Dom_scripts.dom_attr ~iters:8)
 
 let bench_profile () =
-  Workloads.Runner.profile_suite
-    { Workloads.Bench_def.suite_name = "telemetry"; benches = [ small_bench ] }
+  Workloads.Runner.profile_bench small_bench
 
 (* (1) Every gate side emits exactly one event, so the sink's gate-event
    count must equal the environment's transition counter — the invariant

@@ -40,8 +40,7 @@ let check_equivalence mode () =
     Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:6) "tlb-eq"
       (Workloads.Dom_scripts.dom_attr ~iters:12)
   in
-  let suite = { Workloads.Bench_def.suite_name = "tlb-eq"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
+  let profile = Workloads.Runner.profile_bench bench in
   let run tlb = Workloads.Runner.run_config ~telemetry:true ~tlb ~mode ~profile bench in
   let on = run true in
   let off = run false in
