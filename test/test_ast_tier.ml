@@ -4,7 +4,8 @@
    evaluation of compound-assignment targets, variable resolution against
    dynamic declaration order and late shadowing, step counts (fuel), the
    fast-tier-only IC counters, scoping cases on the AST and threaded
-   tiers, and golden cycles / transitions / output digests for every
+   tiers, staged scripts whose identifiers change binding between runs
+   (under [mpk]), and golden cycles / transitions / output digests for every
    registered benchmark under [base]. *)
 
 let ok = function
@@ -371,6 +372,178 @@ let test_scoping (name, src, pins) () =
       Alcotest.(check string) (what ^ ": output digest") digest d)
     pins
 
+(* --- Staged pins ---
+
+   Identifier sites whose binding moves between runs of the same
+   compiled code: scripts run one after another on one page (a script's
+   error is its result, and the next script still runs), first profiled,
+   then measured under [mpk], so each case pins every script's result,
+   the console, the cycles and the gate transitions. *)
+
+(* [fresh] is read before any script declares it, from a block inside a
+   [for] inside a function; a later top-level [var] declares it.
+   [shade]'s second loop iteration reads its own [for]-scoped [var]
+   over the global. *)
+let staged_late_global =
+  [
+    ( Engine.Ast_tier,
+      {|function probe(k) {
+  var r = 0;
+  for (var i = 0; i < 2; i = i + 1) { { var b = i; r = r + b * 10 + fresh; } }
+  return r + k;
+}
+print("defined");
+probe(1);|} );
+    (Engine.Ast_tier, {|var fresh = 5; print(probe(1), probe(2)); probe(3);|});
+    ( Engine.Ast_tier,
+      {|function shade() { var r = ""; for (var i = 0; i < 2; i = i + 1) { { r = r + fresh; } var fresh = "L"; } return r; }
+print(shade(), shade(), fresh);
+fresh = 6;
+probe(0) + shade();|} );
+  ]
+
+(* A function reads the [domGetTitle] binding, then a global [var] of
+   that name shadows it, then the global is reassigned. *)
+let staged_host_shadowed =
+  [
+    ( Engine.Ast_tier,
+      {|function title() { var s = ""; for (var i = 0; i < 2; i = i + 1) { { s = s + domGetTitle(); } } return s; }
+domSetTitle("T");
+print(title());
+var domGetTitle = function () { return "own"; };
+print(title(), domGetTitle());
+title();|} );
+    (Engine.Ast_tier, {|domGetTitle = function () { return "re"; }; title();|});
+  ]
+
+(* [made] is created by an assignment in [make], read by [readIt]; then
+   forty more globals outgrow the global table's first arrays, and both
+   sites run again. *)
+let staged_implicit_growth =
+  let many = String.concat "\n" (List.init 40 (fun i -> Printf.sprintf "var g%d = %d;" i i)) in
+  [
+    ( Engine.Ast_tier,
+      {|function make(v) { { made = v; } }
+function readIt() { var r = 0; for (var i = 0; i < 1; i = i + 1) { { r = made; } } return r; }
+make(6);
+make(7);
+print(readIt(), readIt());|} );
+    (Engine.Ast_tier, many ^ "\nmake(8);\nprint(readIt(), g39);\nmade = 9;\nreadIt() + made;");
+  ]
+
+(* [cap] is read two functions down from [outer]; [middle] declares its
+   own [cap] after making the reader, and so does [outer] after the
+   first call of [middle]. *)
+let staged_captured_two_up =
+  [
+    ( Engine.Ast_tier,
+      {|var cap = "g";
+function outer() {
+  function middle() {
+    var f = function () { var r = ""; for (var i = 0; i < 1; i = i + 1) { { r = r + cap; } } return r; };
+    var a = f();
+    var cap = "m";
+    return a + f();
+  }
+  var x = middle();
+  var cap = "o";
+  return x + middle() + cap;
+}
+print(outer(), cap);
+cap = "h";
+outer();|} );
+  ]
+
+(* A listener made inside a threaded-tier call and fired, on the AST
+   tier, by [domDispatchEvent] from scripts on both tiers: its reads of
+   [seen] (the minting call's scope), [count] and [note] (globals) go up
+   a chain the threaded tier made. *)
+let staged_threaded_listener =
+  [
+    ( Engine.Threaded_tier,
+      {|var count = 0;
+function note(x) { return "t" + x; }
+function install(node, tag) {
+  var seen = tag;
+  domAddEventListener(node, "ping", function (ev) {
+    var k = 0;
+    for (var i = 0; i < 2; i = i + 1) { { k = k + 1; count = count + k; } }
+    print(seen, count, note(k));
+  });
+}
+install(domRoot(), "t");
+domDispatchEvent(domRoot(), "ping");
+count;|} );
+    ( Engine.Ast_tier,
+      {|var seen = "G";
+note = function (x) { return "a" + x; };
+domDispatchEvent(domRoot(), "ping");
+print(count, seen);
+count;|} );
+    (Engine.Threaded_tier, {|domDispatchEvent(domRoot(), "ping"); count;|});
+  ]
+
+(* (name, scripts, results, console, cycles, transitions) *)
+let staged_pins =
+  [
+    ( "global read before and after its var",
+      staged_late_global,
+      [ "error: undefined variable fresh"; "23"; "226L" ],
+      [ "defined"; "21 22"; "5L 5L 5" ],
+      5217,
+      6 );
+    ( "host binding shadowed by a global",
+      staged_host_shadowed,
+      [ "ownown"; "rere" ],
+      [ "TT"; "ownown own" ],
+      4156,
+      10 );
+    ( "implicit global across table growth",
+      staged_implicit_growth,
+      [ "null"; "18" ],
+      [ "7 7"; "8 39" ],
+      6260,
+      4 );
+    ( "capture two functions up, shadowed late",
+      staged_captured_two_up,
+      [ "hmomo" ],
+      [ "gmomo g" ],
+      4723,
+      2 );
+    ( "threaded-tier listener fired by the DOM",
+      staged_threaded_listener,
+      [ "3"; "6"; "9" ],
+      [ "t 3 t2"; "t 6 a2"; "6 G"; "t 9 a2" ],
+      6031,
+      28 );
+  ]
+
+(* Runs [scripts] in order on one page under [mode]: each script's result
+   (or error), the console, and the env. *)
+let staged_run ?profile mode scripts =
+  let env = ok (Pkru_safe.Env.create ?profile (Pkru_safe.Config.make mode)) in
+  let b = Browser.create env in
+  Browser.load_page b "<html><body><div id=\"main\">hi</div></body></html>";
+  Pkru_safe.Env.reset_counters env;
+  let results =
+    List.map
+      (fun (tier, src) ->
+        match Browser.exec_script ~tier b src with
+        | v -> Engine.Value.to_display_string (Engine.heap (Browser.engine b)) v
+        | exception Engine.Eval.Script_error msg -> "error: " ^ msg)
+      scripts
+  in
+  (env, results, Browser.console b)
+
+let test_staged (name, scripts, results, console, cycles, transitions) () =
+  let profiled, _, _ = staged_run Pkru_safe.Config.Profiling scripts in
+  let profile = Pkru_safe.Env.recorded_profile profiled in
+  let env, r, c = staged_run ~profile Pkru_safe.Config.Mpk scripts in
+  Alcotest.(check (list string)) (name ^ ": results") results r;
+  Alcotest.(check (list string)) (name ^ ": console") console c;
+  Alcotest.(check int) (name ^ ": cycles") cycles (Pkru_safe.Env.cycles env);
+  Alcotest.(check int) (name ^ ": transitions") transitions (Pkru_safe.Env.transitions env)
+
 (* (bench, cycles, transitions, MD5 of the output lines joined by '\n'),
    each timed script run under [base] with an empty profile, recorded from
    the tree walker. *)
@@ -502,3 +675,6 @@ let suite =
   @ List.map
       (fun ((name, _, _) as p) -> Alcotest.test_case ("scoping: " ^ name) `Quick (test_scoping p))
       scoping_pins
+  @ List.map
+      (fun ((name, _, _, _, _, _) as p) -> Alcotest.test_case ("staged: " ^ name) `Quick (test_staged p))
+      staged_pins
