@@ -884,11 +884,11 @@ let fleet_identity () =
 
 let run_fleet () =
   header "Fleet: N concurrent sessions, per-CPU run queues, cooperative scheduling";
-  (* The scaling table (1k at 1/2/4 CPUs, 10k at 4) plus the 100k smoke. *)
+  (* The scaling table (1k at 1/2/4 CPUs) plus the 100k smoke. *)
   let scale =
     List.map
       (fun (sessions, cpus) -> fleet_point ~sessions ~cpus fleet_mixed_jobs)
-      [ (1_000, 1); (1_000, 2); (1_000, 4); (10_000, 4) ]
+      [ (1_000, 1); (1_000, 2); (1_000, 4) ]
   in
   let smoke = fleet_point ~sessions:100_000 ~cpus:4 [ fleet_tiny_job ] in
   Util.Table.print

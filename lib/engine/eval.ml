@@ -27,10 +27,14 @@ and kind =
   | Dynamic of (string, int) Hashtbl.t (* name -> slot *)
 
 (* A function literal's code: compiled on its first call, against the
-   calling evaluator, then shared by every closure minted at its site. *)
+   calling evaluator, then shared by every closure minted at its site.
+   [f_outer] holds the layouts of the static frames around the literal,
+   innermost first ([]: the literal sits at top level, or a bytecode tier
+   made it), so the body's identifiers resolve up to the globals. *)
 and func = {
   f_params : string list;
   f_body : Ast.stmt list;
+  f_outer : string array list;
   mutable f_code : code option;
 }
 
@@ -226,14 +230,17 @@ let rec assign_name t s name v =
 
 (* --- Variable resolution and inline caches (DESIGN.md §11) ---
 
-   AST-tier identifiers resolve through static frames below their
-   function's call frame ([static_lookup]) and a per-site {!walk} cache
-   above it, anchored on the call frame's parent.  Bytecode-tier sites
-   put a slot cache (scopes of one [origin]) and a {e full} walk cache
-   (anchored on the innermost scope itself) in front of a real,
-   charged probe of the innermost scope and the walk cache above it.
-   Every hit charges what the walk it elides would have charged.  After
-   [streak_limit] consecutive misses a site stops refilling and walks. *)
+   AST-tier identifiers resolve by lexical address: a slot in every
+   static frame up to the globals, then a cached slot of the global table
+   ([static_lookup]).  The per-site {!walk} caches serve the chains a
+   bytecode tier minted: bytecode-tier sites put a slot cache (scopes of
+   one [origin]) and a {e full} walk cache (anchored on the innermost
+   scope itself) in front of a real, charged probe of the innermost scope
+   and a walk cache above it, and an AST-tier site whose chain ends
+   elsewhere than in the global table walks from there with a cache
+   anchored on that scope.  Every hit charges what the walk it elides
+   would have charged.  After [streak_limit] consecutive misses a site
+   stops refilling and walks. *)
 
 let ic_stats t = t.ic
 
@@ -348,27 +355,88 @@ let lookup_above t ~full site cur start =
 let assign_above t ~full site cur start v =
   resolve_above t ~charged:false ~full site cur start && (walk_set site.above v; true)
 
-(* An AST-tier identifier: [slots.(i)] is its name's slot in the i-th
-   static frame up from [s] (-1: absent), skipped while unbound; past the
-   last, [lookup_above].  Charges 2 per level probed, like the walk. *)
-let rec static_lookup t slots site s i =
+(* An AST-tier identifier site.  [id_slots.(i)] is the name's slot in the
+   i-th static frame up from the site (-1: absent), through the frames of
+   every enclosing function; past the last one an AST-minted chain
+   reaches the global table, where the name's slot, once bound, never
+   moves (the table only grows): [id_global] caches that index, never
+   the [vals] array, which [declare] may replace. *)
+type ident = {
+  id_name : string;
+  id_slots : int array;
+  mutable id_global : int; (* the name's global slot; -1 until bound *)
+  mutable id_missed : int; (* the table's [decls] at the last probe that missed; -1 *)
+  mutable id_walk : var_site option; (* the walk from a chain a bytecode tier minted *)
+}
+
+let ident_site slots name =
+  { id_name = name; id_slots = slots; id_global = -1; id_missed = -1; id_walk = None }
+
+(* [site]'s name in the global table [g], out of line: a bound slot is
+   cached for good; a miss is not probed again until [g] declares a new
+   name. *)
+let[@inline never] global_probe site g =
+  if g.decls = site.id_missed then -1
+  else
+    match g.kind with
+    | Dynamic vars ->
+      (match Hashtbl.find_opt vars site.id_name with
+      | Some i ->
+        site.id_global <- i;
+        i
+      | None ->
+        site.id_missed <- g.decls;
+        -1)
+    | Static _ -> -1
+
+(* The global table's binding for [site] ([t.unbound]: none). *)
+let[@inline] global_lookup t site g =
+  let i = site.id_global in
+  if i >= 0 then g.vals.(i)
+  else
+    let i = global_probe site g in
+    if i >= 0 then g.vals.(i) else t.unbound
+
+let[@inline] global_assign site g v =
+  let i = site.id_global in
+  let i = if i >= 0 then i else global_probe site g in
+  i >= 0 && (g.vals.(i) <- v; true)
+
+let walk_site site =
+  match site.id_walk with
+  | Some w -> w
+  | None ->
+    let w = make_site ~counted:false site.id_name in
+    site.id_walk <- Some w;
+    w
+
+let[@inline never] lookup_walk t site s = lookup_above t ~full:false (walk_site site) s s
+let[@inline never] assign_walk t site s v = assign_above t ~full:false (walk_site site) s s v
+
+(* An AST-tier identifier read from [s]: static slots innermost first,
+   unbound ones skipped, then the global table, or a walk when the chain
+   ends elsewhere.  Charges 2 per level probed, like the walk. *)
+let rec static_lookup t site s i =
+  let slots = site.id_slots in
   if i = Array.length slots then begin
     if i > 0 then charge t (2 * i);
-    lookup_above t ~full:false site s s
+    if s == t.globals then (charge t 2; global_lookup t site s) else lookup_walk t site s
   end
   else
     let j = Array.unsafe_get slots i in
     let v = if j >= 0 then s.vals.(j) else t.unbound in
     if v != t.unbound then (charge t (2 * (i + 1)); v)
-    else match s.parent with Some p -> static_lookup t slots site p (i + 1) | None -> t.unbound
+    else match s.parent with Some p -> static_lookup t site p (i + 1) | None -> t.unbound
 
 (* The assignment counterpart: charges nothing. *)
-let rec static_assign t slots site s i v =
-  if i = Array.length slots then assign_above t ~full:false site s s v
+let rec static_assign t site s i v =
+  let slots = site.id_slots in
+  if i = Array.length slots then
+    if s == t.globals then global_assign site s v else assign_walk t site s v
   else
     let j = Array.unsafe_get slots i in
     if j >= 0 && s.vals.(j) != t.unbound then (s.vals.(j) <- v; true)
-    else match s.parent with Some p -> static_assign t slots site p (i + 1) v | None -> false
+    else match s.parent with Some p -> static_assign t site p (i + 1) v | None -> false
 
 (* A [var], function declaration or parameter into slot [i]. *)
 let declare_slot t s i v =
@@ -740,7 +808,11 @@ let ns_call t ns name args =
 
 let make_closure t fn scope = Value.Fun (add_closure t { c_func = fn; c_scope = scope })
 
-let func ~params ~body = { f_params = params; f_body = body; f_code = None }
+(* A function literal whose site sits in static frames of the layouts
+   [outer], innermost first. *)
+let literal outer params body = { f_params = params; f_body = body; f_outer = outer; f_code = None }
+
+let func ~params ~body = literal [] params body
 
 (* --- The AST tier: compile once, then run closures ---
 
@@ -758,16 +830,18 @@ let func ~params ~body = { f_params = params; f_body = body; f_code = None }
    Every call, [for] and block execution mints a static frame of its
    site's layout (DESIGN.md §11): declarations write by slot, and each
    identifier read or assignment target carries its slot in every
-   static frame up to its function's call frame.  Top-level code runs
-   in the global scope, which stays dynamic. *)
+   static frame up to the globals, those of enclosing functions
+   included.  Top-level code runs in the global scope, which stays
+   dynamic. *)
 
 type expr_code = scope -> Value.t
 type stmt_code = scope -> unit
 
 (* [local] is the list of static frame layouts from the innermost out to
-   the function's call frame ([] at top level).  A name's slot in each of
-   them, -1 where absent. *)
-let resolve local name = Array.of_list (List.map (fun layout -> layout_index layout name 0) local)
+   the outermost function's call frame ([] at top level).  A name's site:
+   its slot in each of them, -1 where absent. *)
+let resolve local name =
+  ident_site (Array.of_list (List.map (fun layout -> layout_index layout name 0) local)) name
 
 (* A frame's layout: [names], then what [stmts] declare into the scope
    they run in ([if] and [while] bodies share it; [for] and blocks open
@@ -1007,10 +1081,10 @@ and compile_expr t local (e : Ast.expr) : expr_code =
       tick t 1;
       fail "namespace %s cannot be used as a value" ns
   | Ast.Ident name ->
-    let slots = resolve local name and site = make_site ~counted:false name in
+    let site = resolve local name in
     fun scope ->
       tick t 1;
-      let v = static_lookup t slots site scope 0 in
+      let v = static_lookup t site scope 0 in
       if v != t.unbound then v
       else if Hashtbl.mem t.hosts name then Value.Host name
       else fail "undefined variable %s" name
@@ -1032,7 +1106,7 @@ and compile_expr t local (e : Ast.expr) : expr_code =
       | _ -> assert false);
       obj
   | Ast.Func_lit (params, body) ->
-    let fn = func ~params ~body in
+    let fn = literal local params body in
     fun scope ->
       tick t 1;
       make_closure t fn scope
@@ -1159,8 +1233,8 @@ and compile_expr t local (e : Ast.expr) : expr_code =
 and compile_store t local (lhs : Ast.expr) : scope -> Value.t -> unit =
   match lhs with
   | Ast.Ident name ->
-    let slots = resolve local name and site = make_site ~counted:false name in
-    fun scope v -> if not (static_assign t slots site scope 0 v) then declare t.globals name v
+    let site = resolve local name in
+    fun scope v -> if not (static_assign t site scope 0 v) then declare t.globals name v
   | Ast.Index (a, i) ->
     let ca = compile_expr t local a and ci = compile_expr t local i in
     fun scope v ->
@@ -1185,7 +1259,7 @@ and compile_stmt t local (s : Ast.stmt) : stmt_code =
       tick t 1;
       decl scope (c scope)
   | Ast.Func_decl (name, params, body) ->
-    let fn = func ~params ~body and decl = declarer t local name in
+    let fn = literal local params body and decl = declarer t local name in
     fun scope ->
       tick t 1;
       decl scope (make_closure t fn scope)
@@ -1268,7 +1342,7 @@ and compile_func t fn =
     { c_owner = t;
       c_kind = Static layout;
       c_params = Array.of_list (List.map (fun p -> layout_index layout p 0) fn.f_params);
-      c_body = compile_stmts t [ layout ] fn.f_body }
+      c_body = compile_stmts t (layout :: fn.f_outer) fn.f_body }
   in
   fn.f_code <- Some code;
   code

@@ -6,8 +6,9 @@
     {!Value}).  A
     compiled node ticks and charges exactly what visiting it in a tree
     walk would, in the same order; operators, literals and special forms
-    are decoded at compile time, and every local variable resolves to a
-    slot of a static frame.  Function bodies compile on
+    are decoded at compile time, and every identifier resolves by
+    lexical address: a slot of a static frame, or a cached slot of the
+    global table.  Function bodies compile on
     their first call, against the calling evaluator, and are shared by
     every closure minted at the same literal.  Built-in namespaces ([Math], [JSON], [String]) and methods
     on strings/arrays are provided here; embedder bindings (the DOM API)

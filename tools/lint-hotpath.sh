@@ -13,9 +13,10 @@
 # an indirect call, so a refactor cannot silently bring the calls back.
 #
 # 2. The allocation, free, fault-lookup and DOM-handle paths, the AST
-#    tier's variable reads, stores and declarations, and the engine's
-#    NaN-boxed slot accessors must not hash or
-#    compare polymorphically: no relocation to caml_hash, to the
+#    tier's variable reads, stores and declarations (static-frame slots
+#    and the cached global slot; a global's first-bind probe of the
+#    name table is out of line), and the engine's NaN-boxed slot
+#    accessors must not hash or compare polymorphically: no relocation to caml_hash, to the
 #    polymorphic comparisons (caml_compare, caml_equal, ...), or to the
 #    generic Stdlib Hashtbl/Map, whose lookups call them.  Those paths
 #    key their indices by integers (Util.Int_table, dense arrays,
@@ -28,7 +29,8 @@
 # 3. The front ends' byte loops (the script lexer's peek/advance/trivia
 #    skipping, the HTML parser's name/whitespace/text scans), the DOM's
 #    page-build path and its sibling iteration, the AST tier's
-#    static-frame variable access and the engine's slot store
+#    variable access (static-frame and global slots) and the engine's
+#    slot store
 #    (Value.write_slot: a slot is two int halves, never a boxed float or
 #    int64) must not allocate on the young heap:
 #    no `sub $N,%r15`, the bump of the minor-heap pointer.
@@ -117,8 +119,9 @@ check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.
   find_free_slot first_clear large_pages run_of_addr
 check_hash "$objs/util/.util.objs/native/util__Int_table.o" Util__Int_table \
   get slot replace remove close_hole
-# The AST tier's variable access: static-frame slots, no name hashing.
-eval_static="static_lookup static_assign declare_slot"
+# The AST tier's variable access: static-frame slots and the cached
+# global slot, no name hashing.
+eval_static="static_lookup static_assign global_lookup global_assign declare_slot"
 # shellcheck disable=SC2086
 check_hash "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
 
