@@ -44,8 +44,10 @@ lint-hotpath:
 
 # Every value a lib/ interface exports has a user outside its own module
 # in lib/ bin/ bench/ perfbench/ examples/ -- a value path in the typed
-# trees dune writes (.cmt), read by tools/lint_exports -- or is
-# allowlisted with a reason in tools/exports-allowlist.txt; a stale
+# trees dune writes (.cmt), read by tools/lint_exports -- and every
+# optional argument of an export a caller there that supplies it, or is
+# allowlisted with a reason in tools/exports-allowlist.txt
+# (<interface>:<value> or <interface>:<value>?<label>); a stale
 # allowlist entry fails too.  See HACKING.md, "Exports".
 lint-exports:
 	@tools/lint-exports.sh

@@ -927,8 +927,13 @@ let run_fleet () =
         (sr.Fleet.sr_name, sr.Fleet.sr_cycles, sr.Fleet.sr_checksum))
       (at_1k ~cpus).Fleet.r_results
   in
-  if digest ~cpus:1 <> digest ~cpus:4 then
-    failwith "fleet: per-session results changed with the CPU count";
+  let one = digest ~cpus:1 in
+  List.iter
+    (fun cpus ->
+      if digest ~cpus <> one then
+        failwith
+          (Printf.sprintf "fleet: per-session results changed from 1 to %d CPUs" cpus))
+    [ 2; 4 ];
   print_endline "per-session cycles/checksums identical at 1, 2 and 4 CPUs";
   let ident_cycles, ident_yields = fleet_identity () in
   Printf.printf

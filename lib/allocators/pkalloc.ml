@@ -32,7 +32,6 @@ let dlmalloc_backend machine pool =
 
 type t = {
   machine : Sim.Machine.t;
-  trusted_pkey : Mpk.Pkey.t;
   mt_pool : Pool.t;
   mu_pool : Pool.t;
   mt : backend;
@@ -54,19 +53,20 @@ let ( let* ) r f =
   | Ok v -> f v
   | Error _ as e -> e
 
-let create ?backing ?(mu_backend = Mu_dlmalloc) ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
+let create ?backing ?(mu_backend = Mu_dlmalloc) machine =
   (* Claim the trusted key from the kernel's pkey allocator, as the
      startup code does with pkey_alloc(2). *)
   let* () =
-    match Vmm.Pkeys.reserve machine.Sim.Machine.pkeys trusted_pkey with
+    match Vmm.Pkeys.reserve machine.Sim.Machine.pkeys Mpk.Pkey.trusted with
     | Ok () -> Ok ()
-    | Error errno -> Error (Printf.sprintf "pkey_alloc(%d) failed: %s" (Mpk.Pkey.to_int trusted_pkey) errno)
+    | Error errno ->
+      Error (Printf.sprintf "pkey_alloc(%d) failed: %s" (Mpk.Pkey.to_int Mpk.Pkey.trusted) errno)
   in
   (* Both pools draw on the same budget: MT and MU allocations contend
      for the session's share of fleet memory, never for address space. *)
   let* mt_pool =
     Pool.create ?backing machine ~base:Vmm.Layout.trusted_base ~size:Vmm.Layout.trusted_size
-      ~pkey:trusted_pkey
+      ~pkey:Mpk.Pkey.trusted
   in
   let* mu_pool =
     Pool.create ?backing machine ~base:Vmm.Layout.untrusted_base
@@ -81,7 +81,6 @@ let create ?backing ?(mu_backend = Mu_dlmalloc) ?(trusted_pkey = Mpk.Pkey.of_int
   Ok
     {
       machine;
-      trusted_pkey;
       mt_pool;
       mu_pool;
       mt;
@@ -93,7 +92,6 @@ let create ?backing ?(mu_backend = Mu_dlmalloc) ?(trusted_pkey = Mpk.Pkey.of_int
     }
 
 let machine t = t.machine
-let trusted_pkey t = t.trusted_pkey
 
 let retire t =
   Pool.retire t.mt_pool;

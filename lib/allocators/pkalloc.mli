@@ -26,11 +26,10 @@ type t
 val create :
   ?backing:Backing.t ->
   ?mu_backend:mu_backend ->
-  ?trusted_pkey:Mpk.Pkey.t ->
   Sim.Machine.t ->
   (t, string) result
-(** Reserves both pools on the machine's page table ([trusted_pkey]
-    defaults to key 1) and builds the two allocators.  With [backing],
+(** Reserves both pools on the machine's page table (MT on
+    {!Mpk.Pkey.trusted}) and builds the two allocators.  With [backing],
     both pools draw pages from that shared budget (fleet memory
     contention): exhaustion surfaces as allocation [None]. *)
 
@@ -39,7 +38,6 @@ val retire : t -> unit
     (no-op without one; idempotent).  Session teardown only. *)
 
 val machine : t -> Sim.Machine.t
-val trusted_pkey : t -> Mpk.Pkey.t
 
 val alloc_trusted : ?site:string -> t -> int -> int option
 (** [__rust_alloc]: allocate from MT.  [site] is the printed AllocId used

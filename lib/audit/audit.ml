@@ -69,7 +69,6 @@ let summarise findings =
 
 let scan ~metadata pkalloc =
   let machine = Allocators.Pkalloc.machine pkalloc in
-  let trusted_pkey = Allocators.Pkalloc.trusted_pkey pkalloc in
   let pages = Vmm.Page_table.resident_page_list machine.Sim.Machine.page_table in
   let scanned_pages = ref 0 in
   let scanned_words = ref 0 in
@@ -77,7 +76,7 @@ let scan ~metadata pkalloc =
   List.iter
     (fun (page_number, (page : Vmm.Page.t)) ->
       let u_readable =
-        (not (Mpk.Pkey.equal page.Vmm.Page.pkey trusted_pkey)) && page.Vmm.Page.prot.Vmm.Prot.read
+        (not (Mpk.Pkey.equal page.Vmm.Page.pkey Mpk.Pkey.trusted)) && page.Vmm.Page.prot.Vmm.Prot.read
       in
       if u_readable then begin
         incr scanned_pages;

@@ -367,14 +367,14 @@ and set_attributes t node = function
     Dom.set_attribute t.dom node name value;
     set_attributes t node rest
 
-let create ?engine_seed ?engine_fuel ?(selector_cache = true) env =
+let create ?engine_seed ?(selector_cache = true) env =
   let machine = Pkru_safe.Env.machine env in
   let t =
     {
       env;
       machine;
       dom = Dom.create env;
-      engine = Engine.create ?seed:engine_seed ?fuel:engine_fuel env;
+      engine = Engine.create ?seed:engine_seed env;
       title = "";
       last_layout = None;
       listeners = Util.Int_table.create ~dummy:[] 4;

@@ -30,7 +30,6 @@ type t
 
 val create :
   ?engine_seed:int ->
-  ?engine_fuel:int ->
   ?selector_cache:bool ->
   Pkru_safe.Env.t ->
   t

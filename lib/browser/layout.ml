@@ -100,7 +100,10 @@ let rec layout_node p a ~x ~y ~avail =
 and layout_child _ c offset a =
   offset + layout_node c.pass a ~x:c.cx ~y:(c.cy + offset) ~avail:c.cwidth
 
-let reflow ?(viewport_width = 800) dom =
+(* The viewport every page lays out in, in CSS pixels. *)
+let viewport_width = 800
+
+let reflow dom =
   let env = Dom.env dom in
   (* At most one box per live node: sized once, never rehashed. *)
   let p = { env; dom; boxes = Util.Int_table.create ~dummy:0 (Dom.node_count dom) } in

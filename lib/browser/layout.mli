@@ -22,9 +22,10 @@ type box = {
 
 type t
 
-val reflow : ?viewport_width:int -> Dom.t -> t
-(** Styles come from each element's [style] attribute (parsed with
-    {!Style.parse}); absent attributes mean default style. *)
+val reflow : Dom.t -> t
+(** Lays the document out in an 800-pixel viewport.  Styles come from
+    each element's [style] attribute (parsed with {!Style.parse}); absent
+    attributes mean default style. *)
 
 val box_of : t -> Dom.node -> box option
 (** [None] for undisplayed or unknown nodes. *)

@@ -17,16 +17,14 @@ type t = {
   mode : mode;
   mu_backend : Allocators.Pkalloc.mu_backend;
   cost : Sim.Cost.t;
-  trusted_pkey : Mpk.Pkey.t;
   tlb : bool;
   mitigation : Runtime.Mitigator.policy option;
   defenses : defenses;
 }
 
-let make ?(mu_backend = Allocators.Pkalloc.Mu_dlmalloc) ?(cost = Sim.Cost.default)
-    ?(trusted_pkey = Mpk.Pkey.of_int 1) ?(tlb = true) ?mitigation
-    ?(defenses = no_defenses) mode =
-  { mode; mu_backend; cost; trusted_pkey; tlb; mitigation; defenses }
+let make ?(mu_backend = Allocators.Pkalloc.Mu_dlmalloc) ?(cost = Sim.Cost.default) ?(tlb = true)
+    ?mitigation ?(defenses = no_defenses) mode =
+  { mode; mu_backend; cost; tlb; mitigation; defenses }
 
 let mode_to_string = function
   | Base -> "base"

@@ -47,7 +47,6 @@ type t = {
   mode : mode;
   mu_backend : Allocators.Pkalloc.mu_backend;
   cost : Sim.Cost.t;
-  trusted_pkey : Mpk.Pkey.t;
   tlb : bool;
       (** enable the machine's software TLB (default).  Architecturally
           invisible either way — only host wall-clock differs. *)
@@ -62,7 +61,6 @@ type t = {
 val make :
   ?mu_backend:Allocators.Pkalloc.mu_backend ->
   ?cost:Sim.Cost.t ->
-  ?trusted_pkey:Mpk.Pkey.t ->
   ?tlb:bool ->
   ?mitigation:Runtime.Mitigator.policy ->
   ?defenses:defenses ->

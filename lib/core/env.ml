@@ -40,21 +40,17 @@ type t = {
 let create ?profile ?backing config =
   let machine = Sim.Machine.create ~cost:config.Config.cost ~tlb:config.Config.tlb () in
   match
-    Allocators.Pkalloc.create ?backing ~mu_backend:config.Config.mu_backend
-      ~trusted_pkey:config.Config.trusted_pkey machine
+    Allocators.Pkalloc.create ?backing ~mu_backend:config.Config.mu_backend machine
   with
   | Error _ as e -> e
   | Ok pkalloc ->
     let main =
-      {
-        t_cpu = machine.Sim.Machine.cpu;
-        t_gate = Runtime.Gate.create ~trusted_pkey:config.Config.trusted_pkey machine;
-      }
+      { t_cpu = machine.Sim.Machine.cpu; t_gate = Runtime.Gate.create machine }
     in
     let profiler =
       match config.Config.mode with
       | Config.Profiling ->
-        let p = Runtime.Profiler.create ~trusted_pkey:config.Config.trusted_pkey machine in
+        let p = Runtime.Profiler.create machine in
         Runtime.Profiler.install p;
         Some p
       | Config.Base | Config.Alloc | Config.Mpk -> None
@@ -62,10 +58,7 @@ let create ?profile ?backing config =
     let mitigator =
       match (config.Config.mode, config.Config.mitigation) with
       | Config.Mpk, Some policy ->
-        let m =
-          Runtime.Mitigator.create ~trusted_pkey:config.Config.trusted_pkey ~policy ~pkalloc
-            machine
-        in
+        let m = Runtime.Mitigator.create ~policy ~pkalloc machine in
         Runtime.Mitigator.install m;
         Some m
       | _ -> None
@@ -84,7 +77,7 @@ let create ?profile ?backing config =
     if defenses.Config.sigframe_scrub then
       Sim.Signals.set_sigframe_scrub machine.Sim.Machine.signals true;
     if defenses.Config.syscall_filter then
-      Sim.Machine.set_syscall_filter machine (Some config.Config.trusted_pkey);
+      Sim.Machine.set_syscall_filter machine true;
     let rec no_site =
       { id = Runtime.Alloc_id.synthetic 0; moved = false; epoch = 0; label = ""; next = no_site }
     in
@@ -118,10 +111,7 @@ let mitigator t = t.mitigator
 
 let spawn_thread t =
   let thread =
-    {
-      t_cpu = Sim.Machine.spawn_cpu t.machine;
-      t_gate = Runtime.Gate.create ~trusted_pkey:t.config.Config.trusted_pkey t.machine;
-    }
+    { t_cpu = Sim.Machine.spawn_cpu t.machine; t_gate = Runtime.Gate.create t.machine }
   in
   t.threads <- t.threads @ [ thread ];
   thread

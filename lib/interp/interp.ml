@@ -20,7 +20,7 @@ let create ?(fuel = 500_000_000) modul env =
     match
       Vmm.Page_table.reserve machine.Sim.Machine.page_table ~base:Vmm.Layout.stack_base
         ~size:Vmm.Layout.stack_size ~prot:Vmm.Prot.read_write
-        ~pkey:(Pkru_safe.Env.config env).Pkru_safe.Config.trusted_pkey
+        ~pkey:Mpk.Pkey.trusted
     with
     | Ok () -> ()
     | Error msg -> raise (Trap ("stack reservation failed: " ^ msg))

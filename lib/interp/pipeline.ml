@@ -11,8 +11,8 @@ let ( let* ) r f =
   | Ok v -> f v
   | Error _ as e -> e
 
-let build ?cost ?mu_backend ?profile ?(hosts = []) ~mode source =
-  let config = Pkru_safe.Config.make ?mu_backend ?cost mode in
+let build ?profile ?(hosts = []) ~mode source =
+  let config = Pkru_safe.Config.make mode in
   let gates = Pkru_safe.Config.gates_active config in
   let instrument = mode = Pkru_safe.Config.Profiling in
   let in_profile =
@@ -29,7 +29,7 @@ let build ?cost ?mu_backend ?profile ?(hosts = []) ~mode source =
   List.iter (fun (name, factory) -> Interp.register_host interp name (factory env)) hosts;
   Ok { interp; env; pass_stats }
 
-let build_static ?cost ?mu_backend ?(hosts = []) ~mode source =
+let build_static ?(hosts = []) ~mode source =
   (* The analysis needs stable AllocIds: run it on an id-assigned copy, and
      rely on assignment being deterministic so the compile pipeline's own
      pass yields identical ids. *)
@@ -38,7 +38,7 @@ let build_static ?cost ?mu_backend ?(hosts = []) ~mode source =
   let result = Ir.Static_taint.analyze analyzed in
   let profile = Runtime.Profile.create () in
   Runtime.Alloc_id.Set.iter (Runtime.Profile.record profile) result.Ir.Static_taint.shared;
-  let* built = build ?cost ?mu_backend ~profile ~hosts ~mode source in
+  let* built = build ~profile ~hosts ~mode source in
   Ok (built, result)
 
 let collect_profile ?hosts source ~inputs =

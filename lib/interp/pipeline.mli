@@ -22,8 +22,6 @@ type build = {
 }
 
 val build :
-  ?cost:Sim.Cost.t ->
-  ?mu_backend:Allocators.Pkalloc.mu_backend ->
   ?profile:Runtime.Profile.t ->
   ?hosts:host_spec list ->
   mode:Pkru_safe.Config.mode ->
@@ -33,8 +31,6 @@ val build :
     copy) and instantiates a fresh machine + environment. *)
 
 val build_static :
-  ?cost:Sim.Cost.t ->
-  ?mu_backend:Allocators.Pkalloc.mu_backend ->
   ?hosts:host_spec list ->
   mode:Pkru_safe.Config.mode ->
   Ir.Module_ir.t ->

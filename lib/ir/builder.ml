@@ -7,16 +7,15 @@ type building_block = {
 type t = {
   name : string;
   crate : string;
-  exported : bool;
   nparams : int;
   mutable next_reg : int;
   mutable blocks : building_block list; (* reverse order *)
   mutable current : building_block;
 }
 
-let create ~name ~crate ~nparams ?(exported = false) () =
+let create ~name ~crate ~nparams () =
   let entry = { id = 0; rev_instrs = []; term = None } in
-  { name; crate; exported; nparams; next_reg = nparams; blocks = [ entry ]; current = entry }
+  { name; crate; nparams; next_reg = nparams; blocks = [ entry ]; current = entry }
 
 let params t = List.init t.nparams Fun.id
 
@@ -128,4 +127,4 @@ let finish t =
              { Func.block_id = b.id; instrs = List.rev b.rev_instrs; term })
     |> Array.of_list
   in
-  Func.create ~name:t.name ~crate:t.crate ~params:(params t) ~exported:t.exported blocks
+  Func.create ~name:t.name ~crate:t.crate ~params:(params t) blocks

@@ -6,8 +6,8 @@
 
 type t
 
-val create : name:string -> crate:string -> nparams:int -> ?exported:bool -> unit -> t
-(** Starts a function with entry block 0 selected. *)
+val create : name:string -> crate:string -> nparams:int -> unit -> t
+(** Starts a function (not exported) with entry block 0 selected. *)
 
 val new_block : t -> int
 (** Creates a block and returns its id (does not switch to it). *)

@@ -20,7 +20,6 @@ type state = {
   returns : (string, Site_set.t) Hashtbl.t;
   mutable sunk : Site_set.t;
   mutable changed : bool;
-  hosts_are_sinks : bool;
 }
 
 let get tbl key =
@@ -105,8 +104,7 @@ let transfer st (f : Func.t) (instr : Instr.t) =
   | Instr.Call_indirect { dst; target; args } ->
     ignore target;
     List.iter (fun g -> flow_call st f g dst args) (indirect_targets st (List.length args))
-  | Instr.Call_host { args; _ } ->
-    if st.hosts_are_sinks then List.iter (fun arg -> sink st (operand_sites st f arg)) args
+  | Instr.Call_host { args; _ } -> List.iter (fun arg -> sink st (operand_sites st f arg)) args
 
 let transfer_terminator st (f : Func.t) (term : Instr.terminator) =
   match term with
@@ -139,7 +137,7 @@ let mark_address_taken modul =
             | None -> ())
           | _ -> ()))
 
-let analyze ?(hosts_are_sinks = true) modul =
+let analyze modul =
   mark_address_taken modul;
   let st =
     {
@@ -149,7 +147,6 @@ let analyze ?(hosts_are_sinks = true) modul =
       returns = Hashtbl.create 64;
       sunk = Site_set.empty;
       changed = true;
-      hosts_are_sinks;
     }
   in
   let iterations = ref 0 in

@@ -31,6 +31,6 @@ type result = {
   iterations : int;                (** fixpoint rounds until convergence *)
 }
 
-val analyze : ?hosts_are_sinks:bool -> Module_ir.t -> result
-(** [hosts_are_sinks] (default true): whether values passed to host
-    functions are assumed to escape to the untrusted side. *)
+val analyze : Module_ir.t -> result
+(** Values passed to host functions are assumed to escape to the
+    untrusted side. *)

@@ -6,13 +6,13 @@ type t = {
   signals : Signals.t;
   pkeys : Vmm.Pkeys.t;
   tlb_enabled : bool;
-  (* Garmr syscall filter: when [Some trusted], kernel-interface entry
-     points ([sys_pkey_mprotect] & co) refuse pkey/page-table mutations
-     from a hart whose PKRU cannot read the trusted key (i.e. from U
-     residency).  [None] (the default) is fully permissive, and internal
+  (* Garmr syscall filter: when set, kernel-interface entry points
+     ([sys_pkey_mprotect] & co) refuse pkey/page-table mutations from a
+     hart whose PKRU cannot read the trusted key (i.e. from U
+     residency).  Clear (the default) is fully permissive, and internal
      callers (pkalloc, test setup) go straight to [Vmm.Page_table] /
      [Vmm.Pkeys] anyway, so the filter is invisible when disabled. *)
-  mutable syscall_filter : Mpk.Pkey.t option;
+  mutable syscall_filter : bool;
   ctx : Telemetry.Ctx.t;
 }
 
@@ -27,7 +27,7 @@ let create ?cost ?(tlb = true) () =
     signals = Signals.create ctx;
     pkeys = Vmm.Pkeys.create ();
     tlb_enabled = tlb;
-    syscall_filter = None;
+    syscall_filter = false;
     ctx;
   }
 
@@ -476,7 +476,7 @@ let cycles = total_cycles
    and a flight dump.  Kernel-side work charges no simulated user cycles
    either way, so arming the filter never perturbs benign traces. *)
 
-let set_syscall_filter t key = t.syscall_filter <- key
+let set_syscall_filter t armed = t.syscall_filter <- armed
 let syscall_filter t = t.syscall_filter
 
 let sys_note t counter =
@@ -485,23 +485,20 @@ let sys_note t counter =
   | Some sink -> Telemetry.Sink.incr sink counter
 
 let syscall_check t name =
-  match t.syscall_filter with
-  | None -> Ok ()
-  | Some trusted ->
-    if Mpk.Pkru.can_read t.cpu.Cpu.pkru trusted then Ok ()
-    else begin
-      sys_note t "machine.syscall_refused";
-      Telemetry.Ctx.dump t.ctx ~reason:"syscall filter: pkey/page-table mutation refused from U"
-        ~details:
-          [
-            ("syscall", Util.Json.String name);
-            ("hart", Util.Json.Int t.cpu.Cpu.id);
-            ("pkru", Util.Json.Int (Mpk.Pkru.to_int t.cpu.Cpu.pkru));
-          ]
-        ();
-      Error
-        (Printf.sprintf "EPERM: %s refused from untrusted residency (hart %d)" name t.cpu.Cpu.id)
-    end
+  if (not t.syscall_filter) || Mpk.Pkru.can_read t.cpu.Cpu.pkru Mpk.Pkey.trusted then Ok ()
+  else begin
+    sys_note t "machine.syscall_refused";
+    Telemetry.Ctx.dump t.ctx ~reason:"syscall filter: pkey/page-table mutation refused from U"
+      ~details:
+        [
+          ("syscall", Util.Json.String name);
+          ("hart", Util.Json.Int t.cpu.Cpu.id);
+          ("pkru", Util.Json.Int (Mpk.Pkru.to_int t.cpu.Cpu.pkru));
+        ]
+      ();
+    Error
+      (Printf.sprintf "EPERM: %s refused from untrusted residency (hart %d)" name t.cpu.Cpu.id)
+  end
 
 let sys_pkey_mprotect t ~base ~size pkey =
   match syscall_check t "pkey_mprotect" with

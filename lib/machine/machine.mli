@@ -30,11 +30,10 @@ type t = {
   signals : Signals.t;
   pkeys : Vmm.Pkeys.t; (** the kernel's pkey_alloc/pkey_free state *)
   tlb_enabled : bool;
-  mutable syscall_filter : Mpk.Pkey.t option;
-      (** Garmr syscall filter: when [Some trusted_key], the [sys_*]
-          kernel-interface entry points refuse pkey/page-table mutations
-          issued from a hart resident in U.  [None] (default) is fully
-          permissive. *)
+  mutable syscall_filter : bool;
+      (** Garmr syscall filter: when set, the [sys_*] kernel-interface
+          entry points refuse pkey/page-table mutations issued from a
+          hart resident in U.  Clear (default) is fully permissive. *)
   ctx : Telemetry.Ctx.t;
       (** this machine's telemetry slots, shared with every hart and the
           signal chain; every instrumentation site on the machine reads
@@ -134,14 +133,14 @@ val cycles : t -> int
    [Vmm.Pkeys] directly, so arming the filter never changes benign runs.
    Kernel-side work charges no simulated user cycles. *)
 
-val set_syscall_filter : t -> Mpk.Pkey.t option -> unit
-(** Arms ([Some trusted_key]) or disarms ([None]) the Garmr syscall
-    filter.  Armed, any [sys_*] mutation from a hart whose PKRU cannot
-    read [trusted_key] — i.e. from U residency — returns
+val set_syscall_filter : t -> bool -> unit
+(** Arms ([true]) or disarms ([false]) the Garmr syscall filter.  Armed,
+    any [sys_*] mutation from a hart whose PKRU cannot read
+    {!Mpk.Pkey.trusted} — i.e. from U residency — returns
     [Error "EPERM: ..."], ticks [machine.syscall_refused] on the sink and
     dumps the flight recorder with the offending syscall and hart. *)
 
-val syscall_filter : t -> Mpk.Pkey.t option
+val syscall_filter : t -> bool
 
 val sys_pkey_mprotect : t -> base:int -> size:int -> Mpk.Pkey.t -> (unit, string) result
 (** pkey_mprotect(2): retag a mapped range.  Subject to the filter. *)

@@ -10,4 +10,6 @@ let to_int k = k
 
 let default = 0
 
+let trusted = 1
+
 let equal = Int.equal

@@ -19,4 +19,8 @@ val to_int : t -> int
 val default : t
 (** Key 0: the kernel assigns it to all pages unless told otherwise. *)
 
+val trusted : t
+(** Key 1: the key pkalloc tags the trusted pool MT with.  Every other
+    page is MU's, on key 0. *)
+
 val equal : t -> t -> bool

@@ -8,7 +8,6 @@ let to_string = function
 
 let trusted_view = Mpk.Pkru.all_enabled
 
-let untrusted_view ~trusted_pkey:_ = Mpk.Pkru.all_disabled_except []
+let untrusted_view = Mpk.Pkru.all_disabled_except []
 
-let of_pkru ~trusted_pkey pkru =
-  if Mpk.Pkru.can_read pkru trusted_pkey then Trusted else Untrusted
+let of_pkru pkru = if Mpk.Pkru.can_read pkru Mpk.Pkey.trusted then Trusted else Untrusted

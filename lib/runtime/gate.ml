@@ -1,8 +1,6 @@
 type t = {
   machine : Sim.Machine.t;
   ctx : Telemetry.Ctx.t; (* the machine's telemetry slots *)
-  trusted_pkey : Mpk.Pkey.t;
-  untrusted_view : Mpk.Pkru.t;
   stack : Comp_stack.t;
   mutable transitions : int;
   mutable span_ids : int list; (* causal span per stack frame, innermost first *)
@@ -17,12 +15,10 @@ type t = {
          tampered EAX *)
 }
 
-let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
+let create machine =
   {
     machine;
     ctx = machine.Sim.Machine.ctx;
-    trusted_pkey;
-    untrusted_view = Compartment.untrusted_view ~trusted_pkey;
     stack = Comp_stack.create ();
     transitions = 0;
     span_ids = [];
@@ -35,7 +31,7 @@ let stack t = t.stack
 
 let cpu t = t.machine.Sim.Machine.cpu
 
-let current t = Compartment.of_pkru ~trusted_pkey:t.trusted_pkey (cpu t).Sim.Cpu.pkru
+let current t = Compartment.of_pkru (cpu t).Sim.Cpu.pkru
 
 (* Preallocated events: one per gate side, so the enabled path allocates
    nothing per transition and the disabled path is a load and a branch. *)
@@ -122,7 +118,7 @@ let span_close t =
 let enter_untrusted t =
   Comp_stack.push t.stack (cpu t).Sim.Cpu.pkru;
   span_open t "gate:untrusted";
-  switch_to t ev_enter_untrusted t.untrusted_view
+  switch_to t ev_enter_untrusted Compartment.untrusted_view
 
 let exit_untrusted t =
   let saved = Comp_stack.pop t.stack in
@@ -198,7 +194,5 @@ let reverify ?attack t =
    before the WRPKRU retires) repeat the outgoing compartment as the leaf,
    which is the truthful reading: those cycles retire under the old view. *)
 let stack_frames t =
-  let name pkru =
-    Compartment.to_string (Compartment.of_pkru ~trusted_pkey:t.trusted_pkey pkru)
-  in
+  let name pkru = Compartment.to_string (Compartment.of_pkru pkru) in
   List.rev_map name (Comp_stack.to_list t.stack) @ [ name (cpu t).Sim.Cpu.pkru ]

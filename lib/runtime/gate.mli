@@ -20,8 +20,7 @@
 
 type t
 
-val create : ?trusted_pkey:Mpk.Pkey.t -> Sim.Machine.t -> t
-(** [trusted_pkey] defaults to key 1 (pkalloc's default). *)
+val create : Sim.Machine.t -> t
 
 val stack : t -> Comp_stack.t
 

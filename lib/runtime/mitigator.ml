@@ -29,35 +29,25 @@ let () =
 
 type t = {
   machine : Sim.Machine.t;
-  trusted_pkey : Mpk.Pkey.t;
   pkalloc : Allocators.Pkalloc.t;
   policy : policy;
   metadata : Metadata.t;
   saved_pkru : Mpk.Pkru.t Util.Int_table.t; (* per-hart single-step state *)
   outcomes : (string, int) Hashtbl.t;
-  budget : int;
-  refill_cycles : int;
   mutable tokens : int;
-  mutable refill_mark : int; (* machine cycles at last refill accounting *)
   mutable incidents : int;
 }
 
-let create ?(trusted_pkey = Mpk.Pkey.of_int 1) ?(budget = 65536) ?(refill_cycles = 0) ~policy
-    ~pkalloc machine =
+let create ?(budget = 65536) ~policy ~pkalloc machine =
   if budget < 0 then invalid_arg "Mitigator.create: negative budget";
-  if refill_cycles < 0 then invalid_arg "Mitigator.create: negative refill_cycles";
   {
     machine;
-    trusted_pkey;
     pkalloc;
     policy;
     metadata = Metadata.create ();
     saved_pkru = Util.Int_table.create ~dummy:Mpk.Pkru.all_enabled 4;
     outcomes = Hashtbl.create 8;
-    budget;
-    refill_cycles;
     tokens = budget;
-    refill_mark = Sim.Machine.cycles machine;
     incidents = 0;
   }
 
@@ -71,34 +61,15 @@ let promoted_sites t = Allocators.Pkalloc.quarantined_sites t.pkalloc
 
 (* Token-bucket circuit breaker: Emulate/Promote spend one token per
    serviced incident; an empty bucket escalates the policy to Abort so a
-   probing attacker cannot use leniency as an unlimited access oracle.
-   Tokens optionally trickle back at one per [refill_cycles] simulated
-   cycles (0 = no refill).  A clock that ran backwards (the harts were
-   reset between phases, as [Env.reset_counters] does) re-anchors the
-   mark at the new reading, so refill resumes instead of waiting for the
-   clock to pass the old mark. *)
-let refill t =
-  if t.refill_cycles > 0 && t.tokens < t.budget then begin
-    let now = Sim.Machine.cycles t.machine in
-    if now < t.refill_mark then t.refill_mark <- now;
-    let earned = (now - t.refill_mark) / t.refill_cycles in
-    if earned > 0 then begin
-      t.tokens <- min t.budget (t.tokens + earned);
-      t.refill_mark <- t.refill_mark + (earned * t.refill_cycles)
-    end
-  end
-
+   probing attacker cannot use leniency as an unlimited access oracle. *)
 let take_token t =
-  refill t;
   if t.tokens > 0 then begin
     t.tokens <- t.tokens - 1;
     true
   end
   else false
 
-let tokens_left t =
-  refill t;
-  t.tokens
+let tokens_left t = t.tokens
 
 let record_incident t outcome =
   t.incidents <- t.incidents + 1;
@@ -128,7 +99,7 @@ let single_step t =
 
 let on_segv t (fault : Vmm.Fault.t) =
   match fault.Vmm.Fault.kind with
-  | Vmm.Fault.Pkey_violation key when Mpk.Pkey.equal key t.trusted_pkey -> (
+  | Vmm.Fault.Pkey_violation key when Mpk.Pkey.equal key Mpk.Pkey.trusted -> (
     match t.policy with
     | Abort ->
       (* Paper-faithful: do not resolve, do not account — the run must be

@@ -44,9 +44,7 @@ exception Degraded of Vmm.Fault.t
 type t
 
 val create :
-  ?trusted_pkey:Mpk.Pkey.t ->
   ?budget:int ->
-  ?refill_cycles:int ->
   policy:policy ->
   pkalloc:Allocators.Pkalloc.t ->
   Sim.Machine.t ->
@@ -55,9 +53,8 @@ val create :
     hammering one unprofiled buffer survives, small enough to starve a
     probing loop) is the circuit-breaker token count; each
     serviced [Emulate]/[Promote] incident spends one token and an empty
-    bucket escalates to [Abort].  [refill_cycles] > 0 trickles one token
-    back per that many simulated cycles (default 0: no refill).
-    @raise Invalid_argument on negative [budget] or [refill_cycles]. *)
+    bucket escalates to [Abort].
+    @raise Invalid_argument on negative [budget]. *)
 
 val install : t -> unit
 (** Registers the SIGSEGV interposer (and, except under [Abort], the

@@ -1,6 +1,5 @@
 type t = {
   machine : Sim.Machine.t;
-  trusted_pkey : Mpk.Pkey.t;
   metadata : Metadata.t;
   profile : Profile.t;
   mutable saved_pkru : int array; (* by hart id: single-step state; -1 = none *)
@@ -9,10 +8,9 @@ type t = {
   mutable untracked_faults : int;
 }
 
-let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
+let create machine =
   {
     machine;
-    trusted_pkey;
     metadata = Metadata.create ();
     profile = Profile.create ();
     saved_pkru = Array.make 4 (-1);
@@ -30,7 +28,7 @@ let[@inline never] grow_harts t id =
 
 let on_segv t (fault : Vmm.Fault.t) =
   match fault.Vmm.Fault.kind with
-  | Vmm.Fault.Pkey_violation key when Mpk.Pkey.equal key t.trusted_pkey ->
+  | Vmm.Fault.Pkey_violation key when Mpk.Pkey.equal key Mpk.Pkey.trusted ->
     (* Fig. 2 steps 4-5: look up the faulting object's metadata and record
        its AllocId, then single-step the access with a temporarily
        permissive PKRU. *)

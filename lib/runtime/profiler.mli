@@ -17,7 +17,7 @@
 
 type t
 
-val create : ?trusted_pkey:Mpk.Pkey.t -> Sim.Machine.t -> t
+val create : Sim.Machine.t -> t
 
 val install : t -> unit
 (** Registers the SIGSEGV and SIGTRAP handlers.  Call late, after the

@@ -248,10 +248,10 @@ let flow_json t =
       ("mpk_faults", Int t.flow.mpk_faults);
     ]
 
-let to_json ?site_limit t =
+let to_json t =
   Util.Json.Obj
     [
-      ("site_heat", site_heat_json ?limit:site_limit t);
+      ("site_heat", site_heat_json t);
       ("flow_matrix", flow_json t);
       ("events_folded", Util.Json.Int t.events_folded);
       ("events_dropped", Util.Json.Int t.events_dropped);
@@ -260,9 +260,7 @@ let to_json ?site_limit t =
 
 (* --- Tables --- *)
 
-let site_table ?limit t =
-  let all = sites t in
-  let kept = match limit with Some n -> List.filteri (fun i _ -> i < n) all | None -> all in
+let site_table t =
   Util.Table.render
     ~header:[ "site"; "pool"; "allocs"; "frees"; "bytes"; "live"; "peak"; "faults" ]
     (List.map
@@ -277,7 +275,7 @@ let site_table ?limit t =
            string_of_int s.peak_live_bytes;
            string_of_int s.mpk_faults;
          ])
-       kept)
+       (sites t))
 
 let flow_table t =
   let trusted_share, untrusted_share = compartment_cycle_share t in
@@ -298,7 +296,7 @@ let flow_table t =
       [ "MPK faults"; string_of_int t.flow.mpk_faults ];
     ]
 
-let report ?site_limit t =
+let report t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "Compartment flow matrix";
   if t.events_dropped > 0 then
@@ -309,11 +307,7 @@ let report ?site_limit t =
   Buffer.add_char buf '\n';
   let nsites = Hashtbl.length t.sites in
   if nsites > 0 then begin
-    Buffer.add_string buf
-      (match site_limit with
-      | Some n when n < nsites ->
-        Printf.sprintf "Allocation-site heat (top %d of %d sites by bytes):\n" n nsites
-      | _ -> Printf.sprintf "Allocation-site heat (%d sites):\n" nsites);
-    Buffer.add_string buf (site_table ?limit:site_limit t)
+    Buffer.add_string buf (Printf.sprintf "Allocation-site heat (%d sites):\n" nsites);
+    Buffer.add_string buf (site_table t)
   end;
   Buffer.contents buf

@@ -71,7 +71,7 @@ val site_heat_json : ?limit:int -> t -> Util.Json.t
     embed); [sites_total] always reports the full count. *)
 
 val flow_json : t -> Util.Json.t
-val to_json : ?site_limit:int -> t -> Util.Json.t
+val to_json : t -> Util.Json.t
 
-val report : ?site_limit:int -> t -> string
+val report : t -> string
 (** Flow matrix + site heat as aligned text tables. *)

@@ -44,20 +44,18 @@ type t = {
   every : int; (* census period in simulated cycles *)
   mutable credit : int; (* cycles accumulated toward the next snapshot *)
   mutable taken : int; (* snapshots taken, total *)
-  mutable snapshots : snapshot list; (* newest first, bounded *)
-  max_keep : int;
+  mutable snapshots : snapshot list; (* newest first, at most [keep] *)
   mutable provider : (unit -> snapshot) option;
       (* walks pkalloc / pool / live-object state.  Set by the runtime
          layer that owns the allocators; must not charge simulated cycles
          (pure OCaml reads only). *)
 }
 
-let default_keep = 64
+let keep = 64
 
-let create ?(keep = default_keep) ~every () =
+let create ~every () =
   if every <= 0 then invalid_arg "Census.create: every must be positive";
-  if keep <= 0 then invalid_arg "Census.create: keep must be positive";
-  { every; credit = 0; taken = 0; snapshots = []; max_keep = keep; provider = None }
+  { every; credit = 0; taken = 0; snapshots = []; provider = None }
 
 let every t = t.every
 let taken_total t = t.taken
@@ -71,7 +69,7 @@ let truncate n list =
 
 let record t snap =
   t.taken <- t.taken + 1;
-  t.snapshots <- truncate t.max_keep (snap :: t.snapshots)
+  t.snapshots <- truncate keep (snap :: t.snapshots)
 
 let tick t ~sink ~cpu n =
   t.credit <- t.credit + n;

@@ -47,9 +47,9 @@ type snapshot = {
 
 type t
 
-val create : ?keep:int -> every:int -> unit -> t
-(** Keeps the last [keep] (default 64) snapshots.
-    @raise Invalid_argument when [every <= 0] or [keep <= 0]. *)
+val create : every:int -> unit -> t
+(** Keeps the last 64 snapshots.
+    @raise Invalid_argument when [every <= 0]. *)
 
 val every : t -> int
 

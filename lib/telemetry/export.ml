@@ -250,8 +250,8 @@ let summary sink =
 
 (* Windowed series from the trace: per-window gate crossings and
    allocation counts, so a bench run plots as a trajectory.  The window
-   defaults to 1/50th of the covered cycle range (min 1000 cycles). *)
-let default_series_window events =
+   is 1/50th of the covered cycle range (min 1000 cycles). *)
+let series_window events =
   match List.rev events with
   | [] -> 1000
   | (last : Event.record) :: _ -> max 1000 (last.Event.ts / 50)
@@ -261,24 +261,18 @@ let default_series_window events =
    pkru_events_<kind>_total, sink histograms are attached under their own
    names, attribution becomes labelled site/flow gauges, and the sampler
    becomes per-stack sample counters. *)
-let to_metrics ?attribution ?sampler ?census ?series_window ?tlb sink =
+let to_metrics ?attribution ?sampler ?census sink =
   let reg = Metrics.create () in
   (* Software-TLB effectiveness: dedicated families, always exposed (a
-     zero hit count on a TLB-off run is itself the datum).  Values come
-     from [tlb] when the caller holds live machine stats, else from the
+     zero hit count on a TLB-off run is itself the datum), from the
      counters the runner injects into the sink after a timed run. *)
-  let tlb_hits, tlb_misses, tlb_flushes =
-    match tlb with
-    | Some (h, m, f) -> (h, m, f)
-    | None -> (Sink.count sink "tlb_hit", Sink.count sink "tlb_miss", Sink.count sink "tlb_flush")
-  in
-  Metrics.incr ~by:tlb_hits
+  Metrics.incr ~by:(Sink.count sink "tlb_hit")
     (Metrics.counter reg ~help:"Software-TLB hits on the checked access path"
        "pkru_tlb_hits_total");
-  Metrics.incr ~by:tlb_misses
+  Metrics.incr ~by:(Sink.count sink "tlb_miss")
     (Metrics.counter reg ~help:"Software-TLB misses (slow resolve path taken)"
        "pkru_tlb_misses_total");
-  Metrics.incr ~by:tlb_flushes
+  Metrics.incr ~by:(Sink.count sink "tlb_flush")
     (Metrics.counter reg ~help:"Software-TLB invalidation generations observed"
        "pkru_tlb_flushes_total");
   (* DOM selector-cache effectiveness: like the TLB families, always
@@ -333,7 +327,7 @@ let to_metrics ?attribution ?sampler ?census ?series_window ?tlb sink =
     (Sink.histograms sink);
   (* Trajectories: gate crossings and allocations per cycle window. *)
   let events = Sink.events sink in
-  let window = match series_window with Some w -> w | None -> default_series_window events in
+  let window = series_window events in
   let crossings =
     Metrics.series reg ~help:"Gate crossings per cycle window" ~window
       "pkru_gate_crossings_per_window"
@@ -462,5 +456,5 @@ let to_metrics ?attribution ?sampler ?census ?series_window ?tlb sink =
         "pkru_census_object_age_cycles" snap.Census.ages));
   reg
 
-let prometheus ?attribution ?sampler ?census ?series_window ?tlb sink =
-  Metrics.expose (to_metrics ?attribution ?sampler ?census ?series_window ?tlb sink)
+let prometheus ?attribution ?sampler ?census sink =
+  Metrics.expose (to_metrics ?attribution ?sampler ?census sink)

@@ -31,15 +31,13 @@ val prometheus :
   ?attribution:Attribution.t ->
   ?sampler:Sampler.t ->
   ?census:Census.t ->
-  ?series_window:int ->
-  ?tlb:int * int * int ->
   Sink.t ->
   string
 (** The Prometheus text format ([Metrics.expose]) of a sink snapshot
     folded into a {!Metrics} registry: event-kind counters
     ([pkru_events_total{kind=...}]), the sink's histograms, windowed
-    gate-crossing / allocation series ([series_window] cycles per bucket,
-    default 1/50th of the trace span), plus labelled site-heat and
+    gate-crossing / allocation series (1/50th of the trace span per
+    bucket, at least 1000 cycles), plus labelled site-heat and
     flow-matrix metrics when [attribution] is given, per-stack sample
     counters when [sampler] is, and — when [census] is — the
     [pkru_census_*] / [pkru_pool_*] families (per-pool live bytes /
@@ -49,7 +47,6 @@ val prometheus :
 
     Software-TLB effectiveness is always exposed as
     [pkru_tlb_hits_total] / [pkru_tlb_misses_total] /
-    [pkru_tlb_flushes_total] (zeroes included): from [tlb] as
-    [(hits, misses, flushes)] when given, otherwise from the sink
-    counters ["tlb_hit"] / ["tlb_miss"] / ["tlb_flush"] that
-    [Workloads.Runner] injects after a timed run. *)
+    [pkru_tlb_flushes_total] (zeroes included), from the sink counters
+    ["tlb_hit"] / ["tlb_miss"] / ["tlb_flush"] that [Workloads.Runner]
+    injects after a timed run. *)

@@ -17,14 +17,14 @@ let schema_version = "pkru-safe.flight/1"
 type t = {
   mutable sink : Sink.t option; (* explicit attachment; else the machine's sink at dump time *)
   mutable context : (unit -> Util.Json.t) option;
-  mutable dumps : Util.Json.t list; (* newest first, bounded *)
+  mutable dumps : Util.Json.t list; (* newest first, at most [max_dumps] *)
   mutable dump_total : int;
   path : string option;
-  max_dumps : int;
 }
 
-let create ?path ?(max_dumps = 8) () =
-  { sink = None; context = None; dumps = []; dump_total = 0; path; max_dumps }
+let max_dumps = 8
+
+let create ?path () = { sink = None; context = None; dumps = []; dump_total = 0; path }
 
 let attach_sink t sink = t.sink <- Some sink
 let set_context t provider = t.context <- Some provider
@@ -91,7 +91,7 @@ let write_path t json =
 let record ?sink t ~reason ~details =
   let json = dump_json ?sink t ~reason ~details in
   t.dump_total <- t.dump_total + 1;
-  t.dumps <- json :: (if List.length t.dumps >= t.max_dumps then tail (t.max_dumps - 1) (List.rev t.dumps) |> List.rev else t.dumps);
+  t.dumps <- json :: (if List.length t.dumps >= max_dumps then tail (max_dumps - 1) (List.rev t.dumps) |> List.rev else t.dumps);
   write_path t json;
   json
 

@@ -15,9 +15,9 @@
 
 type t
 
-val create : ?path:string -> ?max_dumps:int -> unit -> t
-(** [path] writes each dump to that file (latest wins); [max_dumps]
-    (default 8) bounds the in-memory dump list. *)
+val create : ?path:string -> unit -> t
+(** [path] writes each dump to that file (latest wins); the in-memory
+    dump list keeps the latest 8. *)
 
 val attach_sink : t -> Sink.t -> unit
 (** Pins the sink whose rings dumps will capture; without an attachment,

@@ -99,14 +99,14 @@ let gauge t ?(help = "") ?(labels = []) name =
 
 let set r v = r := v
 
-let attach_histogram t ?(help = "") ?(labels = []) name h =
+let attach_histogram t ?(help = "") name h =
   let f = family t ~kind:"histogram" ~help name in
-  ignore (cell f labels (fun () -> Hist h))
+  ignore (cell f [] (fun () -> Hist h))
 
-let series t ?(help = "") ?(labels = []) ~window name =
+let series t ?(help = "") ~window name =
   if window <= 0 then invalid_arg "Metrics.series: window must be positive";
   let f = family t ~kind:"series" ~help name in
-  match cell f labels (fun () -> Series { s_window = window; s_buckets = Hashtbl.create 16 }) with
+  match cell f [] (fun () -> Series { s_window = window; s_buckets = Hashtbl.create 16 }) with
   | Series s -> s
   | _ -> wrong_kind name
 

@@ -34,13 +34,13 @@ val incr : ?by:int -> int ref -> unit
 val gauge : t -> ?help:string -> ?labels:labels -> string -> float ref
 val set : float ref -> float -> unit
 
-val attach_histogram : t -> ?help:string -> ?labels:labels -> string -> Histogram.t -> unit
+val attach_histogram : t -> ?help:string -> string -> Histogram.t -> unit
 (** Registers an already-populated histogram (e.g. one owned by a sink)
     under the family without copying it. *)
 
 type series
 
-val series : t -> ?help:string -> ?labels:labels -> window:int -> string -> series
+val series : t -> ?help:string -> window:int -> string -> series
 (** A windowed time series: [window] simulated cycles per bucket.
     @raise Invalid_argument when [window <= 0]. *)
 

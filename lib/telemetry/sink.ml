@@ -11,14 +11,14 @@ type t = {
 let default_capacity = 65536
 let default_gate_tail = 256
 
-let create ?(capacity = default_capacity) ?span_capacity ?(record_spans = true)
-    ?(gate_tail = default_gate_tail) () =
+let create ?(capacity = default_capacity) ?(record_spans = true) ?(gate_tail = default_gate_tail)
+    () =
   {
     ring = Ring.create ~capacity;
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 16;
     events_total = 0;
-    spans = Span.create ?capacity:span_capacity ();
+    spans = Span.create ();
     record_spans;
     gate_tail = Ring.create ~capacity:gate_tail;
   }

@@ -15,7 +15,7 @@
 type t
 
 val create :
-  ?capacity:int -> ?span_capacity:int -> ?record_spans:bool -> ?gate_tail:int -> unit -> t
+  ?capacity:int -> ?record_spans:bool -> ?gate_tail:int -> unit -> t
 (** [capacity] (default 65536) bounds the trace ring; counters and
     histograms are unbounded-precision regardless.  [gate_tail] (default
     256) is the dedicated last-N ring of gate transitions kept for the

@@ -50,9 +50,9 @@ type t = {
   mutable opened_total : int;
 }
 
-let default_capacity = 8192
+let capacity = 8192
 
-let create ?(capacity = default_capacity) () =
+let create () =
   { closed = Ring.create ~capacity; stacks = Hashtbl.create 4; next_id = 1; opened_total = 0 }
 
 let stack t cpu =

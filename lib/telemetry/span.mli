@@ -33,7 +33,8 @@ val duration : record -> int
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
+(** Keeps the latest 8192 closed spans. *)
 
 val enter : t -> ts:int -> cpu:int -> kind:kind -> string -> int
 (** Opens a span and returns its id; the parent is the hart's innermost

@@ -1,28 +1,17 @@
-type align =
-  | Left
-  | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with
-    | Left -> s ^ fill
-    | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
-let render ?align ~header rows =
+let render ~header rows =
   let ncols = List.length header in
   let normalize row =
     let len = List.length row in
     if len >= ncols then row else row @ List.init (ncols - len) (fun _ -> "")
   in
   let rows = List.map normalize rows in
-  let aligns =
-    match align with
-    | Some a when List.length a = ncols -> a
-    | _ -> List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
   let widths =
     List.mapi
       (fun i h ->
@@ -35,7 +24,7 @@ let render ?align ~header rows =
     List.iteri
       (fun i cell ->
         if i > 0 then Buffer.add_string buf "  ";
-        Buffer.add_string buf (pad (List.nth aligns i) (List.nth widths i) cell))
+        Buffer.add_string buf (pad ~left:(i = 0) (List.nth widths i) cell))
       cells;
     Buffer.add_char buf '\n'
   in
@@ -49,4 +38,4 @@ let render ?align ~header rows =
   List.iter emit_row rows;
   Buffer.contents buf
 
-let print ?align ~header rows = print_string (render ?align ~header rows)
+let print ~header rows = print_string (render ~header rows)

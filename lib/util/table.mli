@@ -4,16 +4,12 @@
     table on stdout; this module owns the layout so all reports look the
     same. *)
 
-type align =
-  | Left
-  | Right
-
-val render : ?align:align list -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** [render ~header rows] lays out [rows] under [header] with column
-    separators and a rule under the header.  [align] gives per-column
-    alignment (default: first column left, the rest right).  Rows shorter
-    than the header are padded with empty cells. *)
+    separators and a rule under the header: the first column left-aligned,
+    the rest right-aligned.  Rows shorter than the header are padded with
+    empty cells. *)
 
-val print : ?align:align list -> header:string list -> string list list -> unit
+val print : header:string list -> string list list -> unit
 (** [print] is [render] followed by output to stdout with a trailing
     newline. *)

@@ -10,5 +10,4 @@ type suite = {
   benches : bench list;
 }
 
-let bench ?(page = "<body></body>") ?(seed = 1) name script =
-  { name; page; script; engine_seed = seed }
+let bench ?(page = "<body></body>") name script = { name; page; script; engine_seed = 1 }

@@ -4,7 +4,7 @@ type bench = {
   name : string;
   page : string;        (** HTML loaded before the script runs *)
   script : string;      (** the timed workload *)
-  engine_seed : int;    (** Math.random seed, fixed for determinism *)
+  engine_seed : int;    (** Math.random seed: 1 for every benchmark *)
 }
 
 type suite = {
@@ -12,5 +12,5 @@ type suite = {
   benches : bench list;
 }
 
-val bench : ?page:string -> ?seed:int -> string -> string -> bench
-(** [bench name script]. *)
+val bench : ?page:string -> string -> string -> bench
+(** [bench name script], with [Math.random] seeded with 1. *)

@@ -133,7 +133,8 @@ let tlb_run ~tlb ~pages ~iters =
   tlb_workload machine ~pages ~iters;
   (Sim.Machine.cycles machine, Sim.Machine.tlb_stats machine)
 
-let tlb_hot ?(pages = 8) ?(iters = 200_000) () =
+let tlb_hot () =
+  let pages = 8 and iters = 200_000 in
   let cycles_off, _ = tlb_run ~tlb:false ~pages ~iters in
   let cycles_on, tlb = tlb_run ~tlb:true ~pages ~iters in
   { pages; iters; cycles_on; cycles_off; tlb }

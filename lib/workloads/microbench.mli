@@ -34,8 +34,8 @@ type tlb_result = {
   tlb : Sim.Tlb.stats; (** hit/miss/flush counts from the TLB-on run *)
 }
 
-val tlb_hot : ?pages:int -> ?iters:int -> unit -> tlb_result
-(** A page-hot read+write loop over a small working set (default 8 pages
-    x 200k rounds), run on two otherwise identical machines with the
+val tlb_hot : unit -> tlb_result
+(** A page-hot read+write loop over a small working set (8 pages x 200k
+    rounds), run on two otherwise identical machines with the
     software TLB on and off.  Simulated cycle counts are identical by
     construction; the TLB's host cost is perfbench's to measure. *)

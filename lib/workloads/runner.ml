@@ -132,12 +132,10 @@ let overhead ~base ~measured =
   Util.Stats.percent_overhead ~baseline:(float_of_int base.cycles)
     ~measured:(float_of_int measured.cycles)
 
-let run_bench ?(telemetry = false) ?sample_every ~profile (bench : Bench_def.bench) =
-  let base = run_config ~telemetry ?sample_every ~mode:Pkru_safe.Config.Base ~profile bench in
-  let alloc =
-    run_config ~telemetry ?sample_every ~mode:Pkru_safe.Config.Alloc ~profile bench
-  in
-  let mpk = run_config ~telemetry ?sample_every ~mode:Pkru_safe.Config.Mpk ~profile bench in
+let run_bench ~telemetry ~profile (bench : Bench_def.bench) =
+  let base = run_config ~telemetry ~mode:Pkru_safe.Config.Base ~profile bench in
+  let alloc = run_config ~telemetry ~mode:Pkru_safe.Config.Alloc ~profile bench in
+  let mpk = run_config ~telemetry ~mode:Pkru_safe.Config.Mpk ~profile bench in
   {
     bench = bench.Bench_def.name;
     base;
@@ -148,14 +146,13 @@ let run_bench ?(telemetry = false) ?sample_every ~profile (bench : Bench_def.ben
     outputs_agree = base.output = alloc.output && base.output = mpk.output;
   }
 
-let run_suite ?(progress = fun _ -> ()) ?(telemetry = false) ?sample_every
-    (suite : Bench_def.suite) =
+let run_suite ?(progress = fun _ -> ()) ?(telemetry = false) (suite : Bench_def.suite) =
   let profile = profile_suite suite in
   let bench_results =
     List.map
       (fun bench ->
         progress bench.Bench_def.name;
-        run_bench ~telemetry ?sample_every ~profile bench)
+        run_bench ~telemetry ~profile bench)
       suite.Bench_def.benches
   in
   let mean f = Util.Stats.mean (List.map f bench_results) in

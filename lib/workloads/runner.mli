@@ -101,7 +101,6 @@ val run_config :
 val run_suite :
   ?progress:(string -> unit) ->
   ?telemetry:bool ->
-  ?sample_every:int ->
   Bench_def.suite ->
   suite_result
 (** Full methodology for one suite: the merge of every benchmark's

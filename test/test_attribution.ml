@@ -106,7 +106,7 @@ let test_attribution_json_roundtrip () =
   emit sink ~ts:10 (Telemetry.Event.Gate_enter { target = Telemetry.Event.Untrusted });
   let a = Telemetry.Attribution.of_sink ~total_cycles:20 sink in
   let parsed =
-    Util.Json.of_string (Util.Json.to_string (Telemetry.Attribution.to_json ~site_limit:5 a))
+    Util.Json.of_string (Util.Json.to_string (Telemetry.Attribution.to_json a))
   in
   let heat = Util.Json.member "site_heat" parsed in
   Alcotest.(check int) "sites_total" 1 (Util.Json.to_int (Util.Json.member "sites_total" heat));

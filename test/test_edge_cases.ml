@@ -131,18 +131,6 @@ let test_profile_hits_accumulate_across_runs () =
   Alcotest.(check int) "one unique site" 1 (Runtime.Profile.cardinal merged);
   Alcotest.(check int) "hits summed across runs" 10 (Runtime.Profile.hit_count merged (site 3))
 
-(* --- Table alignment options. --- *)
-let test_table_alignment () =
-  let out =
-    Util.Table.render
-      ~align:[ Util.Table.Right; Util.Table.Left ]
-      ~header:[ "n"; "name" ]
-      [ [ "1"; "a" ]; [ "22"; "bb" ] ]
-  in
-  let lines = String.split_on_char '\n' out in
-  Alcotest.(check string) "right-aligned number" " 1  a   " (List.nth lines 2);
-  Alcotest.(check string) "second row" "22  bb  " (List.nth lines 3)
-
 (* --- The engine's display of special floats. --- *)
 let test_engine_special_numbers () =
   let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
@@ -165,6 +153,5 @@ let suite =
     Alcotest.test_case "json deep nesting" `Quick test_json_deep_nesting;
     Alcotest.test_case "dlmalloc oversized request" `Quick test_dlmalloc_oversized_request;
     Alcotest.test_case "profile hits accumulate" `Quick test_profile_hits_accumulate_across_runs;
-    Alcotest.test_case "table alignment" `Quick test_table_alignment;
     Alcotest.test_case "engine special numbers" `Quick test_engine_special_numbers;
   ]

@@ -312,8 +312,8 @@ let test_syscall_filter_unit () =
   (match Sim.Machine.sys_pkey_mprotect m ~base:region_base ~size:Vmm.Layout.page_size trusted with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("disarmed filter refused a retag: " ^ msg));
-  Sim.Machine.set_syscall_filter m (Some trusted);
-  Alcotest.(check bool) "filter armed" true (Sim.Machine.syscall_filter m <> None);
+  Sim.Machine.set_syscall_filter m true;
+  Alcotest.(check bool) "filter armed" true (Sim.Machine.syscall_filter m);
   (* Trusted residency (PKRU can read the trusted key): still allowed. *)
   (match Sim.Machine.sys_pkey_mprotect m ~base:region_base ~size:Vmm.Layout.page_size trusted with
   | Ok () -> ()
@@ -346,14 +346,13 @@ let test_defenses_config () =
   (* Defaults: a plain env arms nothing. *)
   let env = mk_env () in
   let machine = Pkru_safe.Env.machine env in
-  Alcotest.(check bool) "filter off by default" true (Sim.Machine.syscall_filter machine = None);
+  Alcotest.(check bool) "filter off by default" false (Sim.Machine.syscall_filter machine);
   Alcotest.(check bool) "scrub off by default" false
     (Sim.Signals.sigframe_scrub machine.Sim.Machine.signals);
   (* An armed env wires the machine-level defenses at create time. *)
   let env = mk_env ~defenses:all_on () in
   let machine = Pkru_safe.Env.machine env in
-  Alcotest.(check bool) "filter armed by config" true
-    (Sim.Machine.syscall_filter machine <> None);
+  Alcotest.(check bool) "filter armed by config" true (Sim.Machine.syscall_filter machine);
   Alcotest.(check bool) "scrub armed by config" true
     (Sim.Signals.sigframe_scrub machine.Sim.Machine.signals)
 

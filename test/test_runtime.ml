@@ -225,13 +225,13 @@ let test_comp_stack () =
 let test_compartment_views () =
   let tk = key 1 in
   Alcotest.(check bool) "trusted view reads MT" true (Mpk.Pkru.can_read Runtime.Compartment.trusted_view tk);
-  let uv = Runtime.Compartment.untrusted_view ~trusted_pkey:tk in
+  let uv = Runtime.Compartment.untrusted_view in
   Alcotest.(check bool) "untrusted view blocked from MT" false (Mpk.Pkru.can_read uv tk);
   Alcotest.(check bool) "untrusted view reads MU" true (Mpk.Pkru.can_read uv Mpk.Pkey.default);
   Alcotest.(check bool) "classify trusted" true
-    (( = ) (Runtime.Compartment.of_pkru ~trusted_pkey:tk Runtime.Compartment.trusted_view) Runtime.Compartment.Trusted);
+    (( = ) (Runtime.Compartment.of_pkru Runtime.Compartment.trusted_view) Runtime.Compartment.Trusted);
   Alcotest.(check bool) "classify untrusted" true
-    (( = ) (Runtime.Compartment.of_pkru ~trusted_pkey:tk uv) Runtime.Compartment.Untrusted)
+    (( = ) (Runtime.Compartment.of_pkru uv) Runtime.Compartment.Untrusted)
 
 (* --- Gate --- *)
 
@@ -401,10 +401,10 @@ let test_profiler_not_charged_for_shadowed_fault () =
 
 (* --- Mitigator: enforcement-mode fault recovery --- *)
 
-let mitigator_setup ?budget ?refill_cycles policy =
+let mitigator_setup ?budget policy =
   let m = Sim.Machine.create () in
   let pk = ok (Allocators.Pkalloc.create m) in
-  let mit = Runtime.Mitigator.create ?budget ?refill_cycles ~policy ~pkalloc:pk m in
+  let mit = Runtime.Mitigator.create ?budget ~policy ~pkalloc:pk m in
   Runtime.Mitigator.install mit;
   let gate = Runtime.Gate.create m in
   (m, pk, mit, gate)
@@ -435,46 +435,6 @@ let test_mitigator_emulate_spends_budget () =
   Alcotest.(check int) "three incidents" 3 (Runtime.Mitigator.incidents mit);
   Alcotest.(check int) "gate balanced after escalation" 0
     (Runtime.Comp_stack.depth (Runtime.Gate.stack gate))
-
-let test_mitigator_token_refill () =
-  let m, pk, mit, gate =
-    mitigator_setup ~budget:1 ~refill_cycles:10_000 Runtime.Mitigator.Emulate
-  in
-  let addr = tracked_mt_object pk mit in
-  Sim.Machine.write_u64 m addr 7;
-  Runtime.Gate.call_untrusted gate (fun () -> ignore (Sim.Machine.read_u64 m addr));
-  Alcotest.(check int) "bucket empty" 0 (Runtime.Mitigator.tokens_left mit);
-  Sim.Cpu.charge m.Sim.Machine.cpu 10_000;
-  Alcotest.(check int) "one token earned back" 1 (Runtime.Mitigator.tokens_left mit);
-  Runtime.Gate.call_untrusted gate (fun () ->
-      Alcotest.(check int) "refilled token services the next incident" 7
-        (Sim.Machine.read_u64 m addr))
-
-(* A clock reset between phases must not stall the refill: the mark
-   re-anchors at the reset clock, so one full period after the reset
-   earns one token (not one period after the old mark). *)
-let test_mitigator_refill_after_clock_reset () =
-  let m, pk, mit, gate =
-    mitigator_setup ~budget:1 ~refill_cycles:10_000 Runtime.Mitigator.Emulate
-  in
-  let addr = tracked_mt_object pk mit in
-  Sim.Machine.write_u64 m addr 9;
-  let incident () =
-    Runtime.Gate.call_untrusted gate (fun () -> ignore (Sim.Machine.read_u64 m addr))
-  in
-  (* Spend, earn back, spend again: the refill mark now sits a full
-     period past the machine's creation. *)
-  incident ();
-  Sim.Cpu.charge m.Sim.Machine.cpu 10_000;
-  Alcotest.(check int) "earned back before the reset" 1 (Runtime.Mitigator.tokens_left mit);
-  incident ();
-  Alcotest.(check int) "bucket empty" 0 (Runtime.Mitigator.tokens_left mit);
-  List.iter Sim.Cpu.reset_cycles (Sim.Machine.cpus m);
-  Alcotest.(check int) "clock reset" 0 (Sim.Machine.cycles m);
-  Alcotest.(check int) "nothing earned by the reset itself" 0 (Runtime.Mitigator.tokens_left mit);
-  Sim.Cpu.charge m.Sim.Machine.cpu 10_000;
-  Alcotest.(check int) "one period after the reset earns a token" 1
-    (Runtime.Mitigator.tokens_left mit)
 
 let test_mitigator_promote_quarantines_site () =
   let m, pk, mit, gate = mitigator_setup Runtime.Mitigator.Promote in
@@ -562,9 +522,6 @@ let suite =
     Alcotest.test_case "profiler not charged for shadowed fault" `Quick
       test_profiler_not_charged_for_shadowed_fault;
     Alcotest.test_case "mitigator emulate + budget" `Quick test_mitigator_emulate_spends_budget;
-    Alcotest.test_case "mitigator token refill" `Quick test_mitigator_token_refill;
-    Alcotest.test_case "mitigator refill after clock reset" `Quick
-      test_mitigator_refill_after_clock_reset;
     Alcotest.test_case "mitigator promote quarantines" `Quick
       test_mitigator_promote_quarantines_site;
     Alcotest.test_case "mitigator degrade graceful" `Quick test_mitigator_degrade_fails_gracefully;

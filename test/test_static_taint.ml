@@ -14,7 +14,7 @@ let assigned m =
   ignore (Passes.assign_alloc_ids m);
   m
 
-let analyze ?hosts_are_sinks m = Static_taint.analyze ?hosts_are_sinks (assigned m)
+let analyze m = Static_taint.analyze (assigned m)
 
 let shared_count r = Runtime.Alloc_id.Set.cardinal r.Static_taint.shared
 
@@ -129,15 +129,19 @@ let test_indirect_calls_are_conservative () =
   Module_ir.add_func m (Builder.finish f);
   Alcotest.(check int) "indirect flow found" 1 (shared_count (analyze m))
 
+(* The same allocation is shared exactly when a host call receives it. *)
 let test_host_sink_toggle () =
-  let m = Module_ir.create () in
-  let f = Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
-  let p = Builder.alloc f (Instr.Imm 8) in
-  ignore (Builder.call_host f "emit" [ Instr.Reg p ]);
-  Builder.ret f None;
-  Module_ir.add_func m (Builder.finish f);
-  Alcotest.(check int) "hosts as sinks" 1 (shared_count (analyze m));
-  Alcotest.(check int) "hosts trusted" 0 (shared_count (analyze ~hosts_are_sinks:false m))
+  let main ~host_call =
+    let m = Module_ir.create () in
+    let f = Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
+    let p = Builder.alloc f (Instr.Imm 8) in
+    if host_call then ignore (Builder.call_host f "emit" [ Instr.Reg p ]);
+    Builder.ret f None;
+    Module_ir.add_func m (Builder.finish f);
+    m
+  in
+  Alcotest.(check int) "hosts as sinks" 1 (shared_count (analyze (main ~host_call:true)));
+  Alcotest.(check int) "no host call" 0 (shared_count (analyze (main ~host_call:false)))
 
 let test_realloc_preserves_taint () =
   let m = Module_ir.create () in

@@ -118,7 +118,7 @@ let test_gate_pkru_rewrite_rechecks () =
   (* A call gate's WRPKRU drops the trusted key: the entry cached while
      trusted must not satisfy accesses made inside the gate. *)
   let m = machine_with_region ~pkey:(key 1) () in
-  let gate = Runtime.Gate.create ~trusted_pkey:(key 1) m in
+  let gate = Runtime.Gate.create m in
   Sim.Machine.write_u64 m base 99;
   Alcotest.(check int) "cached while trusted" 99 (Sim.Machine.read_u64 m base);
   (match
@@ -241,9 +241,7 @@ let test_prometheus_tlb_families () =
   Alcotest.(check bool) "hits from sink counters" true
     (contains from_counters "pkru_tlb_hits_total 5");
   Alcotest.(check bool) "misses from sink counters" true
-    (contains from_counters "pkru_tlb_misses_total 2");
-  let explicit = Telemetry.Export.prometheus ~tlb:(7, 3, 1) sink in
-  Alcotest.(check bool) "explicit stats win" true (contains explicit "pkru_tlb_hits_total 7")
+    (contains from_counters "pkru_tlb_misses_total 2")
 
 let test_runner_injects_counters () =
   let bench = Workloads.Bench_def.bench "tlb-cnt" (Workloads.Kernels.richards ~iterations:5) in
