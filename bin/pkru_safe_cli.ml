@@ -428,28 +428,28 @@ let run_report bench_name mode sample_every format output mitigation flight =
 (* --- run: execute a textual IR program through the toolchain --- *)
 
 let run_ir source mode use_static entry telemetry =
-  let build =
+  let ( let* ) = Result.bind in
+  let* build =
     if use_static then begin
-      let b, result = fail_on_error (Toolchain.Pipeline.build_static ~mode source) in
+      let* b, result = Toolchain.Pipeline.build_static ~mode source in
       Printf.printf "static analysis: %d shared site(s), %d fixpoint round(s)\n"
         (Runtime.Alloc_id.Set.cardinal result.Ir.Static_taint.shared)
         result.Ir.Static_taint.iterations;
-      b
+      Ok b
     end
     else begin
-      let profile =
+      let* profile =
         match mode with
         | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
-          let p =
-            fail_on_error
-              (Toolchain.Pipeline.collect_profile source
-                 ~inputs:[ (fun i -> ignore (Toolchain.Interp.run i entry [])) ])
+          let* p =
+            Toolchain.Pipeline.collect_profile source
+              ~inputs:[ (fun i -> ignore (Toolchain.Interp.run i entry [])) ]
           in
           Printf.printf "dynamic profile: %d shared site(s)\n" (Runtime.Profile.cardinal p);
-          p
-        | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
+          Ok p
+        | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Ok (Runtime.Profile.create ())
       in
-      fail_on_error (Toolchain.Pipeline.build ~profile ~mode source)
+      Toolchain.Pipeline.build ~profile ~mode source
     end
   in
   let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
@@ -476,18 +476,21 @@ let run_ir source mode use_static entry telemetry =
   | Some s ->
     print_newline ();
     print_string (Telemetry.Export.summary s)
-  | None -> ())
+  | None -> ());
+  Ok ()
 
-(* A trap (a missing entry function, division by zero, an unknown
-   callee), in the profiling pre-run or the measured run, is bad input:
-   one line naming the file and the trap. *)
+(* A module the pipeline refuses (say, a [call_host] of a host the CLI
+   does not register) and a trap (a missing entry function, division by
+   zero, an unknown callee), in the profiling pre-run or the measured
+   run, are bad input: one line naming the file and the error. *)
 let run_ir_file path mode use_static entry telemetry =
   let text = In_channel.with_open_text path In_channel.input_all in
   match Ir.Ir_text.of_string text with
   | exception Ir.Ir_text.Syntax_error msg -> `Error (false, path ^ ": " ^ msg)
   | source -> (
     match run_ir source mode use_static entry telemetry with
-    | () -> `Ok ()
+    | Ok () -> `Ok ()
+    | Error msg -> `Error (false, path ^ ": " ^ msg)
     | exception Toolchain.Interp.Trap msg -> `Error (false, Printf.sprintf "%s: trap: %s" path msg))
 
 (* --- corpus: collect, inspect and persist the profiling corpus --- *)

@@ -71,7 +71,12 @@ val switch_to_cpu : t -> Cpu.t -> Cpu.t
     {!run_on} (none when switching to the already-current hart) and
     charges no simulated cycles. *)
 
-(* {2 Checked accesses (simulated instructions)} *)
+(* {2 Checked accesses (simulated instructions)}
+
+   The u8, u32, u56 and u64 accesses have their own entries: on a TLB
+   machine an access that fits in one page probes the TLB in line.  u16,
+   page-straddling accesses and every access of a TLB-off machine take
+   the generic path.  Both charge, check, fault and trap alike. *)
 
 val read_u8 : t -> int -> int
 val read_u16 : t -> int -> int

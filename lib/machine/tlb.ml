@@ -1,6 +1,6 @@
 (* A per-hart, direct-mapped software TLB over the simulated page table.
 
-   Each entry caches one resolved page together with a permission mask
+   Each entry caches one resolved page's bytes together with a permission mask
    precomputed from the page protection bits, the page's protection key
    and the PKRU value at fill time, so the common-case access check is:
    index, tag-compare, mask-test.  No Hashtbl probe, no region walk, no
@@ -40,7 +40,7 @@ type stats = {
 
 type t = {
   tags : int array; (* page number, -1 = invalid *)
-  pages : Vmm.Page.t array;
+  data : Bytes.t array; (* the resolved page's bytes *)
   perms : int array; (* read/write/execute bits permitted for the entry *)
   map_epochs : int array;
   pkru_epochs : int array;
@@ -52,11 +52,13 @@ type t = {
   mutable flushes : int;
 }
 
+(* An invalid entry's bytes are empty: its tag is -1, which no page
+   number (an address shifted right) equals, so it never hits and they
+   are never read. *)
 let create () =
-  let dummy = Vmm.Page.create ~prot:Vmm.Prot.none ~pkey:Mpk.Pkey.default in
   {
     tags = Array.make size (-1);
-    pages = Array.make size dummy;
+    data = Array.make size Bytes.empty;
     perms = Array.make size 0;
     map_epochs = Array.make size (-1);
     pkru_epochs = Array.make size (-1);
@@ -82,7 +84,7 @@ let perm_mask (page : Vmm.Page.t) pkru =
 let fill t ~map_epoch ~pkru_epoch ~pkru page_number (page : Vmm.Page.t) =
   let i = page_number land index_mask in
   t.tags.(i) <- page_number;
-  t.pages.(i) <- page;
+  t.data.(i) <- page.Vmm.Page.data;
   t.perms.(i) <- perm_mask page pkru;
   t.map_epochs.(i) <- map_epoch;
   t.pkru_epochs.(i) <- pkru_epoch;

@@ -1,6 +1,6 @@
 (** A per-hart, direct-mapped software TLB for the simulated memory path.
 
-    Caches [page number -> (page, permission mask)] so the common case of
+    Caches [page number -> (page bytes, permission mask)] so the common case of
     {!Machine}'s checked accesses — same few pages, unchanged PKRU — skips
     the page-table Hashtbl, the region walk and the PKRU decode entirely.
     Modelled on QEMU's softmmu TLB; the invalidation discipline (precise
@@ -28,7 +28,7 @@ val index_mask : int
 
 type t = {
   tags : int array;  (** page number per entry, [-1] = invalid *)
-  pages : Vmm.Page.t array;
+  data : Bytes.t array;  (** the resolved page's bytes; empty when invalid *)
   perms : int array;  (** access bits the entry permits *)
   map_epochs : int array;  (** page-table epoch at fill time *)
   pkru_epochs : int array;  (** hart PKRU epoch at fill time *)

@@ -90,6 +90,181 @@ let test_single_step_equivalence () =
   Alcotest.(check bool) "faults actually occurred" true (events_on > 0);
   Alcotest.(check string) "trace bit-identical" trace_off trace_on
 
+(* The width-specialised entries against the generic path.  A TLB-on
+   machine takes the fast entries for every in-page access of width 1,
+   4, 7 and 8; a TLB-off machine takes [read_le]/[write_le] for all of
+   them.  One random program of reads and writes of every width (in-page
+   and page-straddling, over MT, MU, read-only and unmapped pages), PKRU
+   flips through WRPKRU and by direct store, single-steps set by hand
+   (so that hits trap too), run with or without the profiler's fault ->
+   single-step -> trap handlers and with or without a sampler or census
+   hook, must give both machines the same values,
+   faults, cycles, hook timings, event trace and memory. *)
+
+type access_op =
+  | Read of int * int (* width, address *)
+  | Write of int * int * int (* width, address, value *)
+  | Wrpkru of int (* index into [pkru_views] *)
+  | Store_pkru of int (* the same, without an epoch bump *)
+  | Single_step (* set the trap flag: the next access traps after it completes *)
+
+(* Pages 0-1: key 1 (MT); 2-3: key 2 (MU); 4: unmapped; 5: read-only. *)
+let access_pages = 6
+
+let pkru_views =
+  [|
+    Mpk.Pkru.all_enabled;
+    Mpk.Pkru.all_disabled_except [ key 2 ];
+    Mpk.Pkru.all_disabled_except [ key 1 ];
+    Mpk.Pkru.set_rights Mpk.Pkru.all_enabled (key 1) Mpk.Pkru.Disable_write;
+    Mpk.Pkru.all_disabled_except [];
+  |]
+
+let print_access_op = function
+  | Read (w, a) -> Printf.sprintf "read%d 0x%x" w a
+  | Write (w, a, v) -> Printf.sprintf "write%d 0x%x %d" w a v
+  | Wrpkru i -> Printf.sprintf "wrpkru %d" i
+  | Store_pkru i -> Printf.sprintf "pkru <- %d" i
+  | Single_step -> "single-step"
+
+let gen_access_op =
+  let open QCheck.Gen in
+  let addr =
+    let* pg = int_bound (access_pages - 1) in
+    let* offset =
+      oneof [ int_bound 15; map (fun d -> page - 1 - d) (int_bound 15); int_bound (page - 1) ]
+    in
+    return (base + (pg * page) + offset)
+  in
+  let width = oneofl [ 1; 2; 4; 7; 8 ] in
+  let view = int_bound (Array.length pkru_views - 1) in
+  frequency
+    [
+      (6, map2 (fun w a -> Read (w, a)) width addr);
+      (6, map3 (fun w a v -> Write (w, a, v)) width addr int);
+      (2, map (fun i -> Wrpkru i) view);
+      (1, map (fun i -> Store_pkru i) view);
+      (1, return Single_step);
+    ]
+
+(* [profiling], and the hook: 0 none, 1 sampler, 2 census; its period. *)
+type access_case = { profiling : bool; hook : int; every : int; ops : access_op list }
+
+let arb_access_case =
+  let open QCheck.Gen in
+  let gen =
+    let* profiling = bool in
+    let* hook = int_bound 2 in
+    let* every = int_range 1 40 in
+    let* ops = list_size (int_range 1 80) gen_access_op in
+    return { profiling; hook; every; ops }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "profiling=%b hook=%d every=%d\n%s" c.profiling c.hook c.every
+        (String.concat "\n" (List.map print_access_op c.ops)))
+
+let run_access_case ~tlb case =
+  let m = Sim.Machine.create ~tlb () in
+  let pt = m.Sim.Machine.page_table in
+  let reserve pg n ~prot ~pkey =
+    ok (Vmm.Page_table.reserve pt ~base:(base + (pg * page)) ~size:(n * page) ~prot ~pkey)
+  in
+  reserve 0 2 ~prot:Vmm.Prot.read_write ~pkey:(key 1);
+  reserve 2 2 ~prot:Vmm.Prot.read_write ~pkey:(key 2);
+  reserve 5 1 ~prot:{ Vmm.Prot.read = true; write = false; execute = false } ~pkey:(key 0);
+  let log = Buffer.create 256 in
+  let note fmt = Printf.bprintf log (fmt ^^ "\n") in
+  let cpu () = m.Sim.Machine.cpu in
+  (* The profiler's view to restore after a single-stepped fault. *)
+  let saved = ref None in
+  if case.profiling then
+    Sim.Signals.register_segv m.Sim.Machine.signals (fun f ->
+        match f.Vmm.Fault.kind with
+        | Vmm.Fault.Pkey_violation _ ->
+          saved := Some (cpu ()).Sim.Cpu.pkru;
+          Sim.Cpu.set_pkru (cpu ()) Mpk.Pkru.all_enabled;
+          (cpu ()).Sim.Cpu.trap_flag <- true;
+          Sim.Signals.Retry
+        | _ -> Sim.Signals.Pass);
+  Sim.Signals.register_trap m.Sim.Machine.signals (fun () ->
+      note "trap at %d" (Sim.Machine.cycles m);
+      Option.iter (Sim.Cpu.set_pkru (cpu ())) !saved;
+      saved := None);
+  let step = function
+    | Read (w, a) -> (
+      let read =
+        match w with
+        | 1 -> Sim.Machine.read_u8
+        | 2 -> Sim.Machine.read_u16
+        | 4 -> Sim.Machine.read_u32
+        | 7 -> Sim.Machine.read_u56
+        | _ -> Sim.Machine.read_u64
+      in
+      match read m a with
+      | v -> note "read%d 0x%x = %d" w a v
+      | exception Vmm.Fault.Unhandled f -> note "read%d: %s" w (Vmm.Fault.to_string f))
+    | Write (w, a, v) -> (
+      let write =
+        match w with
+        | 1 -> Sim.Machine.write_u8
+        | 2 -> Sim.Machine.write_u16
+        | 4 -> Sim.Machine.write_u32
+        | 7 -> Sim.Machine.write_u56
+        | _ -> Sim.Machine.write_u64
+      in
+      match write m a v with
+      | () -> note "write%d 0x%x" w a
+      | exception Vmm.Fault.Unhandled f -> note "write%d: %s" w (Vmm.Fault.to_string f))
+    | Wrpkru i -> Sim.Cpu.wrpkru (cpu ()) pkru_views.(i)
+    | Store_pkru i -> (cpu ()).Sim.Cpu.pkru <- pkru_views.(i)
+    | Single_step -> (cpu ()).Sim.Cpu.trap_flag <- true
+  in
+  let program () = List.iter step case.ops in
+  let hooked () =
+    let ctx = m.Sim.Machine.ctx in
+    match case.hook with
+    | 1 ->
+      Telemetry.Ctx.with_sampler ctx
+        ~provider:(fun () ->
+          note "sample at %d" (Sim.Machine.cycles m);
+          [ "access" ])
+        (Telemetry.Sampler.create ~every:case.every)
+        program
+    | 2 ->
+      Telemetry.Ctx.with_census ctx
+        ~provider:(fun () ->
+          note "census at %d" (Sim.Machine.cycles m);
+          {
+            Telemetry.Census.at_cycle = Sim.Machine.cycles m;
+            pools = [];
+            sites = [];
+            ages = Telemetry.Histogram.create ();
+          })
+        (Telemetry.Census.create ~every:case.every ())
+        program
+    | _ -> program ()
+  in
+  let sink = Telemetry.Sink.create () in
+  Telemetry.Ctx.with_sink m.Sim.Machine.ctx sink hooked;
+  (cpu ()).Sim.Cpu.pkru <- Mpk.Pkru.all_enabled;
+  List.iter
+    (fun pg ->
+      let a = base + (pg * page) in
+      note "page %d: %s" pg (Digest.to_hex (Digest.string (Sim.Machine.priv_read_string m a page))))
+    [ 0; 1; 2; 3; 5 ];
+  (Buffer.contents log, Sim.Machine.cycles m, trace_json sink)
+
+let prop_fast_entries_match_generic =
+  QCheck.Test.make ~count:300 ~name:"fast entries match the generic path" arb_access_case
+    (fun case ->
+      let log_on, cycles_on, trace_on = run_access_case ~tlb:true case in
+      let log_off, cycles_off, trace_off = run_access_case ~tlb:false case in
+      if log_on <> log_off then QCheck.Test.fail_reportf "values/faults differ:\n%s\n--\n%s" log_on log_off;
+      if cycles_on <> cycles_off then
+        QCheck.Test.fail_reportf "cycles %d (tlb) vs %d (no tlb)" cycles_on cycles_off;
+      if trace_on <> trace_off then QCheck.Test.fail_reportf "event traces differ";
+      true)
+
 (* --- Invalidation edges --- *)
 
 let test_pkey_mprotect_invalidates () =
@@ -274,4 +449,5 @@ let suite =
     Alcotest.test_case "tlb stats pinned per tier" `Quick test_tlb_stats_pinned_per_tier;
     Alcotest.test_case "prometheus tlb families" `Quick test_prometheus_tlb_families;
     Alcotest.test_case "runner injects tlb counters" `Quick test_runner_injects_counters;
+    QCheck_alcotest.to_alcotest prop_fast_entries_match_generic;
   ]

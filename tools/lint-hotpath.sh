@@ -1,8 +1,8 @@
 #!/bin/sh
-# Hot-path lint, four rules.
+# Hot-path lint, five rules.
 #
-# 1. The clock tick and the checked-access TLB hit must compile to code
-#    with no unknown call.
+# 1. The clock tick and the checked-access TLB hit, generic and
+#    width-specialised, must compile to code with no unknown call.
 #
 # A dev build (dune's default profile) compiles every module -opaque, so
 # a call into another module is an unknown call: caml_applyN, or an
@@ -29,10 +29,12 @@
 # 3. The front ends' byte loops (the script lexer's peek/advance/trivia
 #    skipping, the HTML parser's name/whitespace/text scans), the DOM's
 #    page-build path and its sibling iteration, the AST tier's
-#    variable access (static-frame and global slots) and the engine's
+#    variable access (static-frame and global slots), the engine's
 #    slot store
 #    (Value.write_slot: a slot is two int halves, never a boxed float or
-#    int64) must not allocate on the young heap:
+#    int64) and the width-specialised checked accesses (an unboxed
+#    Int32/Int64 between the page and an int) must not allocate on the
+#    young heap:
 #    no `sub $N,%r15`, the bump of the minor-heap pointer.
 #    (caml_call_gc is no signal: OCaml 5 poll points reference it too.)
 #    A byte is an int, -1 past the end, never a `char option`; a scan
@@ -43,6 +45,12 @@
 #    call to Eval.tick (a relocation to camlEngine__Eval.tick_<digits>).
 #    A tick that stops being inlinable -- its fuel error back in line, say
 #    -- becomes a call per AST node.
+#
+# 5. The width-specialised checked accesses (Machine.read_u8/u32/u56/u64,
+#    write_u8/u32/u56/u64) probe the TLB in line: no relocation to the
+#    general Machine.translate (camlSim__Machine.translate_<digits>; the
+#    out-of-line miss path, translate_miss, is allowed).  They are also
+#    call-free (rule 1) and allocation-free (rule 3).
 #
 # Usage: tools/lint-hotpath.sh   (from the repository root; `make lint-hotpath`)
 set -eu
@@ -101,8 +109,12 @@ check_hash() {
     "$@"
 }
 
+machine_o="$objs/machine/.sim.objs/native/sim__Machine.o"
+# The width-specialised checked accesses: the TLB hit in line.
+fast_access="read_u8 read_u32 read_u56 read_u64 write_u8 write_u32 write_u56 write_u64"
 check "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval tick charge
-check "$objs/machine/.sim.objs/native/sim__Machine.o" Sim__Machine translate read_le write_le
+# shellcheck disable=SC2086
+check "$machine_o" Sim__Machine translate read_le write_le $fast_access
 call_free=$checked
 
 check_hash "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc site_of
@@ -150,6 +162,16 @@ check_alloc "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom $do
 # shellcheck disable=SC2086
 check_alloc "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
 check_alloc "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value write_slot
+# shellcheck disable=SC2086
+check_alloc "$machine_o" Sim__Machine $fast_access
+alloc_free=$((checked - call_free - hash_free))
+
+# Rule 5: the width-specialised accesses probe the TLB in line, with no
+# call to the general Machine.translate.
+# shellcheck disable=SC2086
+forbid "calls Machine.translate (keep the TLB probe in line)" \
+  'R_X86_64_[A-Z0-9_]+[[:space:]]+camlSim__Machine\.translate_[0-9]+' "$machine_o" Sim__Machine \
+  $fast_access
 
 # Rule 4: a relocation line naming tick_<digits> (not tick_hooks_<digits>).
 eval_o="$objs/engine/.engine.objs/native/engine__Eval.o"
@@ -163,6 +185,7 @@ fi
 
 if [ "$status" -eq 0 ]; then
   echo "lint-hotpath: ok ($call_free functions call-free, $hash_free free of polymorphic hashing," \
-    "$((checked - call_free - hash_free)) allocation-free, Eval.tick inlined)"
+    "$alloc_free allocation-free, $((checked - call_free - hash_free - alloc_free))" \
+    "probing the TLB in line, Eval.tick inlined)"
 fi
 exit "$status"
