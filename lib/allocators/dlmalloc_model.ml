@@ -67,7 +67,7 @@ let set_live t payload =
   let g = (payload - t.base) lsr 4 in
   let i = g lsr 3 in
   if i >= Bytes.length t.live then begin
-    let bigger = Bytes.make (max (i + 1) (2 * Bytes.length t.live)) '\000' in
+    let bigger = Bytes.make (Int.max (i + 1) (2 * Bytes.length t.live)) '\000' in
     Bytes.blit t.live 0 bigger 0 (Bytes.length t.live);
     t.live <- bigger
   end;
@@ -100,7 +100,7 @@ let rec log2 v = if v <= 1 then 0 else 1 + log2 (v / 2)
 
 let bin_index size =
   let size16 = size lsr 4 in
-  if size16 < 64 then size16 else 64 + min 31 (log2 (size / 1024))
+  if size16 < 64 then size16 else 64 + Int.min 31 (log2 (size / 1024))
 
 (* Free-list surgery; fwd lives at c+8, bck at c+16. *)
 
@@ -122,7 +122,7 @@ let unlink_free t c size =
   if t.bins.(b) = 0 then t.binmap.(b lsr 5) <- t.binmap.(b lsr 5) land lnot (1 lsl (b land 31))
 
 let new_segment t min_bytes =
-  let pages = max default_segment_pages ((min_bytes + 16 + page_size - 1) / page_size) in
+  let pages = Int.max default_segment_pages ((min_bytes + 16 + page_size - 1) / page_size) in
   match Pool.alloc_span t.pool pages with
   | None -> false
   | Some base ->
@@ -185,7 +185,7 @@ let take t c req =
 let alloc t size =
   if size <= 0 then invalid_arg "Dlmalloc_model.alloc: non-positive size";
   Sim.Machine.charge t.machine cost_op_overhead;
-  let req = max min_chunk (round16 (size + 16)) in
+  let req = Int.max min_chunk (round16 (size + 16)) in
   let c = find_fit t req in
   let c =
     if c <> 0 then take t c req
@@ -249,7 +249,7 @@ let try_resize t payload new_size =
   Sim.Machine.charge t.machine cost_op_overhead;
   let c = payload - 8 in
   let size = chunk_size (read t c) in
-  let needed = max min_chunk (round16 (new_size + 16)) in
+  let needed = Int.max min_chunk (round16 (new_size + 16)) in
   if needed <= size then begin
     (* Shrink (or exact fit): split the tail off when it makes a chunk. *)
     let remainder = size - needed in

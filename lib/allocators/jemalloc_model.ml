@@ -1,6 +1,11 @@
+(* A run carries its class's geometry, so the allocation and free fast
+   paths look nothing up per call. *)
 type run = {
   run_base : int;
-  cls : Size_class.t;
+  cls : int; (* the class's index *)
+  slot_bytes : int;
+  slots : int;
+  pages : int;
   bitmap : int array; (* one bit per slot, 32 per word; bits past the last slot stay set *)
   mutable free_slots : int;
   mutable next_probe : int; (* rotating first-free search start *)
@@ -14,7 +19,7 @@ type t = {
   machine : Sim.Machine.t;
   pool : Pool.t;
   base_page : int;
-  nonfull : run list array; (* per class, runs with at least one free slot *)
+  nonfull : run list array; (* per class index, runs with at least one free slot *)
   mutable page_to_run : run array; (* [no_run] where no live run *)
   mutable large : int array; (* pages of the large block based at that page; 0 = none *)
   no_run : run; (* [page_to_run]'s filler; never modified *)
@@ -32,8 +37,8 @@ let cost_large_free = 60
 
 let create machine pool =
   let no_run =
-    { run_base = 0; cls = Size_class.small_class 1; bitmap = [||]; free_slots = 0; next_probe = 0;
-      released = true }
+    { run_base = 0; cls = 0; slot_bytes = 8; slots = 0; pages = 0; bitmap = [||]; free_slots = 0;
+      next_probe = 0; released = true }
   in
   {
     machine;
@@ -58,7 +63,7 @@ let page_index t addr =
 let reach t i =
   let n = Array.length t.page_to_run in
   if i >= n then begin
-    let n' = max (i + 1) (2 * n) in
+    let n' = Int.max (i + 1) (2 * n) in
     let runs = Array.make n' t.no_run and large = Array.make n' 0 in
     Array.blit t.page_to_run 0 runs 0 n;
     Array.blit t.large 0 large 0 n;
@@ -66,15 +71,19 @@ let reach t i =
     t.large <- large
   end
 
+(* A fresh run of [cls], or [t.no_run] when the pool is exhausted. *)
 let new_run t cls =
   let pages = Size_class.run_pages cls in
   match Pool.alloc_span t.pool pages with
-  | None -> None
+  | None -> t.no_run
   | Some run_base ->
     let slots = Size_class.slots_per_run cls in
     let bitmap = Array.make ((slots + 31) / 32) 0 in
     if slots land 31 <> 0 then bitmap.(slots / 32) <- -1 lsl (slots land 31) land 0xFFFF_FFFF;
-    let run = { run_base; cls; bitmap; free_slots = slots; next_probe = 0; released = false } in
+    let run =
+      { run_base; cls = (cls :> int); slot_bytes = Size_class.bytes cls; slots; pages; bitmap;
+        free_slots = slots; next_probe = 0; released = false }
+    in
     let first = Vmm.Layout.page_of_addr run_base - t.base_page in
     reach t (first + pages - 1);
     for i = first to first + pages - 1 do
@@ -82,24 +91,23 @@ let new_run t cls =
     done;
     t.run_pages <- t.run_pages + pages;
     Sim.Machine.charge t.machine cost_run_setup;
-    Some run
+    run
 
-(* Pop a usable run for [cls], discarding stale entries (full or released
-   runs linger in the list and are skipped lazily). *)
-let rec current_run t cls =
-  match t.nonfull.(Size_class.to_int cls) with
+(* A usable run for [cls], or [t.no_run], discarding stale entries (full
+   or released runs linger in the list and are skipped lazily). *)
+let rec current_run t (cls : Size_class.t) =
+  let c = (cls :> int) in
+  match t.nonfull.(c) with
   | [] ->
-    (match new_run t cls with
-    | None -> None
-    | Some run ->
-      t.nonfull.(Size_class.to_int cls) <- [ run ];
-      Some run)
+    let run = new_run t cls in
+    if run != t.no_run then t.nonfull.(c) <- [ run ];
+    run
   | run :: rest ->
     if run.released || run.free_slots = 0 then begin
-      t.nonfull.(Size_class.to_int cls) <- rest;
+      t.nonfull.(c) <- rest;
       current_run t cls
     end
-    else Some run
+    else run
 
 (* The first clear bit of [bm] in words [w, last], or -1. *)
 let rec first_clear bm w last =
@@ -117,24 +125,37 @@ let find_free_slot run =
   let start = run.next_probe in
   let w = start lsr 5 in
   let free = lnot bm.(w) land 0xFFFF_FFFF land (-1 lsl (start land 31)) in
-  if free <> 0 then (w lsl 5) + Bits.lowest_set free
+  if free land (1 lsl (start land 31)) <> 0 then start
+  else if free <> 0 then (w lsl 5) + Bits.lowest_set free
   else
     let slot = first_clear bm (w + 1) (Array.length bm - 1) in
     if slot >= 0 then slot else first_clear bm 0 w
 
+(* [Alloc_stats.record_alloc] and [record_free], by field. *)
+let note_alloc (s : Alloc_stats.t) bytes =
+  s.allocs <- s.allocs + 1;
+  s.bytes_allocated <- s.bytes_allocated + bytes;
+  let live = s.bytes_allocated - s.bytes_freed in
+  if live > s.peak_live then s.peak_live <- live
+
+let note_free (s : Alloc_stats.t) bytes =
+  s.frees <- s.frees + 1;
+  s.bytes_freed <- s.bytes_freed + bytes
+
 let alloc_small t cls =
-  match current_run t cls with
-  | None -> None
-  | Some run ->
+  let run = current_run t cls in
+  if run == t.no_run then None
+  else begin
     (* free_slots > 0 guarantees a slot *)
     let slot = find_free_slot run in
     let w = slot lsr 5 in
     run.bitmap.(w) <- run.bitmap.(w) lor (1 lsl (slot land 31));
     run.free_slots <- run.free_slots - 1;
-    run.next_probe <- (slot + 1) mod Size_class.slots_per_run cls;
+    run.next_probe <- (if slot + 1 = run.slots then 0 else slot + 1);
     Sim.Machine.charge t.machine cost_alloc_fast;
-    Alloc_stats.record_alloc t.stats (Size_class.bytes cls);
-    Some (run.run_base + (slot * Size_class.bytes cls))
+    note_alloc t.stats run.slot_bytes;
+    Some (run.run_base + (slot * run.slot_bytes))
+  end
 
 let alloc_large t size =
   let pages = (size + page_size - 1) / page_size in
@@ -145,7 +166,7 @@ let alloc_large t size =
     reach t i;
     t.large.(i) <- pages;
     Sim.Machine.charge t.machine cost_large;
-    Alloc_stats.record_alloc t.stats (pages * page_size);
+    note_alloc t.stats (pages * page_size);
     Some addr
 
 let alloc t size =
@@ -169,13 +190,13 @@ let free t addr =
     t.large.(page_index t addr) <- 0;
     Pool.free_span t.pool addr pages;
     Sim.Machine.charge t.machine cost_large_free;
-    Alloc_stats.record_free t.stats (pages * page_size)
+    note_free t.stats (pages * page_size)
   end
   else begin
     let run = run_of_addr t addr in
     if run == t.no_run then
       invalid_arg (Printf.sprintf "Jemalloc_model.free: unknown pointer 0x%x" addr);
-    let bytes = Size_class.bytes run.cls in
+    let bytes = run.slot_bytes in
     let offset = addr - run.run_base in
     if offset mod bytes <> 0 then
       invalid_arg (Printf.sprintf "Jemalloc_model.free: misaligned pointer 0x%x" addr);
@@ -187,12 +208,11 @@ let free t addr =
     let was_full = run.free_slots = 0 in
     run.free_slots <- run.free_slots + 1;
     Sim.Machine.charge t.machine cost_free;
-    Alloc_stats.record_free t.stats bytes;
-    let slots = Size_class.slots_per_run run.cls in
-    if run.free_slots = slots then begin
+    note_free t.stats bytes;
+    if run.free_slots = run.slots then begin
       (* Run entirely free: give its pages back to the pool. *)
       run.released <- true;
-      let pages = Size_class.run_pages run.cls in
+      let pages = run.pages in
       let first = Vmm.Layout.page_of_addr run.run_base - t.base_page in
       for i = first to first + pages - 1 do
         t.page_to_run.(i) <- t.no_run
@@ -201,8 +221,7 @@ let free t addr =
       Pool.free_span t.pool run.run_base pages
     end
     else if was_full then
-      t.nonfull.(Size_class.to_int run.cls) <-
-        run :: t.nonfull.(Size_class.to_int run.cls)
+      t.nonfull.(run.cls) <- run :: t.nonfull.(run.cls)
   end
 
 let usable_size t addr =
@@ -210,7 +229,7 @@ let usable_size t addr =
   if pages > 0 then Some (pages * page_size)
   else
     let run = run_of_addr t addr in
-    if run == t.no_run then None else Some (Size_class.bytes run.cls)
+    if run == t.no_run then None else Some run.slot_bytes
 
 let try_resize t addr new_size =
   Sim.Machine.charge t.machine cost_free;
@@ -232,12 +251,12 @@ let check_index t =
         if run != t.no_run then begin
           incr mapped;
           let first = Vmm.Layout.page_of_addr run.run_base - t.base_page in
-          let pages = Size_class.run_pages run.cls in
+          let pages = run.pages in
           if run.released then bad "page %d maps a released run" i;
           if i < first || i >= first + pages then bad "page %d maps a run at 0x%x" i run.run_base;
           if t.large.(i) <> 0 then bad "page %d is both run and large base" i;
           if i = first then begin
-            let slots = Size_class.slots_per_run run.cls in
+            let slots = run.slots in
             let used = ref 0 in
             for s = 0 to (32 * Array.length run.bitmap) - 1 do
               let set = run.bitmap.(s lsr 5) land (1 lsl (s land 31)) <> 0 in

@@ -2,40 +2,38 @@ type mu_backend =
   | Mu_dlmalloc
   | Mu_jemalloc
 
-type backend = {
-  b_alloc : int -> int option;
-  b_free : int -> unit;
-  b_usable : int -> int option;
-  b_try_resize : int -> int -> bool;
-  b_stats : Alloc_stats.t;
-}
+(* A pool's allocator.  MT is always jemalloc and is called directly;
+   a [heap] is what realloc and MU dispatch on. *)
+type heap =
+  | Dl of Dlmalloc_model.t
+  | Je of Jemalloc_model.t
 
-let jemalloc_backend machine pool =
-  let a = Jemalloc_model.create machine pool in
-  {
-    b_alloc = Jemalloc_model.alloc a;
-    b_free = Jemalloc_model.free a;
-    b_usable = Jemalloc_model.usable_size a;
-    b_try_resize = Jemalloc_model.try_resize a;
-    b_stats = Jemalloc_model.stats a;
-  }
+let heap_alloc h size =
+  match h with
+  | Dl a -> Dlmalloc_model.alloc a size
+  | Je a -> Jemalloc_model.alloc a size
 
-let dlmalloc_backend machine pool =
-  let a = Dlmalloc_model.create machine pool in
-  {
-    b_alloc = Dlmalloc_model.alloc a;
-    b_free = Dlmalloc_model.free a;
-    b_usable = Dlmalloc_model.usable_size a;
-    b_try_resize = Dlmalloc_model.try_resize a;
-    b_stats = Dlmalloc_model.stats a;
-  }
+let heap_free h addr =
+  match h with
+  | Dl a -> Dlmalloc_model.free a addr
+  | Je a -> Jemalloc_model.free a addr
+
+let heap_usable h addr =
+  match h with
+  | Dl a -> Dlmalloc_model.usable_size a addr
+  | Je a -> Jemalloc_model.usable_size a addr
+
+let heap_try_resize h addr size =
+  match h with
+  | Dl a -> Dlmalloc_model.try_resize a addr size
+  | Je a -> Jemalloc_model.try_resize a addr size
 
 type t = {
   machine : Sim.Machine.t;
   mt_pool : Pool.t;
   mu_pool : Pool.t;
-  mt : backend;
-  mu : backend;
+  mt : Jemalloc_model.t;
+  mu : heap;
   (* Site-override table: allocation sites quarantined by the mitigator's
      Promote policy.  Keys are printed AllocIds (this library sits below
      the runtime and cannot name Alloc_id).  The runtime consults it to
@@ -72,11 +70,11 @@ let create ?backing ?(mu_backend = Mu_dlmalloc) machine =
     Pool.create ?backing machine ~base:Vmm.Layout.untrusted_base
       ~size:Vmm.Layout.untrusted_size ~pkey:Mpk.Pkey.default
   in
-  let mt = jemalloc_backend machine mt_pool in
+  let mt = Jemalloc_model.create machine mt_pool in
   let mu =
     match mu_backend with
-    | Mu_dlmalloc -> dlmalloc_backend machine mu_pool
-    | Mu_jemalloc -> jemalloc_backend machine mu_pool
+    | Mu_dlmalloc -> Dl (Dlmalloc_model.create machine mu_pool)
+    | Mu_jemalloc -> Je (Jemalloc_model.create machine mu_pool)
   in
   Ok
     {
@@ -141,8 +139,8 @@ let mu_failpoint_fires t =
     t.fail_mu_in <- n - 1;
     false
 
-let mt_alloc t size = if mt_failpoint_fires t then None else t.mt.b_alloc size
-let mu_alloc t size = if mu_failpoint_fires t then None else t.mu.b_alloc size
+let mt_alloc t size = if mt_failpoint_fires t then None else Jemalloc_model.alloc t.mt size
+let mu_alloc t size = if mu_failpoint_fires t then None else heap_alloc t.mu size
 
 let alloc_trusted ?site t size =
   note_alloc t ~compartment:Telemetry.Event.Trusted ~histogram:"alloc_size_mt_bytes" ~site
@@ -174,12 +172,6 @@ let pool_of_addr t addr =
   else if Pool.contains t.mu_pool addr then Some `Untrusted
   else None
 
-let backend_of_addr t addr =
-  match pool_of_addr t addr with
-  | Some `Trusted -> t.mt
-  | Some `Untrusted -> t.mu
-  | None -> invalid_arg (Printf.sprintf "pkalloc: foreign pointer 0x%x" addr)
-
 let dealloc t addr =
   (match t.machine.Sim.Machine.ctx.Telemetry.Ctx.sink with
   | None -> ()
@@ -192,29 +184,31 @@ let dealloc t addr =
     Telemetry.Sink.emit sink ~ts:(Sim.Machine.cycles t.machine)
       ~cpu:t.machine.Sim.Machine.cpu.Sim.Cpu.id
       (Telemetry.Event.Free { compartment; addr }));
-  (backend_of_addr t addr).b_free addr
+  if Pool.contains t.mt_pool addr then Jemalloc_model.free t.mt addr
+  else if Pool.contains t.mu_pool addr then heap_free t.mu addr
+  else invalid_arg (Printf.sprintf "pkalloc: foreign pointer 0x%x" addr)
 
 (* Reallocation never migrates between pools: "memory is always reallocated
    from the same pool its base pointer originated from" (§4.2). *)
 let realloc t addr new_size =
-  let pool =
+  let trusted =
     match pool_of_addr t addr with
-    | Some p -> p
+    | Some `Trusted -> true
+    | Some `Untrusted -> false
     | None -> invalid_arg (Printf.sprintf "pkalloc: foreign pointer 0x%x" addr)
   in
-  let backend = match pool with `Trusted -> t.mt | `Untrusted -> t.mu in
+  let heap = if trusted then Je t.mt else t.mu in
   let old_usable =
-    match backend.b_usable addr with
+    match heap_usable heap addr with
     | Some n -> n
     | None -> invalid_arg (Printf.sprintf "pkalloc: realloc of dead pointer 0x%x" addr)
   in
-  if backend.b_try_resize addr new_size then Some addr
+  if heap_try_resize heap addr new_size then Some addr
   else
-  let fresh_alloc = match pool with `Trusted -> mt_alloc t | `Untrusted -> mu_alloc t in
-  match fresh_alloc new_size with
+  match if trusted then mt_alloc t new_size else mu_alloc t new_size with
   | None -> None
   | Some fresh ->
-    let to_copy = min old_usable new_size in
+    let to_copy = Int.min old_usable new_size in
     let copied =
       if to_copy = 0 then true
       else
@@ -228,16 +222,20 @@ let realloc t addr new_size =
         with
         | () -> true
         | exception Vmm.Fault.Unhandled _ ->
-          backend.b_free fresh;
+          heap_free heap fresh;
           false
     in
     if not copied then None
     else begin
-      backend.b_free addr;
+      heap_free heap addr;
       Some fresh
     end
 
 let trusted_pool t = t.mt_pool
 let untrusted_pool t = t.mu_pool
-let trusted_stats t = t.mt.b_stats
-let untrusted_stats t = t.mu.b_stats
+let trusted_stats t = Jemalloc_model.stats t.mt
+
+let untrusted_stats t =
+  match t.mu with
+  | Dl a -> Dlmalloc_model.stats a
+  | Je a -> Jemalloc_model.stats a

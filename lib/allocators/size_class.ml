@@ -34,5 +34,3 @@ let run_pages c =
   else 8
 
 let slots_per_run c = run_pages c * page_size / bytes c
-
-let to_int c = c

@@ -25,5 +25,3 @@ val run_pages : t -> int
 
 val slots_per_run : t -> int
 (** Number of objects a run of this class holds. *)
-
-val to_int : t -> int

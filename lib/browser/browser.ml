@@ -430,7 +430,7 @@ let exec_script_body ?tier t src =
   let len = String.length src in
   (* The script text is trusted-side data handed to the engine by pointer:
      the canonical shared allocation. *)
-  let buf = Pkru_safe.Env.alloc t.env ~site:Sites.script_source (max len 1) in
+  let buf = Pkru_safe.Env.alloc t.env ~site:Sites.script_source (Int.max len 1) in
   if len > 0 then Sim.Machine.write_string t.machine buf src;
   let source =
     match Engine.Value.of_foreign_buffer ~addr:buf ~len with

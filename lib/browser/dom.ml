@@ -273,7 +273,7 @@ let create_element t tag = alloc_node t ~code:(intern t tag)
 
 let write_text t a text =
   let len = String.length text in
-  let buf = Pkru_safe.Env.alloc t.env ~site:Sites.text_buffer (max len 1) in
+  let buf = Pkru_safe.Env.alloc t.env ~site:Sites.text_buffer (Int.max len 1) in
   if len > 0 then Sim.Machine.write_string t.machine buf text;
   write t a off_text buf;
   write t a off_text_len len
@@ -353,7 +353,7 @@ let find_attr t a code = find_attr_from t code (read t a off_attrs)
 
 let alloc_value t value =
   let len = String.length value in
-  let buf = Pkru_safe.Env.alloc t.env ~site:Sites.attr_value (max len 1) in
+  let buf = Pkru_safe.Env.alloc t.env ~site:Sites.attr_value (Int.max len 1) in
   if len > 0 then Sim.Machine.write_string t.machine buf value;
   buf
 
@@ -604,6 +604,6 @@ let clone_subtree t node = clone_at t (addr t node)
 
 let text_to_buffer t ~site text =
   let len = String.length text in
-  let buf = Pkru_safe.Env.alloc t.env ~site (max len 1) in
+  let buf = Pkru_safe.Env.alloc t.env ~site (Int.max len 1) in
   if len > 0 then Sim.Machine.write_string t.machine buf text;
   (buf, len)

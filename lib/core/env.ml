@@ -24,7 +24,7 @@ type t = {
   profiler : Runtime.Profiler.t option;
   mitigator : Runtime.Mitigator.t option;
   input_profile : Runtime.Profile.t;
-  sites : site Util.Int_table.t; (* Alloc_id.hash -> chain of sites *)
+  sites : site Util.Int_table.t; (* [site_key] -> chain of sites *)
   no_site : site; (* the table's dummy; never modified *)
   mutable sites_used : int;
   mutable sites_moved : int;
@@ -172,8 +172,13 @@ let[@inline never] intern t id h =
   in
   walk head
 
+(* The three fields packed into one non-negative int, computed in line
+   (the table mixes its keys itself); ids that share a key chain. *)
+let site_key (id : Runtime.Alloc_id.t) =
+  ((id.func_id lsl 42) lxor (id.block_id lsl 21) lxor id.call_id) land max_int
+
 let site_of t id =
-  let h = Runtime.Alloc_id.hash id in
+  let h = site_key id in
   let s = Util.Int_table.get t.sites h in
   if s != t.no_site && same_id s.id id then s else intern t id h
 

@@ -134,7 +134,7 @@ let declare scope name v =
     | None ->
       let n = scope.decls in
       if n >= Array.length scope.vals then begin
-        let bigger = Array.make (max 4 (2 * n)) v in
+        let bigger = Array.make (Int.max 4 (2 * n)) v in
         Array.blit scope.vals 0 bigger 0 n;
         scope.vals <- bigger
       end;
@@ -192,7 +192,7 @@ let set_yield_hook t hook = t.yield_hook <- hook
 
 let add_closure t c =
   if t.nclosures >= Array.length t.closures then begin
-    let bigger = Array.make (max 16 (2 * t.nclosures)) c in
+    let bigger = Array.make (Int.max 16 (2 * t.nclosures)) c in
     Array.blit t.closures 0 bigger 0 t.nclosures;
     t.closures <- bigger
   end;
@@ -897,7 +897,7 @@ let rec method_call t recv name args =
       Value.Num (float_of_int (find 0))
     | "slice", [ lo; hi ] ->
       let len = a.Value.a_len in
-      let norm i = if i < 0 then max 0 (len + i) else min i len in
+      let norm i = if i < 0 then Int.max 0 (len + i) else Int.min i len in
       let lo = norm (to_int t lo) and hi = norm (to_int t hi) in
       let out = Value.arr_make t.heap 0 in
       let o = as_arr out in
@@ -982,7 +982,7 @@ let rec method_call t recv name args =
         else int_of_float f
       in
       let a = clamp a and b = clamp b in
-      let lo = min a b and hi = max a b in
+      let lo = Int.min a b and hi = Int.max a b in
       Value.str_sub t.heap s lo (hi - lo)
     | "indexOf", [ needle ] ->
       Value.Num (float_of_int (Value.str_index_of t.heap s (as_str needle)))
@@ -999,9 +999,9 @@ let rec method_call t recv name args =
       arr
     | "slice", [ a; b ] ->
       let len = s.Value.s_len in
-      let norm i = if i < 0 then max 0 (len + i) else min i len in
+      let norm i = if i < 0 then Int.max 0 (len + i) else Int.min i len in
       let a = norm (to_int t a) and b = norm (to_int t b) in
-      Value.str_sub t.heap s a (max 0 (b - a))
+      Value.str_sub t.heap s a (Int.max 0 (b - a))
     | "trim", [] ->
       Value.str_of_string t.heap (String.trim (Value.string_of_str t.heap s))
     | "startsWith", [ p ] ->
@@ -1082,12 +1082,23 @@ and compile_expr t local (e : Ast.expr) : expr_code =
       fail "namespace %s cannot be used as a value" ns
   | Ast.Ident name ->
     let site = resolve local name in
-    fun scope ->
-      tick t 1;
-      let v = static_lookup t site scope 0 in
-      if v != t.unbound then v
-      else if Hashtbl.mem t.hosts name then Value.Host name
-      else fail "undefined variable %s" name
+    if Hashtbl.mem t.hosts name then begin
+      (* A host binding's name reads one [Host] value, made here: hosts
+         are only added or replaced, and [call_value] looks the
+         function up. *)
+      let host = Value.Host name in
+      fun scope ->
+        tick t 1;
+        let v = static_lookup t site scope 0 in
+        if v != t.unbound then v else host
+    end
+    else
+      fun scope ->
+        tick t 1;
+        let v = static_lookup t site scope 0 in
+        if v != t.unbound then v
+        else if Hashtbl.mem t.hosts name then Value.Host name
+        else fail "undefined variable %s" name
   | Ast.Array_lit items ->
     let cs = List.map (compile_expr t local) items in
     fun scope ->

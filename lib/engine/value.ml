@@ -137,7 +137,7 @@ let read_slot h addr =
 
 let str_of_string h s =
   let len = String.length s in
-  let addr = malloc h (max len 1) in
+  let addr = malloc h (Int.max len 1) in
   if len > 0 then Sim.Machine.write_string h.machine addr s;
   Str { s_addr = addr; s_len = len; s_owned = true }
 
@@ -153,7 +153,7 @@ let str_get h (s : str) i =
 
 let str_concat h (a : str) (b : str) =
   let len = a.s_len + b.s_len in
-  let addr = malloc h (max len 1) in
+  let addr = malloc h (Int.max len 1) in
   if a.s_len > 0 then
     Sim.Machine.write_bytes h.machine addr (Sim.Machine.read_bytes h.machine a.s_addr a.s_len);
   if b.s_len > 0 then
@@ -162,9 +162,9 @@ let str_concat h (a : str) (b : str) =
   Str { s_addr = addr; s_len = len; s_owned = true }
 
 let str_sub h (s : str) start len =
-  let start = max 0 start in
-  let len = max 0 (min len (s.s_len - start)) in
-  let addr = malloc h (max len 1) in
+  let start = Int.max 0 start in
+  let len = Int.max 0 (Int.min len (s.s_len - start)) in
+  let addr = malloc h (Int.max len 1) in
   if len > 0 then
     Sim.Machine.write_bytes h.machine addr
       (Sim.Machine.read_bytes h.machine (s.s_addr + start) len);
@@ -198,7 +198,7 @@ let str_index_of h (s : str) (needle : str) =
 (* --- Arrays --- *)
 
 let arr_make h n =
-  let cap = max n 4 in
+  let cap = Int.max n 4 in
   let buf = malloc h (cap * 8) in
   let a = { a_buf = buf; a_cap = cap; a_len = n } in
   for i = 0 to n - 1 do
@@ -287,7 +287,7 @@ let obj_set h (o : obj) name v =
     let next = shape_add h o.o_shape name in
     let i = next.sh_count - 1 in
     if i >= Array.length o.o_slots then begin
-      let bigger = Array.make (max 4 (2 * Array.length o.o_slots)) Null in
+      let bigger = Array.make (Int.max 4 (2 * Array.length o.o_slots)) Null in
       Array.blit o.o_slots 0 bigger 0 (Array.length o.o_slots);
       o.o_slots <- bigger
     end;

@@ -118,6 +118,12 @@ let[@inline always] charge_cpu (cpu : Cpu.t) n =
   cpu.Cpu.cycles <- cpu.Cpu.cycles + n;
   if cpu.Cpu.ctx.Telemetry.Ctx.hooked then tick_hooks cpu n
 
+(* The access check, with no option to allocate: [access_ok], or what
+   denies the access. *)
+let access_ok = 0
+let prot_denied = 1
+let pkey_denied = 2
+
 let check_page t access (page : Vmm.Page.t) =
   let prot_ok =
     match access with
@@ -125,7 +131,7 @@ let check_page t access (page : Vmm.Page.t) =
     | Vmm.Fault.Write -> page.prot.Vmm.Prot.write
     | Vmm.Fault.Execute -> page.prot.Vmm.Prot.execute
   in
-  if not prot_ok then Some Vmm.Fault.Prot_violation
+  if not prot_ok then prot_denied
   else
     let key = page.pkey in
     let pkru = t.cpu.Cpu.pkru in
@@ -134,12 +140,30 @@ let check_page t access (page : Vmm.Page.t) =
       | Vmm.Fault.Read | Vmm.Fault.Execute -> Mpk.Pkru.can_read pkru key
       | Vmm.Fault.Write -> Mpk.Pkru.can_write pkru key
     in
-    if pkey_ok then None else Some (Vmm.Fault.Pkey_violation key)
+    if pkey_ok then access_ok else pkey_denied
+
+(* The fault a denied access raises. *)
+let denial_kind denied (page : Vmm.Page.t) =
+  if denied = prot_denied then Vmm.Fault.Prot_violation else Vmm.Fault.Pkey_violation page.pkey
+
+(* [Vmm.Page_table.lookup] without the option: the table's [no_page]
+   when [addr] is unmapped.  A materialised page is read straight from
+   the page index; the rest is [lookup]'s demand paging. *)
+let find_page t addr =
+  let pt = t.page_table in
+  let page = Util.Int_table.get pt.Vmm.Page_table.pages (addr lsr page_shift) in
+  if page != pt.Vmm.Page_table.no_page then page
+  else
+    match Vmm.Page_table.lookup pt addr with
+    | Some page -> page
+    | None -> pt.Vmm.Page_table.no_page
 
 let probe t access addr =
-  match Vmm.Page_table.lookup t.page_table addr with
-  | None -> Some Vmm.Fault.Not_mapped
-  | Some page -> check_page t access page
+  let page = find_page t addr in
+  if page == t.page_table.Vmm.Page_table.no_page then Some Vmm.Fault.Not_mapped
+  else
+    let denied = check_page t access page in
+    if denied = access_ok then None else Some (denial_kind denied page)
 
 (* Fault-path telemetry: describe the fault, note the SIGSEGV dispatch, and
    time handler servicing (the cycles charged between dispatch and the
@@ -182,12 +206,13 @@ let deliver_fault t fault =
 let rec attempt t access addr retries last_kind =
   if retries = 0 then raise (Vmm.Fault.Unhandled { Vmm.Fault.addr; access; kind = last_kind });
   let faults_before = Vmm.Page_table.demand_faults t.page_table in
-  match Vmm.Page_table.lookup t.page_table addr with
-  | None ->
+  let page = find_page t addr in
+  if page == t.page_table.Vmm.Page_table.no_page then begin
     Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
     deliver_fault t { Vmm.Fault.addr; access; kind = Vmm.Fault.Not_mapped };
     attempt t access addr (retries - 1) Vmm.Fault.Not_mapped
-  | Some page ->
+  end
+  else begin
     if Vmm.Page_table.demand_faults t.page_table > faults_before then begin
       Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.soft_page_fault;
       match t.ctx.Telemetry.Ctx.sink with
@@ -196,12 +221,15 @@ let rec attempt t access addr retries last_kind =
         Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
           (Telemetry.Event.Page_fault { addr; kind = Telemetry.Event.Demand_paged })
     end;
-    (match check_page t access page with
-    | None -> page
-    | Some kind ->
+    let denied = check_page t access page in
+    if denied = access_ok then page
+    else begin
+      let kind = denial_kind denied page in
       Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
       deliver_fault t { Vmm.Fault.addr; access; kind };
-      attempt t access addr (retries - 1) kind)
+      attempt t access addr (retries - 1) kind
+    end
+  end
 
 (* The seed kind is never observed: retries start positive, and every
    recursive call threads the kind of a delivered fault.  [attempt] is a
@@ -496,7 +524,7 @@ let read_bytes t addr len =
   while !pos < len do
     let a = addr + !pos in
     let offset = page_offset a in
-    let chunk = min (len - !pos) (page_size - offset) in
+    let chunk = Int.min (len - !pos) (page_size - offset) in
     charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
     let data = translate t Vmm.Fault.Read read_bit a in
     Bytes.blit data offset out !pos chunk;
@@ -512,7 +540,7 @@ let read_to_buffer t addr len buf =
   while !pos < len do
     let a = addr + !pos in
     let offset = page_offset a in
-    let chunk = min (len - !pos) (page_size - offset) in
+    let chunk = Int.min (len - !pos) (page_size - offset) in
     charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
     let data = translate t Vmm.Fault.Read read_bit a in
     Buffer.add_subbytes buf data offset chunk;
@@ -527,7 +555,7 @@ let write_string t addr src =
   while !pos < len do
     let a = addr + !pos in
     let offset = page_offset a in
-    let chunk = min (len - !pos) (page_size - offset) in
+    let chunk = Int.min (len - !pos) (page_size - offset) in
     charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
     let data = translate t Vmm.Fault.Write write_bit a in
     Bytes.blit_string src !pos data offset chunk;
@@ -542,7 +570,7 @@ let memset t addr byte len =
   while !pos < len do
     let a = addr + !pos in
     let offset = page_offset a in
-    let chunk = min (len - !pos) (page_size - offset) in
+    let chunk = Int.min (len - !pos) (page_size - offset) in
     charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
     let data = translate t Vmm.Fault.Write write_bit a in
     Bytes.fill data offset chunk byte;
@@ -564,7 +592,7 @@ let priv_read_bytes t addr len =
   while !pos < len do
     let a = addr + !pos in
     let offset = page_offset a in
-    let chunk = min (len - !pos) (page_size - offset) in
+    let chunk = Int.min (len - !pos) (page_size - offset) in
     let page = priv_page t a in
     Bytes.blit page.Vmm.Page.data offset out !pos chunk;
     pos := !pos + chunk
@@ -577,7 +605,7 @@ let priv_write_bytes t addr src =
   while !pos < len do
     let a = addr + !pos in
     let offset = page_offset a in
-    let chunk = min (len - !pos) (page_size - offset) in
+    let chunk = Int.min (len - !pos) (page_size - offset) in
     let page = priv_page t a in
     Bytes.blit src !pos page.Vmm.Page.data offset chunk;
     pos := !pos + chunk

@@ -16,9 +16,6 @@ let compare a b =
     | c -> c)
   | c -> c
 
-let hash a =
-  Util.Int_table.mix (Util.Int_table.mix (Util.Int_table.mix a.func_id + a.block_id) + a.call_id)
-
 let pp fmt a = Format.fprintf fmt "alloc<%d:%d:%d>" a.func_id a.block_id a.call_id
 
 let to_string a = Format.asprintf "%a" pp a

@@ -20,10 +20,6 @@ val synthetic : int -> t
     components (the browser substrate) rather than compiled IR; encoded as
     function [-1], block [0], call [n]. *)
 
-val hash : t -> int
-(** An integer mix of the three fields (non-negative): the key under
-    which an environment interns the site ({!Util.Int_table}). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

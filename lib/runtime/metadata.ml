@@ -30,7 +30,7 @@ let create () =
   { pages = Util.Int_table.create ~dummy:no_page 64; no_page; live = 0 }
 
 let page_of a = a asr Vmm.Layout.page_shift
-let last_page r = page_of (r.addr + max r.size 1 - 1)
+let last_page r = page_of (r.addr + Int.max r.size 1 - 1)
 
 (* Index of the last record in [p.starts] whose base is <= [a], or -1. *)
 let floor_index p a =
@@ -79,7 +79,7 @@ let insert t r =
   let p = page_for_insert t first in
   let i = floor_index p r.addr + 1 in
   if p.n = Array.length p.starts then begin
-    let bigger = Array.make (max 4 (2 * p.n)) none in
+    let bigger = Array.make (Int.max 4 (2 * p.n)) none in
     Array.blit p.starts 0 bigger 0 p.n;
     p.starts <- bigger
   end;
@@ -97,10 +97,27 @@ let on_dealloc t ~addr =
   let i = base_index p addr in
   if i >= 0 then remove_at t p i
 
-(* A base that is already tracked is replaced, as a fresh object. *)
+(* A base that is already tracked is replaced, as a fresh object.  The
+   common case appends: a bump-allocated object above every base on its
+   page, with room left in the page's array, that ends on that page
+   tracks no base at [addr] and spills into no other page. *)
 let on_alloc t ~addr ~size ~alloc_id =
-  on_dealloc t ~addr;
-  insert t { addr; size; alloc_id }
+  let pn = page_of addr in
+  let p = Util.Int_table.get t.pages pn in
+  let n = p.n in
+  if
+    n < Array.length p.starts
+    && (n = 0 || (Array.unsafe_get p.starts (n - 1)).addr < addr)
+    && page_of (addr + Int.max size 1 - 1) = pn
+  then begin
+    Array.unsafe_set p.starts n { addr; size; alloc_id };
+    p.n <- n + 1;
+    t.live <- t.live + 1
+  end
+  else begin
+    on_dealloc t ~addr;
+    insert t { addr; size; alloc_id }
+  end
 
 let on_realloc t ~old_addr ~new_addr ~new_size =
   let p = Util.Int_table.get t.pages (page_of old_addr) in

@@ -1,48 +1,70 @@
+(* One counter cell per recorded site.  Every allocation from a site
+   passes the same [Alloc_id.t] down, so a fault usually finds its cell
+   in [last] by physical equality; otherwise one map lookup finds it.
+   The map changes only when a new site joins, which is exactly when
+   [version] bumps. *)
+type cell = {
+  id : Alloc_id.t;
+  mutable hits : int;
+}
+
 type t = {
-  mutable hits : int Alloc_id.Map.t;
+  mutable cells : cell Alloc_id.Map.t;
+  mutable last : cell; (* the cell recorded last; before that, a cell no id matches *)
   mutable version : int; (* bumped whenever a new site joins *)
 }
 
-let make hits = { hits; version = 0 }
+let make cells = { cells; last = { id = Alloc_id.synthetic 0; hits = 0 }; version = 0 }
 let create () = make Alloc_id.Map.empty
 
-let record t id =
-  t.hits <-
-    Alloc_id.Map.update id
-      (function
-        | None ->
-          t.version <- t.version + 1;
-          Some 1
-        | Some n -> Some (n + 1))
-      t.hits
+let of_counts counts = make (Alloc_id.Map.mapi (fun id hits -> { id; hits }) counts)
 
-let mem t id = Alloc_id.Map.mem id t.hits
+let[@inline never] record_slow t id =
+  let c =
+    match Alloc_id.Map.find_opt id t.cells with
+    | Some c -> c
+    | None ->
+      let c = { id; hits = 0 } in
+      t.cells <- Alloc_id.Map.add id c t.cells;
+      t.version <- t.version + 1;
+      c
+  in
+  c.hits <- c.hits + 1;
+  t.last <- c
+
+let record t id =
+  let c = t.last in
+  if c.id == id then c.hits <- c.hits + 1 else record_slow t id
+
+let mem t id = Alloc_id.Map.mem id t.cells
 let version t = t.version
 
-let cardinal t = Alloc_id.Map.cardinal t.hits
+let cardinal t = Alloc_id.Map.cardinal t.cells
 
-let sites t = List.map fst (Alloc_id.Map.bindings t.hits)
+let sites t = List.map fst (Alloc_id.Map.bindings t.cells)
 
 let hit_count t id =
-  match Alloc_id.Map.find_opt id t.hits with
-  | Some n -> n
+  match Alloc_id.Map.find_opt id t.cells with
+  | Some c -> c.hits
   | None -> 0
 
-let merge a b = make (Alloc_id.Map.union (fun _ x y -> Some (x + y)) a.hits b.hits)
+let counts t = Alloc_id.Map.map (fun c -> c.hits) t.cells
+
+let merge a b = of_counts (Alloc_id.Map.union (fun _ x y -> Some (x + y)) (counts a) (counts b))
 
 let subset t ~fraction ~rng =
-  make (Alloc_id.Map.filter (fun _ _ -> Util.Rng.float rng 1.0 < fraction) t.hits)
+  of_counts (Alloc_id.Map.filter (fun _ _ -> Util.Rng.float rng 1.0 < fraction) (counts t))
 
 let to_json t =
-  let site (id, hits) =
+  let site (id, c) =
     match Alloc_id.to_json id with
-    | Util.Json.Obj fields -> Util.Json.Obj (fields @ [ ("hits", Util.Json.Int hits) ])
+    | Util.Json.Obj fields -> Util.Json.Obj (fields @ [ ("hits", Util.Json.Int c.hits) ])
     | _ -> assert false
   in
   Util.Json.Obj
     [
       ("version", Util.Json.Int 1);
-      ("sites", Util.Json.List (List.map site (Alloc_id.Map.bindings t.hits)));
+      ("sites", Util.Json.List (List.map site (Alloc_id.Map.bindings t.cells)));
     ]
 
 let of_json j =
@@ -61,7 +83,7 @@ let of_json j =
     (match Util.Json.to_list sites with
     | exception Invalid_argument _ -> invalid_arg "Profile.of_json: sites not a list"
     | l ->
-      make
+      of_counts
         (List.fold_left (fun acc s -> let id, n = parse_site s in Alloc_id.Map.add id n acc)
            Alloc_id.Map.empty l))
 

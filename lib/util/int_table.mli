@@ -20,11 +20,6 @@ val create : dummy:'a -> int -> 'a t
     block allocated just before: [Array.make] of more than 256 words
     with a young initial value forces a minor collection. *)
 
-val mix : int -> int
-(** The integer mix the table hashes with: non-negative, and every input
-    bit affects the low bits.  Exposed for keys built from several
-    integers. *)
-
 val length : 'a t -> int
 
 val get : 'a t -> int -> 'a

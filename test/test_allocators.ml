@@ -54,7 +54,7 @@ let prop_size_class_fits =
       let c = Size_class.small_class n in
       let b = Size_class.bytes c in
       b >= n
-      && (Size_class.to_int c = 0 || Size_class.bytes (Size_class.small_class (b - 1)) <= b))
+      && ((c :> int) = 0 || Size_class.bytes (Size_class.small_class (b - 1)) <= b))
 
 let prop_runs_fill_pages =
   QCheck.Test.make ~count:100 ~name:"run geometry consistent"

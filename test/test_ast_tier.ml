@@ -644,6 +644,39 @@ let bench_goldens =
     ("WSL", 14261, 0, "cd175456bfcd90ee01446edf64ec127e");
   ]
 
+(* A read of a host binding's name compiled after the host was
+   registered returns one [Host] value made at compile time.  Hosts are
+   only added or replaced and a call looks the function up, so a
+   re-registered host dispatches to its new function; a global declared
+   later shadows the host; and such a read charges exactly what a read
+   compiled before the registration (which probes the host table when
+   it runs) does. *)
+let test_host_reads () =
+  let env, engine = fresh_engine () in
+  let heap = Engine.heap engine in
+  let eval src = Engine.Value.to_display_string heap (Engine.eval_string engine src) in
+  let host n = Engine.register_host engine "h" (fun _ -> Engine.Value.Num n) in
+  host 1.0;
+  Alcotest.(check string) "first host" "1" (eval "function f() { return h(); } f();");
+  host 2.0;
+  Alcotest.(check string) "re-registered host" "2" (eval "f();");
+  Alcotest.(check string) "host value" "[host h]" (eval "function g() { return h; } g();");
+  Alcotest.(check string) "a later global shadows the host" "5" (eval "var h = 5; g();");
+  (* [ra]'s body compiles on its first call, before [k] is a host;
+     [rb]'s after. *)
+  let body = "(on) { if (on) { k; k; k; return k; } return null; }" in
+  ignore (eval ("function ra" ^ body ^ " ra(false);"));
+  Engine.register_host engine "k" (fun _ -> Engine.Value.Null);
+  ignore (eval ("function rb" ^ body ^ " rb(false);"));
+  let cycles src =
+    let c0 = Pkru_safe.Env.cycles env in
+    let shown = eval src in
+    (shown, Pkru_safe.Env.cycles env - c0)
+  in
+  let probed = cycles "ra(true);" in
+  Alcotest.(check (pair string int)) "a compiled host read charges as a probed one" probed
+    (cycles "rb(true);")
+
 (* Matched by position: two suites each register an "ai-astar". *)
 let test_bench_goldens () =
   let profile = Runtime.Profile.create () in
@@ -670,6 +703,7 @@ let suite =
       Alcotest.test_case "substring clamps its arguments" `Quick test_substring_clamps;
       Alcotest.test_case "a literal shared by two evaluators" `Quick test_func_shared_across_evaluators;
       Alcotest.test_case "ic stats untouched" `Quick test_ic_stats_untouched;
+      Alcotest.test_case "host reads made at compile time" `Quick test_host_reads;
       Alcotest.test_case "registered benchmarks golden" `Quick test_bench_goldens;
     ]
   @ List.map

@@ -45,7 +45,10 @@ let test_metadata_realloc_keeps_id () =
   Alcotest.(check int) "empty" 0 (Runtime.Metadata.live_count md)
 
 (* Random traffic against a naive model: objects of up to three pages,
-   in-place and moving reallocs, and bases reused after a free.  Every
+   in-place and moving reallocs, bases reused after a free, and runs of
+   ascending allocations at the frontier as a page build makes them
+   (small objects packed on one page, objects ending on a page's last
+   byte, and objects crossing into the next page).  Every
    lookup (random probes plus each live object's edges and page
    boundaries) must agree with a scan of the model, and fold must visit
    exactly the model's records in ascending base order. *)
@@ -77,8 +80,22 @@ let prop_metadata_matches_model =
         let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
         List.nth keys (Util.Rng.int rng (List.length keys))
       in
+      (* An object from the frontier, tightly packed. *)
+      let append id =
+        let addr = !next_addr in
+        let to_page_end = page - (addr mod page) in
+        let size =
+          match Util.Rng.int rng 6 with
+          | 0 -> to_page_end (* its last byte is the page's last *)
+          | 1 -> to_page_end + 1 + Util.Rng.int rng 64 (* crosses into the next page *)
+          | _ -> 1 + Util.Rng.int rng 48
+        in
+        Runtime.Metadata.on_alloc md ~addr ~size ~alloc_id:id;
+        Hashtbl.replace model addr (size, id);
+        next_addr := addr + size + (8 * Util.Rng.int rng 2)
+      in
       for i = 1 to 200 do
-        match Util.Rng.int rng 4 with
+        match Util.Rng.int rng 5 with
         | 0 | 1 ->
           let size = fresh_size () in
           let addr = place size in
@@ -107,6 +124,10 @@ let prop_metadata_matches_model =
           in
           Runtime.Metadata.on_realloc md ~old_addr ~new_addr ~new_size;
           Hashtbl.replace model new_addr (new_size, id)
+        | 4 ->
+          for _ = 1 to 1 + Util.Rng.int rng 12 do
+            append (site i)
+          done
         | _ -> ()
       done;
       let naive a =
@@ -204,6 +225,102 @@ let test_profile_merge_and_subset () =
     (Runtime.Profile.cardinal (Runtime.Profile.subset m ~fraction:0.0 ~rng));
   Alcotest.(check int) "subset 1" 2
     (Runtime.Profile.cardinal (Runtime.Profile.subset m ~fraction:1.0 ~rng))
+
+(* Random [record] sequences over 1-50 sites against the profile's
+   reference semantics, an [Alloc_id.Map] of hit counts whose version
+   bumps when a new site joins.  A site is recorded through one shared
+   value or through a structurally equal copy, so the last-site cache
+   (physical equality) both hits and misses.  After every step:
+   cardinal, sites, every hit count and the version; at the end: the
+   JSON, a merge with a second profile, and a subset, none of which may
+   share counters with its sources. *)
+let prop_profile_matches_map_model =
+  QCheck.Test.make ~count:100 ~name:"profile matches a Map model"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let module M = Runtime.Alloc_id.Map in
+      let rng = Util.Rng.create seed in
+      let n = 1 + Util.Rng.int rng 50 in
+      let field () = Util.Rng.int rng 4 - 1 in
+      let ids =
+        Array.init n (fun _ ->
+            Runtime.Alloc_id.make ~func_id:(field ()) ~block_id:(field ()) ~call_id:(field ()))
+      in
+      let copy (id : Runtime.Alloc_id.t) =
+        Runtime.Alloc_id.make ~func_id:id.func_id ~block_id:id.block_id ~call_id:id.call_id
+      in
+      (* The shared value or a structurally equal copy. *)
+      let either id = if Util.Rng.bool rng then id else copy id in
+      let model_record (m, v) id =
+        match M.find_opt id m with
+        | Some k -> (M.add id (k + 1) m, v)
+        | None -> (M.add id 1 m, v + 1)
+      in
+      let agrees p (m, v) =
+        Runtime.Profile.cardinal p = M.cardinal m
+        && Runtime.Profile.sites p = List.map fst (M.bindings m)
+        && Runtime.Profile.version p = v
+        && Array.for_all
+             (fun id ->
+               Runtime.Profile.hit_count p id = Option.value (M.find_opt id m) ~default:0
+               && Runtime.Profile.mem p id = M.mem id m)
+             ids
+      in
+      let model_json m =
+        let site ((id : Runtime.Alloc_id.t), hits) =
+          Util.Json.Obj
+            [
+              ("func", Util.Json.Int id.func_id);
+              ("block", Util.Json.Int id.block_id);
+              ("call", Util.Json.Int id.call_id);
+              ("hits", Util.Json.Int hits);
+            ]
+        in
+        Util.Json.to_string
+          (Util.Json.Obj
+             [ ("version", Util.Json.Int 1); ("sites", Util.Json.List (List.map site (M.bindings m))) ])
+      in
+      let json p = Util.Json.to_string (Runtime.Profile.to_json p) in
+      (* [steps] records into a fresh profile, two in three repeating the
+         previous site as consecutive faults on one object do, checked
+         after every step: the profile and its model, or None. *)
+      let build steps =
+        let p = Runtime.Profile.create () in
+        let rec go k prev model =
+          if k = 0 then Some (p, model)
+          else begin
+            let id = either (if Util.Rng.int rng 3 = 0 then ids.(Util.Rng.int rng n) else prev) in
+            Runtime.Profile.record p id;
+            let model = model_record model id in
+            if agrees p model then go (k - 1) id model else None
+          end
+        in
+        go steps ids.(0) (M.empty, 0)
+      in
+      match (build (1 + Util.Rng.int rng 300), build (Util.Rng.int rng 100)) with
+      | Some (p, (m, v)), Some (q, (mq, _)) ->
+        let before = json p in
+        let merged = Runtime.Profile.merge p q in
+        let mm = M.union (fun _ x y -> Some (x + y)) m mq in
+        let fraction = Util.Rng.float rng 1.0 and sub_seed = Util.Rng.int rng 1000 in
+        let sub = Runtime.Profile.subset p ~fraction ~rng:(Util.Rng.create sub_seed) in
+        let sub_rng = Util.Rng.create sub_seed in
+        let ms = M.filter (fun _ _ -> Util.Rng.float sub_rng 1.0 < fraction) m in
+        let results_agree =
+          before = model_json m
+          && agrees merged (mm, 0)
+          && json merged = model_json mm
+          && agrees sub (ms, 0)
+          && json sub = model_json ms
+        in
+        (* Recording into a merge or a subset leaves its sources alone. *)
+        Array.iter (Runtime.Profile.record merged) ids;
+        Array.iter (Runtime.Profile.record sub) ids;
+        results_agree
+        && agrees merged (Array.fold_left model_record (mm, 0) ids)
+        && agrees sub (Array.fold_left model_record (ms, 0) ids)
+        && json p = before && agrees p (m, v)
+      | _ -> false)
 
 (* --- Comp_stack --- *)
 
@@ -508,6 +625,7 @@ let suite =
     Alcotest.test_case "profile json round-trip" `Quick test_profile_json_roundtrip;
     Alcotest.test_case "profile save/load" `Quick test_profile_save_load;
     Alcotest.test_case "profile merge + subset" `Quick test_profile_merge_and_subset;
+    QCheck_alcotest.to_alcotest prop_profile_matches_map_model;
     Alcotest.test_case "comp stack" `Quick test_comp_stack;
     Alcotest.test_case "compartment views" `Quick test_compartment_views;
     Alcotest.test_case "gate transitions + views" `Quick test_gate_transitions_and_views;

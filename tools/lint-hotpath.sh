@@ -12,12 +12,15 @@
 # objects and fails if any of them contains a caml_apply relocation or
 # an indirect call, so a refactor cannot silently bring the calls back.
 #
-# 2. The allocation, free, fault-lookup and DOM-handle paths, the AST
+# 2. The allocation, free, fault-lookup and DOM-handle paths, the
+#    profile's fault record, the checked multi-byte copies, the AST
 #    tier's variable reads, stores and declarations (static-frame slots
 #    and the cached global slot; a global's first-bind probe of the
 #    name table is out of line), and the engine's NaN-boxed slot
 #    accessors must not hash or compare polymorphically: no relocation to caml_hash, to the
-#    polymorphic comparisons (caml_compare, caml_equal, ...), or to the
+#    polymorphic comparisons (caml_compare, caml_equal, ...), to the
+#    polymorphic Stdlib.min/max/compare that call them (Int.min and
+#    Int.max compile in line), or to the
 #    generic Stdlib Hashtbl/Map, whose lookups call them.  Those paths
 #    key their indices by integers (Util.Int_table, dense arrays,
 #    bitmaps, slot indices fixed at compile time); the helpers they call in their own module are checked
@@ -102,11 +105,12 @@ check_alloc() {
     'sub +\$0x[0-9a-f]+,%r15' "$@"
 }
 
+# The polymorphic hash and compares, and the Stdlib functions that call them.
+poly='caml_hash|caml_compare|caml_(not)?equal|caml_(less|greater)(than|equal)|camlStdlib\.(min|max|compare)_[0-9]+|camlStdlib__(Hashtbl|Map)'
+
 # check_hash OBJECT MODULE FUNCTION...: no polymorphic hash or compare.
 check_hash() {
-  forbid "hashes or compares polymorphically (key it by an int)" \
-    'caml_hash|caml_compare|caml_(not)?equal|caml_(less|greater)(than|equal)|camlStdlib__(Hashtbl|Map)' \
-    "$@"
+  forbid "hashes or compares polymorphically (key it by an int)" "$poly" "$@"
 }
 
 machine_o="$objs/machine/.sim.objs/native/sim__Machine.o"
@@ -117,15 +121,17 @@ check "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval tick charge
 check "$machine_o" Sim__Machine translate read_le write_le $fast_access
 call_free=$checked
 
+check_hash "$machine_o" Sim__Machine memset write_string read_bytes read_to_buffer
 check_hash "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc site_of
 check_hash "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value malloc grow \
   read_slot write_slot
 check_hash "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom addr
 check_hash "$objs/runtime/.runtime.objs/native/runtime__Metadata.o" Runtime__Metadata \
-  lookup floor_index
+  lookup floor_index on_alloc insert last_page
+check_hash "$objs/runtime/.runtime.objs/native/runtime__Profile.o" Runtime__Profile record
 check_hash "$objs/allocators/.allocators.objs/native/allocators__Dlmalloc_model.o" \
   Allocators__Dlmalloc_model alloc free find_fit scan_bin walk_bin next_bin take \
-  insert_free unlink_free is_live set_live clear_live
+  insert_free unlink_free is_live set_live clear_live bin_index try_resize
 check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.o" \
   Allocators__Jemalloc_model alloc free alloc_small alloc_large current_run \
   find_free_slot first_clear large_pages run_of_addr
@@ -139,9 +145,7 @@ check_hash "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_
 
 # check_dom OBJECT MODULE FUNCTION...: rule 2 without Util.Int_table.
 check_dom() {
-  forbid "hashes per node (index it)" \
-    'caml_hash|caml_compare|caml_(not)?equal|caml_(less|greater)(than|equal)|camlStdlib__(Hashtbl|Map)|camlUtil__Int_table' \
-    "$@"
+  forbid "hashes per node (index it)" "$poly|camlUtil__Int_table" "$@"
 }
 
 # The DOM's page-build path (what Browser.build_trees calls per node) and
