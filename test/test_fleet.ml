@@ -44,6 +44,24 @@ let test_determinism_across_cpus () =
   Alcotest.(check (list (pair (pair string int) (pair int int))))
     "repeat run identical" (session_digests r3) (session_digests (run 3))
 
+(* Where the yields fall: a fixed mixed fleet's yield and steal counts
+   and every session's cycles, at three timeslices, recorded from a
+   budget-counting yield hook called after every tick.  A yield one tick
+   early or late moves the counts; the cycles are the same at every
+   timeslice. *)
+let test_yield_counts_pinned () =
+  List.iter
+    (fun (timeslice, yields, steals, cycles) ->
+      let r = Fleet.run ~cpus:3 ~timeslice ~max_live:4 ~sessions:9 mixed_jobs in
+      let what = Printf.sprintf "timeslice %d" timeslice in
+      Alcotest.(check int) (what ^ ": all complete") 9 r.Fleet.r_completed;
+      Alcotest.(check int) (what ^ ": yields") yields r.Fleet.r_yields;
+      Alcotest.(check int) (what ^ ": steals") steals r.Fleet.r_steals;
+      Alcotest.(check (list int)) (what ^ ": session cycles") cycles
+        (List.map (fun (sr : Fleet.session_result) -> sr.Fleet.sr_cycles) r.Fleet.r_results))
+    (let cycles = [ 15042; 5758; 15042; 5758; 15042; 5758; 15042; 5758; 15042 ] in
+     [ (1, 12683, 1, cycles); (100, 120, 1, cycles); (1000, 10, 0, cycles) ])
+
 (* A single-session fleet run is the runner's measurement, bit for bit:
    cycles, transitions, the event trace and every injected counter — even
    though the fleet run parks and resumes the session mid-script. *)
@@ -201,6 +219,7 @@ let test_selector_memo_bounded () =
 let suite =
   [
     Alcotest.test_case "determinism across cpu counts" `Quick test_determinism_across_cpus;
+    Alcotest.test_case "yield and steal counts pinned" `Quick test_yield_counts_pinned;
     Alcotest.test_case "single-session bit-identity vs runner" `Quick
       test_single_session_bit_identity;
     Alcotest.test_case "origin ids are per-session" `Quick test_origin_ids_per_session;
