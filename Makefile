@@ -32,13 +32,14 @@ lint-globals:
 # and no AST node may call Eval.tick (engine__Eval.o: no relocation to
 # it, so every tick is inlined); the allocation, free, metadata-lookup
 # and DOM-handle paths, the engine's NaN-boxed slot accessors
-# (Value.read_slot/write_slot) and the AST tier's static-frame variable
-# access to code with no polymorphic hash or compare (the DOM's page
-# build and sibling iteration: no Util.Int_table either); the script
-# lexer's and HTML parser's byte loops, the DOM's page build and
-# sibling iteration, the AST tier's static-frame variable access and
-# the slot store (Value.write_slot) to code with no young-heap
-# allocation.  See HACKING.md, "Hot paths".
+# (Value.read_slot/write_slot), the AST tier's static-frame variable
+# access and the tick's out-of-line slow path (Eval.tick_slow) to code
+# with no polymorphic hash or compare (the DOM's page build and sibling
+# iteration: no Util.Int_table either); the script lexer's and HTML
+# parser's byte loops, the DOM's page build and sibling iteration, the
+# AST tier's static-frame variable access, Eval.tick_slow and the slot
+# store (Value.write_slot) to code with no young-heap allocation.  See
+# HACKING.md, "Hot paths".
 lint-hotpath:
 	@tools/lint-hotpath.sh
 

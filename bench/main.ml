@@ -849,7 +849,7 @@ let fleet_trace_json sink =
 
 (* Single-session bit-identity vs the plain runner: same cycles, same
    transitions, same event trace — with a timeslice small enough that the
-   fleet run yields mid-script, proving the yield hook is architecturally
+   fleet run yields mid-script, proving the yield is architecturally
    invisible.  Returns (cycles, yields) for the report. *)
 let fleet_identity () =
   let profile = Runtime.Profile.create () in

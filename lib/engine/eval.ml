@@ -68,8 +68,11 @@ and t = {
   mutable nclosures : int;
   rng : Util.Rng.t;
   mutable output : string list; (* reversed *)
-  mutable fuel : int;
-  mutable steps : int;
+  mutable fuel : int; (* counts down once per tick *)
+  fuel0 : int; (* [fuel] at creation: steps taken = [fuel0 - fuel] *)
+  mutable floor : int;
+      (* [tick] leaves its fast path when [fuel] reaches it: 0, or the
+         fuel at the next yield point *)
   mutable depth : int; (* script calls in progress; see [max_call_depth] *)
   mutable gc_roots : (unit -> Value.t list) list;
   mutable origin_counter : int;
@@ -77,11 +80,12 @@ and t = {
          sessions ran first in the process (fleet order-independence) *)
   ic : ic_stats;
   unbound : Value.t; (* an undeclared slot, and a lookup's "no binding": no script makes it *)
-  mutable yield_hook : (unit -> unit) option;
-      (* fleet scheduling only: called once per tick, after the charge.
-         Charges nothing and emits nothing itself, so installing a hook
-         cannot perturb simulated cycles/transitions/traces; [None] costs
-         one load + one branch (sink discipline). *)
+  mutable timeslice : int; (* ticks between yields; 0: none *)
+  mutable yield : unit -> unit;
+      (* fleet scheduling only: run after the charge of every
+         [timeslice]-th tick.  Charges nothing and emits nothing itself,
+         so a yielding run's cycles, transitions and traces are an
+         unyielding run's. *)
 }
 
 (* Non-local control flow inside function bodies. *)
@@ -103,13 +107,15 @@ let create ?(seed = 1) ?(fuel = 200_000_000) heap =
     rng = Util.Rng.create seed;
     output = [];
     fuel;
-    steps = 0;
+    fuel0 = fuel;
+    floor = 0;
     depth = 0;
     gc_roots = [];
     origin_counter = 0;
     ic = { var_hits = 0; var_misses = 0 };
     unbound = Value.Host "<unbound>";
-    yield_hook = None;
+    timeslice = 0;
+    yield = ignore;
   }
 
 let heap t = t.heap
@@ -149,7 +155,7 @@ let take_output t =
   t.output <- [];
   lines
 
-let steps t = t.steps
+let steps t = t.fuel0 - t.fuel
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Script_error msg)) fmt
 
@@ -180,15 +186,27 @@ let[@inline] charge t n =
 
 let[@inline never] out_of_fuel () = fail "script ran out of fuel"
 
-(* Inlined into every AST node: the exhaustion error is out of line. *)
-let[@inline] tick t n =
-  t.steps <- t.steps + 1;
-  t.fuel <- t.fuel - 1;
+(* [tick]'s rare cases, out of line: fuel exhaustion, which raises before
+   the charge, and a yield point, after it.  At a yield point the next
+   one is [timeslice] ticks on, or never if the fuel runs out first (it
+   raises before the yield). *)
+let[@inline never] tick_slow t n =
   if t.fuel <= 0 then out_of_fuel ();
   charge t n;
-  match t.yield_hook with None -> () | Some hook -> hook ()
+  t.floor <- Int.max 0 (t.fuel - t.timeslice);
+  t.yield ()
 
-let set_yield_hook t hook = t.yield_hook <- hook
+(* Inlined into every AST node: one countdown for the fuel and the
+   timeslice. *)
+let[@inline] tick t n =
+  t.fuel <- t.fuel - 1;
+  if t.fuel <= t.floor then tick_slow t n else charge t n
+
+let set_yield t ~timeslice yield =
+  if timeslice <= 0 then invalid_arg "Eval.set_yield: timeslice must be positive";
+  t.timeslice <- timeslice;
+  t.yield <- yield;
+  t.floor <- Int.max 0 (t.fuel - timeslice)
 
 let add_closure t c =
   if t.nclosures >= Array.length t.closures then begin
@@ -778,6 +796,48 @@ let member_set t recv name v =
   | Value.Obj o -> Value.obj_set t.heap o name v
   | v -> fail "cannot set property %s on %s" name (Value.type_name v)
 
+(* --- Property sites (DESIGN.md §11) ---
+
+   An AST-tier [Member] read or store site caches the receiver shape it
+   last resolved ([ps_shape], a shape id of the evaluator's heap; -1:
+   none) and the property's slot in it.  A shape never changes once made,
+   so the pair stays valid; a hit charges through [Value.obj_get_slot] /
+   [obj_set_slot] the [prop_cost] the name-keyed path charges. *)
+type prop_site = {
+  mutable ps_shape : int;
+  mutable ps_slot : int;
+}
+
+let prop_site () = { ps_shape = -1; ps_slot = 0 }
+
+(* A read site's miss: a found property fills the cache and is read by
+   slot; anything else takes [member_get]. *)
+let[@inline never] member_get_miss t site recv name =
+  match recv with
+  | Value.Obj o ->
+    (match Value.obj_slot_index o name with
+    | Some i ->
+      site.ps_shape <- o.Value.o_shape.Value.sh_id;
+      site.ps_slot <- i;
+      Value.obj_get_slot t.heap o i
+    | None -> member_get t recv name)
+  | recv -> member_get t recv name
+
+(* A store site's miss: [member_set], then the cache filled from the
+   shape after the store.  A store that added the property put it in the
+   shape's last slot, found without hashing. *)
+let[@inline never] member_set_miss t site recv name v =
+  member_set t recv name v;
+  match recv with
+  | Value.Obj o ->
+    let sh = o.Value.o_shape in
+    let last = sh.Value.sh_count - 1 in
+    site.ps_slot <-
+      (if String.equal sh.Value.sh_names.(last) name then last
+       else Option.get (Value.obj_slot_index o name));
+    site.ps_shape <- sh.Value.sh_id
+  | _ -> ()
+
 let index_get t recv idx =
   match recv with
   | Value.Arr arr ->
@@ -1182,10 +1242,13 @@ and compile_expr t local (e : Ast.expr) : expr_code =
       | (Value.Arr _ | Value.Str _ | Value.Obj _) as recv -> index_get t recv (ci scope)
       | v -> fail "cannot index %s" (Value.type_name v))
   | Ast.Member (e, name) ->
-    let c = compile_expr t local e in
+    let c = compile_expr t local e and site = prop_site () in
     fun scope ->
       tick t 1;
-      member_get t (c scope) name
+      (match c scope with
+      | Value.Obj o when o.Value.o_shape.Value.sh_id = site.ps_shape ->
+        Value.obj_get_slot t.heap o site.ps_slot
+      | recv -> member_get_miss t site recv name)
   | Ast.Method_call (Ast.Ident (("Math" | "JSON" | "String") as ns), name, args) ->
     let cs = List.map (compile_expr t local) args in
     fun scope ->
@@ -1253,8 +1316,12 @@ and compile_store t local (lhs : Ast.expr) : scope -> Value.t -> unit =
       | (Value.Arr _ | Value.Obj _) as recv -> index_set t recv (ci scope) v
       | v -> fail "cannot index-assign %s" (Value.type_name v))
   | Ast.Member (e, name) ->
-    let c = compile_expr t local e in
-    fun scope v -> member_set t (c scope) name v
+    let c = compile_expr t local e and site = prop_site () in
+    fun scope v ->
+      (match c scope with
+      | Value.Obj o when o.Value.o_shape.Value.sh_id = site.ps_shape ->
+        Value.obj_set_slot t.heap o site.ps_slot v
+      | recv -> member_set_miss t site recv name v)
   | _ -> fun _ _ -> fail "invalid assignment target"
 
 and compile_stmt t local (s : Ast.stmt) : stmt_code =

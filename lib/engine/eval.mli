@@ -48,6 +48,7 @@ val take_output : t -> string list
 (** Lines produced by [print], oldest first; clears the buffer. *)
 
 val steps : t -> int
+(** Ticks so far: the fuel used. *)
 
 (* {2 The tier-shared semantic core}
 
@@ -167,16 +168,20 @@ val make_closure : t -> func -> scope -> Value.t
     function's AST-tier code. *)
 
 val tick : t -> int -> unit
-(** One evaluation step: fuel accounting plus a cycle charge.
-    @raise Script_error on fuel exhaustion. *)
+(** One evaluation step: one count off the fuel, a cycle charge, and the
+    yield when a timeslice ends (see {!set_yield}).
+    @raise Script_error on fuel exhaustion, before the charge. *)
 
-val set_yield_hook : t -> (unit -> unit) option -> unit
-(** Installs (or clears) a callback invoked after every {!tick}, on all
-    execution tiers.  The hook is for cooperative scheduling (it may
-    perform an effect to park the session); it must charge no simulated
-    cycles and emit no telemetry itself, so a hooked run stays
-    bit-identical to an unhooked one.  [None] costs one load and one
-    branch per tick. *)
+val set_yield : t -> timeslice:int -> (unit -> unit) -> unit
+(** [set_yield t ~timeslice yield] runs [yield] after the charge of every
+    [timeslice]-th {!tick} from now, on all execution tiers, except on
+    the tick that runs out of fuel.  It is for cooperative scheduling
+    ([yield] may perform an effect to park the session); it must charge
+    no simulated cycles and emit no telemetry itself, so a yielding run
+    stays bit-identical to an unyielding one.  Replaces an earlier
+    setting; the fuel and the timeslice share one countdown, so a tick
+    costs the same with or without it.
+    @raise Invalid_argument when [timeslice] is not positive. *)
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Script_error} with a formatted message. *)

@@ -7,11 +7,12 @@
    transitions and traces cannot depend on how sessions interleave.  The
    scheduler multiplexes them over per-CPU run queues:
 
-   - {b Yield points}: each session's evaluator gets a budget-counting
-     yield hook ({!Eval.set_yield_hook}, called from [tick] on every
-     execution tier).  When the budget runs out the hook performs the
-     {!Yield} effect; the scheduler's handler captures the one-shot
-     continuation and parks the session.  The hook charges no simulated
+   - {b Yield points}: each session's evaluator is handed the timeslice
+     and an action that performs the {!Yield} effect ({!Eval.set_yield});
+     the evaluator counts the timeslice in its fuel countdown, on every
+     execution tier, and runs the action after the charge of every
+     [timeslice]-th tick.  The scheduler's handler captures the one-shot
+     continuation and parks the session.  The action charges no simulated
      cycles and emits nothing, so a fleet run of one session is
      bit-identical to the plain [Runner] path (asserted by test and
      bench).
@@ -153,16 +154,8 @@ let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess (
   sess.s_env <- Some env;
   let browser = Browser.create ~engine_seed:sess.s_job.job_seed env in
   sess.s_browser <- Some browser;
-  let budget = ref timeslice in
-  Engine.Eval.set_yield_hook
-    (Engine.evaluator (Browser.engine browser))
-    (Some
-       (fun () ->
-         decr budget;
-         if !budget <= 0 then begin
-           budget := timeslice;
-           Effect.perform Yield
-         end));
+  Engine.Eval.set_yield (Engine.evaluator (Browser.engine browser)) ~timeslice (fun () ->
+      Effect.perform Yield);
   Browser.load_page browser sess.s_job.job_page;
   Pkru_safe.Env.reset_counters env;
   Browser.reset_selector_stats browser;
@@ -283,13 +276,10 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
       | Some env, None -> (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env, [])
       | None, _ -> (0, 0, [])
     in
-    (* Teardown: pages back to the shared budget, hook and references
-       dropped so the session's machine is collectable under max_live. *)
+    (* Teardown: pages back to the shared budget, references dropped so
+       the session's machine is collectable under max_live. *)
     (match sess.s_env with
     | Some env -> Allocators.Pkalloc.retire (Pkru_safe.Env.pkalloc env)
-    | None -> ());
-    (match sess.s_browser with
-    | Some browser -> Engine.Eval.set_yield_hook (Engine.evaluator (Browser.engine browser)) None
     | None -> ());
     sess.s_env <- None;
     sess.s_browser <- None;

@@ -16,7 +16,8 @@
 #    profile's fault record, the checked multi-byte copies, the AST
 #    tier's variable reads, stores and declarations (static-frame slots
 #    and the cached global slot; a global's first-bind probe of the
-#    name table is out of line), and the engine's NaN-boxed slot
+#    name table is out of line), the tick's slow path (Eval.tick_slow:
+#    fuel exhaustion and the yield point), and the engine's NaN-boxed slot
 #    accessors must not hash or compare polymorphically: no relocation to caml_hash, to the
 #    polymorphic comparisons (caml_compare, caml_equal, ...), to the
 #    polymorphic Stdlib.min/max/compare that call them (Int.min and
@@ -32,8 +33,8 @@
 # 3. The front ends' byte loops (the script lexer's peek/advance/trivia
 #    skipping, the HTML parser's name/whitespace/text scans), the DOM's
 #    page-build path and its sibling iteration, the AST tier's
-#    variable access (static-frame and global slots), the engine's
-#    slot store
+#    variable access (static-frame and global slots), the tick's slow
+#    path, the engine's slot store
 #    (Value.write_slot: a slot is two int halves, never a boxed float or
 #    int64) and the width-specialised checked accesses (an unboxed
 #    Int32/Int64 between the page and an int) must not allocate on the
@@ -46,7 +47,10 @@
 #
 # 4. The AST tier's node closures tick in line: engine__Eval.o has no
 #    call to Eval.tick (a relocation to camlEngine__Eval.tick_<digits>).
-#    A tick that stops being inlinable -- its fuel error back in line, say
+#    The tick is one countdown of the fuel to a floor (0, or the fuel at
+#    the next yield point); exhaustion and the yield are Eval.tick_slow,
+#    out of line (rules 2 and 3 find it as a function of its own).  A
+#    tick that stops being inlinable -- its fuel error back in line, say
 #    -- becomes a call per AST node.
 #
 # 5. The width-specialised checked accesses (Machine.read_u8/u32/u56/u64,
@@ -138,10 +142,10 @@ check_hash "$objs/allocators/.allocators.objs/native/allocators__Jemalloc_model.
 check_hash "$objs/util/.util.objs/native/util__Int_table.o" Util__Int_table \
   get slot replace remove close_hole
 # The AST tier's variable access: static-frame slots and the cached
-# global slot, no name hashing.
+# global slot, no name hashing; and the tick's slow path.
 eval_static="static_lookup static_assign global_lookup global_assign declare_slot"
 # shellcheck disable=SC2086
-check_hash "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
+check_hash "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static tick_slow
 
 # check_dom OBJECT MODULE FUNCTION...: rule 2 without Util.Int_table.
 check_dom() {
@@ -164,7 +168,7 @@ check_alloc "$objs/browser/.browser.objs/native/browser__Html.o" Browser__Html p
 # shellcheck disable=SC2086
 check_alloc "$objs/browser/.browser.objs/native/browser__Dom.o" Browser__Dom $dom_build
 # shellcheck disable=SC2086
-check_alloc "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static
+check_alloc "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval $eval_static tick_slow
 check_alloc "$objs/engine/.engine.objs/native/engine__Value.o" Engine__Value write_slot
 # shellcheck disable=SC2086
 check_alloc "$machine_o" Sim__Machine $fast_access
@@ -177,7 +181,8 @@ forbid "calls Machine.translate (keep the TLB probe in line)" \
   'R_X86_64_[A-Z0-9_]+[[:space:]]+camlSim__Machine\.translate_[0-9]+' "$machine_o" Sim__Machine \
   $fast_access
 
-# Rule 4: a relocation line naming tick_<digits> (not tick_hooks_<digits>).
+# Rule 4: a relocation line naming tick_<digits> (not tick_hooks_<digits>
+# or tick_slow_<digits>).
 eval_o="$objs/engine/.engine.objs/native/engine__Eval.o"
 tick_calls=$(objdump -dr --no-show-raw-insn "$eval_o" |
   grep -E 'R_X86_64_[A-Z0-9_]+[[:space:]]+camlEngine__Eval\.tick_[0-9]+' || true)
@@ -190,6 +195,6 @@ fi
 if [ "$status" -eq 0 ]; then
   echo "lint-hotpath: ok ($call_free functions call-free, $hash_free free of polymorphic hashing," \
     "$alloc_free allocation-free, $((checked - call_free - hash_free - alloc_free))" \
-    "probing the TLB in line, Eval.tick inlined)"
+    "probing the TLB in line, Eval.tick inlined, its slow path out of line)"
 fi
 exit "$status"
