@@ -671,6 +671,25 @@ more.extra.w = 1;
 weight(more.extra) + weight(recs[0]);|} );
   ]
 
+(* [.length] at one read site on arrays, strings, an object that has a
+   [length] property (a number, then a string) and one that lacks it,
+   plus a receiver with no properties at all. *)
+let staged_length =
+  [
+    ( Engine.Ast_tier,
+      {|function len(x) { return x.length; }
+var a = [1, 2, 3]; var s = "hello"; var o = {length: 7, w: 1}; var p = {w: 2};
+print(len(a), len(s), len(o), len(p), a.length, s.length, o.length, p.length);
+a.push(4); o.length = 9;
+print(len(a), len(""), len(o), len([]), "ab".length, [5, 6].length);
+len(a) + len(s) + len(o);|} );
+    ( Engine.Ast_tier,
+      {|var q = {w: 1, length: "x"};
+print(len(q), len(a), q.length, len(o), len(s + s));
+len(s) + s.length + a.length;|} );
+    (Engine.Ast_tier, {|len(5);|});
+  ]
+
 (* (name, scripts, results, console, cycles, transitions) *)
 let staged_pins =
   [
@@ -740,6 +759,12 @@ let staged_pins =
       [ "6 8"; "null"; "3" ],
       3025,
       8 );
+    ( "length on arrays, strings and objects",
+      staged_length,
+      [ "18"; "14"; "error: cannot read property length of number" ],
+      [ "3 5 7 null 3 5 7 null"; "4 0 9 0 2 2"; "x 4 x 9 10" ],
+      4827,
+      6 );
     ( "objects built by JSON.parse",
       staged_json_objects,
       [ "50"; "9" ],
