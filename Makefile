@@ -16,13 +16,21 @@ check: lint-globals lint-hotpath lint-exports
 	dune runtest --force
 
 # Library state lives on the instance that owns it (machine, heap,
-# browser, gate), never in a top-level mutable definition.  Fails on any
-# top-level ref / Hashtbl / Queue / Array / Bytes definition in lib/.
-GLOBALS_RE := ^let [a-z_][A-Za-z0-9_]* *(: *[^=]+)?= *(ref|Hashtbl\.create|Queue\.create|Array\.make|Bytes\.create)\b
+# browser, gate), never in a top-level mutable definition: lib/ code runs
+# on several domains at once (Fleet.run's session pool), so nothing may be
+# process-wide.  Fails on any top-level ref / Hashtbl / Queue / Array /
+# Bytes / Buffer / lazy / Atomic / Domain.DLS key definition in lib/, and
+# on any use of the global Random state.
+GLOBALS_RE := ^let [a-z_][A-Za-z0-9_]* *(: *[^=]+)?= *(ref|Hashtbl\.create|Queue\.create|Array\.make|Array\.init|Bytes\.create|Buffer\.create|lazy|Atomic\.make|Domain\.DLS\.new_key)\b
+RANDOM_RE := \bRandom\.[a-z]
 
 lint-globals:
 	@if grep -rnE '$(GLOBALS_RE)' lib --include='*.ml'; then \
 	  echo "lint-globals: top-level mutable state in lib/ (move it onto its owning instance)"; \
+	  exit 1; \
+	fi
+	@if grep -rnE '$(RANDOM_RE)' lib --include='*.ml'; then \
+	  echo "lint-globals: the global Random state in lib/ (use a Util.Rng owned by an instance)"; \
 	  exit 1; \
 	fi
 

@@ -1086,7 +1086,7 @@ let fleet_cmd =
   let max_live =
     Arg.(value & opt int 128
          & info [ "max-live" ] ~docv:"N"
-             ~doc:"Maximum concurrently-materialised sessions (bounds host memory)")
+             ~doc:"Maximum sessions the simulated scheduler admits at once")
   in
   let page_budget =
     Arg.(value & opt (some int) None

@@ -1241,6 +1241,18 @@ and compile_expr t local (e : Ast.expr) : expr_code =
       (match ca scope with
       | (Value.Arr _ | Value.Str _ | Value.Obj _) as recv -> index_get t recv (ci scope)
       | v -> fail "cannot index %s" (Value.type_name v))
+  | Ast.Member (e, "length") ->
+    (* Decided when the site is compiled: arrays and strings answer in
+       line, with [member_get]'s value; objects take the shape cache. *)
+    let c = compile_expr t local e and site = prop_site () in
+    fun scope ->
+      tick t 1;
+      (match c scope with
+      | Value.Arr a -> Value.Num (float_of_int a.Value.a_len)
+      | Value.Str s -> Value.Num (float_of_int s.Value.s_len)
+      | Value.Obj o when o.Value.o_shape.Value.sh_id = site.ps_shape ->
+        Value.obj_get_slot t.heap o site.ps_slot
+      | recv -> member_get_miss t site recv "length")
   | Ast.Member (e, name) ->
     let c = compile_expr t local e and site = prop_site () in
     fun scope ->

@@ -1,42 +1,50 @@
-(* The multi-session fleet: a cooperative multi-CPU scheduler that runs N
-   concurrent browsing sessions over the simulated machine.
+(* The multi-session fleet: N concurrent browsing sessions over the
+   simulated machine, scheduled over per-CPU run queues.
 
    Each session is a complete vertical slice — its own [Pkru_safe.Env]
    (machine, gates, pkalloc), its own browser and engine — so sessions
    are structurally independent: per-session simulated cycles,
-   transitions and traces cannot depend on how sessions interleave.  The
-   scheduler multiplexes them over per-CPU run queues:
+   transitions and output cannot depend on how sessions interleave
+   (DESIGN.md §12).  A fleet run therefore has two halves:
 
-   - {b Yield points}: each session's evaluator is handed the timeslice
-     and an action that performs the {!Yield} effect ({!Eval.set_yield});
-     the evaluator counts the timeslice in its fuel countdown, on every
-     execution tier, and runs the action after the charge of every
-     [timeslice]-th tick.  The scheduler's handler captures the one-shot
-     continuation and parks the session.  The action charges no simulated
-     cycles and emits nothing, so a fleet run of one session is
-     bit-identical to the plain [Runner] path (asserted by test and
-     bench).
+   - {b Independent runs}: every session runs to completion on its own,
+     as one job of a {!Util.Pool} over OCaml 5 domains.  Its evaluator
+     is handed the timeslice and an action ({!Eval.set_yield}) that the
+     evaluator runs after the charge of every [timeslice]-th tick, on
+     every execution tier.  The action ends a {e slice}: it records the
+     machine cycles and the session's page-budget events since the last
+     yield point, and with [gate_reverify] armed re-checks the session's
+     live PKRU there.  It charges no simulated cycles and emits nothing,
+     so a fleet run of one session is bit-identical to the plain
+     [Runner] path (asserted by test and bench).  A job keeps only the
+     session's outcome, cycles, transitions, output checksum and slices;
+     the world is garbage once the job returns, so host memory is
+     bounded by the domain count.
 
-   - {b Run queues}: one FIFO per scheduler CPU, each with a virtual
-     clock advanced by the simulated cycles its sessions retire (1 cycle
-     = 1 ns, as everywhere in the repo).  The host-sequential loop
-     always serves the CPU with the smallest clock — a deterministic
-     discrete-event simulation of parallel harts, so results are
-     reproducible for any CPU count.
+   - {b The replayed schedule}: the calling domain then runs the
+     scheduler over the recorded slices.  One FIFO per scheduler CPU,
+     each with a virtual clock advanced by the simulated cycles of the
+     slices it serves (1 cycle = 1 ns, as everywhere in the repo); the
+     CPU with the smallest clock is served next — a deterministic
+     discrete-event simulation of parallel harts.  A CPU with an empty
+     queue first admits pending sessions (at most [max_live] at once, a
+     simulated admission bound), then steals the back half of the
+     longest queue.
 
-   - {b Work stealing}: a CPU with an empty queue first admits pending
-     sessions (bounded by [max_live], which also bounds host memory at
-     N=100k), then steals the back half of the longest queue.
-
-   - {b Memory contention}: with [page_budget] set, every session's
-     pools draw from one shared {!Allocators.Backing} budget; exhaustion
-     surfaces as [Out_of_memory] in the victim session, which retires
-     with an [Oom] outcome while the fleet keeps going.  Retired
-     sessions return their pages.
+   - {b Memory contention}: with [page_budget] set, a session runs on a
+     recorder ({!Allocators.Backing.recorder}) that grants its takes; the
+     replay applies each slice's takes and gives to the one shared budget
+     in schedule order.  When the shared budget refuses a take the
+     session made, that session alone is run again with the take refused
+     (by its ordinal) and its slices from that point on replace the old
+     ones — exactly what a sequential run would have done, since a
+     session's behaviour depends on the budget only through what its
+     takes answer.  The victim usually retires with an [Oom] outcome
+     while the fleet keeps going; a retired session returns its pages.
 
    Sessions share no mutable state: every telemetry slot, engine flag and
-   cache lives on a session's own machine, heap or browser, so a parked
-   slice needs nothing saved or restored. *)
+   cache lives on a session's own machine, heap or browser, so any domain
+   can run any session. *)
 
 type job = {
   job_name : string;
@@ -99,80 +107,160 @@ type result = {
   r_backing : backing_stats option;
 }
 
-(* --- Cooperative scheduling over effects --- *)
+(* --- Independent runs --- *)
 
-type _ Effect.t += Yield : unit Effect.t
+(* One slice of a session's run: the machine cycles it retired, and
+   where its page-budget events end in the run's [rc_events]. *)
+type slice = {
+  sl_cycles : int;
+  sl_upto : int;
+}
 
-type step =
-  | Done of outcome
-  | Parked of (unit, step) Effect.Deep.continuation
+(* What a session's run leaves behind: all but the last slice end at a
+   yield point. *)
+type recording = {
+  rc_outcome : outcome;
+  rc_cycles : int;
+  rc_transitions : int;
+  rc_checksum : int;
+  rc_slices : slice array;
+  rc_events : int array; (* page-budget events, oldest first *)
+  rc_trace : Telemetry.Sink.t option; (* telemetry mode only *)
+}
+
+(* Gate re-verification refused the session at a yield point: its run
+   ends there, fail-stop.  The recording is taken before the exception
+   unwinds the session, so nothing the unwinding does (gate exits in
+   [Fun.protect] brackets) counts. *)
+exception Killed of recording
+
+let checksum ~output ~cycles ~transitions =
+  let h = List.fold_left (fun acc line -> Hashtbl.hash (acc, line)) 0 output in
+  Hashtbl.hash (h, cycles, transitions)
+
+(* A session's run in progress. *)
+type progress = {
+  pg_backing : Allocators.Backing.t option; (* the session's recorder *)
+  pg_sink : Telemetry.Sink.t option;
+  mutable pg_env : Pkru_safe.Env.t option;
+  mutable pg_browser : Browser.t option;
+  mutable pg_last : int; (* machine cycles at the last slice boundary *)
+  mutable pg_slices : slice list; (* newest first *)
+}
+
+(* Ends the current slice. *)
+let cut pg =
+  let cycles =
+    match pg.pg_env with
+    | Some env ->
+      let now = Sim.Machine.cycles (Pkru_safe.Env.machine env) in
+      let d = now - pg.pg_last in
+      pg.pg_last <- now;
+      d
+    | None -> 0
+  in
+  let upto = match pg.pg_backing with Some b -> Allocators.Backing.recorded b | None -> 0 in
+  pg.pg_slices <- { sl_cycles = cycles; sl_upto = upto } :: pg.pg_slices
+
+(* The session's figures, then teardown: pages back to the budget. *)
+let finish pg outcome =
+  let cycles, transitions, output =
+    match (pg.pg_env, pg.pg_browser) with
+    | Some env, Some browser ->
+      (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env, Browser.console browser)
+    | Some env, None -> (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env, [])
+    | None, _ -> (0, 0, [])
+  in
+  (match pg.pg_env with
+  | Some env -> Allocators.Pkalloc.retire (Pkru_safe.Env.pkalloc env)
+  | None -> ());
+  cut pg;
+  {
+    rc_outcome = outcome;
+    rc_cycles = cycles;
+    rc_transitions = transitions;
+    rc_checksum = checksum ~output ~cycles ~transitions;
+    rc_slices = Array.of_list (List.rev pg.pg_slices);
+    rc_events =
+      (match pg.pg_backing with Some b -> Allocators.Backing.events b | None -> [||]);
+    rc_trace = pg.pg_sink;
+  }
+
+(* A yield point ends a slice.  Garmr defense (gate_reverify): there,
+   re-check the session's live PKRU against its gate's resident view.  A
+   mismatch retires the session fail-stop before another instruction
+   runs — a kernel refusing to schedule a corrupted thread. *)
+let yield_point pg ~reverify env =
+  cut pg;
+  if reverify then
+    match Runtime.Gate.reverify (Pkru_safe.Env.gate env) with
+    | () -> ()
+    | exception Sim.Signals.Process_killed msg -> raise (Killed (finish pg (Failed msg)))
+
+(* Runs one session to completion.  Mirrors the [Runner.run_config]
+   measurement protocol exactly: environment/browser construction and
+   page load are setup, counters reset, then the scripts are the timed
+   run.  In [telemetry] mode (single-session only) the script phase runs
+   under a sink and the same post-run counter injections as the runner,
+   so the event trace is comparable bit-for-bit.  [refuse] lists the
+   budget takes the session's recorder refuses. *)
+let run_session ~mode ~profile ~page_budget ~tier ~timeslice ~telemetry ~defenses ~refuse job =
+  let backing =
+    if page_budget then Some (Allocators.Backing.recorder ~refuse) else None
+  in
+  let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
+  let pg =
+    {
+      pg_backing = backing;
+      pg_sink = sink;
+      pg_env = None;
+      pg_browser = None;
+      pg_last = 0;
+      pg_slices = [];
+    }
+  in
+  match
+    let env =
+      match Pkru_safe.Env.create ~profile ?backing (Pkru_safe.Config.make ~defenses mode) with
+      | Ok env -> env
+      | Error msg -> failwith ("Fleet: Env.create: " ^ msg)
+    in
+    pg.pg_env <- Some env;
+    let browser = Browser.create ~engine_seed:job.job_seed env in
+    pg.pg_browser <- Some browser;
+    let reverify = defenses.Pkru_safe.Config.gate_reverify in
+    Engine.Eval.set_yield (Engine.evaluator (Browser.engine browser)) ~timeslice (fun () ->
+        yield_point pg ~reverify env);
+    Browser.load_page browser job.job_page;
+    Pkru_safe.Env.reset_counters env;
+    Browser.reset_selector_stats browser;
+    let exec () =
+      List.iter (fun script -> ignore (Browser.exec_script ?tier browser script)) job.job_scripts
+    in
+    match sink with
+    | None -> exec ()
+    | Some sink -> Workloads.Runner.run_traced sink browser exec
+  with
+  | () -> finish pg Completed
+  | exception Killed r -> r
+  | exception Out_of_memory -> finish pg Oom
+  | exception e -> finish pg (Failed (Printexc.to_string e))
+
+(* --- The replayed schedule --- *)
 
 type session = {
   s_id : int;
   s_job : job;
   mutable s_cpu : int;
   s_admitted_at : int; (* admitting CPU's vclock, in cycles *)
-  mutable s_env : Pkru_safe.Env.t option; (* set by the body's first slice *)
-  mutable s_browser : Browser.t option;
-  mutable s_cont : (unit, step) Effect.Deep.continuation option;
-  mutable s_last_cycles : int; (* machine cycles at the last slice boundary *)
+  mutable s_run : recording;
+  mutable s_next : int; (* the next slice to serve *)
+  mutable s_refuse : int list; (* takes the shared budget refused *)
 }
-
-let handler =
-  {
-    Effect.Deep.retc = (fun () -> Done Completed);
-    exnc =
-      (fun e ->
-        match e with
-        | Out_of_memory -> Done Oom
-        | Effect.Unhandled _ as e -> raise e
-        | e -> Done (Failed (Printexc.to_string e)));
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield ->
-          Some (fun (k : (a, step) Effect.Deep.continuation) -> Parked k)
-        | _ -> None);
-  }
-
-let checksum ~output ~cycles ~transitions =
-  let h = List.fold_left (fun acc line -> Hashtbl.hash (acc, line)) 0 output in
-  Hashtbl.hash (h, cycles, transitions)
-
-(* The session body.  Mirrors the [Runner.run_config] measurement
-   protocol exactly: environment/browser construction and page load are
-   setup, counters reset, then the scripts are the timed run.  In
-   [telemetry] mode (single-session only) the script phase runs under a
-   sink and the same post-run counter injections as the runner, so the
-   event trace is comparable bit-for-bit. *)
-let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess () =
-  let env =
-    match Pkru_safe.Env.create ~profile ?backing (Pkru_safe.Config.make ~defenses mode) with
-    | Ok env -> env
-    | Error msg -> failwith ("Fleet: Env.create: " ^ msg)
-  in
-  sess.s_env <- Some env;
-  let browser = Browser.create ~engine_seed:sess.s_job.job_seed env in
-  sess.s_browser <- Some browser;
-  Engine.Eval.set_yield (Engine.evaluator (Browser.engine browser)) ~timeslice (fun () ->
-      Effect.perform Yield);
-  Browser.load_page browser sess.s_job.job_page;
-  Pkru_safe.Env.reset_counters env;
-  Browser.reset_selector_stats browser;
-  let exec () =
-    List.iter
-      (fun script -> ignore (Browser.exec_script ?tier browser script))
-      sess.s_job.job_scripts
-  in
-  match sink with
-  | None -> exec ()
-  | Some sink -> Workloads.Runner.run_traced sink browser exec
-
-(* --- The scheduler --- *)
 
 let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     ?(max_live = 128) ?page_budget ?tier ?(telemetry = false)
-    ?(defenses = Pkru_safe.Config.no_defenses) ~sessions:n jobs =
+    ?(defenses = Pkru_safe.Config.no_defenses) ?domains ~sessions:n jobs =
   if n <= 0 then invalid_arg "Fleet.run: sessions must be positive";
   if cpus <= 0 then invalid_arg "Fleet.run: cpus must be positive";
   if timeslice <= 0 then invalid_arg "Fleet.run: timeslice must be positive";
@@ -182,9 +270,17 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     invalid_arg "Fleet.run: telemetry traces are single-session only (sessions=1, cpus=1)";
   let profile = match profile with Some p -> p | None -> Runtime.Profile.create () in
   let backing = Option.map (fun pages -> Allocators.Backing.create ~pages) page_budget in
-  let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
-  let njobs = List.length jobs in
   let job_arr = Array.of_list jobs in
+  let named =
+    Array.init n (fun id ->
+        let job = job_arr.(id mod Array.length job_arr) in
+        { job with job_name = Printf.sprintf "%s#%d" job.job_name id })
+  in
+  let run_job ~refuse job =
+    run_session ~mode ~profile ~page_budget:(Option.is_some backing) ~tier ~timeslice ~telemetry
+      ~defenses ~refuse job
+  in
+  let runs = Util.Pool.map ?domains (run_job ~refuse:[]) named in
   let queues : session list ref array = Array.init cpus (fun _ -> ref []) in
   let vclock = Array.make cpus 0 in
   let next_id = ref 0 in
@@ -192,33 +288,30 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
   let yields = ref 0 in
   let steals = ref 0 in
   let finished : session_result list ref = ref [] in
+  let trace = ref None in
   let nfinished = ref 0 in
   let admit c =
     let id = !next_id in
     incr next_id;
     incr live;
-    let job = job_arr.(id mod njobs) in
-    let job = { job with job_name = Printf.sprintf "%s#%d" job.job_name id } in
     let sess =
       {
         s_id = id;
-        s_job = job;
+        s_job = named.(id);
         s_cpu = c;
         s_admitted_at = vclock.(c);
-        s_env = None;
-        s_browser = None;
-        s_cont = None;
-        s_last_cycles = 0;
+        s_run = runs.(id);
+        s_next = 0;
+        s_refuse = [];
       }
     in
     queues.(c) := !(queues.(c)) @ [ sess ]
   in
-  (* Eager admission: keep [max_live] sessions materialised as long as
+  (* Eager admission: keep [max_live] sessions admitted as long as
      descriptors remain, each onto the currently shortest queue (lowest
      index breaks ties).  This is what makes sessions *concurrent* — they
      queue behind each other (latency = queueing + service) and contend
-     for the shared page budget — while [max_live] still bounds host
-     memory at N=100k. *)
+     for the shared page budget. *)
   let admit_pending () =
     while !next_id < n && !live < max_live do
       let best = ref 0 in
@@ -266,81 +359,50 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     done;
     !best
   in
-  let finalize c sess outcome =
+  let finalize c sess =
     decr live;
     incr nfinished;
-    let cycles, transitions, output =
-      match sess.s_env, sess.s_browser with
-      | Some env, Some browser ->
-        (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env, Browser.console browser)
-      | Some env, None -> (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env, [])
-      | None, _ -> (0, 0, [])
-    in
-    (* Teardown: pages back to the shared budget, references dropped so
-       the session's machine is collectable under max_live. *)
-    (match sess.s_env with
-    | Some env -> Allocators.Pkalloc.retire (Pkru_safe.Env.pkalloc env)
-    | None -> ());
-    sess.s_env <- None;
-    sess.s_browser <- None;
-    sess.s_cont <- None;
+    let r = sess.s_run in
+    trace := r.rc_trace;
     finished :=
       {
         sr_index = sess.s_id;
         sr_name = sess.s_job.job_name;
         sr_cpu = sess.s_cpu;
-        sr_cycles = cycles;
-        sr_transitions = transitions;
-        sr_checksum = checksum ~output ~cycles ~transitions;
+        sr_cycles = r.rc_cycles;
+        sr_transitions = r.rc_transitions;
+        sr_checksum = r.rc_checksum;
         sr_latency_cycles = vclock.(c) - sess.s_admitted_at;
-        sr_outcome = outcome;
+        sr_outcome = r.rc_outcome;
       }
       :: !finished
   in
-  (* Garmr defense (gate_reverify): before restoring a parked
-     continuation, re-check the session's live PKRU against its gate's
-     resident view.  A mismatch means some other hart flipped PKRU while
-     the session was parked; the session is retired fail-stop without
-     running a single instruction of the slice (the one-shot continuation
-     is dropped, not resumed — exactly a kernel refusing to schedule a
-     corrupted thread).  [None] = clean. *)
-  let reverify_on_resume sess =
-    if not defenses.Pkru_safe.Config.gate_reverify then None
-    else
-      match sess.s_env with
-      | None -> None
-      | Some env -> (
-        try
-          Runtime.Gate.reverify (Pkru_safe.Env.gate env);
-          None
-        with Sim.Signals.Process_killed msg -> Some msg)
+  (* Apply slice [i]'s budget events from [from] on.  A take the shared
+     budget refuses re-runs the session with that take refused too; the
+     new run is the old one up to the refused take, so the events before
+     it stand and the replay goes on after it. *)
+  let rec apply_budget b sess i from =
+    let r = sess.s_run in
+    match Allocators.Backing.replay b r.rc_events ~from ~upto:r.rc_slices.(i).sl_upto with
+    | None -> ()
+    | Some k ->
+      sess.s_refuse <- k :: sess.s_refuse;
+      sess.s_run <- run_job ~refuse:sess.s_refuse sess.s_job;
+      apply_budget b sess i (k + 1)
   in
   let run_slice c sess =
-    let step =
-      match sess.s_cont with
-      | Some k -> (
-        sess.s_cont <- None;
-        match reverify_on_resume sess with
-        | Some msg -> Done (Failed msg)
-        | None -> Effect.Deep.continue k ())
-      | None ->
-        Effect.Deep.match_with
-          (session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess)
-          () handler
-    in
-    (* Advance the CPU by the simulated cycles this slice retired. *)
-    (match sess.s_env with
-    | Some env ->
-      let now = Sim.Machine.cycles (Pkru_safe.Env.machine env) in
-      vclock.(c) <- vclock.(c) + (now - sess.s_last_cycles);
-      sess.s_last_cycles <- now
+    let i = sess.s_next in
+    (match backing with
+    | Some b -> apply_budget b sess i (if i = 0 then 0 else sess.s_run.rc_slices.(i - 1).sl_upto)
     | None -> ());
-    match step with
-    | Parked k ->
+    (* Advance the CPU by the simulated cycles this slice retired. *)
+    vclock.(c) <- vclock.(c) + sess.s_run.rc_slices.(i).sl_cycles;
+    sess.s_next <- i + 1;
+    if sess.s_next < Array.length sess.s_run.rc_slices then begin
       incr yields;
-      sess.s_cont <- Some k;
       queues.(c) := !(queues.(c)) @ [ sess ]
-    | Done outcome -> finalize c sess outcome
+    end
+    else finalize c sess
   in
   while !nfinished < n do
     admit_pending ();
@@ -389,7 +451,7 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     r_oom = count (fun r -> r.sr_outcome = Oom);
     r_failed = count (fun r -> match r.sr_outcome with Failed _ -> true | _ -> false);
     r_results = results;
-    r_trace = sink;
+    r_trace = !trace;
     r_backing =
       Option.map
         (fun b ->
@@ -420,6 +482,29 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
    before the slice runs; a mismatch retires the program fail-stop
    (continuation dropped, never resumed) with the flight dump naming the
    program — i.e. the attack — that died. *)
+
+type _ Effect.t += Yield : unit Effect.t
+
+type step =
+  | Done of outcome
+  | Parked of (unit, step) Effect.Deep.continuation
+
+let handler =
+  {
+    Effect.Deep.retc = (fun () -> Done Completed);
+    exnc =
+      (fun e ->
+        match e with
+        | Out_of_memory -> Done Oom
+        | Effect.Unhandled _ as e -> raise e
+        | e -> Done (Failed (Printexc.to_string e)));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield ->
+          Some (fun (k : (a, step) Effect.Deep.continuation) -> Parked k)
+        | _ -> None);
+  }
 
 type program = {
   p_name : string;

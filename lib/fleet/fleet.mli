@@ -1,23 +1,28 @@
-(** Multi-session fleet: per-CPU run queues and cooperative scheduling.
+(** Multi-session fleet: independent session runs and a replayed
+    per-CPU schedule.
 
     Runs N concurrent browsing sessions — each a complete vertical slice
-    with its own {!Pkru_safe.Env}, browser and engine — multiplexed over
-    per-CPU run queues by a deterministic host-sequential scheduler.
-    Sessions yield cooperatively at evaluator tick boundaries (an effect
-    performed by a budget-counting hook that charges no simulated cycles
-    and emits nothing, so a single-session fleet run is bit-identical to
-    {!Workloads.Runner}); empty CPUs admit pending sessions or steal the
-    back half of the longest queue.  With [page_budget] set, every
-    session's pools draw on one shared {!Allocators.Backing} budget and
+    with its own {!Pkru_safe.Env}, browser and engine.  Every session
+    runs to completion on its own, as one job of a {!Util.Pool} over
+    OCaml 5 domains, recording its {e slices}: the cycles and page-budget
+    events between the yield points its evaluator reaches every
+    [timeslice] ticks (a hook that charges no simulated cycles and emits
+    nothing, so a single-session fleet run is bit-identical to
+    {!Workloads.Runner}).  The calling domain then replays a
+    deterministic per-CPU schedule over those slices: empty CPUs admit
+    pending sessions or steal the back half of the longest queue.  With
+    [page_budget] set, each slice's takes and gives are applied to one
+    shared {!Allocators.Backing} budget in schedule order; a take the
+    budget refuses re-runs that session with the take refused, and
     exhaustion retires the victim session with an [Oom] outcome.
 
-    Determinism: per-session cycles, transitions and checksums are
-    structurally independent of scheduling (each session owns its
-    machine), so they are identical for any CPU count.  The makespan and
-    latency figures depend on [cpus]/[timeslice] but are reproducible
-    for fixed parameters.  Caveat: with a shared [page_budget], sessions
-    couple through allocation order, so cross-CPU-count identity is only
-    guaranteed with [page_budget = None]. *)
+    Determinism: every field of the result — per-session cycles,
+    transitions, checksums, CPUs and latencies, yields, steals, makespan
+    and the budget's denials and low-water mark — is the same for any
+    domain count, and reproducible for fixed parameters.  Per-session
+    cycles, transitions and checksums are also independent of [cpus]
+    and [timeslice] when [page_budget] is [None]; with a shared budget,
+    sessions couple through which of them finds it dry. *)
 
 type job = {
   job_name : string;
@@ -81,20 +86,23 @@ val run :
   ?tier:Engine.tier ->
   ?telemetry:bool ->
   ?defenses:Pkru_safe.Config.defenses ->
+  ?domains:int ->
   sessions:int ->
   job list ->
   result
 (** [run ~sessions:n jobs] admits [n] sessions cycling round-robin over
     [jobs].  [timeslice] is the yield budget in evaluator ticks (default
-    4000); [max_live] bounds concurrently-materialised sessions and
-    therefore host memory (default 128); [page_budget] puts all sessions
-    on a shared backing-page budget.
+    4000); [max_live] bounds the sessions the simulated scheduler has
+    admitted at once (default 128); [page_budget] puts all sessions on a
+    shared backing-page budget.  [domains] is the pool's domain count
+    (default [Domain.recommended_domain_count ()]); the result does not
+    depend on it.
 
     [defenses] (default {!Pkru_safe.Config.no_defenses}) propagates the
     Garmr hardened-gate policies into every session's config; with
-    [gate_reverify] on, each continuation restore re-checks the
-    session's live PKRU against its gate's resident view and retires the
-    session [Failed] fail-stop on a mismatch (the slice never runs).
+    [gate_reverify] on, every yield point re-checks the session's live
+    PKRU against its gate's resident view and retires the session
+    [Failed] fail-stop on a mismatch (no further instruction runs).
     The check charges no cycles and emits nothing when it passes, so a
     defended benign fleet is bit-identical to an undefended one.
 
