@@ -34,11 +34,15 @@ lint-globals:
 	  exit 1; \
 	fi
 
-# The clock tick (Eval.tick/charge) and the checked-access TLB hit
-# (Machine.translate/read_le/write_le) must compile, in the
-# default dev profile, to code with no caml_apply and no indirect call,
-# and no AST node may call Eval.tick (engine__Eval.o: no relocation to
-# it, so every tick is inlined); the allocation, free, metadata-lookup
+# The clock tick (Eval.tick/charge), the checked-access TLB hit
+# (Machine.translate/read_le/write_le and the width entries) and the
+# allocation entry (Env.alloc) must compile, in the default build
+# (release profile, no -opaque: see dune-workspace), to code with no
+# caml_apply and no indirect call: the calls they make into other
+# modules are known and, where marked, inlined.  A build under -opaque
+# (a checkout without dune-workspace) fails here, naming each function.
+# No AST node may call Eval.tick (engine__Eval.o: no relocation to it,
+# so every tick is inlined); the allocation, free, metadata-lookup
 # and DOM-handle paths, the engine's NaN-boxed slot accessors
 # (Value.read_slot/write_slot), the AST tier's static-frame variable
 # access and the tick's out-of-line slow path (Eval.tick_slow) to code

@@ -173,16 +173,10 @@ let count_call t =
 
 let leave_call t = t.depth <- t.depth - 1
 
-let[@inline never] tick_hooks cpu n = Sim.Cpu.tick_hooks cpu n
-
-(* [Sim.Cpu.charge], inlined: that function is the definition of a
-   charge.  Every AST node ticks, and a dev build compiles a call into
-   another module as an unknown call, so the clock is bumped by field
-   access here and only the armed telemetry hooks call out. *)
-let[@inline] charge t n =
-  let cpu = t.machine.Sim.Machine.cpu in
-  cpu.Sim.Cpu.cycles <- cpu.Sim.Cpu.cycles + n;
-  if cpu.Sim.Cpu.ctx.Telemetry.Ctx.hooked then tick_hooks cpu n
+(* Every AST node ticks: [Sim.Cpu.charge] is inlined here, so the clock
+   is bumped by field access and only the armed telemetry hooks call
+   out. *)
+let[@inline] charge t n = Sim.Cpu.charge t.machine.Sim.Machine.cpu n
 
 let[@inline never] out_of_fuel () = fail "script ran out of fuel"
 

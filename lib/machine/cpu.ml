@@ -26,7 +26,7 @@ let create ?(cost = Cost.default) ?(id = 0) ?(ctx = Telemetry.Ctx.create ()) () 
 (* The per-cycle telemetry hooks: the sampling profiler and the heap
    census.  They charge nothing back, so sampled/censused and plain runs
    retire identical cycle counts. *)
-let tick_hooks t n =
+let[@inline never] tick_hooks t n =
   let ctx = t.ctx in
   (match ctx.Telemetry.Ctx.sampler with
   | None -> ()
@@ -35,11 +35,10 @@ let tick_hooks t n =
   | None -> ()
   | Some census -> Telemetry.Census.tick census ~sink:ctx.Telemetry.Ctx.sink ~cpu:t.id n
 
-(* Every retired cycle flows through here.  This is the definition of a
-   charge; the hottest callers ([Machine]'s checked accesses, the AST
-   tier's tick) repeat these two lines inline, because a dev build
-   compiles every cross-module call as an unknown call. *)
-let charge t n =
+(* Every retired cycle flows through here, inlined into its callers
+   (the AST tier's tick, [Machine]'s checked accesses); the hooks stay
+   out of line. *)
+let[@inline] charge t n =
   t.cycles <- t.cycles + n;
   if t.ctx.Telemetry.Ctx.hooked then tick_hooks t n
 

@@ -11,8 +11,8 @@ type t = {
   mutable pkru : Mpk.Pkru.t;
   mutable trap_flag : bool;
   mutable cycles : int;
-      (** this hart's clock; written only by {!charge} (and its inline
-          copies in [Machine] and the AST tier) and {!reset_cycles} *)
+      (** this hart's clock; written only by {!charge} (and its split
+          copy in [Machine]'s width entries) and {!reset_cycles} *)
   mutable wrpkru_retired : int;
   mutable pkru_epoch : int;
       (** bumped by every PKRU write through {!set_pkru} / {!wrpkru};
@@ -29,8 +29,8 @@ val create : ?cost:Cost.t -> ?id:int -> ?ctx:Telemetry.Ctx.t -> unit -> t
 val charge : t -> int -> unit
 (** [charge cpu n] retires [n] cycles of straight-line work: it adds [n]
     to {!field-cycles} and, when the context is
-    {!Telemetry.Ctx.field-hooked}, calls {!tick_hooks}.  Hot callers in
-    other modules repeat exactly these two steps inline. *)
+    {!Telemetry.Ctx.field-hooked}, calls {!tick_hooks}.  Inlined into
+    its callers; the hooks stay out of line. *)
 
 val tick_hooks : t -> int -> unit
 (** The armed slow path of {!charge}: ticks the context's

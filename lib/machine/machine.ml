@@ -82,41 +82,13 @@ let run_on t cpu f =
       t.cpu <- previous)
     f
 
-(* --- The hot paths: no cross-module calls ---
+(* --- The hot paths ---
 
-   A dev build compiles every module [-opaque], so each call into another
-   module is an unknown call through its module block (never inlined),
-   and another module's constant is a load from that block.  The clock
-   tick and the TLB hit below therefore read and write the other
-   modules' records by field access, and restate the page geometry and
-   the TLB's index mask and access bits as literals, checked against
-   their definitions when this module loads; anything that must call
-   out sits in an out-of-line slow path.  `make lint-hotpath` checks
+   The clock tick and the TLB hit below read the other modules' records
+   by field access and call only functions the compiler inlines (the
+   build is not [-opaque], see dune-workspace); anything else they must
+   call sits in an out-of-line slow path.  `make lint-hotpath` checks
    the compiled code. *)
-
-let page_shift = 12
-let page_size = 1 lsl page_shift
-let tlb_index_mask = 0xFF
-let read_bit = 1
-let write_bit = 2
-
-let () =
-  if
-    page_shift <> Vmm.Layout.page_shift
-    || page_size <> Vmm.Layout.page_size
-    || tlb_index_mask <> Tlb.index_mask
-    || read_bit <> Tlb.read_bit
-    || write_bit <> Tlb.write_bit
-  then failwith "Machine: page geometry or TLB layout differs from Vmm.Layout/Tlb"
-
-let[@inline always] page_offset addr = addr land (page_size - 1)
-
-let[@inline never] tick_hooks cpu n = Cpu.tick_hooks cpu n
-
-(* [Cpu.charge], inlined: that function is the definition of a charge. *)
-let[@inline always] charge_cpu (cpu : Cpu.t) n =
-  cpu.Cpu.cycles <- cpu.Cpu.cycles + n;
-  if cpu.Cpu.ctx.Telemetry.Ctx.hooked then tick_hooks cpu n
 
 (* The access check, with no option to allocate: [access_ok], or what
    denies the access. *)
@@ -151,7 +123,7 @@ let denial_kind denied (page : Vmm.Page.t) =
    the page index; the rest is [lookup]'s demand paging. *)
 let find_page t addr =
   let pt = t.page_table in
-  let page = Util.Int_table.get pt.Vmm.Page_table.pages (addr lsr page_shift) in
+  let page = Util.Int_table.get pt.Vmm.Page_table.pages (addr lsr Vmm.Layout.page_shift) in
   if page != pt.Vmm.Page_table.no_page then page
   else
     match Vmm.Page_table.lookup pt addr with
@@ -165,38 +137,36 @@ let probe t access addr =
     let denied = check_page t access page in
     if denied = access_ok then None else Some (denial_kind denied page)
 
-(* Fault-path telemetry: describe the fault, note the SIGSEGV dispatch, and
-   time handler servicing (the cycles charged between dispatch and the
-   handler's return, i.e. signal dispatch plus whatever the handler ran). *)
-let note_fault t (fault : Vmm.Fault.t) =
-  match t.ctx.Telemetry.Ctx.sink with
-  | None -> ()
-  | Some sink ->
-    let ts = total_cycles t in
-    let cpu = t.cpu.Cpu.id in
-    (match fault.Vmm.Fault.kind with
-    | Vmm.Fault.Pkey_violation key ->
-      Telemetry.Sink.emit sink ~ts ~cpu
-        (Telemetry.Event.Mpk_fault
-           { addr = fault.Vmm.Fault.addr; pkey = Mpk.Pkey.to_int key })
-    | Vmm.Fault.Not_mapped ->
-      Telemetry.Sink.emit sink ~ts ~cpu
-        (Telemetry.Event.Page_fault
-           { addr = fault.Vmm.Fault.addr; kind = Telemetry.Event.Not_mapped })
-    | Vmm.Fault.Prot_violation ->
-      Telemetry.Sink.emit sink ~ts ~cpu
-        (Telemetry.Event.Page_fault
-           { addr = fault.Vmm.Fault.addr; kind = Telemetry.Event.Prot_violation }));
+(* Fault-path telemetry, under a sink only: describe the fault, note the
+   SIGSEGV dispatch, and time handler servicing (the cycles charged
+   between dispatch and the handler's return, i.e. signal dispatch plus
+   whatever the handler ran). *)
+let note_fault t sink (fault : Vmm.Fault.t) =
+  let ts = total_cycles t in
+  let cpu = t.cpu.Cpu.id in
+  (match fault.Vmm.Fault.kind with
+  | Vmm.Fault.Pkey_violation key ->
     Telemetry.Sink.emit sink ~ts ~cpu
-      (Telemetry.Event.Signal_dispatch { signal = Telemetry.Event.Segv })
+      (Telemetry.Event.Mpk_fault { addr = fault.Vmm.Fault.addr; pkey = Mpk.Pkey.to_int key })
+  | Vmm.Fault.Not_mapped ->
+    Telemetry.Sink.emit sink ~ts ~cpu
+      (Telemetry.Event.Page_fault
+         { addr = fault.Vmm.Fault.addr; kind = Telemetry.Event.Not_mapped })
+  | Vmm.Fault.Prot_violation ->
+    Telemetry.Sink.emit sink ~ts ~cpu
+      (Telemetry.Event.Page_fault
+         { addr = fault.Vmm.Fault.addr; kind = Telemetry.Event.Prot_violation }));
+  Telemetry.Sink.emit sink ~ts ~cpu
+    (Telemetry.Event.Signal_dispatch { signal = Telemetry.Event.Segv })
 
 let deliver_fault t fault =
-  note_fault t fault;
-  let before = total_cycles t in
-  Signals.deliver_segv t.signals ~cpu:t.cpu fault;
   match t.ctx.Telemetry.Ctx.sink with
-  | None -> ()
-  | Some sink -> Telemetry.Sink.observe sink "fault_service_cycles" (total_cycles t - before)
+  | None -> Signals.deliver_segv t.signals ~cpu:t.cpu fault
+  | Some sink ->
+    note_fault t sink fault;
+    let before = total_cycles t in
+    Signals.deliver_segv t.signals ~cpu:t.cpu fault;
+    Telemetry.Sink.observe sink "fault_service_cycles" (total_cycles t - before)
 
 (* Resolve one in-page access, delivering faults until it succeeds.  The
    retry bound breaks the livelock a buggy handler would otherwise cause
@@ -221,14 +191,23 @@ let rec attempt t access addr retries last_kind =
         Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
           (Telemetry.Event.Page_fault { addr; kind = Telemetry.Event.Demand_paged })
     end;
-    let denied = check_page t access page in
-    if denied = access_ok then page
-    else begin
-      let kind = denial_kind denied page in
-      Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
-      deliver_fault t { Vmm.Fault.addr; access; kind };
-      attempt t access addr (retries - 1) kind
-    end
+    check_held t access addr page retries
+  end
+
+(* Check the page [attempt] found.  A handler that changed no mapping
+   (the page table's epoch is unchanged) left that page where a lookup
+   would find it, materialised, so the retry checks it again directly. *)
+and check_held t access addr page retries =
+  let denied = check_page t access page in
+  if denied = access_ok then page
+  else begin
+    let kind = denial_kind denied page in
+    Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
+    let epoch = t.page_table.Vmm.Page_table.epoch in
+    deliver_fault t { Vmm.Fault.addr; access; kind };
+    if retries > 1 && t.page_table.Vmm.Page_table.epoch = epoch then
+      check_held t access addr page (retries - 1)
+    else attempt t access addr (retries - 1) kind
   end
 
 (* The seed kind is never observed: retries start positive, and every
@@ -279,10 +258,10 @@ let[@inline always] tlb_hit (cpu : Cpu.t) (tlb : Tlb.t) abit page_number i map_e
 (* The page bytes of an access, through the TLB when it is on. *)
 let translate t access abit addr =
   if t.tlb_enabled then begin
-    let page_number = addr lsr page_shift in
+    let page_number = addr lsr Vmm.Layout.page_shift in
     let cpu = t.cpu in
     let tlb = cpu.Cpu.tlb in
-    let i = page_number land tlb_index_mask in
+    let i = page_number land Tlb.index_mask in
     let map_epoch = t.page_table.Vmm.Page_table.epoch in
     let pkru_epoch = cpu.Cpu.pkru_epoch in
     tlb_epochs tlb map_epoch pkru_epoch;
@@ -310,10 +289,10 @@ let[@inline always] post_access t = if t.cpu.Cpu.trap_flag then deliver_trap t
 (* --- Page bytes ---
 
    Every access moves its bytes with [get_le]/[set_le], without bounds
-   checks: the caller keeps [offset + len] within [page_size], and every
-   page the TLB or [resolve] hands out holds [page_size] bytes (an
-   invalid TLB entry holds none, but its tag -1 is no page number, so it
-   never hits).  The common widths use fixed-width primitives instead of
+   checks: the caller keeps [offset + len] within a page, and every page
+   the TLB or [resolve] hands out holds a page of bytes (an invalid TLB
+   entry holds none, but its tag -1 is no page number, so it never
+   hits).  The common widths use fixed-width primitives instead of
    a byte loop.  Results are bit-for-bit what the loop produced: values
    are accumulated modulo 2^63 (OCaml int), so the 8-byte case masks
    away the 64th bit.  In a width entry [len] is a constant and the
@@ -379,40 +358,40 @@ let[@inline always] set_le data offset len v =
    [read_page]/[write_page]. *)
 
 let read_page t addr len =
-  let data = translate t Vmm.Fault.Read read_bit addr in
-  let v = get_le data (page_offset addr) len in
+  let data = translate t Vmm.Fault.Read Tlb.read_bit addr in
+  let v = get_le data (Vmm.Layout.page_offset addr) len in
   post_access t;
   v
 
 let rec read_le t addr len =
-  let offset = page_offset addr in
-  if offset + len <= page_size then begin
+  let offset = Vmm.Layout.page_offset addr in
+  if offset + len <= Vmm.Layout.page_size then begin
     let cpu = t.cpu in
-    charge_cpu cpu cpu.Cpu.cost.Cost.load;
+    Cpu.charge cpu cpu.Cpu.cost.Cost.load;
     read_page t addr len
   end
   else begin
     (* Page-straddling access: split at the boundary. *)
-    let first_len = page_size - offset in
+    let first_len = Vmm.Layout.page_size - offset in
     let low = read_le t addr first_len in
     let high = read_le t (addr + first_len) (len - first_len) in
     (high lsl (8 * first_len)) lor low
   end
 
 let write_page t addr len v =
-  let data = translate t Vmm.Fault.Write write_bit addr in
-  set_le data (page_offset addr) len v;
+  let data = translate t Vmm.Fault.Write Tlb.write_bit addr in
+  set_le data (Vmm.Layout.page_offset addr) len v;
   post_access t
 
 let rec write_le t addr len v =
-  let offset = page_offset addr in
-  if offset + len <= page_size then begin
+  let offset = Vmm.Layout.page_offset addr in
+  if offset + len <= Vmm.Layout.page_size then begin
     let cpu = t.cpu in
-    charge_cpu cpu cpu.Cpu.cost.Cost.store;
+    Cpu.charge cpu cpu.Cpu.cost.Cost.store;
     write_page t addr len v
   end
   else begin
-    let first_len = page_size - offset in
+    let first_len = Vmm.Layout.page_size - offset in
     write_le t addr first_len v;
     write_le t (addr + first_len) (len - first_len) (v asr (8 * first_len))
   end
@@ -426,29 +405,29 @@ let rec write_le t addr len v =
    Cycles, TLB counts, faults and events are the generic tier's.
 
    The hit path makes no call, so it keeps its values in registers: the
-   charge is [charge_cpu]'s, split so that with a sampler or census
+   charge is [Cpu.charge]'s, split so that with a sampler or census
    installed the hooks tick and the generic in-page tail finishes the
    access ([hooked_read]/[hooked_write]); a TLB miss finishes it in
    [read_miss]/[write_miss]; a trapped load returns its value through
    [trap_after].  All of them run out of line. *)
 
 let[@inline never] hooked_read t n addr len =
-  tick_hooks t.cpu n;
+  Cpu.tick_hooks t.cpu n;
   read_page t addr len
 
 let[@inline never] hooked_write t n addr len v =
-  tick_hooks t.cpu n;
+  Cpu.tick_hooks t.cpu n;
   write_page t addr len v
 
 let[@inline never] read_miss t tlb addr page_number len =
   let data = refill t tlb Vmm.Fault.Read addr page_number in
-  let v = get_le data (page_offset addr) len in
+  let v = get_le data (Vmm.Layout.page_offset addr) len in
   post_access t;
   v
 
 let[@inline never] write_miss t tlb addr page_number len v =
   let data = refill t tlb Vmm.Fault.Write addr page_number in
-  set_le data (page_offset addr) len v;
+  set_le data (Vmm.Layout.page_offset addr) len v;
   post_access t
 
 let[@inline never] trap_after t v =
@@ -456,22 +435,22 @@ let[@inline never] trap_after t v =
   v
 
 let[@inline always] fast_read t addr len =
-  if t.tlb_enabled && page_offset addr <= page_size - len then begin
+  if t.tlb_enabled && Vmm.Layout.page_offset addr <= Vmm.Layout.page_size - len then begin
     let cpu = t.cpu in
     let n = cpu.Cpu.cost.Cost.load in
-    (* [charge_cpu], split: the hooks tick in [hooked_read]. *)
+    (* [Cpu.charge], split: the hooks tick in [hooked_read]. *)
     cpu.Cpu.cycles <- cpu.Cpu.cycles + n;
     if cpu.Cpu.ctx.Telemetry.Ctx.hooked then hooked_read t n addr len
     else begin
-      let page_number = addr lsr page_shift in
+      let page_number = addr lsr Vmm.Layout.page_shift in
       let tlb = cpu.Cpu.tlb in
-      let i = page_number land tlb_index_mask in
+      let i = page_number land Tlb.index_mask in
       let map_epoch = t.page_table.Vmm.Page_table.epoch in
       let pkru_epoch = cpu.Cpu.pkru_epoch in
       tlb_epochs tlb map_epoch pkru_epoch;
-      if tlb_hit cpu tlb read_bit page_number i map_epoch pkru_epoch then begin
+      if tlb_hit cpu tlb Tlb.read_bit page_number i map_epoch pkru_epoch then begin
         tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-        let v = get_le (Array.unsafe_get tlb.Tlb.data i) (page_offset addr) len in
+        let v = get_le (Array.unsafe_get tlb.Tlb.data i) (Vmm.Layout.page_offset addr) len in
         if cpu.Cpu.trap_flag then trap_after t v else v
       end
       else read_miss t tlb addr page_number len
@@ -480,22 +459,22 @@ let[@inline always] fast_read t addr len =
   else read_le t addr len
 
 let[@inline always] fast_write t addr len v =
-  if t.tlb_enabled && page_offset addr <= page_size - len then begin
+  if t.tlb_enabled && Vmm.Layout.page_offset addr <= Vmm.Layout.page_size - len then begin
     let cpu = t.cpu in
     let n = cpu.Cpu.cost.Cost.store in
-    (* [charge_cpu], split: the hooks tick in [hooked_write]. *)
+    (* [Cpu.charge], split: the hooks tick in [hooked_write]. *)
     cpu.Cpu.cycles <- cpu.Cpu.cycles + n;
     if cpu.Cpu.ctx.Telemetry.Ctx.hooked then hooked_write t n addr len v
     else begin
-      let page_number = addr lsr page_shift in
+      let page_number = addr lsr Vmm.Layout.page_shift in
       let tlb = cpu.Cpu.tlb in
-      let i = page_number land tlb_index_mask in
+      let i = page_number land Tlb.index_mask in
       let map_epoch = t.page_table.Vmm.Page_table.epoch in
       let pkru_epoch = cpu.Cpu.pkru_epoch in
       tlb_epochs tlb map_epoch pkru_epoch;
-      if tlb_hit cpu tlb write_bit page_number i map_epoch pkru_epoch then begin
+      if tlb_hit cpu tlb Tlb.write_bit page_number i map_epoch pkru_epoch then begin
         tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-        set_le (Array.unsafe_get tlb.Tlb.data i) (page_offset addr) len v;
+        set_le (Array.unsafe_get tlb.Tlb.data i) (Vmm.Layout.page_offset addr) len v;
         if cpu.Cpu.trap_flag then deliver_trap t
       end
       else write_miss t tlb addr page_number len v
@@ -523,10 +502,10 @@ let read_bytes t addr len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = page_offset a in
-    let chunk = Int.min (len - !pos) (page_size - offset) in
-    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
-    let data = translate t Vmm.Fault.Read read_bit a in
+    let offset = Vmm.Layout.page_offset a in
+    let chunk = Int.min (len - !pos) (Vmm.Layout.page_size - offset) in
+    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
+    let data = translate t Vmm.Fault.Read Tlb.read_bit a in
     Bytes.blit data offset out !pos chunk;
     post_access t;
     pos := !pos + chunk
@@ -539,10 +518,10 @@ let read_to_buffer t addr len buf =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = page_offset a in
-    let chunk = Int.min (len - !pos) (page_size - offset) in
-    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
-    let data = translate t Vmm.Fault.Read read_bit a in
+    let offset = Vmm.Layout.page_offset a in
+    let chunk = Int.min (len - !pos) (Vmm.Layout.page_size - offset) in
+    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.load * ((chunk + 7) / 8));
+    let data = translate t Vmm.Fault.Read Tlb.read_bit a in
     Buffer.add_subbytes buf data offset chunk;
     post_access t;
     pos := !pos + chunk
@@ -554,10 +533,10 @@ let write_string t addr src =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = page_offset a in
-    let chunk = Int.min (len - !pos) (page_size - offset) in
-    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
-    let data = translate t Vmm.Fault.Write write_bit a in
+    let offset = Vmm.Layout.page_offset a in
+    let chunk = Int.min (len - !pos) (Vmm.Layout.page_size - offset) in
+    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
+    let data = translate t Vmm.Fault.Write Tlb.write_bit a in
     Bytes.blit_string src !pos data offset chunk;
     post_access t;
     pos := !pos + chunk
@@ -569,10 +548,10 @@ let memset t addr byte len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = page_offset a in
-    let chunk = Int.min (len - !pos) (page_size - offset) in
-    charge_cpu t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
-    let data = translate t Vmm.Fault.Write write_bit a in
+    let offset = Vmm.Layout.page_offset a in
+    let chunk = Int.min (len - !pos) (Vmm.Layout.page_size - offset) in
+    Cpu.charge t.cpu (t.cpu.Cpu.cost.Cost.store * ((chunk + 7) / 8));
+    let data = translate t Vmm.Fault.Write Tlb.write_bit a in
     Bytes.fill data offset chunk byte;
     post_access t;
     pos := !pos + chunk
@@ -591,8 +570,8 @@ let priv_read_bytes t addr len =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = page_offset a in
-    let chunk = Int.min (len - !pos) (page_size - offset) in
+    let offset = Vmm.Layout.page_offset a in
+    let chunk = Int.min (len - !pos) (Vmm.Layout.page_size - offset) in
     let page = priv_page t a in
     Bytes.blit page.Vmm.Page.data offset out !pos chunk;
     pos := !pos + chunk
@@ -604,8 +583,8 @@ let priv_write_bytes t addr src =
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let offset = page_offset a in
-    let chunk = Int.min (len - !pos) (page_size - offset) in
+    let offset = Vmm.Layout.page_offset a in
+    let chunk = Int.min (len - !pos) (Vmm.Layout.page_size - offset) in
     let page = priv_page t a in
     Bytes.blit src !pos page.Vmm.Page.data offset chunk;
     pos := !pos + chunk
@@ -628,7 +607,7 @@ let priv_write_u64 t addr v =
 
 let priv_read_string t addr len = Bytes.to_string (priv_read_bytes t addr len)
 
-let charge t n = charge_cpu t.cpu n
+let charge t n = Cpu.charge t.cpu n
 
 let cycles = total_cycles
 

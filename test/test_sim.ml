@@ -307,16 +307,21 @@ let test_single_step_trap () =
       (Mpk.Pkru.equal m.Sim.Machine.cpu.Sim.Cpu.pkru restricted)
 
 (* A handler that keeps returning Retry without fixing the cause exhausts
-   the retry bound; the resulting exception must carry the kind of the
-   fault that was actually delivered, not a made-up one. *)
+   the retry bound (64 deliveries, also when a retry re-checks the page it
+   holds); the resulting exception must carry the kind of the fault that
+   was actually delivered, not a made-up one. *)
 let test_retry_exhaustion_reports_pkey_kind () =
   let m = machine_with_region ~base () in
   Sim.Machine.write_u64 m base 1;
   m.Sim.Machine.cpu.Sim.Cpu.pkru <- Mpk.Pkru.all_disabled_except [];
-  Sim.Signals.register_segv m.Sim.Machine.signals (fun _ -> Sim.Signals.Retry);
+  let delivered = ref 0 in
+  Sim.Signals.register_segv m.Sim.Machine.signals (fun _ ->
+      incr delivered;
+      Sim.Signals.Retry);
   match Sim.Machine.read_u64 m base with
   | exception Vmm.Fault.Unhandled { Vmm.Fault.kind = Vmm.Fault.Pkey_violation k; _ } ->
-    Alcotest.(check int) "actual fault kind survives" 1 (Mpk.Pkey.to_int k)
+    Alcotest.(check int) "actual fault kind survives" 1 (Mpk.Pkey.to_int k);
+    Alcotest.(check int) "retry bound" 64 !delivered
   | exception Vmm.Fault.Unhandled f ->
     Alcotest.failf "wrong kind: %s" (Vmm.Fault.to_string f)
   | _ -> Alcotest.fail "expected exhaustion"

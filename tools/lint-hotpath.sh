@@ -1,16 +1,21 @@
 #!/bin/sh
 # Hot-path lint, five rules.
 #
-# 1. The clock tick and the checked-access TLB hit, generic and
-#    width-specialised, must compile to code with no unknown call.
+# 1. The clock tick, the checked-access TLB hit, generic and
+#    width-specialised, and the allocation entry (Env.alloc) must compile
+#    to code with no unknown call.
 #
-# A dev build (dune's default profile) compiles every module -opaque, so
-# a call into another module is an unknown call: caml_applyN, or an
-# indirect `call *%reg` through the callee's closure, never inlined.
-# The functions below are written to avoid that (their slow paths live
-# in out-of-line helpers).  This script disassembles the dev-profile
-# objects and fails if any of them contains a caml_apply relocation or
-# an indirect call, so a refactor cannot silently bring the calls back.
+# The build compiles without -opaque (dune-workspace selects the release
+# profile), so a call into another module is a known call the compiler
+# may inline: Eval.charge is Sim.Cpu.charge, inlined.  Under -opaque
+# (`--profile dev`, or a checkout without dune-workspace) every such call
+# is unknown: caml_applyN, or an indirect `call *%reg` through the
+# callee's closure, never inlined; Env.alloc alone then holds six
+# caml_apply calls, on a path taken per simulated allocation.  This
+# script disassembles the default objects and fails if any of these
+# functions contains a caml_apply relocation or an indirect call, so
+# neither a refactor nor a build change can silently bring the calls
+# back (the hit paths keep their rare cases in out-of-line helpers).
 #
 # 2. The allocation, free, fault-lookup and DOM-handle paths, the
 #    profile's fault record, the checked multi-byte copies, the AST
@@ -123,6 +128,7 @@ fast_access="read_u8 read_u32 read_u56 read_u64 write_u8 write_u32 write_u56 wri
 check "$objs/engine/.engine.objs/native/engine__Eval.o" Engine__Eval tick charge
 # shellcheck disable=SC2086
 check "$machine_o" Sim__Machine translate read_le write_le $fast_access
+check "$objs/core/.pkru_safe.objs/native/pkru_safe__Env.o" Pkru_safe__Env alloc
 call_free=$checked
 
 check_hash "$machine_o" Sim__Machine memset write_string read_bytes read_to_buffer
