@@ -107,6 +107,8 @@ type access_op =
   | Wrpkru of int (* index into [pkru_views] *)
   | Store_pkru of int (* the same, without an epoch bump *)
   | Single_step (* set the trap flag: the next access traps after it completes *)
+  | Pkey_mprotect of int * int (* page 0-3, key *)
+  | Mprotect of int * int (* page 0-3, index into [prots] *)
 
 (* Pages 0-1: key 1 (MT); 2-3: key 2 (MU); 4: unmapped; 5: read-only. *)
 let access_pages = 6
@@ -120,12 +122,16 @@ let pkru_views =
     Mpk.Pkru.all_disabled_except [];
   |]
 
+let prots = [| Vmm.Prot.read_write; { Vmm.Prot.none with read = true }; Vmm.Prot.none |]
+
 let print_access_op = function
   | Read (w, a) -> Printf.sprintf "read%d 0x%x" w a
   | Write (w, a, v) -> Printf.sprintf "write%d 0x%x %d" w a v
   | Wrpkru i -> Printf.sprintf "wrpkru %d" i
   | Store_pkru i -> Printf.sprintf "pkru <- %d" i
   | Single_step -> "single-step"
+  | Pkey_mprotect (pg, k) -> Printf.sprintf "pkey_mprotect page %d key %d" pg k
+  | Mprotect (pg, i) -> Printf.sprintf "mprotect page %d prot %d" pg i
 
 let gen_access_op =
   let open QCheck.Gen in
@@ -145,6 +151,8 @@ let gen_access_op =
       (2, map (fun i -> Wrpkru i) view);
       (1, map (fun i -> Store_pkru i) view);
       (1, return Single_step);
+      (1, map2 (fun pg k -> Pkey_mprotect (pg, k)) (int_bound 3) (int_bound 2));
+      (1, map2 (fun pg i -> Mprotect (pg, i)) (int_bound 3) (int_bound (Array.length prots - 1)));
     ]
 
 (* [profiling], and the hook: 0 none, 1 sampler, 2 census; its period. *)
@@ -218,6 +226,8 @@ let run_access_case ~tlb case =
     | Wrpkru i -> Sim.Cpu.wrpkru (cpu ()) pkru_views.(i)
     | Store_pkru i -> (cpu ()).Sim.Cpu.pkru <- pkru_views.(i)
     | Single_step -> (cpu ()).Sim.Cpu.trap_flag <- true
+    | Pkey_mprotect (pg, k) -> ok (Vmm.Page_table.pkey_mprotect pt ~base:(base + (pg * page)) ~size:page (key k))
+    | Mprotect (pg, i) -> ok (Vmm.Page_table.mprotect pt ~base:(base + (pg * page)) ~size:page prots.(i))
   in
   let program () = List.iter step case.ops in
   let hooked () =
@@ -304,6 +314,79 @@ let test_gate_pkru_rewrite_rechecks () =
   | _ -> Alcotest.fail "gated access to trusted memory should fault");
   (* Back outside the gate the access works again. *)
   Alcotest.(check int) "restored after gate" 99 (Sim.Machine.read_u64 m base)
+
+(* A WRPKRU that revokes only the write right (WD) of the key of a page
+   whose entry is resident: the read still succeeds, the write faults on
+   that key.  Values, fault and cycles are simulated behaviour, pinned
+   with the TLB on and off. *)
+let wd_revocation ~tlb =
+  let m = machine_with_region ~tlb ~pkey:(key 1) () in
+  let cpu = m.Sim.Machine.cpu in
+  Sim.Machine.write_u64 m base 42;
+  Alcotest.(check int) "resident entry" 42 (Sim.Machine.read_u64 m base);
+  Sim.Cpu.wrpkru cpu (Mpk.Pkru.set_rights Mpk.Pkru.all_enabled (key 1) Mpk.Pkru.Disable_write);
+  Alcotest.(check int) "read after WD-only revocation" 42 (Sim.Machine.read_u64 m base);
+  (match Sim.Machine.write_u64 m base 43 with
+  | exception Vmm.Fault.Unhandled { Vmm.Fault.kind = Vmm.Fault.Pkey_violation k; _ } ->
+    Alcotest.(check int) "write faults on the MT key" 1 (Mpk.Pkey.to_int k)
+  | () -> Alcotest.fail "expected a pkey fault on a write-disabled key");
+  Alcotest.(check int) "value unchanged" 42 (Sim.Machine.read_u64 m base);
+  Alcotest.(check int) "cycles pinned" 1038 (Sim.Machine.cycles m)
+
+let test_wd_revocation_on_resident_entry () =
+  wd_revocation ~tlb:true;
+  wd_revocation ~tlb:false
+
+(* Two harts on one page table with different PKRUs, alternating
+   accesses to one MT page: hart 0 may write; hart 1 may only read (WD),
+   then not even that (AD).  Each hart's accesses are checked against
+   its own PKRU, whatever the other hart's TLB holds. *)
+let two_harts ~tlb =
+  let m = machine_with_region ~tlb ~pkey:(key 1) () in
+  let h0 = m.Sim.Machine.cpu in
+  let h1 = Sim.Machine.spawn_cpu m in
+  Sim.Cpu.wrpkru h1 (Mpk.Pkru.set_rights Mpk.Pkru.all_enabled (key 1) Mpk.Pkru.Disable_write);
+  let log = ref [] in
+  let attempt name f =
+    let line =
+      match f () with
+      | v -> Printf.sprintf "%s = %d" name v
+      | exception Vmm.Fault.Unhandled f -> Printf.sprintf "%s: %s" name (Vmm.Fault.to_string f)
+    in
+    log := line :: !log
+  in
+  for i = 1 to 4 do
+    if i = 3 then
+      Sim.Cpu.wrpkru h1 (Mpk.Pkru.set_rights Mpk.Pkru.all_enabled (key 1) Mpk.Pkru.Disable_access);
+    attempt "h0 write" (fun () ->
+        Sim.Machine.write_u64 m base (10 * i);
+        10 * i);
+    attempt "h0 read" (fun () -> Sim.Machine.read_u64 m base);
+    Sim.Machine.run_on m h1 (fun () ->
+        attempt "h1 read" (fun () -> Sim.Machine.read_u64 m base);
+        attempt "h1 write" (fun () ->
+            Sim.Machine.write_u64 m base ((10 * i) + 1);
+            (10 * i) + 1))
+  done;
+  let denied access = Printf.sprintf "fault: SEGV_PKUERR(key=1) on %s at 0x200000" access in
+  let round i ~h1_reads =
+    let v = string_of_int (10 * i) in
+    [
+      "h0 write = " ^ v;
+      "h0 read = " ^ v;
+      (if h1_reads then "h1 read = " ^ v else "h1 read: " ^ denied "read");
+      "h1 write: " ^ denied "write";
+    ]
+  in
+  Alcotest.(check (list string)) "values and faults pinned"
+    (List.concat_map (fun i -> round i ~h1_reads:(i < 3)) [ 1; 2; 3; 4 ])
+    (List.rev !log);
+  Alcotest.(check (pair int int)) "per-hart cycles pinned" (316, 4272)
+    (Sim.Cpu.cycles h0, Sim.Cpu.cycles h1)
+
+let test_two_harts_different_pkrus () =
+  two_harts ~tlb:true;
+  two_harts ~tlb:false
 
 let test_direct_pkru_store_invalidates () =
   (* No epoch bump here — the raw-PKRU-value comparison must catch it. *)
@@ -443,6 +526,8 @@ let suite =
     Alcotest.test_case "mprotect invalidates" `Quick test_mprotect_invalidates;
     Alcotest.test_case "gate pkru rewrite rechecks" `Quick test_gate_pkru_rewrite_rechecks;
     Alcotest.test_case "direct pkru store invalidates" `Quick test_direct_pkru_store_invalidates;
+    Alcotest.test_case "wd revocation on a resident entry" `Quick test_wd_revocation_on_resident_entry;
+    Alcotest.test_case "two harts with different pkrus" `Quick test_two_harts_different_pkrus;
     Alcotest.test_case "trap after tlb hit" `Quick test_trap_fires_after_tlb_hit;
     Alcotest.test_case "stats + tlb-off zero" `Quick test_stats_accumulate_and_off_machine_stays_zero;
     Alcotest.test_case "cycle accounting sums harts" `Quick test_cycle_accounting_sums_harts;
