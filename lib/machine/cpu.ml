@@ -5,7 +5,6 @@ type t = {
   mutable trap_flag : bool;
   mutable cycles : int;
   mutable wrpkru_retired : int;
-  mutable pkru_epoch : int;
   tlb : Tlb.t;
   ctx : Telemetry.Ctx.t;
 }
@@ -18,7 +17,6 @@ let create ?(cost = Cost.default) ?(id = 0) ?(ctx = Telemetry.Ctx.create ()) () 
     trap_flag = false;
     cycles = 0;
     wrpkru_retired = 0;
-    pkru_epoch = 0;
     tlb = Tlb.create ();
     ctx;
   }
@@ -42,13 +40,10 @@ let[@inline] charge t n =
   t.cycles <- t.cycles + n;
   if t.ctx.Telemetry.Ctx.hooked then tick_hooks t n
 
-(* All intentional PKRU updates come through here so the epoch advances
-   and cached permission masks in the hart's TLB go stale.  (Direct
-   [t.pkru <- ...] stores are still caught by the TLB's raw-value
-   comparison; the epoch is the documented invalidation protocol.) *)
-let set_pkru t v =
-  t.pkru <- v;
-  t.pkru_epoch <- t.pkru_epoch + 1
+(* A register write and nothing else: the hart's TLB holds each page's
+   key and checks it against the live [pkru] on every access, as MPK
+   hardware does, so no cached entry goes stale. *)
+let set_pkru t v = t.pkru <- v
 
 let wrpkru t v =
   charge t t.cost.Cost.wrpkru;

@@ -14,9 +14,6 @@ type t = {
       (** this hart's clock; written only by {!charge} (and its split
           copy in [Machine]'s width entries) and {!reset_cycles} *)
   mutable wrpkru_retired : int;
-  mutable pkru_epoch : int;
-      (** bumped by every PKRU write through {!set_pkru} / {!wrpkru};
-          part of the software TLB's invalidation protocol *)
   tlb : Tlb.t;  (** this hart's software TLB (architecturally invisible) *)
   ctx : Telemetry.Ctx.t;  (** the machine's telemetry slots, shared by every hart *)
 }
@@ -39,14 +36,15 @@ val tick_hooks : t -> int -> unit
     identical. *)
 
 val set_pkru : t -> Mpk.Pkru.t -> unit
-(** Replaces the register and bumps {!field-pkru_epoch}, staling every
-    cached permission mask in this hart's TLB.  Charges nothing — use
-    {!wrpkru} to model the instruction.  All intentional PKRU updates
-    (gates, signal-handler swaps) must come through here or {!wrpkru}. *)
+(** Replaces the register.  Charges nothing — use {!wrpkru} to model the
+    instruction.  Flushes nothing either: the hart's TLB checks each
+    entry's key against the live {!field-pkru}, so a direct
+    [cpu.pkru <- v] store is equally safe. *)
 
 val wrpkru : t -> Mpk.Pkru.t -> unit
-(** Executes WRPKRU: charges its cost and replaces the register (through
-    {!set_pkru}, so the PKRU epoch advances). *)
+(** Executes WRPKRU: charges its cost, counts it in
+    {!field-wrpkru_retired} and replaces the register (through
+    {!set_pkru}). *)
 
 val rdpkru : t -> Mpk.Pkru.t
 (** Executes RDPKRU: charges its cost and reads the register. *)

@@ -215,45 +215,37 @@ and check_held t access addr page retries =
    top-level loop, so a resolve allocates no closure. *)
 let resolve t access addr = attempt t access addr 64 Vmm.Fault.Prot_violation
 
-(* The TLB miss path: resolve, then refill [tlb] with post-handler epochs
-   (the final successful check ran under exactly that state). *)
+(* The TLB miss path: resolve, then refill [tlb] under the post-handler
+   mapping epoch (the final successful check ran under exactly that
+   mapping). *)
 let[@inline always] refill t (tlb : Tlb.t) access addr page_number =
   tlb.Tlb.misses <- tlb.Tlb.misses + 1;
   let page = resolve t access addr in
-  Tlb.fill tlb ~map_epoch:t.page_table.Vmm.Page_table.epoch ~pkru_epoch:t.cpu.Cpu.pkru_epoch
-    ~pkru:t.cpu.Cpu.pkru page_number page;
+  Tlb.fill tlb ~map_epoch:t.page_table.Vmm.Page_table.epoch page_number page;
   page.Vmm.Page.data
 
 let[@inline never] translate_miss t tlb access addr page_number =
   refill t tlb access addr page_number
 
-(* The TLB hit test, in two steps.  [tlb_epochs]: the first probe under
-   a new mapping or PKRU epoch counts one flush generation.  [tlb_hit]:
-   entry [i] hits if its tag, both epochs and the raw PKRU value match
-   and its mask includes [abit].  A hit proves the slow path would have
-   succeeded without delivering any fault or materialising any page, so
-   skipping [resolve] is architecturally invisible: no cycles or events
-   differ.  The caller counts the hit, or takes [translate_miss], which
-   counts the miss; misses include every access that would fault,
-   single-step, or demand-page.  Indices are masked to [0, Tlb.size), so
-   the unsafe reads stay in bounds.  (One function returning the test
-   would make the compiler build a boolean and test it again.) *)
-let[@inline always] tlb_epochs (tlb : Tlb.t) map_epoch pkru_epoch =
-  if map_epoch <> tlb.Tlb.seen_map_epoch then begin
-    tlb.Tlb.seen_map_epoch <- map_epoch;
-    tlb.Tlb.flushes <- tlb.Tlb.flushes + 1
-  end;
-  if pkru_epoch <> tlb.Tlb.seen_pkru_epoch then begin
-    tlb.Tlb.seen_pkru_epoch <- pkru_epoch;
-    tlb.Tlb.flushes <- tlb.Tlb.flushes + 1
-  end
-
-let[@inline always] tlb_hit (cpu : Cpu.t) (tlb : Tlb.t) abit page_number i map_epoch pkru_epoch =
-  Array.unsafe_get tlb.Tlb.tags i = page_number
-  && Array.unsafe_get tlb.Tlb.map_epochs i = map_epoch
-  && Array.unsafe_get tlb.Tlb.pkru_epochs i = pkru_epoch
-  && Array.unsafe_get tlb.Tlb.pkrus i = (cpu.Cpu.pkru :> int)
-  && Array.unsafe_get tlb.Tlb.perms i land abit <> 0
+(* The TLB hit test, as MPK hardware makes it: entry [i] hits if the
+   TLB's entries were filled under the current mapping epoch, its tag
+   matches, its protection bits include [abit], and the live PKRU allows
+   its key (AD clear for a read, AD and WD clear for a write, as
+   [check_page]).  A hit proves the slow path would have succeeded
+   without delivering any fault or materialising any page, so skipping
+   [resolve] is architecturally invisible: no cycles or events differ.
+   The caller counts the hit, or takes [translate_miss], which counts the
+   miss; misses include every access that would fault or demand-page,
+   and the first under a new mapping epoch, whose fill flushes the rest.
+   Indices are masked to [0, Tlb.size), so the unsafe reads stay in
+   bounds.  (One function returning the test would make the compiler
+   build a boolean and test it again.) *)
+let[@inline always] tlb_hit t (cpu : Cpu.t) (tlb : Tlb.t) abit page_number i =
+  t.page_table.Vmm.Page_table.epoch = tlb.Tlb.seen_map_epoch
+  && Array.unsafe_get tlb.Tlb.tags i = page_number
+  &&
+  let e = Array.unsafe_get tlb.Tlb.perms i in
+  e land abit <> 0 && ((cpu.Cpu.pkru :> int) lsr (e lsr Tlb.key_shift)) land (abit lor 1) = 0
 
 (* The page bytes of an access, through the TLB when it is on. *)
 let translate t access abit addr =
@@ -261,11 +253,8 @@ let translate t access abit addr =
     let page_number = addr lsr Vmm.Layout.page_shift in
     let cpu = t.cpu in
     let tlb = cpu.Cpu.tlb in
-    let i = page_number land Tlb.index_mask in
-    let map_epoch = t.page_table.Vmm.Page_table.epoch in
-    let pkru_epoch = cpu.Cpu.pkru_epoch in
-    tlb_epochs tlb map_epoch pkru_epoch;
-    if tlb_hit cpu tlb abit page_number i map_epoch pkru_epoch then begin
+    let i = page_number land (Tlb.size - 1) in
+    if tlb_hit t cpu tlb abit page_number i then begin
       tlb.Tlb.hits <- tlb.Tlb.hits + 1;
       Array.unsafe_get tlb.Tlb.data i
     end
@@ -444,11 +433,8 @@ let[@inline always] fast_read t addr len =
     else begin
       let page_number = addr lsr Vmm.Layout.page_shift in
       let tlb = cpu.Cpu.tlb in
-      let i = page_number land Tlb.index_mask in
-      let map_epoch = t.page_table.Vmm.Page_table.epoch in
-      let pkru_epoch = cpu.Cpu.pkru_epoch in
-      tlb_epochs tlb map_epoch pkru_epoch;
-      if tlb_hit cpu tlb Tlb.read_bit page_number i map_epoch pkru_epoch then begin
+      let i = page_number land (Tlb.size - 1) in
+      if tlb_hit t cpu tlb Tlb.read_bit page_number i then begin
         tlb.Tlb.hits <- tlb.Tlb.hits + 1;
         let v = get_le (Array.unsafe_get tlb.Tlb.data i) (Vmm.Layout.page_offset addr) len in
         if cpu.Cpu.trap_flag then trap_after t v else v
@@ -468,11 +454,8 @@ let[@inline always] fast_write t addr len v =
     else begin
       let page_number = addr lsr Vmm.Layout.page_shift in
       let tlb = cpu.Cpu.tlb in
-      let i = page_number land Tlb.index_mask in
-      let map_epoch = t.page_table.Vmm.Page_table.epoch in
-      let pkru_epoch = cpu.Cpu.pkru_epoch in
-      tlb_epochs tlb map_epoch pkru_epoch;
-      if tlb_hit cpu tlb Tlb.write_bit page_number i map_epoch pkru_epoch then begin
+      let i = page_number land (Tlb.size - 1) in
+      if tlb_hit t cpu tlb Tlb.write_bit page_number i then begin
         tlb.Tlb.hits <- tlb.Tlb.hits + 1;
         set_le (Array.unsafe_get tlb.Tlb.data i) (Vmm.Layout.page_offset addr) len v;
         if cpu.Cpu.trap_flag then deliver_trap t

@@ -1,21 +1,18 @@
 (* A per-hart, direct-mapped software TLB over the simulated page table.
 
-   Each entry caches one resolved page's bytes together with a permission mask
-   precomputed from the page protection bits, the page's protection key
-   and the PKRU value at fill time, so the common-case access check is:
-   index, tag-compare, mask-test.  No Hashtbl probe, no region walk, no
-   PKRU decode.
+   Each entry caches what a hardware TLB entry holds: one resolved page's
+   bytes, its protection bits and its protection key.  The key is
+   checked against the hart's live PKRU on every access, as MPK hardware
+   does, so the common-case access check is: index, tag-compare,
+   prot-bit test, PKRU shift-and-mask.  No Hashtbl probe, no region walk,
+   and a WRPKRU (gate entry/exit, signal-handler swaps, direct
+   [cpu.pkru <- ...] stores) invalidates nothing.
 
-   Correctness rests on the invalidation protocol, not on eager flushes:
-   {ul
-   {- every entry records the page table's {e mapping epoch} at fill time;
-      [Page_table.reserve]/[map_now]/[mprotect]/[pkey_mprotect] bump that
-      epoch, so entries filled before any mapping change miss;}
-   {- every entry records the hart's {e PKRU epoch} ([Cpu.pkru_epoch],
-      bumped by every PKRU write through [Cpu.set_pkru]/[Cpu.wrpkru]) and,
-      belt-and-braces, the raw PKRU value the mask was computed under, so
-      entries survive neither a WRPKRU (gate entry/exit, signal-handler
-      swaps) nor a direct [cpu.pkru <- ...] assignment from test code.}}
+   Mapping changes are the one thing an entry cannot check for itself:
+   [Page_table.reserve]/[map_now]/[mprotect]/[pkey_mprotect] bump the
+   page table's {e mapping epoch}, and the TLB records the epoch its
+   entries were filled under.  A probe under another epoch misses, and
+   the fill that follows flushes every entry before installing its own.
 
    The hit probe itself lives in [Machine] (its only caller), inline on
    the access path; this module owns the entries, the fill and the stats.
@@ -26,11 +23,10 @@
 
 let bits = 8
 let size = 1 lsl bits
-let index_mask = size - 1
 
 let read_bit = 1
 let write_bit = 2
-let execute_bit = 4
+let key_shift = 2
 
 type stats = {
   hits : int;
@@ -41,12 +37,8 @@ type stats = {
 type t = {
   tags : int array; (* page number, -1 = invalid *)
   data : Bytes.t array; (* the resolved page's bytes *)
-  perms : int array; (* read/write/execute bits permitted for the entry *)
-  map_epochs : int array;
-  pkru_epochs : int array;
-  pkrus : int array; (* raw PKRU value the mask was computed under *)
+  perms : int array; (* read/write prot bits lor (2 * pkey) lsl key_shift *)
   mutable seen_map_epoch : int;
-  mutable seen_pkru_epoch : int;
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;
@@ -60,35 +52,30 @@ let create () =
     tags = Array.make size (-1);
     data = Array.make size Bytes.empty;
     perms = Array.make size 0;
-    map_epochs = Array.make size (-1);
-    pkru_epochs = Array.make size (-1);
-    pkrus = Array.make size (-1);
     seen_map_epoch = 0;
-    seen_pkru_epoch = 0;
     hits = 0;
     misses = 0;
     flushes = 0;
   }
 
-(* The mask mirrors [Machine.check_page] exactly: a read needs the page
-   readable and the key's AD bit clear; a write additionally needs the
-   prot write bit and WD clear; execute follows the read rule on the key
-   side (AD governs instruction fetch, as on real MPK hardware). *)
-let perm_mask (page : Vmm.Page.t) pkru =
-  let prot = page.Vmm.Page.prot in
-  let key_bits = Mpk.Pkru.access_bits pkru page.Vmm.Page.pkey in
-  (if prot.Vmm.Prot.read && key_bits land 1 <> 0 then read_bit else 0)
-  lor (if prot.Vmm.Prot.write && key_bits land 2 <> 0 then write_bit else 0)
-  lor (if prot.Vmm.Prot.execute && key_bits land 1 <> 0 then execute_bit else 0)
+let[@inline never] flush t map_epoch =
+  Array.fill t.tags 0 size (-1);
+  Array.fill t.data 0 size Bytes.empty;
+  t.seen_map_epoch <- map_epoch;
+  t.flushes <- t.flushes + 1
 
-let fill t ~map_epoch ~pkru_epoch ~pkru page_number (page : Vmm.Page.t) =
-  let i = page_number land index_mask in
+(* The entry's key field is the shift that brings the key's AD bit to
+   bit 0 of PKRU (WD follows at bit 1), so the probe needs no decode. *)
+let fill t ~map_epoch page_number (page : Vmm.Page.t) =
+  if map_epoch <> t.seen_map_epoch then flush t map_epoch;
+  let i = page_number land (size - 1) in
+  let prot = page.Vmm.Page.prot in
   t.tags.(i) <- page_number;
   t.data.(i) <- page.Vmm.Page.data;
-  t.perms.(i) <- perm_mask page pkru;
-  t.map_epochs.(i) <- map_epoch;
-  t.pkru_epochs.(i) <- pkru_epoch;
-  t.pkrus.(i) <- Mpk.Pkru.to_int pkru
+  t.perms.(i) <-
+    (if prot.Vmm.Prot.read then read_bit else 0)
+    lor (if prot.Vmm.Prot.write then write_bit else 0)
+    lor ((2 * Mpk.Pkey.to_int page.Vmm.Page.pkey) lsl key_shift)
 
 let stats t : stats = { hits = t.hits; misses = t.misses; flushes = t.flushes }
 

@@ -1,74 +1,73 @@
 (** A per-hart, direct-mapped software TLB for the simulated memory path.
 
-    Caches [page number -> (page bytes, permission mask)] so the common case of
-    {!Machine}'s checked accesses — same few pages, unchanged PKRU — skips
-    the page-table Hashtbl, the region walk and the PKRU decode entirely.
-    Modelled on QEMU's softmmu TLB; the invalidation discipline (precise
-    invalidation on every PKRU-affecting transition) follows Garmr's
-    argument for why cached PKU checks must be revalidated.
+    Caches what a hardware TLB entry holds, [page number -> (page bytes,
+    protection bits, protection key)], so the common case of {!Machine}'s
+    checked accesses skips the page-table lookup and the region walk.
+    Modelled on QEMU's softmmu TLB, with the key check of x86 MPK: the
+    probe checks the entry's key against the hart's {e live} PKRU on
+    every access, so a WRPKRU (a gate crossing, a signal-handler swap, a
+    profiler single step, a direct [cpu.pkru <- ...] store) invalidates
+    nothing.
 
-    Entries are validated against three things on every lookup:
-    {ul
-    {- the page table's {e mapping epoch} (bumped by reserve / map_now /
-       mprotect / pkey_mprotect — see {!Vmm.Page_table.epoch});}
-    {- the hart's {e PKRU epoch} (bumped by every write through
-       {!Cpu.set_pkru} / {!Cpu.wrpkru});}
-    {- the raw PKRU value the mask was computed under, which also catches
-       direct [cpu.pkru <- ...] stores that bypass the setter.}}
+    Mapping changes are caught by the page table's {e mapping epoch}
+    (bumped by reserve / map_now / mprotect / pkey_mprotect — see
+    {!Vmm.Page_table.epoch}): a probe under an epoch other than
+    {!field-seen_map_epoch} misses, and {!fill} then flushes every entry
+    before installing its own.
 
     The TLB is architecturally invisible: lookups and fills charge no
     cycles and emit no telemetry events, so cycle counts, fault sequences
     and event traces are bit-identical with the TLB on or off. *)
 
 val size : int
-(** Number of direct-mapped entries (256). *)
-
-val index_mask : int
-(** [size - 1]: a page number's entry index is [page_number land index_mask]. *)
+(** Number of direct-mapped entries (256): a page number's entry index
+    is [page_number land (size - 1)]. *)
 
 type t = {
   tags : int array;  (** page number per entry, [-1] = invalid *)
   data : Bytes.t array;  (** the resolved page's bytes; empty when invalid *)
-  perms : int array;  (** access bits the entry permits *)
-  map_epochs : int array;  (** page-table epoch at fill time *)
-  pkru_epochs : int array;  (** hart PKRU epoch at fill time *)
-  pkrus : int array;  (** raw PKRU value the mask was computed under *)
+  perms : int array;
+      (** the page's {!read_bit}/{!write_bit} protection bits, lor
+          [(2 * pkey) lsl key_shift]: the shift that brings the key's AD
+          bit to bit 0 of PKRU, with WD at bit 1 *)
   mutable seen_map_epoch : int;
-  mutable seen_pkru_epoch : int;
-      (** the last epochs a probe observed: the first probe under a new
-          epoch counts one flush generation *)
+      (** the mapping epoch every valid entry was filled under *)
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;
 }
 (** Concrete so that [Machine]'s hit probe reads entries by field
-    access, with no call.  Only [Machine] probes; it is the one place
-    that updates the [seen_*] epochs and the hit/miss/flush counts
-    outside {!flush}. *)
+    access, with no call.  Only [Machine] probes and counts hits and
+    misses; only {!fill} writes entries, the epoch and the flush count. *)
 
 val create : unit -> t
 (** An empty TLB (every entry invalid). *)
 
-(* {2 Access-kind bits}
+(* {2 Access-kind bits and the key field}
 
-   The permission mask ORs these; a lookup hits only when the entry's mask
-   includes the requested bit. *)
+   An access hits only when the entry's [perms] include its bit and the
+   live PKRU allows its key: [((pkru lsr (perms lsr key_shift)) land
+   (abit lor 1)) = 0], i.e. AD clear for a read, AD and WD clear for a
+   write, exactly the slow path's check. *)
 
 val read_bit : int
 val write_bit : int
+val key_shift : int
 
 (* {2 Filling} *)
 
-val fill : t -> map_epoch:int -> pkru_epoch:int -> pkru:Mpk.Pkru.t -> int -> Vmm.Page.t -> unit
-(** Installs the slow path's resolved page, precomputing the permission
-    mask from the page's protection, its key and [pkru]. *)
+val fill : t -> map_epoch:int -> int -> Vmm.Page.t -> unit
+(** Installs the slow path's resolved page under the page table's
+    current [map_epoch], first flushing every entry (one flush
+    generation) when that epoch is not {!field-seen_map_epoch}: a fault
+    handler run by the slow path may have changed a mapping. *)
 
 (* {2 Statistics} *)
 
 type stats = {
   hits : int;
   misses : int;
-  flushes : int; (** invalidation generations observed *)
+  flushes : int; (** mapping generations the entries were flushed for *)
 }
 
 val stats : t -> stats

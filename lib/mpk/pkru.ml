@@ -32,13 +32,6 @@ let can_read pkru key = pkru land ad_bit key = 0
 
 let can_write pkru key = pkru land (ad_bit key lor wd_bit key) = 0
 
-(* Both permissions decoded in one pass, for callers that precompute
-   access masks (the simulator's software TLB). *)
-let access_bits pkru key =
-  let ad = ad_bit key in
-  let wd = wd_bit key in
-  (if pkru land ad = 0 then 1 else 0) lor (if pkru land (ad lor wd) = 0 then 2 else 0)
-
 let all_disabled_except keys =
   let enabled key =
     Pkey.equal key Pkey.default || List.exists (Pkey.equal key) keys

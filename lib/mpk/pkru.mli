@@ -35,11 +35,6 @@ val can_read : t -> Pkey.t -> bool
 val can_write : t -> Pkey.t -> bool
 (** AD and WD both clear for the key. *)
 
-val access_bits : t -> Pkey.t -> int
-(** Both permissions decoded at once: bit 0 set iff {!can_read}, bit 1 set
-    iff {!can_write} — the shape cached-permission-mask consumers (the
-    simulator's software TLB) want. *)
-
 val of_int : int -> t
 (** Raw 32-bit constructor, for WRPKRU modelling.
     @raise Invalid_argument if out of unsigned 32-bit range. *)

@@ -49,4 +49,5 @@ val prometheus :
     [pkru_tlb_hits_total] / [pkru_tlb_misses_total] /
     [pkru_tlb_flushes_total] (zeroes included), from the sink counters
     ["tlb_hit"] / ["tlb_miss"] / ["tlb_flush"] that [Workloads.Runner]
-    injects after a timed run. *)
+    injects after a timed run; a flush is one whole-TLB flush for a
+    mapping change, never for a PKRU write. *)

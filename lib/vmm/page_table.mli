@@ -24,9 +24,9 @@ type t = private {
       (** The mapping epoch: a generation counter bumped by every
           successful [reserve], [map_now], [mprotect] and
           [pkey_mprotect].  Cached translations (the simulator's
-          software TLB) record the epoch at fill time and revalidate
-          against it on every lookup, so mapping or protection changes
-          invalidate them without any eager flush. *)
+          software TLB) record the epoch they were filled under and
+          compare it on every lookup; the first fill under a new epoch
+          flushes them all. *)
 }
 (** Private so that the simulator's TLB probe reads {!field-epoch} by
     field access; only this module writes it. *)

@@ -60,9 +60,10 @@ val profile_bench : ?engine_tier:Engine.tier -> Bench_def.bench -> Runtime.Profi
 val run_traced : Telemetry.Sink.t -> Browser.t -> (unit -> unit) -> unit
 (** [run_traced sink browser exec] runs [exec] with [sink] attached to the
     browser's machine, then injects the post-run counters: the machine's
-    TLB hit/miss/flush deltas over the run as ["tlb_hit"]/["tlb_miss"]/
-    ["tlb_flush"] (never emitted from the access path, so traces stay
-    bit-identical TLB on or off), and the selector cache counters as
+    TLB hit and miss deltas over the run, and the flush generations its
+    TLBs counted for mapping changes (a PKRU write flushes nothing), as
+    ["tlb_hit"]/["tlb_miss"]/["tlb_flush"] (never emitted from the access
+    path, so traces stay bit-identical TLB on or off), and the selector cache counters as
     ["engine_selector_hit"]/["engine_selector_miss"].  Selector counters
     are injected as totals, so reset them before the run. *)
 
