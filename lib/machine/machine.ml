@@ -227,34 +227,25 @@ let[@inline always] refill t (tlb : Tlb.t) access addr page_number =
 let[@inline never] translate_miss t tlb access addr page_number =
   refill t tlb access addr page_number
 
-(* The TLB hit test, as MPK hardware makes it: entry [i] hits if the
-   TLB's entries were filled under the current mapping epoch, its tag
-   matches, its protection bits include [abit], and the live PKRU allows
-   its key (AD clear for a read, AD and WD clear for a write, as
-   [check_page]).  A hit proves the slow path would have succeeded
-   without delivering any fault or materialising any page, so skipping
-   [resolve] is architecturally invisible: no cycles or events differ.
-   The caller counts the hit, or takes [translate_miss], which counts the
-   miss; misses include every access that would fault or demand-page,
-   and the first under a new mapping epoch, whose fill flushes the rest.
-   Indices are masked to [0, Tlb.size), so the unsafe reads stay in
-   bounds.  (One function returning the test would make the compiler
-   build a boolean and test it again.) *)
-let[@inline always] tlb_hit t (cpu : Cpu.t) (tlb : Tlb.t) abit page_number i =
-  t.page_table.Vmm.Page_table.epoch = tlb.Tlb.seen_map_epoch
-  && Array.unsafe_get tlb.Tlb.tags i = page_number
-  &&
-  let e = Array.unsafe_get tlb.Tlb.perms i in
-  e land abit <> 0 && ((cpu.Cpu.pkru :> int) lsr (e lsr Tlb.key_shift)) land (abit lor 1) = 0
+(* A TLB hit ([Tlb.hit]: the entry's page and mapping epoch match, and
+   its protection bits and key allow the access under the live PKRU)
+   proves the slow path would have succeeded without delivering any
+   fault or materialising any page, so skipping [resolve] is
+   architecturally invisible: no cycles or events differ.  The caller
+   counts the hit, or takes [translate_miss], which counts the miss;
+   misses include every access that would fault or demand-page, and the
+   first under a new mapping epoch, whose fill flushes the rest.
 
-(* The page bytes of an access, through the TLB when it is on. *)
+   [translate]: the page bytes of an access, through the TLB when it is
+   on. *)
 let translate t access abit addr =
   if t.tlb_enabled then begin
     let page_number = addr lsr Vmm.Layout.page_shift in
     let cpu = t.cpu in
     let tlb = cpu.Cpu.tlb in
     let i = page_number land (Tlb.size - 1) in
-    if tlb_hit t cpu tlb abit page_number i then begin
+    if Tlb.hit tlb ~map_epoch:t.page_table.Vmm.Page_table.epoch ~pkru:cpu.Cpu.pkru abit page_number i
+    then begin
       tlb.Tlb.hits <- tlb.Tlb.hits + 1;
       Array.unsafe_get tlb.Tlb.data i
     end
@@ -434,7 +425,10 @@ let[@inline always] fast_read t addr len =
       let page_number = addr lsr Vmm.Layout.page_shift in
       let tlb = cpu.Cpu.tlb in
       let i = page_number land (Tlb.size - 1) in
-      if tlb_hit t cpu tlb Tlb.read_bit page_number i then begin
+      if
+        Tlb.hit tlb ~map_epoch:t.page_table.Vmm.Page_table.epoch ~pkru:cpu.Cpu.pkru Tlb.read_bit
+          page_number i
+      then begin
         tlb.Tlb.hits <- tlb.Tlb.hits + 1;
         let v = get_le (Array.unsafe_get tlb.Tlb.data i) (Vmm.Layout.page_offset addr) len in
         if cpu.Cpu.trap_flag then trap_after t v else v
@@ -455,7 +449,10 @@ let[@inline always] fast_write t addr len v =
       let page_number = addr lsr Vmm.Layout.page_shift in
       let tlb = cpu.Cpu.tlb in
       let i = page_number land (Tlb.size - 1) in
-      if tlb_hit t cpu tlb Tlb.write_bit page_number i then begin
+      if
+        Tlb.hit tlb ~map_epoch:t.page_table.Vmm.Page_table.epoch ~pkru:cpu.Cpu.pkru Tlb.write_bit
+          page_number i
+      then begin
         tlb.Tlb.hits <- tlb.Tlb.hits + 1;
         set_le (Array.unsafe_get tlb.Tlb.data i) (Vmm.Layout.page_offset addr) len v;
         if cpu.Cpu.trap_flag then deliver_trap t

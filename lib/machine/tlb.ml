@@ -14,8 +14,9 @@
    entries were filled under.  A probe under another epoch misses, and
    the fill that follows flushes every entry before installing its own.
 
-   The hit probe itself lives in [Machine] (its only caller), inline on
-   the access path; this module owns the entries, the fill and the stats.
+   This module owns the entry format: the hit test ([hit], inlined into
+   [Machine]'s access paths, which count hits and misses), the fill and
+   the stats.
 
    The TLB is architecturally invisible: it charges no cycles and emits
    no events, so simulated cycle counts and telemetry traces are
@@ -76,6 +77,17 @@ let fill t ~map_epoch page_number (page : Vmm.Page.t) =
     (if prot.Vmm.Prot.read then read_bit else 0)
     lor (if prot.Vmm.Prot.write then write_bit else 0)
     lor ((2 * Mpk.Pkey.to_int page.Vmm.Page.pkey) lsl key_shift)
+
+(* [(pkru lsr (e lsr key_shift)) land 1] is the key's AD bit, [land 3]
+   its AD and WD bits: a read needs AD clear, a write both, exactly the
+   slow path's check.  [i] is masked to [0, size), so the unsafe reads
+   stay in bounds. *)
+let[@inline always] hit t ~map_epoch ~(pkru : Mpk.Pkru.t) abit page_number i =
+  map_epoch = t.seen_map_epoch
+  && Array.unsafe_get t.tags i = page_number
+  &&
+  let e = Array.unsafe_get t.perms i in
+  e land abit <> 0 && ((pkru :> int) lsr (e lsr key_shift)) land (abit lor 1) = 0
 
 let stats t : stats = { hits = t.hits; misses = t.misses; flushes = t.flushes }
 

@@ -27,32 +27,34 @@ type t = {
   tags : int array;  (** page number per entry, [-1] = invalid *)
   data : Bytes.t array;  (** the resolved page's bytes; empty when invalid *)
   perms : int array;
-      (** the page's {!read_bit}/{!write_bit} protection bits, lor
-          [(2 * pkey) lsl key_shift]: the shift that brings the key's AD
-          bit to bit 0 of PKRU, with WD at bit 1 *)
+      (** the page's {!read_bit}/{!write_bit} protection bits and its
+          key, packed for {!hit} *)
   mutable seen_map_epoch : int;
       (** the mapping epoch every valid entry was filled under *)
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;
 }
-(** Concrete so that [Machine]'s hit probe reads entries by field
-    access, with no call.  Only [Machine] probes and counts hits and
-    misses; only {!fill} writes entries, the epoch and the flush count. *)
+(** Concrete so that [Machine]'s access paths read a hit's bytes and
+    count hits and misses by field access, with no call.  Only {!fill}
+    writes entries, the epoch and the flush count. *)
 
 val create : unit -> t
 (** An empty TLB (every entry invalid). *)
 
-(* {2 Access-kind bits and the key field}
-
-   An access hits only when the entry's [perms] include its bit and the
-   live PKRU allows its key: [((pkru lsr (perms lsr key_shift)) land
-   (abit lor 1)) = 0], i.e. AD clear for a read, AD and WD clear for a
-   write, exactly the slow path's check. *)
+(* {2 Probing} *)
 
 val read_bit : int
 val write_bit : int
-val key_shift : int
+
+val hit : t -> map_epoch:int -> pkru:Mpk.Pkru.t -> int -> int -> int -> bool
+(** [hit t ~map_epoch ~pkru abit page_number i], with [abit] {!read_bit}
+    or {!write_bit} and [i = page_number land (size - 1)]: entry [i]
+    holds [page_number], was filled under the page table's current
+    [map_epoch], its protection bits include [abit], and [pkru] allows
+    its key (AD clear for a read, AD and WD clear for a write).  Inlined
+    into [Machine]'s access paths; the caller counts the hit or the
+    miss. *)
 
 (* {2 Filling} *)
 

@@ -63,8 +63,8 @@ val run_traced : Telemetry.Sink.t -> Browser.t -> (unit -> unit) -> unit
     TLB hit and miss deltas over the run, and the flush generations its
     TLBs counted for mapping changes (a PKRU write flushes nothing), as
     ["tlb_hit"]/["tlb_miss"]/["tlb_flush"] (never emitted from the access
-    path, so traces stay bit-identical TLB on or off), and the selector cache counters as
-    ["engine_selector_hit"]/["engine_selector_miss"].  Selector counters
+    path, so traces stay bit-identical TLB on or off), and the selector
+    cache counters as ["engine_selector_hit"]/["engine_selector_miss"].  Selector counters
     are injected as totals, so reset them before the run. *)
 
 val run_config :
