@@ -27,11 +27,6 @@ let bar ?(scale = 40.0) v =
   let n = int_of_float (Float.min (v *. scale /. 2.0) 60.0) in
   String.make (max n 1) '#'
 
-let env_exn ?profile mode =
-  match Pkru_safe.Env.create ?profile (Pkru_safe.Config.make mode) with
-  | Ok env -> env
-  | Error msg -> failwith msg
-
 (* --- §5.2 Micro-benchmarks --- *)
 
 let run_micro () =
@@ -353,15 +348,11 @@ let run_tlb () =
 let run_security () =
   header "Security (paper 5.4 / E3): CVE-2019-11707-style arbitrary write";
   let outcomes =
-    List.filter_map
+    List.map
       (fun mode ->
-        match Exploit.run mode with
-        | Ok outcome ->
-          Format.printf "%a@." Exploit.pp_outcome outcome;
-          Some outcome
-        | Error msg ->
-          Printf.printf "error: %s\n" msg;
-          None)
+        let outcome = Exploit.run mode in
+        Format.printf "%a@." Exploit.pp_outcome outcome;
+        outcome)
       [ Pkru_safe.Config.Base; Pkru_safe.Config.Mpk ]
   in
   print_endline
@@ -390,10 +381,11 @@ let run_sites () =
       (Workloads.Dom_scripts.dom_attr ~iters:60)
   in
   let profile = Workloads.Runner.profile_bench bench in
-  let env = env_exn ~profile Pkru_safe.Config.Mpk in
-  let browser = Browser.create env in
-  Browser.load_page browser bench.Workloads.Bench_def.page;
+  let browser =
+    Workloads.Runner.load ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) bench
+  in
   ignore (Browser.exec_script browser bench.Workloads.Bench_def.script);
+  let env = Browser.env browser in
   let used = Pkru_safe.Env.sites_used env in
   let moved = Pkru_safe.Env.sites_moved env in
   Printf.printf "browser substrate: %d of %d exercised sites moved to MU (%.2f%%)\n" moved used
@@ -430,7 +422,9 @@ let run_ablations () =
        coverage);
   header "Ablation: engine execution tier (AST walker vs bytecode VM)";
   (let cycles tier =
-     let env = env_exn Pkru_safe.Config.Base in
+     let env =
+       Result.get_ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base))
+     in
      let engine = Engine.create ~seed:7 env in
      ignore (Engine.eval_string ~tier engine (Workloads.Kernels.fft ~n:256));
      Pkru_safe.Env.cycles env
@@ -442,24 +436,7 @@ let run_ablations () =
      (Util.Stats.percent_overhead ~baseline:(float_of_int ast) ~measured:(float_of_int bc));
    print_endline "(both tiers are observationally identical; see the differential tests)");
   header "Ablation: static analysis vs dynamic profiling (paper 6)";
-  (let source =
-     (* The smallest mixed-language module with one shared allocation:
-        trusted main allocates a buffer, untrusted u_write stores 1337
-        into it, and main returns what it reads back. *)
-     let m = Ir.Module_ir.create () in
-     let u = Ir.Builder.create ~name:"u_write" ~crate:"clib" ~nparams:1 () in
-     Ir.Builder.store u ~src:(Ir.Instr.Imm 1337) ~addr:(Ir.Instr.Reg 0) ();
-     Ir.Builder.ret u None;
-     Ir.Module_ir.add_func m (Ir.Builder.finish u);
-     Ir.Module_ir.mark_untrusted m "clib";
-     let f = Ir.Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
-     let shared = Ir.Builder.alloc f (Ir.Instr.Imm 64) in
-     ignore (Ir.Builder.call f "u_write" [ Ir.Instr.Reg shared ]);
-     let v = Ir.Builder.load f (Ir.Instr.Reg shared) in
-     Ir.Builder.ret f (Some (Ir.Instr.Reg v));
-     Ir.Module_ir.add_func m (Ir.Builder.finish f);
-     m
-   in
+  (let source = Toolchain.Pipeline.e1_source () in
    let ok = function Ok r -> r | Error msg -> failwith msg in
    let dynamic =
      ok
@@ -499,7 +476,9 @@ let run_mitigation () =
   header "Mitigation: fault-recovery policy overhead (full profile, no faults)";
   let profile = Workloads.Runner.profile_bench mitigation_bench in
   let cycles ?mitigation () =
-    (Workloads.Runner.run_config ?mitigation ~mode:Pkru_safe.Config.Mpk ~profile mitigation_bench)
+    (Workloads.Runner.run_config ~profile
+       (Pkru_safe.Config.make ?mitigation Pkru_safe.Config.Mpk)
+       mitigation_bench)
       .Workloads.Runner.cycles
   in
   let baseline = cycles () in
@@ -582,8 +561,9 @@ let census_bench =
 let traced_bench (bench : Workloads.Bench_def.bench) =
   let profile = Workloads.Runner.profile_bench bench in
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
-      ~profile bench
+    Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~profile
+      (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
+      bench
   in
   ( bench.Workloads.Bench_def.name,
     match m.Workloads.Runner.trace with
@@ -610,20 +590,14 @@ let traced_bench (bench : Workloads.Bench_def.bench) =
 let run_census () =
   header "Heap census + provenance audit (dom-attr, mpk)";
   let profile = Workloads.Runner.profile_bench census_bench in
-  let plain = Workloads.Runner.run_config ~mode:Pkru_safe.Config.Mpk ~profile census_bench in
+  let mpk = Pkru_safe.Config.make Pkru_safe.Config.Mpk in
+  let plain = Workloads.Runner.run_config ~profile mpk census_bench in
   let censused =
-    Workloads.Runner.run_config ~census_every:census_every_default ~mode:Pkru_safe.Config.Mpk
-      ~profile census_bench
+    Workloads.Runner.run_config ~census_every:census_every_default ~profile mpk census_bench
   in
-  let audit_report =
-    let env = env_exn ~profile Pkru_safe.Config.Mpk in
-    Pkru_safe.Env.track_census env;
-    let browser = Browser.create ~engine_seed:census_bench.Workloads.Bench_def.engine_seed env in
-    Browser.load_page browser census_bench.Workloads.Bench_def.page;
-    ignore (Browser.exec_script browser census_bench.Workloads.Bench_def.script);
-    Audit.scan
-      ~metadata:(Option.get (Pkru_safe.Env.census_metadata env))
-      (Pkru_safe.Env.pkalloc env)
+  let _, _, _, audit_report =
+    Workloads.Runner.audit ~recorder:None ~quarantine:[] ~census_every:census_every_default
+      ~profile mpk census_bench
   in
   if plain.Workloads.Runner.cycles <> censused.Workloads.Runner.cycles then
     failwith
@@ -709,14 +683,13 @@ let dispatch_suites =
 let run_dispatch_suite (label, (suite : Workloads.Bench_def.suite)) =
   let profile = Runtime.Profile.create () in
   (* Cycles/transitions are the post-setup deltas of the script run,
-     exactly as [Runner.run_config] measures them. *)
+     measured by the runner's own timed phase. *)
   let run tier (bench : Workloads.Bench_def.bench) =
-    let env = env_exn ~profile Pkru_safe.Config.Base in
-    let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
-    Browser.load_page browser bench.Workloads.Bench_def.page;
-    Pkru_safe.Env.reset_counters env;
-    Engine.reset_stats (Browser.engine browser);
-    ignore (Browser.exec_script ~tier browser bench.Workloads.Bench_def.script);
+    let browser =
+      Workloads.Runner.load ~profile (Pkru_safe.Config.make Pkru_safe.Config.Base) bench
+    in
+    Workloads.Runner.run_scripts ~engine_tier:tier browser [ bench.Workloads.Bench_def.script ];
+    let env = Browser.env browser in
     ( Pkru_safe.Env.cycles env,
       Pkru_safe.Env.transitions env,
       Browser.console browser,
@@ -854,7 +827,8 @@ let fleet_trace_json sink =
 let fleet_identity () =
   let profile = Runtime.Profile.create () in
   let runner =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Base ~profile
+    Workloads.Runner.run_config ~telemetry:true ~profile
+      (Pkru_safe.Config.make Pkru_safe.Config.Base)
       fleet_ident_bench
   in
   let fleet =

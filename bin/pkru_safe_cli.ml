@@ -111,27 +111,10 @@ let with_env_recorder env recorder f =
 
 (* --- pipeline (E1) --- *)
 
-let e1_source () =
-  let open Ir in
-  let m = Module_ir.create () in
-  let u = Builder.create ~name:"untrusted_write" ~crate:"clib" ~nparams:1 () in
-  Builder.store u ~src:(Instr.Imm 1337) ~addr:(Instr.Reg 0) ();
-  Builder.ret u None;
-  Module_ir.add_func m (Builder.finish u);
-  Module_ir.mark_untrusted m "clib";
-  let f = Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
-  let shared = Builder.alloc f (Instr.Imm 64) in
-  Builder.store f ~src:(Instr.Imm 0) ~addr:(Instr.Reg shared) ();
-  ignore (Builder.call f "untrusted_write" [ Instr.Reg shared ]);
-  let v = Builder.load f (Instr.Reg shared) in
-  Builder.ret f (Some (Instr.Reg v));
-  Module_ir.add_func m (Builder.finish f);
-  m
-
 let run_pipeline () =
   print_endline "E1: three-step pipeline on the minimal mixed-language program";
   print_endline "  (trusted main allocates a value; untrusted clib writes 1337 into it)\n";
-  let source = e1_source () in
+  let source = Toolchain.Pipeline.e1_source () in
   print_endline "[1/3] enforcement build with an empty profile:";
   let deny =
     fail_on_error
@@ -171,26 +154,16 @@ print("innerHTML = " + domGetInnerHTML(app));
 print("children = " + domChildCount(app));|}
 
 let browse mode page script mitigation flight =
-  let profile =
-    match mode with
-    | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
-      (* Profile the same workload first, as the pipeline prescribes. *)
-      let env =
-        fail_on_error (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Profiling))
-      in
-      let b = Browser.create env in
-      Browser.load_page b page;
-      ignore (Browser.exec_script b script);
-      Pkru_safe.Env.recorded_profile env
-    | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
+  let bench = Workloads.Bench_def.bench ~page "browse" script in
+  let browser =
+    Workloads.Runner.load
+      ~profile:(Workloads.Runner.profile_for mode bench)
+      (Pkru_safe.Config.make ?mitigation mode)
+      bench
   in
-  let env =
-    fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
-  in
-  let browser = Browser.create env in
+  let env = Browser.env browser in
   with_flight flight (fun recorder ->
       with_env_recorder env recorder (fun () ->
-          Browser.load_page browser page;
           match Browser.exec_script browser script with
           | _ -> ()
           | exception Vmm.Fault.Unhandled fault ->
@@ -234,9 +207,7 @@ let run_exploit () =
   print_endline "E3: CVE-2019-11707-style arbitrary write against the browser secret\n";
   List.iter
     (fun mode ->
-      match Exploit.run mode with
-      | Ok outcome -> Format.printf "%a@." Exploit.pp_outcome outcome
-      | Error msg -> Printf.printf "error: %s\n" msg)
+      Format.printf "%a@." Exploit.pp_outcome (Exploit.run mode))
     [ Pkru_safe.Config.Base; Pkru_safe.Config.Mpk ];
   `Ok ()
 
@@ -327,21 +298,15 @@ let run_suite name telemetry =
 
 (* --- trace: one benchmark under telemetry, exported as a trace file --- *)
 
-(* Replays the methodology for a single benchmark: enforcement modes get a
-   profile collected from the same workload first. *)
-let profile_for ~mode (bench : Workloads.Bench_def.bench) =
-  match mode with
-  | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk -> Workloads.Runner.profile_bench bench
-  | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
-
 let run_trace bench_name mode format output flight =
   match Workloads.Registry.bench_of_name bench_name with
   | Error msg -> `Error (false, msg)
   | Ok bench ->
-    let profile = profile_for ~mode bench in
+    let profile = Workloads.Runner.profile_for mode bench in
     let m =
       with_flight flight (fun recorder ->
-          Workloads.Runner.run_config ~telemetry:true ?recorder ~mode ~profile bench)
+          Workloads.Runner.run_config ~telemetry:true ?recorder ~profile
+            (Pkru_safe.Config.make mode) bench)
     in
     let sink =
       match m.Workloads.Runner.trace with
@@ -375,11 +340,11 @@ let run_report bench_name mode sample_every format output mitigation flight =
     match Workloads.Registry.bench_of_name bench_name with
     | Error msg -> `Error (false, msg)
     | Ok bench ->
-      let profile = profile_for ~mode bench in
+      let profile = Workloads.Runner.profile_for mode bench in
       let m =
         with_flight flight (fun recorder ->
-            Workloads.Runner.run_config ~telemetry:true ~sample_every ?mitigation ?recorder ~mode
-              ~profile bench)
+            Workloads.Runner.run_config ~telemetry:true ~sample_every ?recorder ~profile
+              (Pkru_safe.Config.make ?mitigation mode) bench)
       in
       let sink = Option.get m.Workloads.Runner.trace in
       let sampler = Option.get m.Workloads.Runner.samples in
@@ -720,33 +685,14 @@ let run_audit bench_name mode census_every promote format output mitigation flig
     match Workloads.Registry.bench_of_name bench_name with
     | Error msg -> `Error (false, msg)
     | Ok bench ->
-      let profile = profile_for ~mode bench in
-      (* Hand-rolled run (not Runner.run_config): the auditor scans the
-         env's pages after the workload, so the env must stay in hand —
-         and a promotion re-run needs the quarantine table carried onto a
-         fresh image. *)
-      let run_once ~flight ~quarantine =
-        let env =
-          fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
-        in
-        let pkalloc = Pkru_safe.Env.pkalloc env in
-        List.iter (Allocators.Pkalloc.quarantine_site pkalloc) quarantine;
-        Pkru_safe.Env.track_census env;
-        let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
-        let census = Telemetry.Census.create ~every:census_every () in
-        let sink = Telemetry.Sink.create () in
-        let ctx = Pkru_safe.Env.ctx env in
-        with_flight flight (fun recorder ->
-            with_env_recorder env recorder (fun () ->
-                Telemetry.Ctx.with_sink ctx sink (fun () ->
-                    Telemetry.Ctx.with_census ctx ~provider:(Pkru_safe.Env.census_snapshot env)
-                      census (fun () ->
-                        Browser.load_page browser bench.Workloads.Bench_def.page;
-                        ignore (Browser.exec_script browser bench.Workloads.Bench_def.script)))));
-        let metadata = Option.get (Pkru_safe.Env.census_metadata env) in
-        (env, sink, census, Audit.scan ~metadata pkalloc)
+      let profile = Workloads.Runner.profile_for mode bench in
+      let run_once ~recorder ~quarantine =
+        Workloads.Runner.audit ~recorder ~quarantine ~census_every ~profile
+          (Pkru_safe.Config.make ?mitigation mode) bench
       in
-      let env, sink, census, report = run_once ~flight ~quarantine:[] in
+      let env, sink, census, report =
+        with_flight flight (fun recorder -> run_once ~recorder ~quarantine:[])
+      in
       let attribution =
         Telemetry.Attribution.of_sink ~total_cycles:(Pkru_safe.Env.cycles env) sink
       in
@@ -758,7 +704,7 @@ let run_audit bench_name mode census_every promote format output mitigation flig
              quarantine carried over must come back leak-free — promoted
              sites now allocate from MU. *)
           let _, _, _, report2 =
-            run_once ~flight:None ~quarantine:(Allocators.Pkalloc.quarantined_sites pkalloc)
+            run_once ~recorder:None ~quarantine:(Allocators.Pkalloc.quarantined_sites pkalloc)
           in
           (promoted, Some report2)
         end
@@ -860,9 +806,7 @@ let run_fleet bench_name sessions cpus timeslice max_live page_budget mode forma
     match Workloads.Registry.bench_of_name bench_name with
     | Error msg -> `Error (false, msg)
     | Ok bench ->
-      (* Enforcement modes need a profile; collect it from the same
-         workload first, exactly as `browse` does. *)
-      let profile = profile_for ~mode bench in
+      let profile = Workloads.Runner.profile_for mode bench in
       let r =
         Fleet.run ~mode ~profile ~cpus ~timeslice ~max_live ?page_budget ~sessions
           [ Fleet.job_of_bench bench ]

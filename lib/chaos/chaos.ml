@@ -39,10 +39,6 @@ type report = {
   flight_dumps : Util.Json.t list; (* post-mortems recorded during the scenario *)
 }
 
-let ok_exn = function
-  | Ok v -> v
-  | Error msg -> failwith ("Chaos: " ^ msg)
-
 (* Every invariant-failure message carries the harness seed, so a failing
    CI log alone is enough to reproduce the run (chaos --scenario ...
    --seed N). *)
@@ -51,16 +47,16 @@ let tag_seed ~seed msg = Printf.sprintf "%s [seed %d]" msg seed
 (* The injected workload: the gate-bound DOM benchmark — its binding calls
    cross the boundary in a tight loop, so a single dropped profile entry
    is exercised early and often. *)
-let workload =
-  Workloads.Bench_def.bench
-    ~page:(Workloads.Dom_scripts.page ~rows:8)
-    "gate-bound"
-    (Workloads.Dom_scripts.dom_attr ~iters:120)
+let workload = Workloads.Dom_scripts.gate_bound
 
-let make_env ~profile ~policy =
-  ok_exn
-    (Pkru_safe.Env.create ~profile
-       (Pkru_safe.Config.make ~mitigation:policy Pkru_safe.Config.Mpk))
+(* The enforcement build under [policy], its page loaded. *)
+let load ~profile ~policy =
+  let browser =
+    Workloads.Runner.load ~profile
+      (Pkru_safe.Config.make ~mitigation:policy Pkru_safe.Config.Mpk)
+      workload
+  in
+  (browser, Browser.env browser)
 
 (* Drives one workload execution and classifies how it ended.  Graceful
    ends (completion, Degraded, OOM) propagate through the gates'
@@ -272,9 +268,7 @@ let coverage_gap ~drop ~policy ~seed =
   let rng = Util.Rng.create seed in
   let profile = drop_sites full ~drop ~rng in
   let dropped = Runtime.Profile.cardinal full - Runtime.Profile.cardinal profile in
-  let env = make_env ~profile ~policy in
-  let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
-  Browser.load_page browser workload.Workloads.Bench_def.page;
+  let browser, env = load ~profile ~policy in
   let sink = Telemetry.Sink.create () in
   let recorder = flight_for env sink in
   let ending =
@@ -309,9 +303,7 @@ let coverage_gap ~drop ~policy ~seed =
 
 let pkalloc_oom ~oom_at ~policy ~seed =
   let profile = Workloads.Runner.profile_bench workload in
-  let env = make_env ~profile ~policy in
-  let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
-  Browser.load_page browser workload.Workloads.Bench_def.page;
+  let browser, env = load ~profile ~policy in
   let rng = Util.Rng.create seed in
   let pool = if Util.Rng.bool rng then `Trusted else `Untrusted in
   let pkalloc = Pkru_safe.Env.pkalloc env in
@@ -361,9 +353,7 @@ let pkalloc_oom ~oom_at ~policy ~seed =
 
 let gate_corruption ~policy ~seed =
   let profile = Workloads.Runner.profile_bench workload in
-  let env = make_env ~profile ~policy in
-  let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
-  Browser.load_page browser workload.Workloads.Bench_def.page;
+  let browser, env = load ~profile ~policy in
   let rng = Util.Rng.create seed in
   let variant, corrupt =
     if Util.Rng.bool rng then
@@ -410,9 +400,7 @@ let handler_tamper ~drop ~policy ~seed =
   let full = Workloads.Runner.profile_bench workload in
   let rng = Util.Rng.create seed in
   let profile = drop_sites full ~drop ~rng in
-  let env = make_env ~profile ~policy in
-  let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
-  Browser.load_page browser workload.Workloads.Bench_def.page;
+  let browser, env = load ~profile ~policy in
   let signals = (Pkru_safe.Env.machine env).Sim.Machine.signals in
   let action, expect_fail_closed =
     match Util.Rng.int rng 3 with

@@ -22,9 +22,9 @@ type t = {
   defenses : defenses;
 }
 
-let make ?(mu_backend = Allocators.Pkalloc.Mu_dlmalloc) ?(cost = Sim.Cost.default) ?(tlb = true)
-    ?mitigation ?(defenses = no_defenses) mode =
-  { mode; mu_backend; cost; tlb; mitigation; defenses }
+let make ?(mu_backend = Allocators.Pkalloc.Mu_dlmalloc) ?(cost = Sim.Cost.default) ?mitigation
+    ?(defenses = no_defenses) mode =
+  { mode; mu_backend; cost; tlb = true; mitigation; defenses }
 
 let mode_to_string = function
   | Base -> "base"

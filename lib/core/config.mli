@@ -48,7 +48,8 @@ type t = {
   mu_backend : Allocators.Pkalloc.mu_backend;
   cost : Sim.Cost.t;
   tlb : bool;
-      (** enable the machine's software TLB (default).  Architecturally
+      (** enable the machine's software TLB ({!make} turns it on; a
+          TLB-off run is the record with [tlb = false]).  Architecturally
           invisible either way — only host wall-clock differs. *)
   mitigation : Runtime.Mitigator.policy option;
       (** fault-recovery policy for the enforcement build; [None] (the
@@ -61,7 +62,6 @@ type t = {
 val make :
   ?mu_backend:Allocators.Pkalloc.mu_backend ->
   ?cost:Sim.Cost.t ->
-  ?tlb:bool ->
   ?mitigation:Runtime.Mitigator.policy ->
   ?defenses:defenses ->
   mode ->

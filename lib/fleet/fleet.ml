@@ -15,8 +15,10 @@
      machine cycles and the session's page-budget events since the last
      yield point, and with [gate_reverify] armed re-checks the session's
      live PKRU there.  It charges no simulated cycles and emits nothing,
-     so a fleet run of one session is bit-identical to the plain
-     [Runner] path (asserted by test and bench).  A job keeps only the
+     and the session itself runs through [Workloads.Runner] ([load],
+     then [run_scripts]), so a fleet run of one session is bit-identical
+     to [Runner.run_config] by construction (still asserted by test and
+     bench).  A job keeps only the
      session's outcome, cycles, transitions, output checksum and slices;
      the world is garbage once the job returns, so host memory is
      bounded by the domain count.
@@ -197,14 +199,13 @@ let yield_point pg ~reverify env =
     | () -> ()
     | exception Sim.Signals.Process_killed msg -> raise (Killed (finish pg (Failed msg)))
 
-(* Runs one session to completion.  Mirrors the [Runner.run_config]
-   measurement protocol exactly: environment/browser construction and
-   page load are setup, counters reset, then the scripts are the timed
-   run.  In [telemetry] mode (single-session only) the script phase runs
-   under a sink and the same post-run counter injections as the runner,
-   so the event trace is comparable bit-for-bit.  [refuse] lists the
-   budget takes the session's recorder refuses. *)
-let run_session ~mode ~profile ~page_budget ~tier ~timeslice ~telemetry ~defenses ~refuse job =
+(* Runs one session to completion through [Workloads.Runner]: [load]
+   builds the world on the session's budget recorder, then the scripts
+   are [run_scripts]' timed run (traced in [telemetry] mode, which is
+   single-session only).  The session adds the yield hook (the page load
+   ticks no evaluator) and the outcome classification.  [refuse] lists
+   the budget takes the session's recorder refuses. *)
+let run_session ~config ~profile ~page_budget ~tier ~timeslice ~telemetry ~refuse job =
   let backing =
     if page_budget then Some (Allocators.Backing.recorder ~refuse) else None
   in
@@ -219,27 +220,22 @@ let run_session ~mode ~profile ~page_budget ~tier ~timeslice ~telemetry ~defense
       pg_slices = [];
     }
   in
+  (* [load] reads the page and the engine seed; the job's scripts are
+     the timed run. *)
+  let bench = Workloads.Bench_def.bench ~page:job.job_page job.job_name "" in
   match
-    let env =
-      match Pkru_safe.Env.create ~profile ?backing (Pkru_safe.Config.make ~defenses mode) with
-      | Ok env -> env
-      | Error msg -> failwith ("Fleet: Env.create: " ^ msg)
+    let browser =
+      Workloads.Runner.load ?backing
+        ~arm:(fun env -> pg.pg_env <- Some env)
+        ~profile config
+        { bench with engine_seed = job.job_seed }
     in
-    pg.pg_env <- Some env;
-    let browser = Browser.create ~engine_seed:job.job_seed env in
     pg.pg_browser <- Some browser;
-    let reverify = defenses.Pkru_safe.Config.gate_reverify in
+    let env = Browser.env browser in
+    let reverify = config.Pkru_safe.Config.defenses.Pkru_safe.Config.gate_reverify in
     Engine.Eval.set_yield (Engine.evaluator (Browser.engine browser)) ~timeslice (fun () ->
         yield_point pg ~reverify env);
-    Browser.load_page browser job.job_page;
-    Pkru_safe.Env.reset_counters env;
-    Browser.reset_selector_stats browser;
-    let exec () =
-      List.iter (fun script -> ignore (Browser.exec_script ?tier browser script)) job.job_scripts
-    in
-    match sink with
-    | None -> exec ()
-    | Some sink -> Workloads.Runner.run_traced sink browser exec
+    Workloads.Runner.run_scripts ?trace:sink ?engine_tier:tier browser job.job_scripts
   with
   | () -> finish pg Completed
   | exception Killed r -> r
@@ -269,6 +265,7 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
   if telemetry && (n <> 1 || cpus <> 1) then
     invalid_arg "Fleet.run: telemetry traces are single-session only (sessions=1, cpus=1)";
   let profile = match profile with Some p -> p | None -> Runtime.Profile.create () in
+  let config = Pkru_safe.Config.make ~defenses mode in
   let backing = Option.map (fun pages -> Allocators.Backing.create ~pages) page_budget in
   let job_arr = Array.of_list jobs in
   let named =
@@ -277,8 +274,8 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         { job with job_name = Printf.sprintf "%s#%d" job.job_name id })
   in
   let run_job ~refuse job =
-    run_session ~mode ~profile ~page_budget:(Option.is_some backing) ~tier ~timeslice ~telemetry
-      ~defenses ~refuse job
+    run_session ~config ~profile ~page_budget:(Option.is_some backing) ~tier ~timeslice
+      ~telemetry ~refuse job
   in
   let runs = Util.Pool.map ?domains (run_job ~refuse:[]) named in
   let queues : session list ref array = Array.init cpus (fun _ -> ref []) in

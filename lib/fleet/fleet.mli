@@ -106,11 +106,10 @@ val run :
     The check charges no cycles and emits nothing when it passes, so a
     defended benign fleet is bit-identical to an undefended one.
 
-    [telemetry] (single-session, single-CPU only) captures an event
-    trace with the exact {!Workloads.Runner} protocol
-    ({!Workloads.Runner.run_traced} around the script phase), so the
-    trace is comparable bit-for-bit with the runner's; it is returned in
-    [r_trace].  Each session's telemetry lives on its own machine, so
+    [telemetry] (single-session, single-CPU only) traces the session
+    with the runner's own timed phase ({!Workloads.Runner.run_scripts}
+    with a sink), so the trace is comparable bit-for-bit with the
+    runner's; it is returned in [r_trace].  Each session's telemetry lives on its own machine, so
     sinks attached to other environments neither see the fleet nor stop
     it.
 

@@ -45,3 +45,20 @@ let collect_profile ?hosts source ~inputs =
   let* profiling = build ?hosts ~mode:Pkru_safe.Config.Profiling source in
   List.iter (fun input -> input profiling.interp) inputs;
   Ok (Pkru_safe.Env.recorded_profile profiling.env)
+
+let e1_source () =
+  let open Ir in
+  let m = Module_ir.create () in
+  let u = Builder.create ~name:"untrusted_write" ~crate:"clib" ~nparams:1 () in
+  Builder.store u ~src:(Instr.Imm 1337) ~addr:(Instr.Reg 0) ();
+  Builder.ret u None;
+  Module_ir.add_func m (Builder.finish u);
+  Module_ir.mark_untrusted m "clib";
+  let f = Builder.create ~name:"main" ~crate:"app" ~nparams:0 () in
+  let shared = Builder.alloc f (Instr.Imm 64) in
+  Builder.store f ~src:(Instr.Imm 0) ~addr:(Instr.Reg shared) ();
+  ignore (Builder.call f "untrusted_write" [ Instr.Reg shared ]);
+  let v = Builder.load f (Instr.Reg shared) in
+  Builder.ret f (Some (Instr.Reg v));
+  Module_ir.add_func m (Builder.finish f);
+  m

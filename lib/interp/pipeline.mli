@@ -47,3 +47,8 @@ val collect_profile :
   (Runtime.Profile.t, string) result
 (** Builds the profiling configuration and runs every profiling input
     against it, returning the merged profile. *)
+
+val e1_source : unit -> Ir.Module_ir.t
+(** The artifact's E1 program: trusted [main] zeroes a buffer it
+    allocated, untrusted [untrusted_write] (crate [clib]) stores 1337 into
+    it, and [main] returns what it reads back. *)

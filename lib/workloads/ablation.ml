@@ -1,29 +1,18 @@
-let fail_on_error = function
-  | Ok v -> v
-  | Error msg -> failwith ("Workloads.Ablation: " ^ msg)
-
 (* An allocation-heavy workload: lots of JSON churn (string buffers), run
    with the getter-heavy DOM page so shared sites see real traffic. *)
 let alloc_heavy_bench =
   Bench_def.bench ~page:(Dom_scripts.page ~rows:8) "alloc-heavy"
     (Dom_scripts.dom_html ~iters:50)
 
-let binding_bound_bench =
-  Bench_def.bench ~page:(Dom_scripts.page ~rows:8) "gate-bound" (Dom_scripts.dom_attr ~iters:120)
-
 (* Ablation workloads are read-only scripts, so we run them once to warm
    allocator pools and page mappings, then measure a steady-state run —
    otherwise cold-start demand paging (which differs between allocator
    layouts) drowns out the effect under study. *)
-let measure ~mode ~mu_backend ~cost ~profile (bench : Bench_def.bench) =
-  let config = Pkru_safe.Config.make ~mu_backend ~cost mode in
-  let env = fail_on_error (Pkru_safe.Env.create ~profile config) in
-  let browser = Browser.create ~engine_seed:bench.Bench_def.engine_seed env in
-  Browser.load_page browser bench.Bench_def.page;
+let measure ~profile config (bench : Bench_def.bench) =
+  let browser = Runner.load ~profile config bench in
   ignore (Browser.exec_script browser bench.Bench_def.script);
-  Pkru_safe.Env.reset_counters env;
-  ignore (Browser.exec_script browser bench.Bench_def.script);
-  Pkru_safe.Env.cycles env
+  Runner.run_scripts browser [ bench.Bench_def.script ];
+  Pkru_safe.Env.cycles (Browser.env browser)
 
 let overhead_pct ~base ~measured =
   Util.Stats.percent_overhead ~baseline:(float_of_int base) ~measured:(float_of_int measured)
@@ -31,37 +20,33 @@ let overhead_pct ~base ~measured =
 let fast_mu_allocator () =
   let bench = alloc_heavy_bench in
   let profile = Runner.profile_bench bench in
-  let cost = Sim.Cost.default in
-  let run mu_backend mode = measure ~mode ~mu_backend ~cost ~profile bench in
+  let run mu_backend mode = measure ~profile (Pkru_safe.Config.make ~mu_backend mode) bench in
   let base = run Allocators.Pkalloc.Mu_dlmalloc Pkru_safe.Config.Base in
   let slow = run Allocators.Pkalloc.Mu_dlmalloc Pkru_safe.Config.Alloc in
   let fast = run Allocators.Pkalloc.Mu_jemalloc Pkru_safe.Config.Alloc in
   (overhead_pct ~base ~measured:slow, overhead_pct ~base ~measured:fast)
 
 let gate_cost_sweep ~wrpkru_costs =
-  let bench = binding_bound_bench in
+  let bench = Dom_scripts.gate_bound in
   let profile = Runner.profile_bench bench in
   List.map
     (fun wrpkru ->
       let cost = Sim.Cost.with_wrpkru Sim.Cost.default wrpkru in
-      let run mode = measure ~mode ~mu_backend:Allocators.Pkalloc.Mu_dlmalloc ~cost ~profile bench in
+      let run mode = measure ~profile (Pkru_safe.Config.make ~cost mode) bench in
       let base = run Pkru_safe.Config.Base in
       let mpk = run Pkru_safe.Config.Mpk in
       (wrpkru, overhead_pct ~base ~measured:mpk))
     wrpkru_costs
 
 let profile_coverage ~fractions ~seed =
-  let bench = binding_bound_bench in
+  let bench = Dom_scripts.gate_bound in
   let full = Runner.profile_bench bench in
   let rng = Util.Rng.create seed in
   List.map
     (fun fraction ->
       let profile = Runtime.Profile.subset full ~fraction ~rng in
       let survived =
-        match
-          measure ~mode:Pkru_safe.Config.Mpk ~mu_backend:Allocators.Pkalloc.Mu_dlmalloc
-            ~cost:Sim.Cost.default ~profile bench
-        with
+        match measure ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) bench with
         | (_ : int) -> true
         | exception Vmm.Fault.Unhandled _ -> false
       in
@@ -75,7 +60,7 @@ let profile_coverage ~fractions ~seed =
 let single_step_vs_switch () =
   let scenario install_handler =
     let machine = Sim.Machine.create () in
-    let pk = fail_on_error (Allocators.Pkalloc.create machine) in
+    let pk = Result.get_ok (Allocators.Pkalloc.create machine) in
     let gate = Runtime.Gate.create machine in
     let metadata = Runtime.Metadata.create () in
     let profile = Runtime.Profile.create () in

@@ -140,26 +140,18 @@ print(domGetAttribute(domQuery(".lead")[0], "data"));
 let sessions =
   [ wpt; jquery; webidl; browse_search; browse_wiki; browse_video; browse_selectors ]
 
-let run_session env session =
-  let browser = Browser.create env in
-  Browser.load_page browser session.page;
-  List.iter (fun script -> ignore (Browser.exec_script browser script)) session.scripts;
-  Browser.console browser
-
-let fail_on_error = function
-  | Ok v -> v
-  | Error msg -> failwith ("Workloads.Browsing: " ^ msg)
-
 let collect () =
   let corpus = Runtime.Corpus.create () in
   List.iter
     (fun session ->
-      let env =
-        fail_on_error (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Profiling))
+      let browser =
+        Runner.load ~profile:(Runtime.Profile.create ())
+          (Pkru_safe.Config.make Pkru_safe.Config.Profiling)
+          (Bench_def.bench ~page:session.page session.session_name "")
       in
-      ignore (run_session env session);
+      List.iter (fun script -> ignore (Browser.exec_script browser script)) session.scripts;
       Runtime.Corpus.add_run corpus ~name:session.session_name
-        (Pkru_safe.Env.recorded_profile env))
+        (Pkru_safe.Env.recorded_profile (Browser.env browser)))
     sessions;
   corpus
 

@@ -163,3 +163,5 @@ for (var i = 0; i < iters; i = i + 1) {
 }
 print("jslibselect:" + check);
 |}
+
+let gate_bound = Bench_def.bench ~page:(page ~rows:8) "gate-bound" (dom_attr ~iters:120)

@@ -42,3 +42,7 @@ val dom_events : iters:int -> string
 (** Event dispatch with listeners that call back into the DOM: the
     deeply-nested-transition workload of §5.3 (script -> dispatch ->
     callback -> getAttribute, four compartment levels per event). *)
+
+val gate_bound : Bench_def.bench
+(** {!dom_attr} for 120 iterations on an 8-row page: binding calls cross
+    the boundary in a tight loop (the ablations' and chaos's workload). *)

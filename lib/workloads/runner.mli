@@ -1,4 +1,5 @@
-(** The benchmark runner: executes a workload under the paper's three
+(** The benchmark runner, the one module that builds a world and
+    measures a run: executes a workload under the paper's three
     configurations and reports cycles, transitions and %MU.
 
     For each benchmark the runner first replays the paper's methodology:
@@ -48,56 +49,80 @@ type suite_result = {
   mean_pct_mu : float;      (** byte-weighted %MU across the suite *)
 }
 
-val profile_bench : ?engine_tier:Engine.tier -> Bench_def.bench -> Runtime.Profile.t
+val load :
+  ?backing:Allocators.Backing.t ->
+  ?arm:(Pkru_safe.Env.t -> unit) ->
+  profile:Runtime.Profile.t ->
+  Pkru_safe.Config.t ->
+  Bench_def.bench ->
+  Browser.t
+(** The one way a world is built: a fresh environment for the
+    configuration and profile (on [backing], a fleet session's budget
+    recorder), [arm] applied to it before anything runs, the browser with
+    the bench's engine seed, then the page load, as setup.  The bench's
+    script is not run. *)
+
+val profile_bench : Bench_def.bench -> Runtime.Profile.t
 (** One benchmark's profile: a fresh profiling build loads the page and
     runs the script once, and the sites its provenance runtime recorded
-    are returned.  Every single-benchmark methodology run (the CLI's
-    enforcement modes, the ablations, chaos, bench's site, mitigation and
-    census sections) starts here; {!run_suite} merges one per benchmark
-    into the suite's profiling corpus.  [engine_tier] runs the script
-    under another tier (default AST), for the tier-equivalence tests. *)
+    are returned.  {!profile_for}'s enforcement modes, the ablations,
+    chaos and bench's site, mitigation, census and telemetry sections
+    start here; {!run_suite} merges one per benchmark into the suite's
+    profiling corpus. *)
 
-val run_traced : Telemetry.Sink.t -> Browser.t -> (unit -> unit) -> unit
-(** [run_traced sink browser exec] runs [exec] with [sink] attached to the
-    browser's machine, then injects the post-run counters: the machine's
-    TLB hit and miss deltas over the run, and the flush generations its
-    TLBs counted for mapping changes (a PKRU write flushes nothing), as
+val profile_for : Pkru_safe.Config.mode -> Bench_def.bench -> Runtime.Profile.t
+(** The profile a build in [mode] gets: {!profile_bench} for [Alloc] and
+    [Mpk], the empty profile for [Base] and [Profiling]. *)
+
+val run_scripts :
+  ?trace:Telemetry.Sink.t -> ?engine_tier:Engine.tier -> Browser.t -> string list -> unit
+(** The timed phase: resets the counters and the selector statistics,
+    then runs the scripts in order on [engine_tier] (default AST).
+    [trace] is attached for the run, then injected with the machine's TLB
+    hit and miss deltas and the flush generations its TLBs counted for
+    mapping changes (a PKRU write flushes nothing), as
     ["tlb_hit"]/["tlb_miss"]/["tlb_flush"] (never emitted from the access
     path, so traces stay bit-identical TLB on or off), and the selector
-    cache counters as ["engine_selector_hit"]/["engine_selector_miss"].  Selector counters
-    are injected as totals, so reset them before the run. *)
+    cache counters as ["engine_selector_hit"]/["engine_selector_miss"]. *)
 
 val run_config :
   ?telemetry:bool ->
   ?sample_every:int ->
   ?census_every:int ->
-  ?tlb:bool ->
-  ?mitigation:Runtime.Mitigator.policy ->
-  ?engine_tier:Engine.tier ->
   ?recorder:Telemetry.Flight.t ->
-  mode:Pkru_safe.Config.mode ->
   profile:Runtime.Profile.t ->
+  Pkru_safe.Config.t ->
   Bench_def.bench ->
   measurement
-(** One benchmark under one configuration (fresh machine; counters are
-    reset after page load so the script execution is what is timed).
-    With [~telemetry:true] a fresh sink is attached to the machine for
-    the duration of the timed script and returned in the measurement's
-    [trace] field, with the post-run counters of {!run_traced} injected.
-    With [~sample_every:n] a {!Telemetry.Sampler} snapshots the thread's
+(** One benchmark under one configuration ({!load}, then {!run_scripts}
+    on the script, so the script execution is what is timed).  The
+    configuration carries the mode and every build choice (MU allocator,
+    cost model, TLB, mitigation, defenses).  With [~telemetry:true] a
+    fresh sink traces the timed script and is returned in [trace].  With
+    [~sample_every:n] a {!Telemetry.Sampler} snapshots the thread's
     compartment stack every [n] simulated cycles and is returned in
-    [samples].  With [~census_every:n] a
-    {!Telemetry.Census} walks the heap every [n] simulated cycles
-    (tracking covers page-load allocations too) and is returned in
-    [census].  None of the three charges simulated cycles, so
-    traced/sampled/censused and plain runs report identical [cycles].
-    [tlb] forwards to {!Pkru_safe.Config.make} (default on), as does
-    [mitigation] (a fault-recovery policy for [Mpk] runs; default none).
-    [engine_tier] selects the engine execution tier for the timed script
-    (default AST, the product's tier; the bytecode twin pins and the
-    tier-equivalence tests pick the bytecode pair).  [recorder] is
-    attached to the machine for the whole run, so failures dump into
-    it. *)
+    [samples].  With [~census_every:n] a {!Telemetry.Census} walks the
+    heap every [n] simulated cycles (tracking covers page-load
+    allocations too) and is returned in [census].  None of the three
+    charges simulated cycles, so traced/sampled/censused and plain runs
+    report identical [cycles].  [recorder] is attached, with the
+    machine's context, for the whole run, so failures dump into it. *)
+
+val audit :
+  recorder:Telemetry.Flight.t option ->
+  quarantine:string list ->
+  census_every:int ->
+  profile:Runtime.Profile.t ->
+  Pkru_safe.Config.t ->
+  Bench_def.bench ->
+  Pkru_safe.Env.t * Telemetry.Sink.t * Telemetry.Census.t * Audit.report
+(** The run the provenance audit scans: {!load}'s world with the
+    [quarantine] sites routed to MU and census tracking on; a sink and a
+    census (a snapshot every [census_every] cycles) watch the page load
+    and the script, and no counter is reset, so the environment's cycles
+    include the page load; then {!Audit.scan} of the census metadata.
+    Returns the environment, sink, census and report.  [recorder] is
+    attached as in {!run_config}. *)
 
 val run_suite :
   ?progress:(string -> unit) ->

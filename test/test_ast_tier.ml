@@ -1009,7 +1009,9 @@ let test_bench_goldens () =
     (List.map (fun (name, _, _, _) -> name) bench_goldens);
   List.iter2
     (fun bench (name, cycles, transitions, digest) ->
-      let m = Workloads.Runner.run_config ~mode:Pkru_safe.Config.Base ~profile bench in
+      let m =
+        Workloads.Runner.run_config ~profile (Pkru_safe.Config.make Pkru_safe.Config.Base) bench
+      in
       Alcotest.(check int) (name ^ ": cycles") cycles m.Workloads.Runner.cycles;
       Alcotest.(check int) (name ^ ": transitions") transitions m.Workloads.Runner.transitions;
       Alcotest.(check string) (name ^ ": output digest") digest

@@ -230,8 +230,8 @@ let sampled_bench =
 let test_sampled_profile_matches_flow_matrix () =
   let profile = Workloads.Runner.profile_bench sampled_bench in
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
-      ~profile sampled_bench
+    Workloads.Runner.run_config ~telemetry:true ~sample_every:64
+      ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) sampled_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   let sampler = Option.get m.Workloads.Runner.samples in
@@ -272,8 +272,8 @@ let test_sampled_profile_matches_flow_matrix () =
 let test_prometheus_end_to_end () =
   let profile = Workloads.Runner.profile_bench sampled_bench in
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~sample_every:64 ~mode:Pkru_safe.Config.Mpk
-      ~profile sampled_bench
+    Workloads.Runner.run_config ~telemetry:true ~sample_every:64
+      ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) sampled_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   let sampler = Option.get m.Workloads.Runner.samples in

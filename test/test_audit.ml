@@ -102,7 +102,8 @@ let test_promote_routes_future_allocs_to_mu () =
   Alcotest.(check bool) "converged image is leak-free" true (Audit.leak_free (scan env2))
 
 (* No false positives: seed workloads, run end to end under enforcement
-   with their real profiles, must come back leak-free. *)
+   with their real profiles through the runner's audited run, must come
+   back leak-free. *)
 let test_seed_workloads_leak_free () =
   let benches =
     [
@@ -116,15 +117,12 @@ let test_seed_workloads_leak_free () =
   in
   List.iter
     (fun (bench : Workloads.Bench_def.bench) ->
-      let profile = Workloads.Runner.profile_bench bench in
-      let env =
-        ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk))
+      let _, _, _, report =
+        Workloads.Runner.audit ~recorder:None ~quarantine:[] ~census_every:256
+          ~profile:(Workloads.Runner.profile_bench bench)
+          (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
+          bench
       in
-      Pkru_safe.Env.track_census env;
-      let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
-      Browser.load_page browser bench.Workloads.Bench_def.page;
-      ignore (Browser.exec_script browser bench.Workloads.Bench_def.script);
-      let report = scan env in
       Alcotest.(check bool)
         (bench.Workloads.Bench_def.name ^ " scans pages")
         true
@@ -133,6 +131,27 @@ let test_seed_workloads_leak_free () =
         (bench.Workloads.Bench_def.name ^ " leak-free")
         true (Audit.leak_free report))
     benches
+
+(* The promotion re-run's plumbing: the quarantine handed to the audited
+   run is in force on the fresh image it builds.  Quarantining the DOM's
+   node records moves them to MU, where their pointers to MT objects are
+   U-readable: the scan must see that, or the quarantine never reached
+   the image. *)
+let test_audit_carries_quarantine () =
+  let bench =
+    Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:4) "audit-quarantine"
+      (Workloads.Dom_scripts.dom_attr ~iters:8)
+  in
+  let site = Runtime.Alloc_id.to_string Browser.Sites.node_record in
+  let env, _, _, report =
+    Workloads.Runner.audit ~recorder:None ~quarantine:[ site ] ~census_every:256
+      ~profile:(Workloads.Runner.profile_bench bench)
+      (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
+      bench
+  in
+  Alcotest.(check (list string)) "quarantine in force on the fresh image" [ site ]
+    (Allocators.Pkalloc.quarantined_sites (Pkru_safe.Env.pkalloc env));
+  Alcotest.(check bool) "node records in MU expose MT pointers" false (Audit.leak_free report)
 
 (* The scan itself is architecturally invisible: machine cycles and the
    demand-fault count are unchanged by running it. *)
@@ -189,6 +208,7 @@ let suite =
     Alcotest.test_case "promote routes future allocs to MU" `Quick
       test_promote_routes_future_allocs_to_mu;
     Alcotest.test_case "seed workloads leak-free" `Quick test_seed_workloads_leak_free;
+    Alcotest.test_case "audit carries its quarantine" `Quick test_audit_carries_quarantine;
     Alcotest.test_case "scan is pure" `Quick test_scan_is_pure;
     Alcotest.test_case "report renders" `Quick test_report_renders;
     Alcotest.test_case "chaos carries audit invariant" `Quick

@@ -27,7 +27,10 @@ let test_census_does_not_perturb_measurements () =
       m.Workloads.Runner.output )
   in
   let run ?census_every () =
-    strip (Workloads.Runner.run_config ?census_every ~mode:Pkru_safe.Config.Mpk ~profile small_bench)
+    strip
+      (Workloads.Runner.run_config ?census_every ~profile
+         (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
+         small_bench)
   in
   let off1 = run () in
   let off2 = run () in
@@ -42,8 +45,8 @@ let test_census_event_trace_bit_identical () =
   let profile = bench_profile () in
   let run ?census_every () =
     let m =
-      Workloads.Runner.run_config ~telemetry:true ?census_every ~mode:Pkru_safe.Config.Mpk
-        ~profile small_bench
+      Workloads.Runner.run_config ~telemetry:true ?census_every
+        ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) small_bench
     in
     (m, Option.get m.Workloads.Runner.trace)
   in
@@ -88,7 +91,8 @@ let test_tracking_alone_does_not_perturb () =
 let test_snapshot_content () =
   let profile = bench_profile () in
   let m =
-    Workloads.Runner.run_config ~census_every:64 ~mode:Pkru_safe.Config.Mpk ~profile
+    Workloads.Runner.run_config ~census_every:64 ~profile
+      (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
       small_bench
   in
   let census = Option.get m.Workloads.Runner.census in
@@ -140,7 +144,8 @@ let test_snapshot_content () =
 let test_digest_json_roundtrip () =
   let profile = bench_profile () in
   let m =
-    Workloads.Runner.run_config ~census_every:64 ~mode:Pkru_safe.Config.Mpk ~profile
+    Workloads.Runner.run_config ~census_every:64 ~profile
+      (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
       small_bench
   in
   let census = Option.get m.Workloads.Runner.census in
@@ -157,8 +162,8 @@ let test_digest_json_roundtrip () =
 let test_census_metrics_export () =
   let profile = bench_profile () in
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~census_every:64 ~mode:Pkru_safe.Config.Mpk
-      ~profile small_bench
+    Workloads.Runner.run_config ~telemetry:true ~census_every:64
+      ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) small_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   let census = Option.get m.Workloads.Runner.census in

@@ -109,7 +109,8 @@ let test_abort_bit_identical () =
   in
   let profile = Workloads.Runner.profile_bench bench in
   let run mitigation =
-    Workloads.Runner.run_config ?mitigation ~telemetry:true ~mode:Pkru_safe.Config.Mpk ~profile
+    Workloads.Runner.run_config ~telemetry:true ~profile
+      (Pkru_safe.Config.make ?mitigation Pkru_safe.Config.Mpk)
       bench
   in
   let plain = run None in

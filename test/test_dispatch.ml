@@ -64,12 +64,10 @@ let measure ?selector_cache ?(mode = Pkru_safe.Config.Base) ?profile ~tier
     Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed ?selector_cache env
   in
   Browser.load_page browser bench.Workloads.Bench_def.page;
-  Pkru_safe.Env.reset_counters env;
   Engine.reset_stats (Browser.engine browser);
-  Browser.reset_selector_stats browser;
   let sink = Telemetry.Sink.create () in
-  Workloads.Runner.run_traced sink browser (fun () ->
-      ignore (Browser.exec_script ~tier browser bench.Workloads.Bench_def.script));
+  Workloads.Runner.run_scripts ~trace:sink ~engine_tier:tier browser
+    [ bench.Workloads.Bench_def.script ];
   {
     d_cycles = Pkru_safe.Env.cycles env;
     d_transitions = Pkru_safe.Env.transitions env;
@@ -140,7 +138,13 @@ let test_profiling_equivalence () =
   let threaded = measure ~tier:Engine.Threaded_tier ~mode ~profile bench in
   check_bit_identical "profiling mode" reference threaded;
   let sites tier =
-    let p = Workloads.Runner.profile_bench ~engine_tier:tier bench in
+    let browser =
+      Workloads.Runner.load ~profile:(Runtime.Profile.create ())
+        (Pkru_safe.Config.make Pkru_safe.Config.Profiling)
+        bench
+    in
+    Workloads.Runner.run_scripts ~engine_tier:tier browser [ bench.Workloads.Bench_def.script ];
+    let p = Pkru_safe.Env.recorded_profile (Browser.env browser) in
     List.sort compare (List.map Runtime.Alloc_id.to_string (Runtime.Profile.sites p))
   in
   Alcotest.(check (list string)) "profiler discovers identical sites"

@@ -68,7 +68,8 @@ let test_yield_counts_pinned () =
 let test_single_session_bit_identity () =
   let profile = Runtime.Profile.create () in
   let runner =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Base ~profile
+    Workloads.Runner.run_config ~telemetry:true ~profile
+      (Pkru_safe.Config.make Pkru_safe.Config.Base)
       ident_bench
   in
   let fleet =
@@ -114,7 +115,7 @@ let test_origin_ids_per_session () =
 let test_interleaved_sessions_match_solo () =
   let profile = Runtime.Profile.create () in
   let solo =
-    Workloads.Runner.run_config ~mode:Pkru_safe.Config.Base ~profile ident_bench
+    Workloads.Runner.run_config ~profile (Pkru_safe.Config.make Pkru_safe.Config.Base) ident_bench
   in
   let r =
     Fleet.run ~timeslice:100 ~sessions:2 [ Fleet.job_of_bench ident_bench ]

@@ -60,14 +60,20 @@ let twins =
   ]
 
 (* Profiles the probe's bench on the AST tier, then measures it on a
-   fresh machine: (cycles, transitions). *)
+   fresh machine: (cycles, transitions).  A bytecode-tier probe takes
+   the runner's timed phase on that tier, as a fleet session does. *)
 let run p =
   let profile = Workloads.Runner.profile_bench p.bench in
-  let m =
-    Workloads.Runner.run_config ?mitigation:p.mitigation ?census_every:p.census_every
-      ~engine_tier:p.tier ~mode:p.mode ~profile p.bench
-  in
-  (m.Workloads.Runner.cycles, m.Workloads.Runner.transitions)
+  let config = Pkru_safe.Config.make ?mitigation:p.mitigation p.mode in
+  match p.tier with
+  | Engine.Ast_tier ->
+    let m = Workloads.Runner.run_config ?census_every:p.census_every ~profile config p.bench in
+    (m.Workloads.Runner.cycles, m.Workloads.Runner.transitions)
+  | tier ->
+    let browser = Workloads.Runner.load ~profile config p.bench in
+    Workloads.Runner.run_scripts ~engine_tier:tier browser [ p.bench.Workloads.Bench_def.script ];
+    let env = Browser.env browser in
+    (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env)
 
 let measured = lazy (List.map (fun p -> (p.name, run p)) probes)
 

@@ -35,8 +35,8 @@ let test_gate_events_match_transitions () =
 
 let test_gate_events_match_on_workload () =
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Mpk
-      ~profile:(bench_profile ()) small_bench
+    Workloads.Runner.run_config ~telemetry:true
+      ~profile:(bench_profile ()) (Pkru_safe.Config.make Pkru_safe.Config.Mpk) small_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   Alcotest.(check bool) "workload transitions nonzero" true (m.Workloads.Runner.transitions > 0);
@@ -87,7 +87,8 @@ let test_disabled_sink_identical_measurements () =
   in
   let run ?sample_every telemetry =
     strip
-      (Workloads.Runner.run_config ~telemetry ?sample_every ~mode:Pkru_safe.Config.Mpk ~profile
+      (Workloads.Runner.run_config ~telemetry ?sample_every ~profile
+         (Pkru_safe.Config.make Pkru_safe.Config.Mpk)
          small_bench)
   in
   let off1 = run false in
@@ -103,8 +104,8 @@ let test_disabled_sink_identical_measurements () =
    span slice per recorded causal span (on its own pid). *)
 let test_chrome_trace_roundtrip () =
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Mpk
-      ~profile:(bench_profile ()) small_bench
+    Workloads.Runner.run_config ~telemetry:true
+      ~profile:(bench_profile ()) (Pkru_safe.Config.make Pkru_safe.Config.Mpk) small_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   let spans = Telemetry.Sink.spans sink in
@@ -168,8 +169,8 @@ let test_chrome_trace_roundtrip () =
 
 let test_summary_json_roundtrip () =
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Mpk
-      ~profile:(bench_profile ()) small_bench
+    Workloads.Runner.run_config ~telemetry:true
+      ~profile:(bench_profile ()) (Pkru_safe.Config.make Pkru_safe.Config.Mpk) small_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   let parsed = Util.Json.of_string (Util.Json.to_string (Telemetry.Export.summary_json sink)) in
@@ -317,8 +318,8 @@ let test_gate_tail () =
    included, and Span.record_of_json inverts record_to_json. *)
 let test_json_export_roundtrip () =
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Mpk
-      ~profile:(bench_profile ()) small_bench
+    Workloads.Runner.run_config ~telemetry:true
+      ~profile:(bench_profile ()) (Pkru_safe.Config.make Pkru_safe.Config.Mpk) small_bench
   in
   let sink = Option.get m.Workloads.Runner.trace in
   let spans = Telemetry.Sink.spans sink in

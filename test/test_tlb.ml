@@ -41,7 +41,11 @@ let check_equivalence mode () =
       (Workloads.Dom_scripts.dom_attr ~iters:12)
   in
   let profile = Workloads.Runner.profile_bench bench in
-  let run tlb = Workloads.Runner.run_config ~telemetry:true ~tlb ~mode ~profile bench in
+  let run tlb =
+    Workloads.Runner.run_config ~telemetry:true ~profile
+      { (Pkru_safe.Config.make mode) with Pkru_safe.Config.tlb }
+      bench
+  in
   let on = run true in
   let off = run false in
   Alcotest.(check int) "cycles identical" off.Workloads.Runner.cycles on.Workloads.Runner.cycles;
@@ -471,12 +475,13 @@ let test_tlb_stats_pinned_per_tier () =
   let bench = ok (Workloads.Registry.bench_of_name "dom-attr") in
   let profile = Workloads.Runner.profile_bench bench in
   let stats tier =
-    let m =
-      Workloads.Runner.run_config ~telemetry:true ~engine_tier:tier ~mode:Pkru_safe.Config.Mpk
-        ~profile bench
+    let browser =
+      Workloads.Runner.load ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk) bench
     in
-    let sink = Option.get m.Workloads.Runner.trace in
-    ( m.Workloads.Runner.cycles,
+    let sink = Telemetry.Sink.create () in
+    Workloads.Runner.run_scripts ~trace:sink ~engine_tier:tier browser
+      [ bench.Workloads.Bench_def.script ];
+    ( Pkru_safe.Env.cycles (Browser.env browser),
       Telemetry.Sink.count sink "tlb_hit",
       Telemetry.Sink.count sink "tlb_miss",
       Telemetry.Sink.count sink "tlb_flush" )
@@ -513,7 +518,9 @@ let test_runner_injects_counters () =
   let bench = Workloads.Bench_def.bench "tlb-cnt" (Workloads.Kernels.richards ~iterations:5) in
   let profile = Runtime.Profile.create () in
   let m =
-    Workloads.Runner.run_config ~telemetry:true ~mode:Pkru_safe.Config.Base ~profile bench
+    Workloads.Runner.run_config ~telemetry:true ~profile
+      (Pkru_safe.Config.make Pkru_safe.Config.Base)
+      bench
   in
   match m.Workloads.Runner.trace with
   | None -> Alcotest.fail "expected a trace"
